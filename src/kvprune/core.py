@@ -35,8 +35,9 @@ def as_tags(seq) -> np.ndarray:
     interleavings are fine; only the values are constrained.
     """
     tags = np.asarray(seq, dtype=np.uint8).ravel()
-    if tags.size and not np.isin(tags, (ModalityTag.TEXT, ModalityTag.VISUAL)).all():
-        bad = tags[~np.isin(tags, (ModalityTag.TEXT, ModalityTag.VISUAL))][0]
+    # Tags are uint8, so anything above VISUAL is the only way to be invalid.
+    if tags.max(initial=0) > ModalityTag.VISUAL:
+        bad = tags[tags > ModalityTag.VISUAL][0]
         raise ValueError(f"modality tags must be 0 (text) or 1 (visual), got {bad}")
     return tags
 

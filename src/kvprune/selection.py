@@ -51,20 +51,36 @@ class PruneMask:
         return cls(np.arange(universe_size), universe_size)
 
 
+def _stable_order(scores) -> np.ndarray:
+    """Indices by descending score; ties go to the smaller index."""
+    scores = np.asarray(scores, dtype=np.float64).ravel()
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite")
+    # Stable sort on negated scores: equal scores keep ascending index order.
+    return np.argsort(-scores, kind="stable")
+
+
 def topk_mask(scores, k: int) -> PruneMask:
     """Mask of the k highest scores; ties go to the smaller index.
 
     k = 0 gives an empty mask, k >= len(scores) retains everything.
     """
-    scores = np.asarray(scores, dtype=np.float64).ravel()
-    if not np.isfinite(scores).all():
-        raise ValueError("scores must be finite")
+    order = _stable_order(scores)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    k = min(int(k), scores.size)
-    # Stable sort on negated scores: equal scores keep ascending index order.
-    order = np.argsort(-scores, kind="stable")
-    return PruneMask(order[:k], scores.size)
+    return PruneMask(order[: int(k)], order.size)
+
+
+def _ranks(scores) -> np.ndarray:
+    """Each index's position in the topk_mask order.
+
+    The inverse permutation of that order, so topk_mask(scores, k) selects
+    exactly the indices with rank < k, ties included.
+    """
+    order = _stable_order(scores)
+    ranks = np.empty(order.size, dtype=np.int64)
+    ranks[order] = np.arange(order.size)
+    return ranks
 
 
 def intersect_masks(a: PruneMask, b: PruneMask) -> PruneMask:
@@ -104,43 +120,76 @@ def _biased(scores: ImportanceScores, cfg: PruneConfig) -> tuple[np.ndarray, np.
     return scores.intra * bias, scores.inter * bias
 
 
+def _first_true(pred, start: int) -> int:
+    """Smallest t >= start with pred(t), for pred monotone in t and true
+    somewhere: double the step until pred holds, then bisect."""
+    if pred(start):
+        return start
+    step = 1
+    while not pred(start + step):
+        step *= 2
+    lo, hi = start + step // 2, start + step  # pred(lo) is false, pred(hi) true
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def cross_self_select(scores: ImportanceScores, cfg: PruneConfig) -> PruneMask:
     """Intersect the intra and inter top-k masks over the candidates.
 
     A candidate survives only if both rankings select it, so the achieved
-    mask is usually smaller than the pool; with widen_to_budget the two k
-    values grow in lock-step (ratio preserved, capped at the candidate
-    count) until the intersection reaches the pool or every candidate is
-    selected by both. A ranking whose allocation is zero (cross_ratio 0 or
-    1) is treated as unconstrained rather than as an empty veto, which is
-    what makes the ratio extremes mean pure-intra / pure-inter selection.
+    mask is usually smaller than the pool. A ranking whose allocation is
+    zero (cross_ratio 0 or 1) is treated as unconstrained rather than as an
+    empty veto, which is what makes the ratio extremes mean pure-intra /
+    pure-inter selection.
+
+    With widen_to_budget the pool size t grows from the nominal pool, both
+    k values following the budget_to_k split of t (ratio preserved, capped
+    at the candidate count), and the result is the mask at the smallest t
+    where the intersection reaches the pool or both rankings select every
+    candidate. A side that started unconstrained stays unconstrained.
+
+    Each ranking is sorted once: its top-k set is rank < k, so the mask at
+    any t is one vectorised comparison. round_half_up(ratio * t) rises by 0
+    or 1 per unit of t, so both k values, and with them the intersection
+    size, never shrink as t grows; a doubling-then-bisection search finds
+    the stopping t in O(log t) counts. A call costs two stable sorts plus
+    O(cand log t), instead of re-sorting once per unit of widening.
     """
     cand = len(scores)
     if cand == 0:
         raise ValueError("no candidates to select from")
     intra, inter = _biased(scores, cfg)
-    pool = max(cfg.budget - cfg.recent, 0)
+    intra_rank, inter_rank = _ranks(intra), _ranks(inter)
     k_intra, k_inter = budget_to_k(cfg, cand)
-
     # Effective k: a zero allocation selects everything instead of nothing.
-    eff_intra = cand if k_intra == 0 else k_intra
-    eff_inter = cand if k_inter == 0 else k_inter
-    mask = intersect_masks(topk_mask(intra, eff_intra), topk_mask(inter, eff_inter))
-    if not cfg.widen_to_budget:
-        return mask
+    free_intra, free_inter = k_intra == 0, k_inter == 0
 
-    target = min(pool, cand)
-    t = pool
-    while len(mask) < target and (eff_intra < cand or eff_inter < cand):
-        t += 1
+    def effective_ks(t: int) -> tuple[int, int]:
         kc = _round_half_up(cfg.cross_ratio * t)
-        ki = t - kc
-        # Effective sizes only grow; a side that started unconstrained
-        # (zero share) stays unconstrained.
-        eff_intra = max(eff_intra, min(ki, cand))
-        eff_inter = max(eff_inter, min(kc, cand))
-        mask = intersect_masks(topk_mask(intra, eff_intra), topk_mask(inter, eff_inter))
-    return mask
+        return (
+            cand if free_intra else min(t - kc, cand),
+            cand if free_inter else min(kc, cand),
+        )
+
+    def selected(t: int) -> np.ndarray:
+        eff_intra, eff_inter = effective_ks(t)
+        return (intra_rank < eff_intra) & (inter_rank < eff_inter)
+
+    pool = max(cfg.budget - cfg.recent, 0)
+    t = pool
+    if cfg.widen_to_budget:
+        target = min(pool, cand)
+        t = _first_true(
+            lambda t: min(effective_ks(t)) == cand
+            or np.count_nonzero(selected(t)) >= target,
+            pool,
+        )
+    return PruneMask(np.flatnonzero(selected(t)), cand)
 
 
 def apply_prune(cache: KvCacheState, mask: PruneMask, recent: int) -> KvCacheState:

@@ -222,12 +222,6 @@ class RunReport:
         visual = sum(int(tag_counts(tags)[1]) for tags in self.retained_tags)
         return text, visual
 
-    @property
-    def retained_modality_mix(self) -> tuple[float, float]:
-        text, visual = self.retained_counts
-        total = max(text + visual, 1)
-        return text / total, visual / total
-
 
 def _transpose(per_step: list[list[PolicyDecision]]) -> list[list[PolicyDecision]]:
     layers = len(per_step[0])

@@ -152,7 +152,8 @@ class _Cursor:
         self.pos = 0
         self.step: int | None = None
 
-    def take(self, count: int, what: str) -> bytes:
+    def require(self, count: int, what: str) -> None:
+        """Raise TruncatedTraceError unless count more bytes exist."""
         if self.pos + count > len(self.data):
             where = "header" if self.step is None else f"step {self.step}"
             raise TruncatedTraceError(
@@ -160,6 +161,9 @@ class _Cursor:
                 f"{len(self.data) - self.pos} left",
                 step=self.step,
             )
+
+    def take(self, count: int, what: str) -> bytes:
+        self.require(count, what)
         out = self.data[self.pos : self.pos + count]
         self.pos += count
         return out
@@ -212,6 +216,13 @@ def read_trace(path) -> AttentionTrace:
                     )
                 if shared_shape is None:
                     shared_shape = (rows, cols)
+                    # Every block shares this shape, so the step's whole
+                    # payload is known; check it exists before allocating.
+                    # The first block's 8-byte shape prefix is already read.
+                    cur.require(
+                        layers * heads * (8 + rows * cols * 4) - 8,
+                        f"{layers}x{heads} blocks of {rows}x{cols}",
+                    )
                     blocks = np.empty((layers, heads, rows, cols), dtype=np.float32)
                 elif (rows, cols) != shared_shape:
                     raise SizeMismatchError(

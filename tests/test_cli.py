@@ -1,12 +1,13 @@
 """End-to-end CLI tests: every subcommand, exit codes, config layering."""
 
 import json
+import struct
 
 import pytest
 
 from kvprune.cli import main
 from kvprune.reports import RESULTS_COLUMNS, STEP_COLUMNS
-from kvprune.traceio import read_trace
+from kvprune.traceio import MAGIC, read_trace
 
 SPEC_FLAGS = ["--text", "8", "--visual", "8", "--layers", "2", "--heads", "2",
               "--dim", "8", "--steps", "4"]
@@ -197,6 +198,18 @@ class TestAnalyze:
     def test_missing_trace(self, tmp_path):
         assert main(["analyze", str(tmp_path / "absent.trace"),
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_huge_declared_payload(self, tmp_path, capsys):
+        """A header declaring far more block data than the file holds is a
+        trace error (exit 2), not an allocation failure."""
+        bad = tmp_path / "huge.trace"
+        header = struct.pack("<HHHIHI", 1, 60000, 60000, 1, 8, 1)
+        bad.write_bytes(MAGIC + header + b"\x00" + struct.pack("<III", 0, 1, 1))
+        assert main(["analyze", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: trace truncated in step 0")
+        assert "60000x60000 blocks" in err
+        assert "Traceback" not in err
 
 
 class TestCompare:

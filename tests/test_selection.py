@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from kvprune.core import KvCacheState, PruneConfig, TEXT, VISUAL
 from kvprune.decompose import ImportanceScores, cross_self_importance
@@ -185,17 +186,7 @@ class TestCrossSelfSelect:
         assert set(plain.indices) <= set(widened.indices)
 
     def test_matches_oracle_with_and_without_widening(self):
-        rng = np.random.default_rng(42)
-        for trial in range(200):
-            cand = int(rng.integers(1, 25))
-            intra = rng.random(cand)
-            inter = rng.random(cand)
-            budget = int(rng.integers(2, 30))
-            recent = int(rng.integers(0, budget))
-            ratio = float(rng.random())
-            widen = bool(trial % 2)
-            bias = float(rng.choice([1.0, 2.0]))
-            obs = int(rng.integers(1, 8))
+        def check(intra, inter, budget, recent, ratio, obs, bias, widen):
             cfg = PruneConfig(
                 budget=budget,
                 recent=recent,
@@ -210,6 +201,38 @@ class TestCrossSelfSelect:
                 recency_bias=bias, widen=widen,
             )
             np.testing.assert_array_equal(got, expected)
+
+        rng = np.random.default_rng(42)
+        for trial in range(200):
+            cand = int(rng.integers(1, 25))
+            intra = rng.random(cand)
+            inter = rng.random(cand)
+            budget = int(rng.integers(2, 30))
+            recent = int(rng.integers(0, budget))
+            ratio = float(rng.random())
+            widen = bool(trial % 2)
+            bias = float(rng.choice([1.0, 2.0]))
+            obs = int(rng.integers(1, 8))
+            check(intra, inter, budget, recent, ratio, obs, bias, widen)
+
+        # Larger candidate sets, tied integer scores and extreme ratios, so
+        # the widening search takes both its doubling and bisection steps.
+        # The oracle re-sorts once per widening round, and extreme ratios
+        # widen for up to cand / 0.01 rounds, so they get fewer candidates.
+        for trial in range(100):
+            ratio = (0.0, 1.0, 0.01, 0.99, float(rng.random()))[trial % 5]
+            cand = int(rng.integers(1, 60 if ratio in (0.01, 0.99) else 300))
+            if trial % 2:
+                intra = rng.integers(0, 4, cand).astype(np.float64)
+                inter = rng.integers(0, 4, cand).astype(np.float64)
+            else:
+                intra = rng.random(cand)
+                inter = rng.random(cand)
+            budget = int(rng.integers(2, cand + 60))
+            recent = int(rng.integers(0, budget))
+            bias = float(rng.choice([0.5, 1.0, 2.0]))
+            obs = int(rng.integers(1, 40))
+            check(intra, inter, budget, recent, ratio, obs, bias, trial % 3 != 0)
 
     def test_intersection_subset_property(self):
         """Without widening, the result is contained in both top-k masks and
@@ -248,6 +271,60 @@ class TestCrossSelfSelect:
         empty = scores_from(np.zeros(0), np.zeros(0))
         with pytest.raises(ValueError, match="no candidates"):
             cross_self_select(empty, cfg)
+
+
+@st.composite
+def selection_cases(draw):
+    """Candidate scores and a csp config; scores are tied small integers
+    or uniform floats, drawn from a seeded generator to keep examples small."""
+    cand = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        intra = rng.integers(0, 4, cand).astype(np.float64)
+        inter = rng.integers(0, 4, cand).astype(np.float64)
+    else:
+        intra, inter = rng.random(cand), rng.random(cand)
+    budget = draw(st.integers(2, cand + 60))
+    cfg = PruneConfig(
+        budget=budget,
+        recent=draw(st.integers(0, budget - 1)),
+        obs_window=draw(st.integers(1, 40)),
+        cross_ratio=draw(st.sampled_from([0.0, 0.01, 0.5, 0.99, 1.0]) | st.floats(0.0, 1.0)),
+        recency_bias=draw(st.sampled_from([0.5, 1.0, 2.0])),
+        widen_to_budget=draw(st.booleans()),
+    )
+    return scores_from(intra, inter), cfg
+
+
+class TestCrossSelfSelectProperties:
+    @given(selection_cases())
+    def test_mask_stays_inside_candidates(self, case):
+        scores, cfg = case
+        mask = cross_self_select(scores, cfg)
+        assert mask.universe_size == len(scores)
+        assert np.all((mask.indices >= 0) & (mask.indices < len(scores)))
+
+    @given(selection_cases())
+    def test_widening_reaches_target(self, case):
+        scores, cfg = case
+        mask = cross_self_select(scores, cfg.with_updates(widen_to_budget=True))
+        assert len(mask) >= min(cfg.budget - cfg.recent, len(scores))
+
+    @given(selection_cases())
+    def test_widened_contains_unwidened(self, case):
+        scores, cfg = case
+        plain = cross_self_select(scores, cfg.with_updates(widen_to_budget=False))
+        widened = cross_self_select(scores, cfg.with_updates(widen_to_budget=True))
+        assert set(plain.indices) <= set(widened.indices)
+
+    @given(selection_cases(), st.sampled_from([0.0, 1.0]))
+    def test_ratio_extremes_are_single_ranking_topk(self, case, ratio):
+        scores, cfg = case
+        cfg = cfg.with_updates(cross_ratio=ratio)
+        ranked = scores.intra if ratio == 0.0 else scores.inter
+        biased = oracles.biased(list(ranked), cfg.obs_window, cfg.recency_bias)
+        expected = topk_mask(np.array(biased), cfg.budget - cfg.recent).indices
+        np.testing.assert_array_equal(cross_self_select(scores, cfg).indices, expected)
 
 
 class TestApplyPrune:

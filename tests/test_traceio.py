@@ -167,6 +167,18 @@ class TestCorruption:
         with pytest.raises(SizeMismatchError, match="degenerate"):
             read_trace(path)
 
+    def test_huge_declared_payload_rejected_before_allocating(self, tmp_path):
+        """A 33-byte file declaring 60000x60000 1x1 blocks (13.4 GiB once
+        allocated) fails on the missing bytes, not on the allocation: the
+        header, one prefill tag, one step with no new tokens, then a single
+        block shape and no data."""
+        path = tmp_path / "huge.trace"
+        header = struct.pack("<HHHIHI", 1, 60000, 60000, 1, 8, 1)
+        path.write_bytes(MAGIC + header + b"\x00" + struct.pack("<III", 0, 1, 1))
+        with pytest.raises(TruncatedTraceError, match="60000x60000 blocks") as err:
+            read_trace(path)
+        assert err.value.step == 0
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.trace"
         path.write_bytes(b"")
