@@ -9,8 +9,9 @@ Exit codes: 0 success, 1 usage error (bad flags, bad parameter values),
 2 data error (unreadable/malformed files, dimension drift).
 
 Every run writes a JSON sidecar next to its output file with the fully
-resolved configuration. A JSON config file (--config) supplies defaults
-for any flag not given on the command line; explicit flags win.
+resolved configuration and the kvprune, numpy and Python versions. A JSON
+config file (--config) supplies defaults for any flag not given on the
+command line; explicit flags win.
 """
 
 from __future__ import annotations
@@ -18,7 +19,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
+
+import numpy as np
 
 from .core import HEAD_MODES, PruneConfig
 from .diagnostics import DEFAULT_BINS, DEFAULT_EPSILON, layer_report
@@ -33,7 +37,7 @@ from .simulator import (
     sweep,
 )
 from .traceio import TraceError, read_trace, write_trace
-from . import plots, reports
+from . import __version__, plots, reports
 
 
 class UsageError(Exception):
@@ -271,6 +275,15 @@ def _spec_payload(spec: SynthSpec) -> dict:
     }
 
 
+def _write_sidecar(out_path: str, payload: dict) -> None:
+    versions = {
+        "kvprune": __version__,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+    }
+    reports.write_config_sidecar(out_path, {**payload, "versions": versions})
+
+
 def _stem(path: str) -> str:
     root, _ = os.path.splitext(path)
     return root
@@ -285,7 +298,7 @@ def _cmd_gen_trace(args, file_cfg) -> int:
     spec = _spec_from(resolved, int(seed))
     trace = record_trace(spec, int(obs))
     write_trace(trace, args.out)
-    reports.write_config_sidecar(
+    _write_sidecar(
         args.out,
         {"command": "gen-trace", "spec": _spec_payload(spec), "obs_window": int(obs),
          "outputs": [args.out]},
@@ -317,7 +330,7 @@ def _cmd_simulate(args, file_cfg) -> int:
     report = run_decode(source, policy, cfg, **kwargs)
 
     reports.write_text(args.out, reports.steps_csv(report, fraction))
-    reports.write_config_sidecar(
+    _write_sidecar(
         args.out,
         {"command": "simulate", "policy": policy, "policy_options": kwargs,
          "config": _config_payload(cfg, fraction), **source_payload,
@@ -372,7 +385,7 @@ def _cmd_sweep(args, file_cfg) -> int:
         )
         reports.write_text(svg_path, svg)
         outputs.append(svg_path)
-    reports.write_config_sidecar(
+    _write_sidecar(
         args.out,
         {"command": "sweep", "axis": args.axis, "grid": grid, "policy": policy,
          "policy_options": kwargs, "config": _config_payload(cfg, fraction),
@@ -429,7 +442,7 @@ def _cmd_analyze(args, file_cfg) -> int:
             )
             reports.write_text(overlay_path, svg)
             outputs.append(overlay_path)
-    reports.write_config_sidecar(
+    _write_sidecar(
         args.out,
         {"command": "analyze", "trace": args.trace, "bins": args.bins,
          "epsilon": args.epsilon, "bandwidth": args.bandwidth, "obs_window": args.obs,
@@ -455,7 +468,7 @@ def _cmd_compare(args, file_cfg) -> int:
     )
     runs = [run_decode(trace, name, cfg, **_policy_kwargs(name, resolved)) for name in names]
     reports.write_text(args.out, reports.steps_csv(runs, fraction))
-    reports.write_config_sidecar(
+    _write_sidecar(
         args.out,
         {"command": "compare", "policies": names, "trace": args.trace,
          "config": _config_payload(cfg, fraction),

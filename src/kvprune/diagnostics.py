@@ -22,6 +22,7 @@ DEFAULT_BINS = 64
 DEFAULT_EPSILON = 1e-10
 GRID_POINTS = 512
 BANDWIDTH_FLOOR = 1e-6
+KERNEL_CUTOFF = 10.0
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,16 @@ def kde(samples, bandwidth: float | None = None, grid_points: int = GRID_POINTS)
 
     The grid spans [min - 4h, max + 4h] so essentially all kernel mass lies
     inside it; with bandwidth=None, Silverman's rule picks h.
+
+    Each sample is summed only over a window of w consecutive grid points
+    holding every point within KERNEL_CUTOFF = 10 bandwidths of it; w is
+    the largest such count over the samples, and windows that would run
+    off the top of the grid start early instead. A term left out has
+    |z| > 10, so it is below exp(-50) ~ 1.9e-22 of one kernel's peak: the
+    result matches direct summation over the whole grid to rounding, it is
+    not a binned approximation. The cost is O(n * w) kernel evaluations
+    instead of O(n * grid_points); w reaches grid_points only when h is
+    wide against the sample range (range below about 12h).
     """
     samples = _clean_samples(samples, "samples")
     if bandwidth is None:
@@ -101,13 +112,26 @@ def kde(samples, bandwidth: float | None = None, grid_points: int = GRID_POINTS)
         raise ValueError("grid_points must be >= 2")
 
     grid = np.linspace(samples.min() - 4 * h, samples.max() + 4 * h, grid_points)
+    reach = KERNEL_CUTOFF * h
+    starts = np.searchsorted(grid, samples - reach)
+    # Measured on the grid itself, so float spacing cannot drop a point.
+    width = int((np.searchsorted(grid, samples + reach, side="right") - starts).max())
+    starts = np.minimum(starts, grid_points - width)
+    offsets = np.arange(width)
     norm = 1.0 / (samples.size * h * np.sqrt(2.0 * np.pi))
     density = np.zeros(grid_points)
-    # Chunk the sample axis; layer-level sample sets can be large.
-    for start in range(0, samples.size, 8192):
-        chunk = samples[start : start + 8192]
-        z = (grid[:, None] - chunk[None, :]) / h
-        density += np.exp(-0.5 * z * z).sum(axis=1)
+    # Chunk the sample axis so no (chunk, width) temporary exceeds 8 MiB.
+    chunk = max(1, 2**20 // width)
+    for start in range(0, samples.size, chunk):
+        idx = starts[start : start + chunk, None] + offsets
+        # z = (grid - sample) / h, then exp(-z^2 / 2), all in one buffer.
+        z = grid[idx]
+        z -= samples[start : start + chunk, None]
+        z /= h
+        z *= z
+        z *= -0.5
+        np.exp(z, out=z)
+        density += np.bincount(idx.ravel(), z.ravel(), minlength=grid_points)
     return DensityCurve(grid=grid, density=density * norm, bandwidth=h)
 
 

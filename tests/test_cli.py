@@ -1,17 +1,29 @@
 """End-to-end CLI tests: every subcommand, exit codes, config layering."""
 
+import contextlib
+import io
 import json
+import platform
 import struct
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import kvprune
 from kvprune.cli import main
 from kvprune.reports import RESULTS_COLUMNS, STEP_COLUMNS
 from kvprune.traceio import MAGIC, read_trace
+from test_traceio import fuzz_dir, mutated_bytes  # noqa: F401  (fuzz_dir is a fixture)
 
 SPEC_FLAGS = ["--text", "8", "--visual", "8", "--layers", "2", "--heads", "2",
               "--dim", "8", "--steps", "4"]
 CFG_FLAGS = ["--budget", "0.5", "--recent", "2", "--obs", "4"]
+VERSIONS = {
+    "kvprune": kvprune.__version__,
+    "numpy": np.__version__,
+    "python": platform.python_version(),
+}
 
 
 @pytest.fixture()
@@ -55,6 +67,7 @@ class TestGenTrace:
         assert trace.final_length == 20
 
         sidecar = json.loads((tmp_path / "t.trace.config.json").read_text())
+        assert sidecar["versions"] == VERSIONS
         assert sidecar["command"] == "gen-trace"
         assert sidecar["spec"]["seed"] == 3
         assert sidecar["outputs"] == [str(out)]
@@ -78,6 +91,7 @@ class TestSimulate:
         assert len(lines) == 1 + 5 * 2  # steps+1 records x layers
 
         sidecar = json.loads((tmp_path / "steps.csv.config.json").read_text())
+        assert sidecar["versions"] == VERSIONS
         assert sidecar["command"] == "simulate"
         assert sidecar["policy"] == "csp"
         assert sidecar["config"]["budget_fraction"] == 0.5
@@ -91,6 +105,7 @@ class TestSimulate:
         for line in read_lines(out)[1:]:
             assert line.split(",")[recon_index] == ""
         sidecar = json.loads((tmp_path / "replay.csv.config.json").read_text())
+        assert sidecar["versions"] == VERSIONS
         assert sidecar["trace"] == str(trace_path)
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -139,6 +154,7 @@ class TestSweep:
         assert svg.lstrip().startswith("<svg")
 
         sidecar = json.loads((tmp_path / "sweep.csv.config.json").read_text())
+        assert sidecar["versions"] == VERSIONS
         assert sidecar["axis"] == "cross_ratio"
         assert sidecar["grid"] == [0.2, 0.8]
         assert str(tmp_path / "sweep.svg") in sidecar["outputs"]
@@ -182,6 +198,7 @@ class TestAnalyze:
         for name in ("div_js.svg", "div_kde_layer0.svg", "div_kde_layer1.svg"):
             assert (tmp_path / name).read_text().lstrip().startswith("<svg")
         sidecar = json.loads((tmp_path / "div.csv.config.json").read_text())
+        assert sidecar["versions"] == VERSIONS
         assert len(sidecar["outputs"]) == 5
 
     @pytest.mark.parametrize("flags", [
@@ -211,6 +228,18 @@ class TestAnalyze:
         assert "60000x60000 blocks" in err
         assert "Traceback" not in err
 
+    @given(data=st.data())
+    def test_mutated_trace_exits_cleanly(self, fuzz_dir, data):
+        """Analyze on flipped, truncated or padded trace bytes succeeds or
+        reports a data error; no exception escapes main."""
+        path = fuzz_dir / "mutated.trace"
+        path.write_bytes(data.draw(mutated_bytes((fuzz_dir / "valid.trace").read_bytes())))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["analyze", str(path), "--out", str(fuzz_dir / "div.csv")])
+        assert code in (0, 2)
+        assert err.getvalue().startswith("error: ") == (code == 2)
+
 
 class TestCompare:
     def test_joined_output(self, tmp_path, trace_path):
@@ -224,6 +253,7 @@ class TestCompare:
         assert len(read_lines(out)) == 1 + 3 * 5 * 2
 
         sidecar = json.loads((tmp_path / "cmp.csv.config.json").read_text())
+        assert sidecar["versions"] == VERSIONS
         assert sidecar["policies"] == ["csp", "global-topk", "accum"]
 
     def test_needs_two_policies(self, tmp_path, trace_path):

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import oracles
 from kvprune.core import PruneConfig
 from kvprune.diagnostics import (
     BANDWIDTH_FLOOR,
+    KERNEL_CUTOFF,
     DensityCurve,
     DivergenceReport,
     js_divergence,
@@ -89,6 +91,59 @@ class TestKde:
     def test_too_few_grid_points(self):
         with pytest.raises(ValueError, match="grid_points"):
             kde([1.0], bandwidth=1.0, grid_points=1)
+
+
+@st.composite
+def kde_cases(draw):
+    """(samples, bandwidth or None, grid_points) for kde against the dense sum.
+
+    Mostly a tight cluster with far outliers on both sides: the grid step
+    is then coarse against h, so windows are narrower than the grid, and
+    the outliers sit on both grid edges, where the top windows are clamped.
+    One sample and all-equal samples (h at the floor) ride along, and h is
+    either Silverman's or explicit.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["cluster", "cluster", "single", "equal"]))
+    center = draw(st.floats(-1e3, 1e3))
+    if kind == "single":
+        samples = np.array([center])
+    elif kind == "equal":
+        samples = np.full(draw(st.integers(2, 20)), center)
+    else:
+        cluster = rng.normal(center, draw(st.floats(1e-3, 1.0)), size=draw(st.integers(16, 400)))
+        far = draw(st.floats(20.0, 1e4))
+        low = center - rng.uniform(far, 2 * far, size=draw(st.integers(1, 2)))
+        high = center + rng.uniform(far, 2 * far, size=draw(st.integers(1, 2)))
+        samples = rng.permutation(np.concatenate([cluster, low, high]))
+    bandwidth = draw(st.none() | st.floats(1e-3, 10.0))
+    grid_points = draw(st.sampled_from([2, 3, 512]) | st.integers(2, 1024))
+    return samples, bandwidth, grid_points
+
+
+class TestWindowedKde:
+    """kde sums each sample over a window of grid points; the dense oracle
+    sums it over all of them."""
+
+    @staticmethod
+    def check(samples, bandwidth, grid_points=512):
+        curve = kde(samples, bandwidth=bandwidth, grid_points=grid_points)
+        grid, dense = oracles.kde_dense(samples, curve.bandwidth, grid_points)
+        np.testing.assert_array_equal(curve.grid, grid)
+        assert (curve.density >= 0.0).all()
+        np.testing.assert_allclose(curve.density, dense, rtol=0, atol=1e-12 * dense.max())
+        return curve
+
+    @given(kde_cases())
+    def test_matches_dense_sum(self, case):
+        self.check(*case)
+
+    def test_narrow_window_matches_dense(self):
+        rng = np.random.default_rng(5)
+        samples = np.concatenate([rng.standard_normal(2000), [-60.0, 60.0]])
+        curve = self.check(samples, None)
+        step = curve.grid[1] - curve.grid[0]
+        assert 8 < 2 * KERNEL_CUTOFF * curve.bandwidth / step < 64
 
 
 class TestDensityCurve:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from kvprune.scoring import (
     attention_logits,
@@ -150,6 +151,55 @@ class TestSmoothedSoftmax:
     def test_negative_smoothing_rejected(self):
         with pytest.raises(ValueError, match="smoothing"):
             smoothed_softmax_rows(np.zeros((1, 2)), -0.5)
+
+
+@st.composite
+def softmax_cases(draw):
+    """(logits, kept, kept as a (rows, cols) mask); every row keeps at
+    least one column, in each form `kept` accepts."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 10))
+    logits = rng.normal(0.0, draw(st.sampled_from([1.0, 10.0, 300.0])), size=(rows, cols))
+    form = draw(st.sampled_from(["none", "index", "shared", "per-row"]))
+    if form == "none":
+        return logits, None, np.ones((rows, cols), dtype=bool)
+    if form == "per-row":
+        mask = rng.random((rows, cols)) < 0.5
+        mask[np.arange(rows), rng.integers(0, cols, size=rows)] = True
+        return logits, mask, mask
+    shared = rng.random(cols) < 0.5
+    shared[rng.integers(0, cols)] = True
+    mask = np.broadcast_to(shared, (rows, cols))
+    return logits, (np.flatnonzero(shared) if form == "index" else shared), mask
+
+
+smoothings = st.floats(0.0, 1e300)
+
+
+class TestSmoothedSoftmaxProperties:
+    @given(softmax_cases(), smoothings)
+    def test_row_sums_at_most_one(self, case, smoothing):
+        logits, kept, _ = case
+        out = smoothed_softmax_rows(logits, smoothing, kept=kept)
+        assert (out.sum(axis=1) <= 1.0 + 1e-12).all()
+
+    @given(softmax_cases(), smoothings, smoothings)
+    def test_non_increasing_in_smoothing(self, case, a, b):
+        logits, kept, _ = case
+        low = smoothed_softmax_rows(logits, min(a, b), kept=kept)
+        high = smoothed_softmax_rows(logits, max(a, b), kept=kept)
+        assert (high <= low * (1.0 + 1e-12)).all()
+
+    @given(softmax_cases())
+    def test_zero_smoothing_keeping_all_is_softmax(self, case):
+        logits, _, _ = case
+        np.testing.assert_array_equal(smoothed_softmax_rows(logits, 0.0), softmax_rows(logits))
+
+    @given(softmax_cases(), smoothings)
+    def test_columns_outside_kept_are_zero(self, case, smoothing):
+        logits, kept, mask = case
+        out = smoothed_softmax_rows(logits, smoothing, kept=kept)
+        assert (out[~mask] == 0.0).all()
 
 
 class TestSharpening:

@@ -4,12 +4,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kvprune.traceio import (
     MAGIC,
     AttentionTrace,
     BadMagicError,
     SizeMismatchError,
+    TraceError,
     TraceStep,
     TruncatedTraceError,
     UnsupportedVersionError,
@@ -32,6 +34,22 @@ def small_trace(seed=42):
             )
         )
     return AttentionTrace(layers=2, heads=3, head_dim=8, prefill_tags=prefill, steps=steps)
+
+
+@st.composite
+def mutated_bytes(draw, data: bytes):
+    """data after one to four byte flips, truncations or insertions."""
+    out = bytearray(data)
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["flip", "truncate", "insert"]))
+        if op == "flip" and out:
+            out[draw(st.integers(0, len(out) - 1))] ^= draw(st.integers(1, 255))
+        elif op == "truncate":
+            del out[draw(st.integers(0, len(out))):]
+        else:
+            pos = draw(st.integers(0, len(out)))
+            out[pos:pos] = draw(st.binary(min_size=1, max_size=8))
+    return bytes(out)
 
 
 class TestRoundTrip:
@@ -191,3 +209,26 @@ class TestCorruption:
         assert len(kinds) == 4
         from kvprune.traceio import TraceError
         assert all(issubclass(k, TraceError) for k in kinds)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory shared by every fuzz example, holding small_trace() as
+    valid.trace."""
+    path = tmp_path_factory.mktemp("fuzz")
+    write_trace(small_trace(), path / "valid.trace")
+    return path
+
+
+class TestFuzz:
+    @settings(max_examples=500)
+    @given(data=st.data())
+    def test_mutated_bytes_raise_only_trace_errors(self, fuzz_dir, data):
+        """Flipped, truncated or padded trace bytes either still read or
+        raise a TraceError subclass; nothing else escapes the reader."""
+        path = fuzz_dir / "mutated.trace"
+        path.write_bytes(data.draw(mutated_bytes((fuzz_dir / "valid.trace").read_bytes())))
+        try:
+            read_trace(path)
+        except TraceError:
+            pass
