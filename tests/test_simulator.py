@@ -16,6 +16,8 @@ from kvprune.simulator import (
 )
 from kvprune.traceio import AttentionTrace, TraceStep
 
+import oracles
+
 
 SMALL = SynthSpec(seed=5, text_len=12, visual_len=12, layers=2, heads=2,
                   head_dim=8, steps=6, shift=2.0)
@@ -317,3 +319,65 @@ class TestSweep:
         monkeypatch.setenv("KVPRUNE_THREADS", "many")
         with pytest.raises(ValueError, match="KVPRUNE_THREADS"):
             sweep("cross_ratio", [0.2, 0.8], SMALL, self.CFG, "csp")
+
+
+def _oracle_steps(trace):
+    """A single-layer trace as the oracles' (new_count, blocks) list."""
+    return [
+        (int(step.new_tags.size), step.blocks[0].astype(np.float64).tolist())
+        for step in trace.steps
+    ]
+
+
+class TestOracleExecutors:
+    """run_decode over recorded single-layer traces against the pure-Python
+    policy drivers in tests/oracles.py: the final retained ids must equal
+    the oracle's last history entry, and every step's occupancy the length
+    of the oracle's retained list after that step."""
+
+    RECENT, OBS, BUDGET = 3, 4, 10
+
+    @staticmethod
+    def _trace(interleave):
+        spec = SynthSpec(seed=3, text_len=10, visual_len=8, interleave=interleave,
+                         layers=1, heads=2, head_dim=8, steps=6, shift=2.0)
+        return record_trace(spec, TestOracleExecutors.OBS)
+
+    @staticmethod
+    def _check(report, history, label):
+        np.testing.assert_array_equal(report.retained_ids[0], history[-1], err_msg=label)
+        occupancy = [step[0].achieved_occupancy for step in report.per_step]
+        assert occupancy == [len(kept) for kept in history], label
+
+    @pytest.mark.parametrize("interleave", ["block", "alternating", "random"])
+    @pytest.mark.parametrize("ratio", [0.0, 0.3, 0.5, 1.0])
+    def test_csp_matches_oracle(self, interleave, ratio):
+        trace = self._trace(interleave)
+        steps = _oracle_steps(trace)
+        full_tags = trace.full_tags.tolist()
+        for widen in (False, True):
+            for smoothing in (0.0, 1.0):
+                for bias in (1.0, 2.0):
+                    cfg = PruneConfig(budget=self.BUDGET, recent=self.RECENT,
+                                      obs_window=self.OBS, cross_ratio=ratio,
+                                      smoothing=smoothing, recency_bias=bias,
+                                      widen_to_budget=widen)
+                    history = oracles.csp_retained_global(
+                        steps, full_tags, self.BUDGET, self.RECENT, ratio, self.OBS,
+                        recency_bias=bias, widen=widen, smoothing=smoothing,
+                    )
+                    label = f"widen={widen} smoothing={smoothing} bias={bias}"
+                    self._check(run_decode(trace, "csp", cfg), history, label)
+
+    @pytest.mark.parametrize("interleave", ["block", "alternating", "random"])
+    @pytest.mark.parametrize("pool_width", [1, 2, 3])
+    def test_global_topk_matches_oracle(self, interleave, pool_width):
+        trace = self._trace(interleave)
+        steps = _oracle_steps(trace)
+        for budget in (self.BUDGET, 2 * self.BUDGET):
+            cfg = PruneConfig(budget=budget, recent=self.RECENT, obs_window=self.OBS)
+            history = oracles.global_topk_retained_global(
+                steps, budget, self.RECENT, self.OBS, pool_width=pool_width
+            )
+            report = run_decode(trace, "global-topk", cfg, pool_width=pool_width)
+            self._check(report, history, f"budget={budget}")
