@@ -143,7 +143,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="vary one config axis over a grid")
     p.add_argument("--axis", choices=SWEEP_AXES, required=True)
     p.add_argument("--grid", required=True, help="comma-separated axis values")
-    p.add_argument("--threads", type=int, help="parallel runs (default: KVPRUNE_THREADS or CPUs)")
     p.add_argument("--svg", action="store_true", help="also plot the sweep curve")
     _add_spec_flags(p)
     _add_config_flags(p)
@@ -356,14 +355,12 @@ def _cmd_sweep(args, file_cfg) -> int:
     policy = resolved["policy"]
     kwargs = _policy_kwargs(policy, resolved)
     grid = _parse_grid(args.grid)
-    if args.threads is not None and args.threads < 1:
-        raise UsageError(f"--threads must be >= 1, got {args.threads}")
 
     resolved_spec = _resolve(args, file_cfg, SPEC_DEFAULTS)
     spec = _spec_from(resolved_spec, int(resolved["seed"]))
     cfg = _config_from(resolved, budget_for_fraction(fraction, spec.final_len, int(resolved["recent"])))
     try:
-        results = sweep(args.axis, grid, spec, cfg, policy, threads=args.threads, **kwargs)
+        results = sweep(args.axis, grid, spec, cfg, policy, **kwargs)
     except ValueError as err:
         raise UsageError(str(err))
 
@@ -389,7 +386,7 @@ def _cmd_sweep(args, file_cfg) -> int:
         args.out,
         {"command": "sweep", "axis": args.axis, "grid": grid, "policy": policy,
          "policy_options": kwargs, "config": _config_payload(cfg, fraction),
-         "spec": _spec_payload(spec), "threads": args.threads, "outputs": outputs},
+         "spec": _spec_payload(spec), "outputs": outputs},
     )
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0

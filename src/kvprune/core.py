@@ -1,10 +1,10 @@
 """Shared domain types for modality-aware KV cache pruning.
 
 Everything downstream (scoring, selection, policies, the simulator) speaks in
-terms of three things defined here: per-token modality tags, the pruning
-configuration, and a single-layer KV cache snapshot. Attention matrices are
-plain float64 numpy arrays; the ops that consume them validate shapes at the
-boundary instead of wrapping them in classes.
+terms of two things defined here: per-token modality tags and the pruning
+configuration. Attention matrices are plain float64 numpy arrays; the ops
+that consume them validate shapes at the boundary instead of wrapping them
+in classes.
 """
 
 from __future__ import annotations
@@ -134,61 +134,3 @@ def validate_config(cfg: PruneConfig) -> PruneConfig:
     if int(cfg.seed) != cfg.seed:
         raise ValueError(f"seed must be an integer, got {cfg.seed}")
     return cfg
-
-
-@dataclass
-class KvCacheState:
-    """One layer's cached keys and values plus per-token modality tags.
-
-    Keys and values share the shape (length, head_dim); with multi-query
-    heads there is a single K/V stream per layer regardless of the number
-    of query heads.
-    """
-
-    keys: np.ndarray
-    values: np.ndarray
-    tags: np.ndarray
-
-    def __post_init__(self):
-        self.keys = np.asarray(self.keys, dtype=np.float64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        self.tags = as_tags(self.tags)
-        if self.keys.ndim != 2 or self.values.ndim != 2:
-            raise ValueError(
-                f"keys/values must be 2-D (length, head_dim), got {self.keys.shape} and {self.values.shape}"
-            )
-        if self.keys.shape != self.values.shape:
-            raise ValueError(
-                f"keys and values must share a shape, got {self.keys.shape} vs {self.values.shape}"
-            )
-        if self.tags.shape[0] != self.keys.shape[0]:
-            raise ValueError(
-                f"tags length {self.tags.shape[0]} does not match cache length {self.keys.shape[0]}"
-            )
-
-    @property
-    def length(self) -> int:
-        return int(self.keys.shape[0])
-
-    @property
-    def head_dim(self) -> int:
-        return int(self.keys.shape[1])
-
-    def appended(self, keys, values, tags) -> "KvCacheState":
-        """New state with extra tokens appended at the end."""
-        keys = np.atleast_2d(np.asarray(keys, dtype=np.float64))
-        values = np.atleast_2d(np.asarray(values, dtype=np.float64))
-        return KvCacheState(
-            keys=np.concatenate([self.keys, keys], axis=0),
-            values=np.concatenate([self.values, values], axis=0),
-            tags=np.concatenate([self.tags, as_tags(tags)]),
-        )
-
-    def gather(self, positions) -> "KvCacheState":
-        """New state holding only the given positions, in the given order."""
-        positions = np.asarray(positions, dtype=np.int64)
-        return KvCacheState(
-            keys=self.keys[positions],
-            values=self.values[positions],
-            tags=self.tags[positions],
-        )

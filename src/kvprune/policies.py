@@ -11,10 +11,15 @@ The baselines are deliberately simplified single-knob reimplementations;
 they exist so modality retention can be compared under one harness, and the
 CLI labels them "-like" to avoid overclaiming fidelity to the originals.
 
-Every step function takes the current cache, a (heads, rows, cols) stack of
-raw attention logits whose rows are the newest queries and whose columns are
-the cached keys, the query rows' modality tags, and a PruneConfig. Policies
-return a fresh cache and a PolicyDecision; they never mutate their inputs.
+A policy is one step function of the tags of the layer's cached keys, a
+(heads, rows, cols) stack of raw attention logits whose rows are the newest
+queries and whose columns are those keys, the query rows' modality tags, a
+PruneConfig, and optional state (only ``accum`` keeps any: its running
+accumulator). Policies never see keys or values, since no decision reads
+them. A step returns (keep, decision, state): keep holds the positions that
+survive, retained candidates followed by the recent window, and the caller
+prunes by indexing its own per-position data with it. Steps never mutate
+their inputs.
 """
 
 from __future__ import annotations
@@ -24,12 +29,11 @@ from enum import Enum
 
 import numpy as np
 
-from .core import KvCacheState, PruneConfig, as_tags, tag_counts, validate_config
+from .core import PruneConfig, as_tags, tag_counts, validate_config
 from .decompose import cross_self_importance
 from .scoring import head_average, smoothed_softmax_rows, trim_observation
 from .selection import (
     PruneMask,
-    apply_prune,
     budget_to_k,
     cross_self_select,
     mask_modality_counts,
@@ -61,15 +65,15 @@ class PolicyDecision:
     pruned: bool = True
 
 
-def _per_head_weights(cache: KvCacheState, logits, query_tags, smoothing: float):
+def _per_head_weights(key_tags: np.ndarray, logits, query_tags, smoothing: float):
     """Validate shapes and turn raw logits into per-head weight stacks."""
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 3:
         raise ValueError(f"logits must be (heads, rows, cols), got shape {logits.shape}")
     heads, rows, cols = logits.shape
-    if cols != cache.length:
+    if cols != key_tags.size:
         raise ValueError(
-            f"logits cover {cols} keys but the cache holds {cache.length}"
+            f"logits cover {cols} keys but the cache holds {key_tags.size}"
         )
     query_tags = as_tags(query_tags)
     if query_tags.shape[0] != rows:
@@ -78,46 +82,56 @@ def _per_head_weights(cache: KvCacheState, logits, query_tags, smoothing: float)
     return flat.reshape(heads, rows, cols), query_tags
 
 
-def _noop_decision(cache: KvCacheState, cfg: PruneConfig) -> PolicyDecision:
-    universe = max(cache.length - cfg.recent, 0)
-    mask = PruneMask.full(universe)
-    return PolicyDecision(
-        retained_mask=mask,
-        achieved_occupancy=cache.length,
-        per_modality_retained=tag_counts(cache.tags[:universe]),
+def _keep(mask: PruneMask, length: int, recent: int) -> np.ndarray:
+    """Surviving positions: the retained candidates, then the recent window."""
+    return np.concatenate([mask.indices, np.arange(length - recent, length)])
+
+
+def _noop(key_tags: np.ndarray, cfg: PruneConfig):
+    """(keep, decision) for a step that evicts nothing."""
+    length = key_tags.size
+    universe = max(length - cfg.recent, 0)
+    decision = PolicyDecision(
+        retained_mask=PruneMask.full(universe),
+        achieved_occupancy=length,
+        per_modality_retained=tag_counts(key_tags[:universe]),
         ks_used=(0, 0),
         pruned=False,
     )
+    return np.arange(length), decision
 
 
-def _decision(cache, cfg, mask, key_tags, ks) -> PolicyDecision:
-    return PolicyDecision(
+def _pruned(key_tags: np.ndarray, cfg: PruneConfig, mask: PruneMask, ks):
+    """(keep, decision) for a step that keeps mask plus the recent window."""
+    decision = PolicyDecision(
         retained_mask=mask,
         achieved_occupancy=len(mask) + cfg.recent,
-        per_modality_retained=mask_modality_counts(mask, key_tags),
+        per_modality_retained=mask_modality_counts(mask, key_tags[: mask.universe_size]),
         ks_used=ks,
         pruned=True,
     )
+    return _keep(mask, key_tags.size, cfg.recent), decision
 
 
-def csp_step(cache: KvCacheState, logits, query_tags, cfg: PruneConfig):
+def csp_step(key_tags, logits, query_tags, cfg: PruneConfig, state=None):
     """One cross-self pruning step.
 
-    Below budget this is the identity. Otherwise: smoothed softmax over the
-    raw logits, head averaging (or per-head voting), observation trimming,
-    modality decomposition, intersected top-k selection, then pruning with
-    the recent window attached.
+    Below budget this keeps everything. Otherwise: smoothed softmax over
+    the raw logits, head averaging (or per-head voting), observation
+    trimming, modality decomposition and intersected top-k selection, with
+    the recent window kept after the selected candidates.
     """
     validate_config(cfg)
-    if cache.length < cfg.budget:
-        return cache, _noop_decision(cache, cfg)
-    weights, query_tags = _per_head_weights(cache, logits, query_tags, cfg.smoothing)
-    cand = cache.length - cfg.recent
-    key_tags = cache.tags[:cand]
+    key_tags = as_tags(key_tags)
+    if key_tags.size < cfg.budget:
+        return (*_noop(key_tags, cfg), None)
+    weights, query_tags = _per_head_weights(key_tags, logits, query_tags, cfg.smoothing)
+    cand = key_tags.size - cfg.recent
+    cand_tags = key_tags[:cand]
 
     if cfg.head_mode == "averaged":
         trimmed = trim_observation(head_average(weights), cfg.obs_window, cfg.recent)
-        imp = cross_self_importance(trimmed, query_tags[-trimmed.shape[0] :], key_tags)
+        imp = cross_self_importance(trimmed, query_tags[-trimmed.shape[0] :], cand_tags)
         mask = cross_self_select(imp, cfg)
     else:
         # Per-head mode: each head votes with its own intersected mask; the
@@ -125,15 +139,14 @@ def csp_step(cache: KvCacheState, logits, query_tags, cfg: PruneConfig):
         votes = np.zeros(cand)
         for head_weights in weights:
             trimmed = trim_observation(head_weights, cfg.obs_window, cfg.recent)
-            imp = cross_self_importance(trimmed, query_tags[-trimmed.shape[0] :], key_tags)
+            imp = cross_self_importance(trimmed, query_tags[-trimmed.shape[0] :], cand_tags)
             votes += cross_self_select(imp, cfg).as_bool()
         target = min(max(cfg.budget - cfg.recent, 0), cand)
         order = np.argsort(-votes, kind="stable")
         chosen = order[:target]
         mask = PruneMask(chosen[votes[chosen] > 0], cand)
 
-    new_cache = apply_prune(cache, mask, cfg.recent)
-    return new_cache, _decision(cache, cfg, mask, key_tags, budget_to_k(cfg, cand))
+    return (*_pruned(key_tags, cfg, mask, budget_to_k(cfg, cand)), None)
 
 
 def _pooled(importance: np.ndarray, width: int) -> np.ndarray:
@@ -150,160 +163,114 @@ def _pooled(importance: np.ndarray, width: int) -> np.ndarray:
 
 
 def global_topk_step(
-    cache: KvCacheState,
+    key_tags,
     logits,
     query_tags,
     cfg: PruneConfig,
+    state=None,
     pool_width: int = 1,
     smoothing: float = 0.0,
 ):
     """Single global ranking by column sum, no modality split."""
     validate_config(cfg)
-    if cache.length < cfg.budget:
-        return cache, _noop_decision(cache, cfg)
-    weights, query_tags = _per_head_weights(cache, logits, query_tags, smoothing)
+    key_tags = as_tags(key_tags)
+    if key_tags.size < cfg.budget:
+        return (*_noop(key_tags, cfg), None)
+    weights, query_tags = _per_head_weights(key_tags, logits, query_tags, smoothing)
     trimmed = trim_observation(head_average(weights), cfg.obs_window, cfg.recent)
     importance = _pooled(trimmed.sum(axis=0), pool_width)
-    cand = cache.length - cfg.recent
     pool = max(cfg.budget - cfg.recent, 0)
     mask = topk_mask(importance, pool)
-    new_cache = apply_prune(cache, mask, cfg.recent)
-    return new_cache, _decision(cache, cfg, mask, cache.tags[:cand], (pool, pool))
+    return (*_pruned(key_tags, cfg, mask, (pool, pool)), None)
 
 
 def accumulated_score_step(
-    cache: KvCacheState,
+    key_tags,
     logits,
     query_tags,
     cfg: PruneConfig,
-    running: np.ndarray,
+    state=None,
     smoothing: float = 0.0,
 ):
     """Heavy-hitter step: rank by attention mass accumulated across steps.
 
-    `running` holds one accumulator per cached token (new tokens enter at
-    zero). Every call adds the current step's column sums over the whole
-    cache; eviction keeps the top pool accumulators among the candidates,
-    and evicted accumulators are dropped with their tokens.
+    `state` is the running accumulator returned by the previous step, one
+    entry per cached token (None starts empty). Tokens added since then
+    enter at zero. Every call adds the current step's column sums over the
+    whole cache; eviction keeps the top pool accumulators among the
+    candidates, and evicted accumulators are dropped with their tokens.
     """
     validate_config(cfg)
-    running = np.asarray(running, dtype=np.float64)
-    if running.shape != (cache.length,):
+    key_tags = as_tags(key_tags)
+    running = np.zeros(0) if state is None else np.asarray(state, dtype=np.float64)
+    grown = key_tags.size - running.size
+    if grown < 0:
         raise ValueError(
-            f"running accumulator shape {running.shape} does not match cache length {cache.length}"
+            f"running accumulator covers {running.size} tokens but the cache holds "
+            f"{key_tags.size}: the cache shrank outside of this policy's own pruning"
         )
-    weights, query_tags = _per_head_weights(cache, logits, query_tags, smoothing)
+    running = np.concatenate([running, np.zeros(grown)])
+    weights, query_tags = _per_head_weights(key_tags, logits, query_tags, smoothing)
     averaged = head_average(weights)
     obs_rows = min(cfg.obs_window, averaged.shape[0])
     running = running + averaged[averaged.shape[0] - obs_rows :, :].sum(axis=0)
 
-    if cache.length < cfg.budget:
-        return cache, _noop_decision(cache, cfg), running
-    cand = cache.length - cfg.recent
+    if key_tags.size < cfg.budget:
+        return (*_noop(key_tags, cfg), running)
+    cand = key_tags.size - cfg.recent
     pool = max(cfg.budget - cfg.recent, 0)
     mask = topk_mask(running[:cand], pool)
-    new_cache = apply_prune(cache, mask, cfg.recent)
-    kept = np.concatenate([mask.indices, np.arange(cand, cache.length)])
-    decision = _decision(cache, cfg, mask, cache.tags[:cand], (pool, pool))
-    return new_cache, decision, running[kept]
+    keep, decision = _pruned(key_tags, cfg, mask, (pool, pool))
+    return keep, decision, running[keep]
 
 
-def full_cache_step(cache: KvCacheState, logits, query_tags, cfg: PruneConfig):
+def full_cache_step(key_tags, logits, query_tags, cfg: PruneConfig, state=None):
     """Reference policy: never evicts."""
     validate_config(cfg)
-    return cache, _noop_decision(cache, cfg)
+    return (*_noop(as_tags(key_tags), cfg), None)
 
-
-class CspPolicy:
-    name = "csp"
-    label = "csp (cross-self intersection)"
-
-    def __init__(self, cfg: PruneConfig):
-        self.cfg = cfg
-
-    @property
-    def deploy_smoothing(self) -> float:
-        """Denominator constant used when replaying retained tokens."""
-        return self.cfg.smoothing
-
-    def step(self, cache, logits, query_tags):
-        return csp_step(cache, logits, query_tags, self.cfg)
-
-
-class GlobalTopKPolicy:
-    name = "global-topk"
-    label = "global-topk (SnapKV-like)"
-
-    def __init__(self, cfg: PruneConfig, pool_width: int = 1, smoothing: float = 0.0):
-        self.cfg = cfg
-        self.pool_width = pool_width
-        self.smoothing = smoothing
-
-    @property
-    def deploy_smoothing(self) -> float:
-        return self.smoothing
-
-    def step(self, cache, logits, query_tags):
-        return global_topk_step(
-            cache, logits, query_tags, self.cfg, self.pool_width, self.smoothing
-        )
-
-
-class AccumulatedScorePolicy:
-    name = "accum"
-    label = "accum (H2O-like)"
-
-    def __init__(self, cfg: PruneConfig, smoothing: float = 0.0):
-        self.cfg = cfg
-        self.smoothing = smoothing
-        self._running = np.zeros(0)
-
-    @property
-    def deploy_smoothing(self) -> float:
-        return self.smoothing
-
-    def step(self, cache, logits, query_tags):
-        grown = cache.length - self._running.shape[0]
-        if grown < 0:
-            raise ValueError("cache shrank outside of this policy's own pruning")
-        running = np.concatenate([self._running, np.zeros(grown)])
-        new_cache, decision, self._running = accumulated_score_step(
-            cache, logits, query_tags, self.cfg, running, self.smoothing
-        )
-        return new_cache, decision
-
-
-class FullCachePolicy:
-    name = "full"
-    label = "full (no eviction)"
-
-    def __init__(self, cfg: PruneConfig):
-        self.cfg = cfg
-
-    @property
-    def deploy_smoothing(self) -> float:
-        return 0.0
-
-    def step(self, cache, logits, query_tags):
-        return full_cache_step(cache, logits, query_tags, self.cfg)
-
-
-_POLICY_CLASSES = {
-    PolicyKind.CSP: CspPolicy,
-    PolicyKind.GLOBAL_TOPK: GlobalTopKPolicy,
-    PolicyKind.ACCUMULATED_SCORE: AccumulatedScorePolicy,
-    PolicyKind.FULL_CACHE: FullCachePolicy,
-}
 
 POLICY_NAMES = tuple(kind.value for kind in PolicyKind)
 
-POLICY_LABELS = {kind.value: cls.label for kind, cls in _POLICY_CLASSES.items()}
+POLICY_LABELS = {
+    "csp": "csp (cross-self intersection)",
+    "global-topk": "global-topk (SnapKV-like)",
+    "accum": "accum (H2O-like)",
+    "full": "full (no eviction)",
+}
+
+# Step functions by module attribute name, looked up at call time so a
+# rebound attribute (a wrapper, a patch) is the one that runs.
+_STEP_NAMES = {
+    PolicyKind.CSP: "csp_step",
+    PolicyKind.GLOBAL_TOPK: "global_topk_step",
+    PolicyKind.ACCUMULATED_SCORE: "accumulated_score_step",
+    PolicyKind.FULL_CACHE: "full_cache_step",
+}
 
 
-def make_policy(name: str | PolicyKind, cfg: PruneConfig, **kwargs):
-    """Instantiate a policy by registry name ("csp", "global-topk", ...)."""
+def _kind(name: str | PolicyKind) -> PolicyKind:
     try:
-        kind = name if isinstance(name, PolicyKind) else PolicyKind(name)
+        return PolicyKind(name)
     except ValueError:
         raise ValueError(f"unknown policy {name!r}; choices: {', '.join(POLICY_NAMES)}")
-    return _POLICY_CLASSES[kind](cfg, **kwargs)
+
+
+def policy_step(name: str | PolicyKind):
+    """The step function of a policy, by registry name."""
+    return globals()[_STEP_NAMES[_kind(name)]]
+
+
+def deploy_smoothing(name: str | PolicyKind, cfg: PruneConfig, **policy_kwargs) -> float:
+    """Denominator constant used when replaying a policy's retained tokens.
+
+    csp scores with cfg.smoothing and replays with it too; the global-topk
+    and accum baselines use their own `smoothing` option (default 0); the
+    full cache uses the plain softmax.
+    """
+    kind = _kind(name)
+    if kind is PolicyKind.CSP:
+        return cfg.smoothing
+    if kind is PolicyKind.FULL_CACHE:
+        return 0.0
+    return float(policy_kwargs.get("smoothing", 0.0))

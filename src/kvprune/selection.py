@@ -1,8 +1,8 @@
-"""Top-k masks, budget allocation, and cache pruning.
+"""Top-k masks, budget allocation, and cross-self selection.
 
 Selection happens over the candidate universe 0..L'-1, which is the cache
-minus its trailing recent window; the recent block is concatenated back
-unconditionally by apply_prune, so a mask can never duplicate or evict a
+minus its trailing recent window; the policies keep the recent block
+unconditionally after the mask, so a mask can never duplicate or evict a
 recent token.
 """
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KvCacheState, PruneConfig, tag_counts
+from .core import PruneConfig, tag_counts
 from .decompose import ImportanceScores
 
 
@@ -81,14 +81,6 @@ def _ranks(scores) -> np.ndarray:
     ranks = np.empty(order.size, dtype=np.int64)
     ranks[order] = np.arange(order.size)
     return ranks
-
-
-def intersect_masks(a: PruneMask, b: PruneMask) -> PruneMask:
-    if a.universe_size != b.universe_size:
-        raise ValueError(
-            f"mask universes differ: {a.universe_size} vs {b.universe_size}"
-        )
-    return PruneMask(np.intersect1d(a.indices, b.indices), a.universe_size)
 
 
 def _round_half_up(x: float) -> int:
@@ -190,24 +182,6 @@ def cross_self_select(scores: ImportanceScores, cfg: PruneConfig) -> PruneMask:
             pool,
         )
     return PruneMask(np.flatnonzero(selected(t)), cand)
-
-
-def apply_prune(cache: KvCacheState, mask: PruneMask, recent: int) -> KvCacheState:
-    """Retained candidates followed by the recent window, order preserved."""
-    if recent < 0:
-        raise ValueError(f"recent must be >= 0, got {recent}")
-    if recent >= cache.length:
-        raise ValueError(
-            f"recent window ({recent}) must be smaller than the cache ({cache.length})"
-        )
-    if mask.universe_size != cache.length - recent:
-        raise ValueError(
-            f"mask universe {mask.universe_size} does not match candidate count {cache.length - recent}"
-        )
-    positions = np.concatenate(
-        [mask.indices, np.arange(cache.length - recent, cache.length)]
-    )
-    return cache.gather(positions)
 
 
 def mask_modality_counts(mask: PruneMask, key_tags) -> tuple[int, int]:

@@ -3,8 +3,9 @@
 The decoder here is a toy, but a principled one: token embeddings and
 projection matrices are drawn once from seeded generators, queries get one
 projection per layer and head while keys and values share a single stream
-per layer (multi-query attention, which is what makes a single KvCacheState
-per layer the right shape), and the raw score between a query and a key is
+per layer (multi-query attention, which is what makes one array of retained
+token ids per layer the whole cache state), and the raw score between a
+query and a key is
 
     spread * (q . k / sqrt(head_dim)) - shift * [tags differ]
 
@@ -23,20 +24,17 @@ report no reconstruction error.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .core import TEXT, VISUAL, KvCacheState, PruneConfig, as_tags, tag_counts
-from .policies import PolicyDecision, make_policy
+from . import policies
+from .core import TEXT, VISUAL, PruneConfig, as_tags, tag_counts
+from .policies import PolicyDecision
 from .scoring import attention_logits, smoothed_softmax_rows, softmax_rows
 from .traceio import AttentionTrace, TraceStep
 
 INTERLEAVE_MODES = ("block", "alternating", "random")
-
-THREADS_ENV = "KVPRUNE_THREADS"
 
 
 @dataclass(frozen=True)
@@ -248,28 +246,19 @@ def budget_for_fraction(fraction: float, full_length: int, recent: int) -> int:
 def run_decode(source, policy_name: str, cfg: PruneConfig, **policy_kwargs) -> RunReport:
     """Drive one policy over a synthetic decode or a recorded trace.
 
-    Each step appends the new tokens to every layer's cache, lets the
-    per-layer policy instance prune, then (synthetic sources only) measures
-    the reconstruction error of the latest query's attention output against
-    the unpruned cache, averaged over layers.
+    Each layer's cache is the array of global token ids it retains. Each
+    step appends the new tokens' ids to every layer, lets the policy prune
+    each layer from the key tags and logits over its retained ids, then
+    (synthetic sources only) measures the reconstruction error of the
+    latest query's attention output against the unpruned cache, averaged
+    over layers.
     """
     src = _as_source(source)
-    policies = [make_policy(policy_name, cfg, **policy_kwargs) for _ in range(src.layers)]
-    deploy_smoothing = policies[0].deploy_smoothing
+    step = policies.policy_step(policy_name)
+    smoothing = policies.deploy_smoothing(policy_name, cfg, **policy_kwargs)
 
-    caches: list[KvCacheState] = []
-    retained: list[np.ndarray] = []
-    prefill_len = src.prefill_tags.size
-    for layer in range(src.layers):
-        ids = np.arange(prefill_len)
-        if src.provides_values:
-            keys, values = src.keys(layer, ids), src.values(layer, ids)
-        else:
-            keys = np.zeros((prefill_len, src.head_dim))
-            values = np.zeros((prefill_len, src.head_dim))
-        caches.append(KvCacheState(keys=keys, values=values, tags=src.prefill_tags))
-        retained.append(ids)
-
+    retained = [np.arange(src.prefill_tags.size) for _ in range(src.layers)]
+    states = [None] * src.layers
     per_step: list[list[PolicyDecision]] = []
     bytes_cached: list[int] = []
     recon_error: list[float] = []
@@ -281,39 +270,27 @@ def run_decode(source, policy_name: str, cfg: PruneConfig, **policy_kwargs) -> R
             )
         if new_tags.size:
             new_ids = np.arange(full_len - new_tags.size, full_len)
-            for layer in range(src.layers):
-                if src.provides_values:
-                    keys = src.keys(layer, new_ids)
-                    values = src.values(layer, new_ids)
-                else:
-                    keys = np.zeros((new_ids.size, src.head_dim))
-                    values = np.zeros((new_ids.size, src.head_dim))
-                caches[layer] = caches[layer].appended(keys, values, new_tags)
-                retained[layer] = np.concatenate([retained[layer], new_ids])
+            retained = [np.concatenate([ids, new_ids]) for ids in retained]
 
         rows = blocks.shape[2]
         query_tags = src.full_tags[full_len - rows : full_len]
         decisions: list[PolicyDecision] = []
-        for layer in range(src.layers):
-            logits = blocks[layer][:, :, retained[layer]]
-            cache, decision = policies[layer].step(caches[layer], logits, query_tags)
+        for layer, ids in enumerate(retained):
+            keep, decision, states[layer] = step(
+                src.full_tags[ids], blocks[layer][:, :, ids], query_tags, cfg,
+                states[layer], **policy_kwargs,
+            )
             if decision.pruned:
-                length = caches[layer].length
-                keep = np.concatenate(
-                    [decision.retained_mask.indices, np.arange(length - cfg.recent, length)]
-                )
-                retained[layer] = retained[layer][keep]
-            caches[layer] = cache
+                retained[layer] = ids[keep]
             decisions.append(decision)
         per_step.append(decisions)
-        bytes_cached.append(
-            sum(cache.length * 2 * src.head_dim * 4 for cache in caches)
-        )
+        # float32 keys and values for every retained token.
+        bytes_cached.append(sum(ids.size * 2 * src.head_dim * 4 for ids in retained))
         if src.provides_values:
-            recon_error.append(_recon_error(src, full_len, retained, deploy_smoothing))
+            recon_error.append(_recon_error(src, full_len, retained, smoothing))
 
     return RunReport(
-        policy=policies[0].name,
+        policy=policies.PolicyKind(policy_name).value,
         config=cfg,
         seed=cfg.seed,
         full_length=int(src.full_tags.size),
@@ -366,32 +343,19 @@ def record_trace(spec: SynthSpec, obs_window: int) -> AttentionTrace:
 SWEEP_AXES = ("budget_fraction", "cross_ratio", "smooth_n")
 
 
-def _thread_count(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return max(1, explicit)
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}")
-    return max(1, os.cpu_count() or 1)
-
-
 def sweep(
     axis: str,
     grid,
     spec: SynthSpec,
     cfg: PruneConfig,
     policy_name: str,
-    threads: int | None = None,
     **policy_kwargs,
 ) -> list[tuple[float, RunReport]]:
     """Run one decode per grid value, varying a single config axis.
 
-    Rows come back in grid order regardless of thread scheduling. The
-    budget_fraction axis recomputes the token budget from the final length;
-    the other axes keep cfg.budget as given.
+    Runs are serial and rows come back in grid order. The budget_fraction
+    axis recomputes the token budget from the final length; the other axes
+    keep cfg.budget as given.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -408,11 +372,7 @@ def sweep(
             return cfg.with_updates(cross_ratio=value)
         return cfg.with_updates(smoothing=value)
 
-    def task(value: float) -> tuple[float, RunReport]:
-        return value, run_decode(spec, policy_name, configured(value), **policy_kwargs)
-
-    workers = min(_thread_count(threads), len(values))
-    if workers == 1:
-        return [task(v) for v in values]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, values))
+    return [
+        (value, run_decode(spec, policy_name, configured(value), **policy_kwargs))
+        for value in values
+    ]

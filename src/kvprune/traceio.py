@@ -1,7 +1,7 @@
 """Binary attention-trace files.
 
 A trace carries everything a replay needs to re-run eviction policies
-offline: the prefill modality tags and, per step, the newly appended tokens'
+offline: the prefill modality tags and, per step, the newly added tokens'
 tags plus one logit block per layer and head (rows = the recorded
 observation queries, columns = every key alive in the originating full-cache
 run). Values and query vectors are deliberately not stored, so replays can
@@ -24,7 +24,8 @@ Layout (all little-endian):
             u32 rows, u32 cols, rows*cols float32 row-major
 
 Column counts must equal the running token total, so every payload size is
-derivable from the header; anything else is rejected.
+derivable from the header; anything else is rejected, and so is any logit
+that is NaN or infinite.
 """
 
 from __future__ import annotations
@@ -64,9 +65,13 @@ class SizeMismatchError(TraceError):
     """Declared sizes are internally inconsistent."""
 
 
+class NonFiniteLogitError(TraceError):
+    """A logit block holds NaN or an infinity."""
+
+
 @dataclass
 class TraceStep:
-    """One recorded step: appended tokens plus per-layer/head logit blocks."""
+    """One recorded step: added tokens plus per-layer/head logit blocks."""
 
     new_tags: np.ndarray
     blocks: np.ndarray  # (layers, heads, rows, cols) float32
@@ -231,6 +236,7 @@ def read_trace(path) -> AttentionTrace:
                     )
                 raw = cur.take(rows * cols * 4, "block data")
                 blocks[layer, head] = np.frombuffer(raw, dtype="<f4").reshape(rows, cols)
+        _check_finite(blocks, step_index)
         records.append(TraceStep(new_tags=new_tags, blocks=blocks))
 
     if cur.pos != len(data):
@@ -251,3 +257,13 @@ def _check_tag_bytes(tags: np.ndarray, where: str) -> None:
         raise SizeMismatchError(
             f"{where}: tag byte {int(tags.max())} is not a modality (0 or 1)"
         )
+
+
+def _check_finite(blocks: np.ndarray, step: int) -> None:
+    if np.isfinite(blocks).all():
+        return
+    layer, head, row, col = np.argwhere(~np.isfinite(blocks))[0]
+    raise NonFiniteLogitError(
+        f"step {step} layer {layer} head {head}: non-finite logit "
+        f"{blocks[layer, head, row, col]} at row {row}, col {col}"
+    )

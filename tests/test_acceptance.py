@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from kvprune.core import KvCacheState, PruneConfig, TEXT, VISUAL, as_tags
+from kvprune.core import PruneConfig, TEXT, VISUAL, as_tags
 from kvprune.decompose import cross_self_importance
 from kvprune.diagnostics import js_divergence, layer_report
 from kvprune.policies import csp_step, global_topk_step
@@ -149,9 +149,9 @@ def test_criterion_04_topk_matches_full_sort_oracle():
 
 
 def test_criterion_05_mask_algebra():
-    """The retained mask is a subset of both per-modality top-k masks; after
-    pruning, cache length is |mask| + recent and the recent window survives
-    verbatim. 300 random policy steps."""
+    """The retained mask is a subset of both per-modality top-k masks; the
+    kept positions are the mask followed by the whole recent window, so the
+    pruned cache length is |mask| + recent. 300 random policy steps."""
     rng = np.random.default_rng(42)
     for _ in range(300):
         length = int(rng.integers(10, 61))
@@ -165,15 +165,12 @@ def test_criterion_05_mask_algebra():
             smoothing=float(rng.choice([0.0, 1.0])),
         )
         heads = int(rng.integers(1, 3))
-        cache = KvCacheState(
-            keys=rng.normal(size=(length, 4)),
-            values=rng.normal(size=(length, 4)),
-            tags=as_tags(rng.integers(0, 2, length)),
-        )
+        rng.normal(size=(2, length, 4))  # keep the random stream, and so the 300 steps, fixed
+        key_tags = as_tags(rng.integers(0, 2, length))
         logits = rng.normal(0.0, 2.0, size=(heads, int(rng.integers(1, 9)), length))
         query_tags = as_tags(rng.integers(0, 2, logits.shape[1]))
 
-        new_cache, decision = csp_step(cache, logits, query_tags, cfg)
+        keep, decision, _ = csp_step(key_tags, logits, query_tags, cfg)
         assert decision.pruned
         mask = decision.retained_mask
         cand = length - recent
@@ -183,7 +180,7 @@ def test_criterion_05_mask_algebra():
         )
         trimmed = trim_observation(head_average(weights), cfg.obs_window, recent)
         scores = cross_self_importance(
-            trimmed, query_tags[-trimmed.shape[0]:], cache.tags[:cand]
+            trimmed, query_tags[-trimmed.shape[0]:], key_tags[:cand]
         )
         k_intra, k_inter = decision.ks_used
         self_mask = set(topk_mask(scores.intra, k_intra or cand).indices)
@@ -191,12 +188,9 @@ def test_criterion_05_mask_algebra():
         chosen = set(mask.indices.tolist())
         assert chosen <= self_mask and chosen <= cross_mask
 
-        assert new_cache.length == len(mask) + recent
-        if recent:
-            np.testing.assert_array_equal(new_cache.keys[-recent:],
-                                          cache.keys[-recent:])
-            np.testing.assert_array_equal(new_cache.tags[-recent:],
-                                          cache.tags[-recent:])
+        assert keep.size == len(mask) + recent
+        np.testing.assert_array_equal(keep[:len(mask)], mask.indices)
+        np.testing.assert_array_equal(keep[len(mask):], np.arange(cand, length))
 
 
 def test_criterion_06_modality_balance_matches_golden():
@@ -351,18 +345,15 @@ def test_criterion_10_degenerate_equivalence():
             budget=recent + pool, recent=recent, obs_window=2 * pairs,
             cross_ratio=0.5, smoothing=0.0, widen_to_budget=True,
         )
-        cache = KvCacheState(
-            keys=rng.normal(size=(length, 4)),
-            values=rng.normal(size=(length, 4)),
-            tags=as_tags(rng.integers(0, 2, length)),
-        )
+        rng.normal(size=(2, length, 4))  # keep the random stream, and so the 1,000 instances, fixed
+        key_tags = as_tags(rng.integers(0, 2, length))
         physical = rng.normal(0.0, 2.0, size=(heads, pairs, length))
         logits = np.repeat(physical, 2, axis=1)
         query_tags = as_tags(np.tile([TEXT, VISUAL], pairs))
 
-        _, csp_decision = csp_step(cache, logits, query_tags, cfg)
-        _, topk_decision = global_topk_step(cache, logits, query_tags, cfg,
-                                            pool_width=1, smoothing=0.0)
+        _, csp_decision, _ = csp_step(key_tags, logits, query_tags, cfg)
+        _, topk_decision, _ = global_topk_step(key_tags, logits, query_tags, cfg,
+                                               pool_width=1, smoothing=0.0)
         assert csp_decision.pruned and topk_decision.pruned
         np.testing.assert_array_equal(
             csp_decision.retained_mask.indices,

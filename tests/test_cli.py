@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 import kvprune
 from kvprune.cli import main
 from kvprune.reports import RESULTS_COLUMNS, STEP_COLUMNS
-from kvprune.traceio import MAGIC, read_trace
+from kvprune.traceio import MAGIC, read_trace, write_trace
 from test_traceio import fuzz_dir, mutated_bytes  # noqa: F401  (fuzz_dir is a fixture)
 
 SPEC_FLAGS = ["--text", "8", "--visual", "8", "--layers", "2", "--heads", "2",
@@ -128,6 +128,21 @@ class TestSimulate:
                      *CFG_FLAGS, "--out", str(tmp_path / "x.csv")]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("policy", ["full", "csp"])
+    def test_non_finite_logit_is_data_error(self, tmp_path, trace_path, policy, capsys):
+        """One NaN in a trace is rejected on read, naming where it is, even
+        for policies that would never score its column."""
+        trace = read_trace(trace_path)
+        trace.steps[2].blocks[1, 1, 0, 0] = np.nan
+        bad = tmp_path / "nan.trace"
+        write_trace(trace, bad)
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--trace", str(bad), *CFG_FLAGS, "--policy", policy,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: step 2 layer 1 head 1: non-finite logit nan")
+        assert not out.exists()
+
     def test_corrupt_trace_file(self, tmp_path):
         bad = tmp_path / "bad.trace"
         bad.write_bytes(b"not a trace at all")
@@ -145,7 +160,7 @@ class TestSweep:
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--axis", "cross_ratio", "--grid", "0.2,0.8",
                      *SPEC_FLAGS, *CFG_FLAGS, "--policy", "csp", "--svg",
-                     "--threads", "2", "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
         lines = read_lines(out)
         assert lines[0] == ",".join(RESULTS_COLUMNS)
         assert len(lines) == 3
@@ -157,6 +172,7 @@ class TestSweep:
         assert sidecar["versions"] == VERSIONS
         assert sidecar["axis"] == "cross_ratio"
         assert sidecar["grid"] == [0.2, 0.8]
+        assert "threads" not in sidecar
         assert str(tmp_path / "sweep.svg") in sidecar["outputs"]
 
     def test_budget_axis_reports_grid_fraction(self, tmp_path):
@@ -173,10 +189,6 @@ class TestSweep:
                      "--out", str(tmp_path / "x.csv")]) == 1
         assert main(["sweep", "--axis", "cross_ratio", "--grid", ",",
                      "--out", str(tmp_path / "x.csv")]) == 1
-
-    def test_bad_threads(self, tmp_path):
-        assert main(["sweep", "--axis", "cross_ratio", "--grid", "0.5",
-                     "--threads", "0", "--out", str(tmp_path / "x.csv")]) == 1
 
     def test_bad_axis(self, tmp_path):
         assert main(["sweep", "--axis", "budget", "--grid", "0.5",

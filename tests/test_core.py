@@ -1,4 +1,4 @@
-"""Tests for tag handling, config validation, and the cache container."""
+"""Tests for tag handling and config validation."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from kvprune.core import (
     TEXT,
     VISUAL,
-    KvCacheState,
     ModalityTag,
     PruneConfig,
     as_tags,
@@ -87,52 +86,3 @@ class TestPruneConfig:
     def test_recent_may_be_zero(self):
         cfg = PruneConfig(budget=10, recent=0, obs_window=4)
         assert cfg.recent == 0
-
-
-class TestKvCacheState:
-    def _cache(self, length=6, dim=4, seed=42):
-        rng = np.random.default_rng(seed)
-        return KvCacheState(
-            keys=rng.standard_normal((length, dim)),
-            values=rng.standard_normal((length, dim)),
-            tags=rng.integers(0, 2, size=length),
-        )
-
-    def test_length_and_head_dim(self):
-        cache = self._cache(length=6, dim=4)
-        assert cache.length == 6
-        assert cache.head_dim == 4
-
-    def test_shape_mismatch_rejected(self):
-        rng = np.random.default_rng(42)
-        with pytest.raises(ValueError):
-            KvCacheState(
-                keys=rng.standard_normal((5, 4)),
-                values=rng.standard_normal((4, 4)),
-                tags=np.zeros(5, dtype=np.uint8),
-            )
-        with pytest.raises(ValueError):
-            KvCacheState(
-                keys=rng.standard_normal((5, 4)),
-                values=rng.standard_normal((5, 4)),
-                tags=np.zeros(4, dtype=np.uint8),
-            )
-
-    def test_appended_concatenates(self):
-        cache = self._cache(length=3)
-        rng = np.random.default_rng(7)
-        keys = rng.standard_normal((2, 4))
-        values = rng.standard_normal((2, 4))
-        grown = cache.appended(keys, values, [0, 1])
-        assert grown.length == 5
-        np.testing.assert_allclose(grown.keys[3:], keys)
-        np.testing.assert_allclose(grown.values[3:], values)
-        np.testing.assert_array_equal(grown.tags[3:], [0, 1])
-        assert cache.length == 3  # original untouched
-
-    def test_gather_preserves_order(self):
-        cache = self._cache(length=6)
-        sub = cache.gather([1, 3, 4])
-        assert sub.length == 3
-        np.testing.assert_allclose(sub.keys, cache.keys[[1, 3, 4]])
-        np.testing.assert_array_equal(sub.tags, cache.tags[[1, 3, 4]])

@@ -3,30 +3,24 @@
 import numpy as np
 import pytest
 
-from kvprune.core import KvCacheState, PruneConfig, TEXT, VISUAL
+from kvprune import policies
+from kvprune.core import PruneConfig, TEXT, VISUAL
+from kvprune.decompose import cross_self_importance
 from kvprune.policies import (
     POLICY_LABELS,
     POLICY_NAMES,
-    AccumulatedScorePolicy,
-    CspPolicy,
-    FullCachePolicy,
-    GlobalTopKPolicy,
     accumulated_score_step,
     csp_step,
+    deploy_smoothing,
     full_cache_step,
     global_topk_step,
-    make_policy,
+    policy_step,
 )
+from kvprune.selection import cross_self_select
 
 
-def cache_of(tags, d=2, seed=0):
-    tags = np.asarray(tags, dtype=np.uint8)
-    rng = np.random.default_rng(seed)
-    return KvCacheState(
-        keys=rng.standard_normal((tags.shape[0], d)),
-        values=rng.standard_normal((tags.shape[0], d)),
-        tags=tags,
-    )
+def tags_of(tags):
+    return np.asarray(tags, dtype=np.uint8)
 
 
 WORKED_LOGITS = np.log(
@@ -43,10 +37,10 @@ WORKED_TAGS = [TEXT, VISUAL, TEXT, TEXT, TEXT]
 
 class TestCspStep:
     def test_below_budget_is_identity(self):
-        cache = cache_of([0, 1, 0])
         cfg = PruneConfig(budget=10, recent=2, obs_window=2)
-        out, decision = csp_step(cache, np.zeros((1, 1, 3)), [TEXT], cfg)
-        assert out is cache
+        keep, decision, state = csp_step(tags_of([0, 1, 0]), np.zeros((1, 1, 3)), [TEXT], cfg)
+        np.testing.assert_array_equal(keep, [0, 1, 2])
+        assert state is None
         assert not decision.pruned
         assert decision.achieved_occupancy == 3
         assert len(decision.retained_mask) == 1
@@ -56,32 +50,29 @@ class TestCspStep:
         columns, decomposition gives intra [.5,.6,.3] / inter [.1,.2,.3],
         the (1, 2) split intersects to key 1, and the recent pair rides
         along."""
-        cache = cache_of(WORKED_TAGS)
-        out, decision = csp_step(cache, WORKED_LOGITS, [TEXT, VISUAL], WORKED_CFG)
+        keep, decision, _ = csp_step(tags_of(WORKED_TAGS), WORKED_LOGITS, [TEXT, VISUAL],
+                                     WORKED_CFG)
         np.testing.assert_array_equal(decision.retained_mask.indices, [1])
         assert decision.ks_used == (1, 2)
         assert decision.per_modality_retained == (0, 1)
         assert decision.achieved_occupancy == 3
-        np.testing.assert_allclose(out.keys, cache.keys[[1, 3, 4]])
-        np.testing.assert_allclose(out.tags, cache.tags[[1, 3, 4]])
+        np.testing.assert_array_equal(keep, [1, 3, 4])
 
     def test_generous_budget_matches_full_policy(self):
         rng = np.random.default_rng(42)
-        tags = rng.integers(0, 2, size=12)
-        cache = cache_of(tags)
+        tags = tags_of(rng.integers(0, 2, size=12))
         logits = rng.standard_normal((2, 3, 12))
         qt = rng.integers(0, 2, size=3)
         cfg = PruneConfig(budget=13, recent=2, obs_window=3)
-        pruned, decision = csp_step(cache, logits, qt, cfg)
-        full, full_decision = full_cache_step(cache, logits, qt, cfg)
-        np.testing.assert_allclose(pruned.keys, full.keys)
+        keep, decision, _ = csp_step(tags, logits, qt, cfg)
+        full_keep, full_decision, _ = full_cache_step(tags, logits, qt, cfg)
+        np.testing.assert_array_equal(keep, full_keep)
         assert decision.pruned == full_decision.pruned == False  # noqa: E712
 
     def test_per_head_vote_mode(self):
         """Two heads that disagree: the vote ranking keeps candidates picked
         by both heads ahead of single-head picks."""
         tags = np.zeros(6, dtype=np.uint8)
-        cache = cache_of(tags)
         # Pool is 2 per head. Head 0 selects keys {0, 1}, head 1 selects
         # {1, 2} (last two columns are the recent window).
         h0 = np.full((2, 6), -700.0)
@@ -92,20 +83,19 @@ class TestCspStep:
         cfg = PruneConfig(
             budget=4, recent=2, obs_window=2, cross_ratio=0.0, head_mode="per-head"
         )
-        out, decision = csp_step(cache, logits, [TEXT, TEXT], cfg)
+        _, decision, _ = csp_step(tags, logits, [TEXT, TEXT], cfg)
         # Key 1 gets two votes; keys 0 and 2 tie at one vote each and the
         # earlier index wins the remaining slot.
         np.testing.assert_array_equal(decision.retained_mask.indices, [0, 1])
 
     def test_per_head_zero_vote_candidates_dropped(self):
         tags = np.zeros(5, dtype=np.uint8)
-        cache = cache_of(tags)
         logits = np.full((1, 2, 5), -700.0)
         logits[0, :, 0] = 10.0
         cfg = PruneConfig(
             budget=4, recent=2, obs_window=2, cross_ratio=0.0, head_mode="per-head"
         )
-        out, decision = csp_step(cache, logits, [TEXT, TEXT], cfg)
+        _, decision, _ = csp_step(tags, logits, [TEXT, TEXT], cfg)
         # Pool is 2 but only key 0 gets any vote (intra k=2 keeps the top 2,
         # yet the single head's mask is what it is; zero-vote slots are not
         # padded).
@@ -113,73 +103,156 @@ class TestCspStep:
 
     def test_determinism(self):
         rng = np.random.default_rng(7)
-        tags = rng.integers(0, 2, size=20)
+        tags = tags_of(rng.integers(0, 2, size=20))
         logits = rng.standard_normal((3, 4, 20))
         qt = rng.integers(0, 2, size=4)
         cfg = PruneConfig(budget=12, recent=4, obs_window=4, widen_to_budget=True)
-        a_cache, a_dec = csp_step(cache_of(tags), logits, qt, cfg)
-        b_cache, b_dec = csp_step(cache_of(tags), logits, qt, cfg)
+        a_keep, a_dec, _ = csp_step(tags, logits, qt, cfg)
+        b_keep, b_dec, _ = csp_step(tags.copy(), logits.copy(), qt, cfg)
         np.testing.assert_array_equal(a_dec.retained_mask.indices, b_dec.retained_mask.indices)
-        np.testing.assert_allclose(a_cache.keys, b_cache.keys)
+        np.testing.assert_array_equal(a_keep, b_keep)
+
+    def test_inputs_untouched(self):
+        rng = np.random.default_rng(3)
+        tags = tags_of(rng.integers(0, 2, size=12))
+        logits = rng.standard_normal((2, 3, 12))
+        tags_before, logits_before = tags.copy(), logits.copy()
+        csp_step(tags, logits, [TEXT, VISUAL, TEXT], PruneConfig(budget=8, recent=2,
+                                                                  obs_window=3))
+        np.testing.assert_array_equal(tags, tags_before)
+        np.testing.assert_array_equal(logits, logits_before)
 
     def test_logits_key_count_mismatch(self):
-        cache = cache_of([0, 1, 0])
         cfg = PruneConfig(budget=3, recent=1, obs_window=1)
         with pytest.raises(ValueError, match="cache holds"):
-            csp_step(cache, np.zeros((1, 1, 4)), [TEXT], cfg)
+            csp_step(tags_of([0, 1, 0]), np.zeros((1, 1, 4)), [TEXT], cfg)
 
     def test_query_tag_count_mismatch(self):
-        cache = cache_of([0, 1, 0])
         cfg = PruneConfig(budget=3, recent=1, obs_window=1)
         with pytest.raises(ValueError, match="query tags"):
-            csp_step(cache, np.zeros((1, 2, 3)), [TEXT], cfg)
+            csp_step(tags_of([0, 1, 0]), np.zeros((1, 2, 3)), [TEXT], cfg)
+
+
+class TestKeepPositions:
+    """keep is the retained candidates in order, then the recent window."""
+
+    def test_keeps_mask_then_recent(self):
+        keep, decision, _ = csp_step(tags_of(WORKED_TAGS), WORKED_LOGITS, [TEXT, VISUAL],
+                                     WORKED_CFG)
+        np.testing.assert_array_equal(decision.retained_mask.indices, [1])
+        np.testing.assert_array_equal(keep, [1, 3, 4])
+
+    def test_empty_mask_keeps_only_recent(self):
+        """Pool 2 split (1, 1): the intra ranking picks text key 0 and the
+        inter ranking visual key 1, so the intersection is empty."""
+        logits = np.full((1, 2, 5), -700.0)
+        logits[0, 0, 0] = 10.0  # text query: most mass on text key 0 (intra)
+        logits[0, 0, 1] = 9.0   # and the rest on visual key 1 (inter)
+        logits[0, 1, 3] = 10.0  # visual query: all mass on the recent window
+        tags = tags_of([TEXT, VISUAL, VISUAL, TEXT, TEXT])
+        cfg = PruneConfig(budget=4, recent=2, obs_window=2, cross_ratio=0.5, smoothing=0.0)
+        keep, decision, _ = csp_step(tags, logits, [TEXT, VISUAL], cfg)
+        assert decision.pruned and len(decision.retained_mask) == 0
+        np.testing.assert_array_equal(keep, [3, 4])
+
+    def test_full_mask_keeps_everything(self):
+        """At length == budget with ratio 0 the intra ranking takes the whole
+        pool, which is every candidate."""
+        rng = np.random.default_rng(1)
+        cfg = PruneConfig(budget=5, recent=2, obs_window=2, cross_ratio=0.0)
+        keep, decision, _ = csp_step(tags_of([0, 1, 0, 1, 0]), rng.standard_normal((1, 2, 5)),
+                                     [TEXT, VISUAL], cfg)
+        assert decision.pruned and len(decision.retained_mask) == 3
+        np.testing.assert_array_equal(keep, np.arange(5))
+
+    def test_budget_respected_end_to_end(self):
+        """Scoring real weights, selecting, and keeping lands at or under
+        the budget whenever widening is on and candidates suffice."""
+        rng = np.random.default_rng(42)
+        for _ in range(50):
+            length = int(rng.integers(6, 40))
+            budget = int(rng.integers(4, length + 4))
+            recent = int(rng.integers(1, min(budget, length)))
+            cfg = PruneConfig(
+                budget=budget,
+                recent=recent,
+                obs_window=4,
+                cross_ratio=float(rng.random()),
+                widen_to_budget=True,
+            )
+            weights = rng.random((3, length - recent))
+            tags = rng.integers(0, 2, size=length)
+            scores = cross_self_importance(
+                weights, rng.integers(0, 2, size=3), tags[: length - recent]
+            )
+            mask = cross_self_select(scores, cfg)
+            rng.random((2, length, 2))  # keep the random stream, and so the 50 cases, fixed
+            keep = policies._keep(mask, length, recent)
+            assert keep.size <= max(budget, recent + 0)
+            # The trailing recent block always survives verbatim.
+            np.testing.assert_array_equal(keep[-recent:], np.arange(length - recent, length))
+
+    @pytest.mark.parametrize("name, kwargs", [
+        ("csp", {}), ("global-topk", {"pool_width": 3}), ("accum", {}),
+    ])
+    def test_every_pruning_policy_keeps_mask_then_recent(self, name, kwargs):
+        rng = np.random.default_rng(5)
+        tags = tags_of(rng.integers(0, 2, size=16))
+        cfg = PruneConfig(budget=10, recent=3, obs_window=4)
+        keep, decision, _ = policy_step(name)(
+            tags, rng.standard_normal((2, 4, 16)), rng.integers(0, 2, size=4), cfg, **kwargs
+        )
+        assert decision.pruned
+        assert keep.size == len(decision.retained_mask) + cfg.recent <= cfg.budget
+        np.testing.assert_array_equal(keep[:-3], decision.retained_mask.indices)
+        np.testing.assert_array_equal(keep[-3:], [13, 14, 15])
 
 
 class TestGlobalTopkStep:
     def test_uniform_scores_keep_leading_pool(self):
         """With exactly tied columns the stable ranking keeps the earliest
         candidates."""
-        cache = cache_of(np.zeros(6, dtype=np.uint8))
         logits = np.zeros((1, 2, 6))
         cfg = PruneConfig(budget=4, recent=2, obs_window=2)
-        out, decision = global_topk_step(cache, logits, [TEXT, TEXT], cfg)
+        keep, decision, _ = global_topk_step(np.zeros(6, dtype=np.uint8), logits,
+                                             [TEXT, TEXT], cfg)
         np.testing.assert_array_equal(decision.retained_mask.indices, [0, 1])
-        assert out.length == 4
+        np.testing.assert_array_equal(keep, [0, 1, 4, 5])
 
     def test_ranks_by_column_sum(self):
         """Candidate sums [3's worth, 1's, 2's] keep keys 0 and 2."""
-        cache = cache_of(np.zeros(5, dtype=np.uint8))
         logits = np.full((1, 3, 5), -700.0)
         logits[0, 0, 0] = logits[0, 1, 0] = 10.0  # two queries hit key 0
         logits[0, 2, 2] = 10.0                    # one hits key 2
         cfg = PruneConfig(budget=4, recent=2, obs_window=3)
-        out, decision = global_topk_step(cache, logits, [TEXT] * 3, cfg)
+        _, decision, _ = global_topk_step(np.zeros(5, dtype=np.uint8), logits, [TEXT] * 3, cfg)
         np.testing.assert_array_equal(decision.retained_mask.indices, [0, 2])
 
     def test_pooling_rescues_neighbors(self):
         """Width-3 max-pooling lifts the neighbors of a spike above a distant
         middling key."""
-        cache = cache_of(np.zeros(8, dtype=np.uint8))
+        tags = np.zeros(8, dtype=np.uint8)
         logits = np.full((1, 1, 8), -700.0)
         logits[0, 0, 0] = 10.0   # spike at candidate 0
         logits[0, 0, 4] = 5.0    # lone medium key far away
         cfg = PruneConfig(budget=4, recent=2, obs_window=1)
-        plain = global_topk_step(cache, logits, [TEXT], cfg)[1]
-        pooled = global_topk_step(cache, logits, [TEXT], cfg, pool_width=3)[1]
+        plain = global_topk_step(tags, logits, [TEXT], cfg)[1]
+        pooled = global_topk_step(tags, logits, [TEXT], cfg, pool_width=3)[1]
         assert 4 in set(plain.retained_mask.indices)
         np.testing.assert_array_equal(pooled.retained_mask.indices, [0, 1])
 
     def test_below_budget_noop(self):
-        cache = cache_of([0, 1])
         cfg = PruneConfig(budget=5, recent=1, obs_window=1)
-        out, decision = global_topk_step(cache, np.zeros((1, 1, 2)), [TEXT], cfg)
-        assert out is cache and not decision.pruned
+        keep, decision, state = global_topk_step(tags_of([0, 1]), np.zeros((1, 1, 2)),
+                                                 [TEXT], cfg)
+        np.testing.assert_array_equal(keep, [0, 1])
+        assert state is None and not decision.pruned
 
     def test_bad_pool_width(self):
-        cache = cache_of(np.zeros(5, dtype=np.uint8))
         cfg = PruneConfig(budget=4, recent=2, obs_window=1)
         with pytest.raises(ValueError, match="pool width"):
-            global_topk_step(cache, np.zeros((1, 1, 5)), [TEXT], cfg, pool_width=0)
+            global_topk_step(np.zeros(5, dtype=np.uint8), np.zeros((1, 1, 5)), [TEXT], cfg,
+                             pool_width=0)
 
 
 class TestAccumulatedScoreStep:
@@ -187,32 +260,30 @@ class TestAccumulatedScoreStep:
         """From a zero accumulator, one step ranks exactly like the plain
         column-sum policy."""
         rng = np.random.default_rng(42)
-        tags = rng.integers(0, 2, size=10)
-        cache = cache_of(tags)
+        tags = tags_of(rng.integers(0, 2, size=10))
         logits = rng.standard_normal((2, 3, 10))
         qt = rng.integers(0, 2, size=3)
         cfg = PruneConfig(budget=7, recent=2, obs_window=3)
-        _, g_decision = global_topk_step(cache, logits, qt, cfg)
-        _, a_decision, _ = accumulated_score_step(
-            cache, logits, qt, cfg, running=np.zeros(10)
-        )
+        g_keep, g_decision, _ = global_topk_step(tags, logits, qt, cfg)
+        a_keep, a_decision, _ = accumulated_score_step(tags, logits, qt, cfg, np.zeros(10))
         np.testing.assert_array_equal(
             a_decision.retained_mask.indices, g_decision.retained_mask.indices
         )
+        np.testing.assert_array_equal(a_keep, g_keep)
 
     def test_history_changes_the_ranking(self):
         """A key that was hot in step one survives step two even though the
         fresh weights alone would evict it."""
-        cache = cache_of(np.zeros(4, dtype=np.uint8))
         cfg = PruneConfig(budget=3, recent=1, obs_window=1)
         # Accumulated history strongly favors key 0; fresh weights favor key 2.
         running = np.array([5.0, 0.0, 0.0, 0.0])
         logits = np.full((1, 1, 4), -700.0)
         logits[0, 0, 2] = 10.0
-        _, decision, new_running = accumulated_score_step(
-            cache, logits, [TEXT], cfg, running
+        keep, decision, new_running = accumulated_score_step(
+            np.zeros(4, dtype=np.uint8), logits, [TEXT], cfg, running
         )
         np.testing.assert_array_equal(decision.retained_mask.indices, [0, 2])
+        np.testing.assert_array_equal(keep, [0, 2, 3])
         # Survivor accumulators travel with their tokens: [key0, key2, recent].
         assert new_running.shape == (3,)
         np.testing.assert_allclose(new_running[0], 5.0)
@@ -220,86 +291,98 @@ class TestAccumulatedScoreStep:
     def test_two_step_hand_example(self):
         """Accumulators add across steps: sums [1, 0, 0, 0] then
         [0, 0.5, 0.5, 0] rank key 0 first, keys 1 and 2 tied next."""
-        cache = cache_of(np.zeros(4, dtype=np.uint8))
+        tags = np.zeros(4, dtype=np.uint8)
         cfg = PruneConfig(budget=5, recent=1, obs_window=1)  # no prune yet
         step1 = np.full((1, 1, 4), -700.0)
         step1[0, 0, 0] = 10.0
-        _, _, running = accumulated_score_step(
-            cache, step1, [TEXT], cfg, running=np.zeros(4)
-        )
+        _, _, running = accumulated_score_step(tags, step1, [TEXT], cfg, np.zeros(4))
         np.testing.assert_allclose(running, [1.0, 0.0, 0.0, 0.0], atol=1e-4)
         step2 = np.full((1, 1, 4), -700.0)
         step2[0, 0, 1] = step2[0, 0, 2] = 10.0
         cfg2 = PruneConfig(budget=4, recent=1, obs_window=1)
-        _, decision, _ = accumulated_score_step(cache, step2, [TEXT], cfg2, running)
+        _, decision, _ = accumulated_score_step(tags, step2, [TEXT], cfg2, running)
         np.testing.assert_array_equal(decision.retained_mask.indices, [0, 1, 2])
 
     def test_below_budget_still_accumulates(self):
-        cache = cache_of(np.zeros(3, dtype=np.uint8))
         cfg = PruneConfig(budget=10, recent=1, obs_window=1)
         _, decision, running = accumulated_score_step(
-            cache, np.zeros((1, 1, 3)), [TEXT], cfg, running=np.zeros(3)
+            np.zeros(3, dtype=np.uint8), np.zeros((1, 1, 3)), [TEXT], cfg, np.zeros(3)
         )
         assert not decision.pruned
         np.testing.assert_allclose(running, [1 / 3] * 3)
 
     def test_accumulator_shape_guard(self):
-        cache = cache_of(np.zeros(3, dtype=np.uint8))
         cfg = PruneConfig(budget=3, recent=1, obs_window=1)
         with pytest.raises(ValueError, match="accumulator"):
-            accumulated_score_step(cache, np.zeros((1, 1, 3)), [TEXT], cfg, np.zeros(5))
+            accumulated_score_step(np.zeros(3, dtype=np.uint8), np.zeros((1, 1, 3)), [TEXT],
+                                   cfg, np.zeros(5))
 
 
 class TestPolicyObjects:
+    """Policies by registry name: the step lookup, the deploy smoothing
+    rule, and the state only accum carries between steps."""
+
     def test_accum_policy_pads_new_tokens(self):
-        """The stateful wrapper grows its accumulator as the cache grows and
-        carries survivor totals across prunes."""
+        """The accumulator starts empty, grows with the cache (new tokens
+        enter at zero) and keeps survivor totals across prunes."""
         cfg = PruneConfig(budget=4, recent=1, obs_window=1)
-        policy = AccumulatedScorePolicy(cfg)
-        cache = cache_of(np.zeros(3, dtype=np.uint8))
-        policy.step(cache, np.zeros((1, 1, 3)), [TEXT])
-        assert policy._running.shape == (3,)
-        grown = cache_of(np.zeros(5, dtype=np.uint8))
-        _, decision = policy.step(grown, np.zeros((1, 1, 5)), [TEXT])
+        zeros = np.zeros(5, dtype=np.uint8)
+        _, _, state = accumulated_score_step(zeros[:3], np.zeros((1, 1, 3)), [TEXT], cfg)
+        np.testing.assert_allclose(state, [1 / 3] * 3)
+        _, decision, state = accumulated_score_step(zeros, np.zeros((1, 1, 5)), [TEXT], cfg,
+                                                    state)
         assert decision.pruned
-        assert policy._running.shape == (4,)
+        # Keys 0-2 lead with 1/3 + 1/5; key 3 (0 + 1/5) is evicted.
+        np.testing.assert_array_equal(decision.retained_mask.indices, [0, 1, 2])
+        np.testing.assert_allclose(state, [1 / 3 + 1 / 5] * 3 + [1 / 5])
 
     def test_accum_policy_rejects_external_shrink(self):
         cfg = PruneConfig(budget=10, recent=1, obs_window=1)
-        policy = AccumulatedScorePolicy(cfg)
-        policy.step(cache_of(np.zeros(4, dtype=np.uint8)), np.zeros((1, 1, 4)), [TEXT])
+        _, _, state = accumulated_score_step(np.zeros(4, dtype=np.uint8), np.zeros((1, 1, 4)),
+                                             [TEXT], cfg)
         with pytest.raises(ValueError, match="shrank"):
-            policy.step(cache_of(np.zeros(2, dtype=np.uint8)), np.zeros((1, 1, 2)), [TEXT])
+            accumulated_score_step(np.zeros(2, dtype=np.uint8), np.zeros((1, 1, 2)), [TEXT],
+                                   cfg, state)
 
     def test_full_policy_never_evicts(self):
         cfg = PruneConfig(budget=2, recent=1, obs_window=1)
-        policy = FullCachePolicy(cfg)
-        cache = cache_of(np.zeros(9, dtype=np.uint8))
-        out, decision = policy.step(cache, np.zeros((1, 1, 9)), [TEXT])
-        assert out is cache
+        keep, decision, state = full_cache_step(np.zeros(9, dtype=np.uint8),
+                                                np.zeros((1, 1, 9)), [TEXT], cfg)
+        np.testing.assert_array_equal(keep, np.arange(9))
+        assert state is None
         assert not decision.pruned
 
     def test_deploy_smoothing_rules(self):
         cfg = PruneConfig(budget=4, recent=1, obs_window=1, smoothing=2.5)
-        assert CspPolicy(cfg).deploy_smoothing == 2.5
-        assert GlobalTopKPolicy(cfg).deploy_smoothing == 0.0
-        assert GlobalTopKPolicy(cfg, smoothing=1.0).deploy_smoothing == 1.0
-        assert AccumulatedScorePolicy(cfg).deploy_smoothing == 0.0
-        assert FullCachePolicy(cfg).deploy_smoothing == 0.0
+        assert deploy_smoothing("csp", cfg) == 2.5
+        assert deploy_smoothing("global-topk", cfg) == 0.0
+        assert deploy_smoothing("global-topk", cfg, pool_width=3, smoothing=1.0) == 1.0
+        assert deploy_smoothing("accum", cfg) == 0.0
+        assert deploy_smoothing("accum", cfg, smoothing=0.5) == 0.5
+        assert deploy_smoothing("full", cfg) == 0.0
 
-    def test_make_policy_registry(self):
-        cfg = PruneConfig(budget=4, recent=1, obs_window=1)
-        assert isinstance(make_policy("csp", cfg), CspPolicy)
-        assert isinstance(make_policy("global-topk", cfg, pool_width=3), GlobalTopKPolicy)
-        assert isinstance(make_policy("accum", cfg), AccumulatedScorePolicy)
-        assert isinstance(make_policy("full", cfg), FullCachePolicy)
+    def test_policy_step_registry(self):
+        assert policy_step("csp") is csp_step
+        assert policy_step("global-topk") is global_topk_step
+        assert policy_step("accum") is accumulated_score_step
+        assert policy_step("full") is full_cache_step
 
-    def test_make_policy_unknown_name(self):
-        cfg = PruneConfig(budget=4, recent=1, obs_window=1)
+    def test_policy_step_resolved_at_call_time(self, monkeypatch):
+        """A rebound module attribute is what the lookup returns."""
+        def wrapped(*args, **kwargs):
+            return csp_step(*args, **kwargs)
+
+        monkeypatch.setattr(policies, "csp_step", wrapped)
+        assert policy_step("csp") is wrapped
+
+    def test_policy_step_unknown_name(self):
         with pytest.raises(ValueError, match="unknown policy"):
-            make_policy("h2o", cfg)
+            policy_step("h2o")
+        with pytest.raises(ValueError, match="unknown policy"):
+            deploy_smoothing("h2o", PruneConfig(budget=4, recent=1, obs_window=1))
 
     def test_baseline_labels_hedge(self):
         assert "-like" in POLICY_LABELS["global-topk"]
         assert "-like" in POLICY_LABELS["accum"]
         assert set(POLICY_NAMES) == {"csp", "global-topk", "accum", "full"}
+        assert set(POLICY_LABELS) == set(POLICY_NAMES)

@@ -1,17 +1,15 @@
-"""Tests for top-k masks, budget splitting, intersection, and pruning."""
+"""Tests for top-k masks, budget splitting, and cross-self selection."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from kvprune.core import KvCacheState, PruneConfig, TEXT, VISUAL
-from kvprune.decompose import ImportanceScores, cross_self_importance
+from kvprune.core import PruneConfig, TEXT, VISUAL
+from kvprune.decompose import ImportanceScores
 from kvprune.selection import (
     PruneMask,
-    apply_prune,
     budget_to_k,
     cross_self_select,
-    intersect_masks,
     mask_modality_counts,
     topk_mask,
 )
@@ -89,22 +87,6 @@ class TestTopkMask:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             topk_mask([np.nan], 1)
-
-
-class TestIntersectMasks:
-    def test_common_indices(self):
-        a = PruneMask(np.array([0, 1, 3]), 5)
-        b = PruneMask(np.array([1, 3, 4]), 5)
-        np.testing.assert_array_equal(intersect_masks(a, b).indices, [1, 3])
-
-    def test_disjoint_is_empty(self):
-        a = PruneMask(np.array([0]), 3)
-        b = PruneMask(np.array([1]), 3)
-        assert len(intersect_masks(a, b)) == 0
-
-    def test_universe_mismatch(self):
-        with pytest.raises(ValueError, match="universes differ"):
-            intersect_masks(PruneMask(np.array([0]), 3), PruneMask(np.array([0]), 4))
 
 
 class TestBudgetToK:
@@ -325,70 +307,6 @@ class TestCrossSelfSelectProperties:
         biased = oracles.biased(list(ranked), cfg.obs_window, cfg.recency_bias)
         expected = topk_mask(np.array(biased), cfg.budget - cfg.recent).indices
         np.testing.assert_array_equal(cross_self_select(scores, cfg).indices, expected)
-
-
-class TestApplyPrune:
-    def cache_of(self, length, d=2):
-        base = np.arange(length * d, dtype=np.float64).reshape(length, d)
-        return KvCacheState(keys=base, values=base * 10.0, tags=np.zeros(length, dtype=np.uint8))
-
-    def test_keeps_mask_then_recent(self):
-        cache = self.cache_of(5)
-        pruned = apply_prune(cache, PruneMask(np.array([1]), 3), recent=2)
-        np.testing.assert_allclose(pruned.keys, cache.keys[[1, 3, 4]])
-        np.testing.assert_allclose(pruned.values, cache.values[[1, 3, 4]])
-        assert pruned.length == 3
-
-    def test_empty_mask_keeps_only_recent(self):
-        cache = self.cache_of(5)
-        pruned = apply_prune(cache, PruneMask(np.zeros(0, dtype=int), 3), recent=2)
-        np.testing.assert_allclose(pruned.keys, cache.keys[3:])
-
-    def test_full_mask_keeps_everything(self):
-        cache = self.cache_of(5)
-        pruned = apply_prune(cache, PruneMask.full(3), recent=2)
-        np.testing.assert_allclose(pruned.keys, cache.keys)
-
-    def test_universe_mismatch_rejected(self):
-        cache = self.cache_of(5)
-        with pytest.raises(ValueError, match="universe"):
-            apply_prune(cache, PruneMask(np.array([0]), 4), recent=2)
-
-    def test_recent_covering_cache_rejected(self):
-        cache = self.cache_of(3)
-        with pytest.raises(ValueError, match="recent"):
-            apply_prune(cache, PruneMask(np.zeros(0, dtype=int), 0), recent=3)
-
-    def test_budget_respected_end_to_end(self):
-        """Scoring real weights, selecting, and pruning lands at or under
-        the budget whenever widening is on and candidates suffice."""
-        rng = np.random.default_rng(42)
-        for _ in range(50):
-            length = int(rng.integers(6, 40))
-            budget = int(rng.integers(4, length + 4))
-            recent = int(rng.integers(1, min(budget, length)))
-            cfg = PruneConfig(
-                budget=budget,
-                recent=recent,
-                obs_window=4,
-                cross_ratio=float(rng.random()),
-                widen_to_budget=True,
-            )
-            weights = rng.random((3, length - recent))
-            tags = rng.integers(0, 2, size=length)
-            scores = cross_self_importance(
-                weights, rng.integers(0, 2, size=3), tags[: length - recent]
-            )
-            mask = cross_self_select(scores, cfg)
-            cache = KvCacheState(
-                keys=rng.random((length, 2)),
-                values=rng.random((length, 2)),
-                tags=tags,
-            )
-            pruned = apply_prune(cache, mask, recent=recent)
-            assert pruned.length <= max(budget, recent + 0)
-            # The trailing recent block always survives verbatim.
-            np.testing.assert_allclose(pruned.keys[-recent:], cache.keys[-recent:])
 
 
 class TestMaskModalityCounts:

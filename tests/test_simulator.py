@@ -276,8 +276,7 @@ class TestSweep:
     CFG = PruneConfig(budget=14, recent=4, obs_window=4, widen_to_budget=True)
 
     def test_singleton_equals_direct_run(self):
-        [(value, report)] = sweep("cross_ratio", [0.3], SMALL, self.CFG, "csp",
-                                  threads=1)
+        [(value, report)] = sweep("cross_ratio", [0.3], SMALL, self.CFG, "csp")
         direct = run_decode(SMALL, "csp", self.CFG.with_updates(cross_ratio=0.3))
         assert value == 0.3
         for a, b in zip(report.retained_ids, direct.retained_ids):
@@ -289,17 +288,9 @@ class TestSweep:
 
     def test_grid_order_preserved_across_threads(self):
         grid = [0.8, 0.2, 0.5]
-        rows = sweep("cross_ratio", grid, SMALL, self.CFG, "csp", threads=3)
+        rows = sweep("cross_ratio", grid, SMALL, self.CFG, "csp")
         assert [v for v, _ in rows] == grid
         assert all(r.config.cross_ratio == v for v, r in rows)
-
-    def test_threaded_matches_serial(self):
-        grid = [0.2, 0.5, 0.8]
-        serial = sweep("smooth_n", grid, SMALL, self.CFG, "csp", threads=1)
-        threaded = sweep("smooth_n", grid, SMALL, self.CFG, "csp", threads=3)
-        for (_, a), (_, b) in zip(serial, threaded):
-            for ids_a, ids_b in zip(a.retained_ids, b.retained_ids):
-                np.testing.assert_array_equal(ids_a, ids_b)
 
     def test_bad_axis(self):
         with pytest.raises(ValueError, match="axis"):
@@ -309,16 +300,6 @@ class TestSweep:
     def test_empty_grid(self):
         with pytest.raises(ValueError, match="empty"):
             sweep("cross_ratio", [], SMALL, self.CFG, "csp")
-
-    def test_thread_env_cap(self, monkeypatch):
-        monkeypatch.setenv("KVPRUNE_THREADS", "2")
-        rows = sweep("cross_ratio", [0.2, 0.8], SMALL, self.CFG, "csp")
-        assert [v for v, _ in rows] == [0.2, 0.8]
-
-    def test_thread_env_invalid(self, monkeypatch):
-        monkeypatch.setenv("KVPRUNE_THREADS", "many")
-        with pytest.raises(ValueError, match="KVPRUNE_THREADS"):
-            sweep("cross_ratio", [0.2, 0.8], SMALL, self.CFG, "csp")
 
 
 def _oracle_steps(trace):

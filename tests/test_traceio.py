@@ -10,6 +10,7 @@ from kvprune.traceio import (
     MAGIC,
     AttentionTrace,
     BadMagicError,
+    NonFiniteLogitError,
     SizeMismatchError,
     TraceError,
     TraceStep,
@@ -197,6 +198,16 @@ class TestCorruption:
             read_trace(path)
         assert err.value.step == 0
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logit_names_step_layer_and_head(self, tmp_path, value):
+        trace = small_trace()
+        trace.steps[2].blocks[1, 1, 1, 3] = value
+        path = tmp_path / "nan.trace"
+        write_trace(trace, path)
+        with pytest.raises(NonFiniteLogitError,
+                           match=r"step 2 layer 1 head 1: non-finite logit .* row 1, col 3"):
+            read_trace(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.trace"
         path.write_bytes(b"")
@@ -205,8 +216,9 @@ class TestCorruption:
 
     def test_errors_are_distinct_classes(self):
         """Each corruption class is independently catchable."""
-        kinds = {BadMagicError, UnsupportedVersionError, TruncatedTraceError, SizeMismatchError}
-        assert len(kinds) == 4
+        kinds = {BadMagicError, UnsupportedVersionError, TruncatedTraceError, SizeMismatchError,
+                 NonFiniteLogitError}
+        assert len(kinds) == 5
         from kvprune.traceio import TraceError
         assert all(issubclass(k, TraceError) for k in kinds)
 
