@@ -293,3 +293,40 @@ def js_from_samples(p_samples, q_samples, bins, epsilon=1e-10):
     kl_p = sum(a * math.log(a / c) for a, c in zip(p, m))
     kl_q = sum(b * math.log(b / c) for b, c in zip(q, m))
     return 0.5 * kl_p + 0.5 * kl_q
+
+
+def recon_error_final(spec, retained_ids, smoothing):
+    """Reconstruction error of a synthetic run's last step, by plain loops.
+
+    The newest query's logits come from a fresh single-query
+    SyntheticDecoder.logit_block call over every key; the full and the
+    smoothed pruned weights come from mp_softmax, and attention outputs
+    and norms are summed element by element. Returns the mean over layers
+    of ||full output - pruned output|| with the heads concatenated, where
+    the pruned output attends only to that layer's retained_ids.
+    """
+    from kvprune.simulator import SyntheticDecoder
+
+    decoder = SyntheticDecoder(spec)
+    length = spec.final_len
+    all_ids = np.arange(length)
+    errors = []
+    for layer in range(spec.layers):
+        block = decoder.logit_block(layer, np.array([length - 1]), all_ids)
+        values = decoder.values(layer, all_ids).tolist()
+        kept = sorted(int(g) for g in retained_ids[layer])
+        squared = 0.0
+        for head in range(spec.heads):
+            logits = [float(x) for x in block[head][0]]
+            full_w = mp_softmax(logits)
+            pruned_w = mp_softmax(logits, smoothing, kept)
+            for d in range(spec.head_dim):
+                full_out = 0.0
+                for j in range(length):
+                    full_out += full_w[j] * values[j][d]
+                pruned_out = 0.0
+                for j in kept:
+                    pruned_out += pruned_w[j] * values[j][d]
+                squared += (full_out - pruned_out) ** 2
+        errors.append(math.sqrt(squared))
+    return sum(errors) / len(errors)

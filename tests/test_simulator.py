@@ -231,18 +231,27 @@ class TestScriptedTrace:
 
 class TestTraceReplay:
     def test_replay_matches_live(self):
-        """Recording a trace and replaying it yields the same retained ids
-        as the live synthetic run, because logits are materialized at
-        float32 precision in both paths."""
+        """Recording a trace and replaying it makes the same decisions as
+        the live synthetic run for every policy, step by step and layer by
+        layer, because logits are materialized at float32 precision in
+        both paths."""
         cfg = PruneConfig(budget=14, recent=4, obs_window=6, cross_ratio=0.5,
                           smoothing=1.0, widen_to_budget=True)
         trace = record_trace(SMALL, cfg.obs_window)
-        live = run_decode(SMALL, "csp", cfg)
-        replay = run_decode(trace, "csp", cfg)
-        for ids_live, ids_replay in zip(live.retained_ids, replay.retained_ids):
-            np.testing.assert_array_equal(ids_live, ids_replay)
-        assert replay.recon_error == []
-        assert live.recon_error
+        for policy in ("csp", "global-topk", "accum", "full"):
+            live = run_decode(SMALL, policy, cfg)
+            replay = run_decode(trace, policy, cfg)
+            for ids_live, ids_replay in zip(live.retained_ids, replay.retained_ids):
+                np.testing.assert_array_equal(ids_live, ids_replay, err_msg=policy)
+            assert len(live.per_step) == len(replay.per_step) == SMALL.steps + 1
+            for step_live, step_replay in zip(live.per_step, replay.per_step):
+                for a, b in zip(step_live, step_replay, strict=True):
+                    assert a.achieved_occupancy == b.achieved_occupancy, policy
+                    assert a.per_modality_retained == b.per_modality_retained, policy
+                    assert a.pruned == b.pruned, policy
+            assert live.bytes_cached == replay.bytes_cached, policy
+            assert replay.recon_error == []
+            assert live.recon_error
 
     def test_record_trace_shapes(self):
         trace = record_trace(SMALL, 4)
@@ -253,6 +262,25 @@ class TestTraceReplay:
     def test_record_trace_obs_validation(self):
         with pytest.raises(ValueError, match="obs_window"):
             record_trace(SMALL, 0)
+
+
+class TestReconErrorOracle:
+    """The last step's reconstruction error against tests/oracles.py's
+    plain-loop recon_error_final, which recomputes the newest query's
+    logits with a fresh logit_block call and its weights with mpmath."""
+
+    @pytest.mark.parametrize("interleave", ["block", "alternating", "random"])
+    @pytest.mark.parametrize("smoothing", [0.0, 1.0])
+    @pytest.mark.parametrize("policy", ["csp", "global-topk", "accum", "full"])
+    def test_final_step_matches_oracle(self, policy, smoothing, interleave):
+        spec = SynthSpec(**{**SMALL.__dict__, "interleave": interleave})
+        cfg = PruneConfig(budget=14, recent=4, obs_window=6, cross_ratio=0.5,
+                          smoothing=smoothing, widen_to_budget=True)
+        kwargs = {"smoothing": smoothing} if policy in ("global-topk", "accum") else {}
+        report = run_decode(spec, policy, cfg, **kwargs)
+        deployed = 0.0 if policy == "full" else smoothing
+        expected = oracles.recon_error_final(spec, report.retained_ids, deployed)
+        assert report.recon_error[-1] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 class TestModalityBalance:
