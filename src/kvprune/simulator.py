@@ -14,12 +14,13 @@ distribution. With a text-heavy decode tail this reproduces the failure mode
 the cross-self policy targets: plain top-k drifts toward text keys while the
 intersection rule keeps visual keys competitive.
 
-Logit blocks are materialized in float32, the trace precision, so a live
-synthetic run and a replay of its recorded trace rank keys identically.
+Logit blocks are materialized in float32, the trace precision, and a live
+decoder streams them as the same `TraceStep` records a trace file holds, so a
+live synthetic run and a replay of its recorded trace rank keys identically.
 
-`run_decode` drives any policy over either source (a SynthSpec / decoder, or
-an AttentionTrace). Traces carry no values or query vectors, so replays
-report no reconstruction error.
+`run_decode` drives any policy over either source (a SynthSpec or an
+AttentionTrace) with one loop over those records. Traces carry no values or
+query vectors, so replays report no reconstruction error.
 """
 
 from __future__ import annotations
@@ -99,8 +100,6 @@ def prefill_tags(spec: SynthSpec) -> np.ndarray:
 class SyntheticDecoder:
     """Deterministic source of logit blocks, keys and values for one run."""
 
-    provides_values = True
-
     def __init__(self, spec: SynthSpec):
         self.spec = spec
         self.layers = spec.layers
@@ -146,45 +145,27 @@ class SyntheticDecoder:
         for head in range(spec.heads):
             queries = self._queries[layer, head][query_ids]
             out[head] = spec.spread * attention_logits(queries, keys) - spec.shift * cross
-        return out.astype(np.float32).astype(np.float64)
+        return out.astype(np.float32)
 
-    def records(self, obs_window: int):
-        """Yield (new_tags, blocks, full_len) per step; step 0 is the prefill."""
+    def steps(self, obs_window: int):
+        """Yield one TraceStep per decode step, as a trace would record it.
+
+        Step 0 is the prefill observation and adds no tokens; every later
+        step adds one text token. Blocks span every layer, the newest
+        min(obs_window, length) queries as rows and every live key.
+        """
         spec = self.spec
         length = spec.prefill_len
         for step in range(spec.steps + 1):
-            if step == 0:
-                new_tags = np.zeros(0, dtype=np.uint8)
-            else:
-                new_tags = np.array([TEXT], dtype=np.uint8)
-                length += 1
+            added = 1 if step else 0
+            length += added
             rows = min(obs_window, length)
             query_ids = np.arange(length - rows, length)
             key_ids = np.arange(length)
             blocks = np.stack(
                 [self.logit_block(layer, query_ids, key_ids) for layer in range(spec.layers)]
             )
-            yield new_tags, blocks, length
-
-
-class _TraceSource:
-    """Adapter giving an AttentionTrace the decoder's record interface."""
-
-    provides_values = False
-
-    def __init__(self, trace: AttentionTrace):
-        self.trace = trace
-        self.layers = trace.layers
-        self.heads = trace.heads
-        self.head_dim = trace.head_dim
-        self.prefill_tags = trace.prefill_tags
-        self.full_tags = trace.full_tags
-
-    def records(self, obs_window: int):
-        length = self.prefill_tags.size
-        for step in self.trace.steps:
-            length += step.new_tags.size
-            yield step.new_tags, np.asarray(step.blocks, dtype=np.float64), length
+            yield TraceStep(new_tags=np.full(added, TEXT, dtype=np.uint8), blocks=blocks)
 
 
 @dataclass
@@ -206,10 +187,6 @@ class RunReport:
         return len(self.per_step)
 
     @property
-    def final_lengths(self) -> list[int]:
-        return [decisions[-1].achieved_occupancy for decisions in _transpose(self.per_step)]
-
-    @property
     def achieved_budget_fraction(self) -> float:
         mean_len = float(np.mean([ids.size for ids in self.retained_ids]))
         return mean_len / self.full_length
@@ -219,21 +196,6 @@ class RunReport:
         text = sum(int(tag_counts(tags)[0]) for tags in self.retained_tags)
         visual = sum(int(tag_counts(tags)[1]) for tags in self.retained_tags)
         return text, visual
-
-
-def _transpose(per_step: list[list[PolicyDecision]]) -> list[list[PolicyDecision]]:
-    layers = len(per_step[0])
-    return [[step[layer] for step in per_step] for layer in range(layers)]
-
-
-def _as_source(source):
-    if isinstance(source, SynthSpec):
-        return SyntheticDecoder(source)
-    if isinstance(source, AttentionTrace):
-        return _TraceSource(source)
-    if isinstance(source, (SyntheticDecoder, _TraceSource)):
-        return source
-    raise TypeError(f"cannot drive a decode from {type(source).__name__}")
 
 
 def budget_for_fraction(fraction: float, full_length: int, recent: int) -> int:
@@ -246,38 +208,51 @@ def budget_for_fraction(fraction: float, full_length: int, recent: int) -> int:
 def run_decode(source, policy_name: str, cfg: PruneConfig, **policy_kwargs) -> RunReport:
     """Drive one policy over a synthetic decode or a recorded trace.
 
-    Each layer's cache is the array of global token ids it retains. Each
-    step appends the new tokens' ids to every layer, lets the policy prune
-    each layer from the key tags and logits over its retained ids, then
-    (synthetic sources only) measures the reconstruction error of the
-    latest query's attention output against the unpruned cache, averaged
-    over layers.
+    Both sources are a stream of TraceStep records: a SynthSpec's decoder
+    generates them step by step, a trace holds them. Each layer's cache is
+    the array of global token ids it retains. Each step appends the new
+    tokens' ids to every layer and lets the policy prune each layer from
+    the key tags and logits over its retained ids. A synthetic source also
+    has values, so it then measures the reconstruction error of the newest
+    query's attention output against the unpruned cache, averaged over
+    layers.
     """
-    src = _as_source(source)
+    if isinstance(source, SynthSpec):
+        decoder = SyntheticDecoder(source)
+        header, steps = decoder, decoder.steps(cfg.obs_window)
+    elif isinstance(source, AttentionTrace):
+        decoder, header, steps = None, source, source.steps
+    else:
+        raise TypeError(f"cannot drive a decode from {type(source).__name__}")
     step = policies.policy_step(policy_name)
     smoothing = policies.deploy_smoothing(policy_name, cfg, **policy_kwargs)
 
-    retained = [np.arange(src.prefill_tags.size) for _ in range(src.layers)]
-    states = [None] * src.layers
+    full_tags = header.full_tags
+    full_len = header.prefill_tags.size
+    retained = [np.arange(full_len) for _ in range(header.layers)]
+    states = [None] * header.layers
     per_step: list[list[PolicyDecision]] = []
     bytes_cached: list[int] = []
     recon_error: list[float] = []
 
-    for new_tags, blocks, full_len in src.records(cfg.obs_window):
+    for record in steps:
+        added = record.new_tags.size
+        full_len += added
+        blocks = record.blocks
         if blocks.shape[3] != full_len:
             raise ValueError(
                 f"source produced blocks over {blocks.shape[3]} keys at length {full_len}"
             )
-        if new_tags.size:
-            new_ids = np.arange(full_len - new_tags.size, full_len)
+        if added:
+            new_ids = np.arange(full_len - added, full_len)
             retained = [np.concatenate([ids, new_ids]) for ids in retained]
 
         rows = blocks.shape[2]
-        query_tags = src.full_tags[full_len - rows : full_len]
+        query_tags = full_tags[full_len - rows : full_len]
         decisions: list[PolicyDecision] = []
         for layer, ids in enumerate(retained):
             keep, decision, states[layer] = step(
-                src.full_tags[ids], blocks[layer][:, :, ids], query_tags, cfg,
+                full_tags[ids], blocks[layer][:, :, ids], query_tags, cfg,
                 states[layer], **policy_kwargs,
             )
             if decision.pruned:
@@ -285,38 +260,42 @@ def run_decode(source, policy_name: str, cfg: PruneConfig, **policy_kwargs) -> R
             decisions.append(decision)
         per_step.append(decisions)
         # float32 keys and values for every retained token.
-        bytes_cached.append(sum(ids.size * 2 * src.head_dim * 4 for ids in retained))
-        if src.provides_values:
-            recon_error.append(_recon_error(src, full_len, retained, smoothing))
+        bytes_cached.append(sum(ids.size * 2 * header.head_dim * 4 for ids in retained))
+        if decoder is not None:
+            recon_error.append(_recon_error(decoder, blocks, retained, smoothing))
 
     return RunReport(
         policy=policies.PolicyKind(policy_name).value,
         config=cfg,
         seed=cfg.seed,
-        full_length=int(src.full_tags.size),
+        full_length=int(full_tags.size),
         per_step=per_step,
         bytes_cached=bytes_cached,
         recon_error=recon_error,
         retained_ids=[ids.copy() for ids in retained],
-        retained_tags=[src.full_tags[ids] for ids in retained],
+        retained_tags=[full_tags[ids] for ids in retained],
     )
 
 
-def _recon_error(decoder, full_len: int, retained: list[np.ndarray], smoothing: float) -> float:
+def _recon_error(decoder, blocks: np.ndarray, retained: list[np.ndarray], smoothing: float) -> float:
     """Mean over layers of ||full attention output - pruned output|| for the
-    newest query, heads concatenated."""
-    all_ids = np.arange(full_len)
-    query = np.array([full_len - 1])
+    newest query, heads concatenated.
+
+    The newest query's logits are the last row of the step's blocks, since
+    observation rows always end at the newest token.
+    """
+    all_ids = np.arange(blocks.shape[3])
     errors = []
     for layer in range(decoder.layers):
         kept = retained[layer]
-        block = decoder.logit_block(layer, query, all_ids)
+        values = decoder.values(layer, all_ids)
+        kept_values = decoder.values(layer, kept)
         diffs = []
         for head in range(decoder.heads):
-            logits = block[head]
-            full_out = softmax_rows(logits) @ decoder.values(layer, all_ids)
+            logits = blocks[layer, head, -1:]
+            full_out = softmax_rows(logits) @ values
             pruned_w = smoothed_softmax_rows(logits[:, kept], smoothing)
-            pruned_out = pruned_w @ decoder.values(layer, kept)
+            pruned_out = pruned_w @ kept_values
             diffs.append(full_out[0] - pruned_out[0])
         errors.append(float(np.linalg.norm(np.concatenate(diffs))))
     return float(np.mean(errors))
@@ -327,16 +306,12 @@ def record_trace(spec: SynthSpec, obs_window: int) -> AttentionTrace:
     if obs_window < 1:
         raise ValueError("obs_window must be >= 1")
     decoder = SyntheticDecoder(spec)
-    steps = [
-        TraceStep(new_tags=new_tags, blocks=blocks.astype(np.float32))
-        for new_tags, blocks, _ in decoder.records(obs_window)
-    ]
     return AttentionTrace(
         layers=spec.layers,
         heads=spec.heads,
         head_dim=spec.head_dim,
         prefill_tags=decoder.prefill_tags,
-        steps=steps,
+        steps=list(decoder.steps(obs_window)),
     )
 
 

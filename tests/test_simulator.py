@@ -103,16 +103,16 @@ class TestSyntheticDecoder:
         decoder = SyntheticDecoder(SMALL)
         np.testing.assert_array_equal(decoder.full_tags[-SMALL.steps:], [TEXT] * 6)
 
-    def test_records_structure(self):
+    def test_steps_structure(self):
         decoder = SyntheticDecoder(SMALL)
-        records = list(decoder.records(obs_window=4))
-        assert len(records) == SMALL.steps + 1
-        new0, blocks0, len0 = records[0]
-        assert new0.size == 0 and len0 == 24
-        assert blocks0.shape == (2, 2, 4, 24)
-        new1, blocks1, len1 = records[1]
-        assert new1.size == 1 and len1 == 25
-        assert blocks1.shape == (2, 2, 4, 25)
+        steps = list(decoder.steps(obs_window=4))
+        assert len(steps) == SMALL.steps + 1
+        assert all(isinstance(step, TraceStep) for step in steps)
+        assert all(step.blocks.dtype == np.float32 for step in steps)
+        assert steps[0].new_tags.size == 0
+        assert steps[0].blocks.shape == (2, 2, 4, 24)
+        np.testing.assert_array_equal(steps[1].new_tags, [TEXT])
+        assert steps[1].blocks.shape == (2, 2, 4, 25)
 
 
 class TestBudgetForFraction:
@@ -137,7 +137,7 @@ class TestRunDecode:
         report = run_decode(SMALL, "full", cfg)
         assert report.achieved_budget_fraction == 1.0
         assert max(report.recon_error) < 1e-12
-        assert report.final_lengths == [30, 30]
+        assert [ids.size for ids in report.retained_ids] == [30, 30]
         assert not any(d.pruned for step in report.per_step for d in step)
 
     def test_generous_csp_budget_equals_full(self):
@@ -314,7 +314,7 @@ class TestSweep:
         [(_, report)] = sweep("budget_fraction", [0.5], SMALL, self.CFG, "csp")
         assert report.config.budget == budget_for_fraction(0.5, SMALL.final_len, 4)
 
-    def test_grid_order_preserved_across_threads(self):
+    def test_grid_order_preserved(self):
         grid = [0.8, 0.2, 0.5]
         rows = sweep("cross_ratio", grid, SMALL, self.CFG, "csp")
         assert [v for v, _ in rows] == grid
