@@ -81,9 +81,7 @@ POLICY_DEFAULTS = {
     "baseline_n": 0.0,
 }
 
-_KNOWN_FILE_KEYS = (
-    set(SPEC_DEFAULTS) | set(CONFIG_DEFAULTS) | set(POLICY_DEFAULTS) | {"policies"}
-)
+_KNOWN_FILE_KEYS = set(SPEC_DEFAULTS) | set(CONFIG_DEFAULTS) | set(POLICY_DEFAULTS)
 
 
 def _add_spec_flags(parser):

@@ -308,6 +308,16 @@ class TestConfigFile:
         assert main(["--config", str(cfg), "simulate",
                      "--out", str(tmp_path / "x.csv")]) == 1
 
+    def test_policies_key_rejected(self, tmp_path, trace_path, capsys):
+        """compare takes its policy list from --policies only, so a config
+        file's "policies" key is unknown rather than silently ignored."""
+        cfg = self.write_config(tmp_path, {"policies": "no-such-policy,also-bogus"})
+        out = tmp_path / "cmp.csv"
+        assert main(["--config", str(cfg), "compare", "--policies", "csp,full",
+                     "--trace", str(trace_path), *CFG_FLAGS, "--out", str(out)]) == 1
+        assert "unknown keys ['policies']" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_object_config(self, tmp_path):
         cfg = self.write_config(tmp_path, [1, 2])
         assert main(["--config", str(cfg), "simulate",
