@@ -100,6 +100,7 @@ class TestSmoothedSoftmax:
         np.testing.assert_allclose(out, [[0.25, 0.25]])
 
     def test_matches_arbitrary_precision_oracle(self):
+        """Slicing the kept columns first gives the oracle's weights on them."""
         rng = np.random.default_rng(42)
         for _ in range(200):
             cols = rng.integers(1, 12)
@@ -108,13 +109,10 @@ class TestSmoothedSoftmax:
             kept = np.flatnonzero(rng.random(cols) < 0.7)
             if kept.size == 0:
                 kept = np.array([0])
-            out = smoothed_softmax_rows(logits[None, :], n, kept=kept)[0]
+            out = smoothed_softmax_rows(logits[None, kept], n)[0]
             expected = oracles.mp_softmax(list(logits), n, kept=list(kept))
-            for j in range(cols):
-                if j in kept:
-                    assert abs(out[j] - expected[j]) < 1e-12
-                else:
-                    assert out[j] == 0.0
+            for rank, j in enumerate(kept):
+                assert abs(out[rank] - expected[j]) < 1e-12
 
     def test_row_sums_below_one_with_smoothing(self):
         rng = np.random.default_rng(42)
@@ -141,12 +139,9 @@ class TestSmoothedSoftmax:
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
 
     def test_empty_kept_zero_smoothing_is_error(self):
-        with pytest.raises(ValueError, match="empty kept"):
-            smoothed_softmax_rows(np.zeros((1, 3)), 0.0, kept=np.array([], dtype=int))
-
-    def test_empty_kept_positive_smoothing_zero_row(self):
-        out = smoothed_softmax_rows(np.zeros((2, 3)), 1.0, kept=np.array([], dtype=int))
-        np.testing.assert_array_equal(out, np.zeros((2, 3)))
+        """A caller that slices away every column leaves no weights to define."""
+        with pytest.raises(ValueError, match="weights are undefined"):
+            smoothed_softmax_rows(np.zeros((1, 0)), 0.0)
 
     def test_negative_smoothing_rejected(self):
         with pytest.raises(ValueError, match="smoothing"):
@@ -155,22 +150,13 @@ class TestSmoothedSoftmax:
 
 @st.composite
 def softmax_cases(draw):
-    """(logits, kept, kept as a (rows, cols) mask); every row keeps at
-    least one column, in each form `kept` accepts."""
+    """(logits, kept): a logit matrix and a nonempty sorted column subset."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 10))
     logits = rng.normal(0.0, draw(st.sampled_from([1.0, 10.0, 300.0])), size=(rows, cols))
-    form = draw(st.sampled_from(["none", "index", "shared", "per-row"]))
-    if form == "none":
-        return logits, None, np.ones((rows, cols), dtype=bool)
-    if form == "per-row":
-        mask = rng.random((rows, cols)) < 0.5
-        mask[np.arange(rows), rng.integers(0, cols, size=rows)] = True
-        return logits, mask, mask
-    shared = rng.random(cols) < 0.5
-    shared[rng.integers(0, cols)] = True
-    mask = np.broadcast_to(shared, (rows, cols))
-    return logits, (np.flatnonzero(shared) if form == "index" else shared), mask
+    chosen = rng.random(cols) < 0.5
+    chosen[rng.integers(0, cols)] = True
+    return logits, np.flatnonzero(chosen)
 
 
 smoothings = st.floats(0.0, 1e300)
@@ -179,27 +165,21 @@ smoothings = st.floats(0.0, 1e300)
 class TestSmoothedSoftmaxProperties:
     @given(softmax_cases(), smoothings)
     def test_row_sums_at_most_one(self, case, smoothing):
-        logits, kept, _ = case
-        out = smoothed_softmax_rows(logits, smoothing, kept=kept)
+        logits, kept = case
+        out = smoothed_softmax_rows(logits[:, kept], smoothing)
         assert (out.sum(axis=1) <= 1.0 + 1e-12).all()
 
     @given(softmax_cases(), smoothings, smoothings)
     def test_non_increasing_in_smoothing(self, case, a, b):
-        logits, kept, _ = case
-        low = smoothed_softmax_rows(logits, min(a, b), kept=kept)
-        high = smoothed_softmax_rows(logits, max(a, b), kept=kept)
+        logits, kept = case
+        low = smoothed_softmax_rows(logits[:, kept], min(a, b))
+        high = smoothed_softmax_rows(logits[:, kept], max(a, b))
         assert (high <= low * (1.0 + 1e-12)).all()
 
     @given(softmax_cases())
     def test_zero_smoothing_keeping_all_is_softmax(self, case):
-        logits, _, _ = case
+        logits, _ = case
         np.testing.assert_array_equal(smoothed_softmax_rows(logits, 0.0), softmax_rows(logits))
-
-    @given(softmax_cases(), smoothings)
-    def test_columns_outside_kept_are_zero(self, case, smoothing):
-        logits, kept, mask = case
-        out = smoothed_softmax_rows(logits, smoothing, kept=kept)
-        assert (out[~mask] == 0.0).all()
 
 
 class TestSharpening:
