@@ -58,70 +58,41 @@ def softmax_rows(logits) -> np.ndarray:
     return expd / expd.sum(axis=1, keepdims=True)
 
 
-def _kept_mask(logits: np.ndarray, kept) -> np.ndarray:
-    """Normalize the `kept` argument to a boolean (rows, cols) mask."""
-    rows, cols = logits.shape
-    if kept is None:
-        return np.ones((rows, cols), dtype=bool)
-    kept = np.asarray(kept)
-    if kept.dtype == bool:
-        mask = np.broadcast_to(kept, (rows, cols)).copy()
-    else:
-        # Integer column indices, shared by every row.
-        idx = kept.astype(np.int64).ravel()
-        if idx.size and (idx.min() < 0 or idx.max() >= cols):
-            raise ValueError(f"kept indices out of range for {cols} columns")
-        mask = np.zeros((rows, cols), dtype=bool)
-        mask[:, idx] = True
-    return mask
+def smoothed_softmax_rows(logits, smoothing: float) -> np.ndarray:
+    """Row-wise softmax with an additive denominator term.
 
+    For row O, entry i becomes
 
-def smoothed_softmax_rows(logits, smoothing: float, kept=None) -> np.ndarray:
-    """Softmax restricted to kept columns, with an additive denominator term.
+        exp(O_i) / (smoothing + sum_j exp(O_j))
 
-    For row O and kept set S, entry i in S becomes
+    The sum runs over every column, so a caller applies the paper's kept set
+    S by slicing its columns first (`logits[:, kept]`). smoothing = 0
+    reproduces softmax_rows. Row sums are < 1 whenever smoothing > 0, and
+    setting smoothing to the dropped exponential mass reproduces the full
+    softmax on the kept columns.
 
-        exp(O_i) / (smoothing + sum_{j in S} exp(O_j))
-
-    and entries outside S are exactly zero. smoothing = 0 with S = all
-    columns reproduces softmax_rows. Row sums are < 1 whenever smoothing > 0,
-    and setting smoothing to the dropped exponential mass reproduces the
-    full softmax on the kept columns.
-
-    Parameters
-    ----------
-    logits : (rows, cols) array
-    smoothing : float
-        Non-negative constant, interpreted on the raw logit scale.
-    kept : None | bool array | int index array
-        Columns eligible per row. None keeps everything; a 1-D boolean or
-        index array is shared across rows; a (rows, cols) boolean mask is
-        used as-is. A row whose kept set is empty is an error when
-        smoothing == 0 and an all-zero row otherwise.
+    smoothing is a non-negative constant on the raw logit scale. A matrix
+    with zero columns (an empty kept set) is an error when smoothing == 0,
+    since the weights are undefined, and gives an empty (rows, 0) result
+    otherwise.
     """
     logits = _as_matrix(logits, "logits")
     if not smoothing >= 0.0:
         raise ValueError(f"smoothing must be >= 0, got {smoothing}")
-    mask = _kept_mask(logits, kept)
+    if logits.shape[1] == 0:
+        if smoothing == 0.0:
+            raise ValueError("no columns and smoothing is 0; weights are undefined")
+        return logits.copy()
 
-    empty = ~mask.any(axis=1)
-    if empty.any() and smoothing == 0.0:
-        raise ValueError("a row has an empty kept set and smoothing is 0; weights are undefined")
-
-    # Shift each row by max(kept max, ln smoothing) so that neither the
+    # Shift each row by max(row max, ln smoothing) so that neither the
     # exponentials nor the smoothing term can overflow.
-    row_max = np.where(empty, 0.0, np.where(mask, logits, -np.inf).max(axis=1))
-    with np.errstate(divide="ignore"):
-        log_smoothing = np.log(smoothing) if smoothing > 0.0 else -np.inf
-    shift = np.maximum(row_max, log_smoothing)
-
-    expd = np.where(mask, np.exp(logits - shift[:, None]), 0.0)
+    log_smoothing = np.log(smoothing) if smoothing > 0.0 else -np.inf
+    shift = np.maximum(logits.max(axis=1), log_smoothing)
+    expd = np.exp(logits - shift[:, None])
     # exp(ln n - shift) instead of n * exp(-shift): the latter is 0 * inf
     # (NaN) when n == 0 and the row max is strongly negative.
     denom = np.exp(log_smoothing - shift) + expd.sum(axis=1)
-    out = expd / denom[:, None]
-    out[empty] = 0.0
-    return out
+    return expd / denom[:, None]
 
 
 def head_average(weights) -> np.ndarray:

@@ -143,6 +143,10 @@ class TestSmoothedSoftmax:
         with pytest.raises(ValueError, match="weights are undefined"):
             smoothed_softmax_rows(np.zeros((1, 0)), 0.0)
 
+    def test_zero_columns_positive_smoothing_is_empty(self):
+        out = smoothed_softmax_rows(np.zeros((2, 0)), 1.0)
+        assert out.shape == (2, 0)
+
     def test_negative_smoothing_rejected(self):
         with pytest.raises(ValueError, match="smoothing"):
             smoothed_softmax_rows(np.zeros((1, 2)), -0.5)

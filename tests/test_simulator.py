@@ -282,6 +282,17 @@ class TestReconErrorOracle:
         expected = oracles.recon_error_final(spec, report.retained_ids, deployed)
         assert report.recon_error[-1] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
+    def test_empty_cache_matches_oracle(self):
+        """A csp run whose every layer keeps no token: the smoothed pruned
+        weights have zero columns, so the pruned output is zero."""
+        spec = SynthSpec(seed=1, text_len=16, visual_len=16, interleave="block",
+                         layers=2, heads=4, head_dim=32, steps=4)
+        cfg = PruneConfig(budget=2, recent=0, obs_window=8, cross_ratio=0.5, smoothing=1.0)
+        report = run_decode(spec, "csp", cfg)
+        assert [ids.size for ids in report.retained_ids] == [0, 0]
+        expected = oracles.recon_error_final(spec, report.retained_ids, 1.0)
+        assert report.recon_error[-1] == pytest.approx(expected, rel=1e-12)
+
 
 class TestModalityBalance:
     def test_csp_outretains_global_topk_on_visual(self):
