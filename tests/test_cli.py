@@ -242,15 +242,23 @@ class TestAnalyze:
 
     @given(data=st.data())
     def test_mutated_trace_exits_cleanly(self, fuzz_dir, data):
-        """Analyze on flipped, truncated or padded trace bytes succeeds or
-        reports a data error; no exception escapes main."""
+        """Analyze, and a widening four-policy compare, on flipped,
+        truncated or padded trace bytes succeed or report a data error; no
+        exception escapes main."""
         path = fuzz_dir / "mutated.trace"
         path.write_bytes(data.draw(mutated_bytes((fuzz_dir / "valid.trace").read_bytes())))
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main(["analyze", str(path), "--out", str(fuzz_dir / "div.csv")])
-        assert code in (0, 2)
-        assert err.getvalue().startswith("error: ") == (code == 2)
+        commands = [
+            ["analyze", str(path), "--out", str(fuzz_dir / "div.csv")],
+            ["compare", "--trace", str(path), "--policies", "csp,global-topk,accum,full",
+             "--widen", "--budget", "0.5", "--recent", "1", "--obs", "2",
+             "--out", str(fuzz_dir / "cmp.csv")],
+        ]
+        for argv in commands:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 2)
+            assert err.getvalue().startswith("error: ") == (code == 2)
 
 
 class TestCompare:
@@ -332,3 +340,4 @@ class TestConfigFile:
     def test_missing_config_file(self, tmp_path):
         assert main(["--config", str(tmp_path / "absent.json"), "simulate",
                      "--out", str(tmp_path / "x.csv")]) == 2
+
