@@ -226,20 +226,23 @@ def _config_from(resolved: dict, budget_tokens: int) -> PruneConfig:
 
 
 def _check_fraction(value: float) -> float:
-    if not value > 0:
-        raise UsageError(f"--budget must be a positive fraction, got {value}")
+    if not 0 < value < np.inf:
+        raise UsageError(f"--budget must be a finite positive fraction, got {value}")
     return float(value)
 
 
 def _policy_kwargs(name: str, resolved: dict) -> dict:
-    if name == "global-topk":
-        pool_width = int(resolved["pool_width"])
-        if pool_width < 1:
-            raise UsageError(f"--pool-width must be >= 1, got {pool_width}")
-        return {"pool_width": pool_width, "smoothing": float(resolved["baseline_n"])}
+    if name not in ("global-topk", "accum"):
+        return {}
+    smoothing = float(resolved["baseline_n"])
+    if not 0 <= smoothing < np.inf:
+        raise UsageError(f"--baseline-n must be finite and >= 0, got {smoothing}")
     if name == "accum":
-        return {"smoothing": float(resolved["baseline_n"])}
-    return {}
+        return {"smoothing": smoothing}
+    pool_width = int(resolved["pool_width"])
+    if pool_width < 1:
+        raise UsageError(f"--pool-width must be >= 1, got {pool_width}")
+    return {"pool_width": pool_width, "smoothing": smoothing}
 
 
 def _config_payload(cfg: PruneConfig, budget_fraction: float) -> dict:

@@ -125,10 +125,10 @@ def validate_config(cfg: PruneConfig) -> PruneConfig:
         raise ValueError(f"obs_window must be a positive integer, got {cfg.obs_window}")
     if not 0.0 <= cfg.cross_ratio <= 1.0:
         raise ValueError(f"cross_ratio must lie in [0, 1], got {cfg.cross_ratio}")
-    if not cfg.smoothing >= 0.0:
-        raise ValueError(f"smoothing must be >= 0, got {cfg.smoothing}")
-    if not cfg.recency_bias > 0.0:
-        raise ValueError(f"recency_bias must be > 0, got {cfg.recency_bias}")
+    if not 0.0 <= cfg.smoothing < np.inf:
+        raise ValueError(f"smoothing must be finite and >= 0, got {cfg.smoothing}")
+    if not 0.0 < cfg.recency_bias < np.inf:
+        raise ValueError(f"recency_bias must be finite and > 0, got {cfg.recency_bias}")
     if cfg.head_mode not in HEAD_MODES:
         raise ValueError(f"head_mode must be one of {HEAD_MODES}, got {cfg.head_mode!r}")
     if int(cfg.seed) != cfg.seed:

@@ -64,8 +64,10 @@ class SynthSpec:
             raise ValueError("layers, heads and head_dim must all be >= 1")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
-        if not self.spread > 0:
-            raise ValueError("spread must be positive")
+        if not np.isfinite(self.shift):
+            raise ValueError(f"shift must be finite, got {self.shift}")
+        if not 0 < self.spread < np.inf:
+            raise ValueError(f"spread must be finite and positive, got {self.spread}")
 
     @property
     def prefill_len(self) -> int:
@@ -200,8 +202,8 @@ class RunReport:
 
 def budget_for_fraction(fraction: float, full_length: int, recent: int) -> int:
     """Convert a budget fraction of the final length into a token budget."""
-    if not 0 < fraction:
-        raise ValueError("budget fraction must be positive")
+    if not 0 < fraction < np.inf:
+        raise ValueError(f"budget fraction must be finite and positive, got {fraction}")
     return max(recent + 1, int(np.floor(fraction * full_length + 0.5)))
 
 

@@ -341,3 +341,46 @@ class TestConfigFile:
         assert main(["--config", str(tmp_path / "absent.json"), "simulate",
                      "--out", str(tmp_path / "x.csv")]) == 2
 
+
+def assert_usage_error(argv, capsys):
+    """main exits 1 with one `error:` line and no traceback."""
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+class TestBadValues:
+    """Out-of-range or non-finite parameter values are usage errors, not
+    data errors or escaping exceptions."""
+
+    def test_simulate_infinite_budget(self, tmp_path, capsys):
+        assert_usage_error(["simulate", *SPEC_FLAGS, *CFG_FLAGS, "--budget", "inf",
+                            "--out", str(tmp_path / "x.csv")], capsys)
+
+    def test_compare_infinite_budget(self, tmp_path, trace_path, capsys):
+        assert_usage_error(["compare", "--trace", str(trace_path), "--policies", "csp,full",
+                            *CFG_FLAGS, "--budget", "inf",
+                            "--out", str(tmp_path / "x.csv")], capsys)
+
+    def test_sweep_infinite_budget_in_grid(self, tmp_path, capsys):
+        assert_usage_error(["sweep", "--axis", "budget_fraction", "--grid", "0.3,inf",
+                            *SPEC_FLAGS, *CFG_FLAGS, "--out", str(tmp_path / "x.csv")], capsys)
+
+    @pytest.mark.parametrize("command, flags", [
+        ("simulate", ["--n", "inf"]),
+        ("simulate", ["--recency-bias", "inf"]),
+        ("simulate", ["--policy", "accum", "--baseline-n", "-1"]),
+        ("simulate", ["--policy", "global-topk", "--baseline-n", "inf"]),
+        ("compare", ["--policies", "csp,accum", "--baseline-n", "-1"]),
+        ("compare", ["--policies", "csp,global-topk", "--baseline-n", "inf"]),
+        ("simulate", ["--shift", "nan"]),
+        ("simulate", ["--shift", "inf"]),
+        ("simulate", ["--spread", "inf"]),
+    ], ids=["n-inf", "recency-bias-inf", "accum-baseline-n-negative",
+            "global-topk-baseline-n-inf", "compare-accum-baseline-n-negative",
+            "compare-global-topk-baseline-n-inf", "shift-nan", "shift-inf", "spread-inf"])
+    def test_bad_parameter_value(self, tmp_path, trace_path, command, flags, capsys):
+        source = SPEC_FLAGS if command == "simulate" else ["--trace", str(trace_path)]
+        assert_usage_error([command, *source, *CFG_FLAGS, *flags,
+                            "--out", str(tmp_path / "x.csv")], capsys)

@@ -67,6 +67,8 @@ class TestPruneConfig:
             ({"smoothing": -1.0}, "smoothing"),
             ({"recency_bias": 0.0}, "recency_bias"),
             ({"head_mode": "mean"}, "head_mode"),
+            ({"smoothing": float("inf")}, "smoothing"),
+            ({"recency_bias": float("inf")}, "recency_bias"),
         ],
     )
     def test_invalid_fields_name_the_culprit(self, kwargs, field):

@@ -37,6 +37,9 @@ class TestSynthSpec:
         ("head_dim", 0),
         ("steps", -1),
         ("spread", 0.0),
+        ("spread", float("inf")),
+        ("shift", float("inf")),
+        ("shift", float("nan")),
     ])
     def test_validation(self, field, value):
         with pytest.raises(ValueError):
@@ -129,6 +132,11 @@ class TestBudgetForFraction:
     def test_zero_rejected(self):
         with pytest.raises(ValueError, match="fraction"):
             budget_for_fraction(0.0, 100, 8)
+
+    @pytest.mark.parametrize("fraction", [float("inf"), float("nan")])
+    def test_non_finite_rejected(self, fraction):
+        with pytest.raises(ValueError, match="fraction"):
+            budget_for_fraction(fraction, 100, 8)
 
 
 class TestRunDecode:
