@@ -100,7 +100,7 @@ def prefill_tags(spec: SynthSpec) -> np.ndarray:
 
 
 class SyntheticDecoder:
-    """Deterministic source of logit blocks, keys and values for one run."""
+    """Deterministic source of logit blocks and values for one run."""
 
     def __init__(self, spec: SynthSpec):
         self.spec = spec
@@ -129,9 +129,6 @@ class SyntheticDecoder:
             for head in range(spec.heads):
                 w_q = proj_rng.standard_normal((d, d)) * scale
                 self._queries[layer, head] = embeddings @ w_q.T
-
-    def keys(self, layer: int, ids: np.ndarray) -> np.ndarray:
-        return self._keys[layer][ids]
 
     def values(self, layer: int, ids: np.ndarray) -> np.ndarray:
         return self._values[layer][ids]

@@ -73,7 +73,7 @@ class TestSyntheticDecoder:
         np.testing.assert_array_equal(
             a.logit_block(0, ids[:4], ids), b.logit_block(0, ids[:4], ids)
         )
-        np.testing.assert_array_equal(a.keys(1, ids), b.keys(1, ids))
+        np.testing.assert_array_equal(a.values(1, ids), b.values(1, ids))
 
     def test_seeds_differ(self):
         other = SynthSpec(**{**SMALL.__dict__, "seed": 6})
