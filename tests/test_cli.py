@@ -342,32 +342,14 @@ class TestConfigFile:
                      "--out", str(tmp_path / "x.csv")]) == 2
 
 
-def assert_usage_error(argv, capsys):
-    """main exits 1 with one `error:` line and no traceback."""
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
-
-
 class TestBadValues:
-    """Out-of-range or non-finite parameter values are usage errors, not
-    data errors or escaping exceptions."""
-
-    def test_simulate_infinite_budget(self, tmp_path, capsys):
-        assert_usage_error(["simulate", *SPEC_FLAGS, *CFG_FLAGS, "--budget", "inf",
-                            "--out", str(tmp_path / "x.csv")], capsys)
-
-    def test_compare_infinite_budget(self, tmp_path, trace_path, capsys):
-        assert_usage_error(["compare", "--trace", str(trace_path), "--policies", "csp,full",
-                            *CFG_FLAGS, "--budget", "inf",
-                            "--out", str(tmp_path / "x.csv")], capsys)
-
-    def test_sweep_infinite_budget_in_grid(self, tmp_path, capsys):
-        assert_usage_error(["sweep", "--axis", "budget_fraction", "--grid", "0.3,inf",
-                            *SPEC_FLAGS, *CFG_FLAGS, "--out", str(tmp_path / "x.csv")], capsys)
+    """Out-of-range or non-finite parameter values are usage errors: exit 1
+    with one error line, not a data error or an escaping exception."""
 
     @pytest.mark.parametrize("command, flags", [
+        ("simulate", ["--budget", "inf"]),
+        ("compare", ["--policies", "csp,full", "--budget", "inf"]),
+        ("sweep", ["--axis", "budget_fraction", "--grid", "0.3,inf"]),
         ("simulate", ["--n", "inf"]),
         ("simulate", ["--recency-bias", "inf"]),
         ("simulate", ["--policy", "accum", "--baseline-n", "-1"]),
@@ -377,10 +359,14 @@ class TestBadValues:
         ("simulate", ["--shift", "nan"]),
         ("simulate", ["--shift", "inf"]),
         ("simulate", ["--spread", "inf"]),
-    ], ids=["n-inf", "recency-bias-inf", "accum-baseline-n-negative",
+    ], ids=["simulate-budget-inf", "compare-budget-inf", "sweep-budget-grid-inf",
+            "n-inf", "recency-bias-inf", "accum-baseline-n-negative",
             "global-topk-baseline-n-inf", "compare-accum-baseline-n-negative",
             "compare-global-topk-baseline-n-inf", "shift-nan", "shift-inf", "spread-inf"])
     def test_bad_parameter_value(self, tmp_path, trace_path, command, flags, capsys):
-        source = SPEC_FLAGS if command == "simulate" else ["--trace", str(trace_path)]
-        assert_usage_error([command, *source, *CFG_FLAGS, *flags,
-                            "--out", str(tmp_path / "x.csv")], capsys)
+        source = ["--trace", str(trace_path)] if command == "compare" else SPEC_FLAGS
+        assert main([command, *source, *CFG_FLAGS, *flags,
+                     "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
