@@ -208,10 +208,10 @@ def _spec_from(resolved: dict, seed: int) -> SynthSpec:
         raise UsageError(str(err))
 
 
-def _config_from(resolved: dict, budget_tokens: int) -> PruneConfig:
+def _config_from(resolved: dict, fraction: float, full_length: int) -> PruneConfig:
     try:
         return PruneConfig(
-            budget=budget_tokens,
+            budget=budget_for_fraction(fraction, full_length, int(resolved["recent"])),
             recent=int(resolved["recent"]),
             obs_window=int(resolved["obs"]),
             cross_ratio=float(resolved["ratio"]),
@@ -326,7 +326,7 @@ def _cmd_simulate(args, file_cfg) -> int:
     kwargs = _policy_kwargs(policy, resolved)
 
     source, full_length, source_payload = _simulation_source(args, file_cfg, resolved)
-    cfg = _config_from(resolved, budget_for_fraction(fraction, full_length, int(resolved["recent"])))
+    cfg = _config_from(resolved, fraction, full_length)
     report = run_decode(source, policy, cfg, **kwargs)
 
     reports.write_text(args.out, reports.steps_csv(report, fraction))
@@ -359,7 +359,7 @@ def _cmd_sweep(args, file_cfg) -> int:
 
     resolved_spec = _resolve(args, file_cfg, SPEC_DEFAULTS)
     spec = _spec_from(resolved_spec, int(resolved["seed"]))
-    cfg = _config_from(resolved, budget_for_fraction(fraction, spec.final_len, int(resolved["recent"])))
+    cfg = _config_from(resolved, fraction, spec.final_len)
     try:
         results = sweep(args.axis, grid, spec, cfg, policy, **kwargs)
     except ValueError as err:
@@ -461,9 +461,7 @@ def _cmd_compare(args, file_cfg) -> int:
             raise UsageError(f"unknown policy {name!r}; choices: {', '.join(POLICY_NAMES)}")
 
     trace = read_trace(args.trace)
-    cfg = _config_from(
-        resolved, budget_for_fraction(fraction, trace.final_length, int(resolved["recent"]))
-    )
+    cfg = _config_from(resolved, fraction, trace.final_length)
     runs = [run_decode(trace, name, cfg, **_policy_kwargs(name, resolved)) for name in names]
     reports.write_text(args.out, reports.steps_csv(runs, fraction))
     _write_sidecar(

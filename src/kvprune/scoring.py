@@ -71,14 +71,14 @@ def smoothed_softmax_rows(logits, smoothing: float) -> np.ndarray:
     setting smoothing to the dropped exponential mass reproduces the full
     softmax on the kept columns.
 
-    smoothing is a non-negative constant on the raw logit scale. A matrix
+    smoothing is a finite non-negative constant on the raw logit scale. A matrix
     with zero columns (an empty kept set) is an error when smoothing == 0,
     since the weights are undefined, and gives an empty (rows, 0) result
     otherwise.
     """
     logits = _as_matrix(logits, "logits")
-    if not smoothing >= 0.0:
-        raise ValueError(f"smoothing must be >= 0, got {smoothing}")
+    if not 0.0 <= smoothing < np.inf:
+        raise ValueError(f"smoothing must be finite and >= 0, got {smoothing}")
     if logits.shape[1] == 0:
         if smoothing == 0.0:
             raise ValueError("no columns and smoothing is 0; weights are undefined")

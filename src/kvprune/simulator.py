@@ -199,9 +199,12 @@ class RunReport:
 
 def budget_for_fraction(fraction: float, full_length: int, recent: int) -> int:
     """Convert a budget fraction of the final length into a token budget."""
-    if not 0 < fraction < np.inf:
-        raise ValueError(f"budget fraction must be finite and positive, got {fraction}")
-    return max(recent + 1, int(np.floor(fraction * full_length + 0.5)))
+    tokens = np.floor(fraction * full_length + 0.5)
+    if not (fraction > 0 and np.isfinite(tokens)):
+        raise ValueError(
+            f"budget fraction must be positive with a finite token count, got {fraction}"
+        )
+    return max(recent + 1, int(tokens))
 
 
 def run_decode(source, policy_name: str, cfg: PruneConfig, **policy_kwargs) -> RunReport:

@@ -348,6 +348,7 @@ class TestBadValues:
 
     @pytest.mark.parametrize("command, flags", [
         ("simulate", ["--budget", "inf"]),
+        ("simulate", ["--budget", "1e308"]),
         ("compare", ["--policies", "csp,full", "--budget", "inf"]),
         ("sweep", ["--axis", "budget_fraction", "--grid", "0.3,inf"]),
         ("simulate", ["--n", "inf"]),
@@ -359,8 +360,8 @@ class TestBadValues:
         ("simulate", ["--shift", "nan"]),
         ("simulate", ["--shift", "inf"]),
         ("simulate", ["--spread", "inf"]),
-    ], ids=["simulate-budget-inf", "compare-budget-inf", "sweep-budget-grid-inf",
-            "n-inf", "recency-bias-inf", "accum-baseline-n-negative",
+    ], ids=["simulate-budget-inf", "simulate-budget-overflow", "compare-budget-inf",
+            "sweep-budget-grid-inf", "n-inf", "recency-bias-inf", "accum-baseline-n-negative",
             "global-topk-baseline-n-inf", "compare-accum-baseline-n-negative",
             "compare-global-topk-baseline-n-inf", "shift-nan", "shift-inf", "spread-inf"])
     def test_bad_parameter_value(self, tmp_path, trace_path, command, flags, capsys):

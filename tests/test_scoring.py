@@ -151,6 +151,10 @@ class TestSmoothedSoftmax:
         with pytest.raises(ValueError, match="smoothing"):
             smoothed_softmax_rows(np.zeros((1, 2)), -0.5)
 
+    def test_infinite_smoothing_rejected(self):
+        with pytest.raises(ValueError, match="smoothing"):
+            smoothed_softmax_rows(np.zeros((1, 2)), np.inf)
+
 
 @st.composite
 def softmax_cases(draw):

@@ -133,8 +133,8 @@ class TestBudgetForFraction:
         with pytest.raises(ValueError, match="fraction"):
             budget_for_fraction(0.0, 100, 8)
 
-    @pytest.mark.parametrize("fraction", [float("inf"), float("nan")])
-    def test_non_finite_rejected(self, fraction):
+    @pytest.mark.parametrize("fraction", [float("inf"), float("nan"), 1e308])
+    def test_non_finite_budget_rejected(self, fraction):
         with pytest.raises(ValueError, match="fraction"):
             budget_for_fraction(fraction, 100, 8)
 
