@@ -71,10 +71,10 @@ def smoothed_softmax_rows(logits, smoothing: float) -> np.ndarray:
     setting smoothing to the dropped exponential mass reproduces the full
     softmax on the kept columns.
 
-    smoothing is a finite non-negative constant on the raw logit scale. A matrix
-    with zero columns (an empty kept set) is an error when smoothing == 0,
-    since the weights are undefined, and gives an empty (rows, 0) result
-    otherwise.
+    smoothing is a finite non-negative constant on the raw logit scale. A
+    matrix with zero columns (an empty kept set) is an error when
+    smoothing == 0, since the weights are undefined, and gives an empty
+    (rows, 0) result otherwise.
     """
     logits = _as_matrix(logits, "logits")
     if not 0.0 <= smoothing < np.inf:
