@@ -295,6 +295,30 @@ def js_from_samples(p_samples, q_samples, bins, epsilon=1e-10):
     return 0.5 * kl_p + 0.5 * kl_q
 
 
+def per_step_logit_blocks(decoder, obs_window):
+    """Each decode step's (added token count, blocks), built from scratch.
+
+    One SyntheticDecoder.logit_block call per layer and step, over the
+    newest min(obs_window, length) queries as rows and every live key as
+    columns, stacked over layers. Step 0 is the prefill observation and
+    adds no token; every later step adds one.
+    """
+    spec = decoder.spec
+    length = spec.prefill_len
+    out = []
+    for step in range(spec.steps + 1):
+        added = 1 if step else 0
+        length += added
+        rows = min(obs_window, length)
+        query_ids = np.arange(length - rows, length)
+        key_ids = np.arange(length)
+        blocks = np.stack(
+            [decoder.logit_block(layer, query_ids, key_ids) for layer in range(spec.layers)]
+        )
+        out.append((added, blocks))
+    return out
+
+
 def recon_error_final(spec, retained_ids, smoothing):
     """Reconstruction error of a synthetic run's last step, by plain loops.
 

@@ -242,13 +242,15 @@ class TestAnalyze:
 
     @given(data=st.data())
     def test_mutated_trace_exits_cleanly(self, fuzz_dir, data):
-        """Analyze, and a widening four-policy compare, on flipped,
-        truncated or padded trace bytes succeed or report a data error; no
-        exception escapes main."""
+        """Analyze, a csp simulate and a widening four-policy compare, on
+        flipped, truncated or padded trace bytes succeed or report a data
+        error; no exception escapes main."""
         path = fuzz_dir / "mutated.trace"
         path.write_bytes(data.draw(mutated_bytes((fuzz_dir / "valid.trace").read_bytes())))
         commands = [
             ["analyze", str(path), "--out", str(fuzz_dir / "div.csv")],
+            ["simulate", "--trace", str(path), "--policy", "csp", "--budget", "0.5",
+             "--recent", "1", "--obs", "2", "--out", str(fuzz_dir / "sim.csv")],
             ["compare", "--trace", str(path), "--policies", "csp,global-topk,accum,full",
              "--widen", "--budget", "0.5", "--recent", "1", "--obs", "2",
              "--out", str(fuzz_dir / "cmp.csv")],
