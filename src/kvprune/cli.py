@@ -396,10 +396,12 @@ def _cmd_sweep(args, file_cfg) -> int:
 def _cmd_analyze(args, file_cfg) -> int:
     if args.bins < 2:
         raise UsageError(f"--bins must be >= 2, got {args.bins}")
-    if not args.epsilon > 0:
-        raise UsageError(f"--epsilon must be positive, got {args.epsilon}")
-    if args.bandwidth is not None and not args.bandwidth > 0:
-        raise UsageError(f"--bandwidth must be positive, got {args.bandwidth}")
+    if not (args.epsilon > 0 and args.bins <= sys.float_info.max / args.epsilon):
+        raise UsageError(
+            f"--epsilon must be positive with --bins x --epsilon finite, got {args.epsilon}"
+        )
+    if args.bandwidth is not None and not 0 < args.bandwidth < np.inf:
+        raise UsageError(f"--bandwidth must be finite and positive, got {args.bandwidth}")
     if args.obs is not None and args.obs < 1:
         raise UsageError(f"--obs must be >= 1, got {args.obs}")
     if args.recent < 0:

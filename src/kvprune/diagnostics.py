@@ -10,6 +10,7 @@ ln 2).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,8 +106,8 @@ def kde(samples, bandwidth: float | None = None, grid_points: int = GRID_POINTS)
     if bandwidth is None:
         h = silverman_bandwidth(samples)
     else:
-        if not bandwidth > 0:
-            raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+        if not 0 < bandwidth < np.inf:
+            raise ValueError(f"bandwidth must be finite and positive, got {bandwidth}")
         h = float(bandwidth)
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
@@ -151,8 +152,11 @@ def js_divergence(
     q = _clean_samples(q_samples, "q_samples")
     if bins < 2:
         raise ValueError("bins must be >= 2")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    # Each histogram sums to its sample count plus bins * epsilon; once that
+    # overflows, normalizing gives NaN. Dividing instead of multiplying
+    # keeps a huge integer bins from overflowing the check itself.
+    if not (epsilon > 0 and bins <= sys.float_info.max / float(epsilon)):
+        raise ValueError(f"epsilon must be positive with bins * epsilon finite, got {epsilon}")
 
     lo = min(p.min(), q.min())
     hi = max(p.max(), q.max())

@@ -224,6 +224,22 @@ class TestAnalyze:
         assert main(["analyze", str(trace_path), *flags,
                      "--out", str(tmp_path / "x.csv")]) == 1
 
+    @pytest.mark.parametrize("flags", [
+        ["--bandwidth", "inf"],
+        ["--epsilon", "inf"],
+        ["--epsilon", "1e307"],
+    ], ids=["bandwidth-inf", "epsilon-inf", "epsilon-overflow"])
+    def test_non_finite_parameter(self, tmp_path, trace_path, flags, capsys):
+        """Values that are positive but not finite, or whose histogram sum
+        over the default bins is not, are usage errors with one error
+        line, not a data error or a traceback."""
+        capsys.readouterr()
+        assert main(["analyze", str(trace_path), *flags,
+                     "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_missing_trace(self, tmp_path):
         assert main(["analyze", str(tmp_path / "absent.trace"),
                      "--out", str(tmp_path / "x.csv")]) == 2

@@ -75,7 +75,7 @@ class TestKde:
         assert silverman_bandwidth(np.array([5.0])) == BANDWIDTH_FLOOR
         assert silverman_bandwidth(np.array([2.0, 2.0, 2.0])) == BANDWIDTH_FLOOR
 
-    @pytest.mark.parametrize("bandwidth", [0.0, -1.0])
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, float("inf"), float("nan")])
     def test_bad_bandwidth(self, bandwidth):
         with pytest.raises(ValueError, match="bandwidth"):
             kde([1.0, 2.0], bandwidth=bandwidth)
@@ -214,9 +214,18 @@ class TestJsDivergence:
         with pytest.raises(ValueError, match="bins"):
             js_divergence([0.0], [1.0], bins=1)
 
-    def test_bad_epsilon(self):
+    @pytest.mark.parametrize("epsilon", [0.0, float("inf"), float("nan"), 1e307])
+    def test_bad_epsilon(self, epsilon):
+        """1e307 is finite, but 64 bins of it overflow the histogram sum,
+        which would turn the divergence into NaN."""
         with pytest.raises(ValueError, match="epsilon"):
-            js_divergence([0.0], [1.0], epsilon=0.0)
+            js_divergence([0.0], [1.0], bins=64, epsilon=epsilon)
+
+    def test_huge_finite_epsilon(self):
+        """While bins * epsilon stays finite the smoothing swamps the
+        counts and the divergence is a valid, tiny number."""
+        value = js_divergence([0.0], [1.0], bins=64, epsilon=1e306)
+        assert 0.0 <= value < 1e-12
 
     def test_empty_side(self):
         with pytest.raises(ValueError, match="empty"):
