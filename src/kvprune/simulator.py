@@ -17,10 +17,14 @@ intersection rule keeps visual keys competitive.
 Logit blocks are materialized in float32, the trace precision, and a live
 decoder streams them as the same `TraceStep` records a trace file holds, so a
 live synthetic run and a replay of its recorded trace rank keys identically.
+A logit depends only on (layer, head, query id, key id), never on the step,
+so a decoder computes every logit its steps need once, into one read-only
+slab, and each step's blocks are a view of it.
 
-`run_decode` drives any policy over either source (a SynthSpec or an
-AttentionTrace) with one loop over those records. Traces carry no values or
-query vectors, so replays report no reconstruction error.
+`run_decode` drives any policy over any of three sources (a SynthSpec, a
+SyntheticDecoder or an AttentionTrace) with one loop over those records. A
+sweep passes one decoder to every run, so it builds its slab once. Traces
+carry no values or query vectors, so replays report no reconstruction error.
 """
 
 from __future__ import annotations
@@ -129,6 +133,9 @@ class SyntheticDecoder:
             for head in range(spec.heads):
                 w_q = proj_rng.standard_normal((d, d)) * scale
                 self._queries[layer, head] = embeddings @ w_q.T
+        # The logit slab and its first query id, built by the first steps call.
+        self._slab = None
+        self._slab_start = 0
 
     def values(self, layer: int, ids: np.ndarray) -> np.ndarray:
         return self._values[layer][ids]
@@ -152,19 +159,36 @@ class SyntheticDecoder:
         Step 0 is the prefill observation and adds no tokens; every later
         step adds one text token. Blocks span every layer, the newest
         min(obs_window, length) queries as rows and every live key.
+
+        The blocks are read-only views of one float32 slab of shape
+        (layers, heads, final_len - r0, final_len), where
+        r0 = max(prefill_len - obs_window, 0) is the first query any step
+        observes; it takes one logit_block call per layer. The decoder
+        keeps the slab, so a later call with the same or a smaller window
+        reuses it, and a larger window, which needs earlier queries,
+        rebuilds it. Copy a block before writing to it.
         """
         spec = self.spec
+        start = max(spec.prefill_len - obs_window, 0)
+        if self._slab is None or start < self._slab_start:
+            query_ids = np.arange(start, spec.final_len)
+            key_ids = np.arange(spec.final_len)
+            slab = np.stack(
+                [self.logit_block(layer, query_ids, key_ids) for layer in range(spec.layers)]
+            )
+            # Every step of every run over this decoder shares the slab.
+            slab.flags.writeable = False
+            self._slab, self._slab_start = slab, start
+        slab, start = self._slab, self._slab_start
         length = spec.prefill_len
         for step in range(spec.steps + 1):
             added = 1 if step else 0
             length += added
             rows = min(obs_window, length)
-            query_ids = np.arange(length - rows, length)
-            key_ids = np.arange(length)
-            blocks = np.stack(
-                [self.logit_block(layer, query_ids, key_ids) for layer in range(spec.layers)]
+            yield TraceStep(
+                new_tags=np.full(added, TEXT, dtype=np.uint8),
+                blocks=slab[:, :, length - rows - start : length - start, :length],
             )
-            yield TraceStep(new_tags=np.full(added, TEXT, dtype=np.uint8), blocks=blocks)
 
 
 @dataclass
@@ -210,18 +234,22 @@ def budget_for_fraction(fraction: float, full_length: int, recent: int) -> int:
 def run_decode(source, policy_name: str, cfg: PruneConfig, **policy_kwargs) -> RunReport:
     """Drive one policy over a synthetic decode or a recorded trace.
 
-    Both sources are a stream of TraceStep records: a SynthSpec's decoder
-    generates them step by step, a trace holds them. Each layer's cache is
+    Every source is a stream of TraceStep records: a SyntheticDecoder
+    yields them from its logit slab, a trace holds them, and a SynthSpec
+    is shorthand for SyntheticDecoder(spec). Pass one decoder to several
+    runs to build its slab once; runs share nothing else. Each layer's cache is
     the array of global token ids it retains. Each step appends the new
     tokens' ids to every layer and lets the policy prune each layer from
     the key tags and logits over its retained ids. A synthetic source also
     has values, so it then measures the reconstruction error of the newest
     query's attention output against the unpruned cache, averaged over
-    layers.
+    layers. A layer that keeps every key under smoothing 0 has error
+    exactly 0.0, since its pruned output is the full output.
     """
     if isinstance(source, SynthSpec):
-        decoder = SyntheticDecoder(source)
-        header, steps = decoder, decoder.steps(cfg.obs_window)
+        source = SyntheticDecoder(source)
+    if isinstance(source, SyntheticDecoder):
+        decoder, header, steps = source, source, source.steps(cfg.obs_window)
     elif isinstance(source, AttentionTrace):
         decoder, header, steps = None, source, source.steps
     else:
@@ -284,27 +312,33 @@ def _recon_error(decoder, blocks: np.ndarray, retained: list[np.ndarray], smooth
     newest query, heads concatenated.
 
     The newest query's logits are the last row of the step's blocks, since
-    observation rows always end at the newest token.
+    observation rows always end at the newest token; each layer weighs the
+    (heads, length) matrix of them in one softmax call per side.
     """
-    all_ids = np.arange(blocks.shape[3])
+    length = blocks.shape[3]
     errors = []
     for layer in range(decoder.layers):
         kept = retained[layer]
-        values = decoder.values(layer, all_ids)
-        kept_values = decoder.values(layer, kept)
-        diffs = []
-        for head in range(decoder.heads):
-            logits = blocks[layer, head, -1:]
-            full_out = softmax_rows(logits) @ values
-            pruned_w = smoothed_softmax_rows(logits[:, kept], smoothing)
-            pruned_out = pruned_w @ kept_values
-            diffs.append(full_out[0] - pruned_out[0])
-        errors.append(float(np.linalg.norm(np.concatenate(diffs))))
+        if kept.size == length and smoothing == 0.0:
+            # Kept ids are unique, so this is every key: the pruned output
+            # is the full output. Computing it instead could miss 0.0,
+            # because numpy's row sums depend on buffer alignment.
+            errors.append(0.0)
+            continue
+        logits = blocks[layer, :, -1, :]
+        values = decoder.values(layer, slice(length))
+        full_out = softmax_rows(logits) @ values
+        pruned_out = smoothed_softmax_rows(logits[:, kept], smoothing) @ values[kept]
+        errors.append(float(np.linalg.norm(full_out - pruned_out)))
     return float(np.mean(errors))
 
 
 def record_trace(spec: SynthSpec, obs_window: int) -> AttentionTrace:
-    """Run the synthetic decoder and capture its logit blocks as a trace."""
+    """Run the synthetic decoder and capture its logit blocks as a trace.
+
+    Each step holds its own writable copy of its blocks, not a view of the
+    decoder's slab, so editing one recorded step changes no other.
+    """
     if obs_window < 1:
         raise ValueError("obs_window must be >= 1")
     decoder = SyntheticDecoder(spec)
@@ -313,7 +347,10 @@ def record_trace(spec: SynthSpec, obs_window: int) -> AttentionTrace:
         heads=spec.heads,
         head_dim=spec.head_dim,
         prefill_tags=decoder.prefill_tags,
-        steps=list(decoder.steps(obs_window)),
+        steps=[
+            TraceStep(new_tags=step.new_tags, blocks=step.blocks.copy())
+            for step in decoder.steps(obs_window)
+        ],
     )
 
 
@@ -332,7 +369,8 @@ def sweep(
 
     Runs are serial and rows come back in grid order. The budget_fraction
     axis recomputes the token budget from the final length; the other axes
-    keep cfg.budget as given.
+    keep cfg.budget as given. Every run reads one SyntheticDecoder: no axis
+    changes obs_window, so the sweep builds one logit slab.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -349,7 +387,8 @@ def sweep(
             return cfg.with_updates(cross_ratio=value)
         return cfg.with_updates(smoothing=value)
 
+    decoder = SyntheticDecoder(spec)
     return [
-        (value, run_decode(spec, policy_name, configured(value), **policy_kwargs))
+        (value, run_decode(decoder, policy_name, configured(value), **policy_kwargs))
         for value in values
     ]

@@ -118,6 +118,12 @@ class TestSyntheticDecoder:
         np.testing.assert_array_equal(steps[1].new_tags, [TEXT])
         assert steps[1].blocks.shape == (2, 2, 4, 25)
 
+    def test_step_blocks_are_read_only(self):
+        """Steps are views of one slab that later steps and runs share."""
+        step = next(SyntheticDecoder(SMALL).steps(obs_window=4))
+        with pytest.raises(ValueError, match="read-only"):
+            step.blocks[0, 0, 0, 0] = 1.0
+
 
 def _assert_steps_bitwise(steps, expected):
     """TraceSteps against (added, blocks) pairs, float32 bits compared."""
@@ -161,7 +167,8 @@ class TestStepsOracle:
 
     def test_repeated_steps_equal_a_fresh_decoder(self):
         """One decoder asked for windows 2, 6 and 2 yields what a fresh
-        decoder yields each time, the shrinking window included."""
+        decoder yields each time: the wider window rebuilds the slab with
+        earlier queries, and the narrower one after it reuses that slab."""
         decoder = SyntheticDecoder(SMALL)
         for obs_window in (2, 6, 2):
             fresh = SyntheticDecoder(SMALL).steps(obs_window)
@@ -428,6 +435,20 @@ class TestSweep:
                     assert (a.achieved_occupancy, a.per_modality_retained, a.ks_used,
                             a.pruned) == (b.achieved_occupancy, b.per_modality_retained,
                                           b.ks_used, b.pruned)
+
+    def test_one_slab_per_sweep(self, monkeypatch):
+        """A sweep computes logits with one logit_block call per layer,
+        whatever the grid size."""
+        calls = []
+        original = SyntheticDecoder.logit_block
+
+        def counted(self, *args):
+            calls.append(args[0])
+            return original(self, *args)
+
+        monkeypatch.setattr(SyntheticDecoder, "logit_block", counted)
+        sweep("budget_fraction", [0.3, 0.6, 0.45], SMALL, self.CFG, "csp")
+        assert calls == list(range(SMALL.layers))
 
     def test_bad_axis(self):
         with pytest.raises(ValueError, match="axis"):
