@@ -137,7 +137,7 @@ class SyntheticDecoder:
         self._slab = None
         self._slab_start = 0
 
-    def values(self, layer: int, ids: np.ndarray) -> np.ndarray:
+    def values(self, layer: int, ids: np.ndarray | slice) -> np.ndarray:
         return self._values[layer][ids]
 
     def logit_block(self, layer: int, query_ids: np.ndarray, key_ids: np.ndarray) -> np.ndarray:
@@ -237,13 +237,13 @@ def run_decode(source, policy_name: str, cfg: PruneConfig, **policy_kwargs) -> R
     Every source is a stream of TraceStep records: a SyntheticDecoder
     yields them from its logit slab, a trace holds them, and a SynthSpec
     is shorthand for SyntheticDecoder(spec). Pass one decoder to several
-    runs to build its slab once; runs share nothing else. Each layer's cache is
-    the array of global token ids it retains. Each step appends the new
-    tokens' ids to every layer and lets the policy prune each layer from
-    the key tags and logits over its retained ids. A synthetic source also
-    has values, so it then measures the reconstruction error of the newest
-    query's attention output against the unpruned cache, averaged over
-    layers. A layer that keeps every key under smoothing 0 has error
+    runs to build its slab once; runs share nothing else. Each layer's
+    cache is the array of global token ids it retains. Each step appends
+    the new tokens' ids to every layer and lets the policy prune each layer
+    from the key tags and logits over its retained ids. A synthetic source
+    also has values, so it then measures the reconstruction error of the
+    newest query's attention output against the unpruned cache, averaged
+    over layers. A layer that keeps every key under smoothing 0 has error
     exactly 0.0, since its pruned output is the full output.
     """
     if isinstance(source, SynthSpec):
