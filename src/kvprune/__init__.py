@@ -27,13 +27,7 @@ from .scoring import (
     trim_observation,
 )
 from .decompose import ImportanceScores, ModalityBlocks, block_views, cross_self_importance
-from .selection import (
-    PruneMask,
-    budget_to_k,
-    cross_self_select,
-    mask_modality_counts,
-    topk_mask,
-)
+from .selection import budget_to_k, cross_self_select, topk_mask
 from .policies import (
     POLICY_LABELS,
     POLICY_NAMES,
@@ -100,7 +94,6 @@ __all__ = [
     "PolicyDecision",
     "PolicyKind",
     "PruneConfig",
-    "PruneMask",
     "ResultsRow",
     "RunReport",
     "SWEEP_AXES",
@@ -129,7 +122,6 @@ __all__ = [
     "js_divergence",
     "kde",
     "layer_report",
-    "mask_modality_counts",
     "modality_index",
     "policy_step",
     "prefill_tags",

@@ -23,13 +23,10 @@ class ImportanceScores:
 
     intra: np.ndarray
     inter: np.ndarray
-    key_tags: np.ndarray
 
     def __post_init__(self):
-        if not (self.intra.shape == self.inter.shape == self.key_tags.shape):
-            raise ValueError(
-                f"score/tag shapes disagree: {self.intra.shape}, {self.inter.shape}, {self.key_tags.shape}"
-            )
+        if self.intra.shape != self.inter.shape:
+            raise ValueError(f"score shapes disagree: {self.intra.shape}, {self.inter.shape}")
 
     @property
     def total(self) -> np.ndarray:
@@ -73,7 +70,7 @@ def cross_self_importance(weights, query_tags, key_tags) -> ImportanceScores:
     key_is_text = key_tags == ModalityTag.TEXT
     intra = np.where(key_is_text, from_text, from_visual)
     inter = np.where(key_is_text, from_visual, from_text)
-    return ImportanceScores(intra=intra, inter=inter, key_tags=key_tags)
+    return ImportanceScores(intra=intra, inter=inter)
 
 
 @dataclass(frozen=True)

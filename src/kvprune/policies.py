@@ -17,8 +17,9 @@ queries and whose columns are those keys, the query rows' modality tags, a
 PruneConfig, and optional state (only ``accum`` keeps any: its running
 accumulator). Policies never see keys or values, since no decision reads
 them. A step returns (keep, decision, state): keep holds the positions that
-survive, retained candidates followed by the recent window, and the caller
-prunes by indexing its own per-position data with it. Steps never mutate
+survive, the retained candidates in ascending order followed by the recent
+window, so keep[:keep.size - recent] are the kept candidates. The caller
+prunes by indexing its own per-position data with keep. Steps never mutate
 their inputs.
 """
 
@@ -32,13 +33,7 @@ import numpy as np
 from .core import PruneConfig, as_tags, tag_counts, validate_config
 from .decompose import cross_self_importance
 from .scoring import head_average, smoothed_softmax_rows, trim_observation
-from .selection import (
-    PruneMask,
-    budget_to_k,
-    cross_self_select,
-    mask_modality_counts,
-    topk_mask,
-)
+from .selection import budget_to_k, cross_self_select, topk_mask
 
 
 class PolicyKind(Enum):
@@ -52,13 +47,12 @@ class PolicyKind(Enum):
 class PolicyDecision:
     """What one policy step retained.
 
-    retained_mask indexes the candidate universe (cache minus the recent
-    window); per_modality_retained counts text/visual tokens inside that
-    mask; ks_used records the nominal budget split before any widening;
-    pruned is False for early-return no-ops.
+    achieved_occupancy is the kept length, keep.size; per_modality_retained
+    counts text/visual tokens among the kept candidates,
+    keep[:keep.size - recent]; ks_used records the nominal budget split
+    before any widening; pruned is False for early-return no-ops.
     """
 
-    retained_mask: PruneMask
     achieved_occupancy: int
     per_modality_retained: tuple[int, int]
     ks_used: tuple[int, int]
@@ -82,35 +76,28 @@ def _per_head_weights(key_tags: np.ndarray, logits, query_tags, smoothing: float
     return flat.reshape(heads, rows, cols), query_tags
 
 
-def _keep(mask: PruneMask, length: int, recent: int) -> np.ndarray:
-    """Surviving positions: the retained candidates, then the recent window."""
-    return np.concatenate([mask.indices, np.arange(length - recent, length)])
+def _decided(key_tags: np.ndarray, cfg: PruneConfig, keep: np.ndarray, ks, pruned: bool):
+    """(keep, decision) for a step that keeps the positions keep."""
+    decision = PolicyDecision(
+        achieved_occupancy=keep.size,
+        per_modality_retained=tag_counts(key_tags[keep[: max(keep.size - cfg.recent, 0)]]),
+        ks_used=ks,
+        pruned=pruned,
+    )
+    return keep, decision
 
 
 def _noop(key_tags: np.ndarray, cfg: PruneConfig):
     """(keep, decision) for a step that evicts nothing."""
+    return _decided(key_tags, cfg, np.arange(key_tags.size), (0, 0), False)
+
+
+def _pruned(key_tags: np.ndarray, cfg: PruneConfig, chosen: np.ndarray, ks):
+    """(keep, decision) for a step that keeps the ascending candidate
+    positions chosen, then the recent window."""
     length = key_tags.size
-    universe = max(length - cfg.recent, 0)
-    decision = PolicyDecision(
-        retained_mask=PruneMask.full(universe),
-        achieved_occupancy=length,
-        per_modality_retained=tag_counts(key_tags[:universe]),
-        ks_used=(0, 0),
-        pruned=False,
-    )
-    return np.arange(length), decision
-
-
-def _pruned(key_tags: np.ndarray, cfg: PruneConfig, mask: PruneMask, ks):
-    """(keep, decision) for a step that keeps mask plus the recent window."""
-    decision = PolicyDecision(
-        retained_mask=mask,
-        achieved_occupancy=len(mask) + cfg.recent,
-        per_modality_retained=mask_modality_counts(mask, key_tags[: mask.universe_size]),
-        ks_used=ks,
-        pruned=True,
-    )
-    return _keep(mask, key_tags.size, cfg.recent), decision
+    keep = np.concatenate([chosen, np.arange(length - cfg.recent, length)])
+    return _decided(key_tags, cfg, keep, ks, True)
 
 
 def csp_step(key_tags, logits, query_tags, cfg: PruneConfig, state=None):
@@ -132,21 +119,20 @@ def csp_step(key_tags, logits, query_tags, cfg: PruneConfig, state=None):
     if cfg.head_mode == "averaged":
         trimmed = trim_observation(head_average(weights), cfg.obs_window, cfg.recent)
         imp = cross_self_importance(trimmed, query_tags[-trimmed.shape[0] :], cand_tags)
-        mask = cross_self_select(imp, cfg)
+        chosen = cross_self_select(imp, cfg)
     else:
-        # Per-head mode: each head votes with its own intersected mask; the
-        # most-voted candidates fill the pool, ties to the smaller index.
+        # Per-head mode: each head votes with its own intersected selection;
+        # the most-voted candidates fill the pool, ties to the smaller index.
         votes = np.zeros(cand)
         for head_weights in weights:
             trimmed = trim_observation(head_weights, cfg.obs_window, cfg.recent)
             imp = cross_self_importance(trimmed, query_tags[-trimmed.shape[0] :], cand_tags)
-            votes += cross_self_select(imp, cfg).as_bool()
+            votes[cross_self_select(imp, cfg)] += 1
         target = min(max(cfg.budget - cfg.recent, 0), cand)
-        order = np.argsort(-votes, kind="stable")
-        chosen = order[:target]
-        mask = PruneMask(chosen[votes[chosen] > 0], cand)
+        chosen = np.argsort(-votes, kind="stable")[:target]
+        chosen = np.sort(chosen[votes[chosen] > 0])
 
-    return (*_pruned(key_tags, cfg, mask, budget_to_k(cfg, cand)), None)
+    return (*_pruned(key_tags, cfg, chosen, budget_to_k(cfg, cand)), None)
 
 
 def _pooled(importance: np.ndarray, width: int) -> np.ndarray:
@@ -180,8 +166,7 @@ def global_topk_step(
     trimmed = trim_observation(head_average(weights), cfg.obs_window, cfg.recent)
     importance = _pooled(trimmed.sum(axis=0), pool_width)
     pool = max(cfg.budget - cfg.recent, 0)
-    mask = topk_mask(importance, pool)
-    return (*_pruned(key_tags, cfg, mask, (pool, pool)), None)
+    return (*_pruned(key_tags, cfg, topk_mask(importance, pool), (pool, pool)), None)
 
 
 def accumulated_score_step(
@@ -219,8 +204,7 @@ def accumulated_score_step(
         return (*_noop(key_tags, cfg), running)
     cand = key_tags.size - cfg.recent
     pool = max(cfg.budget - cfg.recent, 0)
-    mask = topk_mask(running[:cand], pool)
-    keep, decision = _pruned(key_tags, cfg, mask, (pool, pool))
+    keep, decision = _pruned(key_tags, cfg, topk_mask(running[:cand], pool), (pool, pool))
     return keep, decision, running[keep]
 
 

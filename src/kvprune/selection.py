@@ -1,54 +1,20 @@
-"""Top-k masks, budget allocation, and cross-self selection.
+"""Top-k selection, budget allocation, and cross-self selection.
 
-Selection happens over the candidate universe 0..L'-1, which is the cache
-minus its trailing recent window; the policies keep the recent block
-unconditionally after the mask, so a mask can never duplicate or evict a
-recent token.
+Selection happens over the candidates 0..L'-1, which are the cache minus
+its trailing recent window, and returns the selected candidate positions
+as an ascending int64 array. The policies keep the recent block
+unconditionally after those positions, so a selection can never duplicate
+or evict a recent token.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PruneConfig, tag_counts
+from .core import PruneConfig
 from .decompose import ImportanceScores
-
-
-@dataclass(frozen=True)
-class PruneMask:
-    """Sorted set of retained candidate indices over a fixed universe."""
-
-    indices: np.ndarray
-    universe_size: int
-    # Frozen dataclass with an array field: normalize in __post_init__ via
-    # object.__setattr__, then treat as immutable.
-
-    def __post_init__(self):
-        idx = np.unique(np.asarray(self.indices, dtype=np.int64))
-        if idx.size != np.asarray(self.indices).size:
-            raise ValueError("mask indices must not contain duplicates")
-        if self.universe_size < 0:
-            raise ValueError(f"universe_size must be >= 0, got {self.universe_size}")
-        if idx.size and (idx[0] < 0 or idx[-1] >= self.universe_size):
-            raise ValueError(
-                f"mask indices must lie in [0, {self.universe_size}), got range [{idx[0]}, {idx[-1]}]"
-            )
-        object.__setattr__(self, "indices", idx)
-
-    def __len__(self) -> int:
-        return int(self.indices.size)
-
-    def as_bool(self) -> np.ndarray:
-        out = np.zeros(self.universe_size, dtype=bool)
-        out[self.indices] = True
-        return out
-
-    @classmethod
-    def full(cls, universe_size: int) -> "PruneMask":
-        return cls(np.arange(universe_size), universe_size)
 
 
 def _stable_order(scores) -> np.ndarray:
@@ -60,15 +26,16 @@ def _stable_order(scores) -> np.ndarray:
     return np.argsort(-scores, kind="stable")
 
 
-def topk_mask(scores, k: int) -> PruneMask:
-    """Mask of the k highest scores; ties go to the smaller index.
+def topk_mask(scores, k: int) -> np.ndarray:
+    """Ascending positions of the k highest scores; ties go to the smaller
+    index.
 
-    k = 0 gives an empty mask, k >= len(scores) retains everything.
+    k = 0 selects nothing, k >= len(scores) selects everything.
     """
     order = _stable_order(scores)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return PruneMask(order[: int(k)], order.size)
+    return np.sort(order[: int(k)])
 
 
 def _ranks(scores) -> np.ndarray:
@@ -130,27 +97,30 @@ def _first_true(pred, start: int) -> int:
     return hi
 
 
-def cross_self_select(scores: ImportanceScores, cfg: PruneConfig) -> PruneMask:
-    """Intersect the intra and inter top-k masks over the candidates.
+def cross_self_select(scores: ImportanceScores, cfg: PruneConfig) -> np.ndarray:
+    """Intersect the intra and inter top-k sets over the candidates.
 
-    A candidate survives only if both rankings select it, so the achieved
-    mask is usually smaller than the pool. A ranking whose allocation is
-    zero (cross_ratio 0 or 1) is treated as unconstrained rather than as an
+    Returns the surviving candidate positions in ascending order. A
+    candidate survives only if both rankings select it, so the selection is
+    usually smaller than the pool. A ranking whose allocation is zero
+    (cross_ratio 0 or 1) is treated as unconstrained rather than as an
     empty veto, which is what makes the ratio extremes mean pure-intra /
     pure-inter selection.
 
     With widen_to_budget the pool size t grows from the nominal pool, both
     k values following the budget_to_k split of t (ratio preserved, capped
-    at the candidate count), and the result is the mask at the smallest t
-    where the intersection reaches the pool or both rankings select every
-    candidate. A side that started unconstrained stays unconstrained.
+    at the candidate count), and the result is the selection at the
+    smallest t where the intersection reaches the pool or both rankings
+    select every candidate. A side that started unconstrained stays
+    unconstrained.
 
-    Each ranking is sorted once: its top-k set is rank < k, so the mask at
-    any t is one vectorised comparison. round_half_up(ratio * t) rises by 0
-    or 1 per unit of t, so both k values, and with them the intersection
-    size, never shrink as t grows; a doubling-then-bisection search finds
-    the stopping t in O(log t) counts. A call costs two stable sorts plus
-    O(cand log t), instead of re-sorting once per unit of widening.
+    Each ranking is sorted once: its top-k set is rank < k, so the
+    selection at any t is one vectorised comparison. round_half_up(ratio *
+    t) rises by 0 or 1 per unit of t, so both k values, and with them the
+    intersection size, never shrink as t grows; a doubling-then-bisection
+    search finds the stopping t in O(log t) counts. A call costs two stable
+    sorts plus O(cand log t), instead of re-sorting once per unit of
+    widening.
     """
     cand = len(scores)
     if cand == 0:
@@ -181,14 +151,4 @@ def cross_self_select(scores: ImportanceScores, cfg: PruneConfig) -> PruneMask:
             or np.count_nonzero(selected(t)) >= target,
             pool,
         )
-    return PruneMask(np.flatnonzero(selected(t)), cand)
-
-
-def mask_modality_counts(mask: PruneMask, key_tags) -> tuple[int, int]:
-    """(text, visual) counts among the retained candidate indices."""
-    key_tags = np.asarray(key_tags)
-    if key_tags.shape[0] != mask.universe_size:
-        raise ValueError(
-            f"{key_tags.shape[0]} key tags for mask universe {mask.universe_size}"
-        )
-    return tag_counts(key_tags[mask.indices])
+    return np.flatnonzero(selected(t))

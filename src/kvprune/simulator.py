@@ -281,9 +281,11 @@ def run_decode(source, policy_name: str, cfg: PruneConfig, **policy_kwargs) -> R
         query_tags = full_tags[full_len - rows : full_len]
         decisions: list[PolicyDecision] = []
         for layer, ids in enumerate(retained):
+            # Retained ids ascend, so a layer holding full_len of them holds
+            # every key, and its logits are the block itself, not a copy.
+            logits = blocks[layer] if ids.size == full_len else blocks[layer][:, :, ids]
             keep, decision, states[layer] = step(
-                full_tags[ids], blocks[layer][:, :, ids], query_tags, cfg,
-                states[layer], **policy_kwargs,
+                full_tags[ids], logits, query_tags, cfg, states[layer], **policy_kwargs,
             )
             if decision.pruned:
                 retained[layer] = ids[keep]

@@ -144,14 +144,15 @@ def test_criterion_04_topk_matches_full_sort_oracle():
             scores = rng.normal(0.0, 1.0, length)
         k = int(rng.integers(0, length + 2))
         expected = sorted(oracles.topk_indices(scores.tolist(), k))
-        np.testing.assert_array_equal(topk_mask(scores, k).indices, expected)
+        np.testing.assert_array_equal(topk_mask(scores, k), expected)
     watch.check()
 
 
 def test_criterion_05_mask_algebra():
-    """The retained mask is a subset of both per-modality top-k masks; the
-    kept positions are the mask followed by the whole recent window, so the
-    pruned cache length is |mask| + recent. 300 random policy steps."""
+    """The kept candidates are a subset of both per-modality top-k sets; the
+    kept positions are those candidates in ascending order followed by the
+    whole recent window, so the pruned cache length is |candidates| +
+    recent. 300 random policy steps."""
     rng = np.random.default_rng(42)
     for _ in range(300):
         length = int(rng.integers(10, 61))
@@ -172,8 +173,8 @@ def test_criterion_05_mask_algebra():
 
         keep, decision, _ = csp_step(key_tags, logits, query_tags, cfg)
         assert decision.pruned
-        mask = decision.retained_mask
         cand = length - recent
+        mask = keep[: keep.size - recent]
 
         weights = np.stack(
             [smoothed_softmax_rows(head, cfg.smoothing) for head in logits]
@@ -183,13 +184,13 @@ def test_criterion_05_mask_algebra():
             trimmed, query_tags[-trimmed.shape[0]:], key_tags[:cand]
         )
         k_intra, k_inter = decision.ks_used
-        self_mask = set(topk_mask(scores.intra, k_intra or cand).indices)
-        cross_mask = set(topk_mask(scores.inter, k_inter or cand).indices)
-        chosen = set(mask.indices.tolist())
+        self_mask = set(topk_mask(scores.intra, k_intra or cand))
+        cross_mask = set(topk_mask(scores.inter, k_inter or cand))
+        chosen = set(mask.tolist())
         assert chosen <= self_mask and chosen <= cross_mask
 
-        assert keep.size == len(mask) + recent
-        np.testing.assert_array_equal(keep[:len(mask)], mask.indices)
+        assert keep.size == decision.achieved_occupancy == len(mask) + recent
+        assert np.all(np.diff(mask) > 0) and np.all((mask >= 0) & (mask < cand))
         np.testing.assert_array_equal(keep[len(mask):], np.arange(cand, length))
 
 
@@ -351,11 +352,11 @@ def test_criterion_10_degenerate_equivalence():
         logits = np.repeat(physical, 2, axis=1)
         query_tags = as_tags(np.tile([TEXT, VISUAL], pairs))
 
-        _, csp_decision, _ = csp_step(key_tags, logits, query_tags, cfg)
-        _, topk_decision, _ = global_topk_step(key_tags, logits, query_tags, cfg,
-                                               pool_width=1, smoothing=0.0)
+        csp_keep, csp_decision, _ = csp_step(key_tags, logits, query_tags, cfg)
+        topk_keep, topk_decision, _ = global_topk_step(key_tags, logits, query_tags, cfg,
+                                                       pool_width=1, smoothing=0.0)
         assert csp_decision.pruned and topk_decision.pruned
         np.testing.assert_array_equal(
-            csp_decision.retained_mask.indices,
-            topk_decision.retained_mask.indices,
+            csp_keep[: csp_keep.size - recent],
+            topk_keep[: topk_keep.size - recent],
         )

@@ -98,9 +98,7 @@ class TestCrossSelfImportance:
 
     def test_shape_guard_on_scores(self):
         with pytest.raises(ValueError, match="disagree"):
-            ImportanceScores(
-                intra=np.zeros(3), inter=np.zeros(2), key_tags=np.zeros(3, dtype=np.uint8)
-            )
+            ImportanceScores(intra=np.zeros(3), inter=np.zeros(2))
 
 
 class TestBlockViews:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kvprune import policies
 from kvprune.core import PruneConfig, TEXT, VISUAL
@@ -43,7 +44,8 @@ class TestCspStep:
         assert state is None
         assert not decision.pruned
         assert decision.achieved_occupancy == 3
-        assert len(decision.retained_mask) == 1
+        assert keep[: keep.size - cfg.recent].size == 1
+        assert decision.per_modality_retained == (1, 0)
 
     def test_worked_example(self):
         """Length-5 cache at budget 5: trimming drops the two recent
@@ -52,7 +54,7 @@ class TestCspStep:
         along."""
         keep, decision, _ = csp_step(tags_of(WORKED_TAGS), WORKED_LOGITS, [TEXT, VISUAL],
                                      WORKED_CFG)
-        np.testing.assert_array_equal(decision.retained_mask.indices, [1])
+        np.testing.assert_array_equal(keep[: keep.size - WORKED_CFG.recent], [1])
         assert decision.ks_used == (1, 2)
         assert decision.per_modality_retained == (0, 1)
         assert decision.achieved_occupancy == 3
@@ -83,10 +85,10 @@ class TestCspStep:
         cfg = PruneConfig(
             budget=4, recent=2, obs_window=2, cross_ratio=0.0, head_mode="per-head"
         )
-        _, decision, _ = csp_step(tags, logits, [TEXT, TEXT], cfg)
+        keep, _, _ = csp_step(tags, logits, [TEXT, TEXT], cfg)
         # Key 1 gets two votes; keys 0 and 2 tie at one vote each and the
         # earlier index wins the remaining slot.
-        np.testing.assert_array_equal(decision.retained_mask.indices, [0, 1])
+        np.testing.assert_array_equal(keep[: keep.size - cfg.recent], [0, 1])
 
     def test_per_head_zero_vote_candidates_dropped(self):
         tags = np.zeros(5, dtype=np.uint8)
@@ -95,11 +97,11 @@ class TestCspStep:
         cfg = PruneConfig(
             budget=4, recent=2, obs_window=2, cross_ratio=0.0, head_mode="per-head"
         )
-        _, decision, _ = csp_step(tags, logits, [TEXT, TEXT], cfg)
+        keep, _, _ = csp_step(tags, logits, [TEXT, TEXT], cfg)
         # Pool is 2 but only key 0 gets any vote (intra k=2 keeps the top 2,
-        # yet the single head's mask is what it is; zero-vote slots are not
-        # padded).
-        assert 0 in set(decision.retained_mask.indices)
+        # yet the single head's selection is what it is; zero-vote slots are
+        # not padded).
+        assert 0 in set(keep[: keep.size - cfg.recent])
 
     def test_determinism(self):
         rng = np.random.default_rng(7)
@@ -109,7 +111,7 @@ class TestCspStep:
         cfg = PruneConfig(budget=12, recent=4, obs_window=4, widen_to_budget=True)
         a_keep, a_dec, _ = csp_step(tags, logits, qt, cfg)
         b_keep, b_dec, _ = csp_step(tags.copy(), logits.copy(), qt, cfg)
-        np.testing.assert_array_equal(a_dec.retained_mask.indices, b_dec.retained_mask.indices)
+        assert a_dec == b_dec
         np.testing.assert_array_equal(a_keep, b_keep)
 
     def test_inputs_untouched(self):
@@ -137,9 +139,8 @@ class TestKeepPositions:
     """keep is the retained candidates in order, then the recent window."""
 
     def test_keeps_mask_then_recent(self):
-        keep, decision, _ = csp_step(tags_of(WORKED_TAGS), WORKED_LOGITS, [TEXT, VISUAL],
-                                     WORKED_CFG)
-        np.testing.assert_array_equal(decision.retained_mask.indices, [1])
+        keep, _, _ = csp_step(tags_of(WORKED_TAGS), WORKED_LOGITS, [TEXT, VISUAL], WORKED_CFG)
+        np.testing.assert_array_equal(keep[: keep.size - WORKED_CFG.recent], [1])
         np.testing.assert_array_equal(keep, [1, 3, 4])
 
     def test_empty_mask_keeps_only_recent(self):
@@ -152,7 +153,7 @@ class TestKeepPositions:
         tags = tags_of([TEXT, VISUAL, VISUAL, TEXT, TEXT])
         cfg = PruneConfig(budget=4, recent=2, obs_window=2, cross_ratio=0.5, smoothing=0.0)
         keep, decision, _ = csp_step(tags, logits, [TEXT, VISUAL], cfg)
-        assert decision.pruned and len(decision.retained_mask) == 0
+        assert decision.pruned and keep[: keep.size - cfg.recent].size == 0
         np.testing.assert_array_equal(keep, [3, 4])
 
     def test_full_mask_keeps_everything(self):
@@ -162,7 +163,7 @@ class TestKeepPositions:
         cfg = PruneConfig(budget=5, recent=2, obs_window=2, cross_ratio=0.0)
         keep, decision, _ = csp_step(tags_of([0, 1, 0, 1, 0]), rng.standard_normal((1, 2, 5)),
                                      [TEXT, VISUAL], cfg)
-        assert decision.pruned and len(decision.retained_mask) == 3
+        assert decision.pruned and keep[: keep.size - cfg.recent].size == 3
         np.testing.assert_array_equal(keep, np.arange(5))
 
     def test_budget_respected_end_to_end(self):
@@ -187,7 +188,7 @@ class TestKeepPositions:
             )
             mask = cross_self_select(scores, cfg)
             rng.random((2, length, 2))  # keep the random stream, and so the 50 cases, fixed
-            keep = policies._keep(mask, length, recent)
+            keep = np.concatenate([mask, np.arange(length - recent, length)])
             assert keep.size <= max(budget, recent + 0)
             # The trailing recent block always survives verbatim.
             np.testing.assert_array_equal(keep[-recent:], np.arange(length - recent, length))
@@ -203,9 +204,58 @@ class TestKeepPositions:
             tags, rng.standard_normal((2, 4, 16)), rng.integers(0, 2, size=4), cfg, **kwargs
         )
         assert decision.pruned
-        assert keep.size == len(decision.retained_mask) + cfg.recent <= cfg.budget
-        np.testing.assert_array_equal(keep[:-3], decision.retained_mask.indices)
+        assert keep.size == decision.achieved_occupancy <= cfg.budget
+        chosen = keep[: keep.size - cfg.recent]
+        assert np.all(np.diff(chosen) > 0) and np.all((chosen >= 0) & (chosen < 13))
         np.testing.assert_array_equal(keep[-3:], [13, 14, 15])
+
+
+@st.composite
+def step_cases(draw):
+    """A cache, its logits and a config, pruning or not; arrays come from a
+    seeded generator to keep examples small."""
+    length = draw(st.integers(1, 60))
+    budget = draw(st.integers(2, 70))
+    rows = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cfg = PruneConfig(
+        budget=budget,
+        recent=draw(st.integers(0, budget - 1)),
+        obs_window=draw(st.integers(1, 8)),
+        cross_ratio=draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)),
+        smoothing=draw(st.sampled_from([0.0, 1.0])),
+    )
+    key_tags = tags_of(rng.integers(0, 2, length))
+    logits = rng.normal(0.0, 2.0, size=(draw(st.integers(1, 3)), rows, length))
+    return key_tags, logits, tags_of(rng.integers(0, 2, rows)), cfg
+
+
+class TestKeepProperties:
+    """Every step's keep is ascending kept candidates, then the recent
+    window, and its decision agrees with keep."""
+
+    @pytest.mark.parametrize("widen", [False, True])
+    @pytest.mark.parametrize("head_mode", ["averaged", "per-head"])
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    @settings(max_examples=40)
+    @given(case=step_cases(), pool_width=st.integers(1, 3))
+    def test_keep_and_decision_invariants(self, name, head_mode, widen, case, pool_width):
+        key_tags, logits, query_tags, cfg = case
+        cfg = cfg.with_updates(head_mode=head_mode, widen_to_budget=widen)
+        kwargs = {"pool_width": pool_width} if name == "global-topk" else {}
+        keep, decision, _ = policy_step(name)(key_tags, logits, query_tags, cfg, **kwargs)
+
+        length = key_tags.size
+        cand = max(length - cfg.recent, 0)
+        chosen = keep[: max(keep.size - cfg.recent, 0)]
+        assert np.all(np.diff(chosen) > 0)
+        assert np.all((chosen >= 0) & (chosen < cand))
+        np.testing.assert_array_equal(keep[chosen.size :], np.arange(cand, length))
+        assert decision.pruned == (name != "full" and length >= cfg.budget)
+        assert decision.achieved_occupancy == keep.size
+        text = int(np.count_nonzero(key_tags[chosen] == TEXT))
+        visual = int(np.count_nonzero(key_tags[chosen] == VISUAL))
+        assert decision.per_modality_retained == (text, visual)
 
 
 class TestGlobalTopkStep:
@@ -214,9 +264,8 @@ class TestGlobalTopkStep:
         candidates."""
         logits = np.zeros((1, 2, 6))
         cfg = PruneConfig(budget=4, recent=2, obs_window=2)
-        keep, decision, _ = global_topk_step(np.zeros(6, dtype=np.uint8), logits,
-                                             [TEXT, TEXT], cfg)
-        np.testing.assert_array_equal(decision.retained_mask.indices, [0, 1])
+        keep, _, _ = global_topk_step(np.zeros(6, dtype=np.uint8), logits, [TEXT, TEXT], cfg)
+        np.testing.assert_array_equal(keep[: keep.size - cfg.recent], [0, 1])
         np.testing.assert_array_equal(keep, [0, 1, 4, 5])
 
     def test_ranks_by_column_sum(self):
@@ -225,8 +274,8 @@ class TestGlobalTopkStep:
         logits[0, 0, 0] = logits[0, 1, 0] = 10.0  # two queries hit key 0
         logits[0, 2, 2] = 10.0                    # one hits key 2
         cfg = PruneConfig(budget=4, recent=2, obs_window=3)
-        _, decision, _ = global_topk_step(np.zeros(5, dtype=np.uint8), logits, [TEXT] * 3, cfg)
-        np.testing.assert_array_equal(decision.retained_mask.indices, [0, 2])
+        keep, _, _ = global_topk_step(np.zeros(5, dtype=np.uint8), logits, [TEXT] * 3, cfg)
+        np.testing.assert_array_equal(keep[: keep.size - cfg.recent], [0, 2])
 
     def test_pooling_rescues_neighbors(self):
         """Width-3 max-pooling lifts the neighbors of a spike above a distant
@@ -236,10 +285,10 @@ class TestGlobalTopkStep:
         logits[0, 0, 0] = 10.0   # spike at candidate 0
         logits[0, 0, 4] = 5.0    # lone medium key far away
         cfg = PruneConfig(budget=4, recent=2, obs_window=1)
-        plain = global_topk_step(tags, logits, [TEXT], cfg)[1]
-        pooled = global_topk_step(tags, logits, [TEXT], cfg, pool_width=3)[1]
-        assert 4 in set(plain.retained_mask.indices)
-        np.testing.assert_array_equal(pooled.retained_mask.indices, [0, 1])
+        plain = global_topk_step(tags, logits, [TEXT], cfg)[0]
+        pooled = global_topk_step(tags, logits, [TEXT], cfg, pool_width=3)[0]
+        assert 4 in set(plain[: plain.size - cfg.recent])
+        np.testing.assert_array_equal(pooled[: pooled.size - cfg.recent], [0, 1])
 
     def test_below_budget_noop(self):
         cfg = PruneConfig(budget=5, recent=1, obs_window=1)
@@ -266,9 +315,7 @@ class TestAccumulatedScoreStep:
         cfg = PruneConfig(budget=7, recent=2, obs_window=3)
         g_keep, g_decision, _ = global_topk_step(tags, logits, qt, cfg)
         a_keep, a_decision, _ = accumulated_score_step(tags, logits, qt, cfg, np.zeros(10))
-        np.testing.assert_array_equal(
-            a_decision.retained_mask.indices, g_decision.retained_mask.indices
-        )
+        assert a_decision == g_decision
         np.testing.assert_array_equal(a_keep, g_keep)
 
     def test_history_changes_the_ranking(self):
@@ -282,7 +329,7 @@ class TestAccumulatedScoreStep:
         keep, decision, new_running = accumulated_score_step(
             np.zeros(4, dtype=np.uint8), logits, [TEXT], cfg, running
         )
-        np.testing.assert_array_equal(decision.retained_mask.indices, [0, 2])
+        np.testing.assert_array_equal(keep[: keep.size - cfg.recent], [0, 2])
         np.testing.assert_array_equal(keep, [0, 2, 3])
         # Survivor accumulators travel with their tokens: [key0, key2, recent].
         assert new_running.shape == (3,)
@@ -300,8 +347,8 @@ class TestAccumulatedScoreStep:
         step2 = np.full((1, 1, 4), -700.0)
         step2[0, 0, 1] = step2[0, 0, 2] = 10.0
         cfg2 = PruneConfig(budget=4, recent=1, obs_window=1)
-        _, decision, _ = accumulated_score_step(tags, step2, [TEXT], cfg2, running)
-        np.testing.assert_array_equal(decision.retained_mask.indices, [0, 1, 2])
+        keep, _, _ = accumulated_score_step(tags, step2, [TEXT], cfg2, running)
+        np.testing.assert_array_equal(keep[: keep.size - cfg2.recent], [0, 1, 2])
 
     def test_below_budget_still_accumulates(self):
         cfg = PruneConfig(budget=10, recent=1, obs_window=1)
@@ -329,11 +376,11 @@ class TestPolicyObjects:
         zeros = np.zeros(5, dtype=np.uint8)
         _, _, state = accumulated_score_step(zeros[:3], np.zeros((1, 1, 3)), [TEXT], cfg)
         np.testing.assert_allclose(state, [1 / 3] * 3)
-        _, decision, state = accumulated_score_step(zeros, np.zeros((1, 1, 5)), [TEXT], cfg,
-                                                    state)
+        keep, decision, state = accumulated_score_step(zeros, np.zeros((1, 1, 5)), [TEXT], cfg,
+                                                       state)
         assert decision.pruned
         # Keys 0-2 lead with 1/3 + 1/5; key 3 (0 + 1/5) is evicted.
-        np.testing.assert_array_equal(decision.retained_mask.indices, [0, 1, 2])
+        np.testing.assert_array_equal(keep[: keep.size - cfg.recent], [0, 1, 2])
         np.testing.assert_allclose(state, [1 / 3 + 1 / 5] * 3 + [1 / 5])
 
     def test_accum_policy_rejects_external_shrink(self):

@@ -1,66 +1,41 @@
-"""Tests for top-k masks, budget splitting, and cross-self selection."""
+"""Tests for top-k selection, budget splitting, and cross-self selection."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from kvprune.core import PruneConfig, TEXT, VISUAL
+from kvprune.core import PruneConfig
 from kvprune.decompose import ImportanceScores
-from kvprune.selection import (
-    PruneMask,
-    budget_to_k,
-    cross_self_select,
-    mask_modality_counts,
-    topk_mask,
-)
+from kvprune.selection import budget_to_k, cross_self_select, topk_mask
 
 import oracles
 
 
-def scores_from(intra, inter, tags=None):
-    intra = np.asarray(intra, dtype=np.float64)
-    if tags is None:
-        tags = np.zeros(intra.shape[0], dtype=np.uint8)
+def scores_from(intra, inter):
     return ImportanceScores(
-        intra=intra, inter=np.asarray(inter, dtype=np.float64), key_tags=np.asarray(tags)
+        intra=np.asarray(intra, dtype=np.float64), inter=np.asarray(inter, dtype=np.float64)
     )
-
-
-class TestPruneMask:
-    def test_sorted_and_typed(self):
-        mask = PruneMask(np.array([3, 0, 2]), 5)
-        np.testing.assert_array_equal(mask.indices, [0, 2, 3])
-        assert len(mask) == 3
-
-    def test_bool_view(self):
-        mask = PruneMask(np.array([1, 3]), 4)
-        np.testing.assert_array_equal(mask.as_bool(), [False, True, False, True])
-
-    def test_full(self):
-        assert len(PruneMask.full(6)) == 6
-
-    def test_duplicates_rejected(self):
-        with pytest.raises(ValueError, match="duplicates"):
-            PruneMask(np.array([1, 1]), 4)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="must lie in"):
-            PruneMask(np.array([4]), 4)
 
 
 class TestTopkMask:
     def test_picks_largest(self):
         mask = topk_mask([0.5, 0.1, 0.4], 2)
-        np.testing.assert_array_equal(mask.indices, [0, 2])
+        np.testing.assert_array_equal(mask, [0, 2])
+
+    def test_sorted_and_typed(self):
+        """Positions come back ascending and int64, not in rank order."""
+        mask = topk_mask([0.1, 0.5, 0.2, 0.9, 0.4], 3)
+        np.testing.assert_array_equal(mask, [1, 3, 4])
+        assert mask.dtype == np.int64
 
     def test_k_zero_empty(self):
         assert len(topk_mask([1.0, 2.0], 0)) == 0
 
     def test_k_beyond_length_keeps_all(self):
-        np.testing.assert_array_equal(topk_mask([1.0, 2.0], 5).indices, [0, 1])
+        np.testing.assert_array_equal(topk_mask([1.0, 2.0], 5), [0, 1])
 
     def test_ties_break_to_smaller_index(self):
-        np.testing.assert_array_equal(topk_mask([1.0, 1.0, 1.0], 2).indices, [0, 1])
+        np.testing.assert_array_equal(topk_mask([1.0, 1.0, 1.0], 2), [0, 1])
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(42)
@@ -69,15 +44,15 @@ class TestTopkMask:
             # Coarse quantization forces frequent ties.
             scores = np.round(rng.random(size) * 4) / 4
             k = int(rng.integers(0, size + 2))
-            got = topk_mask(scores, k).indices
+            got = topk_mask(scores, k)
             expected = oracles.topk_indices(list(scores), k)
             np.testing.assert_array_equal(got, expected)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(42)
         scores = rng.random(12)
-        a = topk_mask(scores, 5).indices
-        b = topk_mask(scores * 37.0, 5).indices
+        a = topk_mask(scores, 5)
+        b = topk_mask(scores * 37.0, 5)
         np.testing.assert_array_equal(a, b)
 
     def test_negative_k_rejected(self):
@@ -132,26 +107,26 @@ class TestCrossSelfSelect:
         cfg = PruneConfig(budget=5, recent=2, obs_window=2, cross_ratio=0.5)
         assert budget_to_k(cfg, 3) == (1, 2)
         mask = cross_self_select(scores, cfg)
-        np.testing.assert_array_equal(mask.indices, [1])
+        np.testing.assert_array_equal(mask, [1])
 
     def test_ratio_zero_is_pure_intra(self):
         scores = scores_from([0.9, 0.1, 0.5], [0.1, 0.9, 0.5])
         cfg = PruneConfig(budget=4, recent=2, obs_window=2, cross_ratio=0.0)
         mask = cross_self_select(scores, cfg)
-        np.testing.assert_array_equal(mask.indices, [0, 2])
+        np.testing.assert_array_equal(mask, [0, 2])
 
     def test_ratio_one_is_pure_inter(self):
         scores = scores_from([0.9, 0.1, 0.5], [0.1, 0.9, 0.5])
         cfg = PruneConfig(budget=4, recent=2, obs_window=2, cross_ratio=1.0)
         mask = cross_self_select(scores, cfg)
-        np.testing.assert_array_equal(mask.indices, [1, 2])
+        np.testing.assert_array_equal(mask, [1, 2])
 
     def test_identical_rankings_fill_the_smaller_k(self):
         scores = scores_from([0.9, 0.8, 0.7, 0.1], [0.9, 0.8, 0.7, 0.1])
         cfg = PruneConfig(budget=5, recent=2, obs_window=2, cross_ratio=0.5)
         mask = cross_self_select(scores, cfg)
         # ks are (1, 2); identical rankings make the intersection the top 1.
-        np.testing.assert_array_equal(mask.indices, [0])
+        np.testing.assert_array_equal(mask, [0])
 
     def test_widen_reaches_pool(self):
         """Disagreeing rankings underfill without widening and fill the
@@ -165,7 +140,7 @@ class TestCrossSelfSelect:
         widened = cross_self_select(scores, cfg.with_updates(widen_to_budget=True))
         assert len(plain) <= 16
         assert len(widened) == 16
-        assert set(plain.indices) <= set(widened.indices)
+        assert set(plain) <= set(widened)
 
     def test_matches_oracle_with_and_without_widening(self):
         def check(intra, inter, budget, recent, ratio, obs, bias, widen):
@@ -177,7 +152,7 @@ class TestCrossSelfSelect:
                 recency_bias=bias,
                 widen_to_budget=widen,
             )
-            got = cross_self_select(scores_from(intra, inter), cfg).indices
+            got = cross_self_select(scores_from(intra, inter), cfg)
             expected = oracles.select_retained(
                 list(intra), list(inter), budget, recent, ratio, obs,
                 recency_bias=bias, widen=widen,
@@ -232,8 +207,8 @@ class TestCrossSelfSelect:
             eff_inter = cand if k_inter == 0 else k_inter
             mask = cross_self_select(scores_from(intra, inter), cfg)
             assert len(mask) <= min(eff_intra, eff_inter)
-            assert set(mask.indices) <= set(topk_mask(intra, eff_intra).indices)
-            assert set(mask.indices) <= set(topk_mask(inter, eff_inter).indices)
+            assert set(mask) <= set(topk_mask(intra, eff_intra))
+            assert set(mask) <= set(topk_mask(inter, eff_inter))
 
     def test_recency_bias_promotes_window_keys(self):
         """A strong multiplier on the trailing observation window pulls an
@@ -245,8 +220,8 @@ class TestCrossSelfSelect:
         boosted = cross_self_select(
             scores_from(intra, inter), cfg.with_updates(recency_bias=10.0)
         )
-        assert 3 not in set(base.indices)
-        assert 3 in set(boosted.indices)
+        assert 3 not in set(base)
+        assert 3 in set(boosted)
 
     def test_no_candidates_rejected(self):
         cfg = PruneConfig(budget=4, recent=2, obs_window=2)
@@ -283,8 +258,9 @@ class TestCrossSelfSelectProperties:
     def test_mask_stays_inside_candidates(self, case):
         scores, cfg = case
         mask = cross_self_select(scores, cfg)
-        assert mask.universe_size == len(scores)
-        assert np.all((mask.indices >= 0) & (mask.indices < len(scores)))
+        assert mask.dtype == np.int64
+        assert np.all(np.diff(mask) > 0)
+        assert np.all((mask >= 0) & (mask < len(scores)))
 
     @given(selection_cases())
     def test_widening_reaches_target(self, case):
@@ -297,7 +273,7 @@ class TestCrossSelfSelectProperties:
         scores, cfg = case
         plain = cross_self_select(scores, cfg.with_updates(widen_to_budget=False))
         widened = cross_self_select(scores, cfg.with_updates(widen_to_budget=True))
-        assert set(plain.indices) <= set(widened.indices)
+        assert set(plain) <= set(widened)
 
     @given(selection_cases(), st.sampled_from([0.0, 1.0]))
     def test_ratio_extremes_are_single_ranking_topk(self, case, ratio):
@@ -305,16 +281,6 @@ class TestCrossSelfSelectProperties:
         cfg = cfg.with_updates(cross_ratio=ratio)
         ranked = scores.intra if ratio == 0.0 else scores.inter
         biased = oracles.biased(list(ranked), cfg.obs_window, cfg.recency_bias)
-        expected = topk_mask(np.array(biased), cfg.budget - cfg.recent).indices
-        np.testing.assert_array_equal(cross_self_select(scores, cfg).indices, expected)
+        expected = topk_mask(np.array(biased), cfg.budget - cfg.recent)
+        np.testing.assert_array_equal(cross_self_select(scores, cfg), expected)
 
-
-class TestMaskModalityCounts:
-    def test_counts(self):
-        mask = PruneMask(np.array([0, 2]), 3)
-        assert mask_modality_counts(mask, [TEXT, TEXT, VISUAL]) == (1, 1)
-
-    def test_tag_length_mismatch(self):
-        mask = PruneMask(np.array([0]), 2)
-        with pytest.raises(ValueError, match="universe"):
-            mask_modality_counts(mask, [TEXT])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from kvprune import policies
 from kvprune.core import PruneConfig, TEXT, VISUAL
 from kvprune.simulator import (
     SWEEP_AXES,
@@ -22,6 +23,21 @@ import oracles
 
 SMALL = SynthSpec(seed=5, text_len=12, visual_len=12, layers=2, heads=2,
                   head_dim=8, steps=6, shift=2.0)
+
+
+def record_keeps(monkeypatch, policy):
+    """Wrap a policy's step function; the returned list collects the keep
+    array of every call, in call order."""
+    step = policies.policy_step(policy)
+    keeps = []
+
+    def recorded(*args, **kwargs):
+        keep, decision, state = step(*args, **kwargs)
+        keeps.append(keep)
+        return keep, decision, state
+
+    monkeypatch.setattr(policies, step.__name__, recorded)
+    return keeps
 
 
 class TestSynthSpec:
@@ -234,6 +250,24 @@ class TestRunDecode:
         with pytest.raises(TypeError, match="cannot drive"):
             run_decode("no", "csp", cfg)
 
+    def test_layer_keeping_every_key_reads_the_slab(self, monkeypatch):
+        """A layer that keeps every key gets its logit block as a view of
+        the decoder's read-only slab; a pruned layer gets a gathered copy."""
+        seen = []
+
+        def recorded(key_tags, logits, *args, **kwargs):
+            seen.append((key_tags.size, logits.flags.writeable))
+            return csp_step(key_tags, logits, *args, **kwargs)
+
+        csp_step = policies.csp_step
+        monkeypatch.setattr(policies, "csp_step", recorded)
+        run_decode(SMALL, "csp", PruneConfig(budget=27, recent=4, obs_window=4))
+        full_lens = [SMALL.prefill_len + step for step in range(SMALL.steps + 1)]
+        expected = [(size, size != full_len)
+                    for (size, _), full_len in zip(seen, np.repeat(full_lens, SMALL.layers))]
+        assert seen == expected
+        assert {writeable for _, writeable in seen} == {False, True}
+
 
 class TestScriptedTrace:
     """A trace small enough to prune by hand.
@@ -266,7 +300,7 @@ class TestScriptedTrace:
         return AttentionTrace(layers=1, heads=1, head_dim=4,
                               prefill_tags=prefill, steps=steps)
 
-    def test_retained_history(self):
+    def test_retained_history(self, monkeypatch):
         """First prune: queries 6 and 7 (one per modality) both load key 0,
         so intra and inter agree and the top-2 ties keep keys {0, 1};
         retained [0,1,6,7]. Token 8 appends without a prune. The second
@@ -275,11 +309,13 @@ class TestScriptedTrace:
         trace = self.build()
         cfg = PruneConfig(budget=6, recent=2, obs_window=2, cross_ratio=0.5,
                           smoothing=0.0)
+        keeps = record_keeps(monkeypatch, "csp")
         report = run_decode(trace, "csp", cfg)
 
         step0, step1, step2 = (step[0] for step in report.per_step)
+        keep0, _, keep2 = keeps
         assert step0.pruned
-        np.testing.assert_array_equal(step0.retained_mask.indices, [0, 1])
+        np.testing.assert_array_equal(keep0[: keep0.size - cfg.recent], [0, 1])
         assert step0.ks_used == (2, 2)
         assert step0.per_modality_retained == (0, 2)
         assert step0.achieved_occupancy == 4
@@ -288,7 +324,7 @@ class TestScriptedTrace:
         assert step1.achieved_occupancy == 5
 
         assert step2.pruned
-        np.testing.assert_array_equal(step2.retained_mask.indices, [0, 1])
+        np.testing.assert_array_equal(keep2[: keep2.size - cfg.recent], [0, 1])
 
         np.testing.assert_array_equal(report.retained_ids[0], [0, 1, 8, 9])
         np.testing.assert_array_equal(report.retained_tags[0], [1, 1, 1, 0])
@@ -416,25 +452,23 @@ class TestSweep:
         ("smooth_n", [0.0, 2.0, 1.0]),
     ])
     @pytest.mark.parametrize("policy", ["csp", "global-topk", "accum", "full"])
-    def test_every_run_equals_a_fresh_run(self, axis, grid, policy):
+    def test_every_run_equals_a_fresh_run(self, axis, grid, policy, monkeypatch):
         """Runs of one sweep share what they need of the source, and no run
-        leaks state into the next: each report equals a standalone
-        run_decode with the same config."""
-        for _, report in sweep(axis, grid, SMALL, self.CFG, policy):
+        leaks state into the next: each report, and every step's keep,
+        equals that of a standalone run_decode with the same config."""
+        keeps = record_keeps(monkeypatch, policy)
+        rows = sweep(axis, grid, SMALL, self.CFG, policy)
+        swept_keeps = keeps.copy()
+        keeps.clear()
+        for _, report in rows:
             fresh = run_decode(SMALL, policy, report.config)
             for a, b in zip(report.retained_ids, fresh.retained_ids, strict=True):
                 np.testing.assert_array_equal(a, b)
             assert report.recon_error == fresh.recon_error
             assert report.bytes_cached == fresh.bytes_cached
-            for step_a, step_b in zip(report.per_step, fresh.per_step, strict=True):
-                for a, b in zip(step_a, step_b, strict=True):
-                    np.testing.assert_array_equal(
-                        a.retained_mask.indices, b.retained_mask.indices
-                    )
-                    assert a.retained_mask.universe_size == b.retained_mask.universe_size
-                    assert (a.achieved_occupancy, a.per_modality_retained, a.ks_used,
-                            a.pruned) == (b.achieved_occupancy, b.per_modality_retained,
-                                          b.ks_used, b.pruned)
+            assert report.per_step == fresh.per_step
+        for a, b in zip(swept_keeps, keeps, strict=True):
+            np.testing.assert_array_equal(a, b)
 
     def test_one_slab_per_sweep(self, monkeypatch):
         """A sweep computes logits with one logit_block call per layer,
