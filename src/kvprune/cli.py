@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from .core import HEAD_MODES, PruneConfig
-from .diagnostics import DEFAULT_BINS, DEFAULT_EPSILON, layer_report
+from .diagnostics import DEFAULT_BINS, DEFAULT_EPSILON, MAX_BINS, layer_report
 from .policies import POLICY_LABELS, POLICY_NAMES
 from .simulator import (
     INTERLEAVE_MODES,
@@ -394,8 +394,8 @@ def _cmd_sweep(args, file_cfg) -> int:
 
 
 def _cmd_analyze(args, file_cfg) -> int:
-    if args.bins < 2:
-        raise UsageError(f"--bins must be >= 2, got {args.bins}")
+    if not 2 <= args.bins <= MAX_BINS:
+        raise UsageError(f"--bins must lie in [2, {MAX_BINS}], got {args.bins}")
     if not (args.epsilon > 0 and args.bins <= sys.float_info.max / args.epsilon):
         raise UsageError(
             f"--epsilon must be positive with --bins x --epsilon finite, got {args.epsilon}"

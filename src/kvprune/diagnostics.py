@@ -20,6 +20,9 @@ from .scoring import softmax_rows, trim_observation
 from .traceio import AttentionTrace
 
 DEFAULT_BINS = 64
+# Ceiling on histogram bins: far above any useful resolution, and two
+# histograms of it stay a few MiB.
+MAX_BINS = 2**20
 DEFAULT_EPSILON = 1e-10
 GRID_POINTS = 512
 BANDWIDTH_FLOOR = 1e-6
@@ -150,8 +153,8 @@ def js_divergence(
     """
     p = _clean_samples(p_samples, "p_samples")
     q = _clean_samples(q_samples, "q_samples")
-    if bins < 2:
-        raise ValueError("bins must be >= 2")
+    if not 2 <= bins <= MAX_BINS:
+        raise ValueError(f"bins must lie in [2, {MAX_BINS}], got {bins}")
     # Each histogram sums to its sample count plus bins * epsilon; once that
     # overflows, normalizing gives NaN. Dividing instead of multiplying
     # keeps a huge integer bins from overflowing the check itself.

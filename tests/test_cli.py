@@ -219,10 +219,19 @@ class TestAnalyze:
         ["--bandwidth", "0"],
         ["--obs", "0"],
         ["--recent", "-1"],
+        ["--bins", str(2**50)],
+        ["--bins", str(2**62)],
+        ["--bins", "9" * 401],
     ])
-    def test_parameter_validation(self, tmp_path, trace_path, flags):
+    def test_parameter_validation(self, tmp_path, trace_path, flags, capsys):
+        """Bad values, huge bin counts included, are usage errors with one
+        error line and no traceback."""
+        capsys.readouterr()
         assert main(["analyze", str(trace_path), *flags,
                      "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("flags", [
         ["--bandwidth", "inf"],

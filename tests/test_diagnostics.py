@@ -11,6 +11,7 @@ from kvprune.core import PruneConfig
 from kvprune.diagnostics import (
     BANDWIDTH_FLOOR,
     KERNEL_CUTOFF,
+    MAX_BINS,
     DensityCurve,
     DivergenceReport,
     js_divergence,
@@ -213,6 +214,17 @@ class TestJsDivergence:
     def test_bad_bins(self):
         with pytest.raises(ValueError, match="bins"):
             js_divergence([0.0], [1.0], bins=1)
+
+    @pytest.mark.parametrize("bins", [MAX_BINS + 1, 2**50, 10**400])
+    def test_bins_above_ceiling(self, bins):
+        """A bin count past MAX_BINS is rejected before any histogram is
+        allocated."""
+        with pytest.raises(ValueError, match="bins"):
+            js_divergence([0.0], [1.0], bins=bins)
+
+    def test_bins_at_ceiling(self):
+        value = js_divergence([0.0], [1.0], bins=MAX_BINS)
+        assert 0.0 <= value <= math.log(2.0) + 1e-12
 
     def test_bad_epsilon(self):
         with pytest.raises(ValueError, match="epsilon"):
