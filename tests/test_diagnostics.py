@@ -215,7 +215,8 @@ class TestJsDivergence:
         with pytest.raises(ValueError, match="bins"):
             js_divergence([0.0], [1.0], bins=1)
 
-    @pytest.mark.parametrize("bins", [MAX_BINS + 1, 2**50, 10**400])
+    @pytest.mark.parametrize("bins", [MAX_BINS + 1, 2**50, 10**400],
+                             ids=["max-plus-1", "2**50", "401-digits"])
     def test_bins_above_ceiling(self, bins):
         """A bin count past MAX_BINS is rejected before any histogram is
         allocated."""

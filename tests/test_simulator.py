@@ -254,17 +254,17 @@ class TestRunDecode:
         """A layer that keeps every key gets its logit block as a view of
         the decoder's read-only slab; a pruned layer gets a gathered copy."""
         seen = []
+        step = policies.csp_step
 
         def recorded(key_tags, logits, *args, **kwargs):
             seen.append((key_tags.size, logits.flags.writeable))
-            return csp_step(key_tags, logits, *args, **kwargs)
+            return step(key_tags, logits, *args, **kwargs)
 
-        csp_step = policies.csp_step
         monkeypatch.setattr(policies, "csp_step", recorded)
         run_decode(SMALL, "csp", PruneConfig(budget=27, recent=4, obs_window=4))
-        full_lens = [SMALL.prefill_len + step for step in range(SMALL.steps + 1)]
+        full_lens = np.repeat(SMALL.prefill_len + np.arange(SMALL.steps + 1), SMALL.layers)
         expected = [(size, size != full_len)
-                    for (size, _), full_len in zip(seen, np.repeat(full_lens, SMALL.layers))]
+                    for (size, _), full_len in zip(seen, full_lens, strict=True)]
         assert seen == expected
         assert {writeable for _, writeable in seen} == {False, True}
 
