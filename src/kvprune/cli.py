@@ -11,7 +11,9 @@ Exit codes: 0 success, 1 usage error (bad flags, bad parameter values),
 Every run writes a JSON sidecar next to its output file with the fully
 resolved configuration and the kvprune, numpy and Python versions. A JSON
 config file (--config) supplies defaults for any flag not given on the
-command line; explicit flags win.
+command line; explicit flags win. Each config-file value must have the
+type of its flag: true or false for --widen, an integer for integer flags,
+a number for float flags, a string for choices.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .simulator import (
     run_decode,
     sweep,
 )
-from .traceio import TraceError, read_trace, write_trace
+from .traceio import MAX_U16, TraceError, read_trace, write_trace
 from . import __version__, plots, reports
 
 
@@ -81,7 +83,17 @@ POLICY_DEFAULTS = {
     "baseline_n": 0.0,
 }
 
-_KNOWN_FILE_KEYS = set(SPEC_DEFAULTS) | set(CONFIG_DEFAULTS) | set(POLICY_DEFAULTS)
+_FILE_DEFAULTS = {**SPEC_DEFAULTS, **CONFIG_DEFAULTS, **POLICY_DEFAULTS}
+
+# A config-file value must have its default's type. bool is an int
+# subclass, so booleans are accepted for bool keys only, and a float key
+# also takes an integer.
+_FILE_VALUE_TYPES = {
+    bool: (bool, "true or false"),
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    str: (str, "a string"),
+}
 
 
 def _add_spec_flags(parser):
@@ -173,9 +185,16 @@ def _load_config_file(path) -> dict:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
-    unknown = set(data) - _KNOWN_FILE_KEYS
+    unknown = set(data) - set(_FILE_DEFAULTS)
     if unknown:
         raise UsageError(f"config file {path}: unknown keys {sorted(unknown)}")
+    for key, value in data.items():
+        expected = type(_FILE_DEFAULTS[key])
+        accepted, what = _FILE_VALUE_TYPES[expected]
+        if not isinstance(value, accepted) or isinstance(value, bool) != (expected is bool):
+            raise UsageError(
+                f"config file {path}: {key!r} must be {what}, got {json.dumps(value)}"
+            )
     return data
 
 
@@ -295,6 +314,10 @@ def _cmd_gen_trace(args, file_cfg) -> int:
     obs = _resolve(args, file_cfg, {"obs": CONFIG_DEFAULTS["obs"]})["obs"]
     if obs < 1:
         raise UsageError(f"--obs must be >= 1, got {obs}")
+    # The trace header stores these as u16; check before decoding anything.
+    for key in ("layers", "heads", "dim"):
+        if resolved[key] > MAX_U16:
+            raise UsageError(f"--{key} must be at most {MAX_U16} in a trace, got {resolved[key]}")
     spec = _spec_from(resolved, int(seed))
     trace = record_trace(spec, int(obs))
     write_trace(trace, args.out)

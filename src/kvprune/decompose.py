@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModalityTag, as_tags, modality_index
+from .core import TEXT_CODE, as_tags, modality_index
 from .scoring import _as_matrix
 
 
@@ -64,10 +64,10 @@ def cross_self_importance(weights, query_tags, key_tags) -> ImportanceScores:
     special case where the sums are contiguous slices.
     """
     weights, query_tags, key_tags = _check_tagged(weights, query_tags, key_tags)
-    text_rows = query_tags == ModalityTag.TEXT
+    text_rows = query_tags == TEXT_CODE
     from_text = weights[text_rows].sum(axis=0) if text_rows.any() else np.zeros(weights.shape[1])
     from_visual = weights[~text_rows].sum(axis=0) if (~text_rows).any() else np.zeros(weights.shape[1])
-    key_is_text = key_tags == ModalityTag.TEXT
+    key_is_text = key_tags == TEXT_CODE
     intra = np.where(key_is_text, from_text, from_visual)
     inter = np.where(key_is_text, from_visual, from_text)
     return ImportanceScores(intra=intra, inter=inter)

@@ -23,7 +23,8 @@ slab, and each step's blocks are a view of it.
 
 `run_decode` drives any policy over any of three sources (a SynthSpec, a
 SyntheticDecoder or an AttentionTrace) with one loop over those records. A
-sweep passes one decoder to every run, so it builds its slab once. Traces
+sweep passes one decoder to every run, so it builds its slab, and the
+unpruned attention output each reconstruction compares against, once. Traces
 carry no values or query vectors, so replays report no reconstruction error.
 """
 
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import policies
-from .core import TEXT, VISUAL, PruneConfig, as_tags, tag_counts
+from .core import TEXT_CODE, VISUAL_CODE, PruneConfig, as_tags, tag_counts
 from .policies import PolicyDecision
 from .scoring import attention_logits, smoothed_softmax_rows, softmax_rows
 from .traceio import AttentionTrace, TraceStep
@@ -85,19 +86,19 @@ class SynthSpec:
 def prefill_tags(spec: SynthSpec) -> np.ndarray:
     """Lay out the prefill modalities; decode steps always append text."""
     if spec.interleave == "block":
-        tags = [VISUAL] * spec.visual_len + [TEXT] * spec.text_len
+        tags = [VISUAL_CODE] * spec.visual_len + [TEXT_CODE] * spec.text_len
     elif spec.interleave == "alternating":
         tags = []
         text, visual = spec.text_len, spec.visual_len
         while text or visual:
             if visual:
-                tags.append(VISUAL)
+                tags.append(VISUAL_CODE)
                 visual -= 1
             if text:
-                tags.append(TEXT)
+                tags.append(TEXT_CODE)
                 text -= 1
     else:
-        tags = [VISUAL] * spec.visual_len + [TEXT] * spec.text_len
+        tags = [VISUAL_CODE] * spec.visual_len + [TEXT_CODE] * spec.text_len
         rng = np.random.default_rng([spec.seed, 0])
         rng.shuffle(tags)
     return as_tags(tags)
@@ -113,7 +114,7 @@ class SyntheticDecoder:
         self.head_dim = spec.head_dim
         self.prefill_tags = prefill_tags(spec)
         self.full_tags = np.concatenate(
-            [self.prefill_tags, np.full(spec.steps, TEXT, dtype=np.uint8)]
+            [self.prefill_tags, np.full(spec.steps, TEXT_CODE, dtype=np.uint8)]
         )
 
         d = spec.head_dim
@@ -133,12 +134,31 @@ class SyntheticDecoder:
             for head in range(spec.heads):
                 w_q = proj_rng.standard_normal((d, d)) * scale
                 self._queries[layer, head] = embeddings @ w_q.T
-        # The logit slab and its first query id, built by the first steps call.
+        # The logit slab and its first query id, built by the first steps call,
+        # and the full-cache outputs computed from it, by (layer, length).
         self._slab = None
         self._slab_start = 0
+        self._full_outputs = {}
 
     def values(self, layer: int, ids: np.ndarray | slice) -> np.ndarray:
         return self._values[layer][ids]
+
+    def full_output(self, layer: int, length: int) -> np.ndarray:
+        """Attention output (heads, head_dim) of the newest query at this
+        length over every key, from the current slab.
+
+        Only the decoder, the layer and the length determine it, so it is
+        computed once, on first use, and reused by every later run until
+        the slab is rebuilt. Call it after steps has built the slab.
+        """
+        key = (layer, length)
+        out = self._full_outputs.get(key)
+        if out is None:
+            logits = self._slab[layer, :, length - 1 - self._slab_start, :length]
+            out = softmax_rows(logits) @ self.values(layer, slice(length))
+            out.flags.writeable = False
+            self._full_outputs[key] = out
+        return out
 
     def logit_block(self, layer: int, query_ids: np.ndarray, key_ids: np.ndarray) -> np.ndarray:
         """Raw scores (heads, queries, keys) between token ids, in float32."""
@@ -166,7 +186,8 @@ class SyntheticDecoder:
         observes; it takes one logit_block call per layer. The decoder
         keeps the slab, so a later call with the same or a smaller window
         reuses it, and a larger window, which needs earlier queries,
-        rebuilds it. Copy a block before writing to it.
+        rebuilds it and drops the full_output memo. Copy a block before
+        writing to it.
         """
         spec = self.spec
         start = max(spec.prefill_len - obs_window, 0)
@@ -179,6 +200,7 @@ class SyntheticDecoder:
             # Every step of every run over this decoder shares the slab.
             slab.flags.writeable = False
             self._slab, self._slab_start = slab, start
+            self._full_outputs = {}
         slab, start = self._slab, self._slab_start
         length = spec.prefill_len
         for step in range(spec.steps + 1):
@@ -186,7 +208,7 @@ class SyntheticDecoder:
             length += added
             rows = min(obs_window, length)
             yield TraceStep(
-                new_tags=np.full(added, TEXT, dtype=np.uint8),
+                new_tags=np.full(added, TEXT_CODE, dtype=np.uint8),
                 blocks=slab[:, :, length - rows - start : length - start, :length],
             )
 
@@ -216,9 +238,8 @@ class RunReport:
 
     @property
     def retained_counts(self) -> tuple[int, int]:
-        text = sum(int(tag_counts(tags)[0]) for tags in self.retained_tags)
-        visual = sum(int(tag_counts(tags)[1]) for tags in self.retained_tags)
-        return text, visual
+        counts = [tag_counts(tags) for tags in self.retained_tags]
+        return sum(text for text, _ in counts), sum(visual for _, visual in counts)
 
 
 def budget_for_fraction(fraction: float, full_length: int, recent: int) -> int:
@@ -315,7 +336,9 @@ def _recon_error(decoder, blocks: np.ndarray, retained: list[np.ndarray], smooth
 
     The newest query's logits are the last row of the step's blocks, since
     observation rows always end at the newest token; each layer weighs the
-    (heads, length) matrix of them in one softmax call per side.
+    (heads, length) matrix of them in one softmax call for the pruned side.
+    The full side is the decoder's full_output, the same expression over
+    the same slab row, computed once per decoder rather than once per run.
     """
     length = blocks.shape[3]
     errors = []
@@ -328,10 +351,9 @@ def _recon_error(decoder, blocks: np.ndarray, retained: list[np.ndarray], smooth
             errors.append(0.0)
             continue
         logits = blocks[layer, :, -1, :]
-        values = decoder.values(layer, slice(length))
-        full_out = softmax_rows(logits) @ values
-        pruned_out = smoothed_softmax_rows(logits[:, kept], smoothing) @ values[kept]
-        errors.append(float(np.linalg.norm(full_out - pruned_out)))
+        pruned_weights = smoothed_softmax_rows(logits[:, kept], smoothing)
+        pruned_out = pruned_weights @ decoder.values(layer, kept)
+        errors.append(float(np.linalg.norm(decoder.full_output(layer, length) - pruned_out)))
     return float(np.mean(errors))
 
 

@@ -25,7 +25,8 @@ Layout (all little-endian):
 
 Column counts must equal the running token total, so every payload size is
 derivable from the header; anything else is rejected, and so is any logit
-that is NaN or infinite.
+that is NaN or infinite. write_trace refuses a value that overflows its
+field instead of wrapping it.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ from .core import as_tags
 
 MAGIC = b"CSPT"
 VERSION = 1
+MAX_U16 = 2**16 - 1
+MAX_U32 = 2**32 - 1
 
 
 class TraceError(Exception):
@@ -124,25 +127,35 @@ class AttentionTrace:
         return int(self.prefill_tags.size + sum(s.new_tags.size for s in self.steps))
 
 
+def _pack(fmt: str, **fields) -> bytes:
+    """Little-endian u16 ("H") and u32 ("I") fields, in order; a value that
+    overflows its field raises ValueError naming the field."""
+    for code, (name, value) in zip(fmt, fields.items()):
+        bits, limit = (16, MAX_U16) if code == "H" else (32, MAX_U32)
+        if value > limit:
+            raise ValueError(f"trace {name} {value} does not fit its u{bits} field")
+    return struct.pack("<" + fmt, *fields.values())
+
+
 def write_trace(trace: AttentionTrace, path) -> None:
     chunks = [
         MAGIC,
-        struct.pack(
-            "<HHHIHI",
-            VERSION,
-            trace.layers,
-            trace.heads,
-            len(trace.steps),
-            trace.head_dim,
-            trace.prefill_tags.size,
+        _pack(
+            "HHHIHI",
+            version=VERSION,
+            layers=trace.layers,
+            heads=trace.heads,
+            steps=len(trace.steps),
+            head_dim=trace.head_dim,
+            prefill_length=trace.prefill_tags.size,
         ),
         trace.prefill_tags.astype("<u1").tobytes(),
     ]
     for step in trace.steps:
-        chunks.append(struct.pack("<I", step.new_tags.size))
+        chunks.append(_pack("I", new_tokens=step.new_tags.size))
         chunks.append(step.new_tags.astype("<u1").tobytes())
         _, _, rows, cols = step.blocks.shape
-        prefix = struct.pack("<II", rows, cols)
+        prefix = _pack("II", rows=rows, cols=cols)
         for layer_blocks in step.blocks:
             for block in layer_blocks:
                 chunks.append(prefix)

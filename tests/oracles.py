@@ -28,6 +28,18 @@ def mp_softmax(logits, smoothing=0.0, kept=None):
     return [float(mpmath.e ** mpmath.mpf(x) / denom) for x in logits]
 
 
+def tag_positions(tags):
+    """(text positions, visual positions) of a sequence of 0/1 tags, by one
+    loop over it."""
+    text, visual = [], []
+    for position, tag in enumerate(tags):
+        if int(tag) == 0:
+            text.append(position)
+        else:
+            visual.append(position)
+    return text, visual
+
+
 def topk_indices(scores, k):
     """Indices of the k largest scores, smaller index winning ties."""
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))

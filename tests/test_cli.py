@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import kvprune
+from kvprune import cli
 from kvprune.cli import main
 from kvprune.reports import RESULTS_COLUMNS, STEP_COLUMNS
 from kvprune.traceio import MAGIC, read_trace, write_trace
@@ -79,6 +80,23 @@ class TestGenTrace:
     def test_bad_spec_value(self, tmp_path):
         assert main(["gen-trace", "--spread", "0",
                      "--out", str(tmp_path / "t.trace")]) == 1
+
+    @pytest.mark.parametrize("flag", ["--layers", "--heads", "--dim"])
+    def test_header_field_overflow(self, tmp_path, flag, capsys, monkeypatch):
+        """The trace header stores layers, heads and head dim as u16, so a
+        larger value is a usage error, raised before anything is decoded
+        (decoding such a spec could take gigabytes)."""
+
+        def no_decode(*args):
+            raise AssertionError("gen-trace decoded an unwritable spec")
+
+        monkeypatch.setattr(cli, "record_trace", no_decode)
+        out = tmp_path / "t.trace"
+        assert main(["gen-trace", flag, "65536", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and flag in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestSimulate:
@@ -357,6 +375,33 @@ class TestConfigFile:
         cfg = self.write_config(tmp_path, [1, 2])
         assert main(["--config", str(cfg), "simulate",
                      "--out", str(tmp_path / "x.csv")]) == 1
+
+    @pytest.mark.parametrize("payload, key", [
+        ({"widen": "false"}, "widen"),
+        ({"budget": "x"}, "budget"),
+        ({"seed": 1.5}, "seed"),
+        ({"recent": True}, "recent"),
+        ({"shift": False}, "shift"),
+    ])
+    def test_value_of_wrong_type(self, tmp_path, payload, key, capsys):
+        """A config value must have its flag's type: "false" is no boolean,
+        1.5 is no integer and a boolean is no number, so none is coerced."""
+        cfg = self.write_config(tmp_path, payload)
+        out = tmp_path / "x.csv"
+        assert main(["--config", str(cfg), "simulate", *SPEC_FLAGS, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and repr(key) in err
+        assert not out.exists()
+
+    def test_value_types_follow_defaults(self, tmp_path):
+        """Integers are numbers for float keys; true/false is a boolean."""
+        cfg = self.write_config(tmp_path, {"budget": 1, "widen": True, "shift": 2})
+        out = tmp_path / "x.csv"
+        assert main(["--config", str(cfg), "simulate", *SPEC_FLAGS, *CFG_FLAGS[2:],
+                     "--out", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "x.csv.config.json").read_text())
+        assert sidecar["config"]["widen_to_budget"] is True
+        assert sidecar["spec"]["shift"] == 2.0
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -1,7 +1,10 @@
 """Tests for tag handling and config validation."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from kvprune.core import (
     TEXT,
@@ -12,6 +15,15 @@ from kvprune.core import (
     modality_index,
     tag_counts,
     validate_config,
+)
+
+import oracles
+
+# The same tag sequence in each form the helpers accept.
+TAG_SEQUENCES = st.one_of(
+    st.lists(st.integers(0, 1), max_size=40).map(lambda xs: np.array(xs, dtype=np.uint8)),
+    st.lists(st.integers(0, 1), max_size=40),
+    st.lists(st.sampled_from(list(ModalityTag)), max_size=40),
 )
 
 
@@ -43,6 +55,36 @@ class TestTags:
     def test_tag_counts(self):
         assert tag_counts([0, 1, 1, 0, 1]) == (2, 3)
         assert tag_counts([]) == (0, 0)
+
+
+class TestTagProperties:
+    @given(TAG_SEQUENCES)
+    def test_helpers_match_a_loop(self, seq):
+        text, visual = oracles.tag_positions(seq)
+        tags = as_tags(seq)
+        assert tags.dtype == np.uint8
+        assert tags.tolist() == [int(tag) for tag in seq]
+        got_text, got_visual = modality_index(seq)
+        assert got_text.tolist() == text
+        assert got_visual.tolist() == visual
+        counts = tag_counts(seq)
+        assert counts == (len(text), len(visual))
+        assert all(type(count) is int for count in counts)
+
+    @given(
+        st.lists(st.integers(0, 255), min_size=1, max_size=40).filter(
+            lambda xs: max(xs) > 1
+        ),
+        st.booleans(),
+    )
+    def test_values_above_visual_raise(self, values, as_array):
+        """Every helper rejects 2-255 with the message naming the first one."""
+        seq = np.array(values, dtype=np.uint8) if as_array else values
+        bad = next(value for value in values if value > 1)
+        message = re.escape(f"modality tags must be 0 (text) or 1 (visual), got {bad}")
+        for helper in (as_tags, modality_index, tag_counts):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                helper(seq)
 
 
 class TestPruneConfig:

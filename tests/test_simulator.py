@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from kvprune import policies
+from kvprune import policies, simulator
 from kvprune.core import PruneConfig, TEXT, VISUAL
 from kvprune.simulator import (
     SWEEP_AXES,
@@ -38,6 +38,20 @@ def record_keeps(monkeypatch, policy):
 
     monkeypatch.setattr(policies, step.__name__, recorded)
     return keeps
+
+
+def count_softmax_rows(monkeypatch):
+    """Wrap the simulator's softmax_rows; the returned list gets one entry
+    per call."""
+    calls = []
+    original = simulator.softmax_rows
+
+    def counted(logits):
+        calls.append(1)
+        return original(logits)
+
+    monkeypatch.setattr(simulator, "softmax_rows", counted)
+    return calls
 
 
 class TestSynthSpec:
@@ -483,6 +497,28 @@ class TestSweep:
         monkeypatch.setattr(SyntheticDecoder, "logit_block", counted)
         sweep("budget_fraction", [0.3, 0.6, 0.45], SMALL, self.CFG, "csp")
         assert calls == list(range(SMALL.layers))
+
+    def test_one_full_reconstruction_per_layer_and_step(self, monkeypatch):
+        """The unpruned side of the reconstruction error depends only on the
+        decoder, the layer and the length, so a sweep computes it with one
+        softmax_rows call per layer and step, whatever the grid size."""
+        calls = count_softmax_rows(monkeypatch)
+        sweep("budget_fraction", [0.3, 0.6, 0.45], SMALL, self.CFG, "csp")
+        assert len(calls) == SMALL.layers * (SMALL.steps + 1)
+
+    def test_rebuilt_slab_recomputes_full_outputs(self, monkeypatch):
+        """A larger obs window rebuilds the slab and drops the full outputs
+        computed from the old one; the rebuilt decoder then reports what a
+        fresh decoder at that window does."""
+        narrow = self.CFG
+        wide = self.CFG.with_updates(obs_window=SMALL.prefill_len)
+        decoder = SyntheticDecoder(SMALL)
+        calls = count_softmax_rows(monkeypatch)
+        run_decode(decoder, "csp", narrow)
+        rebuilt = run_decode(decoder, "csp", wide)
+        assert len(calls) == 2 * SMALL.layers * (SMALL.steps + 1)
+        fresh = run_decode(SyntheticDecoder(SMALL), "csp", wide)
+        assert rebuilt.recon_error == fresh.recon_error
 
     def test_bad_axis(self):
         with pytest.raises(ValueError, match="axis"):

@@ -107,6 +107,29 @@ class TestValidation:
                                  blocks=np.zeros((1, 1, 2, 3), dtype=np.float32))],
             )
 
+    @pytest.mark.parametrize("field, value", [
+        ("layers", 65536),
+        ("heads", 65536),
+        ("head_dim", 65536),
+    ])
+    def test_header_field_overflow(self, tmp_path, field, value):
+        """A header value wider than its u16 field is refused, not wrapped
+        or left to escape as a struct.error, and nothing is written."""
+        dims = {"layers": 1, "heads": 1, "head_dim": 1, field: value}
+        trace = AttentionTrace(**dims, prefill_tags=np.zeros(1, dtype=np.uint8))
+        path = tmp_path / "t.trace"
+        with pytest.raises(ValueError, match=f"{field} {value} .*u16"):
+            write_trace(trace, path)
+        assert not path.exists()
+
+    def test_header_at_field_width(self, tmp_path):
+        trace = AttentionTrace(layers=65535, heads=65535, head_dim=65535,
+                               prefill_tags=np.zeros(1, dtype=np.uint8))
+        path = tmp_path / "t.trace"
+        write_trace(trace, path)
+        back = read_trace(path)
+        assert (back.layers, back.heads, back.head_dim) == (65535, 65535, 65535)
+
     def test_empty_prefill_rejected(self):
         with pytest.raises(ValueError, match="prefill"):
             AttentionTrace(layers=1, heads=1, head_dim=4,
