@@ -12,8 +12,9 @@ Every run writes a JSON sidecar next to its output file with the fully
 resolved configuration and the kvprune, numpy and Python versions. A JSON
 config file (--config) supplies defaults for any flag not given on the
 command line; explicit flags win. Each config-file value must have the
-type of its flag: true or false for --widen, an integer for integer flags,
-a number for float flags, a string for choices.
+type of its flag (true or false for --widen, an integer for integer flags,
+a number for float flags, a string for the others) and be one of its
+choices, if it has any.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import json
 import os
 import platform
 import sys
+from collections import namedtuple
+from dataclasses import asdict
 
 import numpy as np
 
@@ -53,37 +56,43 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-SPEC_DEFAULTS = {
-    "text": 64,
-    "visual": 64,
-    "interleave": "alternating",
-    "layers": 2,
-    "heads": 4,
-    "dim": 32,
-    "steps": 32,
-    "shift": 2.0,
-    "spread": 1.0,
-}
+Flag = namedtuple("Flag", "default help choices", defaults=(None,))
 
-CONFIG_DEFAULTS = {
-    "budget": 0.3,
-    "ratio": 0.5,
-    "recent": 32,
-    "obs": 32,
-    "n": 1.0,
-    "recency_bias": 1.0,
-    "widen": False,
-    "head_mode": "averaged",
-    "seed": 0,
+# Every flag a config file may set, under its --help group title. A flag's
+# type is its default's type. The argparse default of each is None, so
+# resolution can tell a flag that was not given: flag value, else
+# config-file value, else the default here.
+FLAGS = {
+    "synthetic decode": {
+        "text": Flag(64, "prefill text token count"),
+        "visual": Flag(64, "prefill visual token count"),
+        "interleave": Flag("alternating", "prefill modality layout", INTERLEAVE_MODES),
+        "layers": Flag(2, "decoder layer count"),
+        "heads": Flag(4, "attention heads per layer"),
+        "dim": Flag(32, "head dimension"),
+        "steps": Flag(32, "decode step count"),
+        "shift": Flag(2.0, "logit offset subtracted from cross-modality pairs"),
+        "spread": Flag(1.0, "logit scale factor"),
+    },
+    "pruning config": {
+        "budget": Flag(0.3, "cache budget as a fraction of the final length"),
+        "ratio": Flag(0.5, "share of the candidate pool ranked cross-modally"),
+        "recent": Flag(32, "newest keys always kept, and not sampled by analyze (default 0 there)"),
+        "obs": Flag(32, "query rows per step that vote, are recorded or sampled (analyze: all)"),
+        "n": Flag(1.0, "smoothing constant added to softmax denominators"),
+        "recency_bias": Flag(1.0, "weight on the newest obs-window candidates' scores"),
+        "widen": Flag(False, "grow top-k sizes until the intersection fills the budget"),
+        "head_mode": Flag("averaged", "score the head mean once, or select per head", HEAD_MODES),
+        "seed": Flag(0, "RNG seed of the synthetic decode, recorded with results"),
+    },
+    "policy": {
+        "policy": Flag("csp", "one of: " + ", ".join(POLICY_LABELS[name] for name in POLICY_NAMES),
+                       POLICY_NAMES),
+        "pool_width": Flag(1, "global-topk: width of the 1-D max pool over column sums"),
+        "baseline_n": Flag(0.0, "smoothing constant for the baseline policies"),
+    },
 }
-
-POLICY_DEFAULTS = {
-    "policy": "csp",
-    "pool_width": 1,
-    "baseline_n": 0.0,
-}
-
-_FILE_DEFAULTS = {**SPEC_DEFAULTS, **CONFIG_DEFAULTS, **POLICY_DEFAULTS}
+_FILE_FLAGS = {name: flag for group in FLAGS.values() for name, flag in group.items()}
 
 # A config-file value must have its default's type. bool is an int
 # subclass, so booleans are accepted for bool keys only, and a float key
@@ -96,132 +105,119 @@ _FILE_VALUE_TYPES = {
 }
 
 
-def _add_spec_flags(parser):
-    g = parser.add_argument_group("synthetic decode")
-    g.add_argument("--text", type=int, help="prefill text token count")
-    g.add_argument("--visual", type=int, help="prefill visual token count")
-    g.add_argument("--interleave", choices=INTERLEAVE_MODES, help="prefill modality layout")
-    g.add_argument("--layers", type=int)
-    g.add_argument("--heads", type=int)
-    g.add_argument("--dim", type=int, help="head dimension")
-    g.add_argument("--steps", type=int, help="decode step count")
-    g.add_argument("--shift", type=float, help="logit offset subtracted from cross-modality pairs")
-    g.add_argument("--spread", type=float, help="logit scale factor")
-
-
-def _add_config_flags(parser):
-    g = parser.add_argument_group("pruning config")
-    g.add_argument("--budget", type=float, help="cache budget as a fraction of the final length")
-    g.add_argument("--ratio", type=float, help="share of the candidate pool ranked cross-modally")
-    g.add_argument("--recent", type=int, help="newest keys always kept")
-    g.add_argument("--obs", type=int, help="observation window (query rows that vote)")
-    g.add_argument("--n", type=float, help="smoothing constant added to softmax denominators")
-    g.add_argument("--recency-bias", type=float, dest="recency_bias")
-    g.add_argument("--widen", action=argparse.BooleanOptionalAction, default=None,
-                   help="grow top-k sizes until the intersection fills the budget")
-    g.add_argument("--head-mode", choices=HEAD_MODES, dest="head_mode")
-    g.add_argument("--seed", type=int)
-
-
-def _add_policy_flag(parser):
-    choices = ", ".join(POLICY_LABELS[name] for name in POLICY_NAMES)
-    parser.add_argument("--policy", choices=POLICY_NAMES, help=f"one of: {choices}")
-    parser.add_argument("--pool-width", type=int, dest="pool_width",
-                        help="global-topk: width of the 1-D max pool over column sums")
-    parser.add_argument("--baseline-n", type=float, dest="baseline_n",
-                        help="smoothing constant for the baseline policies")
+def _add_flags(parser, names) -> None:
+    """Add the table's flags among names, in table order, grouped as there."""
+    for title, flags in FLAGS.items():
+        chosen = [name for name in flags if name in names]
+        if not chosen:
+            continue
+        group = parser.add_argument_group(title)
+        for name in chosen:
+            flag, option = flags[name], "--" + name.replace("_", "-")
+            if isinstance(flag.default, bool):
+                group.add_argument(option, action=argparse.BooleanOptionalAction, help=flag.help)
+            else:
+                group.add_argument(option, type=type(flag.default), choices=flag.choices,
+                                   help=flag.help)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="kvprune", description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="JSON file of flag defaults")
-    sub = parser.add_subparsers(dest="command", metavar="command")
+    sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
     p = sub.add_parser("gen-trace", help="record a synthetic decode to a trace file")
-    _add_spec_flags(p)
-    p.add_argument("--obs", type=int, help="observation rows recorded per step")
-    p.add_argument("--seed", type=int)
+    p.set_defaults(run=_cmd_gen_trace)
+    _add_flags(p, (*FLAGS["synthetic decode"], "obs", "seed"))
     p.add_argument("--out", required=True, help="trace file to write")
 
     p = sub.add_parser("simulate", help="run one policy over a trace or synthetic decode")
+    p.set_defaults(run=_cmd_simulate)
     p.add_argument("--trace", help="trace file; omit to decode synthetically")
-    _add_spec_flags(p)
-    _add_config_flags(p)
-    _add_policy_flag(p)
+    _add_flags(p, _FILE_FLAGS)
     p.add_argument("--out", required=True, help="per-step CSV to write")
 
     p = sub.add_parser("sweep", help="vary one config axis over a grid")
+    p.set_defaults(run=_cmd_sweep)
     p.add_argument("--axis", choices=SWEEP_AXES, required=True)
     p.add_argument("--grid", required=True, help="comma-separated axis values")
     p.add_argument("--svg", action="store_true", help="also plot the sweep curve")
-    _add_spec_flags(p)
-    _add_config_flags(p)
-    _add_policy_flag(p)
+    _add_flags(p, _FILE_FLAGS)
     p.add_argument("--out", required=True, help="summary CSV to write")
 
     p = sub.add_parser("analyze", help="distribution diagnostics from a trace")
+    p.set_defaults(run=_cmd_analyze)
     p.add_argument("trace", help="trace file to analyze")
     p.add_argument("--bins", type=int, default=DEFAULT_BINS)
     p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--bandwidth", type=float, help="fixed KDE bandwidth (default: Silverman)")
-    p.add_argument("--obs", type=int, help="limit samples to this many query rows per step")
-    p.add_argument("--recent", type=int, default=0, help="drop the newest keys from sampling")
+    _add_flags(p, ("obs", "recent"))
     p.add_argument("--svg", action="store_true", help="also plot divergence bars and KDE overlays")
     p.add_argument("--out", required=True, help="divergence CSV to write")
 
     p = sub.add_parser("compare", help="run several policies over one trace")
+    p.set_defaults(run=_cmd_compare)
     p.add_argument("--policies", required=True, help="comma-separated policy names")
     p.add_argument("--trace", required=True, help="trace file all policies replay")
-    _add_config_flags(p)
-    p.add_argument("--pool-width", type=int, dest="pool_width")
-    p.add_argument("--baseline-n", type=float, dest="baseline_n")
+    _add_flags(p, (*FLAGS["pruning config"], "pool_width", "baseline_n"))
     p.add_argument("--out", required=True, help="joined per-step CSV to write")
 
     return parser
 
 
 def _load_config_file(path) -> dict:
+    """The file's values, checked against the table, as their defaults' types."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
-    unknown = set(data) - set(_FILE_DEFAULTS)
+    unknown = set(data) - set(_FILE_FLAGS)
     if unknown:
         raise UsageError(f"config file {path}: unknown keys {sorted(unknown)}")
-    for key, value in data.items():
-        expected = type(_FILE_DEFAULTS[key])
-        accepted, what = _FILE_VALUE_TYPES[expected]
-        if not isinstance(value, accepted) or isinstance(value, bool) != (expected is bool):
-            raise UsageError(
-                f"config file {path}: {key!r} must be {what}, got {json.dumps(value)}"
-            )
-    return data
-
-
-def _resolve(args, file_cfg: dict, defaults: dict) -> dict:
-    """Flag value if given, else config-file value, else default."""
     out = {}
-    for key, default in defaults.items():
-        value = getattr(args, key, None)
-        if value is None:
-            value = file_cfg.get(key, default)
-        out[key] = value
+    for key, value in data.items():
+        flag = _FILE_FLAGS[key]
+        kind = type(flag.default)
+        accepted, what = _FILE_VALUE_TYPES[kind]
+        if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
+            raise UsageError(f"config file {path}: {key!r} must be {what}, got {json.dumps(value)}")
+        if flag.choices and value not in flag.choices:
+            raise UsageError(f"config file {path}: {key!r} must be one of "
+                             f"{', '.join(flag.choices)}, got {json.dumps(value)}")
+        try:
+            out[key] = kind(value)
+        except OverflowError:
+            raise UsageError(f"config file {path}: {key!r} is too large for a float")
     return out
 
 
-def _spec_from(resolved: dict, seed: int) -> SynthSpec:
+def _resolve(args, file_cfg: dict, **defaults) -> dict:
+    """Every table flag of the subcommand: its value if given, else the
+    config file's, else the default given here, else the table's. Each
+    has its table default's type."""
+    out = {}
+    for name, flag in _FILE_FLAGS.items():
+        if hasattr(args, name):
+            value = getattr(args, name)
+            if value is None:
+                value = file_cfg.get(name, defaults.get(name, flag.default))
+            out[name] = value
+    return out
+
+
+def _spec_from(resolved: dict) -> SynthSpec:
     try:
         return SynthSpec(
-            seed=seed,
-            text_len=int(resolved["text"]),
-            visual_len=int(resolved["visual"]),
+            seed=resolved["seed"],
+            text_len=resolved["text"],
+            visual_len=resolved["visual"],
             interleave=resolved["interleave"],
-            layers=int(resolved["layers"]),
-            heads=int(resolved["heads"]),
-            head_dim=int(resolved["dim"]),
-            steps=int(resolved["steps"]),
-            shift=float(resolved["shift"]),
-            spread=float(resolved["spread"]),
+            layers=resolved["layers"],
+            heads=resolved["heads"],
+            head_dim=resolved["dim"],
+            steps=resolved["steps"],
+            shift=resolved["shift"],
+            spread=resolved["spread"],
         )
     except ValueError as err:
         raise UsageError(str(err))
@@ -230,68 +226,38 @@ def _spec_from(resolved: dict, seed: int) -> SynthSpec:
 def _config_from(resolved: dict, fraction: float, full_length: int) -> PruneConfig:
     try:
         return PruneConfig(
-            budget=budget_for_fraction(fraction, full_length, int(resolved["recent"])),
-            recent=int(resolved["recent"]),
-            obs_window=int(resolved["obs"]),
-            cross_ratio=float(resolved["ratio"]),
-            smoothing=float(resolved["n"]),
-            recency_bias=float(resolved["recency_bias"]),
-            widen_to_budget=bool(resolved["widen"]),
+            budget=budget_for_fraction(fraction, full_length, resolved["recent"]),
+            recent=resolved["recent"],
+            obs_window=resolved["obs"],
+            cross_ratio=resolved["ratio"],
+            smoothing=resolved["n"],
+            recency_bias=resolved["recency_bias"],
+            widen_to_budget=resolved["widen"],
             head_mode=resolved["head_mode"],
-            seed=int(resolved["seed"]),
+            seed=resolved["seed"],
         )
     except ValueError as err:
         raise UsageError(str(err))
 
 
-def _check_fraction(value: float) -> float:
-    if not 0 < value < np.inf:
-        raise UsageError(f"--budget must be a finite positive fraction, got {value}")
-    return float(value)
-
-
 def _policy_kwargs(name: str, resolved: dict) -> dict:
     if name not in ("global-topk", "accum"):
         return {}
-    smoothing = float(resolved["baseline_n"])
+    smoothing = resolved["baseline_n"]
     if not 0 <= smoothing < np.inf:
         raise UsageError(f"--baseline-n must be finite and >= 0, got {smoothing}")
     if name == "accum":
         return {"smoothing": smoothing}
-    pool_width = int(resolved["pool_width"])
+    pool_width = resolved["pool_width"]
     if pool_width < 1:
         raise UsageError(f"--pool-width must be >= 1, got {pool_width}")
     return {"pool_width": pool_width, "smoothing": smoothing}
 
 
 def _config_payload(cfg: PruneConfig, budget_fraction: float) -> dict:
-    return {
-        "budget_fraction": budget_fraction,
-        "budget_tokens": cfg.budget,
-        "recent": cfg.recent,
-        "obs_window": cfg.obs_window,
-        "cross_ratio": cfg.cross_ratio,
-        "smoothing": cfg.smoothing,
-        "recency_bias": cfg.recency_bias,
-        "widen_to_budget": cfg.widen_to_budget,
-        "head_mode": cfg.head_mode,
-        "seed": cfg.seed,
-    }
-
-
-def _spec_payload(spec: SynthSpec) -> dict:
-    return {
-        "seed": spec.seed,
-        "text_len": spec.text_len,
-        "visual_len": spec.visual_len,
-        "interleave": spec.interleave,
-        "layers": spec.layers,
-        "heads": spec.heads,
-        "head_dim": spec.head_dim,
-        "steps": spec.steps,
-        "shift": spec.shift,
-        "spread": spec.spread,
-    }
+    payload = asdict(cfg)
+    payload["budget_tokens"] = payload.pop("budget")
+    return {**payload, "budget_fraction": budget_fraction}
 
 
 def _write_sidecar(out_path: str, payload: dict) -> None:
@@ -309,48 +275,46 @@ def _stem(path: str) -> str:
 
 
 def _cmd_gen_trace(args, file_cfg) -> int:
-    resolved = _resolve(args, file_cfg, SPEC_DEFAULTS)
-    seed = _resolve(args, file_cfg, {"seed": CONFIG_DEFAULTS["seed"]})["seed"]
-    obs = _resolve(args, file_cfg, {"obs": CONFIG_DEFAULTS["obs"]})["obs"]
-    if obs < 1:
-        raise UsageError(f"--obs must be >= 1, got {obs}")
+    resolved = _resolve(args, file_cfg)
     # The trace header stores these as u16; check before decoding anything.
     for key in ("layers", "heads", "dim"):
         if resolved[key] > MAX_U16:
             raise UsageError(f"--{key} must be at most {MAX_U16} in a trace, got {resolved[key]}")
-    spec = _spec_from(resolved, int(seed))
-    trace = record_trace(spec, int(obs))
+    spec = _spec_from(resolved)
+    try:
+        trace = record_trace(spec, resolved["obs"])
+    except ValueError as err:
+        raise UsageError(str(err))
     write_trace(trace, args.out)
     _write_sidecar(
         args.out,
-        {"command": "gen-trace", "spec": _spec_payload(spec), "obs_window": int(obs),
+        {"command": "gen-trace", "spec": asdict(spec), "obs_window": resolved["obs"],
          "outputs": [args.out]},
     )
     print(f"wrote {args.out} ({len(trace.steps)} steps, {trace.final_length} tokens)")
     return 0
 
 
-def _simulation_source(args, file_cfg, resolved_cfg):
-    """Returns (source, full_length, source_payload)."""
-    if getattr(args, "trace", None):
-        trace = read_trace(args.trace)
-        return trace, trace.final_length, {"trace": args.trace}
-    resolved_spec = _resolve(args, file_cfg, SPEC_DEFAULTS)
-    spec = _spec_from(resolved_spec, int(resolved_cfg["seed"]))
-    return spec, spec.final_len, {"spec": _spec_payload(spec)}
-
-
 def _cmd_simulate(args, file_cfg) -> int:
-    resolved = _resolve(args, file_cfg, {**CONFIG_DEFAULTS, **POLICY_DEFAULTS})
-    fraction = _check_fraction(float(resolved["budget"]))
+    resolved = _resolve(args, file_cfg)
+    fraction = resolved["budget"]
     policy = resolved["policy"]
-    if policy not in POLICY_NAMES:
-        raise UsageError(f"unknown policy {policy!r}; choices: {', '.join(POLICY_NAMES)}")
     kwargs = _policy_kwargs(policy, resolved)
 
-    source, full_length, source_payload = _simulation_source(args, file_cfg, resolved)
+    if args.trace:
+        source = read_trace(args.trace)
+        full_length, source_payload = source.final_length, {"trace": args.trace}
+    else:
+        source = _spec_from(resolved)
+        full_length, source_payload = source.final_len, {"spec": asdict(source)}
     cfg = _config_from(resolved, fraction, full_length)
-    report = run_decode(source, policy, cfg, **kwargs)
+    try:
+        report = run_decode(source, policy, cfg, **kwargs)
+    except ValueError as err:
+        if args.trace:
+            raise
+        # Flags alone define a synthetic decode, so its errors are usage errors.
+        raise UsageError(str(err))
 
     reports.write_text(args.out, reports.steps_csv(report, fraction))
     _write_sidecar(
@@ -374,14 +338,13 @@ def _parse_grid(text: str) -> list:
 
 
 def _cmd_sweep(args, file_cfg) -> int:
-    resolved = _resolve(args, file_cfg, {**CONFIG_DEFAULTS, **POLICY_DEFAULTS})
-    fraction = _check_fraction(float(resolved["budget"]))
+    resolved = _resolve(args, file_cfg)
+    fraction = resolved["budget"]
     policy = resolved["policy"]
     kwargs = _policy_kwargs(policy, resolved)
     grid = _parse_grid(args.grid)
 
-    resolved_spec = _resolve(args, file_cfg, SPEC_DEFAULTS)
-    spec = _spec_from(resolved_spec, int(resolved["seed"]))
+    spec = _spec_from(resolved)
     cfg = _config_from(resolved, fraction, spec.final_len)
     try:
         results = sweep(args.axis, grid, spec, cfg, policy, **kwargs)
@@ -410,13 +373,15 @@ def _cmd_sweep(args, file_cfg) -> int:
         args.out,
         {"command": "sweep", "axis": args.axis, "grid": grid, "policy": policy,
          "policy_options": kwargs, "config": _config_payload(cfg, fraction),
-         "spec": _spec_payload(spec), "outputs": outputs},
+         "spec": asdict(spec), "outputs": outputs},
     )
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 
 
 def _cmd_analyze(args, file_cfg) -> int:
+    resolved = _resolve(args, file_cfg, obs=None, recent=0)
+    obs, recent = resolved["obs"], resolved["recent"]
     if not 2 <= args.bins <= MAX_BINS:
         raise UsageError(f"--bins must lie in [2, {MAX_BINS}], got {args.bins}")
     if not (args.epsilon > 0 and args.bins <= sys.float_info.max / args.epsilon):
@@ -425,10 +390,10 @@ def _cmd_analyze(args, file_cfg) -> int:
         )
     if args.bandwidth is not None and not 0 < args.bandwidth < np.inf:
         raise UsageError(f"--bandwidth must be finite and positive, got {args.bandwidth}")
-    if args.obs is not None and args.obs < 1:
-        raise UsageError(f"--obs must be >= 1, got {args.obs}")
-    if args.recent < 0:
-        raise UsageError(f"--recent must be >= 0, got {args.recent}")
+    if obs is not None and obs < 1:
+        raise UsageError(f"--obs must be >= 1, got {obs}")
+    if recent < 0:
+        raise UsageError(f"--recent must be >= 0, got {recent}")
 
     trace = read_trace(args.trace)
     report = layer_report(
@@ -436,8 +401,8 @@ def _cmd_analyze(args, file_cfg) -> int:
         bins=args.bins,
         epsilon=args.epsilon,
         bandwidth=args.bandwidth,
-        obs_window=args.obs,
-        recent=args.recent,
+        obs_window=obs,
+        recent=recent,
     )
     reports.write_text(args.out, reports.divergence_csv(report))
     kde_path = _stem(args.out) + "_kde.csv"
@@ -468,16 +433,16 @@ def _cmd_analyze(args, file_cfg) -> int:
     _write_sidecar(
         args.out,
         {"command": "analyze", "trace": args.trace, "bins": args.bins,
-         "epsilon": args.epsilon, "bandwidth": args.bandwidth, "obs_window": args.obs,
-         "recent": args.recent, "outputs": outputs},
+         "epsilon": args.epsilon, "bandwidth": args.bandwidth, "obs_window": obs,
+         "recent": recent, "outputs": outputs},
     )
     print(f"wrote {args.out} ({len(report.curves)} layers)")
     return 0
 
 
 def _cmd_compare(args, file_cfg) -> int:
-    resolved = _resolve(args, file_cfg, {**CONFIG_DEFAULTS, **POLICY_DEFAULTS})
-    fraction = _check_fraction(float(resolved["budget"]))
+    resolved = _resolve(args, file_cfg)
+    fraction = resolved["budget"]
     names = [part.strip() for part in args.policies.split(",") if part.strip()]
     if len(names) < 2:
         raise UsageError("--policies needs at least two comma-separated names")
@@ -487,26 +452,18 @@ def _cmd_compare(args, file_cfg) -> int:
 
     trace = read_trace(args.trace)
     cfg = _config_from(resolved, fraction, trace.final_length)
-    runs = [run_decode(trace, name, cfg, **_policy_kwargs(name, resolved)) for name in names]
+    options = {name: _policy_kwargs(name, resolved) for name in names}
+    runs = [run_decode(trace, name, cfg, **options[name]) for name in names]
     reports.write_text(args.out, reports.steps_csv(runs, fraction))
     _write_sidecar(
         args.out,
         {"command": "compare", "policies": names, "trace": args.trace,
          "config": _config_payload(cfg, fraction),
-         "policy_options": {name: _policy_kwargs(name, resolved) for name in names},
+         "policy_options": options,
          "outputs": [args.out]},
     )
     print(f"wrote {args.out} ({len(names)} policies)")
     return 0
-
-
-_COMMANDS = {
-    "gen-trace": _cmd_gen_trace,
-    "simulate": _cmd_simulate,
-    "sweep": _cmd_sweep,
-    "analyze": _cmd_analyze,
-    "compare": _cmd_compare,
-}
 
 
 def main(argv=None) -> int:
@@ -520,28 +477,21 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
 
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 1
-
     try:
         file_cfg = _load_config_file(args.config) if args.config else {}
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError) as err:  # ValueError: undecodable bytes or JSON
         print(f"error: cannot read config file: {err}", file=sys.stderr)
         return 2
 
     try:
-        return _COMMANDS[args.command](args, file_cfg)
+        return args.run(args, file_cfg)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except TraceError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as err:
+    except (TraceError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -41,6 +41,7 @@ from .scoring import attention_logits, smoothed_softmax_rows, softmax_rows
 from .traceio import AttentionTrace, TraceStep
 
 INTERLEAVE_MODES = ("block", "alternating", "random")
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -168,9 +169,17 @@ class SyntheticDecoder:
         cross = (q_tags[:, None] != k_tags[None, :]).astype(np.float64)
         out = np.empty((spec.heads, len(query_ids), len(key_ids)))
         keys = self._keys[layer][key_ids]
-        for head in range(spec.heads):
-            queries = self._queries[layer, head][query_ids]
-            out[head] = spec.spread * attention_logits(queries, keys) - spec.shift * cross
+        # Overflow is refused below, with the flags that cause it, not warned of.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for head in range(spec.heads):
+                queries = self._queries[layer, head][query_ids]
+                out[head] = spec.spread * attention_logits(queries, keys) - spec.shift * cross
+        # max and min are NaN if any logit is, which fails both comparisons.
+        if not (out.max(initial=0.0) <= _FLOAT32_MAX and out.min(initial=0.0) >= -_FLOAT32_MAX):
+            raise ValueError(
+                f"spread {spec.spread} and shift {spec.shift} give logits that are not "
+                "finite in float32"
+            )
         return out.astype(np.float32)
 
     def steps(self, obs_window: int):

@@ -25,8 +25,9 @@ Layout (all little-endian):
 
 Column counts must equal the running token total, so every payload size is
 derivable from the header; anything else is rejected, and so is any logit
-that is NaN or infinite. write_trace refuses a value that overflows its
-field instead of wrapping it.
+that is NaN or infinite. write_trace refuses such a logit too, and a value
+that overflows its field instead of wrapping it; either way it writes no
+file.
 """
 
 from __future__ import annotations
@@ -151,7 +152,8 @@ def write_trace(trace: AttentionTrace, path) -> None:
         ),
         trace.prefill_tags.astype("<u1").tobytes(),
     ]
-    for step in trace.steps:
+    for index, step in enumerate(trace.steps):
+        _check_finite(step.blocks, index)
         chunks.append(_pack("I", new_tokens=step.new_tags.size))
         chunks.append(step.new_tags.astype("<u1").tobytes())
         _, _, rows, cols = step.blocks.shape

@@ -4,7 +4,9 @@ import contextlib
 import io
 import json
 import platform
+import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -14,8 +16,10 @@ import kvprune
 from kvprune import cli
 from kvprune.cli import main
 from kvprune.reports import RESULTS_COLUMNS, STEP_COLUMNS
-from kvprune.traceio import MAGIC, read_trace, write_trace
-from test_traceio import fuzz_dir, mutated_bytes  # noqa: F401  (fuzz_dir is a fixture)
+from kvprune.traceio import MAGIC, read_trace
+from test_traceio import (  # noqa: F401  (fuzz_dir is a fixture)
+    fuzz_dir, mutated_bytes, write_with_logit,
+)
 
 SPEC_FLAGS = ["--text", "8", "--visual", "8", "--layers", "2", "--heads", "2",
               "--dim", "8", "--steps", "4"]
@@ -46,6 +50,24 @@ class TestHelpAndUsage:
     def test_subcommand_help(self, capsys):
         assert main(["simulate", "--help"]) == 0
         assert "--policy" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, flags", [
+        ("gen-trace", "text visual interleave layers heads dim steps shift spread obs seed out"),
+        ("simulate", "trace text visual interleave layers heads dim steps shift spread budget "
+                     "ratio recent obs n recency-bias widen no-widen head-mode seed policy "
+                     "pool-width baseline-n out"),
+        ("sweep", "axis grid svg text visual interleave layers heads dim steps shift spread "
+                  "budget ratio recent obs n recency-bias widen no-widen head-mode seed policy "
+                  "pool-width baseline-n out"),
+        ("analyze", "bins epsilon bandwidth obs recent svg out"),
+        ("compare", "policies trace budget ratio recent obs n recency-bias widen no-widen "
+                    "head-mode seed pool-width baseline-n out"),
+    ])
+    def test_subcommand_flags(self, command, flags, capsys):
+        """Each subcommand's --help lists exactly these flags."""
+        assert main([command, "--help"]) == 0
+        listed = set(re.findall(r"--([a-z][a-z-]*)", capsys.readouterr().out))
+        assert listed == {"help", *flags.split()}
 
     def test_no_command(self, capsys):
         assert main([]) == 1
@@ -150,10 +172,8 @@ class TestSimulate:
     def test_non_finite_logit_is_data_error(self, tmp_path, trace_path, policy, capsys):
         """One NaN in a trace is rejected on read, naming where it is, even
         for policies that would never score its column."""
-        trace = read_trace(trace_path)
-        trace.steps[2].blocks[1, 1, 0, 0] = np.nan
         bad = tmp_path / "nan.trace"
-        write_trace(trace, bad)
+        write_with_logit(read_trace(trace_path), bad, 2, (1, 1, 0, 0), np.nan)
         out = tmp_path / "x.csv"
         assert main(["simulate", "--trace", str(bad), *CFG_FLAGS, "--policy", policy,
                      "--out", str(out)]) == 2
@@ -331,6 +351,44 @@ class TestCompare:
                      "--out", str(tmp_path / "x.csv")]) == 1
 
 
+SPEC_KEYS = ["head_dim", "heads", "interleave", "layers", "seed", "shift", "spread", "steps",
+             "text_len", "visual_len"]
+CONFIG_KEYS = ["budget_fraction", "budget_tokens", "cross_ratio", "head_mode", "obs_window",
+               "recency_bias", "recent", "seed", "smoothing", "widen_to_budget"]
+
+
+class TestSidecarSchema:
+    """Each command's sidecar keys, nested ones included, pinned."""
+
+    @pytest.mark.parametrize("argv, keys", [
+        (["gen-trace", *SPEC_FLAGS],
+         ["command", "obs_window", "outputs", "spec", "versions"]),
+        (["simulate", *SPEC_FLAGS, *CFG_FLAGS],
+         ["command", "config", "outputs", "policy", "policy_options", "spec", "versions"]),
+        (["simulate", "--trace", "TRACE", *CFG_FLAGS],
+         ["command", "config", "outputs", "policy", "policy_options", "trace", "versions"]),
+        (["sweep", "--axis", "cross_ratio", "--grid", "0.5", *SPEC_FLAGS, *CFG_FLAGS],
+         ["axis", "command", "config", "grid", "outputs", "policy", "policy_options", "spec",
+          "versions"]),
+        (["analyze", "TRACE"],
+         ["bandwidth", "bins", "command", "epsilon", "obs_window", "outputs", "recent", "trace",
+          "versions"]),
+        (["compare", "--policies", "csp,accum", "--trace", "TRACE", *CFG_FLAGS],
+         ["command", "config", "outputs", "policies", "policy_options", "trace", "versions"]),
+    ], ids=["gen-trace", "simulate", "simulate-replay", "sweep", "analyze", "compare"])
+    def test_keys(self, tmp_path, trace_path, argv, keys):
+        out = tmp_path / "out.csv"
+        argv = [str(trace_path) if arg == "TRACE" else arg for arg in argv]
+        assert main([*argv, "--out", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "out.csv.config.json").read_text())
+        assert sorted(sidecar) == keys
+        assert sorted(sidecar["versions"]) == ["kvprune", "numpy", "python"]
+        if "spec" in sidecar:
+            assert sorted(sidecar["spec"]) == SPEC_KEYS
+        if "config" in sidecar:
+            assert sorted(sidecar["config"]) == CONFIG_KEYS
+
+
 class TestConfigFile:
     def write_config(self, tmp_path, payload):
         path = tmp_path / "cfg.json"
@@ -382,10 +440,16 @@ class TestConfigFile:
         ({"seed": 1.5}, "seed"),
         ({"recent": True}, "recent"),
         ({"shift": False}, "shift"),
+        ({"policy": "bogus"}, "policy"),
+        ({"interleave": "x"}, "interleave"),
+        ({"head_mode": "x"}, "head_mode"),
+        ({"shift": 10**400}, "shift"),
     ])
     def test_value_of_wrong_type(self, tmp_path, payload, key, capsys):
         """A config value must have its flag's type: "false" is no boolean,
-        1.5 is no integer and a boolean is no number, so none is coerced."""
+        1.5 is no integer and a boolean is no number, so none is coerced.
+        A string must be one of its flag's choices, and an integer for a
+        float flag must fit a float."""
         cfg = self.write_config(tmp_path, payload)
         out = tmp_path / "x.csv"
         assert main(["--config", str(cfg), "simulate", *SPEC_FLAGS, "--out", str(out)]) == 1
@@ -399,15 +463,63 @@ class TestConfigFile:
         out = tmp_path / "x.csv"
         assert main(["--config", str(cfg), "simulate", *SPEC_FLAGS, *CFG_FLAGS[2:],
                      "--out", str(out)]) == 0
-        sidecar = json.loads((tmp_path / "x.csv.config.json").read_text())
+        text = (tmp_path / "x.csv.config.json").read_text()
+        sidecar = json.loads(text)
         assert sidecar["config"]["widen_to_budget"] is True
-        assert sidecar["spec"]["shift"] == 2.0
+        assert '"shift": 2.0' in text
+        assert sidecar["config"]["budget_fraction"] == 1.0
+        assert isinstance(sidecar["config"]["budget_fraction"], float)
+
+    @pytest.mark.parametrize("key", sorted(cli._FILE_FLAGS))
+    def test_default_value_changes_nothing(self, tmp_path, monkeypatch, key):
+        """A config file holding one key at its default gives the same CSV and
+        sidecar as no config file: the table's default, type and flag agree
+        with what simulate resolves on its own."""
+        outputs = []
+        for name, payload in (("plain", None), ("config", {key: cli._FILE_FLAGS[key].default})):
+            run_dir = tmp_path / name
+            run_dir.mkdir()
+            monkeypatch.chdir(run_dir)
+            config = [] if payload is None else [
+                "--config", str(self.write_config(run_dir, payload))]
+            assert main([*config, "simulate", "--steps", "4", "--out", "steps.csv"]) == 0
+            outputs.append([(run_dir / file).read_bytes()
+                            for file in ("steps.csv", "steps.csv.config.json")])
+        assert outputs[0] == outputs[1]
+
+    def test_analyze_reads_obs_and_recent(self, tmp_path, trace_path):
+        """analyze resolves obs and recent like any flag: flag, else config
+        file, else its own defaults (every row, 0)."""
+        cfg = self.write_config(tmp_path, {"recent": 5, "obs": 3})
+        sidecars = {}
+        for name, argv in (
+            ("default", ["analyze", str(trace_path)]),
+            ("config", ["--config", str(cfg), "analyze", str(trace_path)]),
+            ("flags", ["--config", str(cfg), "analyze", str(trace_path), "--obs", "2",
+                       "--recent", "1"]),
+        ):
+            out = tmp_path / f"{name}.csv"
+            assert main([*argv, "--out", str(out)]) == 0
+            sidecar = json.loads((tmp_path / f"{name}.csv.config.json").read_text())
+            sidecars[name] = sidecar["obs_window"], sidecar["recent"]
+        assert sidecars == {"default": (None, 0), "config": (3, 5), "flags": (2, 1)}
+        assert (tmp_path / "config.csv").read_bytes() != (tmp_path / "default.csv").read_bytes()
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{not json")
         assert main(["--config", str(path), "simulate",
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{", b'{"seed": 1' + b"0" * 5000 + b"}"],
+                             ids=["not-utf8", "int-too-long"])
+    def test_undecodable_config(self, tmp_path, content, capsys):
+        """Bytes json cannot decode are a data error with one error line."""
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        assert main(["--config", str(path), "simulate", "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config file") and err.count("\n") == 1
 
     def test_missing_config_file(self, tmp_path):
         assert main(["--config", str(tmp_path / "absent.json"), "simulate",
@@ -443,3 +555,21 @@ class TestBadValues:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, flags", [
+        ("gen-trace", ["--spread", "1e300"]),
+        ("gen-trace", ["--shift", "1e39"]),
+        ("simulate", ["--spread", "1e300", "--policy", "full"]),
+        ("sweep", ["--shift", "1e39", "--axis", "cross_ratio", "--grid", "0.5"]),
+    ])
+    def test_logits_beyond_float32(self, tmp_path, command, flags, capsys):
+        """A synthetic decode whose logits float32 cannot hold is a usage
+        error: one error line, no warning, and no file, not a trace that
+        cannot be read back or a run that reports nothing wrong."""
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, *SPEC_FLAGS, *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: spread ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []

@@ -1,5 +1,7 @@
 """Tests for the synthetic decoder, the decode loop, and sweeps."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -132,6 +134,18 @@ class TestSyntheticDecoder:
         a = SyntheticDecoder(base).logit_block(1, ids, ids)
         b = SyntheticDecoder(wide).logit_block(1, ids, ids)
         np.testing.assert_allclose(b, 2.0 * a, atol=1e-4)
+
+    @pytest.mark.parametrize("field, value", [("spread", 1e300), ("shift", 1e39),
+                                              ("spread", 1e308)])
+    def test_logits_beyond_float32_refused(self, field, value):
+        """Logits that float32 cannot hold are refused before the cast, naming
+        spread and shift, and no overflow warning escapes."""
+        decoder = SyntheticDecoder(SynthSpec(**{**SMALL.__dict__, field: value}))
+        ids = np.arange(6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"spread .* and shift .* not finite in float32"):
+                decoder.logit_block(0, ids, ids)
 
     def test_decode_tail_is_text(self):
         decoder = SyntheticDecoder(SMALL)

@@ -37,6 +37,20 @@ def small_trace(seed=42):
     return AttentionTrace(layers=2, heads=3, head_dim=8, prefill_tags=prefill, steps=steps)
 
 
+def write_with_logit(trace, path, step, index, value):
+    """Write trace to path with one logit of one step set to value.
+
+    write_trace refuses a logit that is not finite, so this writes a finite
+    sentinel in its place and then swaps the sentinel's bytes for value's.
+    """
+    sentinel = np.float32(1.5e30).tobytes()
+    trace.steps[step].blocks[index] = np.float32(1.5e30)
+    write_trace(trace, path)
+    data = path.read_bytes()
+    assert data.count(sentinel) == 1
+    path.write_bytes(data.replace(sentinel, np.float32(value).tobytes()))
+
+
 @st.composite
 def mutated_bytes(draw, data: bytes):
     """data after one to four byte flips, truncations or insertions."""
@@ -119,6 +133,17 @@ class TestValidation:
         trace = AttentionTrace(**dims, prefill_tags=np.zeros(1, dtype=np.uint8))
         path = tmp_path / "t.trace"
         with pytest.raises(ValueError, match=f"{field} {value} .*u16"):
+            write_trace(trace, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logit_refused(self, tmp_path, value):
+        """write_trace refuses a logit read_trace would reject, naming where
+        it is, and writes no file."""
+        trace = small_trace()
+        trace.steps[2].blocks[1, 0, 1, 3] = value
+        path = tmp_path / "t.trace"
+        with pytest.raises(NonFiniteLogitError, match=r"step 2 layer 1 head 0: non-finite"):
             write_trace(trace, path)
         assert not path.exists()
 
@@ -223,10 +248,8 @@ class TestCorruption:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_logit_names_step_layer_and_head(self, tmp_path, value):
-        trace = small_trace()
-        trace.steps[2].blocks[1, 1, 1, 3] = value
         path = tmp_path / "nan.trace"
-        write_trace(trace, path)
+        write_with_logit(small_trace(), path, 2, (1, 1, 1, 3), value)
         with pytest.raises(NonFiniteLogitError,
                            match=r"step 2 layer 1 head 1: non-finite logit .* row 1, col 3"):
             read_trace(path)
