@@ -20,6 +20,7 @@ choices, if it has any.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -446,9 +447,11 @@ def _cmd_compare(args, file_cfg) -> int:
     names = [part.strip() for part in args.policies.split(",") if part.strip()]
     if len(names) < 2:
         raise UsageError("--policies needs at least two comma-separated names")
-    for name in names:
+    for index, name in enumerate(names):
         if name not in POLICY_NAMES:
             raise UsageError(f"unknown policy {name!r}; choices: {', '.join(POLICY_NAMES)}")
+        if name in names[:index]:
+            raise UsageError(f"--policies lists {name!r} more than once")
 
     trace = read_trace(args.trace)
     cfg = _config_from(resolved, fraction, trace.final_length)
@@ -466,8 +469,13 @@ def _cmd_compare(args, file_cfg) -> int:
     return 0
 
 
+# argparse keeps no state between parses, so one parser serves every call
+# of main in a process; building it costs more than most parses.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
     except UsageError as err:

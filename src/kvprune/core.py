@@ -62,7 +62,11 @@ def modality_index(tags) -> tuple[np.ndarray, np.ndarray]:
 
 def tag_counts(tags) -> tuple[int, int]:
     """(text_count, visual_count) for a tag sequence."""
-    tags = as_tags(tags)
+    return _tag_counts(as_tags(tags))
+
+
+def _tag_counts(tags: np.ndarray) -> tuple[int, int]:
+    """tag_counts on a uint8 array of valid tags, unchecked."""
     # Valid tags are 0 or 1, so the nonzero ones are the visual ones.
     visual = int(np.count_nonzero(tags))
     return tags.size - visual, visual

@@ -63,7 +63,13 @@ def cross_self_importance(weights, query_tags, key_tags) -> ImportanceScores:
     Works for arbitrary interleavings; block-contiguous layouts are just the
     special case where the sums are contiguous slices.
     """
-    weights, query_tags, key_tags = _check_tagged(weights, query_tags, key_tags)
+    return _cross_self_importance(*_check_tagged(weights, query_tags, key_tags))
+
+
+def _cross_self_importance(weights: np.ndarray, query_tags: np.ndarray,
+                           key_tags: np.ndarray) -> ImportanceScores:
+    """cross_self_importance on a float64 matrix and uint8 tags that match
+    its rows and columns, unchecked."""
     text_rows = query_tags == TEXT_CODE
     from_text = weights[text_rows].sum(axis=0) if text_rows.any() else np.zeros(weights.shape[1])
     from_visual = weights[~text_rows].sum(axis=0) if (~text_rows).any() else np.zeros(weights.shape[1])

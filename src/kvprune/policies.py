@@ -21,6 +21,11 @@ survive, the retained candidates in ascending order followed by the recent
 window, so keep[:keep.size - recent] are the kept candidates. The caller
 prunes by indexing its own per-position data with keep. Steps never mutate
 their inputs.
+
+Each step checks its own inputs once, on entry: the config, both tag
+sequences, the logits' shape against them, finite logits and the baselines'
+smoothing. Past that it calls the unchecked kernels of scoring, decompose
+and core rather than their checked public forms.
 """
 
 from __future__ import annotations
@@ -30,9 +35,9 @@ from enum import Enum
 
 import numpy as np
 
-from .core import PruneConfig, as_tags, tag_counts, validate_config
-from .decompose import cross_self_importance
-from .scoring import head_average, smoothed_softmax_rows, trim_observation
+from .core import PruneConfig, _tag_counts, as_tags, validate_config
+from .decompose import _cross_self_importance
+from .scoring import _head_average, _smoothed_softmax_rows, _trim_observation
 from .selection import budget_to_k, cross_self_select, topk_mask
 
 
@@ -59,12 +64,23 @@ class PolicyDecision:
     pruned: bool = True
 
 
-def _per_head_weights(key_tags: np.ndarray, logits, query_tags, smoothing: float):
-    """Validate shapes and turn raw logits into per-head weight stacks."""
-    logits = np.asarray(logits, dtype=np.float64)
+def _checked(key_tags, logits, query_tags, cfg: PruneConfig, smoothing: float):
+    """A step's entry checks. Returns the key and query tags as uint8 and
+    the logits as a (heads, rows, cols) array, float32 if they came as
+    float32 and float64 otherwise, with cols matching the key tags and rows
+    the query tags."""
+    validate_config(cfg)
+    if not 0.0 <= smoothing < np.inf:
+        raise ValueError(f"smoothing must be finite and >= 0, got {smoothing}")
+    key_tags = as_tags(key_tags)
+    logits = np.asarray(logits)
+    if logits.dtype != np.float32:
+        logits = logits.astype(np.float64, copy=False)
     if logits.ndim != 3:
         raise ValueError(f"logits must be (heads, rows, cols), got shape {logits.shape}")
     heads, rows, cols = logits.shape
+    if heads < 1:
+        raise ValueError("need at least one head")
     if cols != key_tags.size:
         raise ValueError(
             f"logits cover {cols} keys but the cache holds {key_tags.size}"
@@ -72,15 +88,23 @@ def _per_head_weights(key_tags: np.ndarray, logits, query_tags, smoothing: float
     query_tags = as_tags(query_tags)
     if query_tags.shape[0] != rows:
         raise ValueError(f"{query_tags.shape[0]} query tags for {rows} logit rows")
-    flat = smoothed_softmax_rows(logits.reshape(heads * rows, cols), smoothing)
-    return flat.reshape(heads, rows, cols), query_tags
+    if logits.size and not np.isfinite(logits).all():
+        raise ValueError("logits must contain finite entries only")
+    return key_tags, logits, query_tags
+
+
+def _per_head_weights(logits: np.ndarray, smoothing: float) -> np.ndarray:
+    """Checked logits to float64 (heads, rows, cols) weight stacks."""
+    heads, rows, cols = logits.shape
+    flat = _smoothed_softmax_rows(logits.reshape(heads * rows, cols), smoothing)
+    return flat.reshape(heads, rows, cols)
 
 
 def _decided(key_tags: np.ndarray, cfg: PruneConfig, keep: np.ndarray, ks, pruned: bool):
     """(keep, decision) for a step that keeps the positions keep."""
     decision = PolicyDecision(
         achieved_occupancy=keep.size,
-        per_modality_retained=tag_counts(key_tags[keep[: max(keep.size - cfg.recent, 0)]]),
+        per_modality_retained=_tag_counts(key_tags[keep[: max(keep.size - cfg.recent, 0)]]),
         ks_used=ks,
         pruned=pruned,
     )
@@ -108,25 +132,24 @@ def csp_step(key_tags, logits, query_tags, cfg: PruneConfig, state=None):
     trimming, modality decomposition and intersected top-k selection, with
     the recent window kept after the selected candidates.
     """
-    validate_config(cfg)
-    key_tags = as_tags(key_tags)
+    key_tags, logits, query_tags = _checked(key_tags, logits, query_tags, cfg, cfg.smoothing)
     if key_tags.size < cfg.budget:
         return (*_noop(key_tags, cfg), None)
-    weights, query_tags = _per_head_weights(key_tags, logits, query_tags, cfg.smoothing)
+    weights = _per_head_weights(logits, cfg.smoothing)
     cand = key_tags.size - cfg.recent
     cand_tags = key_tags[:cand]
 
     if cfg.head_mode == "averaged":
-        trimmed = trim_observation(head_average(weights), cfg.obs_window, cfg.recent)
-        imp = cross_self_importance(trimmed, query_tags[-trimmed.shape[0] :], cand_tags)
+        trimmed = _trim_observation(_head_average(weights), cfg.obs_window, cfg.recent)
+        imp = _cross_self_importance(trimmed, query_tags[-trimmed.shape[0] :], cand_tags)
         chosen = cross_self_select(imp, cfg)
     else:
         # Per-head mode: each head votes with its own intersected selection;
         # the most-voted candidates fill the pool, ties to the smaller index.
         votes = np.zeros(cand)
         for head_weights in weights:
-            trimmed = trim_observation(head_weights, cfg.obs_window, cfg.recent)
-            imp = cross_self_importance(trimmed, query_tags[-trimmed.shape[0] :], cand_tags)
+            trimmed = _trim_observation(head_weights, cfg.obs_window, cfg.recent)
+            imp = _cross_self_importance(trimmed, query_tags[-trimmed.shape[0] :], cand_tags)
             votes[cross_self_select(imp, cfg)] += 1
         target = min(max(cfg.budget - cfg.recent, 0), cand)
         chosen = np.argsort(-votes, kind="stable")[:target]
@@ -158,12 +181,11 @@ def global_topk_step(
     smoothing: float = 0.0,
 ):
     """Single global ranking by column sum, no modality split."""
-    validate_config(cfg)
-    key_tags = as_tags(key_tags)
+    key_tags, logits, query_tags = _checked(key_tags, logits, query_tags, cfg, smoothing)
     if key_tags.size < cfg.budget:
         return (*_noop(key_tags, cfg), None)
-    weights, query_tags = _per_head_weights(key_tags, logits, query_tags, smoothing)
-    trimmed = trim_observation(head_average(weights), cfg.obs_window, cfg.recent)
+    weights = _per_head_weights(logits, smoothing)
+    trimmed = _trim_observation(_head_average(weights), cfg.obs_window, cfg.recent)
     importance = _pooled(trimmed.sum(axis=0), pool_width)
     pool = max(cfg.budget - cfg.recent, 0)
     return (*_pruned(key_tags, cfg, topk_mask(importance, pool), (pool, pool)), None)
@@ -185,8 +207,7 @@ def accumulated_score_step(
     whole cache; eviction keeps the top pool accumulators among the
     candidates, and evicted accumulators are dropped with their tokens.
     """
-    validate_config(cfg)
-    key_tags = as_tags(key_tags)
+    key_tags, logits, query_tags = _checked(key_tags, logits, query_tags, cfg, smoothing)
     running = np.zeros(0) if state is None else np.asarray(state, dtype=np.float64)
     grown = key_tags.size - running.size
     if grown < 0:
@@ -195,8 +216,7 @@ def accumulated_score_step(
             f"{key_tags.size}: the cache shrank outside of this policy's own pruning"
         )
     running = np.concatenate([running, np.zeros(grown)])
-    weights, query_tags = _per_head_weights(key_tags, logits, query_tags, smoothing)
-    averaged = head_average(weights)
+    averaged = _head_average(_per_head_weights(logits, smoothing))
     obs_rows = min(cfg.obs_window, averaged.shape[0])
     running = running + averaged[averaged.shape[0] - obs_rows :, :].sum(axis=0)
 
@@ -210,8 +230,8 @@ def accumulated_score_step(
 
 def full_cache_step(key_tags, logits, query_tags, cfg: PruneConfig, state=None):
     """Reference policy: never evicts."""
-    validate_config(cfg)
-    return (*_noop(as_tags(key_tags), cfg), None)
+    key_tags, _, _ = _checked(key_tags, logits, query_tags, cfg, 0.0)
+    return (*_noop(key_tags, cfg), None)
 
 
 POLICY_NAMES = tuple(kind.value for kind in PolicyKind)

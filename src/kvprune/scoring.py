@@ -8,6 +8,9 @@ can stand in for the evicted mass and keep the kept weights near their
 original values.
 
 All matrices here are float64 ndarrays; rows are queries, columns are keys.
+Each public function checks its input, then calls an unchecked kernel of the
+same name with a leading underscore; the policy steps check their own input
+once and call the kernels directly.
 """
 
 from __future__ import annotations
@@ -79,15 +82,24 @@ def smoothed_softmax_rows(logits, smoothing: float) -> np.ndarray:
     logits = _as_matrix(logits, "logits")
     if not 0.0 <= smoothing < np.inf:
         raise ValueError(f"smoothing must be finite and >= 0, got {smoothing}")
+    return _smoothed_softmax_rows(logits, smoothing)
+
+
+def _smoothed_softmax_rows(logits: np.ndarray, smoothing: float) -> np.ndarray:
+    """smoothed_softmax_rows on a finite 2-D float32 or float64 matrix and
+    a valid smoothing, unchecked. The result is float64, and the same bits
+    for a float32 matrix as for its float64 copy."""
     if logits.shape[1] == 0:
         if smoothing == 0.0:
             raise ValueError("no columns and smoothing is 0; weights are undefined")
-        return logits.copy()
+        return np.zeros(logits.shape)
 
     # Shift each row by max(row max, ln smoothing) so that neither the
-    # exponentials nor the smoothing term can overflow.
+    # exponentials nor the smoothing term can overflow. The row max is cast
+    # to float64: the -inf of smoothing 0 is a Python float, which would
+    # leave a float32 shift, and the arithmetic below, in float32.
     log_smoothing = np.log(smoothing) if smoothing > 0.0 else -np.inf
-    shift = np.maximum(logits.max(axis=1), log_smoothing)
+    shift = np.maximum(logits.max(axis=1).astype(np.float64), log_smoothing)
     expd = np.exp(logits - shift[:, None])
     # exp(ln n - shift) instead of n * exp(-shift): the latter is 0 * inf
     # (NaN) when n == 0 and the row max is strongly negative.
@@ -102,6 +114,11 @@ def head_average(weights) -> np.ndarray:
         raise ValueError(f"expected (heads, rows, cols), got shape {weights.shape}")
     if weights.shape[0] < 1:
         raise ValueError("need at least one head")
+    return _head_average(weights)
+
+
+def _head_average(weights: np.ndarray) -> np.ndarray:
+    """head_average on a float64 stack of at least one head, unchecked."""
     return weights.mean(axis=0)
 
 
@@ -113,12 +130,19 @@ def trim_observation(weights, obs_window: int, recent: int) -> np.ndarray:
     larger than the row count keeps every row.
     """
     weights = _as_matrix(weights, "weights")
-    rows, cols = weights.shape
+    cols = weights.shape[1]
     if obs_window < 1:
         raise ValueError(f"obs_window must be >= 1, got {obs_window}")
     if recent < 0:
         raise ValueError(f"recent must be >= 0, got {recent}")
     if recent >= cols:
         raise ValueError(f"recent window ({recent}) swallows every key column ({cols})")
+    return _trim_observation(weights, obs_window, recent)
+
+
+def _trim_observation(weights: np.ndarray, obs_window: int, recent: int) -> np.ndarray:
+    """trim_observation on a 2-D matrix, obs_window >= 1 and
+    0 <= recent < cols, unchecked."""
+    rows, cols = weights.shape
     keep_rows = min(obs_window, rows)
     return weights[rows - keep_rows :, : cols - recent]

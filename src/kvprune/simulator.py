@@ -37,7 +37,7 @@ import numpy as np
 from . import policies
 from .core import TEXT_CODE, VISUAL_CODE, PruneConfig, as_tags, tag_counts
 from .policies import PolicyDecision
-from .scoring import attention_logits, smoothed_softmax_rows, softmax_rows
+from .scoring import _smoothed_softmax_rows, attention_logits, softmax_rows
 from .traceio import AttentionTrace, TraceStep
 
 INTERLEAVE_MODES = ("block", "alternating", "random")
@@ -359,8 +359,10 @@ def _recon_error(decoder, blocks: np.ndarray, retained: list[np.ndarray], smooth
             # because numpy's row sums depend on buffer alignment.
             errors.append(0.0)
             continue
+        # The step checked these logits and the smoothing before any error
+        # is measured.
         logits = blocks[layer, :, -1, :]
-        pruned_weights = smoothed_softmax_rows(logits[:, kept], smoothing)
+        pruned_weights = _smoothed_softmax_rows(logits[:, kept], smoothing)
         pruned_out = pruned_weights @ decoder.values(layer, kept)
         errors.append(float(np.linalg.norm(decoder.full_output(layer, length) - pruned_out)))
     return float(np.mean(errors))

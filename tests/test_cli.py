@@ -1,6 +1,8 @@
 """End-to-end CLI tests: every subcommand, exit codes, config layering."""
 
 import contextlib
+import dataclasses
+import inspect
 import io
 import json
 import platform
@@ -15,7 +17,10 @@ from hypothesis import given, strategies as st
 import kvprune
 from kvprune import cli
 from kvprune.cli import main
+from kvprune.core import PruneConfig
+from kvprune.policies import accumulated_score_step, global_topk_step
 from kvprune.reports import RESULTS_COLUMNS, STEP_COLUMNS
+from kvprune.simulator import SynthSpec
 from kvprune.traceio import MAGIC, read_trace
 from test_traceio import (  # noqa: F401  (fuzz_dir is a fixture)
     fuzz_dir, mutated_bytes, write_with_logit,
@@ -349,6 +354,109 @@ class TestCompare:
         assert main(["compare", "--policies", "csp,oracle",
                      "--trace", str(trace_path),
                      "--out", str(tmp_path / "x.csv")]) == 1
+
+    def test_repeated_policy(self, tmp_path, trace_path, capsys):
+        """A name given twice would write its rows twice, with nothing in
+        the CSV to tell the two runs apart."""
+        out = tmp_path / "x.csv"
+        assert main(["compare", "--policies", "csp,accum,csp", "--trace", str(trace_path),
+                     *CFG_FLAGS, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "'csp'" in err
+        assert not out.exists() and not (tmp_path / "x.csv.config.json").exists()
+
+
+class TestSharedParser:
+    """main builds its parser once per process; no call sees another's."""
+
+    CALLS = [
+        ["sweep", "--axis", "bogus", "--grid", "0.5", "--out", "bad.csv"],
+        ["sweep", "--axis", "cross_ratio", "--grid", "0.2,0.8", *SPEC_FLAGS, *CFG_FLAGS,
+         "--out", "sweep.csv"],
+        ["--config", "cfg.json", "simulate", *SPEC_FLAGS, *CFG_FLAGS, "--out", "with.csv"],
+        ["simulate", *SPEC_FLAGS, *CFG_FLAGS, "--out", "without.csv"],
+        ["--help"],
+    ]
+
+    def run_all(self, run_dir, monkeypatch, fresh):
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        (run_dir / "cfg.json").write_text(json.dumps({"n": 2.5}))
+        results = []
+        for argv in self.CALLS:
+            if fresh:
+                cli._shared_parser.cache_clear()
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            results.append((code, out.getvalue(), err.getvalue()))
+        files = {path.name: path.read_bytes() for path in sorted(run_dir.iterdir())}
+        return results, files
+
+    def test_calls_match_fresh_parsers(self, tmp_path, monkeypatch):
+        parser = cli._shared_parser()
+        shared = self.run_all(tmp_path / "shared", monkeypatch, fresh=False)
+        assert cli._shared_parser() is parser
+        fresh = self.run_all(tmp_path / "fresh", monkeypatch, fresh=True)
+        assert shared == fresh
+
+        results, files = shared
+        assert [code for code, _, _ in results] == [1, 0, 0, 0, 0]
+        assert "gen-trace" in results[-1][1]
+        assert "bad.csv" not in files
+        smoothing = {name: json.loads(files[f"{name}.csv.config.json"])["config"]["smoothing"]
+                     for name in ("with", "without")}
+        assert smoothing == {"with": 2.5, "without": 1.0}
+
+
+# Where the library repeats a table flag's default: (flag, owner, field or
+# parameter). Flags with no library default are listed apart, so a new
+# flag must be placed in one or the other.
+LIBRARY_DEFAULTS = [
+    ("text", SynthSpec, "text_len"),
+    ("visual", SynthSpec, "visual_len"),
+    ("interleave", SynthSpec, "interleave"),
+    ("layers", SynthSpec, "layers"),
+    ("heads", SynthSpec, "heads"),
+    ("dim", SynthSpec, "head_dim"),
+    ("steps", SynthSpec, "steps"),
+    ("shift", SynthSpec, "shift"),
+    ("spread", SynthSpec, "spread"),
+    ("seed", SynthSpec, "seed"),
+    ("ratio", PruneConfig, "cross_ratio"),
+    ("n", PruneConfig, "smoothing"),
+    ("recency_bias", PruneConfig, "recency_bias"),
+    ("widen", PruneConfig, "widen_to_budget"),
+    ("head_mode", PruneConfig, "head_mode"),
+    ("seed", PruneConfig, "seed"),
+    ("pool_width", global_topk_step, "pool_width"),
+    ("baseline_n", global_topk_step, "smoothing"),
+    ("baseline_n", accumulated_score_step, "smoothing"),
+]
+NO_LIBRARY_DEFAULT = {"budget", "recent", "obs", "policy"}
+
+
+def library_default(owner, name):
+    if dataclasses.is_dataclass(owner):
+        return {field.name: field.default for field in dataclasses.fields(owner)}[name]
+    return inspect.signature(owner).parameters[name].default
+
+
+class TestLibraryDefaults:
+    """SynthSpec, PruneConfig and the baseline steps repeat the defaults of
+    cli.FLAGS; they must agree, or the library and the CLI drift apart."""
+
+    @pytest.mark.parametrize("flag, owner, name", LIBRARY_DEFAULTS,
+                             ids=[f"{flag}-{name}" for flag, _, name in LIBRARY_DEFAULTS])
+    def test_default_matches_table(self, flag, owner, name):
+        table = cli._FILE_FLAGS[flag].default
+        value = library_default(owner, name)
+        assert (value, type(value)) == (table, type(table))
+
+    def test_every_flag_is_placed(self):
+        mapped = {flag for flag, _, _ in LIBRARY_DEFAULTS}
+        assert mapped.isdisjoint(NO_LIBRARY_DEFAULT)
+        assert mapped | NO_LIBRARY_DEFAULT == set(cli._FILE_FLAGS)
 
 
 SPEC_KEYS = ["head_dim", "heads", "interleave", "layers", "seed", "shift", "spread", "steps",

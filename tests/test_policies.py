@@ -422,6 +422,23 @@ class TestPolicyObjects:
         monkeypatch.setattr(policies, "csp_step", wrapped)
         assert policy_step("csp") is wrapped
 
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    def test_float32_logits_match_float64(self, name):
+        """A step on float32 logits, as a slab or trace holds them, decides
+        exactly as on their float64 copy."""
+        rng = np.random.default_rng(11)
+        tags = tags_of(rng.integers(0, 2, size=20))
+        logits = (rng.standard_normal((3, 4, 20)) * 4).astype(np.float32)
+        qt = rng.integers(0, 2, size=4)
+        cfg = PruneConfig(budget=12, recent=3, obs_window=4, smoothing=0.0)
+        state = np.zeros(20) if name == "accum" else None
+        narrow = policy_step(name)(tags, logits, qt, cfg, state)
+        wide = policy_step(name)(tags, logits.astype(np.float64), qt, cfg, state)
+        np.testing.assert_array_equal(narrow[0], wide[0])
+        assert narrow[1] == wide[1]
+        if name == "accum":
+            np.testing.assert_array_equal(narrow[2], wide[2])
+
     def test_policy_step_unknown_name(self):
         with pytest.raises(ValueError, match="unknown policy"):
             policy_step("h2o")

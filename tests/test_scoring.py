@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kvprune.scoring import (
+    _smoothed_softmax_rows,
     attention_logits,
     head_average,
     smoothed_softmax_rows,
@@ -188,6 +189,19 @@ class TestSmoothedSoftmaxProperties:
     def test_zero_smoothing_keeping_all_is_softmax(self, case):
         logits, _ = case
         np.testing.assert_array_equal(smoothed_softmax_rows(logits, 0.0), softmax_rows(logits))
+
+    @given(softmax_cases(), st.one_of(st.just(0.0), smoothings))
+    def test_float32_input_gives_the_float64_bits(self, case, smoothing):
+        """The kernel takes float32 logits as gathered from a slab or trace
+        and computes in float64, so it returns the bits the checked form
+        returns for their float64 copy; at smoothing 0 too, where the
+        -inf shift bound would otherwise leave the arithmetic in float32."""
+        logits, kept = case
+        narrow = logits[:, kept].astype(np.float32)
+        out = _smoothed_softmax_rows(narrow, smoothing)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, smoothed_softmax_rows(narrow.astype(np.float64),
+                                                                 smoothing))
 
 
 class TestSharpening:
