@@ -68,22 +68,22 @@ def invalid_config(**fields):
 def step_cases():
     """(id, step name, args, kwargs): one bad input per case."""
     for name in STEPS:
-        for cfg in (PRUNING, NOOP):
-            path = "prune" if cfg is PRUNING else "noop"
-            good = (KEY_TAGS, LOGITS, QUERY_TAGS, cfg)
-            for value in NON_FINITE:
-                yield f"{name}-{path}-logit-{value}", name, (*good[:1], with_logit(value),
-                                                             *good[2:]), {}
-            yield f"{name}-{path}-key-tag-2", name, (with_tag(KEY_TAGS), *good[1:]), {}
-            yield f"{name}-{path}-query-tag-2", name, (*good[:2], with_tag(QUERY_TAGS),
-                                                       cfg), {}
-            yield f"{name}-{path}-logit-cols", name, (KEY_TAGS[:-1], *good[1:]), {}
-            yield f"{name}-{path}-logit-rows", name, (*good[:2], QUERY_TAGS[:1], cfg), {}
-            yield f"{name}-{path}-logits-2d", name, (KEY_TAGS, LOGITS[0], QUERY_TAGS, cfg), {}
-            yield f"{name}-{path}-no-heads", name, (KEY_TAGS, LOGITS[:0], QUERY_TAGS, cfg), {}
+        for path, cfg in (("prune", PRUNING), ("noop", NOOP)):
+            bad_args = {
+                **{f"logit-{v}": (KEY_TAGS, with_logit(v), QUERY_TAGS, cfg) for v in NON_FINITE},
+                "key-tag-2": (with_tag(KEY_TAGS), LOGITS, QUERY_TAGS, cfg),
+                "query-tag-2": (KEY_TAGS, LOGITS, with_tag(QUERY_TAGS), cfg),
+                "logit-cols": (KEY_TAGS[:-1], LOGITS, QUERY_TAGS, cfg),
+                "logit-rows": (KEY_TAGS, LOGITS, QUERY_TAGS[:1], cfg),
+                "logits-2d": (KEY_TAGS, LOGITS[0], QUERY_TAGS, cfg),
+                "no-heads": (KEY_TAGS, LOGITS[:0], QUERY_TAGS, cfg),
+            }
+            for case, args in bad_args.items():
+                yield f"{name}-{path}-{case}", name, args, {}
             if name in BASELINES:
-                for value in BAD_SMOOTHING:
-                    yield f"{name}-{path}-smoothing-{value}", name, good, {"smoothing": value}
+                for v in BAD_SMOOTHING:
+                    yield (f"{name}-{path}-smoothing-{v}", name,
+                           (KEY_TAGS, LOGITS, QUERY_TAGS, cfg), {"smoothing": v})
         for field, value in (("recent", 4), ("cross_ratio", 1.5), ("smoothing", -1.0),
                              ("head_mode", "vote")):
             cfg = invalid_config(**{field: value})
