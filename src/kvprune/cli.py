@@ -31,7 +31,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .core import HEAD_MODES, PruneConfig
-from .diagnostics import DEFAULT_BINS, DEFAULT_EPSILON, MAX_BINS, layer_report
+from .diagnostics import DEFAULT_BINS, DEFAULT_EPSILON, KERNEL_CUTOFF, MAX_BINS, layer_report
 from .policies import POLICY_LABELS, POLICY_NAMES
 from .simulator import (
     INTERLEAVE_MODES,
@@ -389,8 +389,17 @@ def _cmd_analyze(args, file_cfg) -> int:
         raise UsageError(
             f"--epsilon must be positive with --bins x --epsilon finite, got {args.epsilon}"
         )
-    if args.bandwidth is not None and not 0 < args.bandwidth < np.inf:
-        raise UsageError(f"--bandwidth must be finite and positive, got {args.bandwidth}")
+    # kde divides by the bandwidth and reaches KERNEL_CUTOFF bandwidths out;
+    # either overflowing would leave it no finite curve to draw.
+    if args.bandwidth is not None and not (
+        0 < args.bandwidth
+        and 1.0 / args.bandwidth < np.inf
+        and KERNEL_CUTOFF * args.bandwidth < np.inf
+    ):
+        raise UsageError(
+            f"--bandwidth must be positive with 1/bandwidth and {KERNEL_CUTOFF:g} x bandwidth "
+            f"finite, got {args.bandwidth}"
+        )
     if obs is not None and obs < 1:
         raise UsageError(f"--obs must be >= 1, got {obs}")
     if recent < 0:

@@ -51,6 +51,7 @@ class _Frame:
         self.top = MARGIN_TOP
         self.bottom = HEIGHT - MARGIN_BOTTOM
 
+    # x and y take a scalar or a float64 array; same operations either way.
     def x(self, v: float) -> float:
         frac = (v - self.x_lo) / (self.x_hi - self.x_lo)
         return self.left + frac * (self.right - self.left)
@@ -127,9 +128,9 @@ def line_chart(series, title: str, x_label: str, y_label: str) -> str:
     parts = frame.chrome(title, x_label, y_label)
     for index, (label, xs, ys) in enumerate(series):
         color = PALETTE[index % len(PALETTE)]
-        points = " ".join(
-            f"{_fmt(frame.x(float(x)))},{_fmt(frame.y(float(y)))}" for x, y in zip(xs, ys)
-        )
+        px = frame.x(np.asarray(xs, dtype=np.float64)).tolist()
+        py = frame.y(np.asarray(ys, dtype=np.float64)).tolist()
+        points = " ".join("%.2f,%.2f" % point for point in zip(px, py))
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.8"/>'
         )

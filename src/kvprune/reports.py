@@ -153,12 +153,15 @@ def divergence_csv(report) -> str:
 
 
 def density_csv(report) -> str:
-    rows = []
+    """One row per grid point of every curve, formatted as format_cell
+    would format each cell, but from whole arrays."""
+    lines = ["layer,pairing,weight,density"]
     for layer, (intra, inter) in enumerate(report.curves):
         for kind, curve in (("intra", intra), ("inter", inter)):
-            for x, y in zip(curve.grid, curve.density):
-                rows.append([layer, kind, float(x), float(y)])
-    return _csv(("layer", "pairing", "weight", "density"), rows)
+            prefix = f"{layer},{kind},"
+            pairs = zip(curve.grid.tolist(), curve.density.tolist())
+            lines.extend(prefix + "%.9g,%.9g" % pair for pair in pairs)
+    return "\n".join(lines) + "\n"
 
 
 def write_text(path, text: str) -> None:

@@ -281,6 +281,56 @@ def kde_dense(samples, bandwidth, grid_points=512):
     return grid, density * norm
 
 
+def format_cell(value):
+    """One CSV cell the way kvprune's reports render it: ints as is,
+    floats at 9 significant digits."""
+    if isinstance(value, float):
+        return "%.9g" % value
+    return str(value)
+
+
+def density_csv_text(curves):
+    """The analyze `_kde.csv` text, built and formatted one cell at a time.
+
+    curves: one (intra, inter) pair per layer, each with .grid and .density.
+    """
+    lines = ["layer,pairing,weight,density"]
+    for layer, (intra, inter) in enumerate(curves):
+        for kind, curve in (("intra", intra), ("inter", inter)):
+            for x, y in zip(curve.grid, curve.density):
+                cells = [layer, kind, float(x), float(y)]
+                lines.append(",".join(format_cell(cell) for cell in cells))
+    return "\n".join(lines) + "\n"
+
+
+def polyline_points(series, left, right, top, bottom):
+    """Each series' SVG polyline `points` text, one scalar point at a time.
+
+    The axes span every series' values padded by 4 % (or by 0.5 each way
+    when all values are equal); a value maps linearly onto the plot box,
+    y upward, and each coordinate prints with 2 decimals.
+    """
+
+    def padded(values):
+        lo, hi = min(values), max(values)
+        if hi == lo:
+            return lo - 0.5, hi + 0.5
+        pad = 0.04 * (hi - lo)
+        return lo - pad, hi + pad
+
+    x_lo, x_hi = padded([float(x) for _, xs, _ in series for x in xs])
+    y_lo, y_hi = padded([float(y) for _, _, ys in series for y in ys])
+    out = []
+    for _, xs, ys in series:
+        points = []
+        for x, y in zip(xs, ys):
+            px = left + (float(x) - x_lo) / (x_hi - x_lo) * (right - left)
+            py = bottom - (float(y) - y_lo) / (y_hi - y_lo) * (bottom - top)
+            points.append("%.2f,%.2f" % (px, py))
+        out.append(" ".join(points))
+    return out
+
+
 def js_from_samples(p_samples, q_samples, bins, epsilon=1e-10):
     """Histogram JS divergence by explicit probability-mass bookkeeping."""
     lo = min(min(p_samples), min(q_samples))

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import inspect
 import io
 import json
@@ -33,6 +34,18 @@ VERSIONS = {
     "kvprune": kvprune.__version__,
     "numpy": np.__version__,
     "python": platform.python_version(),
+}
+
+
+# sha256 of analyze's outputs at the benchmark's trace-analyze shape, seed 7.
+ANALYZE_GOLDEN = {
+    "divergence.csv": "a563c8bbe12437183781cc431fac48361dc62701d69dc063e960297702b9de19",
+    "divergence_kde.csv": "551b439191bd966ea0ba988dfa00c3552af426cc8986e8e44e2679e153698b91",
+    "divergence_js.svg": "6120ff6a1f09e0ada2d78514850ed4d8ea9145715d37c073a9624b37cc8db439",
+    "divergence_kde_layer0.svg":
+        "0668757c833735d77ae8a3aa7f9225d20184f7470394e16b24d8ff47ffea7e8a",
+    "divergence_kde_layer1.svg":
+        "fc4cd0d8c70bc23a6e9203fefe6eb7068f1df99c084c8ac6c80ef5ebe7f76e1c",
 }
 
 
@@ -291,6 +304,34 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("bandwidth", ["5e-324", "1e-310", "1e308", "2e307"])
+    def test_overflowing_bandwidth(self, tmp_path, trace_path, bandwidth, capsys):
+        """Finite and positive, but its reciprocal or ten times it is not:
+        a usage error with one error line, and no file written."""
+        capsys.readouterr()
+        out = tmp_path / "x.csv"
+        assert main(["analyze", str(trace_path), "--bandwidth", bandwidth,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --bandwidth") and err.count("\n") == 1
+        assert not out.exists() and not (tmp_path / "x_kde.csv").exists()
+        assert not (tmp_path / "x.csv.config.json").exists()
+
+    def test_golden_bytes(self, tmp_path):
+        """gen-trace then analyze --svg at the benchmark's trace-analyze
+        shape, seed 7: every output but the path-bearing sidecars matches
+        digests recorded before the KDE and formatter rewrites."""
+        trace = tmp_path / "job.trace"
+        out = tmp_path / "divergence.csv"
+        assert main(["gen-trace", "--text", "32", "--visual", "32", "--interleave", "block",
+                     "--layers", "2", "--heads", "2", "--dim", "16", "--steps", "4",
+                     "--shift", "2.0", "--obs", "32", "--seed", "7",
+                     "--out", str(trace)]) == 0
+        assert main(["analyze", str(trace), "--svg", "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ANALYZE_GOLDEN}
+        assert digests == ANALYZE_GOLDEN
 
     def test_missing_trace(self, tmp_path):
         assert main(["analyze", str(tmp_path / "absent.trace"),

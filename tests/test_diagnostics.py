@@ -1,6 +1,8 @@
 """Tests for density estimation, divergence scoring, and layer reports."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import oracles
 from kvprune.core import PruneConfig
 from kvprune.diagnostics import (
     BANDWIDTH_FLOOR,
+    CHUNK_FLOATS,
     KERNEL_CUTOFF,
     MAX_BINS,
     DensityCurve,
@@ -81,6 +84,15 @@ class TestKde:
         with pytest.raises(ValueError, match="bandwidth"):
             kde([1.0, 2.0], bandwidth=bandwidth)
 
+    @pytest.mark.parametrize("bandwidth", [5e-324, 1e-310, 1e308, 2e307])
+    def test_overflowing_bandwidth(self, bandwidth):
+        """Finite and positive, but 1e308 and 2e307 overflow the grid or
+        the 10-bandwidth reach, and 5e-324 and 1e-310 overflow the
+        normalising factor 1 / (n h sqrt(2 pi)): a named error, not a
+        ZeroDivisionError or a curve of NaN and inf."""
+        with pytest.raises(ValueError, match=re.escape(f"bandwidth {bandwidth!r}")):
+            kde([1.0, 2.0], bandwidth=bandwidth)
+
     def test_empty_samples(self):
         with pytest.raises(ValueError, match="empty"):
             kde([])
@@ -146,6 +158,56 @@ class TestWindowedKde:
         step = curve.grid[1] - curve.grid[0]
         assert 8 < 2 * KERNEL_CUTOFF * curve.bandwidth / step < 64
 
+    @given(kde_cases(), st.integers(0, 2**32 - 1))
+    def test_sample_order_does_not_matter(self, case, seed):
+        """Samples are sorted before summing, so any permutation gives the
+        same grid and the same density bits (well within 1e-12 x peak)."""
+        samples, bandwidth, grid_points = case
+        curve = kde(samples, bandwidth=bandwidth, grid_points=grid_points)
+        shuffled = np.random.default_rng(seed).permutation(samples)
+        other = kde(shuffled, bandwidth=bandwidth, grid_points=grid_points)
+        np.testing.assert_array_equal(other.grid, curve.grid)
+        np.testing.assert_array_equal(other.density, curve.density)
+
+    def test_many_chunks_match_dense(self):
+        """Thousands of samples over a narrow window: many chunks, and
+        start cells that straddle chunk boundaries."""
+        rng = np.random.default_rng(17)
+        samples = np.concatenate([rng.standard_normal(20000), [-40.0, 40.0]])
+        curve = self.check(samples, None)
+        step = curve.grid[1] - curve.grid[0]
+        width = 2 * KERNEL_CUTOFF * curve.bandwidth / step + 2
+        assert samples.size > 10 * CHUNK_FLOATS / width
+
+    def test_equal_samples_fill_one_cell(self):
+        """All-equal samples put h at the floor and the whole grid in every
+        window: one start cell holding many chunks of samples."""
+        samples = np.full(1000, 0.3)
+        curve = self.check(samples, None)
+        assert curve.bandwidth == BANDWIDTH_FLOOR
+        assert samples.size > 10 * (CHUNK_FLOATS // curve.grid.size)
+
+    def test_memory_stays_bounded(self):
+        """Beyond O(n) arrays a few times the input, no temporary grows with
+        n: 50000 equal samples (w = 512) stay far below 8 MiB, where an
+        n x w table would take 195 MiB."""
+        samples = np.full(50000, 0.3)
+        tracemalloc.start()
+        try:
+            kde(samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_window_spans_whole_grid(self):
+        """A bandwidth wide against the sample range (range <= 6h) makes
+        every window the whole grid."""
+        rng = np.random.default_rng(23)
+        samples = rng.uniform(0.0, 1.0, 300)
+        curve = self.check(samples, 10.0)
+        assert KERNEL_CUTOFF * curve.bandwidth >= curve.grid[-1] - curve.grid[0]
+
 
 class TestDensityCurve:
     def test_mass_is_trapezoidal(self):
@@ -160,6 +222,16 @@ class TestDensityCurve:
     def test_density_must_be_nonnegative(self):
         with pytest.raises(ValueError, match="nonnegative"):
             DensityCurve(grid=[0.0, 1.0], density=[0.5, -0.1], bandwidth=1.0)
+
+    @pytest.mark.parametrize("grid, density", [
+        ([0.0, 1.0], [0.5, float("nan")]),
+        ([0.0, 1.0], [0.5, float("inf")]),
+        ([0.0, float("inf")], [0.5, 0.5]),
+        ([float("nan"), 1.0], [0.5, 0.5]),
+    ], ids=["nan-density", "inf-density", "inf-grid", "nan-grid"])
+    def test_must_be_finite(self, grid, density):
+        with pytest.raises(ValueError, match="finite"):
+            DensityCurve(grid=grid, density=density, bandwidth=1.0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="equally long"):

@@ -1,0 +1,67 @@
+"""Tests for the SVG charts: polylines against per-point formatting."""
+
+import re
+
+import numpy as np
+from hypothesis import assume, given, strategies as st
+
+import oracles
+from kvprune.plots import HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, WIDTH
+from kvprune.plots import line_chart
+
+BOX = (MARGIN_LEFT, WIDTH - MARGIN_RIGHT, MARGIN_TOP, HEIGHT - MARGIN_BOTTOM)
+
+# Finite values with the awkward ones forced in: signed zeros, subnormals,
+# huge magnitudes, and decimals that sit on a rounding edge.
+VALUES = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, 1.0000000005, 0.1234567895,
+     2.675, 1.005, -1.5]
+)
+
+
+def polylines(svg):
+    return re.findall(r'<polyline points="([^"]*)"', svg)
+
+
+def check(series):
+    svg = line_chart(series, title="t", x_label="x", y_label="y")
+    assert polylines(svg) == oracles.polyline_points(series, *BOX)
+
+
+@st.composite
+def chart_series(draw):
+    out = []
+    for index in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(1, 12))
+        xs = draw(st.lists(VALUES, min_size=size, max_size=size))
+        ys = draw(st.lists(VALUES, min_size=size, max_size=size))
+        out.append((f"s{index}", xs, ys))
+    return out
+
+
+def collapses(values):
+    """All equal and so large that padding by 0.5 leaves a zero-width axis,
+    which line_chart maps to nan (a known gap, not a formatting question)."""
+    lo, hi = min(values), max(values)
+    return lo == hi and lo - 0.5 == hi + 0.5
+
+
+class TestLineChart:
+    @given(chart_series())
+    def test_points_match_per_point_formatting(self, series):
+        assume(not collapses([x for _, xs, _ in series for x in xs]))
+        assume(not collapses([y for _, _, ys in series for y in ys]))
+        check(series)
+
+    def test_one_point(self):
+        check([("only", [0.3], [2.0])])
+
+    def test_sweep_chart(self):
+        """Three budget fractions per policy, as a sweep --svg draws them."""
+        grid = [0.1, 0.25, 0.6]
+        check([("csp", grid, [1.93, 1.21, 0.407]),
+               ("global-topk", grid, [1.88, 1.17, 0.391])])
+
+    def test_kde_overlay(self):
+        xs = np.linspace(-0.003, 0.97, 512)
+        check([("intra", xs, np.exp(-xs)), ("inter", xs, xs * xs)])

@@ -1,12 +1,15 @@
 """Tests for CSV/JSON emission: schemas, formatting, determinism."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import oracles
 from kvprune.core import PruneConfig
-from kvprune.diagnostics import layer_report
+from kvprune.diagnostics import DensityCurve, layer_report
 from kvprune.reports import (
     RESULTS_COLUMNS,
     STEP_COLUMNS,
@@ -132,6 +135,38 @@ class TestDiagnosticsCsv:
         points = diag_report.curves[0][0].grid.size
         assert len(lines) == 1 + SPEC.layers * 2 * points
         assert {line.split(",")[1] for line in lines[1:]} == {"intra", "inter"}
+
+
+# Finite values with signed zeros, subnormals, huge magnitudes and
+# decimals that round at the 9th significant digit forced in.
+CSV_VALUES = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, 2.2e-308, 1e300, -1e300, 1.0000000005, 0.1234567895, 123456789.5,
+     -2.5e-9]
+)
+
+
+@st.composite
+def density_curves(draw):
+    grid = sorted(draw(st.lists(CSV_VALUES, min_size=1, max_size=20, unique=True)))
+    density = draw(st.lists(CSV_VALUES.map(abs), min_size=len(grid), max_size=len(grid)))
+    return DensityCurve(grid=grid, density=density, bandwidth=1.0)
+
+
+class TestDensityCsvFormatting:
+    """density_csv formats whole arrays; the oracle formats cell by cell."""
+
+    @given(st.lists(st.tuples(density_curves(), density_curves()), min_size=1, max_size=3))
+    def test_matches_per_cell_formatting(self, curves):
+        report = SimpleNamespace(curves=curves)
+        assert density_csv(report) == oracles.density_csv_text(curves)
+
+    def test_one_point_curves(self):
+        curve = DensityCurve(grid=[-0.5], density=[0.0], bandwidth=1.0)
+        report = SimpleNamespace(curves=[(curve, curve)])
+        assert density_csv(report) == oracles.density_csv_text(report.curves)
+
+    def test_layer_report(self, diag_report):
+        assert density_csv(diag_report) == oracles.density_csv_text(diag_report.curves)
 
 
 class TestFileHelpers:
