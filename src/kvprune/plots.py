@@ -35,7 +35,10 @@ def _pad_range(lo: float, hi: float) -> tuple[float, float]:
     if not np.isfinite(lo) or not np.isfinite(hi):
         raise ValueError("chart data must be finite")
     if hi == lo:
-        return lo - 0.5, hi + 0.5
+        pad = 0.5
+        if lo - pad == hi + pad:  # at or beyond 2**52, +-0.5 rounds away
+            pad = 0.04 * abs(lo)
+        return lo - pad, hi + pad
     pad = 0.04 * (hi - lo)
     return lo - pad, hi + pad
 

@@ -28,10 +28,21 @@ derivable from the header; anything else is rejected, and so is any logit
 that is NaN or infinite. write_trace refuses such a logit too, and a value
 that overflows its field instead of wrapping it; either way it writes no
 file.
+
+Each logit is copied once in each direction. read_trace reads every block
+straight into one float32 arena sized from the file (a file holds at least
+4 bytes per logit, so its size bounds the arena); a read trace's steps are
+disjoint views of that one buffer. A pipe or other stream with no size is
+first read whole into memory, and its length is the bound. write_trace runs
+every check, then writes each header field and each block straight from its
+array.
 """
 
 from __future__ import annotations
 
+import io
+import os
+import stat
 import struct
 from dataclasses import dataclass, field
 
@@ -43,6 +54,7 @@ MAGIC = b"CSPT"
 VERSION = 1
 MAX_U16 = 2**16 - 1
 MAX_U32 = 2**32 - 1
+_IOV_MAX = 1024  # buffers one writev call may take (Linux's limit)
 
 
 class TraceError(Exception):
@@ -139,7 +151,9 @@ def _pack(fmt: str, **fields) -> bytes:
 
 
 def write_trace(trace: AttentionTrace, path) -> None:
-    chunks = [
+    # Every check runs before the file is opened, so a refused trace leaves
+    # no file; the blocks are then written straight from their arrays.
+    buffers = [
         MAGIC,
         _pack(
             "HHHIHI",
@@ -150,53 +164,97 @@ def write_trace(trace: AttentionTrace, path) -> None:
             head_dim=trace.head_dim,
             prefill_length=trace.prefill_tags.size,
         ),
-        trace.prefill_tags.astype("<u1").tobytes(),
+        np.ascontiguousarray(trace.prefill_tags, dtype="<u1"),
     ]
     for index, step in enumerate(trace.steps):
         _check_finite(step.blocks, index)
-        chunks.append(_pack("I", new_tokens=step.new_tags.size))
-        chunks.append(step.new_tags.astype("<u1").tobytes())
+        buffers.append(_pack("I", new_tokens=step.new_tags.size))
+        buffers.append(np.ascontiguousarray(step.new_tags, dtype="<u1"))
         _, _, rows, cols = step.blocks.shape
         prefix = _pack("II", rows=rows, cols=cols)
-        for layer_blocks in step.blocks:
+        payload = np.ascontiguousarray(step.blocks, dtype="<f4").view(np.uint8)
+        for layer_blocks in payload:
             for block in layer_blocks:
-                chunks.append(prefix)
-                chunks.append(np.ascontiguousarray(block, dtype="<f4").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+                buffers.append(prefix)
+                buffers.append(block)
+    with open(path, "wb", buffering=0) as fh:
+        _write_all(fh.fileno(), buffers)
 
 
-class _Cursor:
-    def __init__(self, data: bytes):
-        self.data = data
+def _write_all(fd: int, buffers) -> None:
+    """Write the byte buffers to fd in order, up to _IOV_MAX of them per
+    writev call, resuming after a partial write."""
+    views = [memoryview(buffer).cast("B") for buffer in buffers]
+    start = 0
+    while start < len(views):
+        written = os.writev(fd, views[start : start + _IOV_MAX])
+        while start < len(views) and written >= views[start].nbytes:
+            written -= views[start].nbytes
+            start += 1
+        if written:
+            views[start] = views[start][written:]
+
+
+class _Reader:
+    """Reads fields from a trace stream of a known size in bytes."""
+
+    def __init__(self, fh, size: int):
+        self.fh = fh
+        self.size = size
         self.pos = 0
         self.step: int | None = None
 
     def require(self, count: int, what: str) -> None:
         """Raise TruncatedTraceError unless count more bytes exist."""
-        if self.pos + count > len(self.data):
-            where = "header" if self.step is None else f"step {self.step}"
-            raise TruncatedTraceError(
-                f"trace truncated in {where}: needed {count} bytes for {what}, "
-                f"{len(self.data) - self.pos} left",
-                step=self.step,
-            )
+        if self.pos + count > self.size:
+            raise self._truncation(count, what, self.size - self.pos)
+
+    def _truncation(self, count: int, what: str, left: int) -> TruncatedTraceError:
+        where = "header" if self.step is None else f"step {self.step}"
+        return TruncatedTraceError(
+            f"trace truncated in {where}: needed {count} bytes for {what}, {left} left",
+            step=self.step,
+        )
+
+    def fill(self, buffer, what: str) -> None:
+        """Read exactly as many bytes as the contiguous byte buffer holds
+        into it."""
+        view = memoryview(buffer).cast("B")
+        self.require(view.nbytes, what)
+        done = 0
+        while done < view.nbytes:
+            got = self.fh.readinto(view[done:])
+            if not got:  # the file shrank after it was sized
+                raise self._truncation(view.nbytes, what, done)
+            done += got
+        self.pos += done
 
     def take(self, count: int, what: str) -> bytes:
-        self.require(count, what)
-        out = self.data[self.pos : self.pos + count]
-        self.pos += count
-        return out
+        out = bytearray(count)
+        self.fill(out, what)
+        return bytes(out)
 
     def unpack(self, fmt: str, what: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
+    def tags(self, count: int, what: str) -> np.ndarray:
+        tags = np.empty(count, dtype=np.uint8)
+        self.fill(tags, what)
+        return tags
+
 
 def read_trace(path) -> AttentionTrace:
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=0) as fh:
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode) and info.st_size > 0:
+            return _parse(_Reader(fh, info.st_size))
+        # A pipe, a terminal or a procfs-style file reports no size: take
+        # the whole stream first.
         data = fh.read()
-    cur = _Cursor(data)
+    return _parse(_Reader(io.BytesIO(data), len(data)))
 
+
+def _parse(cur: _Reader) -> AttentionTrace:
     magic = cur.take(4, "magic")
     if magic != MAGIC:
         raise BadMagicError(f"not a trace file: magic {magic!r} != {MAGIC!r}")
@@ -208,15 +266,21 @@ def read_trace(path) -> AttentionTrace:
             f"header declares degenerate dimensions: layers={layers} heads={heads} "
             f"head_dim={head_dim} prefill={prefill_len}"
         )
-    prefill_tags = np.frombuffer(cur.take(prefill_len, "prefill tags"), dtype=np.uint8)
+    prefill_tags = cur.tags(prefill_len, "prefill tags")
     _check_tag_bytes(prefill_tags, "prefill")
 
+    # Every logit is read once, straight into this arena: each step's blocks
+    # are a disjoint view of it. The file holds 4 bytes per logit and more,
+    # so its size bounds the arena, and every view is taken only after the
+    # bytes that fill it are known to exist.
+    arena = np.empty(cur.size // 4, dtype="<f4")
+    used = 0
     length = prefill_len
     records: list[TraceStep] = []
     for step_index in range(steps):
         cur.step = step_index
         (n_new,) = cur.unpack("<I", "new-token count")
-        new_tags = np.frombuffer(cur.take(n_new, "new-token tags"), dtype=np.uint8)
+        new_tags = cur.tags(n_new, "new-token tags")
         _check_tag_bytes(new_tags, f"step {step_index}")
         length += n_new
 
@@ -237,26 +301,30 @@ def read_trace(path) -> AttentionTrace:
                 if shared_shape is None:
                     shared_shape = (rows, cols)
                     # Every block shares this shape, so the step's whole
-                    # payload is known; check it exists before allocating.
+                    # payload is known; check it exists before taking it.
                     # The first block's 8-byte shape prefix is already read.
                     cur.require(
                         layers * heads * (8 + rows * cols * 4) - 8,
                         f"{layers}x{heads} blocks of {rows}x{cols}",
                     )
-                    blocks = np.empty((layers, heads, rows, cols), dtype=np.float32)
+                    count = layers * heads * rows * cols
+                    blocks = arena[used : used + count].reshape(layers, heads, rows, cols)
+                    used += count
                 elif (rows, cols) != shared_shape:
                     raise SizeMismatchError(
                         f"step {step_index}: block shapes differ across heads/layers "
                         f"({(rows, cols)} vs {shared_shape})"
                     )
-                raw = cur.take(rows * cols * 4, "block data")
-                blocks[layer, head] = np.frombuffer(raw, dtype="<f4").reshape(rows, cols)
+                cur.fill(blocks[layer, head].view(np.uint8), "block data")
         _check_finite(blocks, step_index)
         records.append(TraceStep(new_tags=new_tags, blocks=blocks))
 
-    if cur.pos != len(data):
+    # Measured from the stream's end, not its size, so bytes appended after
+    # the file was sized count too.
+    trailing = cur.fh.seek(0, io.SEEK_END) - cur.pos
+    if trailing > 0:
         raise SizeMismatchError(
-            f"{len(data) - cur.pos} trailing bytes after the declared {steps} steps"
+            f"{trailing} trailing bytes after the declared {steps} steps"
         )
     return AttentionTrace(
         layers=layers,

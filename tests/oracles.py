@@ -10,6 +10,7 @@ disagree, the oracle wins until proven wrong.
 from __future__ import annotations
 
 import math
+import struct
 
 import mpmath
 import numpy as np
@@ -306,15 +307,18 @@ def density_csv_text(curves):
 def polyline_points(series, left, right, top, bottom):
     """Each series' SVG polyline `points` text, one scalar point at a time.
 
-    The axes span every series' values padded by 4 % (or by 0.5 each way
-    when all values are equal); a value maps linearly onto the plot box,
-    y upward, and each coordinate prints with 2 decimals.
+    The axes span every series' values padded by 4 % (or, when all values
+    are equal, by 0.5 each way, or 4 % of the value where 0.5 rounds away);
+    a value maps linearly onto the plot box, y upward, and each coordinate
+    prints with 2 decimals.
     """
 
     def padded(values):
         lo, hi = min(values), max(values)
         if hi == lo:
-            return lo - 0.5, hi + 0.5
+            if lo - 0.5 < hi + 0.5:
+                return lo - 0.5, hi + 0.5
+            return lo - 0.04 * abs(lo), hi + 0.04 * abs(lo)
         pad = 0.04 * (hi - lo)
         return lo - pad, hi + pad
 
@@ -416,3 +420,85 @@ def recon_error_final(spec, retained_ids, smoothing):
                 squared += (full_out - pruned_out) ** 2
         errors.append(math.sqrt(squared))
     return sum(errors) / len(errors)
+
+
+def read_trace_bytes(data):
+    """Parse a CSPT trace from bytes, one struct.unpack per field or logit.
+
+    Follows the layout in kvprune.traceio's docstring and raises its error
+    classes in the reader's order: the header, then per step its tags, each
+    block shape, the whole step's payload size (checked at its first block),
+    the step's logits for finiteness, and finally trailing bytes. Returns
+    (layers, heads, head_dim, prefill tags, [(new tags, blocks)]), with tags
+    as lists of ints and blocks as nested lists [layer][head][row][col].
+    """
+    from kvprune.traceio import (
+        BadMagicError,
+        NonFiniteLogitError,
+        SizeMismatchError,
+        TruncatedTraceError,
+        UnsupportedVersionError,
+    )
+
+    pos = 0
+    step = None
+
+    def need(count):
+        if pos + count > len(data):
+            raise TruncatedTraceError("truncated", step=step)
+
+    def field(fmt):
+        nonlocal pos
+        need(struct.calcsize(fmt))
+        (value,) = struct.unpack_from(fmt, data, pos)
+        pos += struct.calcsize(fmt)
+        return value
+
+    def tags(count):
+        out = [field("<B") for _ in range(count)]
+        if any(tag > 1 for tag in out):
+            raise SizeMismatchError("tag byte")
+        return out
+
+    need(4)
+    if data[:4] != b"CSPT":
+        raise BadMagicError("magic")
+    pos = 4
+    version = field("<H")
+    layers, heads = field("<H"), field("<H")
+    steps = field("<I")
+    head_dim = field("<H")
+    prefill_len = field("<I")
+    if version != 1:
+        raise UnsupportedVersionError("version")
+    if min(layers, heads, head_dim, prefill_len) < 1:
+        raise SizeMismatchError("degenerate")
+    prefill = tags(prefill_len)
+
+    length = prefill_len
+    out_steps = []
+    for step in range(steps):
+        new = tags(field("<I"))
+        length += len(new)
+        blocks = [[None] * heads for _ in range(layers)]
+        first = None
+        for layer in range(layers):
+            for head in range(heads):
+                rows, cols = field("<I"), field("<I")
+                if cols != length or not 1 <= rows <= length:
+                    raise SizeMismatchError("block shape")
+                if first is None:
+                    first = (rows, cols)
+                    need(layers * heads * (8 + rows * cols * 4) - 8)
+                elif (rows, cols) != first:
+                    raise SizeMismatchError("shapes differ")
+                blocks[layer][head] = [[field("<f") for _ in range(cols)] for _ in range(rows)]
+        for layer_blocks in blocks:
+            for block in layer_blocks:
+                for row in block:
+                    if not all(math.isfinite(value) for value in row):
+                        raise NonFiniteLogitError("non-finite")
+        out_steps.append((new, blocks))
+    if pos != len(data):
+        raise SizeMismatchError("trailing")
+    return layers, heads, head_dim, prefill, out_steps

@@ -1,11 +1,17 @@
 """Tests for the binary trace format: round trips and corruption handling."""
 
+import hashlib
+import os
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+from kvprune.simulator import SynthSpec, record_trace
 from kvprune.traceio import (
     MAGIC,
     AttentionTrace,
@@ -96,6 +102,95 @@ class TestRoundTrip:
         path = tmp_path / "t.trace"
         write_trace(small_trace(), path)
         assert path.read_bytes()[:4] == MAGIC
+
+    def test_golden_bytes(self, tmp_path):
+        """The writer's bytes for a pinned synthetic trace never change."""
+        spec = SynthSpec(seed=7, text_len=32, visual_len=32, interleave="block",
+                         layers=2, heads=2, head_dim=16, steps=4)
+        path = tmp_path / "golden.trace"
+        write_trace(record_trace(spec, 32), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "9bb3bd1dfd88df804f325e52d3ccb8fb8fe1887a9028959155a3b8d4a73a6f6b"
+        )
+
+    def test_partial_writes_resume(self, tmp_path, monkeypatch):
+        """However few bytes each write call takes, the file comes out whole."""
+        whole, piecemeal = tmp_path / "whole.trace", tmp_path / "piecemeal.trace"
+        write_trace(small_trace(), whole)
+        monkeypatch.setattr(os, "writev", lambda fd, buffers: os.write(fd, bytes(buffers[0])[:5]))
+        write_trace(small_trace(), piecemeal)
+        assert piecemeal.read_bytes() == whole.read_bytes()
+
+    def test_more_blocks_than_one_write_call_takes(self, tmp_path):
+        """600 heads make 1200 block buffers, more than one writev takes."""
+        rng = np.random.default_rng(3)
+        trace = AttentionTrace(
+            layers=1, heads=600, head_dim=1, prefill_tags=np.zeros(2, dtype=np.uint8),
+            steps=[TraceStep(new_tags=np.zeros(0, dtype=np.uint8),
+                             blocks=rng.standard_normal((1, 600, 1, 2)).astype(np.float32))],
+        )
+        path = tmp_path / "t.trace"
+        write_trace(trace, path)
+        assert path.stat().st_size == 4 + 16 + 2 + 4 + 600 * (8 + 8)
+        np.testing.assert_array_equal(read_trace(path).steps[0].blocks, trace.steps[0].blocks)
+
+    def test_steps_are_disjoint_views(self, tmp_path):
+        """A read trace's steps share one buffer, but writing one step's
+        blocks changes no other step."""
+        path = tmp_path / "t.trace"
+        write_trace(small_trace(), path)
+        steps = read_trace(path).steps
+        for index, step in enumerate(steps):
+            assert all(not np.shares_memory(step.blocks, other.blocks)
+                       for other in steps[index + 1:])
+        steps[1].blocks[...] = 7.0
+        np.testing.assert_array_equal(steps[0].blocks, small_trace().steps[0].blocks)
+        np.testing.assert_array_equal(steps[2].blocks, small_trace().steps[2].blocks)
+
+    def test_reads_through_a_pipe(self, tmp_path):
+        """A FIFO reports no size; it reads the same as the file it carries."""
+        path = tmp_path / "t.trace"
+        spec = SynthSpec(seed=7, text_len=32, visual_len=32, layers=2, heads=2,
+                         head_dim=16, steps=4)
+        write_trace(record_trace(spec, 32), path)  # larger than a pipe's buffer
+        fifo = tmp_path / "t.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),),
+                                  daemon=True)
+        writer.start()
+        try:
+            piped = read_trace(fifo)
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        direct = read_trace(path)
+        np.testing.assert_array_equal(piped.prefill_tags, direct.prefill_tags)
+        assert len(piped.steps) == len(direct.steps)
+        for got, want in zip(piped.steps, direct.steps):
+            np.testing.assert_array_equal(got.new_tags, want.new_tags)
+            np.testing.assert_array_equal(got.blocks, want.blocks)
+
+    def test_peak_memory_stays_near_the_file_size(self, tmp_path):
+        """Neither direction holds a second copy of the logits: the peak
+        traced allocation stays within 1.1x the file size."""
+        trace = record_trace(SynthSpec(seed=7, text_len=256, visual_len=256, steps=8), 32)
+        path = tmp_path / "big.trace"
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                call()
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        write_peak = peak(lambda: write_trace(trace, path))
+        size = path.stat().st_size
+        read_peak = peak(lambda: read_trace(path))
+        assert write_peak <= 1.1 * size
+        assert read_peak <= 1.1 * size
 
 
 class TestValidation:
@@ -254,6 +349,26 @@ class TestCorruption:
                            match=r"step 2 layer 1 head 1: non-finite logit .* row 1, col 3"):
             read_trace(path)
 
+    @pytest.mark.parametrize("change, error, match", [
+        (+2, SizeMismatchError, "2 trailing bytes"),
+        (-2, TruncatedTraceError, "truncated in step 2: needed .* block data"),
+    ])
+    def test_file_changed_after_sizing(self, tmp_path, monkeypatch, change, error, match):
+        """Bytes appended after the reader sized the file are still trailing
+        bytes, and bytes cut after it are still a truncation."""
+        path, raw = self.write_good(tmp_path)
+        path.write_bytes(bytes(raw) + b"\x00" * change if change > 0 else raw[:change])
+        real_fstat = os.fstat
+
+        def stale_fstat(fd):
+            fields = list(real_fstat(fd))
+            fields[6] = len(raw)  # st_size as it was before the change
+            return os.stat_result(fields)
+
+        monkeypatch.setattr(os, "fstat", stale_fstat)
+        with pytest.raises(error, match=match):
+            read_trace(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.trace"
         path.write_bytes(b"")
@@ -290,3 +405,26 @@ class TestFuzz:
             read_trace(path)
         except TraceError:
             pass
+
+    @settings(max_examples=500)
+    @given(data=st.data())
+    def test_mutated_bytes_read_as_the_oracle_does(self, fuzz_dir, data):
+        """On any mutated trace the reader and a field-by-field parser agree:
+        the same tags and blocks, or the same TraceError subclass."""
+        raw = data.draw(mutated_bytes((fuzz_dir / "valid.trace").read_bytes()))
+        path = fuzz_dir / "oracle.trace"
+        path.write_bytes(raw)
+        try:
+            want = oracles.read_trace_bytes(raw)
+        except TraceError as err:
+            with pytest.raises(type(err)):
+                read_trace(path)
+            return
+        got = read_trace(path)
+        layers, heads, head_dim, prefill, steps = want
+        assert (got.layers, got.heads, got.head_dim) == (layers, heads, head_dim)
+        assert got.prefill_tags.tolist() == prefill
+        assert len(got.steps) == len(steps)
+        for step, (new_tags, blocks) in zip(got.steps, steps):
+            assert step.new_tags.tolist() == new_tags
+            np.testing.assert_array_equal(step.blocks, np.array(blocks, dtype=np.float32))
