@@ -6,6 +6,7 @@ import hashlib
 import inspect
 import io
 import json
+import pathlib
 import platform
 import re
 import struct
@@ -30,6 +31,8 @@ from test_traceio import (  # noqa: F401  (fuzz_dir is a fixture)
 SPEC_FLAGS = ["--text", "8", "--visual", "8", "--layers", "2", "--heads", "2",
               "--dim", "8", "--steps", "4"]
 CFG_FLAGS = ["--budget", "0.5", "--recent", "2", "--obs", "4"]
+HELP_DIR = pathlib.Path(__file__).parent / "data" / "help"
+HELP_COMMANDS = ["gen-trace", "simulate", "sweep", "analyze", "compare"]
 VERSIONS = {
     "kvprune": kvprune.__version__,
     "numpy": np.__version__,
@@ -86,6 +89,14 @@ class TestHelpAndUsage:
         assert main([command, "--help"]) == 0
         listed = set(re.findall(r"--([a-z][a-z-]*)", capsys.readouterr().out))
         assert listed == {"help", *flags.split()}
+
+    @pytest.mark.parametrize("command", ["kvprune", *HELP_COMMANDS])
+    def test_help_text(self, command, capsys, monkeypatch):
+        """Every --help text, wrapped at 80 columns, is exactly the pinned
+        one in tests/data/help."""
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main(["--help"] if command == "kvprune" else [command, "--help"]) == 0
+        assert capsys.readouterr().out == (HELP_DIR / f"{command}.txt").read_text()
 
     def test_no_command(self, capsys):
         assert main([]) == 1
@@ -536,6 +547,22 @@ class TestSidecarSchema:
             assert sorted(sidecar["spec"]) == SPEC_KEYS
         if "config" in sidecar:
             assert sorted(sidecar["config"]) == CONFIG_KEYS
+
+    @pytest.mark.parametrize("argv, options", [
+        (["compare", "--policies", "csp,global-topk,accum,full", "--trace", "TRACE"],
+         '{"accum": {"smoothing": 0.0}, "csp": {}, "full": {}, '
+         '"global-topk": {"pool_width": 1, "smoothing": 0.0}}'),
+        (["simulate", "--policy", "global-topk", *SPEC_FLAGS],
+         '{"pool_width": 1, "smoothing": 0.0}'),
+    ], ids=["compare", "simulate"])
+    def test_policy_options(self, tmp_path, trace_path, argv, options):
+        """The options each policy ran with: values, types and key order as
+        the file holds them."""
+        out = tmp_path / "out.csv"
+        argv = [str(trace_path) if arg == "TRACE" else arg for arg in argv]
+        assert main([*argv, *CFG_FLAGS, "--out", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "out.csv.config.json").read_text())
+        assert json.dumps(sidecar["policy_options"]) == options
 
 
 class TestConfigFile:
