@@ -29,13 +29,10 @@ from .scoring import (
 from .decompose import ImportanceScores, ModalityBlocks, block_views, cross_self_importance
 from .selection import budget_to_k, cross_self_select, topk_mask
 from .policies import (
-    POLICY_LABELS,
-    POLICY_NAMES,
+    POLICIES,
     PolicyDecision,
-    PolicyKind,
     accumulated_score_step,
     csp_step,
-    deploy_smoothing,
     full_cache_step,
     global_topk_step,
     policy_step,
@@ -89,10 +86,8 @@ __all__ = [
     "ModalityBlocks",
     "ModalityTag",
     "NonFiniteLogitError",
-    "POLICY_LABELS",
-    "POLICY_NAMES",
+    "POLICIES",
     "PolicyDecision",
-    "PolicyKind",
     "PruneConfig",
     "ResultsRow",
     "RunReport",
@@ -115,7 +110,6 @@ __all__ = [
     "cross_self_importance",
     "cross_self_select",
     "csp_step",
-    "deploy_smoothing",
     "full_cache_step",
     "global_topk_step",
     "head_average",

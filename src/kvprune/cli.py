@@ -21,18 +21,19 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import os
 import platform
 import sys
 from collections import namedtuple
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from .core import HEAD_MODES, PruneConfig
 from .diagnostics import DEFAULT_BINS, DEFAULT_EPSILON, KERNEL_CUTOFF, MAX_BINS, layer_report
-from .policies import POLICY_LABELS, POLICY_NAMES
+from .policies import POLICIES, check_options, policy_step
 from .simulator import (
     INTERLEAVE_MODES,
     SWEEP_AXES,
@@ -57,40 +58,62 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-Flag = namedtuple("Flag", "default help choices", defaults=(None,))
+Flag = namedtuple("Flag", "default help choices field", defaults=(None, None))
+
+
+def _field(field: str, help: str, choices=None) -> Flag:
+    """A flag that sets the SynthSpec and PruneConfig fields of that name,
+    with their default, which a dataclass keeps as a class attribute."""
+    owner = SynthSpec if hasattr(SynthSpec, field) else PruneConfig
+    return Flag(getattr(owner, field), help, choices, field)
+
+
+def _option_flags() -> dict:
+    """A flag per policy option, in table order, with the default of the
+    first step that takes the option."""
+    flags = {}
+    for name, policy in POLICIES.items():
+        params = inspect.signature(policy_step(name)).parameters
+        for option in policy.options:
+            flags.setdefault(option.flag, Flag(params[option.keyword].default, option.help))
+    return flags
+
 
 # Every flag a config file may set, under its --help group title. A flag's
-# type is its default's type. The argparse default of each is None, so
+# type is its default's type. Only budget, recent, obs and policy have
+# defaults of their own here. The argparse default of each is None, so
 # resolution can tell a flag that was not given: flag value, else
 # config-file value, else the default here.
 FLAGS = {
     "synthetic decode": {
-        "text": Flag(64, "prefill text token count"),
-        "visual": Flag(64, "prefill visual token count"),
-        "interleave": Flag("alternating", "prefill modality layout", INTERLEAVE_MODES),
-        "layers": Flag(2, "decoder layer count"),
-        "heads": Flag(4, "attention heads per layer"),
-        "dim": Flag(32, "head dimension"),
-        "steps": Flag(32, "decode step count"),
-        "shift": Flag(2.0, "logit offset subtracted from cross-modality pairs"),
-        "spread": Flag(1.0, "logit scale factor"),
+        "text": _field("text_len", "prefill text token count"),
+        "visual": _field("visual_len", "prefill visual token count"),
+        "interleave": _field("interleave", "prefill modality layout", INTERLEAVE_MODES),
+        "layers": _field("layers", "decoder layer count"),
+        "heads": _field("heads", "attention heads per layer"),
+        "dim": _field("head_dim", "head dimension"),
+        "steps": _field("steps", "decode step count"),
+        "shift": _field("shift", "logit offset subtracted from cross-modality pairs"),
+        "spread": _field("spread", "logit scale factor"),
     },
     "pruning config": {
         "budget": Flag(0.3, "cache budget as a fraction of the final length"),
-        "ratio": Flag(0.5, "share of the candidate pool ranked cross-modally"),
-        "recent": Flag(32, "newest keys always kept, and not sampled by analyze (default 0 there)"),
-        "obs": Flag(32, "query rows per step that vote, are recorded or sampled (analyze: all)"),
-        "n": Flag(1.0, "smoothing constant added to softmax denominators"),
-        "recency_bias": Flag(1.0, "weight on the newest obs-window candidates' scores"),
-        "widen": Flag(False, "grow top-k sizes until the intersection fills the budget"),
-        "head_mode": Flag("averaged", "score the head mean once, or select per head", HEAD_MODES),
-        "seed": Flag(0, "RNG seed of the synthetic decode, recorded with results"),
+        "ratio": _field("cross_ratio", "share of the candidate pool ranked cross-modally"),
+        "recent": Flag(32, "newest keys always kept, and not sampled by analyze (default 0 there)",
+                       field="recent"),
+        "obs": Flag(32, "query rows per step that vote, are recorded or sampled (analyze: all)",
+                    field="obs_window"),
+        "n": _field("smoothing", "smoothing constant added to softmax denominators"),
+        "recency_bias": _field("recency_bias", "weight on the newest obs-window candidates' scores"),
+        "widen": _field("widen_to_budget", "grow top-k sizes until the intersection fills the budget"),
+        "head_mode": _field("head_mode", "score the head mean once, or select per head", HEAD_MODES),
+        "seed": _field("seed", "RNG seed of the synthetic decode, recorded with results"),
     },
     "policy": {
-        "policy": Flag("csp", "one of: " + ", ".join(POLICY_LABELS[name] for name in POLICY_NAMES),
-                       POLICY_NAMES),
-        "pool_width": Flag(1, "global-topk: width of the 1-D max pool over column sums"),
-        "baseline_n": Flag(0.0, "smoothing constant for the baseline policies"),
+        "policy": Flag(next(iter(POLICIES)),
+                       "one of: " + ", ".join(policy.label for policy in POLICIES.values()),
+                       tuple(POLICIES)),
+        **_option_flags(),
     },
 }
 _FILE_FLAGS = {name: flag for group in FLAGS.values() for name, flag in group.items()}
@@ -160,7 +183,7 @@ def build_parser() -> _Parser:
     p.set_defaults(run=_cmd_compare)
     p.add_argument("--policies", required=True, help="comma-separated policy names")
     p.add_argument("--trace", required=True, help="trace file all policies replay")
-    _add_flags(p, (*FLAGS["pruning config"], "pool_width", "baseline_n"))
+    _add_flags(p, {*FLAGS["pruning config"], *FLAGS["policy"]} - {"policy"})
     p.add_argument("--out", required=True, help="joined per-step CSV to write")
 
     return parser
@@ -206,53 +229,25 @@ def _resolve(args, file_cfg: dict, **defaults) -> dict:
     return out
 
 
-def _spec_from(resolved: dict) -> SynthSpec:
+def _usage(fn, /, *args, **kwargs):
+    """fn(*args, **kwargs), where a ValueError means a bad flag value."""
     try:
-        return SynthSpec(
-            seed=resolved["seed"],
-            text_len=resolved["text"],
-            visual_len=resolved["visual"],
-            interleave=resolved["interleave"],
-            layers=resolved["layers"],
-            heads=resolved["heads"],
-            head_dim=resolved["dim"],
-            steps=resolved["steps"],
-            shift=resolved["shift"],
-            spread=resolved["spread"],
-        )
+        return fn(*args, **kwargs)
     except ValueError as err:
         raise UsageError(str(err))
+
+
+def _build(owner, resolved: dict, **given):
+    """A SynthSpec or PruneConfig of the given values and the resolved
+    flags that set its other fields."""
+    names = {field.name for field in fields(owner)}
+    return _usage(owner, **given, **{flag.field: resolved[key] for key, flag in _FILE_FLAGS.items()
+                                     if flag.field in names})
 
 
 def _config_from(resolved: dict, fraction: float, full_length: int) -> PruneConfig:
-    try:
-        return PruneConfig(
-            budget=budget_for_fraction(fraction, full_length, resolved["recent"]),
-            recent=resolved["recent"],
-            obs_window=resolved["obs"],
-            cross_ratio=resolved["ratio"],
-            smoothing=resolved["n"],
-            recency_bias=resolved["recency_bias"],
-            widen_to_budget=resolved["widen"],
-            head_mode=resolved["head_mode"],
-            seed=resolved["seed"],
-        )
-    except ValueError as err:
-        raise UsageError(str(err))
-
-
-def _policy_kwargs(name: str, resolved: dict) -> dict:
-    if name not in ("global-topk", "accum"):
-        return {}
-    smoothing = resolved["baseline_n"]
-    if not 0 <= smoothing < np.inf:
-        raise UsageError(f"--baseline-n must be finite and >= 0, got {smoothing}")
-    if name == "accum":
-        return {"smoothing": smoothing}
-    pool_width = resolved["pool_width"]
-    if pool_width < 1:
-        raise UsageError(f"--pool-width must be >= 1, got {pool_width}")
-    return {"pool_width": pool_width, "smoothing": smoothing}
+    budget = _usage(budget_for_fraction, fraction, full_length, resolved["recent"])
+    return _build(PruneConfig, resolved, budget=budget)
 
 
 def _config_payload(cfg: PruneConfig, budget_fraction: float) -> dict:
@@ -281,11 +276,8 @@ def _cmd_gen_trace(args, file_cfg) -> int:
     for key in ("layers", "heads", "dim"):
         if resolved[key] > MAX_U16:
             raise UsageError(f"--{key} must be at most {MAX_U16} in a trace, got {resolved[key]}")
-    spec = _spec_from(resolved)
-    try:
-        trace = record_trace(spec, resolved["obs"])
-    except ValueError as err:
-        raise UsageError(str(err))
+    spec = _build(SynthSpec, resolved)
+    trace = _usage(record_trace, spec, resolved["obs"])
     write_trace(trace, args.out)
     _write_sidecar(
         args.out,
@@ -300,22 +292,19 @@ def _cmd_simulate(args, file_cfg) -> int:
     resolved = _resolve(args, file_cfg)
     fraction = resolved["budget"]
     policy = resolved["policy"]
-    kwargs = _policy_kwargs(policy, resolved)
+    kwargs = _usage(check_options, policy, resolved, from_flags=True)
 
     if args.trace:
         source = read_trace(args.trace)
         full_length, source_payload = source.final_length, {"trace": args.trace}
     else:
-        source = _spec_from(resolved)
+        source = _build(SynthSpec, resolved)
         full_length, source_payload = source.final_len, {"spec": asdict(source)}
     cfg = _config_from(resolved, fraction, full_length)
-    try:
+    if args.trace:
         report = run_decode(source, policy, cfg, **kwargs)
-    except ValueError as err:
-        if args.trace:
-            raise
-        # Flags alone define a synthetic decode, so its errors are usage errors.
-        raise UsageError(str(err))
+    else:  # flags alone define a synthetic decode, so its errors are usage errors
+        report = _usage(run_decode, source, policy, cfg, **kwargs)
 
     reports.write_text(args.out, reports.steps_csv(report, fraction))
     _write_sidecar(
@@ -342,15 +331,12 @@ def _cmd_sweep(args, file_cfg) -> int:
     resolved = _resolve(args, file_cfg)
     fraction = resolved["budget"]
     policy = resolved["policy"]
-    kwargs = _policy_kwargs(policy, resolved)
+    kwargs = _usage(check_options, policy, resolved, from_flags=True)
     grid = _parse_grid(args.grid)
 
-    spec = _spec_from(resolved)
+    spec = _build(SynthSpec, resolved)
     cfg = _config_from(resolved, fraction, spec.final_len)
-    try:
-        results = sweep(args.axis, grid, spec, cfg, policy, **kwargs)
-    except ValueError as err:
-        raise UsageError(str(err))
+    results = _usage(sweep, args.axis, grid, spec, cfg, policy, **kwargs)
 
     rows = [
         reports.summarize(report, value if args.axis == "budget_fraction" else None)
@@ -456,22 +442,20 @@ def _cmd_compare(args, file_cfg) -> int:
     names = [part.strip() for part in args.policies.split(",") if part.strip()]
     if len(names) < 2:
         raise UsageError("--policies needs at least two comma-separated names")
-    for index, name in enumerate(names):
-        if name not in POLICY_NAMES:
-            raise UsageError(f"unknown policy {name!r}; choices: {', '.join(POLICY_NAMES)}")
-        if name in names[:index]:
+    options = {}
+    for name in names:
+        if name in options:
             raise UsageError(f"--policies lists {name!r} more than once")
+        options[name] = _usage(check_options, name, resolved, from_flags=True)
 
     trace = read_trace(args.trace)
     cfg = _config_from(resolved, fraction, trace.final_length)
-    options = {name: _policy_kwargs(name, resolved) for name in names}
-    runs = [run_decode(trace, name, cfg, **options[name]) for name in names]
+    runs = [run_decode(trace, name, cfg, **kwargs) for name, kwargs in options.items()]
     reports.write_text(args.out, reports.steps_csv(runs, fraction))
     _write_sidecar(
         args.out,
         {"command": "compare", "policies": names, "trace": args.trace,
-         "config": _config_payload(cfg, fraction),
-         "policy_options": options,
+         "config": _config_payload(cfg, fraction), "policy_options": options,
          "outputs": [args.out]},
     )
     print(f"wrote {args.out} ({len(names)} policies)")

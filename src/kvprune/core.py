@@ -88,8 +88,7 @@ class PruneConfig:
         the remainder goes to intra-modality scores.
     smoothing
         Additive constant in the attention denominator (0 disables it).
-        The csp policy applies it when scoring and when replaying retained
-        tokens; baselines default to plain softmax.
+        policies.POLICIES records which policies score and replay with it.
     recency_bias
         Multiplicative weight on the trailing obs_window candidate scores
         before top-k. 1.0 is a no-op.

@@ -7,6 +7,8 @@ fixed geometry, fixed palette, every coordinate formatted the same way.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 WIDTH = 720
@@ -21,6 +23,7 @@ PALETTE = ("#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee", "#aa3377")
 _BG = "#ffffff"
 _FG = "#222222"
 _GRID = "#dddddd"
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 def _fmt(x: float) -> str:
@@ -32,23 +35,46 @@ def _label(x: float) -> str:
 
 
 def _pad_range(lo: float, hi: float) -> tuple[float, float]:
+    """The axis range of data spanning [lo, hi], padded 4 % each way and
+    clipped to the finite floats."""
+    lo, hi = float(lo), float(hi)  # Python floats overflow to inf silently
     if not np.isfinite(lo) or not np.isfinite(hi):
         raise ValueError("chart data must be finite")
     if hi == lo:
         pad = 0.5
         if lo - pad == hi + pad:  # at or beyond 2**52, +-0.5 rounds away
             pad = 0.04 * abs(lo)
-        return lo - pad, hi + pad
-    pad = 0.04 * (hi - lo)
-    return lo - pad, hi + pad
+    else:
+        pad = 0.04 * (hi - lo)
+        if pad == math.inf:  # the span is beyond the largest float
+            pad = 0.04 * hi - 0.04 * lo
+    return max(lo - pad, -_FLOAT_MAX), min(hi + pad, _FLOAT_MAX)
+
+
+class _Axis:
+    """Maps [lo, hi] onto [0, 1]. Where |lo| + |hi| passes the largest
+    float, so that the span or a tick could, the axis is measured in half
+    units: halving is exact but for subnormals, which so wide a range cannot
+    tell apart anyway."""
+
+    def __init__(self, lo: float, hi: float):
+        lo, hi = float(lo), float(hi)
+        self.scale = 1.0 if abs(lo) + abs(hi) < math.inf else 0.5
+        self.lo, self.hi = lo * self.scale, hi * self.scale
+
+    # frac takes a scalar or a float64 array; same operations either way.
+    def frac(self, v):
+        return (v * self.scale - self.lo) / (self.hi - self.lo)
+
+    def ticks(self) -> np.ndarray:
+        return np.linspace(self.lo, self.hi, 5) / self.scale
 
 
 class _Frame:
     """Maps data coordinates onto the plot rectangle and draws the chrome."""
 
     def __init__(self, x_lo, x_hi, y_lo, y_hi):
-        self.x_lo, self.x_hi = x_lo, x_hi
-        self.y_lo, self.y_hi = y_lo, y_hi
+        self.x_axis, self.y_axis = _Axis(x_lo, x_hi), _Axis(y_lo, y_hi)
         self.left = MARGIN_LEFT
         self.right = WIDTH - MARGIN_RIGHT
         self.top = MARGIN_TOP
@@ -56,12 +82,10 @@ class _Frame:
 
     # x and y take a scalar or a float64 array; same operations either way.
     def x(self, v: float) -> float:
-        frac = (v - self.x_lo) / (self.x_hi - self.x_lo)
-        return self.left + frac * (self.right - self.left)
+        return self.left + self.x_axis.frac(v) * (self.right - self.left)
 
     def y(self, v: float) -> float:
-        frac = (v - self.y_lo) / (self.y_hi - self.y_lo)
-        return self.bottom - frac * (self.bottom - self.top)
+        return self.bottom - self.y_axis.frac(v) * (self.bottom - self.top)
 
     def chrome(self, title: str, x_label: str, y_label: str, x_ticks: bool = True) -> list:
         parts = [
@@ -69,7 +93,7 @@ class _Frame:
             f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" '
             f'font-size="16" fill="{_FG}">{_esc(title)}</text>',
         ]
-        for tick in np.linspace(self.x_lo, self.x_hi, 5) if x_ticks else ():
+        for tick in self.x_axis.ticks() if x_ticks else ():
             px = self.x(tick)
             parts.append(
                 f'<line x1="{_fmt(px)}" y1="{self.top}" x2="{_fmt(px)}" '
@@ -79,7 +103,7 @@ class _Frame:
                 f'<text x="{_fmt(px)}" y="{self.bottom + 18}" text-anchor="middle" '
                 f'font-size="11" fill="{_FG}">{_label(tick)}</text>'
             )
-        for tick in np.linspace(self.y_lo, self.y_hi, 5):
+        for tick in self.y_axis.ticks():
             py = self.y(tick)
             parts.append(
                 f'<line x1="{self.left}" y1="{_fmt(py)}" x2="{self.right}" '

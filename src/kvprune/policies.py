@@ -1,6 +1,7 @@
 """Eviction policies.
 
-Four interchangeable strategies decide which cached tokens survive a prune:
+Four interchangeable strategies, registered in POLICIES at the end of this
+module, decide which cached tokens survive a prune:
 
 * ``csp``          intersected per-modality top-k (the method under study)
 * ``global-topk``  column-sum top-k with optional max-pooling (SnapKV-like)
@@ -8,8 +9,10 @@ Four interchangeable strategies decide which cached tokens survive a prune:
 * ``full``         never evicts (reference)
 
 The baselines are deliberately simplified single-knob reimplementations;
-they exist so modality retention can be compared under one harness, and the
-CLI labels them "-like" to avoid overclaiming fidelity to the originals.
+they exist so modality retention can be compared under one harness, and
+their labels say "-like" to avoid overclaiming fidelity to the originals.
+The CLI's policy choices, help and options derive from POLICIES, so adding
+a policy is one step function plus one table entry.
 
 A policy is one step function of the tags of the layer's cached keys, a
 (heads, rows, cols) stack of raw attention logits whose rows are the newest
@@ -22,16 +25,16 @@ window, so keep[:keep.size - recent] are the kept candidates. The caller
 prunes by indexing its own per-position data with keep. Steps never mutate
 their inputs.
 
-Each step checks its own inputs once, on entry: the config, both tag
-sequences, the logits' shape against them, finite logits and the baselines'
-smoothing. Past that it calls the unchecked kernels of scoring, decompose
-and core rather than their checked public forms.
+Each step checks its own inputs once, on entry: its options, through
+check_options, then the config, both tag sequences, the logits' shape
+against them and finite logits. Past that it calls the unchecked kernels of
+scoring, decompose and core rather than their checked public forms.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -39,13 +42,6 @@ from .core import PruneConfig, _tag_counts, as_tags, validate_config
 from .decompose import _cross_self_importance
 from .scoring import _head_average, _smoothed_softmax_rows, _trim_observation
 from .selection import budget_to_k, cross_self_select, topk_mask
-
-
-class PolicyKind(Enum):
-    CSP = "csp"
-    GLOBAL_TOPK = "global-topk"
-    ACCUMULATED_SCORE = "accum"
-    FULL_CACHE = "full"
 
 
 @dataclass(frozen=True)
@@ -64,14 +60,12 @@ class PolicyDecision:
     pruned: bool = True
 
 
-def _checked(key_tags, logits, query_tags, cfg: PruneConfig, smoothing: float):
-    """A step's entry checks. Returns the key and query tags as uint8 and
-    the logits as a (heads, rows, cols) array, float32 if they came as
-    float32 and float64 otherwise, with cols matching the key tags and rows
-    the query tags."""
+def _checked(key_tags, logits, query_tags, cfg: PruneConfig):
+    """A step's entry checks of everything but its options. Returns the key
+    and query tags as uint8 and the logits as a (heads, rows, cols) array,
+    float32 if they came as float32 and float64 otherwise, with cols
+    matching the key tags and rows the query tags."""
     validate_config(cfg)
-    if not 0.0 <= smoothing < np.inf:
-        raise ValueError(f"smoothing must be finite and >= 0, got {smoothing}")
     key_tags = as_tags(key_tags)
     logits = np.asarray(logits)
     if logits.dtype != np.float32:
@@ -132,7 +126,7 @@ def csp_step(key_tags, logits, query_tags, cfg: PruneConfig, state=None):
     trimming, modality decomposition and intersected top-k selection, with
     the recent window kept after the selected candidates.
     """
-    key_tags, logits, query_tags = _checked(key_tags, logits, query_tags, cfg, cfg.smoothing)
+    key_tags, logits, query_tags = _checked(key_tags, logits, query_tags, cfg)
     if key_tags.size < cfg.budget:
         return (*_noop(key_tags, cfg), None)
     weights = _per_head_weights(logits, cfg.smoothing)
@@ -160,8 +154,6 @@ def csp_step(key_tags, logits, query_tags, cfg: PruneConfig, state=None):
 
 def _pooled(importance: np.ndarray, width: int) -> np.ndarray:
     """Sliding 1-D max-pool, 'same' length; width 1 is the identity."""
-    if width < 1:
-        raise ValueError(f"pool width must be >= 1, got {width}")
     if width == 1 or importance.size == 0:
         return importance
     pad_left = (width - 1) // 2
@@ -181,7 +173,8 @@ def global_topk_step(
     smoothing: float = 0.0,
 ):
     """Single global ranking by column sum, no modality split."""
-    key_tags, logits, query_tags = _checked(key_tags, logits, query_tags, cfg, smoothing)
+    check_options("global-topk", {"pool_width": pool_width, "smoothing": smoothing})
+    key_tags, logits, query_tags = _checked(key_tags, logits, query_tags, cfg)
     if key_tags.size < cfg.budget:
         return (*_noop(key_tags, cfg), None)
     weights = _per_head_weights(logits, smoothing)
@@ -207,7 +200,8 @@ def accumulated_score_step(
     whole cache; eviction keeps the top pool accumulators among the
     candidates, and evicted accumulators are dropped with their tokens.
     """
-    key_tags, logits, query_tags = _checked(key_tags, logits, query_tags, cfg, smoothing)
+    check_options("accum", {"smoothing": smoothing})
+    key_tags, logits, query_tags = _checked(key_tags, logits, query_tags, cfg)
     running = np.zeros(0) if state is None else np.asarray(state, dtype=np.float64)
     grown = key_tags.size - running.size
     if grown < 0:
@@ -230,51 +224,69 @@ def accumulated_score_step(
 
 def full_cache_step(key_tags, logits, query_tags, cfg: PruneConfig, state=None):
     """Reference policy: never evicts."""
-    key_tags, _, _ = _checked(key_tags, logits, query_tags, cfg, 0.0)
+    key_tags, _, _ = _checked(key_tags, logits, query_tags, cfg)
     return (*_noop(key_tags, cfg), None)
 
 
-POLICY_NAMES = tuple(kind.value for kind in PolicyKind)
+# A keyword option of a policy step: the cli.FLAGS entry that sets it, its
+# help there, and the rule its values meet, checked by admits(value).
+Option = namedtuple("Option", "keyword flag help rule admits")
 
-POLICY_LABELS = {
-    "csp": "csp (cross-self intersection)",
-    "global-topk": "global-topk (SnapKV-like)",
-    "accum": "accum (H2O-like)",
-    "full": "full (no eviction)",
+# A registry entry: the policy's label; the module attribute name of its
+# step, looked up at call time so a rebound attribute (a wrapper, a patch)
+# is the one that runs; the step's options, in the order a sidecar records
+# them; and replay_smoothing(cfg, options), the smoothing constant a run
+# replays the policy's retained tokens with.
+Policy = namedtuple("Policy", "label step options replay_smoothing")
+
+_POOL_WIDTH = Option("pool_width", "pool_width",
+                    "global-topk: width of the 1-D max pool over column sums",
+                    "must be >= 1", lambda width: width >= 1)
+_BASELINE_SMOOTHING = Option("smoothing", "baseline_n",
+                            "smoothing constant for the baseline policies",
+                            "must be finite and >= 0", lambda n: 0.0 <= n < np.inf)
+
+
+def _baseline_smoothing(cfg: PruneConfig, options: dict) -> float:
+    return float(options.get("smoothing", 0.0))
+
+
+# csp scores with cfg.smoothing and replays with it too; the baselines
+# replay with their own smoothing option; the full cache with the plain
+# softmax. The first entry, the method under study, is the CLI's default.
+POLICIES = {
+    "csp": Policy("csp (cross-self intersection)", "csp_step", (),
+                  lambda cfg, options: cfg.smoothing),
+    "global-topk": Policy("global-topk (SnapKV-like)", "global_topk_step",
+                          (_POOL_WIDTH, _BASELINE_SMOOTHING), _baseline_smoothing),
+    "accum": Policy("accum (H2O-like)", "accumulated_score_step", (_BASELINE_SMOOTHING,),
+                    _baseline_smoothing),
+    "full": Policy("full (no eviction)", "full_cache_step", (), lambda cfg, options: 0.0),
 }
 
-# Step functions by module attribute name, looked up at call time so a
-# rebound attribute (a wrapper, a patch) is the one that runs.
-_STEP_NAMES = {
-    PolicyKind.CSP: "csp_step",
-    PolicyKind.GLOBAL_TOPK: "global_topk_step",
-    PolicyKind.ACCUMULATED_SCORE: "accumulated_score_step",
-    PolicyKind.FULL_CACHE: "full_cache_step",
-}
+
+def get_policy(name: str) -> Policy:
+    """The registry entry of a policy; ValueError if it has none."""
+    if name not in POLICIES:
+        raise ValueError(f"unknown policy {name!r}; choices: {', '.join(POLICIES)}")
+    return POLICIES[name]
 
 
-def _kind(name: str | PolicyKind) -> PolicyKind:
-    try:
-        return PolicyKind(name)
-    except ValueError:
-        raise ValueError(f"unknown policy {name!r}; choices: {', '.join(POLICY_NAMES)}")
-
-
-def policy_step(name: str | PolicyKind):
+def policy_step(name: str):
     """The step function of a policy, by registry name."""
-    return globals()[_STEP_NAMES[_kind(name)]]
+    return globals()[get_policy(name).step]
 
 
-def deploy_smoothing(name: str | PolicyKind, cfg: PruneConfig, **policy_kwargs) -> float:
-    """Denominator constant used when replaying a policy's retained tokens.
-
-    csp scores with cfg.smoothing and replays with it too; the global-topk
-    and accum baselines use their own `smoothing` option (default 0); the
-    full cache uses the plain softmax.
-    """
-    kind = _kind(name)
-    if kind is PolicyKind.CSP:
-        return cfg.smoothing
-    if kind is PolicyKind.FULL_CACHE:
-        return 0.0
-    return float(policy_kwargs.get("smoothing", 0.0))
+def check_options(name: str, values: dict, from_flags: bool = False) -> dict:
+    """The options policy `name` takes, by keyword in table order, each one
+    checked: ValueError for an unknown policy or a value its option does
+    not admit. values holds them by keyword or, from_flags, by their
+    cli.FLAGS names, and errors then name the command-line flag."""
+    options = {}
+    for option in get_policy(name).options:
+        key = option.flag if from_flags else option.keyword
+        if not option.admits(values[key]):
+            shown = "--" + key.replace("_", "-") if from_flags else key
+            raise ValueError(f"{shown} {option.rule}, got {values[key]}")
+        options[option.keyword] = values[key]
+    return options

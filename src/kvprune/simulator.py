@@ -284,8 +284,9 @@ def run_decode(source, policy_name: str, cfg: PruneConfig, **policy_kwargs) -> R
         decoder, header, steps = None, source, source.steps
     else:
         raise TypeError(f"cannot drive a decode from {type(source).__name__}")
-    step = policies.policy_step(policy_name)
-    smoothing = policies.deploy_smoothing(policy_name, cfg, **policy_kwargs)
+    policy = policies.get_policy(policy_name)
+    step = getattr(policies, policy.step)
+    smoothing = policy.replay_smoothing(cfg, policy_kwargs)
 
     full_tags = header.full_tags
     full_len = header.prefill_tags.size
@@ -327,7 +328,7 @@ def run_decode(source, policy_name: str, cfg: PruneConfig, **policy_kwargs) -> R
             recon_error.append(_recon_error(decoder, blocks, retained, smoothing))
 
     return RunReport(
-        policy=policies.PolicyKind(policy_name).value,
+        policy=policy_name,
         config=cfg,
         seed=cfg.seed,
         full_length=int(full_tags.size),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 
 import mpmath
 import numpy as np
@@ -308,19 +309,27 @@ def polyline_points(series, left, right, top, bottom):
     """Each series' SVG polyline `points` text, one scalar point at a time.
 
     The axes span every series' values padded by 4 % (or, when all values
-    are equal, by 0.5 each way, or 4 % of the value where 0.5 rounds away);
-    a value maps linearly onto the plot box, y upward, and each coordinate
-    prints with 2 decimals.
+    are equal, by 0.5 each way, or 4 % of the value where 0.5 rounds away),
+    cut off at the largest float; a value maps linearly onto the plot box,
+    y upward, and each coordinate prints with 2 decimals. An axis whose
+    span exceeds the largest float maps every value halved.
     """
+    largest = sys.float_info.max
 
     def padded(values):
         lo, hi = min(values), max(values)
         if hi == lo:
-            if lo - 0.5 < hi + 0.5:
-                return lo - 0.5, hi + 0.5
-            return lo - 0.04 * abs(lo), hi + 0.04 * abs(lo)
-        pad = 0.04 * (hi - lo)
-        return lo - pad, hi + pad
+            pad = 0.5 if lo - 0.5 < hi + 0.5 else 0.04 * abs(lo)
+        elif hi - lo < math.inf:
+            pad = 0.04 * (hi - lo)
+        else:
+            pad = 0.04 * hi - 0.04 * lo
+        return max(lo - pad, -largest), min(hi + pad, largest)
+
+    def frac(value, lo, hi):
+        if hi - lo < math.inf:
+            return (value - lo) / (hi - lo)
+        return (value / 2 - lo / 2) / (hi / 2 - lo / 2)
 
     x_lo, x_hi = padded([float(x) for _, xs, _ in series for x in xs])
     y_lo, y_hi = padded([float(y) for _, _, ys in series for y in ys])
@@ -328,8 +337,8 @@ def polyline_points(series, left, right, top, bottom):
     for _, xs, ys in series:
         points = []
         for x, y in zip(xs, ys):
-            px = left + (float(x) - x_lo) / (x_hi - x_lo) * (right - left)
-            py = bottom - (float(y) - y_lo) / (y_hi - y_lo) * (bottom - top)
+            px = left + frac(float(x), x_lo, x_hi) * (right - left)
+            py = bottom - frac(float(y), y_lo, y_hi) * (bottom - top)
             points.append("%.2f,%.2f" % (px, py))
         out.append(" ".join(points))
     return out

@@ -251,6 +251,18 @@ class TestSweep:
         cells = [line.split(",")[fraction_index] for line in read_lines(out)[1:]]
         assert cells == ["0.4", "0.8"]
 
+    def test_axis_span_beyond_the_largest_float(self, tmp_path):
+        """A grid whose padded span overflows still plots every point and
+        tick label as a finite number, with no warning."""
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", "--axis", "smooth_n", "--grid", "0,1.75e308", "--svg",
+                         "--text", "8", "--visual", "8", "--steps", "4", "--out", str(out)]) == 0
+        svg = (tmp_path / "s.svg").read_text()
+        assert re.search(r'<polyline points="[0-9.]+,[0-9.]+ [0-9.]+,[0-9.]+"', svg)
+        assert not re.search(r"nan|inf", svg)
+
     def test_bad_grid(self, tmp_path):
         assert main(["sweep", "--axis", "cross_ratio", "--grid", "a,b",
                      "--out", str(tmp_path / "x.csv")]) == 1

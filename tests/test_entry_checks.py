@@ -84,6 +84,9 @@ def step_cases():
                 for v in BAD_SMOOTHING:
                     yield (f"{name}-{path}-smoothing-{v}", name,
                            (KEY_TAGS, LOGITS, QUERY_TAGS, cfg), {"smoothing": v})
+            if name == "global-topk":
+                yield (f"{name}-{path}-pool-width-0", name,
+                       (KEY_TAGS, LOGITS, QUERY_TAGS, cfg), {"pool_width": 0})
         for field, value in (("recent", 4), ("cross_ratio", 1.5), ("smoothing", -1.0),
                              ("head_mode", "vote")):
             cfg = invalid_config(**{field: value})

@@ -1,6 +1,8 @@
 """Tests for the SVG charts: polylines against per-point formatting."""
 
 import re
+import sys
+import warnings
 
 import numpy as np
 from hypothesis import given, strategies as st
@@ -11,11 +13,12 @@ from kvprune.plots import line_chart
 
 BOX = (MARGIN_LEFT, WIDTH - MARGIN_RIGHT, MARGIN_TOP, HEIGHT - MARGIN_BOTTOM)
 
-# Finite values with the awkward ones forced in: signed zeros, subnormals,
-# huge magnitudes, and decimals that sit on a rounding edge.
-VALUES = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False) | st.sampled_from(
-    [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, 1.0000000005, 0.1234567895,
-     2.675, 1.005, -1.5]
+# Every finite value, with the awkward ones forced in: signed zeros,
+# subnormals, magnitudes whose span or pad overflows, and decimals that sit
+# on a rounding edge.
+VALUES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, 1.75e308, -1.75e308,
+     sys.float_info.max, -sys.float_info.max, 1.0000000005, 0.1234567895, 2.675, 1.005, -1.5]
 )
 
 
@@ -24,8 +27,13 @@ def polylines(svg):
 
 
 def check(series):
-    svg = line_chart(series, title="t", x_label="x", y_label="y")
+    """The chart draws the oracle's points, and finite tick labels, with
+    no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        svg = line_chart(series, title="t", x_label="x", y_label="y")
     assert polylines(svg) == oracles.polyline_points(series, *BOX)
+    assert not re.search(r"nan|inf", svg)
 
 
 @st.composite
@@ -52,6 +60,12 @@ class TestLineChart:
         series = [("s", [0.0], [4503599627370498.0])]
         check(series)
         assert "nan" not in polylines(line_chart(series, "t", "x", "y"))[0]
+
+    def test_span_beyond_the_largest_float(self):
+        """Spans or pads past the largest float draw inside the box."""
+        check([("s", [0.0, 0.0], [-1e308, 1e308])])
+        check([("s", [0.0, 1.75e308], [1.0, 2.0])])
+        check([("s", [sys.float_info.max], [-sys.float_info.max])])
 
     def test_sweep_chart(self):
         """Three budget fractions per policy, as a sweep --svg draws them."""

@@ -8,16 +8,15 @@ from kvprune import policies
 from kvprune.core import PruneConfig, TEXT, VISUAL
 from kvprune.decompose import cross_self_importance
 from kvprune.policies import (
-    POLICY_LABELS,
-    POLICY_NAMES,
+    POLICIES,
     accumulated_score_step,
     csp_step,
-    deploy_smoothing,
     full_cache_step,
     global_topk_step,
     policy_step,
 )
 from kvprune.selection import cross_self_select
+from kvprune.simulator import SynthSpec, run_decode
 
 
 def tags_of(tags):
@@ -236,7 +235,7 @@ class TestKeepProperties:
 
     @pytest.mark.parametrize("widen", [False, True])
     @pytest.mark.parametrize("head_mode", ["averaged", "per-head"])
-    @pytest.mark.parametrize("name", POLICY_NAMES)
+    @pytest.mark.parametrize("name", list(POLICIES))
     @settings(max_examples=40)
     @given(case=step_cases(), pool_width=st.integers(1, 3))
     def test_keep_and_decision_invariants(self, name, head_mode, widen, case, pool_width):
@@ -299,7 +298,7 @@ class TestGlobalTopkStep:
 
     def test_bad_pool_width(self):
         cfg = PruneConfig(budget=4, recent=2, obs_window=1)
-        with pytest.raises(ValueError, match="pool width"):
+        with pytest.raises(ValueError, match="pool_width must be >= 1, got 0"):
             global_topk_step(np.zeros(5, dtype=np.uint8), np.zeros((1, 1, 5)), [TEXT], cfg,
                              pool_width=0)
 
@@ -366,7 +365,7 @@ class TestAccumulatedScoreStep:
 
 
 class TestPolicyObjects:
-    """Policies by registry name: the step lookup, the deploy smoothing
+    """Policies by registry name: the step lookup, the replay smoothing
     rule, and the state only accum carries between steps."""
 
     def test_accum_policy_pads_new_tokens(self):
@@ -399,20 +398,30 @@ class TestPolicyObjects:
         assert state is None
         assert not decision.pruned
 
-    def test_deploy_smoothing_rules(self):
+    def test_replay_smoothing_rules(self):
+        """csp replays with cfg.smoothing, the baselines with their own
+        smoothing option (default 0), the full cache with none. A run that
+        keeps every key reconstructs exactly just when it replays with 0."""
         cfg = PruneConfig(budget=4, recent=1, obs_window=1, smoothing=2.5)
-        assert deploy_smoothing("csp", cfg) == 2.5
-        assert deploy_smoothing("global-topk", cfg) == 0.0
-        assert deploy_smoothing("global-topk", cfg, pool_width=3, smoothing=1.0) == 1.0
-        assert deploy_smoothing("accum", cfg) == 0.0
-        assert deploy_smoothing("accum", cfg, smoothing=0.5) == 0.5
-        assert deploy_smoothing("full", cfg) == 0.0
+        spec = SynthSpec(text_len=4, visual_len=4, layers=1, heads=2, head_dim=4, steps=2)
+        keep_all = cfg.with_updates(budget=spec.final_len + 1)
+        for name, options, smoothing in [
+            ("csp", {}, 2.5),
+            ("global-topk", {}, 0.0),
+            ("global-topk", {"pool_width": 3, "smoothing": 1.0}, 1.0),
+            ("accum", {}, 0.0),
+            ("accum", {"smoothing": 0.5}, 0.5),
+            ("full", {}, 0.0),
+        ]:
+            assert POLICIES[name].replay_smoothing(cfg, options) == smoothing
+            errors = run_decode(spec, name, keep_all, **options).recon_error
+            assert (max(errors) == 0.0) == (smoothing == 0.0), name
 
     def test_policy_step_registry(self):
-        assert policy_step("csp") is csp_step
-        assert policy_step("global-topk") is global_topk_step
-        assert policy_step("accum") is accumulated_score_step
-        assert policy_step("full") is full_cache_step
+        steps = {"csp": csp_step, "global-topk": global_topk_step,
+                 "accum": accumulated_score_step, "full": full_cache_step}
+        for name, policy in POLICIES.items():
+            assert getattr(policies, policy.step) is policy_step(name) is steps[name]
 
     def test_policy_step_resolved_at_call_time(self, monkeypatch):
         """A rebound module attribute is what the lookup returns."""
@@ -422,7 +431,7 @@ class TestPolicyObjects:
         monkeypatch.setattr(policies, "csp_step", wrapped)
         assert policy_step("csp") is wrapped
 
-    @pytest.mark.parametrize("name", POLICY_NAMES)
+    @pytest.mark.parametrize("name", list(POLICIES))
     def test_float32_logits_match_float64(self, name):
         """A step on float32 logits, as a slab or trace holds them, decides
         exactly as on their float64 copy."""
@@ -440,13 +449,14 @@ class TestPolicyObjects:
             np.testing.assert_array_equal(narrow[2], wide[2])
 
     def test_policy_step_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown policy"):
+        with pytest.raises(ValueError, match="unknown policy 'h2o'; choices: csp, global-topk"):
             policy_step("h2o")
+        spec = SynthSpec(text_len=2, visual_len=2, layers=1, heads=1, head_dim=2, steps=1)
         with pytest.raises(ValueError, match="unknown policy"):
-            deploy_smoothing("h2o", PruneConfig(budget=4, recent=1, obs_window=1))
+            run_decode(spec, "h2o", PruneConfig(budget=4, recent=1, obs_window=1))
 
     def test_baseline_labels_hedge(self):
-        assert "-like" in POLICY_LABELS["global-topk"]
-        assert "-like" in POLICY_LABELS["accum"]
-        assert set(POLICY_NAMES) == {"csp", "global-topk", "accum", "full"}
-        assert set(POLICY_LABELS) == set(POLICY_NAMES)
+        assert "-like" in POLICIES["global-topk"].label
+        assert "-like" in POLICIES["accum"].label
+        assert set(POLICIES) == {"csp", "global-topk", "accum", "full"}
+        assert all(policy.label.startswith(name + " ") for name, policy in POLICIES.items())
