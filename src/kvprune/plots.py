@@ -183,6 +183,8 @@ def bar_chart(labels, values, title: str, x_label: str, y_label: str) -> str:
     y_hi = float(values.max())
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
+        if y_hi == y_lo:  # at or below -2**53, +1 rounds away
+            y_hi = y_lo + 0.04 * abs(y_lo)
     frame = _Frame(0.0, float(values.size), y_lo, y_hi)
     parts = frame.chrome(title, x_label, y_label, x_ticks=False)
     slot = (frame.right - frame.left) / values.size

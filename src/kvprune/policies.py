@@ -33,6 +33,7 @@ scoring, decompose and core rather than their checked public forms.
 
 from __future__ import annotations
 
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -241,7 +242,8 @@ Policy = namedtuple("Policy", "label step options replay_smoothing")
 
 _POOL_WIDTH = Option("pool_width", "pool_width",
                     "global-topk: width of the 1-D max pool over column sums",
-                    "must be >= 1", lambda width: width >= 1)
+                    "must be >= 1",
+                    lambda width: isinstance(width, numbers.Integral) and width >= 1)
 _BASELINE_SMOOTHING = Option("smoothing", "baseline_n",
                             "smoothing constant for the baseline policies",
                             "must be finite and >= 0", lambda n: 0.0 <= n < np.inf)

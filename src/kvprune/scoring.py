@@ -88,7 +88,9 @@ def smoothed_softmax_rows(logits, smoothing: float) -> np.ndarray:
 def _smoothed_softmax_rows(logits: np.ndarray, smoothing: float) -> np.ndarray:
     """smoothed_softmax_rows on a finite 2-D float32 or float64 matrix and
     a valid smoothing, unchecked. The result is float64, and the same bits
-    for a float32 matrix as for its float64 copy."""
+    for a float32 matrix as for its float64 copy. A -inf entry gets weight
+    exactly 0, so -inf pads a row without changing it, provided the row
+    keeps a finite entry or smoothing > 0 (else the row is NaN)."""
     if logits.shape[1] == 0:
         if smoothing == 0.0:
             raise ValueError("no columns and smoothing is 0; weights are undefined")

@@ -23,9 +23,17 @@ slab, and each step's blocks are a view of it.
 
 `run_decode` drives any policy over any of three sources (a SynthSpec, a
 SyntheticDecoder or an AttentionTrace) with one loop over those records. A
-sweep passes one decoder to every run, so it builds its slab, and the
-unpruned attention output each reconstruction compares against, once. Traces
-carry no values or query vectors, so replays report no reconstruction error.
+synthetic run records each step's retained ids per layer and scores its
+reconstruction error after the loop, one batched pass per layer: each step's
+newest-query logits are gathered from the slab into one array padded with
+-inf to the largest kept count, so pads weigh 0 in the smoothed softmax, and
+one batched matmul against the gathered values gives every step's pruned
+output. The unpruned outputs are one (steps + 1, heads, head_dim) array per
+layer, computed once per decoder, so a sweep builds its slab and these once.
+Both sides work through their steps in chunks whose temporaries stay near
+RECON_CHUNK_FLOATS values, so peak memory does not grow with the step count.
+Traces carry no values or query vectors, so replays report no reconstruction
+error.
 """
 
 from __future__ import annotations
@@ -37,11 +45,21 @@ import numpy as np
 from . import policies
 from .core import TEXT_CODE, VISUAL_CODE, PruneConfig, as_tags, tag_counts
 from .policies import PolicyDecision
-from .scoring import _smoothed_softmax_rows, attention_logits, softmax_rows
+from .scoring import _smoothed_softmax_rows, attention_logits
 from .traceio import AttentionTrace, TraceStep
 
 INTERLEAVE_MODES = ("block", "alternating", "random")
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
+# Values the temporaries of one chunk of reconstruction steps may hold, about
+# 1 MiB of float64, whatever the step count.
+RECON_CHUNK_FLOATS = 2**17
+
+
+def _chunks(count: int, floats_per_step: int):
+    """Slices covering range(count), each of as many steps as fit
+    RECON_CHUNK_FLOATS at floats_per_step values a step, at least one."""
+    size = max(1, RECON_CHUNK_FLOATS // max(1, floats_per_step))
+    return [slice(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
 @dataclass(frozen=True)
@@ -136,29 +154,44 @@ class SyntheticDecoder:
                 w_q = proj_rng.standard_normal((d, d)) * scale
                 self._queries[layer, head] = embeddings @ w_q.T
         # The logit slab and its first query id, built by the first steps call,
-        # and the full-cache outputs computed from it, by (layer, length).
+        # and per layer the full-cache outputs computed from it.
         self._slab = None
         self._slab_start = 0
-        self._full_outputs = {}
+        self._full_outputs = [None] * spec.layers
 
     def values(self, layer: int, ids: np.ndarray | slice) -> np.ndarray:
         return self._values[layer][ids]
 
-    def full_output(self, layer: int, length: int) -> np.ndarray:
-        """Attention output (heads, head_dim) of the newest query at this
-        length over every key, from the current slab.
+    def newest_logits(self, layer: int) -> np.ndarray:
+        """The slab rows (heads, steps + 1, final_len) of each step's newest
+        query over all final_len keys; a step attends only to the first
+        prefill_len + step of them. Call it after steps has built the slab."""
+        first = self.spec.prefill_len - 1 - self._slab_start
+        return self._slab[layer, :, first : first + self.spec.steps + 1]
 
-        Only the decoder, the layer and the length determine it, so it is
-        computed once, on first use, and reused by every later run until
-        the slab is rebuilt. Call it after steps has built the slab.
+    def full_outputs(self, layer: int) -> np.ndarray:
+        """Read-only attention outputs (steps + 1, heads, head_dim) of each
+        step's newest query over every live key, from the current slab.
+
+        Only the decoder and the layer determine them, so they are computed
+        once, on first use, and reused by every later run until the slab is
+        rebuilt. Each chunk of steps masks the keys beyond its lengths with
+        -inf and takes one softmax and one matmul against the values.
         """
-        key = (layer, length)
-        out = self._full_outputs.get(key)
+        out = self._full_outputs[layer]
         if out is None:
-            logits = self._slab[layer, :, length - 1 - self._slab_start, :length]
-            out = softmax_rows(logits) @ self.values(layer, slice(length))
+            spec = self.spec
+            logits = self.newest_logits(layer)
+            lengths = spec.prefill_len + np.arange(spec.steps + 1)
+            live = np.arange(spec.final_len) < lengths[:, None]
+            out = np.empty((spec.steps + 1, spec.heads, spec.head_dim))
+            for chunk in _chunks(spec.steps + 1, 3 * spec.heads * spec.final_len):
+                masked = np.where(live[chunk], logits[:, chunk], -np.inf)
+                weights = _smoothed_softmax_rows(masked.reshape(-1, spec.final_len), 0.0)
+                outputs = weights @ self._values[layer]
+                out[chunk] = outputs.reshape(spec.heads, -1, spec.head_dim).transpose(1, 0, 2)
             out.flags.writeable = False
-            self._full_outputs[key] = out
+            self._full_outputs[layer] = out
         return out
 
     def logit_block(self, layer: int, query_ids: np.ndarray, key_ids: np.ndarray) -> np.ndarray:
@@ -195,8 +228,8 @@ class SyntheticDecoder:
         observes; it takes one logit_block call per layer. The decoder
         keeps the slab, so a later call with the same or a smaller window
         reuses it, and a larger window, which needs earlier queries,
-        rebuilds it and drops the full_output memo. Copy a block before
-        writing to it.
+        rebuilds it and drops the full outputs computed from the old one.
+        Copy a block before writing to it.
         """
         spec = self.spec
         start = max(spec.prefill_len - obs_window, 0)
@@ -209,7 +242,7 @@ class SyntheticDecoder:
             # Every step of every run over this decoder shares the slab.
             slab.flags.writeable = False
             self._slab, self._slab_start = slab, start
-            self._full_outputs = {}
+            self._full_outputs = [None] * spec.layers
         slab, start = self._slab, self._slab_start
         length = spec.prefill_len
         for step in range(spec.steps + 1):
@@ -273,8 +306,10 @@ def run_decode(source, policy_name: str, cfg: PruneConfig, **policy_kwargs) -> R
     from the key tags and logits over its retained ids. A synthetic source
     also has values, so it then measures the reconstruction error of the
     newest query's attention output against the unpruned cache, averaged
-    over layers. A layer that keeps every key under smoothing 0 has error
-    exactly 0.0, since its pruned output is the full output.
+    over layers: it records each step's retained ids and scores every step
+    in one batched pass per layer after the loop. A layer that keeps every
+    key under smoothing 0 has error exactly 0.0 and is not computed, since
+    its pruned output is the full output.
     """
     if isinstance(source, SynthSpec):
         source = SyntheticDecoder(source)
@@ -294,7 +329,7 @@ def run_decode(source, policy_name: str, cfg: PruneConfig, **policy_kwargs) -> R
     states = [None] * header.layers
     per_step: list[list[PolicyDecision]] = []
     bytes_cached: list[int] = []
-    recon_error: list[float] = []
+    kept: list[list[np.ndarray]] = []
 
     for record in steps:
         added = record.new_tags.size
@@ -325,7 +360,8 @@ def run_decode(source, policy_name: str, cfg: PruneConfig, **policy_kwargs) -> R
         # float32 keys and values for every retained token.
         bytes_cached.append(sum(ids.size * 2 * header.head_dim * 4 for ids in retained))
         if decoder is not None:
-            recon_error.append(_recon_error(decoder, blocks, retained, smoothing))
+            # A step replaces the arrays it changes, so a shallow copy records it.
+            kept.append(retained.copy())
 
     return RunReport(
         policy=policy_name,
@@ -334,39 +370,67 @@ def run_decode(source, policy_name: str, cfg: PruneConfig, **policy_kwargs) -> R
         full_length=int(full_tags.size),
         per_step=per_step,
         bytes_cached=bytes_cached,
-        recon_error=recon_error,
+        recon_error=[] if decoder is None else _recon_error(decoder, kept, smoothing),
         retained_ids=[ids.copy() for ids in retained],
         retained_tags=[full_tags[ids] for ids in retained],
     )
 
 
-def _recon_error(decoder, blocks: np.ndarray, retained: list[np.ndarray], smoothing: float) -> float:
-    """Mean over layers of ||full attention output - pruned output|| for the
-    newest query, heads concatenated.
+def _recon_error(decoder, kept: list[list[np.ndarray]], smoothing: float) -> list[float]:
+    """Each step's mean over layers of ||full attention output - pruned
+    output|| for the newest query, heads concatenated.
 
-    The newest query's logits are the last row of the step's blocks, since
-    observation rows always end at the newest token; each layer weighs the
-    (heads, length) matrix of them in one softmax call for the pruned side.
-    The full side is the decoder's full_output, the same expression over
-    the same slab row, computed once per decoder rather than once per run.
+    kept[step][layer] holds the ids that layer retained after that step; a
+    run's steps are the decoder's, in order.
     """
-    length = blocks.shape[3]
-    errors = []
+    errors = np.zeros((len(kept), decoder.layers))
     for layer in range(decoder.layers):
-        kept = retained[layer]
-        if kept.size == length and smoothing == 0.0:
-            # Kept ids are unique, so this is every key: the pruned output
-            # is the full output. Computing it instead could miss 0.0,
-            # because numpy's row sums depend on buffer alignment.
-            errors.append(0.0)
-            continue
-        # The step checked these logits and the smoothing before any error
-        # is measured.
-        logits = blocks[layer, :, -1, :]
-        pruned_weights = _smoothed_softmax_rows(logits[:, kept], smoothing)
-        pruned_out = pruned_weights @ decoder.values(layer, kept)
-        errors.append(float(np.linalg.norm(decoder.full_output(layer, length) - pruned_out)))
-    return float(np.mean(errors))
+        errors[:, layer] = _layer_errors(decoder, layer, [ids[layer] for ids in kept], smoothing)
+    return errors.mean(axis=1).tolist()
+
+
+def _layer_errors(decoder, layer: int, kept: list[np.ndarray], smoothing: float) -> np.ndarray:
+    """One layer's error at every step, kept[step] being its retained ids.
+
+    A step that keeps every key under smoothing 0 is not computed: kept ids
+    are unique, so its pruned output is the full output and its error is
+    exactly 0.0, which computing it could miss, since numpy's sums depend
+    on buffer alignment. Every other step is scored in chunks of steps:
+    the newest query's logits over each step's kept ids are gathered into
+    one (heads, steps, width) array, padded with -inf up to the largest
+    kept count so pads weigh 0, weighed by one smoothed softmax and
+    multiplied by the gathered values in one batched matmul.
+    """
+    spec = decoder.spec
+    counts = np.array([ids.size for ids in kept])
+    if smoothing == 0.0:
+        scored = np.flatnonzero(counts < spec.prefill_len + np.arange(len(kept)))
+        # The same refusal the softmax makes for an empty row, which a padded
+        # row would otherwise turn into NaN.
+        if not counts[scored].all():
+            raise ValueError("no columns and smoothing is 0; weights are undefined")
+    else:
+        scored = np.arange(len(kept))
+    errors = np.zeros(len(kept))
+    if scored.size == 0:
+        return errors
+    full = decoder.full_outputs(layer)
+    logits = decoder.newest_logits(layer)
+    values = decoder.values(layer, slice(None))
+    heads, width = spec.heads, int(counts[scored].max())
+    for chunk in _chunks(scored.size, width * (3 * heads + spec.head_dim + 1)):
+        steps = scored[chunk]
+        pads = np.arange(width) >= counts[steps, None]
+        cols = np.zeros(pads.shape, dtype=np.intp)
+        cols[~pads] = np.concatenate([kept[step] for step in steps])
+        gathered = logits[:, steps[:, None], cols]
+        gathered[:, pads] = -np.inf
+        # The steps checked these logits and the smoothing.
+        weights = _smoothed_softmax_rows(gathered.reshape(heads * steps.size, width), smoothing)
+        weights = weights.reshape(heads, steps.size, width).transpose(1, 0, 2)
+        diff = full[steps] - weights @ values[cols]
+        errors[steps] = np.sqrt(np.einsum("shd,shd->s", diff, diff))
+    return errors
 
 
 def record_trace(spec: SynthSpec, obs_window: int) -> AttentionTrace:

@@ -431,6 +431,43 @@ def recon_error_final(spec, retained_ids, smoothing):
     return sum(errors) / len(errors)
 
 
+def recon_step_errors(decoder, blocks, retained, smoothing):
+    """One decode step's reconstruction error per layer, one softmax at a
+    time: the newest query's logits are the last row of the step's blocks,
+    each layer weighs them over every key (the full side) and over its
+    retained ids with the smoothing term (the pruned side), and the error
+    is the norm of the difference of the two outputs, heads concatenated.
+
+    It is the per-step reference for the batched scoring of
+    kvprune.simulator._layer_errors. A layer that keeps every key under smoothing 0 reports exactly 0.0, an
+    empty kept set under smoothing 0 raises ValueError, and one under
+    smoothing > 0 has a zero pruned output.
+    """
+    length = blocks.shape[3]
+    errors = []
+    for layer, kept in enumerate(retained):
+        if kept.size == length and smoothing == 0.0:
+            errors.append(0.0)
+            continue
+        logits = blocks[layer, :, -1, :].astype(np.float64)
+        values = decoder.values(layer, slice(length))
+        full = np.exp(logits - logits.max(axis=1, keepdims=True))
+        full_out = (full / full.sum(axis=1, keepdims=True)) @ values
+        if kept.size == 0:
+            if smoothing == 0.0:
+                raise ValueError("no columns and smoothing is 0; weights are undefined")
+            pruned_out = np.zeros(full_out.shape)
+        else:
+            picked = logits[:, kept]
+            log_n = math.log(smoothing) if smoothing > 0.0 else -math.inf
+            shift = np.maximum(picked.max(axis=1), log_n)[:, None]
+            expd = np.exp(picked - shift)
+            weights = expd / (np.exp(log_n - shift) + expd.sum(axis=1, keepdims=True))
+            pruned_out = weights @ values[kept]
+        errors.append(float(np.linalg.norm(full_out - pruned_out)))
+    return errors
+
+
 def read_trace_bytes(data):
     """Parse a CSPT trace from bytes, one struct.unpack per field or logit.
 

@@ -216,6 +216,21 @@ class TestSimulate:
         assert main(["simulate", "--trace", str(bad), *CFG_FLAGS,
                      "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("n, code", [("0", 1), ("1", 0)])
+    def test_emptied_kept_set(self, tmp_path, capsys, n, code):
+        """csp at recent 0 and a tiny budget empties layer 0's kept set: at
+        n 0 its weights are undefined, a usage error with no CSV; at n 1
+        the run completes."""
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--recent", "0", "--n", n, "--budget", "0.1", *SPEC_FLAGS,
+                     "--out", str(out)]) == code
+        if code:
+            assert capsys.readouterr().err == (
+                "error: no columns and smoothing is 0; weights are undefined\n")
+            assert not out.exists()
+        else:
+            assert out.exists()
+
     def test_pool_width_validation(self, tmp_path):
         assert main(["simulate", *SPEC_FLAGS, *CFG_FLAGS,
                      "--policy", "global-topk", "--pool-width", "0",

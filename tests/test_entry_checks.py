@@ -85,8 +85,9 @@ def step_cases():
                     yield (f"{name}-{path}-smoothing-{v}", name,
                            (KEY_TAGS, LOGITS, QUERY_TAGS, cfg), {"smoothing": v})
             if name == "global-topk":
-                yield (f"{name}-{path}-pool-width-0", name,
-                       (KEY_TAGS, LOGITS, QUERY_TAGS, cfg), {"pool_width": 0})
+                for width in (0, 2.5):
+                    yield (f"{name}-{path}-pool-width-{width}", name,
+                           (KEY_TAGS, LOGITS, QUERY_TAGS, cfg), {"pool_width": width})
         for field, value in (("recent", 4), ("cross_ratio", 1.5), ("smoothing", -1.0),
                              ("head_mode", "vote")):
             cfg = invalid_config(**{field: value})

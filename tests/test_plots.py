@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from kvprune.plots import HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, WIDTH
-from kvprune.plots import line_chart
+from kvprune.plots import bar_chart, line_chart
 
 BOX = (MARGIN_LEFT, WIDTH - MARGIN_RIGHT, MARGIN_TOP, HEIGHT - MARGIN_BOTTOM)
 
@@ -76,3 +76,15 @@ class TestLineChart:
     def test_kde_overlay(self):
         xs = np.linspace(-0.003, 0.97, 512)
         check([("intra", xs, np.exp(-xs)), ("inter", xs, xs * xs)])
+
+
+class TestBarChart:
+    def test_equal_values_beyond_unit_precision(self):
+        """Below -2**53, y_lo + 1 rounds back to y_lo; the axis still has a
+        span, so every coordinate is finite and no warning is raised."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            svg = bar_chart(["0", "1"], [-1e20, -1e20], "t", "x", "y")
+        numbers = re.findall(r'\b(?:x|y|width|height)="([^"]*)"', svg)
+        assert numbers and all(np.isfinite(float(value)) for value in numbers)
+        assert not re.search(r"nan|inf", svg)

@@ -1,10 +1,13 @@
 """Tests for the synthetic decoder, the decode loop, and sweeps."""
 
+import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kvprune import policies, simulator
 from kvprune.core import PruneConfig, TEXT, VISUAL
@@ -42,18 +45,18 @@ def record_keeps(monkeypatch, policy):
     return keeps
 
 
-def count_softmax_rows(monkeypatch):
-    """Wrap the simulator's softmax_rows; the returned list gets one entry
-    per call."""
-    calls = []
-    original = simulator.softmax_rows
+def record_full_outputs(monkeypatch):
+    """Wrap SyntheticDecoder.full_outputs; the returned list collects every
+    array it returns, in call order."""
+    outputs = []
+    original = SyntheticDecoder.full_outputs
 
-    def counted(logits):
-        calls.append(1)
-        return original(logits)
+    def recorded(self, layer):
+        outputs.append(original(self, layer))
+        return outputs[-1]
 
-    monkeypatch.setattr(simulator, "softmax_rows", counted)
-    return calls
+    monkeypatch.setattr(SyntheticDecoder, "full_outputs", recorded)
+    return outputs
 
 
 class TestSynthSpec:
@@ -437,6 +440,135 @@ class TestReconErrorOracle:
         assert report.recon_error[-1] == pytest.approx(expected, rel=1e-12)
 
 
+# A csp run whose kept set empties on layer 0 at steps 0 and 3: recent 0 and
+# a budget of 0.1 keep at most one token, and sometimes none.
+EMPTYING = SynthSpec(seed=0, text_len=8, visual_len=8, layers=1, heads=2, head_dim=8, steps=4)
+EMPTYING_CFG = PruneConfig(budget=budget_for_fraction(0.1, EMPTYING.final_len, 0), recent=0,
+                           obs_window=16)
+
+
+@st.composite
+def batched_runs(draw):
+    """(spec, cfg, policy, options) of a small live run whose kept sets never
+    empty (recent >= 1), over every policy, widening setting, smoothing
+    0 or 1 and interleave."""
+    spec = SynthSpec(
+        seed=draw(st.integers(0, 99)),
+        text_len=draw(st.integers(2, 12)),
+        visual_len=draw(st.integers(2, 12)),
+        interleave=draw(st.sampled_from(simulator.INTERLEAVE_MODES)),
+        layers=draw(st.integers(1, 2)),
+        heads=draw(st.integers(1, 3)),
+        head_dim=draw(st.sampled_from([4, 8])),
+        steps=draw(st.integers(0, 8)),
+    )
+    recent = draw(st.integers(1, 4))
+    n = draw(st.sampled_from([0.0, 1.0]))
+    cfg = PruneConfig(
+        budget=budget_for_fraction(draw(st.floats(0.05, 1.1)), spec.final_len, recent),
+        recent=recent, obs_window=draw(st.integers(1, 8)), smoothing=n,
+        widen_to_budget=draw(st.booleans()),
+    )
+    policy = draw(st.sampled_from(list(policies.POLICIES)))
+    options = {"smoothing": n} if policy in ("global-topk", "accum") else {}
+    return spec, cfg, policy, options
+
+
+class TestBatchedReconstruction:
+    """run_decode scores a run's reconstruction error in one batched pass
+    per layer, in chunks of steps; every step must match the per-step
+    arithmetic of tests/oracles.py's recon_step_errors."""
+
+    @settings(max_examples=80)
+    @given(run=batched_runs(), chunk_floats=st.sampled_from([1, 300, 2**17]))
+    def test_every_step_matches_the_per_step_oracle(self, run, chunk_floats):
+        """chunk_floats 1 puts each step in its own chunk, 300 a few steps
+        in each, 2**17 the whole run in one."""
+        spec, cfg, policy, options = run
+        decoder = SyntheticDecoder(spec)
+        layer_errors = {}
+        original = simulator._layer_errors
+
+        def recorded(decoder, layer, kept, smoothing):
+            layer_errors[layer] = (kept, original(decoder, layer, kept, smoothing))
+            return layer_errors[layer][1]
+
+        with mock.patch.object(simulator, "_layer_errors", recorded), \
+                mock.patch.object(simulator, "RECON_CHUNK_FLOATS", chunk_floats):
+            report = run_decode(decoder, policy, cfg, **options)
+        smoothing = policies.get_policy(policy).replay_smoothing(cfg, options)
+        assert sorted(layer_errors) == list(range(spec.layers))
+        for step, record in enumerate(decoder.steps(cfg.obs_window)):
+            retained = [layer_errors[layer][0][step] for layer in range(spec.layers)]
+            expected = oracles.recon_step_errors(decoder, record.blocks, retained, smoothing)
+            length = spec.prefill_len + step
+            for layer, want in enumerate(expected):
+                got = layer_errors[layer][1][step]
+                assert math.isclose(got, want, rel_tol=1e-12), (step, layer)
+                if retained[layer].size == length and smoothing == 0.0:
+                    assert got == 0.0
+            assert math.isclose(report.recon_error[step], float(np.mean(expected)),
+                                rel_tol=1e-12)
+
+    def test_chunks_cover_the_steps_within_the_float_budget(self):
+        for count, per_step in ((0, 10), (1, 10**9), (7, 0), (129, 25_000), (13, 4_900)):
+            chunks = simulator._chunks(count, per_step)
+            assert [step for chunk in chunks for step in range(count)[chunk]] == list(range(count))
+            for chunk in chunks:
+                size = chunk.stop - chunk.start
+                assert size == 1 or size * per_step <= simulator.RECON_CHUNK_FLOATS
+
+    @pytest.mark.parametrize("chunk_floats, bound, within", [
+        (2**12, 2**20, True),    # chunked: well under 1 MiB
+        (2**40, 2**21, False),   # one chunk: over 2 MiB
+    ])
+    def test_temporaries_follow_the_chunk_size(self, chunk_floats, bound, within):
+        """Reconstruction's peak memory is set by RECON_CHUNK_FLOATS, not by
+        the step count: at 129 steps one chunk needs several MiB."""
+        spec = SynthSpec(seed=3, text_len=64, visual_len=64, layers=1, heads=4,
+                         head_dim=16, steps=128)
+        cfg = PruneConfig(budget=budget_for_fraction(0.5, spec.final_len, 8), recent=8,
+                          obs_window=8)
+        decoder = SyntheticDecoder(spec)
+        kept = []
+        original = simulator._recon_error
+        with mock.patch.object(simulator, "_recon_error",
+                               lambda dec, steps, n: kept.append(steps) or [0.0]):
+            run_decode(decoder, "csp", cfg)
+        with mock.patch.object(simulator, "RECON_CHUNK_FLOATS", chunk_floats):
+            tracemalloc.start()
+            try:
+                original(decoder, kept[0], cfg.smoothing)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (peak < bound) == within, peak
+
+
+class TestEmptyKeptSet:
+    """A layer whose kept set empties: its weights are undefined under
+    smoothing 0, and under smoothing > 0 its pruned output is zero."""
+
+    def test_refused_at_smoothing_zero(self):
+        with pytest.raises(ValueError, match="no columns and smoothing is 0; weights "
+                                             "are undefined"):
+            run_decode(EMPTYING, "csp", EMPTYING_CFG.with_updates(smoothing=0.0))
+
+    def test_error_is_the_full_output_norm_at_positive_smoothing(self):
+        report = run_decode(EMPTYING, "csp", EMPTYING_CFG.with_updates(smoothing=1.0))
+        occupancy = [step[0].achieved_occupancy for step in report.per_step]
+        assert occupancy == [0, 1, 1, 0, 1]
+        decoder = SyntheticDecoder(EMPTYING)
+        for step in (0, 3):
+            length = EMPTYING.prefill_len + step
+            logits = decoder.logit_block(0, np.array([length - 1]), np.arange(length))
+            logits = logits[:, 0, :].astype(np.float64)
+            weights = np.exp(logits - logits.max(axis=1, keepdims=True))
+            weights /= weights.sum(axis=1, keepdims=True)
+            full = weights @ decoder.values(0, slice(length))
+            assert report.recon_error[step] == pytest.approx(np.linalg.norm(full), rel=1e-12)
+
+
 class TestModalityBalance:
     def test_csp_outretains_global_topk_on_visual(self):
         """The pinned text-dominant instance: a text-heavy observation
@@ -512,27 +644,48 @@ class TestSweep:
         sweep("budget_fraction", [0.3, 0.6, 0.45], SMALL, self.CFG, "csp")
         assert calls == list(range(SMALL.layers))
 
-    def test_one_full_reconstruction_per_layer_and_step(self, monkeypatch):
+    def test_one_full_side_per_layer(self, monkeypatch):
         """The unpruned side of the reconstruction error depends only on the
-        decoder, the layer and the length, so a sweep computes it with one
-        softmax_rows call per layer and step, whatever the grid size."""
-        calls = count_softmax_rows(monkeypatch)
+        decoder and the layer, so a sweep computes one read-only
+        (steps + 1, heads, head_dim) array per layer, whatever the grid
+        size, and every run reads that same array."""
+        outputs = record_full_outputs(monkeypatch)
         sweep("budget_fraction", [0.3, 0.6, 0.45], SMALL, self.CFG, "csp")
-        assert len(calls) == SMALL.layers * (SMALL.steps + 1)
+        assert len(outputs) == 3 * SMALL.layers
+        assert len({id(out) for out in outputs}) == SMALL.layers
+        for out in outputs:
+            assert out.shape == (SMALL.steps + 1, SMALL.heads, SMALL.head_dim)
+            assert not out.flags.writeable
 
-    def test_rebuilt_slab_recomputes_full_outputs(self, monkeypatch):
+    def test_rebuilt_slab_recomputes_full_outputs(self):
         """A larger obs window rebuilds the slab and drops the full outputs
-        computed from the old one; the rebuilt decoder then reports what a
-        fresh decoder at that window does."""
+        computed from the old one; the rebuilt decoder then holds and
+        reports what a fresh decoder at that window does."""
         narrow = self.CFG
         wide = self.CFG.with_updates(obs_window=SMALL.prefill_len)
         decoder = SyntheticDecoder(SMALL)
-        calls = count_softmax_rows(monkeypatch)
         run_decode(decoder, "csp", narrow)
+        before = [decoder.full_outputs(layer) for layer in range(SMALL.layers)]
         rebuilt = run_decode(decoder, "csp", wide)
-        assert len(calls) == 2 * SMALL.layers * (SMALL.steps + 1)
-        fresh = run_decode(SyntheticDecoder(SMALL), "csp", wide)
+        fresh_decoder = SyntheticDecoder(SMALL)
+        fresh = run_decode(fresh_decoder, "csp", wide)
         assert rebuilt.recon_error == fresh.recon_error
+        for layer, old in enumerate(before):
+            new = decoder.full_outputs(layer)
+            assert new is not old
+            np.testing.assert_array_equal(new, fresh_decoder.full_outputs(layer))
+
+    def test_full_run_computes_no_reconstruction(self, monkeypatch):
+        """A full run keeps every key under smoothing 0 on every layer, so
+        each of its errors is exactly 0.0 and none is computed: neither
+        the unpruned side nor any softmax."""
+        outputs = record_full_outputs(monkeypatch)
+        softmaxes = []
+        monkeypatch.setattr(simulator, "_smoothed_softmax_rows",
+                            lambda *args: softmaxes.append(args))
+        rows = sweep("budget_fraction", [0.3, 0.6], SMALL, self.CFG, "full")
+        assert all(report.recon_error == [0.0] * (SMALL.steps + 1) for _, report in rows)
+        assert outputs == [] and softmaxes == []
 
     def test_bad_axis(self):
         with pytest.raises(ValueError, match="axis"):
