@@ -9,7 +9,6 @@ a CLI round out the toolkit.
 """
 
 from .core import (
-    HEAD_MODES,
     TEXT,
     VISUAL,
     ModalityTag,
@@ -79,7 +78,6 @@ __all__ = [
     "BadMagicError",
     "DensityCurve",
     "DivergenceReport",
-    "HEAD_MODES",
     "INTERLEAVE_MODES",
     "ImportanceScores",
     "LayerReport",

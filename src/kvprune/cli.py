@@ -31,7 +31,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .core import HEAD_MODES, PruneConfig
+from .core import PruneConfig
 from .diagnostics import DEFAULT_BINS, DEFAULT_EPSILON, KERNEL_CUTOFF, MAX_BINS, layer_report
 from .policies import POLICIES, check_options, policy_step
 from .simulator import (
@@ -106,7 +106,6 @@ FLAGS = {
         "n": _field("smoothing", "smoothing constant added to softmax denominators"),
         "recency_bias": _field("recency_bias", "weight on the newest obs-window candidates' scores"),
         "widen": _field("widen_to_budget", "grow top-k sizes until the intersection fills the budget"),
-        "head_mode": _field("head_mode", "score the head mean once, or select per head", HEAD_MODES),
         "seed": _field("seed", "RNG seed of the synthetic decode, recorded with results"),
     },
     "policy": {

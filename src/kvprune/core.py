@@ -14,8 +14,6 @@ from enum import IntEnum
 
 import numpy as np
 
-HEAD_MODES = ("averaged", "per-head")
-
 
 class ModalityTag(IntEnum):
     """Per-token modality label. Values double as the on-disk byte encoding."""
@@ -95,9 +93,6 @@ class PruneConfig:
     widen_to_budget
         Grow both top-k sizes in lock-step until the intersected mask fills
         the pool (or every candidate is selected).
-    head_mode
-        "averaged" scores the head-mean attention once; "per-head" selects
-        per head and merges masks by vote.
     seed
         RNG seed recorded alongside results.
     """
@@ -109,7 +104,6 @@ class PruneConfig:
     smoothing: float = 1.0
     recency_bias: float = 1.0
     widen_to_budget: bool = False
-    head_mode: str = "averaged"
     seed: int = 0
 
     def __post_init__(self):
@@ -140,8 +134,6 @@ def validate_config(cfg: PruneConfig) -> PruneConfig:
         raise ValueError(f"smoothing must be finite and >= 0, got {cfg.smoothing}")
     if not 0.0 < cfg.recency_bias < np.inf:
         raise ValueError(f"recency_bias must be finite and > 0, got {cfg.recency_bias}")
-    if cfg.head_mode not in HEAD_MODES:
-        raise ValueError(f"head_mode must be one of {HEAD_MODES}, got {cfg.head_mode!r}")
     if int(cfg.seed) != cfg.seed:
         raise ValueError(f"seed must be an integer, got {cfg.seed}")
     return cfg

@@ -123,33 +123,18 @@ def csp_step(key_tags, logits, query_tags, cfg: PruneConfig, state=None):
     """One cross-self pruning step.
 
     Below budget this keeps everything. Otherwise: smoothed softmax over
-    the raw logits, head averaging (or per-head voting), observation
-    trimming, modality decomposition and intersected top-k selection, with
-    the recent window kept after the selected candidates.
+    the raw logits, head averaging, observation trimming, modality
+    decomposition and intersected top-k selection, with the recent window
+    kept after the selected candidates.
     """
     key_tags, logits, query_tags = _checked(key_tags, logits, query_tags, cfg)
     if key_tags.size < cfg.budget:
         return (*_noop(key_tags, cfg), None)
-    weights = _per_head_weights(logits, cfg.smoothing)
+    weights = _head_average(_per_head_weights(logits, cfg.smoothing))
+    trimmed = _trim_observation(weights, cfg.obs_window, cfg.recent)
     cand = key_tags.size - cfg.recent
-    cand_tags = key_tags[:cand]
-
-    if cfg.head_mode == "averaged":
-        trimmed = _trim_observation(_head_average(weights), cfg.obs_window, cfg.recent)
-        imp = _cross_self_importance(trimmed, query_tags[-trimmed.shape[0] :], cand_tags)
-        chosen = cross_self_select(imp, cfg)
-    else:
-        # Per-head mode: each head votes with its own intersected selection;
-        # the most-voted candidates fill the pool, ties to the smaller index.
-        votes = np.zeros(cand)
-        for head_weights in weights:
-            trimmed = _trim_observation(head_weights, cfg.obs_window, cfg.recent)
-            imp = _cross_self_importance(trimmed, query_tags[-trimmed.shape[0] :], cand_tags)
-            votes[cross_self_select(imp, cfg)] += 1
-        target = min(max(cfg.budget - cfg.recent, 0), cand)
-        chosen = np.argsort(-votes, kind="stable")[:target]
-        chosen = np.sort(chosen[votes[chosen] > 0])
-
+    imp = _cross_self_importance(trimmed, query_tags[-trimmed.shape[0] :], key_tags[:cand])
+    chosen = cross_self_select(imp, cfg)
     return (*_pruned(key_tags, cfg, chosen, budget_to_k(cfg, cand)), None)
 
 
@@ -242,7 +227,7 @@ Policy = namedtuple("Policy", "label step options replay_smoothing")
 
 _POOL_WIDTH = Option("pool_width", "pool_width",
                     "global-topk: width of the 1-D max pool over column sums",
-                    "must be >= 1",
+                    "must be an integer >= 1",
                     lambda width: isinstance(width, numbers.Integral) and width >= 1)
 _BASELINE_SMOOTHING = Option("smoothing", "baseline_n",
                             "smoothing constant for the baseline policies",

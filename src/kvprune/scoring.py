@@ -51,14 +51,14 @@ def softmax_rows(logits) -> np.ndarray:
     """Row-wise softmax with max-shift stabilization.
 
     Every row of the result is a probability vector; translating a row by a
-    constant leaves its output unchanged.
+    constant leaves its output unchanged. A matrix with zero columns gives
+    an empty (rows, 0) result. Otherwise this is the smoothed softmax with
+    smoothing 0, bit for bit.
     """
     logits = _as_matrix(logits, "logits")
     if logits.shape[1] == 0:
         return logits.copy()
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expd = np.exp(shifted)
-    return expd / expd.sum(axis=1, keepdims=True)
+    return _smoothed_softmax_rows(logits, 0.0)
 
 
 def smoothed_softmax_rows(logits, smoothing: float) -> np.ndarray:

@@ -75,14 +75,14 @@ class TestHelpAndUsage:
     @pytest.mark.parametrize("command, flags", [
         ("gen-trace", "text visual interleave layers heads dim steps shift spread obs seed out"),
         ("simulate", "trace text visual interleave layers heads dim steps shift spread budget "
-                     "ratio recent obs n recency-bias widen no-widen head-mode seed policy "
-                     "pool-width baseline-n out"),
+                     "ratio recent obs n recency-bias widen no-widen seed policy pool-width "
+                     "baseline-n out"),
         ("sweep", "axis grid svg text visual interleave layers heads dim steps shift spread "
-                  "budget ratio recent obs n recency-bias widen no-widen head-mode seed policy "
+                  "budget ratio recent obs n recency-bias widen no-widen seed policy "
                   "pool-width baseline-n out"),
         ("analyze", "bins epsilon bandwidth obs recent svg out"),
         ("compare", "policies trace budget ratio recent obs n recency-bias widen no-widen "
-                    "head-mode seed pool-width baseline-n out"),
+                    "seed pool-width baseline-n out"),
     ])
     def test_subcommand_flags(self, command, flags, capsys):
         """Each subcommand's --help lists exactly these flags."""
@@ -506,7 +506,6 @@ LIBRARY_DEFAULTS = [
     ("n", PruneConfig, "smoothing"),
     ("recency_bias", PruneConfig, "recency_bias"),
     ("widen", PruneConfig, "widen_to_budget"),
-    ("head_mode", PruneConfig, "head_mode"),
     ("seed", PruneConfig, "seed"),
     ("pool_width", global_topk_step, "pool_width"),
     ("baseline_n", global_topk_step, "smoothing"),
@@ -540,8 +539,8 @@ class TestLibraryDefaults:
 
 SPEC_KEYS = ["head_dim", "heads", "interleave", "layers", "seed", "shift", "spread", "steps",
              "text_len", "visual_len"]
-CONFIG_KEYS = ["budget_fraction", "budget_tokens", "cross_ratio", "head_mode", "obs_window",
-               "recency_bias", "recent", "seed", "smoothing", "widen_to_budget"]
+CONFIG_KEYS = ["budget_fraction", "budget_tokens", "cross_ratio", "obs_window", "recency_bias",
+               "recent", "seed", "smoothing", "widen_to_budget"]
 
 
 class TestSidecarSchema:
@@ -617,10 +616,15 @@ class TestConfigFile:
         sidecar = json.loads((tmp_path / "steps.csv.config.json").read_text())
         assert sidecar["spec"]["text_len"] == 12
 
-    def test_unknown_key(self, tmp_path):
-        cfg = self.write_config(tmp_path, {"texts": 8})
-        assert main(["--config", str(cfg), "simulate",
-                     "--out", str(tmp_path / "x.csv")]) == 1
+    def test_unknown_key(self, tmp_path, capsys):
+        """A misspelt key, or a key such as head_mode that names no flag,
+        is a usage error naming the key."""
+        for key, value in (("texts", 8), ("head_mode", "averaged")):
+            cfg = self.write_config(tmp_path, {key: value})
+            assert main(["--config", str(cfg), "simulate",
+                         "--out", str(tmp_path / "x.csv")]) == 1
+            err = capsys.readouterr().err
+            assert err.count("error:") == 1 and f"unknown keys [{key!r}]" in err
 
     def test_policies_key_rejected(self, tmp_path, trace_path, capsys):
         """compare takes its policy list from --policies only, so a config
@@ -645,7 +649,6 @@ class TestConfigFile:
         ({"shift": False}, "shift"),
         ({"policy": "bogus"}, "policy"),
         ({"interleave": "x"}, "interleave"),
-        ({"head_mode": "x"}, "head_mode"),
         ({"shift": 10**400}, "shift"),
     ])
     def test_value_of_wrong_type(self, tmp_path, payload, key, capsys):

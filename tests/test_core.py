@@ -108,7 +108,6 @@ class TestPruneConfig:
             ({"cross_ratio": 1.5}, "cross_ratio"),
             ({"smoothing": -1.0}, "smoothing"),
             ({"recency_bias": 0.0}, "recency_bias"),
-            ({"head_mode": "mean"}, "head_mode"),
             ({"smoothing": float("inf")}, "smoothing"),
             ({"recency_bias": float("inf")}, "recency_bias"),
         ],

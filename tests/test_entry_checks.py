@@ -88,8 +88,7 @@ def step_cases():
                 for width in (0, 2.5):
                     yield (f"{name}-{path}-pool-width-{width}", name,
                            (KEY_TAGS, LOGITS, QUERY_TAGS, cfg), {"pool_width": width})
-        for field, value in (("recent", 4), ("cross_ratio", 1.5), ("smoothing", -1.0),
-                             ("head_mode", "vote")):
+        for field, value in (("recent", 4), ("cross_ratio", 1.5), ("smoothing", -1.0)):
             cfg = invalid_config(**{field: value})
             yield f"{name}-config-{field}", name, (KEY_TAGS, LOGITS, QUERY_TAGS, cfg), {}
 

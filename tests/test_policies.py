@@ -70,38 +70,6 @@ class TestCspStep:
         np.testing.assert_array_equal(keep, full_keep)
         assert decision.pruned == full_decision.pruned == False  # noqa: E712
 
-    def test_per_head_vote_mode(self):
-        """Two heads that disagree: the vote ranking keeps candidates picked
-        by both heads ahead of single-head picks."""
-        tags = np.zeros(6, dtype=np.uint8)
-        # Pool is 2 per head. Head 0 selects keys {0, 1}, head 1 selects
-        # {1, 2} (last two columns are the recent window).
-        h0 = np.full((2, 6), -700.0)
-        h0[0, 0] = h0[1, 1] = 10.0
-        h1 = np.full((2, 6), -700.0)
-        h1[0, 1] = h1[1, 2] = 10.0
-        logits = np.stack([h0, h1])
-        cfg = PruneConfig(
-            budget=4, recent=2, obs_window=2, cross_ratio=0.0, head_mode="per-head"
-        )
-        keep, _, _ = csp_step(tags, logits, [TEXT, TEXT], cfg)
-        # Key 1 gets two votes; keys 0 and 2 tie at one vote each and the
-        # earlier index wins the remaining slot.
-        np.testing.assert_array_equal(keep[: keep.size - cfg.recent], [0, 1])
-
-    def test_per_head_zero_vote_candidates_dropped(self):
-        tags = np.zeros(5, dtype=np.uint8)
-        logits = np.full((1, 2, 5), -700.0)
-        logits[0, :, 0] = 10.0
-        cfg = PruneConfig(
-            budget=4, recent=2, obs_window=2, cross_ratio=0.0, head_mode="per-head"
-        )
-        keep, _, _ = csp_step(tags, logits, [TEXT, TEXT], cfg)
-        # Pool is 2 but only key 0 gets any vote (intra k=2 keeps the top 2,
-        # yet the single head's selection is what it is; zero-vote slots are
-        # not padded).
-        assert 0 in set(keep[: keep.size - cfg.recent])
-
     def test_determinism(self):
         rng = np.random.default_rng(7)
         tags = tags_of(rng.integers(0, 2, size=20))
@@ -234,13 +202,12 @@ class TestKeepProperties:
     window, and its decision agrees with keep."""
 
     @pytest.mark.parametrize("widen", [False, True])
-    @pytest.mark.parametrize("head_mode", ["averaged", "per-head"])
     @pytest.mark.parametrize("name", list(POLICIES))
     @settings(max_examples=40)
     @given(case=step_cases(), pool_width=st.integers(1, 3))
-    def test_keep_and_decision_invariants(self, name, head_mode, widen, case, pool_width):
+    def test_keep_and_decision_invariants(self, name, widen, case, pool_width):
         key_tags, logits, query_tags, cfg = case
-        cfg = cfg.with_updates(head_mode=head_mode, widen_to_budget=widen)
+        cfg = cfg.with_updates(widen_to_budget=widen)
         kwargs = {"pool_width": pool_width} if name == "global-topk" else {}
         keep, decision, _ = policy_step(name)(key_tags, logits, query_tags, cfg, **kwargs)
 
@@ -298,7 +265,7 @@ class TestGlobalTopkStep:
 
     def test_bad_pool_width(self):
         cfg = PruneConfig(budget=4, recent=2, obs_window=1)
-        with pytest.raises(ValueError, match="pool_width must be >= 1, got 0"):
+        with pytest.raises(ValueError, match="pool_width must be an integer >= 1, got 0"):
             global_topk_step(np.zeros(5, dtype=np.uint8), np.zeros((1, 1, 5)), [TEXT], cfg,
                              pool_width=0)
 

@@ -190,6 +190,19 @@ class TestSmoothedSoftmaxProperties:
         logits, _ = case
         np.testing.assert_array_equal(smoothed_softmax_rows(logits, 0.0), softmax_rows(logits))
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 10),
+           st.floats(0.0, 700.0), st.sampled_from([np.float32, np.float64]))
+    def test_softmax_rows_is_shift_exp_normalise(self, seed, rows, cols, scale, dtype):
+        """softmax_rows, which runs the smoothed kernel at smoothing 0,
+        gives the bits of the plain max-shift, exponentiate, normalise
+        formula on the float64 copy of its float32 or float64 input, at
+        logit scales up to 700."""
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(0.0, scale, size=(rows, cols)).astype(dtype)
+        wide = logits.astype(np.float64)
+        expd = np.exp(wide - wide.max(axis=1, keepdims=True))
+        np.testing.assert_array_equal(softmax_rows(logits), expd / expd.sum(axis=1, keepdims=True))
+
     @given(softmax_cases(), st.one_of(st.just(0.0), smoothings))
     def test_float32_input_gives_the_float64_bits(self, case, smoothing):
         """The kernel takes float32 logits as gathered from a slab or trace

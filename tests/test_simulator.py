@@ -586,6 +586,65 @@ class TestModalityBalance:
         assert csp_visual >= max(2 * topk_visual, 4)
 
 
+def record_selections(monkeypatch):
+    """Wrap csp's step and its cross_self_select; the returned list collects
+    (candidate tags, observation-window query tags, scores, selection) for
+    every selection, in call order."""
+    step, select = policies.csp_step, policies.cross_self_select
+    selections, window = [], {}
+
+    def stepped(key_tags, logits, query_tags, cfg, *args, **kwargs):
+        window.update(keys=np.asarray(key_tags), queries=np.asarray(query_tags)[-cfg.obs_window:])
+        return step(key_tags, logits, query_tags, cfg, *args, **kwargs)
+
+    def selected(scores, cfg):
+        chosen = select(scores, cfg)
+        selections.append((window["keys"][: len(scores)], window["queries"], scores, chosen))
+        return chosen
+
+    monkeypatch.setattr(policies, "csp_step", stepped)
+    monkeypatch.setattr(policies, "cross_self_select", selected)
+    return selections
+
+
+class TestTieRegime:
+    """Once csp's observation window holds only text queries, every visual
+    candidate's intra score and every text candidate's inter score is
+    exactly 0, so each ranking ends in a run of index-ordered ties, and
+    widening fills the pool from them: every selection after the first
+    prune keeps all candidates but one. A change to csp's rule shows here
+    as a deliberate test change."""
+
+    @pytest.mark.parametrize("interleave", simulator.INTERLEAVE_MODES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_text_only_windows(self, seed, interleave, monkeypatch):
+        spec = SynthSpec(seed=seed, text_len=32, visual_len=32, interleave=interleave,
+                         layers=2, heads=2, head_dim=16, steps=24)
+        recent = 4
+        cfg = PruneConfig(budget=budget_for_fraction(0.25, spec.final_len, recent),
+                          recent=recent, obs_window=8, widen_to_budget=True)
+        assert cfg.budget - recent == 18
+        selections = record_selections(monkeypatch)
+        run_decode(spec, "csp", cfg)
+
+        # Each step of the decode selects once per layer; the first prune
+        # is step 0's, over the whole prefill.
+        assert len(selections) == (spec.steps + 1) * spec.layers
+        text_only = 0
+        for call, (cand_tags, query_tags, scores, chosen) in enumerate(selections):
+            if np.any(query_tags == VISUAL):
+                continue
+            text_only += 1
+            visual = cand_tags == VISUAL
+            np.testing.assert_array_equal(scores.intra == 0.0, visual)
+            np.testing.assert_array_equal(scores.inter == 0.0, ~visual)
+            if call >= spec.layers:
+                assert (cand_tags.size, chosen.size) == (cfg.budget - recent + 1,
+                                                         cfg.budget - recent)
+        # Decode steps 8 onward see only the text tokens they appended.
+        assert text_only >= (spec.steps - 7) * spec.layers
+
+
 class TestSweep:
     CFG = PruneConfig(budget=14, recent=4, obs_window=4, widen_to_budget=True)
 
