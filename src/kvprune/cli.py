@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import json
 import os
 import platform
@@ -33,7 +32,7 @@ import numpy as np
 
 from .core import PruneConfig
 from .diagnostics import DEFAULT_BINS, DEFAULT_EPSILON, KERNEL_CUTOFF, MAX_BINS, layer_report
-from .policies import POLICIES, check_options, policy_step
+from .policies import POLICIES, check_options, option_defaults
 from .simulator import (
     INTERLEAVE_MODES,
     SWEEP_AXES,
@@ -73,9 +72,9 @@ def _option_flags() -> dict:
     first step that takes the option."""
     flags = {}
     for name, policy in POLICIES.items():
-        params = inspect.signature(policy_step(name)).parameters
+        defaults = option_defaults(name)
         for option in policy.options:
-            flags.setdefault(option.flag, Flag(params[option.keyword].default, option.help))
+            flags.setdefault(option.flag, Flag(defaults[option.keyword], option.help))
     return flags
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import block_views
-from .scoring import softmax_rows, trim_observation
+from .core import modality_index
+from .scoring import _smoothed_softmax_rows, _trim_observation
 from .traceio import AttentionTrace
 
 DEFAULT_BINS = 64
@@ -229,31 +229,39 @@ def modality_weight_samples(
     query rows and all but the newest `recent` key columns, then split
     four ways by modality pairing. Text-to-text and visual-to-visual
     entries are intra; the mixed blocks are inter.
+
+    Each step's tags and logits are checked once; each (layer, head) block
+    is then weighed, trimmed and split by the unchecked kernels, straight
+    from its float32 logits.
     """
     if recent < 0:
         raise ValueError("recent must be >= 0")
+    if obs_window is not None and obs_window < 1:
+        raise ValueError(f"obs_window must be >= 1, got {obs_window}")
     full_tags = trace.full_tags
     intra: list[list[np.ndarray]] = [[] for _ in range(trace.layers)]
     inter: list[list[np.ndarray]] = [[] for _ in range(trace.layers)]
     length = trace.prefill_tags.size
     for step in trace.steps:
         length += step.new_tags.size
-        rows = step.blocks.shape[2]
+        blocks = np.asarray(step.blocks)
+        if not np.isfinite(blocks).all():
+            raise ValueError("logits must contain finite entries only")
+        rows = blocks.shape[2]
         window = rows if obs_window is None else min(obs_window, rows)
         cols = length - recent
         if cols < 1:
             raise ValueError(f"recent={recent} leaves no keys at length {length}")
-        query_tags = full_tags[length - window : length]
-        key_tags = full_tags[:cols]
+        text_queries, visual_queries = modality_index(full_tags[length - window : length])
+        text_keys, visual_keys = modality_index(full_tags[:cols])
+        intra_pairs = [np.ix_(text_queries, text_keys), np.ix_(visual_queries, visual_keys)]
+        inter_pairs = [np.ix_(visual_queries, text_keys), np.ix_(text_queries, visual_keys)]
         for layer in range(trace.layers):
             for head in range(trace.heads):
-                weights = softmax_rows(np.asarray(step.blocks[layer, head], dtype=np.float64))
-                trimmed = trim_observation(weights, window, recent)
-                views = block_views(trimmed, query_tags, key_tags)
-                intra[layer].append(views.text_text.ravel())
-                intra[layer].append(views.visual_visual.ravel())
-                inter[layer].append(views.visual_text.ravel())
-                inter[layer].append(views.text_visual.ravel())
+                weights = _smoothed_softmax_rows(blocks[layer, head], 0.0)
+                trimmed = _trim_observation(weights, window, recent)
+                intra[layer] += [trimmed[pair].ravel() for pair in intra_pairs]
+                inter[layer] += [trimmed[pair].ravel() for pair in inter_pairs]
     return [
         (np.concatenate(intra[layer]), np.concatenate(inter[layer]))
         for layer in range(trace.layers)

@@ -12,7 +12,7 @@ The baselines are deliberately simplified single-knob reimplementations;
 they exist so modality retention can be compared under one harness, and
 their labels say "-like" to avoid overclaiming fidelity to the originals.
 The CLI's policy choices, help and options derive from POLICIES, so adding
-a policy is one step function plus one table entry.
+a policy is one step function, its kernel and one table entry.
 
 A policy is one step function of the tags of the layer's cached keys, a
 (heads, rows, cols) stack of raw attention logits whose rows are the newest
@@ -25,14 +25,20 @@ window, so keep[:keep.size - recent] are the kept candidates. The caller
 prunes by indexing its own per-position data with keep. Steps never mutate
 their inputs.
 
-Each step checks its own inputs once, on entry: its options, through
+Each public step checks its own inputs once, on entry: its options, through
 check_options, then the config, both tag sequences, the logits' shape
-against them and finite logits. Past that it calls the unchecked kernels of
-scoring, decompose and core rather than their checked public forms.
+against them and finite logits. Then it calls its kernel (`_csp_step` and so
+on, named in its POLICIES entry) with the checked tags and logits, the
+config, the state and every option by keyword; kernels declare no option
+defaults, the steps do. A kernel calls the unchecked kernels of scoring,
+decompose and core rather than their checked public forms.
+simulator.run_decode checks a whole run once, the options through
+run_options, and then calls the kernel on every step and layer.
 """
 
 from __future__ import annotations
 
+import inspect
 import numbers
 from collections import namedtuple
 from dataclasses import dataclass
@@ -127,7 +133,11 @@ def csp_step(key_tags, logits, query_tags, cfg: PruneConfig, state=None):
     decomposition and intersected top-k selection, with the recent window
     kept after the selected candidates.
     """
-    key_tags, logits, query_tags = _checked(key_tags, logits, query_tags, cfg)
+    return _csp_step(*_checked(key_tags, logits, query_tags, cfg), cfg, state)
+
+
+def _csp_step(key_tags, logits, query_tags, cfg: PruneConfig, state):
+    """csp_step on checked inputs, unchecked."""
     if key_tags.size < cfg.budget:
         return (*_noop(key_tags, cfg), None)
     weights = _head_average(_per_head_weights(logits, cfg.smoothing))
@@ -159,8 +169,13 @@ def global_topk_step(
     smoothing: float = 0.0,
 ):
     """Single global ranking by column sum, no modality split."""
-    check_options("global-topk", {"pool_width": pool_width, "smoothing": smoothing})
-    key_tags, logits, query_tags = _checked(key_tags, logits, query_tags, cfg)
+    options = check_options("global-topk", {"pool_width": pool_width, "smoothing": smoothing})
+    return _global_topk_step(*_checked(key_tags, logits, query_tags, cfg), cfg, state, **options)
+
+
+def _global_topk_step(key_tags, logits, query_tags, cfg: PruneConfig, state, *,
+                      pool_width, smoothing):
+    """global_topk_step on checked inputs and options, unchecked."""
     if key_tags.size < cfg.budget:
         return (*_noop(key_tags, cfg), None)
     weights = _per_head_weights(logits, smoothing)
@@ -186,8 +201,15 @@ def accumulated_score_step(
     whole cache; eviction keeps the top pool accumulators among the
     candidates, and evicted accumulators are dropped with their tokens.
     """
-    check_options("accum", {"smoothing": smoothing})
-    key_tags, logits, query_tags = _checked(key_tags, logits, query_tags, cfg)
+    options = check_options("accum", {"smoothing": smoothing})
+    return _accumulated_score_step(*_checked(key_tags, logits, query_tags, cfg), cfg, state,
+                                   **options)
+
+
+def _accumulated_score_step(key_tags, logits, query_tags, cfg: PruneConfig, state, *,
+                            smoothing):
+    """accumulated_score_step on checked inputs and options. It still
+    refuses a state longer than the cache, which no input check sees."""
     running = np.zeros(0) if state is None else np.asarray(state, dtype=np.float64)
     grown = key_tags.size - running.size
     if grown < 0:
@@ -210,7 +232,11 @@ def accumulated_score_step(
 
 def full_cache_step(key_tags, logits, query_tags, cfg: PruneConfig, state=None):
     """Reference policy: never evicts."""
-    key_tags, _, _ = _checked(key_tags, logits, query_tags, cfg)
+    return _full_cache_step(*_checked(key_tags, logits, query_tags, cfg), cfg, state)
+
+
+def _full_cache_step(key_tags, logits, query_tags, cfg: PruneConfig, state):
+    """full_cache_step on checked inputs, unchecked."""
     return (*_noop(key_tags, cfg), None)
 
 
@@ -218,12 +244,13 @@ def full_cache_step(key_tags, logits, query_tags, cfg: PruneConfig, state=None):
 # help there, and the rule its values meet, checked by admits(value).
 Option = namedtuple("Option", "keyword flag help rule admits")
 
-# A registry entry: the policy's label; the module attribute name of its
-# step, looked up at call time so a rebound attribute (a wrapper, a patch)
-# is the one that runs; the step's options, in the order a sidecar records
-# them; and replay_smoothing(cfg, options), the smoothing constant a run
-# replays the policy's retained tokens with.
-Policy = namedtuple("Policy", "label step options replay_smoothing")
+# A registry entry: the policy's label; the module attribute names of its
+# checked step and of the unchecked kernel that step calls, each looked up
+# at call time so a rebound attribute (a wrapper, a patch) is the one that
+# runs; the step's options, in the order a sidecar records them; and
+# replay_smoothing(cfg, options), the smoothing constant a run replays the
+# policy's retained tokens with.
+Policy = namedtuple("Policy", "label step kernel options replay_smoothing")
 
 _POOL_WIDTH = Option("pool_width", "pool_width",
                     "global-topk: width of the 1-D max pool over column sums",
@@ -242,13 +269,14 @@ def _baseline_smoothing(cfg: PruneConfig, options: dict) -> float:
 # replay with their own smoothing option; the full cache with the plain
 # softmax. The first entry, the method under study, is the CLI's default.
 POLICIES = {
-    "csp": Policy("csp (cross-self intersection)", "csp_step", (),
+    "csp": Policy("csp (cross-self intersection)", "csp_step", "_csp_step", (),
                   lambda cfg, options: cfg.smoothing),
-    "global-topk": Policy("global-topk (SnapKV-like)", "global_topk_step",
+    "global-topk": Policy("global-topk (SnapKV-like)", "global_topk_step", "_global_topk_step",
                           (_POOL_WIDTH, _BASELINE_SMOOTHING), _baseline_smoothing),
-    "accum": Policy("accum (H2O-like)", "accumulated_score_step", (_BASELINE_SMOOTHING,),
-                    _baseline_smoothing),
-    "full": Policy("full (no eviction)", "full_cache_step", (), lambda cfg, options: 0.0),
+    "accum": Policy("accum (H2O-like)", "accumulated_score_step", "_accumulated_score_step",
+                    (_BASELINE_SMOOTHING,), _baseline_smoothing),
+    "full": Policy("full (no eviction)", "full_cache_step", "_full_cache_step", (),
+                   lambda cfg, options: 0.0),
 }
 
 
@@ -262,6 +290,25 @@ def get_policy(name: str) -> Policy:
 def policy_step(name: str):
     """The step function of a policy, by registry name."""
     return globals()[get_policy(name).step]
+
+
+def option_defaults(name: str) -> dict:
+    """The default of each option of policy `name`, by keyword in table
+    order: the default of that parameter of its step."""
+    params = inspect.signature(policy_step(name)).parameters
+    return {option.keyword: params[option.keyword].default for option in get_policy(name).options}
+
+
+def run_options(name: str, values: dict) -> dict:
+    """Every option policy `name` takes, checked, those values omits at
+    their step defaults: what its kernel takes by keyword. TypeError, as a
+    call of the step would raise, for a keyword the step does not take."""
+    defaults = option_defaults(name)
+    for keyword in values:
+        if keyword not in defaults:
+            raise TypeError(f"{get_policy(name).step}() got an unexpected keyword argument "
+                            f"{keyword!r}")
+    return check_options(name, {**defaults, **values})
 
 
 def check_options(name: str, values: dict, from_flags: bool = False) -> dict:

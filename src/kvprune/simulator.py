@@ -22,7 +22,10 @@ so a decoder computes every logit its steps need once, into one read-only
 slab, and each step's blocks are a view of it.
 
 `run_decode` drives any policy over any of three sources (a SynthSpec, a
-SyntheticDecoder or an AttentionTrace) with one loop over those records. A
+SyntheticDecoder or an AttentionTrace) with one loop over those records.
+It checks a run once, on entry, and a trace's records once each; a
+decoder builds its records unchecked, from its finite float32 slab. The
+loop then calls the policy's unchecked kernel on every step and layer. A
 synthetic run records each step's retained ids per layer and scores its
 reconstruction error after the loop, one batched pass per layer: each step's
 newest-query logits are gathered from the slab into one array padded with
@@ -43,10 +46,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import policies
-from .core import TEXT_CODE, VISUAL_CODE, PruneConfig, as_tags, tag_counts
+from .core import TEXT_CODE, VISUAL_CODE, PruneConfig, as_tags, tag_counts, validate_config
 from .policies import PolicyDecision
 from .scoring import _smoothed_softmax_rows, attention_logits
-from .traceio import AttentionTrace, TraceStep
+from .traceio import AttentionTrace, TraceStep, checked_step
 
 INTERLEAVE_MODES = ("block", "alternating", "random")
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
@@ -249,9 +252,11 @@ class SyntheticDecoder:
             added = 1 if step else 0
             length += added
             rows = min(obs_window, length)
-            yield TraceStep(
-                new_tags=np.full(added, TEXT_CODE, dtype=np.uint8),
-                blocks=slab[:, :, length - rows - start : length - start, :length],
+            # The slab is float32 and finite, since logit_block refuses
+            # anything else, so the record needs no checks.
+            yield TraceStep.trusted(
+                np.full(added, TEXT_CODE, dtype=np.uint8),
+                slab[:, :, length - rows - start : length - start, :length],
             )
 
 
@@ -310,20 +315,30 @@ def run_decode(source, policy_name: str, cfg: PruneConfig, **policy_kwargs) -> R
     in one batched pass per layer after the loop. A layer that keeps every
     key under smoothing 0 has error exactly 0.0 and is not computed, since
     its pruned output is the full output.
+
+    The run is checked once, on entry: the config, the policy options
+    (omitted ones take the step's defaults; an unknown keyword is a
+    TypeError) and the source's tags. A trace's records are checked once
+    each as the loop reaches them: their tags, blocks as TraceStep holds
+    them, and finite logits, since a trace in memory may have been edited
+    after it was built or read. A decoder's records need no checks. Each
+    layer-step then calls the policy's unchecked kernel, not its step.
     """
     if isinstance(source, SynthSpec):
         source = SyntheticDecoder(source)
     if isinstance(source, SyntheticDecoder):
         decoder, header, steps = source, source, source.steps(cfg.obs_window)
     elif isinstance(source, AttentionTrace):
-        decoder, header, steps = None, source, source.steps
+        decoder, header, steps = None, source, _checked_records(source)
     else:
         raise TypeError(f"cannot drive a decode from {type(source).__name__}")
     policy = policies.get_policy(policy_name)
-    step = getattr(policies, policy.step)
-    smoothing = policy.replay_smoothing(cfg, policy_kwargs)
+    validate_config(cfg)
+    options = policies.run_options(policy_name, policy_kwargs)
+    kernel = getattr(policies, policy.kernel)
+    smoothing = policy.replay_smoothing(cfg, options)
 
-    full_tags = header.full_tags
+    full_tags = as_tags(header.full_tags)
     full_len = header.prefill_tags.size
     retained = [np.arange(full_len) for _ in range(header.layers)]
     states = [None] * header.layers
@@ -335,23 +350,25 @@ def run_decode(source, policy_name: str, cfg: PruneConfig, **policy_kwargs) -> R
         added = record.new_tags.size
         full_len += added
         blocks = record.blocks
-        if blocks.shape[3] != full_len:
+        layers, heads, rows, cols = blocks.shape
+        shape = (layers, heads, cols)
+        if shape != (header.layers, header.heads, full_len) or not 1 <= rows <= cols:
             raise ValueError(
-                f"source produced blocks over {blocks.shape[3]} keys at length {full_len}"
+                f"source produced {layers}x{heads} blocks of {rows}x{cols} logits at length "
+                f"{full_len}, header says {header.layers}x{header.heads}"
             )
         if added:
             new_ids = np.arange(full_len - added, full_len)
             retained = [np.concatenate([ids, new_ids]) for ids in retained]
 
-        rows = blocks.shape[2]
         query_tags = full_tags[full_len - rows : full_len]
         decisions: list[PolicyDecision] = []
         for layer, ids in enumerate(retained):
             # Retained ids ascend, so a layer holding full_len of them holds
             # every key, and its logits are the block itself, not a copy.
             logits = blocks[layer] if ids.size == full_len else blocks[layer][:, :, ids]
-            keep, decision, states[layer] = step(
-                full_tags[ids], logits, query_tags, cfg, states[layer], **policy_kwargs,
+            keep, decision, states[layer] = kernel(
+                full_tags[ids], logits, query_tags, cfg, states[layer], **options,
             )
             if decision.pruned:
                 retained[layer] = ids[keep]
@@ -374,6 +391,16 @@ def run_decode(source, policy_name: str, cfg: PruneConfig, **policy_kwargs) -> R
         retained_ids=[ids.copy() for ids in retained],
         retained_tags=[full_tags[ids] for ids in retained],
     )
+
+
+def _checked_records(trace: AttentionTrace):
+    """Each record of a trace, its tags and blocks checked as TraceStep
+    checks them and its logits checked finite, all in one pass a step."""
+    for index, record in enumerate(trace.steps):
+        new_tags, blocks = checked_step(record.new_tags, record.blocks)
+        if not np.isfinite(blocks).all():
+            raise ValueError(f"trace step {index} holds a logit that is not finite")
+        yield TraceStep.trusted(new_tags, blocks)
 
 
 def _recon_error(decoder, kept: list[list[np.ndarray]], smoothing: float) -> list[float]:

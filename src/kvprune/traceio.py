@@ -93,12 +93,25 @@ class TraceStep:
     blocks: np.ndarray  # (layers, heads, rows, cols) float32
 
     def __post_init__(self):
-        self.new_tags = as_tags(self.new_tags)
-        self.blocks = np.asarray(self.blocks, dtype=np.float32)
-        if self.blocks.ndim != 4:
-            raise ValueError(
-                f"blocks must be (layers, heads, rows, cols), got shape {self.blocks.shape}"
-            )
+        self.new_tags, self.blocks = checked_step(self.new_tags, self.blocks)
+
+    @classmethod
+    def trusted(cls, new_tags: np.ndarray, blocks: np.ndarray) -> "TraceStep":
+        """A step of uint8 tags and a 4-D float32 block that its maker knows
+        valid, built without __post_init__'s checks."""
+        step = cls.__new__(cls)
+        step.new_tags, step.blocks = new_tags, blocks
+        return step
+
+
+def checked_step(new_tags, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """A step's tags as uint8 and its blocks as a 4-D float32 array, as
+    TraceStep holds them; ValueError if they cannot be."""
+    new_tags = as_tags(new_tags)
+    blocks = np.asarray(blocks, dtype=np.float32)
+    if blocks.ndim != 4:
+        raise ValueError(f"blocks must be (layers, heads, rows, cols), got shape {blocks.shape}")
+    return new_tags, blocks
 
 
 @dataclass

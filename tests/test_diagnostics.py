@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from kvprune.core import PruneConfig
+from kvprune.decompose import block_views
 from kvprune.diagnostics import (
     BANDWIDTH_FLOOR,
     CHUNK_FLOATS,
@@ -23,6 +24,7 @@ from kvprune.diagnostics import (
     modality_weight_samples,
     silverman_bandwidth,
 )
+from kvprune.scoring import softmax_rows, trim_observation
 from kvprune.simulator import SynthSpec, record_trace
 from kvprune.traceio import AttentionTrace, TraceStep
 
@@ -376,6 +378,49 @@ class TestModalityWeightSamples:
     def test_recent_consuming_all_keys(self):
         with pytest.raises(ValueError, match="leaves no keys"):
             modality_weight_samples(two_layer_trace(1.0), recent=16)
+
+    @pytest.mark.parametrize("interleave", ["block", "alternating", "random"])
+    @pytest.mark.parametrize("obs_window, recent", [(None, 0), (2, 3), (9, 1)])
+    def test_matches_checked_public_functions(self, interleave, obs_window, recent):
+        """Bit for bit the samples the checked public functions give, each
+        (layer, head) block weighed in float64, trimmed and split on its own."""
+        spec = SynthSpec(seed=4, text_len=6, visual_len=5, interleave=interleave, layers=2,
+                         heads=3, head_dim=8, steps=3, shift=1.0)
+        trace = record_trace(spec, obs_window=4)
+        got = modality_weight_samples(trace, obs_window=obs_window, recent=recent)
+        full_tags = trace.full_tags
+        intra, inter = [[] for _ in range(2)], [[] for _ in range(2)]
+        length = trace.prefill_tags.size
+        for step in trace.steps:
+            length += step.new_tags.size
+            rows = step.blocks.shape[2]
+            window = rows if obs_window is None else min(obs_window, rows)
+            for layer in range(2):
+                for head in range(3):
+                    weights = softmax_rows(step.blocks[layer, head].astype(np.float64))
+                    views = block_views(trim_observation(weights, window, recent),
+                                        full_tags[length - window : length],
+                                        full_tags[: length - recent])
+                    intra[layer] += [views.text_text.ravel(), views.visual_visual.ravel()]
+                    inter[layer] += [views.visual_text.ravel(), views.text_visual.ravel()]
+        for layer, (got_intra, got_inter) in enumerate(got):
+            assert got_intra.tobytes() == np.concatenate(intra[layer]).tobytes()
+            assert got_inter.tobytes() == np.concatenate(inter[layer]).tobytes()
+
+    @pytest.mark.parametrize("edit, kwargs, match", [
+        ("nan", {}, "finite entries only"),
+        ("tag", {}, "modality tags must be 0 .* got 2"),
+        (None, {"obs_window": 0}, "obs_window must be >= 1, got 0"),
+    ])
+    def test_refusals(self, edit, kwargs, match):
+        """A trace edited in memory is refused, as is an empty window."""
+        trace = two_layer_trace(1.0)
+        if edit == "nan":
+            trace.steps[1].blocks[1, 0, 2, 5] = np.nan
+        elif edit == "tag":
+            trace.steps[1].new_tags = np.array([2], dtype=np.uint8)
+        with pytest.raises(ValueError, match=match):
+            modality_weight_samples(trace, **kwargs)
 
 
 class TestLayerReport:

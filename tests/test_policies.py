@@ -1,5 +1,7 @@
 """Tests for the four eviction policies and their shared step contract."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -224,6 +226,57 @@ class TestKeepProperties:
         assert decision.per_modality_retained == (text, visual)
 
 
+class TestKernels:
+    """The kernel run_decode calls for a policy gives, on any input its
+    public step accepts, the step's keep, decision and state."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", list(POLICIES))
+    @settings(max_examples=40)
+    @given(case=step_cases(), widen=st.booleans(), pool_width=st.integers(1, 4),
+           smoothing=st.sampled_from([0.0, 0.5, 3.0]), carried=st.integers(-1, 60))
+    def test_kernel_matches_step(self, name, dtype, case, widen, pool_width, smoothing,
+                                 carried):
+        key_tags, logits, query_tags, cfg = case
+        cfg = cfg.with_updates(widen_to_budget=widen)
+        logits = logits.astype(dtype)
+        drawn = {"pool_width": pool_width, "smoothing": smoothing}
+        options = {option.keyword: drawn[option.keyword] for option in POLICIES[name].options}
+        # accum carries the accumulator of an earlier, shorter cache; -1
+        # starts it empty.
+        state = None
+        if name == "accum" and carried >= 0:
+            state = np.random.default_rng(carried).random(min(carried, key_tags.size)) * 4
+        kernel = getattr(policies, POLICIES[name].kernel)
+
+        keep, decision, after = policy_step(name)(key_tags, logits, query_tags, cfg, state,
+                                                  **options)
+        kernel_keep, kernel_decision, kernel_after = kernel(key_tags, logits, query_tags, cfg,
+                                                            state, **options)
+        np.testing.assert_array_equal(kernel_keep, keep)
+        assert kernel_decision == decision
+        if after is None:
+            assert kernel_after is None
+        else:
+            np.testing.assert_array_equal(kernel_after, after)
+
+    def test_kernels_declare_no_option_defaults(self):
+        """Each option's default lives on the public step alone."""
+        for name, policy in POLICIES.items():
+            params = inspect.signature(getattr(policies, policy.kernel)).parameters
+            for option in policy.options:
+                assert params[option.keyword].default is inspect.Parameter.empty
+            assert set(policies.option_defaults(name)) == {o.keyword for o in policy.options}
+
+    def test_accum_kernel_refuses_a_shrunk_cache(self):
+        """No input check sees a state longer than the cache, so the kernel
+        itself refuses it."""
+        cfg = PruneConfig(budget=4, recent=1, obs_window=1)
+        with pytest.raises(ValueError, match="the cache shrank"):
+            policies._accumulated_score_step(tags_of([0, 1]), np.zeros((1, 1, 2)),
+                                             tags_of([0]), cfg, np.zeros(3), smoothing=0.0)
+
+
 class TestGlobalTopkStep:
     def test_uniform_scores_keep_leading_pool(self):
         """With exactly tied columns the stable ranking keeps the earliest
@@ -387,8 +440,12 @@ class TestPolicyObjects:
     def test_policy_step_registry(self):
         steps = {"csp": csp_step, "global-topk": global_topk_step,
                  "accum": accumulated_score_step, "full": full_cache_step}
+        kernels = {"csp": "_csp_step", "global-topk": "_global_topk_step",
+                   "accum": "_accumulated_score_step", "full": "_full_cache_step"}
         for name, policy in POLICIES.items():
             assert getattr(policies, policy.step) is policy_step(name) is steps[name]
+            assert policy.kernel == kernels[name]
+            assert callable(getattr(policies, policy.kernel))
 
     def test_policy_step_resolved_at_call_time(self, monkeypatch):
         """A rebound module attribute is what the lookup returns."""

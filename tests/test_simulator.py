@@ -1,6 +1,7 @@
 """Tests for the synthetic decoder, the decode loop, and sweeps."""
 
 import math
+import sys
 import tracemalloc
 import warnings
 from unittest import mock
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kvprune import policies, simulator
+from kvprune import core, policies, simulator
 from kvprune.core import PruneConfig, TEXT, VISUAL
 from kvprune.simulator import (
     SWEEP_AXES,
@@ -30,18 +31,26 @@ SMALL = SynthSpec(seed=5, text_len=12, visual_len=12, layers=2, heads=2,
                   head_dim=8, steps=6, shift=2.0)
 
 
+def wrap_kernel(monkeypatch, policy, wrapper):
+    """Rebind the kernel run_decode calls for a policy, as named by its
+    Policy.kernel, to wrapper(kernel)."""
+    name = policies.POLICIES[policy].kernel
+    monkeypatch.setattr(policies, name, wrapper(getattr(policies, name)))
+
+
 def record_keeps(monkeypatch, policy):
-    """Wrap a policy's step function; the returned list collects the keep
-    array of every call, in call order."""
-    step = policies.policy_step(policy)
+    """Wrap the kernel run_decode calls for a policy; the returned list
+    collects the keep array of every call, in call order."""
     keeps = []
 
-    def recorded(*args, **kwargs):
-        keep, decision, state = step(*args, **kwargs)
-        keeps.append(keep)
-        return keep, decision, state
+    def wrapper(kernel):
+        def recorded(*args, **kwargs):
+            keep, decision, state = kernel(*args, **kwargs)
+            keeps.append(keep)
+            return keep, decision, state
+        return recorded
 
-    monkeypatch.setattr(policies, step.__name__, recorded)
+    wrap_kernel(monkeypatch, policy, wrapper)
     return keeps
 
 
@@ -285,13 +294,14 @@ class TestRunDecode:
         """A layer that keeps every key gets its logit block as a view of
         the decoder's read-only slab; a pruned layer gets a gathered copy."""
         seen = []
-        step = policies.csp_step
 
-        def recorded(key_tags, logits, *args, **kwargs):
-            seen.append((key_tags.size, logits.flags.writeable))
-            return step(key_tags, logits, *args, **kwargs)
+        def wrapper(kernel):
+            def recorded(key_tags, logits, *args, **kwargs):
+                seen.append((key_tags.size, logits.flags.writeable))
+                return kernel(key_tags, logits, *args, **kwargs)
+            return recorded
 
-        monkeypatch.setattr(policies, "csp_step", recorded)
+        wrap_kernel(monkeypatch, "csp", wrapper)
         run_decode(SMALL, "csp", PruneConfig(budget=27, recent=4, obs_window=4))
         full_lens = np.repeat(SMALL.prefill_len + np.arange(SMALL.steps + 1), SMALL.layers)
         expected = [(size, size != full_len)
@@ -408,6 +418,93 @@ class TestTraceReplay:
     def test_record_trace_obs_validation(self):
         with pytest.raises(ValueError, match="obs_window"):
             record_trace(SMALL, 0)
+
+
+def count_calls(monkeypatch, module, *names):
+    """Wrap each named function of module at every binding a kvprune
+    module holds of it, the defining one and each import site; the
+    returned dict counts calls by name."""
+    counts = dict.fromkeys(names, 0)
+    bound = [mod for name, mod in sys.modules.items()
+             if name == "kvprune" or name.startswith("kvprune.")]
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod in bound:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+class TestChecksOncePerRun:
+    """run_decode checks a run's config, options and source once, then
+    drives unchecked kernels: a longer decode makes no more checks."""
+
+    CFG = PruneConfig(budget=14, recent=4, obs_window=4, widen_to_budget=True)
+
+    @pytest.mark.parametrize("policy", list(policies.POLICIES))
+    def test_check_count_does_not_grow_with_steps(self, policy, monkeypatch):
+        counts = []
+        for steps in (4, 16):
+            spec = SynthSpec(**{**SMALL.__dict__, "steps": steps})
+            with monkeypatch.context() as patch:
+                calls = count_calls(patch, core, "validate_config", "as_tags")
+                run_decode(spec, policy, self.CFG)
+            counts.append(calls)
+        assert counts[0] == counts[1]
+        assert counts[0]["validate_config"] == 1 and counts[0]["as_tags"] >= 1
+
+    @pytest.mark.parametrize("policy", list(policies.POLICIES))
+    def test_nan_logit_in_memory_trace(self, policy):
+        """read_trace refuses a NaN, but a trace built or edited in memory
+        can hold one; every policy's run refuses it, even the full cache,
+        whose kernel reads no logit."""
+        trace = record_trace(SMALL, self.CFG.obs_window)
+        trace.steps[2].blocks[1, 0, -1, 3] = np.nan
+        with pytest.raises(ValueError, match="step 2 holds a logit that is not finite"):
+            run_decode(trace, policy, self.CFG)
+
+    @pytest.mark.parametrize("policy", list(policies.POLICIES))
+    def test_reassigned_tag_in_memory_trace(self, policy):
+        trace = record_trace(SMALL, self.CFG.obs_window)
+        trace.steps[2].new_tags = np.array([2], dtype=np.uint8)
+        with pytest.raises(ValueError, match="modality tags must be 0 .* got 2"):
+            run_decode(trace, policy, self.CFG)
+
+    @pytest.mark.parametrize("policy", list(policies.POLICIES))
+    def test_reassigned_blocks_of_another_shape(self, policy):
+        """A record whose blocks no longer match the header is refused
+        before any kernel sees it."""
+        trace = record_trace(SMALL, self.CFG.obs_window)
+        trace.steps[2].blocks = trace.steps[2].blocks[:, :1]
+        with pytest.raises(ValueError,
+                           match="2x1 blocks of 4x26 logits at length 26, header says 2x2"):
+            run_decode(trace, policy, self.CFG)
+
+    @pytest.mark.parametrize("policy", list(policies.POLICIES))
+    def test_options_checked_before_any_step(self, policy):
+        """An unknown keyword is a TypeError, as calling the step with it
+        would be, and a bad value a ValueError, even for a trace with no
+        step to call a kernel on."""
+        empty = AttentionTrace(layers=1, heads=1, head_dim=4, prefill_tags=[0, 1, 0])
+        with pytest.raises(TypeError, match="unexpected keyword argument 'width'"):
+            run_decode(empty, policy, self.CFG, width=3)
+        if policies.POLICIES[policy].options:
+            with pytest.raises(ValueError, match="smoothing must be finite and >= 0"):
+                run_decode(empty, policy, self.CFG, smoothing=-1.0)
+
+    def test_omitted_options_take_step_defaults(self):
+        """A run with no options equals one given the step defaults."""
+        for policy in policies.POLICIES:
+            defaults = policies.option_defaults(policy)
+            bare = run_decode(SMALL, policy, self.CFG)
+            explicit = run_decode(SMALL, policy, self.CFG, **defaults)
+            assert bare.per_step == explicit.per_step
+            assert bare.recon_error == explicit.recon_error
 
 
 class TestReconErrorOracle:
@@ -587,22 +684,24 @@ class TestModalityBalance:
 
 
 def record_selections(monkeypatch):
-    """Wrap csp's step and its cross_self_select; the returned list collects
-    (candidate tags, observation-window query tags, scores, selection) for
-    every selection, in call order."""
-    step, select = policies.csp_step, policies.cross_self_select
+    """Wrap csp's kernel and its cross_self_select; the returned list
+    collects (candidate tags, observation-window query tags, scores,
+    selection) for every selection, in call order."""
+    select = policies.cross_self_select
     selections, window = [], {}
 
-    def stepped(key_tags, logits, query_tags, cfg, *args, **kwargs):
-        window.update(keys=np.asarray(key_tags), queries=np.asarray(query_tags)[-cfg.obs_window:])
-        return step(key_tags, logits, query_tags, cfg, *args, **kwargs)
+    def wrapper(kernel):
+        def stepped(key_tags, logits, query_tags, cfg, *args, **kwargs):
+            window.update(keys=key_tags, queries=query_tags[-cfg.obs_window:])
+            return kernel(key_tags, logits, query_tags, cfg, *args, **kwargs)
+        return stepped
 
     def selected(scores, cfg):
         chosen = select(scores, cfg)
         selections.append((window["keys"][: len(scores)], window["queries"], scores, chosen))
         return chosen
 
-    monkeypatch.setattr(policies, "csp_step", stepped)
+    wrap_kernel(monkeypatch, "csp", wrapper)
     monkeypatch.setattr(policies, "cross_self_select", selected)
     return selections
 
