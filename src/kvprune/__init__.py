@@ -46,6 +46,7 @@ from .simulator import (
     prefill_tags,
     record_trace,
     run_decode,
+    run_decodes,
     sweep,
 )
 from .traceio import (
@@ -121,6 +122,7 @@ __all__ = [
     "record_trace",
     "results_csv",
     "run_decode",
+    "run_decodes",
     "silverman_bandwidth",
     "smoothed_softmax_rows",
     "softmax_rows",

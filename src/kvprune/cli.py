@@ -40,6 +40,7 @@ from .simulator import (
     budget_for_fraction,
     record_trace,
     run_decode,
+    run_decodes,
     sweep,
 )
 from .traceio import MAX_U16, TraceError, read_trace, write_trace
@@ -448,7 +449,7 @@ def _cmd_compare(args, file_cfg) -> int:
 
     trace = read_trace(args.trace)
     cfg = _config_from(resolved, fraction, trace.final_length)
-    runs = [run_decode(trace, name, cfg, **kwargs) for name, kwargs in options.items()]
+    runs = run_decodes(trace, [(name, cfg, kwargs) for name, kwargs in options.items()])
     reports.write_text(args.out, reports.steps_csv(runs, fraction))
     _write_sidecar(
         args.out,

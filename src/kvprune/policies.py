@@ -28,12 +28,18 @@ their inputs.
 Each public step checks its own inputs once, on entry: its options, through
 check_options, then the config, both tag sequences, the logits' shape
 against them and finite logits. Then it calls its kernel (`_csp_step` and so
-on, named in its POLICIES entry) with the checked tags and logits, the
-config, the state and every option by keyword; kernels declare no option
-defaults, the steps do. A kernel calls the unchecked kernels of scoring,
-decompose and core rather than their checked public forms.
-simulator.run_decode checks a whole run once, the options through
-run_options, and then calls the kernel on every step and layer.
+on, named in its POLICIES entry) with the checked tags, a scorer built from
+the checked logits, the config, the state and every option by keyword;
+kernels declare no option defaults, the steps do. A kernel never reads
+logits: it calls weights(smoothing), the scorer, for the read-only float64
+(rows, cols) head average of the smoothed softmax weights. Every kernel
+scores through that one function, `_weights`, and only when it needs
+weights, so a no-op step neither gathers nor scores. A kernel calls the
+unchecked kernels of scoring, decompose and core rather than their checked
+public forms. simulator.run_decodes checks its runs once, the options
+through run_options, and then calls each run's kernel on every step and
+layer with a scorer shared by every run that holds the same keys there, so
+each distinct (keys, smoothing) of a layer-step is scored once.
 """
 
 from __future__ import annotations
@@ -94,11 +100,37 @@ def _checked(key_tags, logits, query_tags, cfg: PruneConfig):
     return key_tags, logits, query_tags
 
 
-def _per_head_weights(logits: np.ndarray, smoothing: float) -> np.ndarray:
-    """Checked logits to float64 (heads, rows, cols) weight stacks."""
+def _weights(logits: np.ndarray, smoothing: float) -> np.ndarray:
+    """The one scoring every kernel reads: the head average of the
+    smoothed softmax weights of checked (heads, rows, cols) logits, as a
+    read-only float64 (rows, cols) array, since scorers share it."""
     heads, rows, cols = logits.shape
     flat = _smoothed_softmax_rows(logits.reshape(heads * rows, cols), smoothing)
-    return flat.reshape(heads, rows, cols)
+    weights = _head_average(flat.reshape(heads, rows, cols))
+    weights.flags.writeable = False
+    return weights
+
+
+def _scorer(logits: np.ndarray, ids: np.ndarray | None = None):
+    """The weights(smoothing) callable a kernel scores with: _weights of
+    the checked logits' columns ids (all of them when ids is None).
+
+    The columns are gathered on the first call, so a kernel that never
+    scores costs no gather, and each smoothing is scored once and then
+    handed out again, read-only, to every later call. The gather keeps
+    fancy indexing's layout, and a full block is read as is, not copied.
+    """
+    memo = {}
+
+    def weights(smoothing: float) -> np.ndarray:
+        nonlocal logits, ids
+        if smoothing not in memo:
+            if ids is not None:
+                logits, ids = logits[:, :, ids], None
+            memo[smoothing] = _weights(logits, smoothing)
+        return memo[smoothing]
+
+    return weights
 
 
 def _decided(key_tags: np.ndarray, cfg: PruneConfig, keep: np.ndarray, ks, pruned: bool):
@@ -133,15 +165,15 @@ def csp_step(key_tags, logits, query_tags, cfg: PruneConfig, state=None):
     decomposition and intersected top-k selection, with the recent window
     kept after the selected candidates.
     """
-    return _csp_step(*_checked(key_tags, logits, query_tags, cfg), cfg, state)
+    key_tags, logits, query_tags = _checked(key_tags, logits, query_tags, cfg)
+    return _csp_step(key_tags, _scorer(logits), query_tags, cfg, state)
 
 
-def _csp_step(key_tags, logits, query_tags, cfg: PruneConfig, state):
-    """csp_step on checked inputs, unchecked."""
+def _csp_step(key_tags, weights, query_tags, cfg: PruneConfig, state):
+    """csp_step on checked inputs and a scorer, unchecked."""
     if key_tags.size < cfg.budget:
         return (*_noop(key_tags, cfg), None)
-    weights = _head_average(_per_head_weights(logits, cfg.smoothing))
-    trimmed = _trim_observation(weights, cfg.obs_window, cfg.recent)
+    trimmed = _trim_observation(weights(cfg.smoothing), cfg.obs_window, cfg.recent)
     cand = key_tags.size - cfg.recent
     imp = _cross_self_importance(trimmed, query_tags[-trimmed.shape[0] :], key_tags[:cand])
     chosen = cross_self_select(imp, cfg)
@@ -170,16 +202,16 @@ def global_topk_step(
 ):
     """Single global ranking by column sum, no modality split."""
     options = check_options("global-topk", {"pool_width": pool_width, "smoothing": smoothing})
-    return _global_topk_step(*_checked(key_tags, logits, query_tags, cfg), cfg, state, **options)
+    key_tags, logits, query_tags = _checked(key_tags, logits, query_tags, cfg)
+    return _global_topk_step(key_tags, _scorer(logits), query_tags, cfg, state, **options)
 
 
-def _global_topk_step(key_tags, logits, query_tags, cfg: PruneConfig, state, *,
+def _global_topk_step(key_tags, weights, query_tags, cfg: PruneConfig, state, *,
                       pool_width, smoothing):
-    """global_topk_step on checked inputs and options, unchecked."""
+    """global_topk_step on checked inputs, options and a scorer, unchecked."""
     if key_tags.size < cfg.budget:
         return (*_noop(key_tags, cfg), None)
-    weights = _per_head_weights(logits, smoothing)
-    trimmed = _trim_observation(_head_average(weights), cfg.obs_window, cfg.recent)
+    trimmed = _trim_observation(weights(smoothing), cfg.obs_window, cfg.recent)
     importance = _pooled(trimmed.sum(axis=0), pool_width)
     pool = max(cfg.budget - cfg.recent, 0)
     return (*_pruned(key_tags, cfg, topk_mask(importance, pool), (pool, pool)), None)
@@ -202,14 +234,15 @@ def accumulated_score_step(
     candidates, and evicted accumulators are dropped with their tokens.
     """
     options = check_options("accum", {"smoothing": smoothing})
-    return _accumulated_score_step(*_checked(key_tags, logits, query_tags, cfg), cfg, state,
-                                   **options)
+    key_tags, logits, query_tags = _checked(key_tags, logits, query_tags, cfg)
+    return _accumulated_score_step(key_tags, _scorer(logits), query_tags, cfg, state, **options)
 
 
-def _accumulated_score_step(key_tags, logits, query_tags, cfg: PruneConfig, state, *,
+def _accumulated_score_step(key_tags, weights, query_tags, cfg: PruneConfig, state, *,
                             smoothing):
-    """accumulated_score_step on checked inputs and options. It still
-    refuses a state longer than the cache, which no input check sees."""
+    """accumulated_score_step on checked inputs, options and a scorer. It
+    still refuses a state longer than the cache, which no input check
+    sees."""
     running = np.zeros(0) if state is None else np.asarray(state, dtype=np.float64)
     grown = key_tags.size - running.size
     if grown < 0:
@@ -218,7 +251,7 @@ def _accumulated_score_step(key_tags, logits, query_tags, cfg: PruneConfig, stat
             f"{key_tags.size}: the cache shrank outside of this policy's own pruning"
         )
     running = np.concatenate([running, np.zeros(grown)])
-    averaged = _head_average(_per_head_weights(logits, smoothing))
+    averaged = weights(smoothing)
     obs_rows = min(cfg.obs_window, averaged.shape[0])
     running = running + averaged[averaged.shape[0] - obs_rows :, :].sum(axis=0)
 
@@ -232,11 +265,12 @@ def _accumulated_score_step(key_tags, logits, query_tags, cfg: PruneConfig, stat
 
 def full_cache_step(key_tags, logits, query_tags, cfg: PruneConfig, state=None):
     """Reference policy: never evicts."""
-    return _full_cache_step(*_checked(key_tags, logits, query_tags, cfg), cfg, state)
+    key_tags, logits, query_tags = _checked(key_tags, logits, query_tags, cfg)
+    return _full_cache_step(key_tags, _scorer(logits), query_tags, cfg, state)
 
 
-def _full_cache_step(key_tags, logits, query_tags, cfg: PruneConfig, state):
-    """full_cache_step on checked inputs, unchecked."""
+def _full_cache_step(key_tags, weights, query_tags, cfg: PruneConfig, state):
+    """full_cache_step on checked inputs, unchecked; it never scores."""
     return (*_noop(key_tags, cfg), None)
 
 

@@ -21,11 +21,16 @@ A logit depends only on (layer, head, query id, key id), never on the step,
 so a decoder computes every logit its steps need once, into one read-only
 slab, and each step's blocks are a view of it.
 
-`run_decode` drives any policy over any of three sources (a SynthSpec, a
-SyntheticDecoder or an AttentionTrace) with one loop over those records.
-It checks a run once, on entry, and a trace's records once each; a
-decoder builds its records unchecked, from its finite float32 slab. The
-loop then calls the policy's unchecked kernel on every step and layer. A
+`run_decodes` drives any number of runs, each a policy, config and
+options, over any of three sources (a SynthSpec, a SyntheticDecoder or an
+AttentionTrace) with one loop over those records, all runs in lockstep;
+`run_decode` is its one-run case, and `sweep` and the CLI's compare pass
+it all their runs at once. It checks each run once, on entry, and a
+trace's records once each per call; a decoder builds its records
+unchecked, from its finite float32 slab. The loop then calls each run's
+unchecked kernel on every step and layer, handing it a scorer that runs
+holding the same keys there share, so each distinct (keys, smoothing) is
+gathered and scored at most once, and only if a kernel asks. A
 synthetic run records each step's retained ids per layer and scores its
 reconstruction error after the loop, one batched pass per layer: each step's
 newest-query logits are gathered from the slab into one array padded with
@@ -300,19 +305,21 @@ def budget_for_fraction(fraction: float, full_length: int, recent: int) -> int:
 
 
 def run_decode(source, policy_name: str, cfg: PruneConfig, **policy_kwargs) -> RunReport:
-    """Drive one policy over a synthetic decode or a recorded trace.
+    """Drive one policy over a synthetic decode or a recorded trace: the
+    one-run case of run_decodes, run_decodes(source, [(policy_name, cfg,
+    policy_kwargs)])[0].
 
     Every source is a stream of TraceStep records: a SyntheticDecoder
     yields them from its logit slab, a trace holds them, and a SynthSpec
     is shorthand for SyntheticDecoder(spec). Pass one decoder to several
-    runs to build its slab once; runs share nothing else. Each layer's
-    cache is the array of global token ids it retains. Each step appends
-    the new tokens' ids to every layer and lets the policy prune each layer
-    from the key tags and logits over its retained ids. A synthetic source
-    also has values, so it then measures the reconstruction error of the
-    newest query's attention output against the unpruned cache, averaged
-    over layers: it records each step's retained ids and scores every step
-    in one batched pass per layer after the loop. A layer that keeps every
+    runs to build its slab once. Each layer's cache is the array of global
+    token ids it retains. Each step appends the new tokens' ids to every
+    layer and lets the policy prune each layer from the key tags and a
+    scorer of the logits over its retained ids. A synthetic source also
+    has values, so it then measures the reconstruction error of the newest
+    query's attention output against the unpruned cache, averaged over
+    layers: it records each step's retained ids and scores every step in
+    one batched pass per layer after the loop. A layer that keeps every
     key under smoothing 0 has error exactly 0.0 and is not computed, since
     its pruned output is the full output.
 
@@ -324,73 +331,120 @@ def run_decode(source, policy_name: str, cfg: PruneConfig, **policy_kwargs) -> R
     after it was built or read. A decoder's records need no checks. Each
     layer-step then calls the policy's unchecked kernel, not its step.
     """
+    return run_decodes(source, [(policy_name, cfg, policy_kwargs)])[0]
+
+
+class _Run:
+    """One run of run_decodes: its checked policy, config and options, and
+    what its steps have decided so far."""
+
+    def __init__(self, policy_name: str, cfg: PruneConfig, options: dict, source):
+        policy = policies.get_policy(policy_name)
+        validate_config(cfg)
+        self.policy_name, self.cfg = policy_name, cfg
+        self.options = policies.run_options(policy_name, options)
+        self.kernel = getattr(policies, policy.kernel)
+        self.smoothing = policy.replay_smoothing(cfg, self.options)
+        self.retained = [np.arange(source.prefill_tags.size) for _ in range(source.layers)]
+        self.states = [None] * source.layers
+        self.per_step: list[list[PolicyDecision]] = []
+        self.bytes_cached: list[int] = []
+        self.kept: list[list[np.ndarray]] = []
+
+
+def run_decodes(source, runs) -> list[RunReport]:
+    """Drive several runs over one source in lockstep; one report per run,
+    in order, each equal to that of run_decode on the run alone.
+
+    runs is a sequence of (policy_name, cfg, options), options being the
+    policy's keyword options as a dict. Every run must share cfg.obs_window,
+    since the source's records are read once for all of them: a decoder's
+    steps are built once and a trace's records checked once per call, not
+    once per run. Each run is checked as run_decode checks it, and every
+    refusal (no run, a bad run, differing windows) comes before any step.
+
+    At each layer-step, runs that retain the same ids share one scorer:
+    the logits over those ids are gathered at most once and scored at
+    most once per smoothing, on the first kernel call that asks, and every
+    run reads the same read-only weights. Runs that differ only in what
+    their policy ignores (a global-topk sweep along smooth_n or
+    cross_ratio) therefore score once per layer-step, whatever their
+    number. Runs share nothing else, and the reconstruction error is
+    scored per run after the loop.
+    """
     if isinstance(source, SynthSpec):
         source = SyntheticDecoder(source)
-    if isinstance(source, SyntheticDecoder):
-        decoder, header, steps = source, source, source.steps(cfg.obs_window)
-    elif isinstance(source, AttentionTrace):
-        decoder, header, steps = None, source, _checked_records(source)
-    else:
+    if not isinstance(source, (SyntheticDecoder, AttentionTrace)):
         raise TypeError(f"cannot drive a decode from {type(source).__name__}")
-    policy = policies.get_policy(policy_name)
-    validate_config(cfg)
-    options = policies.run_options(policy_name, policy_kwargs)
-    kernel = getattr(policies, policy.kernel)
-    smoothing = policy.replay_smoothing(cfg, options)
+    runs = [_Run(name, cfg, options, source) for name, cfg, options in runs]
+    if not runs:
+        raise ValueError("run_decodes needs at least one run")
+    windows = sorted({run.cfg.obs_window for run in runs})
+    if len(windows) > 1:
+        raise ValueError(f"runs over one source must share obs_window, got {windows}")
+    if isinstance(source, SyntheticDecoder):
+        decoder, steps = source, source.steps(windows[0])
+    else:
+        decoder, steps = None, _checked_records(source)
 
-    full_tags = as_tags(header.full_tags)
-    full_len = header.prefill_tags.size
-    retained = [np.arange(full_len) for _ in range(header.layers)]
-    states = [None] * header.layers
-    per_step: list[list[PolicyDecision]] = []
-    bytes_cached: list[int] = []
-    kept: list[list[np.ndarray]] = []
-
+    full_tags = as_tags(source.full_tags)
+    full_len = source.prefill_tags.size
     for record in steps:
         added = record.new_tags.size
         full_len += added
         blocks = record.blocks
         layers, heads, rows, cols = blocks.shape
         shape = (layers, heads, cols)
-        if shape != (header.layers, header.heads, full_len) or not 1 <= rows <= cols:
+        if shape != (source.layers, source.heads, full_len) or not 1 <= rows <= cols:
             raise ValueError(
                 f"source produced {layers}x{heads} blocks of {rows}x{cols} logits at length "
-                f"{full_len}, header says {header.layers}x{header.heads}"
+                f"{full_len}, header says {source.layers}x{source.heads}"
             )
-        if added:
-            new_ids = np.arange(full_len - added, full_len)
-            retained = [np.concatenate([ids, new_ids]) for ids in retained]
-
+        new_ids = np.arange(full_len - added, full_len)
         query_tags = full_tags[full_len - rows : full_len]
-        decisions: list[PolicyDecision] = []
-        for layer, ids in enumerate(retained):
-            # Retained ids ascend, so a layer holding full_len of them holds
-            # every key, and its logits are the block itself, not a copy.
-            logits = blocks[layer] if ids.size == full_len else blocks[layer][:, :, ids]
-            keep, decision, states[layer] = kernel(
-                full_tags[ids], logits, query_tags, cfg, states[layer], **options,
-            )
-            if decision.pruned:
-                retained[layer] = ids[keep]
-            decisions.append(decision)
-        per_step.append(decisions)
-        # float32 keys and values for every retained token.
-        bytes_cached.append(sum(ids.size * 2 * header.head_dim * 4 for ids in retained))
-        if decoder is not None:
-            # A step replaces the arrays it changes, so a shallow copy records it.
-            kept.append(retained.copy())
+        for run in runs:
+            if added:
+                run.retained = [np.concatenate([ids, new_ids]) for ids in run.retained]
+            run.per_step.append([])
+        for layer in range(source.layers):
+            scorers = {}
+            for run in runs:
+                ids = run.retained[layer]
+                key = ids.tobytes()
+                if key not in scorers:
+                    # Retained ids ascend, so a layer holding full_len of
+                    # them holds every key and is scored from the block itself.
+                    scorers[key] = policies._scorer(blocks[layer],
+                                                    None if ids.size == full_len else ids)
+                keep, decision, run.states[layer] = run.kernel(
+                    full_tags[ids], scorers[key], query_tags, run.cfg, run.states[layer],
+                    **run.options,
+                )
+                if decision.pruned:
+                    run.retained[layer] = ids[keep]
+                run.per_step[-1].append(decision)
+        for run in runs:
+            # float32 keys and values for every retained token.
+            run.bytes_cached.append(sum(ids.size * 2 * source.head_dim * 4
+                                        for ids in run.retained))
+            if decoder is not None:
+                # A step replaces the arrays it changes, so a shallow copy records it.
+                run.kept.append(run.retained.copy())
 
-    return RunReport(
-        policy=policy_name,
-        config=cfg,
-        seed=cfg.seed,
-        full_length=int(full_tags.size),
-        per_step=per_step,
-        bytes_cached=bytes_cached,
-        recon_error=[] if decoder is None else _recon_error(decoder, kept, smoothing),
-        retained_ids=[ids.copy() for ids in retained],
-        retained_tags=[full_tags[ids] for ids in retained],
-    )
+    return [
+        RunReport(
+            policy=run.policy_name,
+            config=run.cfg,
+            seed=run.cfg.seed,
+            full_length=int(full_tags.size),
+            per_step=run.per_step,
+            bytes_cached=run.bytes_cached,
+            recon_error=[] if decoder is None else _recon_error(decoder, run.kept, run.smoothing),
+            retained_ids=[ids.copy() for ids in run.retained],
+            retained_tags=[full_tags[ids] for ids in run.retained],
+        )
+        for run in runs
+    ]
 
 
 def _checked_records(trace: AttentionTrace):
@@ -494,10 +548,12 @@ def sweep(
 ) -> list[tuple[float, RunReport]]:
     """Run one decode per grid value, varying a single config axis.
 
-    Runs are serial and rows come back in grid order. The budget_fraction
-    axis recomputes the token budget from the final length; the other axes
-    keep cfg.budget as given. Every run reads one SyntheticDecoder: no axis
-    changes obs_window, so the sweep builds one logit slab.
+    Rows come back in grid order. The budget_fraction axis recomputes the
+    token budget from the final length; the other axes keep cfg.budget as
+    given. No axis changes obs_window, so every run reads one
+    SyntheticDecoder in one run_decodes pass: the sweep builds one logit
+    slab, and runs holding the same keys at a layer-step share their
+    scoring there.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -514,8 +570,5 @@ def sweep(
             return cfg.with_updates(cross_ratio=value)
         return cfg.with_updates(smoothing=value)
 
-    decoder = SyntheticDecoder(spec)
-    return [
-        (value, run_decode(decoder, policy_name, configured(value), **policy_kwargs))
-        for value in values
-    ]
+    runs = [(policy_name, configured(value), policy_kwargs) for value in values]
+    return list(zip(values, run_decodes(SyntheticDecoder(spec), runs)))

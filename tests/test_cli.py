@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import kvprune
-from kvprune import cli
+from kvprune import cli, simulator
 from kvprune.cli import main
 from kvprune.core import PruneConfig
 from kvprune.policies import accumulated_score_step, global_topk_step
@@ -443,6 +443,43 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and "'csp'" in err
         assert not out.exists() and not (tmp_path / "x.csv.config.json").exists()
+
+
+    def _nine_step_trace(self, monkeypatch, tmp_path):
+        """A 9-record trace the compare below reads: written to a file
+        that read_trace checks whole, and handed to compare as read."""
+        trace = simulator.record_trace(SynthSpec(text_len=8, visual_len=8, layers=2, heads=2,
+                                                 head_dim=8, steps=8), 4)
+        assert len(trace.steps) == 9
+        monkeypatch.setattr(cli, "read_trace", lambda path: trace)
+        return trace, ["compare", "--policies", "csp,global-topk,accum", "--trace", "t.trace",
+                       *CFG_FLAGS, "--widen", "--out", str(tmp_path / "cmp.csv")]
+
+    def test_each_record_checked_once_per_compare(self, tmp_path, monkeypatch):
+        """compare replays all its policies in one pass, so a 3-policy
+        compare checks each of 9 records once (9 record checks, each with
+        its finiteness pass), not once per policy (27)."""
+        _, argv = self._nine_step_trace(monkeypatch, tmp_path)
+        checked = []
+        check = simulator.checked_step
+
+        def counted(*args):
+            checked.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(simulator, "checked_step", counted)
+        assert main(argv) == 0
+        assert len(checked) == 9
+
+    def test_nan_in_trace_exits_2(self, tmp_path, monkeypatch, capsys):
+        """A NaN in a trace that reaches compare in memory is refused with
+        run_decode's message and exit code 2."""
+        trace, argv = self._nine_step_trace(monkeypatch, tmp_path)
+        trace.steps[4].blocks[0, 1, 0, 2] = np.nan
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: trace step 4 holds a logit that is not finite\n"
+        assert not (tmp_path / "cmp.csv").exists()
 
 
 class TestSharedParser:

@@ -228,7 +228,8 @@ class TestKeepProperties:
 
 class TestKernels:
     """The kernel run_decode calls for a policy gives, on any input its
-    public step accepts, the step's keep, decision and state."""
+    public step accepts and a scorer of the checked logits, the step's
+    keep, decision and state."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("name", list(POLICIES))
@@ -251,8 +252,8 @@ class TestKernels:
 
         keep, decision, after = policy_step(name)(key_tags, logits, query_tags, cfg, state,
                                                   **options)
-        kernel_keep, kernel_decision, kernel_after = kernel(key_tags, logits, query_tags, cfg,
-                                                            state, **options)
+        kernel_keep, kernel_decision, kernel_after = kernel(
+            key_tags, policies._scorer(logits), query_tags, cfg, state, **options)
         np.testing.assert_array_equal(kernel_keep, keep)
         assert kernel_decision == decision
         if after is None:
@@ -273,7 +274,8 @@ class TestKernels:
         itself refuses it."""
         cfg = PruneConfig(budget=4, recent=1, obs_window=1)
         with pytest.raises(ValueError, match="the cache shrank"):
-            policies._accumulated_score_step(tags_of([0, 1]), np.zeros((1, 1, 2)),
+            policies._accumulated_score_step(tags_of([0, 1]),
+                                             policies._scorer(np.zeros((1, 1, 2))),
                                              tags_of([0]), cfg, np.zeros(3), smoothing=0.0)
 
 

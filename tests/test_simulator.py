@@ -1,5 +1,7 @@
 """Tests for the synthetic decoder, the decode loop, and sweeps."""
 
+import collections
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -20,6 +22,7 @@ from kvprune.simulator import (
     prefill_tags,
     record_trace,
     run_decode,
+    run_decodes,
     sweep,
 )
 from kvprune.traceio import AttentionTrace, TraceStep
@@ -291,23 +294,29 @@ class TestRunDecode:
             run_decode("no", "csp", cfg)
 
     def test_layer_keeping_every_key_reads_the_slab(self, monkeypatch):
-        """A layer that keeps every key gets its logit block as a view of
-        the decoder's read-only slab; a pruned layer gets a gathered copy."""
+        """A layer that keeps every key is scored from its logit block as a
+        view of the decoder's read-only slab, not a copy; a pruned layer
+        from a gathered copy. A step below budget scores nothing."""
         seen = []
+        score = policies._weights
 
-        def wrapper(kernel):
-            def recorded(key_tags, logits, *args, **kwargs):
-                seen.append((key_tags.size, logits.flags.writeable))
-                return kernel(key_tags, logits, *args, **kwargs)
-            return recorded
+        def recorded(logits, smoothing):
+            seen.append((logits.shape[-1], logits.flags.writeable,
+                         np.shares_memory(logits, decoder._slab)))
+            return score(logits, smoothing)
 
-        wrap_kernel(monkeypatch, "csp", wrapper)
-        run_decode(SMALL, "csp", PruneConfig(budget=27, recent=4, obs_window=4))
-        full_lens = np.repeat(SMALL.prefill_len + np.arange(SMALL.steps + 1), SMALL.layers)
-        expected = [(size, size != full_len)
-                    for (size, _), full_len in zip(seen, full_lens, strict=True)]
-        assert seen == expected
-        assert {writeable for _, writeable in seen} == {False, True}
+        monkeypatch.setattr(policies, "_weights", recorded)
+        decoder = SyntheticDecoder(SMALL)
+        cfg = PruneConfig(budget=27, recent=4, obs_window=4, widen_to_budget=True)
+        report = run_decode(decoder, "csp", cfg)
+        # Lengths 24, 25 and 26 are below budget. Length 27 keeps all 27
+        # keys; length 28 then holds every key again and keeps 27 of them,
+        # so steps 5 and 6 score 28 gathered keys.
+        assert [step[0].pruned for step in report.per_step] == [False] * 3 + [True] * 4
+        assert [step[0].achieved_occupancy for step in report.per_step] == [24, 25, 26] + [27] * 4
+        full = [(27, False, True)] * SMALL.layers + [(28, False, True)] * SMALL.layers
+        pruned = [(28, True, False)] * (SMALL.layers * 2)
+        assert seen == full + pruned
 
 
 class TestScriptedTrace:
@@ -507,6 +516,163 @@ class TestChecksOncePerRun:
             assert bare.recon_error == explicit.recon_error
 
 
+def assert_same_report(got, want):
+    """Field by field and bit for bit: arrays by dtype and value, floats by
+    their bytes."""
+    for field in dataclasses.fields(simulator.RunReport):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name in ("retained_ids", "retained_tags"):
+            assert len(a) == len(b)
+            for x, y in zip(a, b):
+                assert x.dtype == y.dtype
+                np.testing.assert_array_equal(x, y)
+        elif field.name == "recon_error":
+            assert np.array(a, dtype=np.float64).tobytes() == np.array(b).tobytes()
+        else:
+            assert a == b, field.name
+
+
+@st.composite
+def lockstep_runs(draw):
+    """A small decode and one to four runs over it, sharing obs_window and
+    recent, with budgets from a short list so runs often hold the same
+    keys and share their scoring."""
+    spec = SynthSpec(seed=draw(st.integers(0, 3)), text_len=draw(st.integers(3, 10)),
+                     visual_len=draw(st.integers(3, 10)),
+                     interleave=draw(st.sampled_from(simulator.INTERLEAVE_MODES)),
+                     layers=draw(st.integers(1, 2)), heads=draw(st.integers(1, 3)),
+                     head_dim=8, steps=draw(st.integers(0, 6)), shift=2.0)
+    recent = draw(st.integers(1, 3))
+    obs_window = draw(st.integers(1, 6))
+    budgets = [recent + 1, spec.prefill_len // 2 + recent, spec.final_len]
+    runs = []
+    for _ in range(draw(st.integers(1, 4))):
+        policy = draw(st.sampled_from(list(policies.POLICIES)))
+        cfg = PruneConfig(budget=draw(st.sampled_from(budgets)), recent=recent,
+                          obs_window=obs_window,
+                          cross_ratio=draw(st.sampled_from([0.0, 0.5, 1.0])),
+                          smoothing=draw(st.sampled_from([0.0, 1.0])),
+                          widen_to_budget=draw(st.booleans()))
+        drawn = {"pool_width": draw(st.integers(1, 3)),
+                 "smoothing": draw(st.sampled_from([0.0, 1.0]))}
+        runs.append((policy, cfg, {option.keyword: drawn[option.keyword]
+                                   for option in policies.POLICIES[policy].options}))
+    return spec, runs
+
+
+class TestRunDecodes:
+    """run_decodes steps several runs over one source in lockstep, reading
+    the source once and scoring each distinct (keys, smoothing) of a
+    layer-step once; each report equals that of the run alone."""
+
+    CFG = PruneConfig(budget=14, recent=4, obs_window=4, widen_to_budget=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=lockstep_runs(), kind=st.sampled_from(["spec", "decoder", "trace"]))
+    def test_each_report_equals_the_run_alone(self, case, kind):
+        spec, runs = case
+        if kind == "trace":
+            source = record_trace(spec, runs[0][1].obs_window)
+        else:
+            source = spec if kind == "spec" else SyntheticDecoder(spec)
+        reports = run_decodes(source, runs)
+        assert len(reports) == len(runs)
+        for report, (policy, cfg, options) in zip(reports, runs):
+            alone = run_decode(source if kind == "trace" else spec, policy, cfg, **options)
+            assert_same_report(report, alone)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=lockstep_runs(), axis=st.sampled_from(SWEEP_AXES),
+           grid=st.lists(st.sampled_from([0.0, 0.3, 0.5, 1.0, 2.0]), min_size=1, max_size=4))
+    def test_each_sweep_row_equals_the_run_alone(self, case, axis, grid):
+        spec, [(policy, cfg, options), *_] = case
+        if axis == "budget_fraction":
+            grid = [value + 0.1 for value in grid]
+        elif axis == "cross_ratio":
+            grid = [min(value, 1.0) for value in grid]
+        rows = sweep(axis, grid, spec, cfg, policy, **options)
+        assert [value for value, _ in rows] == grid
+        for _, report in rows:
+            assert_same_report(report, run_decode(spec, policy, report.config, **options))
+
+    def test_step_zero_scores_once_per_distinct_smoothing(self, monkeypatch):
+        """At step 0 every run holds the whole prefill. csp scores with
+        cfg.smoothing (1 by default), global-topk and accum with their
+        smoothing option (0 by default), so three runs score each layer
+        twice, and the two baselines read the same weights."""
+        scored = record_scorings(monkeypatch)
+        spec = SynthSpec(**{**SMALL.__dict__, "steps": 0})
+        runs = [(policy, self.CFG, {}) for policy in ("csp", "global-topk", "accum")]
+        run_decodes(spec, runs)
+        assert collections.Counter(smoothing for smoothing, _ in scored) == {
+            1.0: spec.layers, 0.0: spec.layers}
+
+    @pytest.mark.parametrize("axis", ["smooth_n", "cross_ratio"])
+    def test_global_topk_sweep_scores_once_per_layer_step(self, axis, monkeypatch):
+        """global-topk reads neither cfg.smoothing nor cross_ratio, so every
+        run of such a sweep holds the same keys at every layer-step and one
+        scoring serves them all, whatever the grid size. It scores exactly
+        the layer-steps it prunes."""
+        scored = record_scorings(monkeypatch)
+        counts = []
+        for grid in ([0.5], [0.0, 0.25, 0.5, 1.0]):
+            scored.clear()
+            rows = sweep(axis, grid, SMALL, self.CFG, "global-topk")
+            counts.append(len(scored))
+            pruned = sum(d.pruned for step in rows[0][1].per_step for d in step)
+            assert len(scored) == pruned
+        assert counts[0] == counts[1] > 0
+
+    def test_refusals_come_before_any_step(self, monkeypatch):
+        """No run, or runs whose obs_window differ, are refused before the
+        source yields a step."""
+        def unread(self, obs_window):
+            raise AssertionError("steps read")
+
+        monkeypatch.setattr(SyntheticDecoder, "steps", unread)
+        with pytest.raises(ValueError, match="needs at least one run"):
+            run_decodes(SMALL, [])
+        wide = self.CFG.with_updates(obs_window=6)
+        with pytest.raises(ValueError, match=r"must share obs_window, got \[4, 6\]"):
+            run_decodes(SMALL, [("csp", self.CFG, {}), ("accum", wide, {})])
+        with pytest.raises(TypeError, match="cannot drive"):
+            run_decodes("no", [("csp", self.CFG, {})])
+
+    def test_shared_weights_are_read_only(self, monkeypatch):
+        """A kernel that writes to the weights it is handed gets a
+        ValueError, so no run can change what another reads."""
+        writes = []
+
+        def wrapper(kernel):
+            def writing(key_tags, weights, query_tags, cfg, state, **options):
+                with pytest.raises(ValueError, match="read-only"):
+                    weights(options["smoothing"])[0, 0] = 0.0
+                writes.append(key_tags.size)
+                return kernel(key_tags, weights, query_tags, cfg, state, **options)
+            return writing
+
+        runs = [("accum", self.CFG, {}), ("global-topk", self.CFG, {})]
+        alone = [run_decode(SMALL, policy, cfg) for policy, cfg, _ in runs]
+        wrap_kernel(monkeypatch, "accum", wrapper)
+        for report, want in zip(run_decodes(SMALL, runs), alone):
+            assert_same_report(report, want)
+        assert len(writes) == (SMALL.steps + 1) * SMALL.layers
+
+
+def record_scorings(monkeypatch):
+    """Wrap policies._weights, the one scoring every kernel reads; the
+    returned list collects (smoothing, logits shape) for every scoring."""
+    scored = []
+    score = policies._weights
+
+    def recorded(logits, smoothing):
+        scored.append((smoothing, logits.shape))
+        return score(logits, smoothing)
+
+    monkeypatch.setattr(policies, "_weights", recorded)
+    return scored
+
+
 class TestReconErrorOracle:
     """The last step's reconstruction error against tests/oracles.py's
     plain-loop recon_error_final, which recomputes the newest query's
@@ -691,9 +857,9 @@ def record_selections(monkeypatch):
     selections, window = [], {}
 
     def wrapper(kernel):
-        def stepped(key_tags, logits, query_tags, cfg, *args, **kwargs):
+        def stepped(key_tags, weights, query_tags, cfg, *args, **kwargs):
             window.update(keys=key_tags, queries=query_tags[-cfg.obs_window:])
-            return kernel(key_tags, logits, query_tags, cfg, *args, **kwargs)
+            return kernel(key_tags, weights, query_tags, cfg, *args, **kwargs)
         return stepped
 
     def selected(scores, cfg):
@@ -772,11 +938,15 @@ class TestSweep:
     @pytest.mark.parametrize("policy", ["csp", "global-topk", "accum", "full"])
     def test_every_run_equals_a_fresh_run(self, axis, grid, policy, monkeypatch):
         """Runs of one sweep share what they need of the source, and no run
-        leaks state into the next: each report, and every step's keep,
-        equals that of a standalone run_decode with the same config."""
+        leaks state into another: each report, and every step's keep,
+        equals that of a standalone run_decode with the same config. The
+        sweep steps its runs in lockstep, calling every run's kernel at a
+        layer-step before the next layer-step, so its keeps are regrouped
+        by run to compare them with the standalone runs, one after another."""
         keeps = record_keeps(monkeypatch, policy)
         rows = sweep(axis, grid, SMALL, self.CFG, policy)
-        swept_keeps = keeps.copy()
+        swept_keeps = [keeps[run::len(grid)] for run in range(len(grid))]
+        swept_keeps = [keep for run in swept_keeps for keep in run]
         keeps.clear()
         for _, report in rows:
             fresh = run_decode(SMALL, policy, report.config)
