@@ -5,6 +5,11 @@ split by whether the querying token shares the key's modality: same-modality
 mass (intra) and opposite-modality mass (inter). The two parts are exact,
 meaning intra + inter reproduces the plain column sums, so nothing is lost
 by decomposing; it only makes the two signals separately rankable.
+
+Only two sums per key enter the split: the column mass from text queries
+and from visual queries. `_decompose` splits that (2, cols) mass by key
+tag; `cross_self_importance` sums a weight matrix into it, and the csp
+policy scores it directly, so both go through the one split.
 """
 
 from __future__ import annotations
@@ -63,16 +68,18 @@ def cross_self_importance(weights, query_tags, key_tags) -> ImportanceScores:
     Works for arbitrary interleavings; block-contiguous layouts are just the
     special case where the sums are contiguous slices.
     """
-    return _cross_self_importance(*_check_tagged(weights, query_tags, key_tags))
-
-
-def _cross_self_importance(weights: np.ndarray, query_tags: np.ndarray,
-                           key_tags: np.ndarray) -> ImportanceScores:
-    """cross_self_importance on a float64 matrix and uint8 tags that match
-    its rows and columns, unchecked."""
+    weights, query_tags, key_tags = _check_tagged(weights, query_tags, key_tags)
     text_rows = query_tags == TEXT_CODE
-    from_text = weights[text_rows].sum(axis=0) if text_rows.any() else np.zeros(weights.shape[1])
-    from_visual = weights[~text_rows].sum(axis=0) if (~text_rows).any() else np.zeros(weights.shape[1])
+    mass = np.stack([weights[text_rows].sum(axis=0), weights[~text_rows].sum(axis=0)])
+    return _decompose(mass, key_tags)
+
+
+def _decompose(mass: np.ndarray, key_tags: np.ndarray) -> ImportanceScores:
+    """The ImportanceScores of a (2, cols) column mass, unchecked: row 0
+    is the mass from text queries and row 1 from visual ones, and each key
+    takes its own modality's row as intra and the other as inter. key_tags
+    are uint8 tags, one per column."""
+    from_text, from_visual = mass
     key_is_text = key_tags == TEXT_CODE
     intra = np.where(key_is_text, from_text, from_visual)
     inter = np.where(key_is_text, from_visual, from_text)

@@ -31,15 +31,22 @@ against them and finite logits. Then it calls its kernel (`_csp_step` and so
 on, named in its POLICIES entry) with the checked tags, a scorer built from
 the checked logits, the config, the state and every option by keyword;
 kernels declare no option defaults, the steps do. A kernel never reads
-logits: it calls weights(smoothing), the scorer, for the read-only float64
-(rows, cols) head average of the smoothed softmax weights. Every kernel
-scores through that one function, `_weights`, and only when it needs
-weights, so a no-op step neither gathers nor scores. A kernel calls the
-unchecked kernels of scoring, decompose and core rather than their checked
-public forms. simulator.run_decodes checks its runs once, the options
-through run_options, and then calls each run's kernel on every step and
-layer with a scorer shared by every run that holds the same keys there, so
-each distinct (keys, smoothing) of a layer-step is scored once.
+logits: it calls mass(smoothing), the scorer, for the read-only float64
+(2, cols) column mass of the observation window, the last
+min(obs_window, rows) query rows. Row 0 sums the head-averaged smoothed
+softmax weights of the window's text queries, row 1 those of its visual
+queries; that is all any policy reads. csp splits it by key tag into intra
+and inter scores, global-topk ranks its column sums, and accum adds them
+to its running total. Every kernel scores through one function, `_mass`,
+and only when it needs scores, so a no-op step neither gathers nor scores;
+it never forms a (rows, cols) weight matrix. A kernel calls the unchecked
+kernels of scoring, decompose and core rather than their checked public
+forms.
+simulator.run_decodes checks its runs once, the options through
+run_options, builds each step's selector once, and then calls each run's
+kernel on every step and layer with a scorer shared by every run that
+holds the same keys there, so each distinct (keys, smoothing) of a
+layer-step is scored once.
 """
 
 from __future__ import annotations
@@ -51,9 +58,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PruneConfig, _tag_counts, as_tags, validate_config
-from .decompose import _cross_self_importance
-from .scoring import _head_average, _smoothed_softmax_rows, _trim_observation
+from .core import TEXT_CODE, PruneConfig, _tag_counts, as_tags, validate_config
+from .decompose import _decompose
+from .scoring import _shifted_exp
 from .selection import budget_to_k, cross_self_select, topk_mask
 
 
@@ -100,37 +107,62 @@ def _checked(key_tags, logits, query_tags, cfg: PruneConfig):
     return key_tags, logits, query_tags
 
 
-def _weights(logits: np.ndarray, smoothing: float) -> np.ndarray:
-    """The one scoring every kernel reads: the head average of the
-    smoothed softmax weights of checked (heads, rows, cols) logits, as a
-    read-only float64 (rows, cols) array, since scorers share it."""
-    heads, rows, cols = logits.shape
-    flat = _smoothed_softmax_rows(logits.reshape(heads * rows, cols), smoothing)
-    weights = _head_average(flat.reshape(heads, rows, cols))
-    weights.flags.writeable = False
-    return weights
+def _selector(window_tags: np.ndarray, heads: int) -> np.ndarray:
+    """The (2, heads * window) 0/1 float64 matrix that picks the text
+    (row 0) and the visual (row 1) query rows out of a window's
+    (heads * window, cols) stack of rows, head-major; window_tags are the
+    window's uint8 query tags."""
+    text = window_tags == TEXT_CODE
+    return np.tile(np.stack([text, ~text]).astype(np.float64), heads)
 
 
-def _scorer(logits: np.ndarray, ids: np.ndarray | None = None):
-    """The weights(smoothing) callable a kernel scores with: _weights of
-    the checked logits' columns ids (all of them when ids is None).
+def _mass(logits: np.ndarray, select: np.ndarray, smoothing: float) -> np.ndarray:
+    """The one scoring every kernel reads: the column mass of checked
+    (heads, window, cols) logits, a read-only float64 (2, cols) array,
+    since scorers share it. Row 0 sums the head-averaged smoothed softmax
+    weights of the window's text query rows and row 1 those of its visual
+    rows, select being their _selector. The division by each row's
+    denominator, the head mean and the row sums are one matrix product."""
+    heads, window, cols = logits.shape
+    expd, denom = _shifted_exp(logits, smoothing)
+    mass = (select / (heads * denom.reshape(-1))) @ expd.reshape(heads * window, cols)
+    mass.flags.writeable = False
+    return mass
 
-    The columns are gathered on the first call, so a kernel that never
-    scores costs no gather, and each smoothing is scored once and then
-    handed out again, read-only, to every later call. The gather keeps
-    fancy indexing's layout, and a full block is read as is, not copied.
+
+def _scorer(logits: np.ndarray, select: np.ndarray, ids: np.ndarray | None = None):
+    """The mass(smoothing) callable a kernel scores with: _mass of the
+    checked (heads, rows, cols) logits' last window rows and their columns
+    ids (all of them when ids is None), select being the window's
+    _selector, so window = select.shape[1] // heads.
+
+    The window is sliced and the columns gathered on the first call, so a
+    kernel that never scores costs no gather and rows outside the window
+    are never read. Each smoothing is scored once and then handed out
+    again, read-only, to every later call. The gather keeps fancy
+    indexing's layout, and a full block is read as a view, not copied.
     """
+    heads, rows, _ = logits.shape
+    first = rows - select.shape[1] // heads
     memo = {}
+    block = None
 
-    def weights(smoothing: float) -> np.ndarray:
-        nonlocal logits, ids
+    def mass(smoothing: float) -> np.ndarray:
+        nonlocal block
         if smoothing not in memo:
-            if ids is not None:
-                logits, ids = logits[:, :, ids], None
-            memo[smoothing] = _weights(logits, smoothing)
+            if block is None:
+                block = logits[:, first:] if ids is None else logits[:, first:, ids]
+            memo[smoothing] = _mass(block, select, smoothing)
         return memo[smoothing]
 
-    return weights
+    return mass
+
+
+def _window_scorer(logits: np.ndarray, query_tags: np.ndarray, cfg: PruneConfig):
+    """A public step's scorer of its checked logits, over the last
+    min(cfg.obs_window, rows) rows."""
+    window = min(cfg.obs_window, query_tags.size)
+    return _scorer(logits, _selector(query_tags[query_tags.size - window :], logits.shape[0]))
 
 
 def _decided(key_tags: np.ndarray, cfg: PruneConfig, keep: np.ndarray, ks, pruned: bool):
@@ -166,16 +198,15 @@ def csp_step(key_tags, logits, query_tags, cfg: PruneConfig, state=None):
     kept after the selected candidates.
     """
     key_tags, logits, query_tags = _checked(key_tags, logits, query_tags, cfg)
-    return _csp_step(key_tags, _scorer(logits), query_tags, cfg, state)
+    return _csp_step(key_tags, _window_scorer(logits, query_tags, cfg), query_tags, cfg, state)
 
 
-def _csp_step(key_tags, weights, query_tags, cfg: PruneConfig, state):
+def _csp_step(key_tags, mass, query_tags, cfg: PruneConfig, state):
     """csp_step on checked inputs and a scorer, unchecked."""
     if key_tags.size < cfg.budget:
         return (*_noop(key_tags, cfg), None)
-    trimmed = _trim_observation(weights(cfg.smoothing), cfg.obs_window, cfg.recent)
     cand = key_tags.size - cfg.recent
-    imp = _cross_self_importance(trimmed, query_tags[-trimmed.shape[0] :], key_tags[:cand])
+    imp = _decompose(mass(cfg.smoothing)[:, :cand], key_tags[:cand])
     chosen = cross_self_select(imp, cfg)
     return (*_pruned(key_tags, cfg, chosen, budget_to_k(cfg, cand)), None)
 
@@ -203,16 +234,18 @@ def global_topk_step(
     """Single global ranking by column sum, no modality split."""
     options = check_options("global-topk", {"pool_width": pool_width, "smoothing": smoothing})
     key_tags, logits, query_tags = _checked(key_tags, logits, query_tags, cfg)
-    return _global_topk_step(key_tags, _scorer(logits), query_tags, cfg, state, **options)
+    return _global_topk_step(key_tags, _window_scorer(logits, query_tags, cfg), query_tags, cfg,
+                             state, **options)
 
 
-def _global_topk_step(key_tags, weights, query_tags, cfg: PruneConfig, state, *,
+def _global_topk_step(key_tags, mass, query_tags, cfg: PruneConfig, state, *,
                       pool_width, smoothing):
     """global_topk_step on checked inputs, options and a scorer, unchecked."""
     if key_tags.size < cfg.budget:
         return (*_noop(key_tags, cfg), None)
-    trimmed = _trim_observation(weights(smoothing), cfg.obs_window, cfg.recent)
-    importance = _pooled(trimmed.sum(axis=0), pool_width)
+    cand = key_tags.size - cfg.recent
+    columns = mass(smoothing)
+    importance = _pooled(columns[0, :cand] + columns[1, :cand], pool_width)
     pool = max(cfg.budget - cfg.recent, 0)
     return (*_pruned(key_tags, cfg, topk_mask(importance, pool), (pool, pool)), None)
 
@@ -235,10 +268,11 @@ def accumulated_score_step(
     """
     options = check_options("accum", {"smoothing": smoothing})
     key_tags, logits, query_tags = _checked(key_tags, logits, query_tags, cfg)
-    return _accumulated_score_step(key_tags, _scorer(logits), query_tags, cfg, state, **options)
+    return _accumulated_score_step(key_tags, _window_scorer(logits, query_tags, cfg), query_tags,
+                                   cfg, state, **options)
 
 
-def _accumulated_score_step(key_tags, weights, query_tags, cfg: PruneConfig, state, *,
+def _accumulated_score_step(key_tags, mass, query_tags, cfg: PruneConfig, state, *,
                             smoothing):
     """accumulated_score_step on checked inputs, options and a scorer. It
     still refuses a state longer than the cache, which no input check
@@ -251,9 +285,8 @@ def _accumulated_score_step(key_tags, weights, query_tags, cfg: PruneConfig, sta
             f"{key_tags.size}: the cache shrank outside of this policy's own pruning"
         )
     running = np.concatenate([running, np.zeros(grown)])
-    averaged = weights(smoothing)
-    obs_rows = min(cfg.obs_window, averaged.shape[0])
-    running = running + averaged[averaged.shape[0] - obs_rows :, :].sum(axis=0)
+    columns = mass(smoothing)
+    running = running + (columns[0] + columns[1])
 
     if key_tags.size < cfg.budget:
         return (*_noop(key_tags, cfg), running)
@@ -266,10 +299,11 @@ def _accumulated_score_step(key_tags, weights, query_tags, cfg: PruneConfig, sta
 def full_cache_step(key_tags, logits, query_tags, cfg: PruneConfig, state=None):
     """Reference policy: never evicts."""
     key_tags, logits, query_tags = _checked(key_tags, logits, query_tags, cfg)
-    return _full_cache_step(key_tags, _scorer(logits), query_tags, cfg, state)
+    return _full_cache_step(key_tags, _window_scorer(logits, query_tags, cfg), query_tags, cfg,
+                            state)
 
 
-def _full_cache_step(key_tags, weights, query_tags, cfg: PruneConfig, state):
+def _full_cache_step(key_tags, mass, query_tags, cfg: PruneConfig, state):
     """full_cache_step on checked inputs, unchecked; it never scores."""
     return (*_noop(key_tags, cfg), None)
 

@@ -8,9 +8,12 @@ can stand in for the evicted mass and keep the kept weights near their
 original values.
 
 All matrices here are float64 ndarrays; rows are queries, columns are keys.
-Each public function checks its input, then calls an unchecked kernel of the
-same name with a leading underscore; the policy steps check their own input
-once and call the kernels directly.
+Each public function checks its input. The smoothed softmax and the trim
+then call an unchecked kernel of the same name with a leading underscore,
+which the simulator and diagnostics call directly on input they checked
+once. The policies never build a weight matrix: their column-mass scorer
+takes the smoothed softmax's shifted exponentials and denominators from
+`_shifted_exp`, the one copy of that arithmetic.
 """
 
 from __future__ import annotations
@@ -91,22 +94,34 @@ def _smoothed_softmax_rows(logits: np.ndarray, smoothing: float) -> np.ndarray:
     for a float32 matrix as for its float64 copy. A -inf entry gets weight
     exactly 0, so -inf pads a row without changing it, provided the row
     keeps a finite entry or smoothing > 0 (else the row is NaN)."""
-    if logits.shape[1] == 0:
+    expd, denom = _shifted_exp(logits, smoothing)
+    expd /= denom[..., None]
+    return expd
+
+
+def _shifted_exp(logits: np.ndarray, smoothing: float) -> tuple[np.ndarray, np.ndarray]:
+    """(expd, denom) of the smoothed softmax along the last axis of finite
+    float32 or float64 logits, unchecked: each row's weights are expd /
+    denom. expd is a new C-contiguous float64 array of the logits' shape;
+    denom has one entry per row. With no columns there are no weights,
+    which is an error at smoothing 0."""
+    if logits.shape[-1] == 0:
         if smoothing == 0.0:
             raise ValueError("no columns and smoothing is 0; weights are undefined")
-        return np.zeros(logits.shape)
+        return np.zeros(logits.shape), np.ones(logits.shape[:-1])
 
     # Shift each row by max(row max, ln smoothing) so that neither the
     # exponentials nor the smoothing term can overflow. The row max is cast
     # to float64: the -inf of smoothing 0 is a Python float, which would
     # leave a float32 shift, and the arithmetic below, in float32.
     log_smoothing = np.log(smoothing) if smoothing > 0.0 else -np.inf
-    shift = np.maximum(logits.max(axis=1).astype(np.float64), log_smoothing)
-    expd = np.exp(logits - shift[:, None])
+    shift = np.maximum(logits.max(axis=-1).astype(np.float64), log_smoothing)
+    expd = logits - shift[..., None]
+    np.exp(expd, out=expd)
     # exp(ln n - shift) instead of n * exp(-shift): the latter is 0 * inf
     # (NaN) when n == 0 and the row max is strongly negative.
-    denom = np.exp(log_smoothing - shift) + expd.sum(axis=1)
-    return expd / denom[:, None]
+    denom = np.exp(log_smoothing - shift) + expd.sum(axis=-1)
+    return expd, denom
 
 
 def head_average(weights) -> np.ndarray:
@@ -116,11 +131,6 @@ def head_average(weights) -> np.ndarray:
         raise ValueError(f"expected (heads, rows, cols), got shape {weights.shape}")
     if weights.shape[0] < 1:
         raise ValueError("need at least one head")
-    return _head_average(weights)
-
-
-def _head_average(weights: np.ndarray) -> np.ndarray:
-    """head_average on a float64 stack of at least one head, unchecked."""
     return weights.mean(axis=0)
 
 

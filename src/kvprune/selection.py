@@ -72,10 +72,13 @@ def budget_to_k(cfg: PruneConfig, candidate_count: int) -> tuple[int, int]:
 
 
 def _biased(scores: ImportanceScores, cfg: PruneConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The intra and inter scores with the last obs_window candidates
+    multiplied by recency_bias; at bias 1 the scores as they are, since
+    x * 1.0 == x."""
+    if cfg.recency_bias == 1.0:
+        return scores.intra, scores.inter
     bias = np.ones(len(scores))
-    if cfg.recency_bias != 1.0:
-        start = max(len(scores) - cfg.obs_window, 0)
-        bias[start:] = cfg.recency_bias
+    bias[max(len(scores) - cfg.obs_window, 0) :] = cfg.recency_bias
     return scores.intra * bias, scores.inter * bias
 
 

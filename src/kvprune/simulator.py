@@ -30,13 +30,15 @@ trace's records once each per call; a decoder builds its records
 unchecked, from its finite float32 slab. The loop then calls each run's
 unchecked kernel on every step and layer, handing it a scorer that runs
 holding the same keys there share, so each distinct (keys, smoothing) is
-gathered and scored at most once, and only if a kernel asks. A
-synthetic run records each step's retained ids per layer and scores its
-reconstruction error after the loop, one batched pass per layer: each step's
-newest-query logits are gathered from the slab into one array padded with
--inf to the largest kept count, so pads weigh 0 in the smoothed softmax, and
-one batched matmul against the gathered values gives every step's pruned
-output. The unpruned outputs are one (steps + 1, heads, head_dim) array per
+gathered and scored at most once, and only if a kernel asks. A scoring is
+the read-only (2, cols) column mass of the observation window, all any
+policy reads, and each step builds its text/visual query selector once for
+every layer and run. A synthetic run records each step's retained ids per
+layer and scores its reconstruction error after the loop, one batched pass
+per layer: each step's newest-query logits are gathered from the slab into
+one array padded with -inf to the largest kept count, so pads weigh 0 in the
+smoothed softmax, and one batched matmul against the gathered values gives
+every step's pruned output. The unpruned outputs are one (steps + 1, heads, head_dim) array per
 layer, computed once per decoder, so a sweep builds its slab and these once.
 Both sides work through their steps in chunks whose temporaries stay near
 RECON_CHUNK_FLOATS values, so peak memory does not grow with the step count.
@@ -366,7 +368,7 @@ def run_decodes(source, runs) -> list[RunReport]:
     At each layer-step, runs that retain the same ids share one scorer:
     the logits over those ids are gathered at most once and scored at
     most once per smoothing, on the first kernel call that asks, and every
-    run reads the same read-only weights. Runs that differ only in what
+    run reads the same read-only column mass. Runs that differ only in what
     their policy ignores (a global-topk sweep along smooth_n or
     cross_ratio) therefore score once per layer-step, whatever their
     number. Runs share nothing else, and the reconstruction error is
@@ -402,6 +404,8 @@ def run_decodes(source, runs) -> list[RunReport]:
             )
         new_ids = np.arange(full_len - added, full_len)
         query_tags = full_tags[full_len - rows : full_len]
+        window = min(windows[0], rows)
+        select = policies._selector(query_tags[rows - window :], heads)
         for run in runs:
             if added:
                 run.retained = [np.concatenate([ids, new_ids]) for ids in run.retained]
@@ -414,7 +418,7 @@ def run_decodes(source, runs) -> list[RunReport]:
                 if key not in scorers:
                     # Retained ids ascend, so a layer holding full_len of
                     # them holds every key and is scored from the block itself.
-                    scorers[key] = policies._scorer(blocks[layer],
+                    scorers[key] = policies._scorer(blocks[layer], select,
                                                     None if ids.size == full_len else ids)
                 keep, decision, run.states[layer] = run.kernel(
                     full_tags[ids], scorers[key], query_tags, run.cfg, run.states[layer],

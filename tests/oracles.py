@@ -237,6 +237,38 @@ def global_topk_retained_global(
     return history
 
 
+def accum_retained_global(blocks_by_step, budget, recent, obs_window, smoothing=0.0):
+    """Same driver for the accumulated-score baseline (single layer).
+
+    Every step adds each retained token's column sum over the obs rows to
+    its running total, a token entering at 0 on the step it arrives, below
+    budget as well. At or over budget the top pool totals among the
+    candidates survive, then the recent window, and the evicted tokens'
+    totals are dropped with them.
+    """
+    first_new, first_blocks = blocks_by_step[0]
+    retained = list(range(len(first_blocks[0][0]) - first_new))
+    running = {}
+    history = []
+    for new_count, blocks in blocks_by_step:
+        cols = len(blocks[0][0])
+        retained.extend(range(cols - new_count, cols))
+        rows = len(blocks[0])
+        avg = _head_average_over(blocks, retained, smoothing)
+        obs_rows = min(obs_window, rows)
+        for j, token in enumerate(retained):
+            column = sum(row[j] for row in avg[rows - obs_rows :])
+            running[token] = running.get(token, 0.0) + column
+        if len(retained) >= budget:
+            cand = len(retained) - recent
+            totals = [running[token] for token in retained[:cand]]
+            chosen = topk_indices(totals, max(budget - recent, 0))
+            retained = [retained[c] for c in chosen] + retained[cand:]
+            running = {token: running[token] for token in retained}
+        history.append(list(retained))
+    return history
+
+
 def max_pool_same(values, width):
     """1-D max pool, 'same' length, window centered with left bias."""
     if width <= 1:

@@ -1,7 +1,7 @@
 """Public functions reject bad input when called directly.
 
 Policy steps check their inputs once on entry and then call unchecked
-kernels (`_smoothed_softmax_rows`, `_cross_self_importance`, ...). These tests
+kernels (`_smoothed_softmax_rows`, `_decompose`, ...). These tests
 pin the other half of that contract: every public function still runs every
 check it documents, whichever caller it has.
 """

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from kvprune import policies
 from kvprune.core import PruneConfig, TEXT, VISUAL
-from kvprune.decompose import cross_self_importance
+from kvprune.decompose import _decompose, cross_self_importance
 from kvprune.policies import (
     POLICIES,
     accumulated_score_step,
@@ -19,6 +19,8 @@ from kvprune.policies import (
 )
 from kvprune.selection import cross_self_select
 from kvprune.simulator import SynthSpec, run_decode
+
+import oracles
 
 
 def tags_of(tags):
@@ -253,7 +255,8 @@ class TestKernels:
         keep, decision, after = policy_step(name)(key_tags, logits, query_tags, cfg, state,
                                                   **options)
         kernel_keep, kernel_decision, kernel_after = kernel(
-            key_tags, policies._scorer(logits), query_tags, cfg, state, **options)
+            key_tags, policies._window_scorer(logits, query_tags, cfg), query_tags, cfg, state,
+            **options)
         np.testing.assert_array_equal(kernel_keep, keep)
         assert kernel_decision == decision
         if after is None:
@@ -275,8 +278,74 @@ class TestKernels:
         cfg = PruneConfig(budget=4, recent=1, obs_window=1)
         with pytest.raises(ValueError, match="the cache shrank"):
             policies._accumulated_score_step(tags_of([0, 1]),
-                                             policies._scorer(np.zeros((1, 1, 2))),
+                                             policies._window_scorer(np.zeros((1, 1, 2)),
+                                                                     tags_of([0]), cfg),
                                              tags_of([0]), cfg, np.zeros(3), smoothing=0.0)
+
+
+@st.composite
+def mass_cases(draw):
+    """Logits of a cache, its key and query tags, an observation window
+    below, at or above the row count, a smoothing and the retained columns,
+    all of them or a gathered subset."""
+    heads, rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logits = rng.normal(0.0, 2.0, size=(heads, rows, cols))
+    if draw(st.booleans()):
+        logits = logits.astype(np.float32)
+    ids = None
+    if draw(st.booleans()):
+        ids = np.flatnonzero(rng.random(cols) < 0.6)
+        if ids.size == 0:
+            ids = np.array([cols - 1])
+    return (logits, tags_of(rng.integers(0, 2, cols)), tags_of(rng.integers(0, 2, rows)),
+            draw(st.integers(1, 10)), draw(st.sampled_from([0.0, 0.5, 1.0, 3.0])), ids)
+
+
+class TestMass:
+    """The scorer every kernel reads, the (2, cols) column mass of the
+    observation window, against the oracles' plain-loop head average and
+    decomposition."""
+
+    @settings(max_examples=200)
+    @given(case=mass_cases())
+    def test_matches_oracle(self, case):
+        logits, key_tags, query_tags, obs_window, smoothing, ids = case
+        heads, rows, cols = logits.shape
+        window = min(obs_window, rows)
+        window_tags = query_tags[rows - window :]
+        mass = policies._scorer(logits, policies._selector(window_tags, heads), ids)(smoothing)
+
+        retained = list(range(cols)) if ids is None else ids.tolist()
+        averaged = oracles._head_average_over(logits.astype(np.float64).tolist(), retained,
+                                              smoothing)
+        kept_tags = key_tags[retained]
+        intra, inter = oracles.cross_self_sums(averaged[rows - window :], window_tags.tolist(),
+                                               kept_tags.tolist())
+        assert mass.shape == (2, len(retained)) and mass.dtype == np.float64
+        assert not mass.flags.writeable
+        scores = _decompose(mass, kept_tags)
+        np.testing.assert_allclose(scores.intra, intra, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(scores.inter, inter, rtol=1e-12, atol=0.0)
+        # A modality with no query in the window contributes exactly 0.
+        for row, tag in ((0, TEXT), (1, VISUAL)):
+            if not np.any(window_tags == tag):
+                assert np.all(mass[row] == 0.0)
+
+    def test_text_only_window_has_no_visual_mass(self):
+        """The premise of tests/test_simulator.py::TestTieRegime: with only
+        text queries in the window, row 1 is exactly 0.0, so every visual
+        key's intra and every text key's inter score is exactly 0.0."""
+        logits = np.random.default_rng(5).normal(0.0, 3.0, size=(2, 6, 9)).astype(np.float32)
+        query_tags = tags_of([VISUAL, VISUAL, TEXT, TEXT, TEXT, TEXT])
+        key_tags = tags_of([VISUAL, TEXT] * 4 + [TEXT])
+        cfg = PruneConfig(budget=4, recent=1, obs_window=4)
+        mass = policies._window_scorer(logits, query_tags, cfg)(1.0)
+        assert np.all(mass[0] > 0.0)
+        assert mass[1].tolist() == [0.0] * 9
+        scores = _decompose(mass, key_tags)
+        np.testing.assert_array_equal(scores.intra == 0.0, key_tags == VISUAL)
+        np.testing.assert_array_equal(scores.inter == 0.0, key_tags == TEXT)
 
 
 class TestGlobalTopkStep:

@@ -298,14 +298,14 @@ class TestRunDecode:
         view of the decoder's read-only slab, not a copy; a pruned layer
         from a gathered copy. A step below budget scores nothing."""
         seen = []
-        score = policies._weights
+        score = policies._mass
 
-        def recorded(logits, smoothing):
+        def recorded(logits, select, smoothing):
             seen.append((logits.shape[-1], logits.flags.writeable,
                          np.shares_memory(logits, decoder._slab)))
-            return score(logits, smoothing)
+            return score(logits, select, smoothing)
 
-        monkeypatch.setattr(policies, "_weights", recorded)
+        monkeypatch.setattr(policies, "_mass", recorded)
         decoder = SyntheticDecoder(SMALL)
         cfg = PruneConfig(budget=27, recent=4, obs_window=4, widen_to_budget=True)
         report = run_decode(decoder, "csp", cfg)
@@ -599,7 +599,7 @@ class TestRunDecodes:
         """At step 0 every run holds the whole prefill. csp scores with
         cfg.smoothing (1 by default), global-topk and accum with their
         smoothing option (0 by default), so three runs score each layer
-        twice, and the two baselines read the same weights."""
+        twice, and the two baselines read the same mass."""
         scored = record_scorings(monkeypatch)
         spec = SynthSpec(**{**SMALL.__dict__, "steps": 0})
         runs = [(policy, self.CFG, {}) for policy in ("csp", "global-topk", "accum")]
@@ -639,16 +639,16 @@ class TestRunDecodes:
             run_decodes("no", [("csp", self.CFG, {})])
 
     def test_shared_weights_are_read_only(self, monkeypatch):
-        """A kernel that writes to the weights it is handed gets a
+        """A kernel that writes to the column mass it is handed gets a
         ValueError, so no run can change what another reads."""
         writes = []
 
         def wrapper(kernel):
-            def writing(key_tags, weights, query_tags, cfg, state, **options):
+            def writing(key_tags, mass, query_tags, cfg, state, **options):
                 with pytest.raises(ValueError, match="read-only"):
-                    weights(options["smoothing"])[0, 0] = 0.0
+                    mass(options["smoothing"])[0, 0] = 0.0
                 writes.append(key_tags.size)
-                return kernel(key_tags, weights, query_tags, cfg, state, **options)
+                return kernel(key_tags, mass, query_tags, cfg, state, **options)
             return writing
 
         runs = [("accum", self.CFG, {}), ("global-topk", self.CFG, {})]
@@ -660,16 +660,17 @@ class TestRunDecodes:
 
 
 def record_scorings(monkeypatch):
-    """Wrap policies._weights, the one scoring every kernel reads; the
-    returned list collects (smoothing, logits shape) for every scoring."""
+    """Wrap policies._mass, the one scoring every kernel reads; the
+    returned list collects (smoothing, window logits shape) for every
+    scoring."""
     scored = []
-    score = policies._weights
+    score = policies._mass
 
-    def recorded(logits, smoothing):
+    def recorded(logits, select, smoothing):
         scored.append((smoothing, logits.shape))
-        return score(logits, smoothing)
+        return score(logits, select, smoothing)
 
-    monkeypatch.setattr(policies, "_weights", recorded)
+    monkeypatch.setattr(policies, "_mass", recorded)
     return scored
 
 
@@ -857,9 +858,9 @@ def record_selections(monkeypatch):
     selections, window = [], {}
 
     def wrapper(kernel):
-        def stepped(key_tags, weights, query_tags, cfg, *args, **kwargs):
+        def stepped(key_tags, mass, query_tags, cfg, *args, **kwargs):
             window.update(keys=key_tags, queries=query_tags[-cfg.obs_window:])
-            return kernel(key_tags, weights, query_tags, cfg, *args, **kwargs)
+            return kernel(key_tags, mass, query_tags, cfg, *args, **kwargs)
         return stepped
 
     def selected(scores, cfg):
@@ -1037,15 +1038,21 @@ class TestOracleExecutors:
     """run_decode over recorded single-layer traces against the pure-Python
     policy drivers in tests/oracles.py: the final retained ids must equal
     the oracle's last history entry, and every step's occupancy the length
-    of the oracle's retained list after that step."""
+    of the oracle's retained list after that step. Each policy replays a
+    trace recorded at its own window and one recorded RECORDED_EXTRA rows
+    wider, whose rows before the window neither side may read."""
 
     RECENT, OBS, BUDGET = 3, 4, 10
+    RECORDED_EXTRA = 3
 
     @staticmethod
-    def _trace(interleave):
+    def _traces(interleave):
+        """(recorded window, trace) at OBS and at OBS + RECORDED_EXTRA."""
         spec = SynthSpec(seed=3, text_len=10, visual_len=8, interleave=interleave,
                          layers=1, heads=2, head_dim=8, steps=6, shift=2.0)
-        return record_trace(spec, TestOracleExecutors.OBS)
+        obs = TestOracleExecutors.OBS
+        return [(window, record_trace(spec, window))
+                for window in (obs, obs + TestOracleExecutors.RECORDED_EXTRA)]
 
     @staticmethod
     def _check(report, history, label):
@@ -1056,32 +1063,46 @@ class TestOracleExecutors:
     @pytest.mark.parametrize("interleave", ["block", "alternating", "random"])
     @pytest.mark.parametrize("ratio", [0.0, 0.3, 0.5, 1.0])
     def test_csp_matches_oracle(self, interleave, ratio):
-        trace = self._trace(interleave)
-        steps = _oracle_steps(trace)
-        full_tags = trace.full_tags.tolist()
-        for widen in (False, True):
-            for smoothing in (0.0, 1.0):
-                for bias in (1.0, 2.0):
-                    cfg = PruneConfig(budget=self.BUDGET, recent=self.RECENT,
-                                      obs_window=self.OBS, cross_ratio=ratio,
-                                      smoothing=smoothing, recency_bias=bias,
-                                      widen_to_budget=widen)
-                    history = oracles.csp_retained_global(
-                        steps, full_tags, self.BUDGET, self.RECENT, ratio, self.OBS,
-                        recency_bias=bias, widen=widen, smoothing=smoothing,
-                    )
-                    label = f"widen={widen} smoothing={smoothing} bias={bias}"
-                    self._check(run_decode(trace, "csp", cfg), history, label)
+        for recorded, trace in self._traces(interleave):
+            steps = _oracle_steps(trace)
+            full_tags = trace.full_tags.tolist()
+            for widen in (False, True):
+                for smoothing in (0.0, 1.0):
+                    for bias in (1.0, 2.0):
+                        cfg = PruneConfig(budget=self.BUDGET, recent=self.RECENT,
+                                          obs_window=self.OBS, cross_ratio=ratio,
+                                          smoothing=smoothing, recency_bias=bias,
+                                          widen_to_budget=widen)
+                        history = oracles.csp_retained_global(
+                            steps, full_tags, self.BUDGET, self.RECENT, ratio, self.OBS,
+                            recency_bias=bias, widen=widen, smoothing=smoothing,
+                        )
+                        label = (f"recorded={recorded} widen={widen} smoothing={smoothing} "
+                                 f"bias={bias}")
+                        self._check(run_decode(trace, "csp", cfg), history, label)
 
     @pytest.mark.parametrize("interleave", ["block", "alternating", "random"])
     @pytest.mark.parametrize("pool_width", [1, 2, 3])
     def test_global_topk_matches_oracle(self, interleave, pool_width):
-        trace = self._trace(interleave)
-        steps = _oracle_steps(trace)
-        for budget in (self.BUDGET, 2 * self.BUDGET):
-            cfg = PruneConfig(budget=budget, recent=self.RECENT, obs_window=self.OBS)
-            history = oracles.global_topk_retained_global(
-                steps, budget, self.RECENT, self.OBS, pool_width=pool_width
-            )
-            report = run_decode(trace, "global-topk", cfg, pool_width=pool_width)
-            self._check(report, history, f"budget={budget}")
+        for recorded, trace in self._traces(interleave):
+            steps = _oracle_steps(trace)
+            for budget in (self.BUDGET, 2 * self.BUDGET):
+                cfg = PruneConfig(budget=budget, recent=self.RECENT, obs_window=self.OBS)
+                history = oracles.global_topk_retained_global(
+                    steps, budget, self.RECENT, self.OBS, pool_width=pool_width
+                )
+                report = run_decode(trace, "global-topk", cfg, pool_width=pool_width)
+                self._check(report, history, f"recorded={recorded} budget={budget}")
+
+    @pytest.mark.parametrize("interleave", ["block", "alternating", "random"])
+    @pytest.mark.parametrize("smoothing", [0.0, 1.0])
+    def test_accum_matches_oracle(self, interleave, smoothing):
+        for recorded, trace in self._traces(interleave):
+            steps = _oracle_steps(trace)
+            for budget in (self.BUDGET, 2 * self.BUDGET):
+                cfg = PruneConfig(budget=budget, recent=self.RECENT, obs_window=self.OBS)
+                history = oracles.accum_retained_global(
+                    steps, budget, self.RECENT, self.OBS, smoothing=smoothing
+                )
+                report = run_decode(trace, "accum", cfg, smoothing=smoothing)
+                self._check(report, history, f"recorded={recorded} budget={budget}")
