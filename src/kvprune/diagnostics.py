@@ -11,6 +11,7 @@ ln 2).
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .core import modality_index
 from .scoring import _smoothed_softmax_rows, _trim_observation
-from .traceio import AttentionTrace
+from .traceio import AttentionTrace, checked_steps
 
 DEFAULT_BINS = 64
 # Ceiling on histogram bins: far above any useful resolution, and two
@@ -126,8 +127,8 @@ def kde(samples, bandwidth: float | None = None, grid_points: int = GRID_POINTS)
         if not 0 < bandwidth < np.inf:
             raise ValueError(f"bandwidth must be finite and positive, got {bandwidth}")
         h = float(bandwidth)
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
+    if not (isinstance(grid_points, numbers.Integral) and grid_points >= 2):
+        raise ValueError(f"grid_points must be an integer >= 2, got {grid_points}")
 
     # Python floats, so an overflow here is an inf to test, not a warning.
     lo, hi = float(samples[0]) - 4 * h, float(samples[-1]) + 4 * h
@@ -183,8 +184,8 @@ def js_divergence(
     """
     p = _clean_samples(p_samples, "p_samples")
     q = _clean_samples(q_samples, "q_samples")
-    if not 2 <= bins <= MAX_BINS:
-        raise ValueError(f"bins must lie in [2, {MAX_BINS}], got {bins}")
+    if not (isinstance(bins, numbers.Integral) and 2 <= bins <= MAX_BINS):
+        raise ValueError(f"bins must be an integer in [2, {MAX_BINS}], got {bins}")
     # Each histogram sums to its sample count plus bins * epsilon; once that
     # overflows, normalizing gives NaN. Dividing instead of multiplying
     # keeps a huge integer bins from overflowing the check itself.
@@ -230,9 +231,9 @@ def modality_weight_samples(
     four ways by modality pairing. Text-to-text and visual-to-visual
     entries are intra; the mixed blocks are inter.
 
-    Each step's tags and logits are checked once; each (layer, head) block
-    is then weighed, trimmed and split by the unchecked kernels, straight
-    from its float32 logits.
+    Each step is read through traceio.checked_steps, which checks it once;
+    each (layer, head) block is then weighed, trimmed and split by the
+    unchecked kernels, straight from its float32 logits.
     """
     if recent < 0:
         raise ValueError("recent must be >= 0")
@@ -242,12 +243,9 @@ def modality_weight_samples(
     intra: list[list[np.ndarray]] = [[] for _ in range(trace.layers)]
     inter: list[list[np.ndarray]] = [[] for _ in range(trace.layers)]
     length = trace.prefill_tags.size
-    for step in trace.steps:
+    for step in checked_steps(trace):
         length += step.new_tags.size
-        blocks = np.asarray(step.blocks)
-        if not np.isfinite(blocks).all():
-            raise ValueError("logits must contain finite entries only")
-        rows = blocks.shape[2]
+        rows = step.blocks.shape[2]
         window = rows if obs_window is None else min(obs_window, rows)
         cols = length - recent
         if cols < 1:
@@ -258,7 +256,7 @@ def modality_weight_samples(
         inter_pairs = [np.ix_(visual_queries, text_keys), np.ix_(text_queries, visual_keys)]
         for layer in range(trace.layers):
             for head in range(trace.heads):
-                weights = _smoothed_softmax_rows(blocks[layer, head], 0.0)
+                weights = _smoothed_softmax_rows(step.blocks[layer, head], 0.0)
                 trimmed = _trim_observation(weights, window, recent)
                 intra[layer] += [trimmed[pair].ravel() for pair in intra_pairs]
                 inter[layer] += [trimmed[pair].ravel() for pair in inter_pairs]

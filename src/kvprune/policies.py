@@ -213,7 +213,10 @@ def _csp_step(key_tags, mass, query_tags, cfg: PruneConfig, state):
 
 def _pooled(importance: np.ndarray, width: int) -> np.ndarray:
     """Sliding 1-D max-pool, 'same' length; width 1 is the identity."""
-    if width == 1 or importance.size == 0:
+    # At width 2 * size - 1 every window already spans every candidate, so
+    # a wider pool gives the same array: clamp the width, never the pad.
+    width = min(width, 2 * importance.size - 1)
+    if width <= 1:
         return importance
     pad_left = (width - 1) // 2
     pad_right = width // 2
@@ -247,7 +250,8 @@ def _global_topk_step(key_tags, mass, query_tags, cfg: PruneConfig, state, *,
     columns = mass(smoothing)
     importance = _pooled(columns[0, :cand] + columns[1, :cand], pool_width)
     pool = max(cfg.budget - cfg.recent, 0)
-    return (*_pruned(key_tags, cfg, topk_mask(importance, pool), (pool, pool)), None)
+    # A valid budget may be an integral float; topk_mask takes an integer.
+    return (*_pruned(key_tags, cfg, topk_mask(importance, int(pool)), (pool, pool)), None)
 
 
 def accumulated_score_step(
@@ -292,7 +296,7 @@ def _accumulated_score_step(key_tags, mass, query_tags, cfg: PruneConfig, state,
         return (*_noop(key_tags, cfg), running)
     cand = key_tags.size - cfg.recent
     pool = max(cfg.budget - cfg.recent, 0)
-    keep, decision = _pruned(key_tags, cfg, topk_mask(running[:cand], pool), (pool, pool))
+    keep, decision = _pruned(key_tags, cfg, topk_mask(running[:cand], int(pool)), (pool, pool))
     return keep, decision, running[keep]
 
 

@@ -18,6 +18,8 @@ takes the smoothed softmax's shifted exponentials and denominators from
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 
@@ -143,10 +145,10 @@ def trim_observation(weights, obs_window: int, recent: int) -> np.ndarray:
     """
     weights = _as_matrix(weights, "weights")
     cols = weights.shape[1]
-    if obs_window < 1:
-        raise ValueError(f"obs_window must be >= 1, got {obs_window}")
-    if recent < 0:
-        raise ValueError(f"recent must be >= 0, got {recent}")
+    if not (isinstance(obs_window, numbers.Integral) and obs_window >= 1):
+        raise ValueError(f"obs_window must be an integer >= 1, got {obs_window}")
+    if not (isinstance(recent, numbers.Integral) and recent >= 0):
+        raise ValueError(f"recent must be an integer >= 0, got {recent}")
     if recent >= cols:
         raise ValueError(f"recent window ({recent}) swallows every key column ({cols})")
     return _trim_observation(weights, obs_window, recent)

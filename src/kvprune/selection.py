@@ -10,6 +10,7 @@ or evict a recent token.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -33,9 +34,9 @@ def topk_mask(scores, k: int) -> np.ndarray:
     k = 0 selects nothing, k >= len(scores) selects everything.
     """
     order = _stable_order(scores)
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    return np.sort(order[: int(k)])
+    if not (isinstance(k, numbers.Integral) and k >= 0):
+        raise ValueError(f"k must be an integer >= 0, got {k}")
+    return np.sort(order[:k])
 
 
 def _ranks(scores) -> np.ndarray:

@@ -26,9 +26,9 @@ options, over any of three sources (a SynthSpec, a SyntheticDecoder or an
 AttentionTrace) with one loop over those records, all runs in lockstep;
 `run_decode` is its one-run case, and `sweep` and the CLI's compare pass
 it all their runs at once. It checks each run once, on entry, and a
-trace's records once each per call; a decoder builds its records
-unchecked, from its finite float32 slab. The loop then calls each run's
-unchecked kernel on every step and layer, handing it a scorer that runs
+trace's records once each per call, through traceio.checked_steps; a
+decoder's records come unchecked from its finite float32 slab. The loop
+then calls each run's unchecked kernel on every step and layer, handing it a scorer that runs
 holding the same keys there share, so each distinct (keys, smoothing) is
 gathered and scored at most once, and only if a kernel asks. A scoring is
 the read-only (2, cols) column mass of the observation window, all any
@@ -48,6 +48,7 @@ error.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,7 @@ from . import policies
 from .core import TEXT_CODE, VISUAL_CODE, PruneConfig, as_tags, tag_counts, validate_config
 from .policies import PolicyDecision
 from .scoring import _smoothed_softmax_rows, attention_logits
-from .traceio import AttentionTrace, TraceStep, checked_step
+from .traceio import AttentionTrace, TraceStep, checked_steps
 
 INTERLEAVE_MODES = ("block", "alternating", "random")
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
@@ -88,6 +89,9 @@ class SynthSpec:
     spread: float = 1.0
 
     def __post_init__(self):
+        for name in ("seed", "text_len", "visual_len", "layers", "heads", "head_dim", "steps"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.text_len < 1 or self.visual_len < 1:
             raise ValueError("text_len and visual_len must both be >= 1")
         if self.interleave not in INTERLEAVE_MODES:
@@ -327,11 +331,11 @@ def run_decode(source, policy_name: str, cfg: PruneConfig, **policy_kwargs) -> R
 
     The run is checked once, on entry: the config, the policy options
     (omitted ones take the step's defaults; an unknown keyword is a
-    TypeError) and the source's tags. A trace's records are checked once
-    each as the loop reaches them: their tags, blocks as TraceStep holds
-    them, and finite logits, since a trace in memory may have been edited
-    after it was built or read. A decoder's records need no checks. Each
-    layer-step then calls the policy's unchecked kernel, not its step.
+    TypeError) and the source's tags. traceio.checked_steps checks a
+    trace's header and each of its records as the loop reaches them, since
+    a trace in memory may have been edited after it was built or read. A
+    decoder's records need no checks. Each layer-step then calls the
+    policy's unchecked kernel, not its step.
     """
     return run_decodes(source, [(policy_name, cfg, policy_kwargs)])[0]
 
@@ -387,7 +391,7 @@ def run_decodes(source, runs) -> list[RunReport]:
     if isinstance(source, SyntheticDecoder):
         decoder, steps = source, source.steps(windows[0])
     else:
-        decoder, steps = None, _checked_records(source)
+        decoder, steps = None, checked_steps(source)
 
     full_tags = as_tags(source.full_tags)
     full_len = source.prefill_tags.size
@@ -395,17 +399,11 @@ def run_decodes(source, runs) -> list[RunReport]:
         added = record.new_tags.size
         full_len += added
         blocks = record.blocks
-        layers, heads, rows, cols = blocks.shape
-        shape = (layers, heads, cols)
-        if shape != (source.layers, source.heads, full_len) or not 1 <= rows <= cols:
-            raise ValueError(
-                f"source produced {layers}x{heads} blocks of {rows}x{cols} logits at length "
-                f"{full_len}, header says {source.layers}x{source.heads}"
-            )
+        rows = blocks.shape[2]
         new_ids = np.arange(full_len - added, full_len)
         query_tags = full_tags[full_len - rows : full_len]
         window = min(windows[0], rows)
-        select = policies._selector(query_tags[rows - window :], heads)
+        select = policies._selector(query_tags[rows - window :], source.heads)
         for run in runs:
             if added:
                 run.retained = [np.concatenate([ids, new_ids]) for ids in run.retained]
@@ -449,16 +447,6 @@ def run_decodes(source, runs) -> list[RunReport]:
         )
         for run in runs
     ]
-
-
-def _checked_records(trace: AttentionTrace):
-    """Each record of a trace, its tags and blocks checked as TraceStep
-    checks them and its logits checked finite, all in one pass a step."""
-    for index, record in enumerate(trace.steps):
-        new_tags, blocks = checked_step(record.new_tags, record.blocks)
-        if not np.isfinite(blocks).all():
-            raise ValueError(f"trace step {index} holds a logit that is not finite")
-        yield TraceStep.trusted(new_tags, blocks)
 
 
 def _recon_error(decoder, kept: list[list[np.ndarray]], smoothing: float) -> list[float]:

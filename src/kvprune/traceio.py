@@ -25,22 +25,24 @@ Layout (all little-endian):
 
 Column counts must equal the running token total, so every payload size is
 derivable from the header; anything else is rejected, and so is any logit
-that is NaN or infinite. write_trace refuses such a logit too, and a value
-that overflows its field instead of wrapping it; either way it writes no
-file.
+that is NaN or infinite. `checked_steps` owns that rule for a trace in
+memory, which may have been edited since it was built or read: write_trace,
+simulator.run_decodes and diagnostics.modality_weight_samples read its
+steps through it, so each refuses what read_trace refuses.
 
 Each logit is copied once in each direction. read_trace reads every block
 straight into one float32 arena sized from the file (a file holds at least
 4 bytes per logit, so its size bounds the arena); a read trace's steps are
 disjoint views of that one buffer. A pipe or other stream with no size is
 first read whole into memory, and its length is the bound. write_trace runs
-every check, then writes each header field and each block straight from its
-array.
+every check, then writes each header field and each block straight from
+its array.
 """
 
 from __future__ import annotations
 
 import io
+import numbers
 import os
 import stat
 import struct
@@ -81,8 +83,8 @@ class SizeMismatchError(TraceError):
     """Declared sizes are internally inconsistent."""
 
 
-class NonFiniteLogitError(TraceError):
-    """A logit block holds NaN or an infinity."""
+class NonFiniteLogitError(TraceError, ValueError):
+    """A logit block holds NaN or an infinity; a ValueError for a trace in memory."""
 
 
 @dataclass
@@ -93,7 +95,12 @@ class TraceStep:
     blocks: np.ndarray  # (layers, heads, rows, cols) float32
 
     def __post_init__(self):
-        self.new_tags, self.blocks = checked_step(self.new_tags, self.blocks)
+        self.new_tags = as_tags(self.new_tags)
+        self.blocks = np.asarray(self.blocks, dtype=np.float32)
+        if self.blocks.ndim != 4:
+            raise ValueError(
+                f"blocks must be (layers, heads, rows, cols), got shape {self.blocks.shape}"
+            )
 
     @classmethod
     def trusted(cls, new_tags: np.ndarray, blocks: np.ndarray) -> "TraceStep":
@@ -104,14 +111,22 @@ class TraceStep:
         return step
 
 
-def checked_step(new_tags, blocks) -> tuple[np.ndarray, np.ndarray]:
-    """A step's tags as uint8 and its blocks as a 4-D float32 array, as
-    TraceStep holds them; ValueError if they cannot be."""
-    new_tags = as_tags(new_tags)
-    blocks = np.asarray(blocks, dtype=np.float32)
-    if blocks.ndim != 4:
-        raise ValueError(f"blocks must be (layers, heads, rows, cols), got shape {blocks.shape}")
-    return new_tags, blocks
+def checked_step(step: TraceStep, layers: int, heads: int, length: int, index: int) -> TraceStep:
+    """Step `index`, after `length` tokens, as a new record of its tags and
+    blocks as TraceStep holds them. ValueError unless its blocks are
+    (layers, heads, rows, cols), cols its running length and 1 <= rows <= cols."""
+    record = TraceStep(step.new_tags, step.blocks)
+    length += record.new_tags.size
+    step_layers, step_heads, rows, cols = record.blocks.shape
+    if (step_layers, step_heads) != (layers, heads):
+        raise ValueError(
+            f"step {index} has {step_layers}x{step_heads} blocks, header says {layers}x{heads}"
+        )
+    if cols != length:
+        raise ValueError(f"step {index} blocks cover {cols} keys but {length} tokens exist")
+    if not 1 <= rows <= cols:
+        raise ValueError(f"step {index} has an impossible row count {rows}")
+    return record
 
 
 @dataclass
@@ -124,24 +139,14 @@ class AttentionTrace:
 
     def __post_init__(self):
         self.prefill_tags = as_tags(self.prefill_tags)
-        if self.layers < 1 or self.heads < 1 or self.head_dim < 1:
-            raise ValueError("layers, heads and head_dim must all be >= 1")
+        if not all(isinstance(count, numbers.Integral) and count >= 1
+                   for count in (self.layers, self.heads, self.head_dim)):
+            raise ValueError("layers, heads and head_dim must all be integers >= 1")
         if self.prefill_tags.size < 1:
             raise ValueError("a trace needs a nonempty prefill")
         length = self.prefill_tags.size
         for index, step in enumerate(self.steps):
-            length += step.new_tags.size
-            layers, heads, rows, cols = step.blocks.shape
-            if (layers, heads) != (self.layers, self.heads):
-                raise ValueError(
-                    f"step {index} has {layers}x{heads} blocks, header says {self.layers}x{self.heads}"
-                )
-            if cols != length:
-                raise ValueError(
-                    f"step {index} blocks cover {cols} keys but {length} tokens exist"
-                )
-            if not 1 <= rows <= length:
-                raise ValueError(f"step {index} has an impossible row count {rows}")
+            length += checked_step(step, self.layers, self.heads, length, index).new_tags.size
 
     @property
     def full_tags(self) -> np.ndarray:
@@ -151,6 +156,20 @@ class AttentionTrace:
     @property
     def final_length(self) -> int:
         return int(self.prefill_tags.size + sum(s.new_tags.size for s in self.steps))
+
+
+def checked_steps(trace: AttentionTrace):
+    """Yield the steps of trace as they stand now, each checked once,
+    structure (checked_step) and one finiteness pass, after the header and
+    prefill tags; ValueError at the first fault, NonFiniteLogitError for a logit."""
+    # A trace of no steps checks the header and the prefill tags.
+    header = AttentionTrace(trace.layers, trace.heads, trace.head_dim, trace.prefill_tags)
+    length = header.prefill_tags.size
+    for index, step in enumerate(trace.steps):
+        record = checked_step(step, trace.layers, trace.heads, length, index)
+        _check_finite(record.blocks, index)
+        length += record.new_tags.size
+        yield record
 
 
 def _pack(fmt: str, **fields) -> bytes:
@@ -166,6 +185,7 @@ def _pack(fmt: str, **fields) -> bytes:
 def write_trace(trace: AttentionTrace, path) -> None:
     # Every check runs before the file is opened, so a refused trace leaves
     # no file; the blocks are then written straight from their arrays.
+    steps = list(checked_steps(trace))
     buffers = [
         MAGIC,
         _pack(
@@ -173,16 +193,15 @@ def write_trace(trace: AttentionTrace, path) -> None:
             version=VERSION,
             layers=trace.layers,
             heads=trace.heads,
-            steps=len(trace.steps),
+            steps=len(steps),
             head_dim=trace.head_dim,
             prefill_length=trace.prefill_tags.size,
         ),
         np.ascontiguousarray(trace.prefill_tags, dtype="<u1"),
     ]
-    for index, step in enumerate(trace.steps):
-        _check_finite(step.blocks, index)
+    for step in steps:
         buffers.append(_pack("I", new_tokens=step.new_tags.size))
-        buffers.append(np.ascontiguousarray(step.new_tags, dtype="<u1"))
+        buffers.append(np.ascontiguousarray(step.new_tags))
         _, _, rows, cols = step.blocks.shape
         prefix = _pack("II", rows=rows, cols=cols)
         payload = np.ascontiguousarray(step.blocks, dtype="<f4").view(np.uint8)
@@ -330,7 +349,7 @@ def _parse(cur: _Reader) -> AttentionTrace:
                     )
                 cur.fill(blocks[layer, head].view(np.uint8), "block data")
         _check_finite(blocks, step_index)
-        records.append(TraceStep(new_tags=new_tags, blocks=blocks))
+        records.append(TraceStep.trusted(new_tags, blocks))
 
     # Measured from the stream's end, not its size, so bytes appended after
     # the file was sized count too.

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import kvprune
-from kvprune import cli, simulator
+from kvprune import cli, simulator, traceio
 from kvprune.cli import main
 from kvprune.core import PruneConfig
 from kvprune.policies import accumulated_score_step, global_topk_step
@@ -461,13 +461,13 @@ class TestCompare:
         its finiteness pass), not once per policy (27)."""
         _, argv = self._nine_step_trace(monkeypatch, tmp_path)
         checked = []
-        check = simulator.checked_step
+        check = traceio.checked_step
 
         def counted(*args):
             checked.append(args)
             return check(*args)
 
-        monkeypatch.setattr(simulator, "checked_step", counted)
+        monkeypatch.setattr(traceio, "checked_step", counted)
         assert main(argv) == 0
         assert len(checked) == 9
 
@@ -478,7 +478,7 @@ class TestCompare:
         trace.steps[4].blocks[0, 1, 0, 2] = np.nan
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err == "error: trace step 4 holds a logit that is not finite\n"
+        assert err == "error: step 4 layer 0 head 1: non-finite logit nan at row 0, col 2\n"
         assert not (tmp_path / "cmp.csv").exists()
 
 

@@ -408,9 +408,11 @@ class TestModalityWeightSamples:
             assert got_inter.tobytes() == np.concatenate(inter[layer]).tobytes()
 
     @pytest.mark.parametrize("edit, kwargs, match", [
-        ("nan", {}, "finite entries only"),
+        ("nan", {}, "step 1 layer 1 head 0: non-finite logit nan"),
         ("tag", {}, "modality tags must be 0 .* got 2"),
         (None, {"obs_window": 0}, "obs_window must be >= 1, got 0"),
+        ("cols", {}, "step 1 blocks cover 16 keys but 17 tokens exist"),
+        ("layers", {}, "step 1 has 1x2 blocks, header says 2x2"),
     ])
     def test_refusals(self, edit, kwargs, match):
         """A trace edited in memory is refused, as is an empty window."""
@@ -419,6 +421,10 @@ class TestModalityWeightSamples:
             trace.steps[1].blocks[1, 0, 2, 5] = np.nan
         elif edit == "tag":
             trace.steps[1].new_tags = np.array([2], dtype=np.uint8)
+        elif edit == "cols":
+            trace.steps[1].blocks = trace.steps[1].blocks[..., :-1]
+        elif edit == "layers":
+            trace.steps[1].blocks = trace.steps[1].blocks[:1]
         with pytest.raises(ValueError, match=match):
             modality_weight_samples(trace, **kwargs)
 

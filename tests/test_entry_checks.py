@@ -7,12 +7,14 @@ check it documents, whichever caller it has.
 """
 
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
 
 from kvprune.core import PruneConfig, tag_counts
 from kvprune.decompose import ImportanceScores, cross_self_importance
+from kvprune.diagnostics import js_divergence, kde
 from kvprune.policies import (
     accumulated_score_step,
     csp_step,
@@ -20,7 +22,9 @@ from kvprune.policies import (
     global_topk_step,
 )
 from kvprune.scoring import head_average, smoothed_softmax_rows, trim_observation
-from kvprune.selection import cross_self_select
+from kvprune.selection import cross_self_select, topk_mask
+from kvprune.simulator import SynthSpec
+from kvprune.traceio import AttentionTrace
 
 STEPS = {
     "csp": csp_step,
@@ -155,6 +159,17 @@ PUBLIC_CASES = {
     # selection's own finiteness check is not redundant with its callers'.
     "select-recency-bias-overflow": (cross_self_select,
                                      (SCORES, SELECT_CFG.with_updates(recency_bias=1e308))),
+    # Counts must be integers, not floats that numpy would truncate or refuse.
+    "js-bins-2.5": (js_divergence, ([0.0], [1.0], 2.5)),
+    "kde-grid-points-2.5": (kde, ([0.0, 1.0], None, 2.5)),
+    "trim-obs-2.5": (trim_observation, (WEIGHTS, 2.5, 1)),
+    "trim-recent-1.5": (trim_observation, (WEIGHTS, 2, 1.5)),
+    "topk-k-2.5": (topk_mask, (np.arange(5.0), 2.5)),
+    **{f"synth-spec-{name}-2.5": (partial(SynthSpec, **{name: 2.5}), ())
+       for name in ("seed", "text_len", "visual_len", "layers", "heads", "head_dim", "steps")},
+    **{f"trace-{name}-2.5": (partial(AttentionTrace, **{"layers": 1, "heads": 1, "head_dim": 1,
+                                                        name: 2.5}, prefill_tags=[0]), ())
+       for name in ("layers", "heads", "head_dim")},
 }
 
 

@@ -1,6 +1,7 @@
 """Tests for the four eviction policies and their shared step contract."""
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -379,6 +380,21 @@ class TestGlobalTopkStep:
         pooled = global_topk_step(tags, logits, [TEXT], cfg, pool_width=3)[0]
         assert 4 in set(plain[: plain.size - cfg.recent])
         np.testing.assert_array_equal(pooled[: pooled.size - cfg.recent], [0, 1])
+
+    def test_wide_pool_clamps_its_width(self):
+        """From width 2 * cand - 1 on, every window spans every candidate:
+        width 2e6 over 100 candidates gives the width-199 array, without
+        padding the candidates to 2e6 floats."""
+        importance = np.random.default_rng(0).standard_normal(100)
+        tracemalloc.start()
+        try:
+            pooled = policies._pooled(importance, 2 * 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(pooled, policies._pooled(importance, 199))
+        assert pooled.tolist() == oracles.max_pool_same(importance.tolist(), 2 * 10**6)
+        assert peak < 2**20
 
     def test_below_budget_noop(self):
         cfg = PruneConfig(budget=5, recent=1, obs_window=1)

@@ -474,7 +474,7 @@ class TestChecksOncePerRun:
         whose kernel reads no logit."""
         trace = record_trace(SMALL, self.CFG.obs_window)
         trace.steps[2].blocks[1, 0, -1, 3] = np.nan
-        with pytest.raises(ValueError, match="step 2 holds a logit that is not finite"):
+        with pytest.raises(ValueError, match="step 2 layer 1 head 0: non-finite logit nan"):
             run_decode(trace, policy, self.CFG)
 
     @pytest.mark.parametrize("policy", list(policies.POLICIES))
@@ -490,8 +490,7 @@ class TestChecksOncePerRun:
         before any kernel sees it."""
         trace = record_trace(SMALL, self.CFG.obs_window)
         trace.steps[2].blocks = trace.steps[2].blocks[:, :1]
-        with pytest.raises(ValueError,
-                           match="2x1 blocks of 4x26 logits at length 26, header says 2x2"):
+        with pytest.raises(ValueError, match="step 2 has 2x1 blocks, header says 2x2"):
             run_decode(trace, policy, self.CFG)
 
     @pytest.mark.parametrize("policy", list(policies.POLICIES))

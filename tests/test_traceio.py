@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from kvprune.simulator import SynthSpec, record_trace
+from kvprune.core import PruneConfig
+from kvprune.diagnostics import modality_weight_samples
+from kvprune.simulator import SynthSpec, record_trace, run_decode
 from kvprune.traceio import (
     MAGIC,
     AttentionTrace,
@@ -242,6 +244,25 @@ class TestValidation:
             write_trace(trace, path)
         assert not path.exists()
 
+    EDITS = {
+        "cols": lambda trace: setattr(trace.steps[2], "blocks", trace.steps[2].blocks[..., :-1]),
+        "layers": lambda trace: setattr(trace.steps[2], "blocks", trace.steps[2].blocks[:1]),
+        "step-tag": lambda trace: trace.steps[2].new_tags.__setitem__(0, 2),
+        "prefill-tag": lambda trace: trace.prefill_tags.__setitem__(0, 2),
+        "no-rows": lambda trace: setattr(trace.steps[2], "blocks", trace.steps[2].blocks[:, :, :0]),
+    }
+
+    @pytest.mark.parametrize("edit", EDITS.values(), ids=EDITS.keys())
+    def test_write_refuses_what_read_refuses(self, tmp_path, edit):
+        """A trace edited in memory into one read_trace would refuse is
+        refused by write_trace too, as a ValueError, and no file is written."""
+        trace = small_trace()
+        edit(trace)
+        path = tmp_path / "t.trace"
+        with pytest.raises(ValueError):
+            write_trace(trace, path)
+        assert not path.exists()
+
     def test_header_at_field_width(self, tmp_path):
         trace = AttentionTrace(layers=65535, heads=65535, head_dim=65535,
                                prefill_tags=np.zeros(1, dtype=np.uint8))
@@ -428,3 +449,67 @@ class TestFuzz:
         for step, (new_tags, blocks) in zip(got.steps, steps):
             assert step.new_tags.tolist() == new_tags
             np.testing.assert_array_equal(step.blocks, np.array(blocks, dtype=np.float32))
+
+
+@st.composite
+def edited_traces(draw):
+    """small_trace() after one in-memory edit: a step's blocks sliced on one
+    axis, one logit set to NaN or an infinity, one tag set to 2, or one
+    header field changed. Some edits leave the trace valid."""
+    trace = small_trace(draw(st.integers(0, 3)))
+    step = trace.steps[draw(st.integers(0, len(trace.steps) - 1))]
+    kind = draw(st.sampled_from(["slice", "logit", "tag", "header"]))
+    if kind == "slice":
+        axis = draw(st.integers(0, 3))
+        size = step.blocks.shape[axis]
+        start = draw(st.integers(0, size))
+        index = [slice(None)] * 4
+        index[axis] = slice(start, draw(st.integers(start, size)))
+        step.blocks = step.blocks[tuple(index)]
+    elif kind == "logit":
+        at = tuple(draw(st.integers(0, n - 1)) for n in step.blocks.shape)
+        step.blocks[at] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    elif kind == "tag":
+        tags = trace.prefill_tags if step.new_tags.size == 0 else step.new_tags
+        tags[draw(st.integers(0, tags.size - 1))] = 2
+    else:
+        field = draw(st.sampled_from(["layers", "heads", "head_dim", "prefill_tags"]))
+        if field == "prefill_tags":
+            trace.prefill_tags = trace.prefill_tags[: draw(st.integers(0, 3))]
+        else:
+            setattr(trace, field, draw(st.integers(0, 9)))
+    return trace
+
+
+class TestConsumersAgree:
+    @settings(max_examples=300, deadline=None)
+    @given(trace=edited_traces())
+    def test_every_consumer_accepts_or_refuses_alike(self, fuzz_dir, trace):
+        """write_trace, run_decode and modality_weight_samples all read an
+        edited trace through one check, so they all accept it or all raise
+        ValueError. A refused write leaves no file; an accepted one reads
+        back equal."""
+        path = fuzz_dir / "edited.trace"
+        path.unlink(missing_ok=True)
+        cfg = PruneConfig(budget=4, recent=1, obs_window=2)
+        accepted = []
+        for consume in (lambda: write_trace(trace, path),
+                        lambda: run_decode(trace, "csp", cfg),
+                        lambda: modality_weight_samples(trace)):
+            try:
+                consume()
+                accepted.append(True)
+            except ValueError:
+                accepted.append(False)
+        assert accepted in ([True] * 3, [False] * 3)
+        if not accepted[0]:
+            assert not path.exists()
+            return
+        back = read_trace(path)
+        assert (back.layers, back.heads, back.head_dim) == (trace.layers, trace.heads,
+                                                            trace.head_dim)
+        np.testing.assert_array_equal(back.prefill_tags, trace.prefill_tags)
+        assert len(back.steps) == len(trace.steps)
+        for got, want in zip(back.steps, trace.steps):
+            np.testing.assert_array_equal(got.new_tags, want.new_tags)
+            np.testing.assert_array_equal(got.blocks, want.blocks)
