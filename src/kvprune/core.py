@@ -9,6 +9,8 @@ in classes.
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass, replace
 from enum import IntEnum
 
@@ -108,6 +110,13 @@ class PruneConfig:
 
     def __post_init__(self):
         validate_config(self)
+        # Plain Python numbers from here on: a numpy scalar would carry its
+        # dtype into the kernels' arithmetic, where a uint8 count overflows
+        # and a float32 ratio rounds coarser.
+        for name in ("budget", "recent", "obs_window", "seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        for name in ("cross_ratio", "smoothing", "recency_bias"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     def with_updates(self, **kwargs) -> "PruneConfig":
         return replace(self, **kwargs)
@@ -116,17 +125,22 @@ class PruneConfig:
 def validate_config(cfg: PruneConfig) -> PruneConfig:
     """Check every PruneConfig invariant; raise on the first violation.
 
-    Idempotent: validating an already valid config returns it unchanged.
+    The counts budget, recent, obs_window and seed must be integers
+    (numbers.Integral), not integral floats. recency_bias times obs_window
+    must be at most half the largest float: a key's column mass is at most
+    the obs_window rows that vote for it, so every biased score is then
+    finite, with room to spare for rounding. Idempotent: validating an
+    already valid config returns it unchanged.
     """
-    if int(cfg.budget) != cfg.budget or cfg.budget <= 0:
+    if not (isinstance(cfg.budget, numbers.Integral) and cfg.budget > 0):
         raise ValueError(f"budget must be a positive integer, got {cfg.budget}")
-    if int(cfg.recent) != cfg.recent or cfg.recent < 0:
+    if not (isinstance(cfg.recent, numbers.Integral) and cfg.recent >= 0):
         raise ValueError(f"recent must be a non-negative integer, got {cfg.recent}")
     if cfg.recent >= cfg.budget:
         raise ValueError(
             f"recent must be smaller than budget, got recent={cfg.recent} budget={cfg.budget}"
         )
-    if int(cfg.obs_window) != cfg.obs_window or cfg.obs_window < 1:
+    if not (isinstance(cfg.obs_window, numbers.Integral) and cfg.obs_window >= 1):
         raise ValueError(f"obs_window must be a positive integer, got {cfg.obs_window}")
     if not 0.0 <= cfg.cross_ratio <= 1.0:
         raise ValueError(f"cross_ratio must lie in [0, 1], got {cfg.cross_ratio}")
@@ -134,6 +148,12 @@ def validate_config(cfg: PruneConfig) -> PruneConfig:
         raise ValueError(f"smoothing must be finite and >= 0, got {cfg.smoothing}")
     if not 0.0 < cfg.recency_bias < np.inf:
         raise ValueError(f"recency_bias must be finite and > 0, got {cfg.recency_bias}")
-    if int(cfg.seed) != cfg.seed:
+    # An int compared with a Python float, which is exact for any int.
+    if cfg.obs_window > sys.float_info.max / 2 / float(cfg.recency_bias):
+        raise ValueError(
+            f"recency_bias times obs_window must be at most {sys.float_info.max / 2:.4g}, "
+            f"got {cfg.recency_bias} * {cfg.obs_window}"
+        )
+    if not isinstance(cfg.seed, numbers.Integral):
         raise ValueError(f"seed must be an integer, got {cfg.seed}")
     return cfg

@@ -235,10 +235,18 @@ def modality_weight_samples(
     each (layer, head) block is then weighed, trimmed and split by the
     unchecked kernels, straight from its float32 logits.
     """
+    if not isinstance(recent, numbers.Integral):
+        raise ValueError(f"recent must be an integer, got {recent!r}")
     if recent < 0:
         raise ValueError("recent must be >= 0")
-    if obs_window is not None and obs_window < 1:
-        raise ValueError(f"obs_window must be >= 1, got {obs_window}")
+    if obs_window is not None:
+        if not isinstance(obs_window, numbers.Integral):
+            raise ValueError(f"obs_window must be an integer, got {obs_window!r}")
+        if obs_window < 1:
+            raise ValueError(f"obs_window must be >= 1, got {obs_window}")
+        obs_window = int(obs_window)
+    # A Python int: the index arithmetic below would overflow a uint8 count.
+    recent = int(recent)
     full_tags = trace.full_tags
     intra: list[list[np.ndarray]] = [[] for _ in range(trace.layers)]
     inter: list[list[np.ndarray]] = [[] for _ in range(trace.layers)]

@@ -39,9 +39,14 @@ queries; that is all any policy reads. csp splits it by key tag into intra
 and inter scores, global-topk ranks its column sums, and accum adds them
 to its running total. Every kernel scores through one function, `_mass`,
 and only when it needs scores, so a no-op step neither gathers nor scores;
-it never forms a (rows, cols) weight matrix. A kernel calls the unchecked
-kernels of scoring, decompose and core rather than their checked public
-forms.
+it never forms a (rows, cols) weight matrix. A kernel calls only the
+unchecked kernels of scoring, decompose, selection and core
+(`_shifted_exp`, `_decompose`, `_cross_self_select`, `_topk_mask`,
+`_tag_counts`), never their checked public forms, plus `budget_to_k` for
+the nominal split, whose one check costs a comparison. No kernel checks its
+scores for finiteness: a column mass is at most the window's row count, so
+only csp's recency_bias multiply could overflow, and validate_config bounds
+that.
 simulator.run_decodes checks its runs once, the options through
 run_options, builds each step's selector once, and then calls each run's
 kernel on every step and layer with a scorer shared by every run that
@@ -61,7 +66,7 @@ import numpy as np
 from .core import TEXT_CODE, PruneConfig, _tag_counts, as_tags, validate_config
 from .decompose import _decompose
 from .scoring import _shifted_exp
-from .selection import budget_to_k, cross_self_select, topk_mask
+from .selection import _cross_self_select, _topk_mask, budget_to_k
 
 
 @dataclass(frozen=True)
@@ -207,7 +212,7 @@ def _csp_step(key_tags, mass, query_tags, cfg: PruneConfig, state):
         return (*_noop(key_tags, cfg), None)
     cand = key_tags.size - cfg.recent
     imp = _decompose(mass(cfg.smoothing)[:, :cand], key_tags[:cand])
-    chosen = cross_self_select(imp, cfg)
+    chosen = _cross_self_select(imp, cfg)
     return (*_pruned(key_tags, cfg, chosen, budget_to_k(cfg, cand)), None)
 
 
@@ -215,7 +220,8 @@ def _pooled(importance: np.ndarray, width: int) -> np.ndarray:
     """Sliding 1-D max-pool, 'same' length; width 1 is the identity."""
     # At width 2 * size - 1 every window already spans every candidate, so
     # a wider pool gives the same array: clamp the width, never the pad.
-    width = min(width, 2 * importance.size - 1)
+    # int(): np.pad refuses a pad of an unsigned numpy integer type.
+    width = min(int(width), 2 * importance.size - 1)
     if width <= 1:
         return importance
     pad_left = (width - 1) // 2
@@ -250,8 +256,7 @@ def _global_topk_step(key_tags, mass, query_tags, cfg: PruneConfig, state, *,
     columns = mass(smoothing)
     importance = _pooled(columns[0, :cand] + columns[1, :cand], pool_width)
     pool = max(cfg.budget - cfg.recent, 0)
-    # A valid budget may be an integral float; topk_mask takes an integer.
-    return (*_pruned(key_tags, cfg, topk_mask(importance, int(pool)), (pool, pool)), None)
+    return (*_pruned(key_tags, cfg, _topk_mask(importance, pool), (pool, pool)), None)
 
 
 def accumulated_score_step(
@@ -296,7 +301,7 @@ def _accumulated_score_step(key_tags, mass, query_tags, cfg: PruneConfig, state,
         return (*_noop(key_tags, cfg), running)
     cand = key_tags.size - cfg.recent
     pool = max(cfg.budget - cfg.recent, 0)
-    keep, decision = _pruned(key_tags, cfg, topk_mask(running[:cand], int(pool)), (pool, pool))
+    keep, decision = _pruned(key_tags, cfg, _topk_mask(running[:cand], pool), (pool, pool))
     return keep, decision, running[keep]
 
 

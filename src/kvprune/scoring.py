@@ -13,7 +13,13 @@ then call an unchecked kernel of the same name with a leading underscore,
 which the simulator and diagnostics call directly on input they checked
 once. The policies never build a weight matrix: their column-mass scorer
 takes the smoothed softmax's shifted exponentials and denominators from
-`_shifted_exp`, the one copy of that arithmetic.
+`_shifted_exp`, the one copy of that arithmetic. It casts float32 or
+float64 logits to float64 once and then shifts, exponentiates and sums in
+place in that one dtype, skipping the smoothing term and its clamp of the
+shift at smoothing 0, where both are identities. So the scorer, the
+softmax, the simulator's reconstruction error and full outputs and the
+diagnostics all get the same bits from float32 logits as from their
+float64 copy.
 """
 
 from __future__ import annotations
@@ -104,25 +110,35 @@ def _smoothed_softmax_rows(logits: np.ndarray, smoothing: float) -> np.ndarray:
 def _shifted_exp(logits: np.ndarray, smoothing: float) -> tuple[np.ndarray, np.ndarray]:
     """(expd, denom) of the smoothed softmax along the last axis of finite
     float32 or float64 logits, unchecked: each row's weights are expd /
-    denom. expd is a new C-contiguous float64 array of the logits' shape;
-    denom has one entry per row. With no columns there are no weights,
-    which is an error at smoothing 0."""
+    denom. expd is a new float64 array of the logits' shape and memory
+    order; denom has one entry per row. With no columns there are no
+    weights, which is an error at smoothing 0."""
     if logits.shape[-1] == 0:
         if smoothing == 0.0:
             raise ValueError("no columns and smoothing is 0; weights are undefined")
         return np.zeros(logits.shape), np.ones(logits.shape[:-1])
 
+    # One cast, then every step in place in float64: the row max of the
+    # copy is the float32 row max, and subtracting a float64 shift from
+    # float32 logits would cast them to float64 anyway. The copy keeps the
+    # logits' memory order, so the row sums add in the same order too.
+    expd = logits.astype(np.float64)
     # Shift each row by max(row max, ln smoothing) so that neither the
-    # exponentials nor the smoothing term can overflow. The row max is cast
-    # to float64: the -inf of smoothing 0 is a Python float, which would
-    # leave a float32 shift, and the arithmetic below, in float32.
-    log_smoothing = np.log(smoothing) if smoothing > 0.0 else -np.inf
-    shift = np.maximum(logits.max(axis=-1).astype(np.float64), log_smoothing)
-    expd = logits - shift[..., None]
+    # exponentials nor the smoothing term can overflow. At smoothing 0 the
+    # term is exp(-inf) = 0 and the shift the row max, so both are skipped.
+    shift = expd.max(axis=-1)
+    if smoothing > 0.0:
+        # A float64 log of any smoothing type: np.log would take a float32
+        # smoothing's log in float32, and has no loop for an int past int64.
+        log_smoothing = np.log(float(smoothing))
+        np.maximum(shift, log_smoothing, out=shift)
+    expd -= shift[..., None]
     np.exp(expd, out=expd)
-    # exp(ln n - shift) instead of n * exp(-shift): the latter is 0 * inf
-    # (NaN) when n == 0 and the row max is strongly negative.
-    denom = np.exp(log_smoothing - shift) + expd.sum(axis=-1)
+    denom = expd.sum(axis=-1)
+    if smoothing > 0.0:
+        # exp(ln n - shift) instead of n * exp(-shift): the latter is 0 * inf
+        # (NaN) when the row max is strongly negative.
+        denom += np.exp(log_smoothing - shift)
     return expd, denom
 
 

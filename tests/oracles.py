@@ -154,6 +154,18 @@ def smoothed_softmax_plain(row, smoothing):
     return [e / denom for e in exps]
 
 
+def shifted_exp_mixed(logits, smoothing):
+    """(expd, denom) of the smoothed softmax by the scorer's earlier
+    arithmetic, the bitwise reference for scoring._shifted_exp: float32 or
+    float64 logits minus a float64 row shift in one mixed-dtype pass, then
+    exp, and the row sum plus exp(ln smoothing - shift), ln 0 being -inf."""
+    log_smoothing = np.log(smoothing) if smoothing > 0.0 else -np.inf
+    shift = np.maximum(logits.max(axis=-1).astype(np.float64), log_smoothing)
+    expd = logits - shift[..., None]
+    np.exp(expd, out=expd)
+    return expd, np.exp(log_smoothing - shift) + expd.sum(axis=-1)
+
+
 def _head_average_over(blocks, retained, smoothing):
     """Head-averaged smoothed-softmax weights over retained columns."""
     heads = len(blocks)

@@ -407,6 +407,17 @@ class TestModalityWeightSamples:
             assert got_intra.tobytes() == np.concatenate(intra[layer]).tobytes()
             assert got_inter.tobytes() == np.concatenate(inter[layer]).tobytes()
 
+    def test_numpy_counts_equal_int_counts(self):
+        """A uint8 window and recent count act as ints do, past length 255
+        too, where uint8 index arithmetic would overflow."""
+        trace = record_trace(SynthSpec(text_len=140, visual_len=140, layers=1, heads=1,
+                                       head_dim=4, steps=1), 4)
+        want = modality_weight_samples(trace, obs_window=4, recent=1)
+        got = modality_weight_samples(trace, obs_window=np.uint8(4), recent=np.uint8(1))
+        for (want_intra, want_inter), (got_intra, got_inter) in zip(want, got):
+            assert got_intra.tobytes() == want_intra.tobytes()
+            assert got_inter.tobytes() == want_inter.tobytes()
+
     @pytest.mark.parametrize("edit, kwargs, match", [
         ("nan", {}, "step 1 layer 1 head 0: non-finite logit nan"),
         ("tag", {}, "modality tags must be 0 .* got 2"),

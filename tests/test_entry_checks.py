@@ -14,7 +14,7 @@ import pytest
 
 from kvprune.core import PruneConfig, tag_counts
 from kvprune.decompose import ImportanceScores, cross_self_importance
-from kvprune.diagnostics import js_divergence, kde
+from kvprune.diagnostics import js_divergence, kde, modality_weight_samples
 from kvprune.policies import (
     accumulated_score_step,
     csp_step,
@@ -23,7 +23,7 @@ from kvprune.policies import (
 )
 from kvprune.scoring import head_average, smoothed_softmax_rows, trim_observation
 from kvprune.selection import cross_self_select, topk_mask
-from kvprune.simulator import SynthSpec
+from kvprune.simulator import SynthSpec, record_trace
 from kvprune.traceio import AttentionTrace
 
 STEPS = {
@@ -121,6 +121,10 @@ SCORES = ImportanceScores(intra=np.linspace(1.0, 2.0, 5), inter=np.linspace(2.0,
 SELECT_CFG = PruneConfig(budget=4, recent=1, obs_window=2)
 
 
+CONFIG_FIELDS = {"budget": 20, "recent": 4, "obs_window": 4}
+TRACE = record_trace(SynthSpec(text_len=8, visual_len=8, steps=2), 4)
+
+
 def scores_with(value):
     intra = SCORES.intra.copy()
     intra[2] = value
@@ -155,16 +159,26 @@ PUBLIC_CASES = {
     "select-no-candidates": (cross_self_select,
                              (ImportanceScores(intra=np.zeros(0), inter=np.zeros(0)),
                               SELECT_CFG)),
-    # Finite scores times a finite bias can still overflow to inf, so the
-    # selection's own finiteness check is not redundant with its callers'.
-    "select-recency-bias-overflow": (cross_self_select,
-                                     (SCORES, SELECT_CFG.with_updates(recency_bias=1e308))),
+    # A bias that could overflow a column mass is refused with the config.
+    "select-recency-bias-overflow": (
+        lambda: cross_self_select(SCORES, SELECT_CFG.with_updates(recency_bias=1e308)), ()),
+    # Scores that are no column mass can still overflow under a valid bias,
+    # so the public selection keeps its own finiteness check.
+    "select-biased-score-overflow": (cross_self_select,
+                                     (ImportanceScores(intra=np.full(5, 1e308),
+                                                       inter=np.ones(5)),
+                                      SELECT_CFG.with_updates(recency_bias=10.0))),
     # Counts must be integers, not floats that numpy would truncate or refuse.
     "js-bins-2.5": (js_divergence, ([0.0], [1.0], 2.5)),
     "kde-grid-points-2.5": (kde, ([0.0, 1.0], None, 2.5)),
     "trim-obs-2.5": (trim_observation, (WEIGHTS, 2.5, 1)),
     "trim-recent-1.5": (trim_observation, (WEIGHTS, 2, 1.5)),
     "topk-k-2.5": (topk_mask, (np.arange(5.0), 2.5)),
+    **{f"config-{name}-{value}": (partial(PruneConfig, **{**CONFIG_FIELDS, name: value}), ())
+       for name, value in (("budget", 20.0), ("recent", 4.0), ("obs_window", 4.0),
+                           ("seed", 0.0))},
+    "weight-samples-obs-2.5": (lambda: modality_weight_samples(TRACE, obs_window=2.5), ()),
+    "weight-samples-recent-1.5": (lambda: modality_weight_samples(TRACE, recent=1.5), ()),
     **{f"synth-spec-{name}-2.5": (partial(SynthSpec, **{name: 2.5}), ())
        for name in ("seed", "text_len", "visual_len", "layers", "heads", "head_dim", "steps")},
     **{f"trace-{name}-2.5": (partial(AttentionTrace, **{"layers": 1, "heads": 1, "head_dim": 1,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kvprune.scoring import (
+    _shifted_exp,
     _smoothed_softmax_rows,
     attention_logits,
     head_average,
@@ -215,6 +216,32 @@ class TestSmoothedSoftmaxProperties:
         assert out.dtype == np.float64
         np.testing.assert_array_equal(out, smoothed_softmax_rows(narrow.astype(np.float64),
                                                                  smoothing))
+
+
+class TestShiftedExp:
+    """The scorer's one-dtype arithmetic gives the bits, the memory order
+    and the row sums of the earlier mixed-dtype arithmetic
+    (oracles.shifted_exp_mixed)."""
+
+    @pytest.mark.parametrize("smoothing", [0.0, 1.0, 0.3])
+    @pytest.mark.parametrize("layout", ["contiguous", "gathered"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pads", [False, True], ids=["finite", "pads"])
+    def test_bitwise_equal_to_mixed_dtype_reference(self, smoothing, layout, dtype, pads):
+        rng = np.random.default_rng(11)
+        slab = (rng.standard_normal((4, 24, 90)) * 8.0).astype(dtype)
+        if pads:
+            # -inf pads, as the reconstruction error lays them out; every
+            # row keeps a finite entry.
+            slab[..., 1:][rng.random(slab[..., 1:].shape) < 0.3] = -np.inf
+        ids = np.sort(rng.choice(90, 57, replace=False))
+        logits = slab if layout == "contiguous" else slab[:, 5:, ids]
+        got, got_denom = _shifted_exp(logits, smoothing)
+        want, want_denom = oracles.shifted_exp_mixed(logits, smoothing)
+        assert got.dtype == got_denom.dtype == np.float64
+        assert got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+        assert got_denom.tobytes() == want_denom.tobytes()
 
 
 class TestSharpening:

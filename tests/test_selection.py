@@ -6,7 +6,15 @@ from hypothesis import given, strategies as st
 
 from kvprune.core import PruneConfig
 from kvprune.decompose import ImportanceScores
-from kvprune.selection import budget_to_k, cross_self_select, topk_mask
+from kvprune.selection import (
+    _cross_self_select,
+    _effective_ks,
+    _topk_mask,
+    _widening_stop,
+    budget_to_k,
+    cross_self_select,
+    topk_mask,
+)
 
 import oracles
 
@@ -284,3 +292,58 @@ class TestCrossSelfSelectProperties:
         expected = topk_mask(np.array(biased), cfg.budget - cfg.recent)
         np.testing.assert_array_equal(cross_self_select(scores, cfg), expected)
 
+
+
+EXTREME_RATIOS = st.sampled_from([0.0, 1.0, 1e-9, 1 - 1e-9, 0.5]) | st.floats(0.0, 1.0)
+
+
+class TestKernels:
+    """The unchecked kernels the policies call give what their checked
+    public forms give on finite scores."""
+
+    @given(selection_cases(), st.integers(0, 320))
+    def test_topk_kernel_equals_public_form(self, case, k):
+        scores, _ = case
+        for ranked in (scores.intra, scores.inter):
+            np.testing.assert_array_equal(_topk_mask(ranked, k), topk_mask(ranked, k))
+
+    @given(selection_cases(), EXTREME_RATIOS, st.booleans())
+    def test_select_kernel_equals_public_form(self, case, ratio, widen):
+        scores, cfg = case
+        cfg = cfg.with_updates(cross_ratio=ratio, widen_to_budget=widen)
+        np.testing.assert_array_equal(_cross_self_select(scores, cfg),
+                                      cross_self_select(scores, cfg))
+
+    @given(selection_cases(), st.sampled_from([1e-9, 1 - 1e-9]))
+    def test_widening_matches_oracle_at_extreme_ratios(self, case, ratio):
+        """The bracketed search stops at the t of the one-unit-at-a-time
+        oracle."""
+        scores, cfg = case
+        cfg = cfg.with_updates(cross_ratio=ratio, widen_to_budget=True)
+        expected = oracles.select_retained(
+            list(scores.intra), list(scores.inter), cfg.budget, cfg.recent, ratio,
+            cfg.obs_window, recency_bias=cfg.recency_bias, widen=True,
+        )
+        np.testing.assert_array_equal(_cross_self_select(scores, cfg), expected)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_public_forms_refuse_non_finite_scores(self, value):
+        scores = np.linspace(0.0, 1.0, 6)
+        scores[2] = value
+        cfg = PruneConfig(budget=5, recent=1, obs_window=2, widen_to_budget=True)
+        with pytest.raises(ValueError, match="scores must be finite"):
+            topk_mask(scores, 3)
+        for bad in (scores_from(scores, np.ones(6)), scores_from(np.ones(6), scores)):
+            with pytest.raises(ValueError, match="scores must be finite"):
+                cross_self_select(bad, cfg)
+
+    @given(st.integers(1, 2000), st.integers(1, 3000), EXTREME_RATIOS)
+    def test_every_constrained_side_is_full_at_the_stop(self, cand, pool, ratio):
+        """The widening search takes the predicate as true at the stop
+        without probing it: there every side selects every candidate."""
+        cfg = PruneConfig(budget=pool, recent=0, obs_window=1, cross_ratio=ratio)
+        k_intra, k_inter = budget_to_k(cfg, cand)
+        free = (k_intra == 0, k_inter == 0)
+        stop = _widening_stop(cand, pool, ratio, *free)
+        assert pool <= stop <= 2 * (cand + 1) * pool + 1
+        assert _effective_ks(stop, cand, ratio, *free) == (cand, cand)

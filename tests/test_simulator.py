@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kvprune import core, policies, simulator
+from kvprune import core, policies, selection, simulator
 from kvprune.core import PruneConfig, TEXT, VISUAL
 from kvprune.simulator import (
     SWEEP_AXES,
@@ -515,6 +515,159 @@ class TestChecksOncePerRun:
             assert bare.recon_error == explicit.recon_error
 
 
+def count_forms(value, integral_floats):
+    """value as the integer-like types a library caller might pass: the
+    int itself, numpy scalars, a bool or a uint8 where it fits and, with
+    integral_floats, integral floats too."""
+    forms = [value]
+    if abs(value) < 2**53:
+        forms.append(np.int64(value))
+        if integral_floats:
+            forms += [float(value), np.float64(value)]
+    if value in (0, 1):
+        forms.append(bool(value))
+    if 0 <= value < 256:
+        forms.append(np.uint8(value))
+    return st.sampled_from(forms)
+
+
+def real_forms(value):
+    """value as a float, a numpy float64 and, where they hold it, a numpy
+    float32, an int and a bool."""
+    forms = [value, np.float64(value)]
+    if not abs(value) > float(np.finfo(np.float32).max):
+        forms.append(np.float32(value))
+    if math.isfinite(value) and value == int(value):
+        forms.append(int(value))
+    if value in (0.0, 1.0):
+        forms.append(bool(value))
+    return st.sampled_from(forms)
+
+
+FLOAT_MAX = float(np.finfo(np.float64).max)
+
+
+@st.composite
+def config_draws(draw):
+    """Keyword fields for PruneConfig and options for every policy, valid
+    or not: counts of every integer-like type, reals up to the largest
+    float, and values out of range. Each field comes from a valid range
+    or, one draw in eight, from its extremes, and integral floats appear
+    in one example in four, so that about half the configs are accepted."""
+    integral_floats = draw(st.integers(0, 3)) == 3
+
+    def pick(values, extremes, forms):
+        rare = draw(st.integers(0, 7)) == 7
+        return draw((st.sampled_from(extremes) if rare else values).flatmap(forms))
+
+    def count(low, high, *extremes):
+        return pick(st.integers(low, high), extremes,
+                    lambda value: count_forms(value, integral_floats))
+
+    def real(low, high, *extremes):
+        return pick(st.floats(low, high), extremes, real_forms)
+
+    recent = count(0, 12, -1, 24)
+    fields = {
+        "budget": count(int(recent) + 1, int(recent) + 24, 0, -2, int(recent)),
+        "recent": recent,
+        "obs_window": count(1, 24, 0, 2**40, 10**400),
+        "cross_ratio": real(0.0, 1.0, 0.0, 1.0, 1e-9, 1 - 1e-9, -0.5, 1.5, np.nan),
+        "smoothing": real(0.0, 4.0, 0.0, 1e-300, FLOAT_MAX, -1.0, np.inf, np.nan),
+        "recency_bias": real(1e-3, 1e6, 1.0, 5e-324, 1e308, FLOAT_MAX / 64, FLOAT_MAX, 0.0,
+                             -1.0, np.inf, np.nan),
+        "widen_to_budget": draw(st.booleans()),
+        "seed": count(0, 2**40, -3),
+    }
+    options = {
+        "pool_width": count(1, 40, 0, -1, 2**40),
+        "smoothing": real(0.0, 4.0, 0.0, FLOAT_MAX, -1.0, np.inf, np.nan),
+    }
+    return fields, options
+
+
+class TestAcceptedConfigRuns:
+    """A config that PruneConfig accepts, with options that a run accepts,
+    runs to the end under every policy: no kernel trips over a type or a
+    value the checks let through."""
+
+    SPEC = SynthSpec(seed=3, text_len=8, visual_len=8, layers=2, heads=2, head_dim=8,
+                     steps=4, shift=2.0)
+
+    @given(config_draws())
+    @settings(max_examples=200)
+    def test_refused_when_built_or_runs(self, draw):
+        fields, options = draw
+        try:
+            cfg = PruneConfig(**fields)
+        except ValueError:
+            return
+        trace = record_trace(self.SPEC, cfg.obs_window)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for policy in policies.POLICIES:
+                taken = {keyword: options[keyword] for keyword in policies.option_defaults(policy)}
+                for source in (self.SPEC, trace):
+                    try:
+                        policies.run_options(policy, taken)
+                    except ValueError:
+                        with pytest.raises(ValueError):
+                            run_decode(source, policy, cfg, **taken)
+                        continue
+                    try:
+                        report = run_decode(source, policy, cfg, **taken)
+                    except ValueError as error:
+                        # TestEmptyKeptSet's refusal: a live decode that
+                        # empties a layer's kept set cannot replay it at
+                        # smoothing 0. The trace replay shows the emptying.
+                        assert source is self.SPEC, error
+                        assert "no columns and smoothing is 0" in str(error)
+                        replay = run_decode(trace, policy, cfg, **taken)
+                        assert any(decision.achieved_occupancy == 0
+                                   for step in replay.per_step for decision in step)
+                        continue
+                    assert len(report.per_step) == self.SPEC.steps + 1
+
+    def test_overflowing_recency_bias_is_refused_when_built(self):
+        """Six text keys and a window of four text queries: key 3's column
+        mass is about 4, which a bias of 1e308 would overflow to inf. The
+        config is refused before any step; a bias near the largest it
+        accepts at that window runs, and widens, without an overflow."""
+        logits = np.full((1, 4, 6), -50.0)
+        logits[..., 3] = 10.0
+        tags = np.zeros(6, dtype=np.uint8)
+        with pytest.raises(ValueError, match="recency_bias times obs_window"):
+            PruneConfig(budget=5, recent=1, obs_window=4, recency_bias=1e308)
+        cfg = PruneConfig(budget=5, recent=1, obs_window=4, recency_bias=FLOAT_MAX / 8,
+                          widen_to_budget=True)
+        with np.errstate(over="raise"):
+            keep, decision, _ = policies.csp_step(tags, logits, tags[:4], cfg)
+        assert 3 in keep and decision.pruned
+
+
+class TestKernelsCallOnlyKernels:
+    """The policy kernels reach no checked selection function: run_decodes
+    completes with the public selection functions and the score check
+    replaced by functions that raise."""
+
+    CFG = PruneConfig(budget=14, recent=4, obs_window=4)
+
+    @pytest.mark.parametrize("widen", [False, True], ids=["plain", "widen"])
+    def test_runs_with_checked_selection_disabled(self, widen, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a kernel called a checked selection function")
+
+        for module in (selection, policies):
+            for name in ("topk_mask", "cross_self_select", "_checked_scores"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        cfg = self.CFG.with_updates(widen_to_budget=widen)
+        runs = [(policy, cfg, {}) for policy in policies.POLICIES]
+        for source in (SMALL, record_trace(SMALL, cfg.obs_window)):
+            reports = run_decodes(source, runs)
+            assert all(any(decision.pruned for step in report.per_step for decision in step)
+                       for report in reports if report.policy != "full")
+
+
 def assert_same_report(got, want):
     """Field by field and bit for bit: arrays by dtype and value, floats by
     their bytes."""
@@ -850,10 +1003,10 @@ class TestModalityBalance:
 
 
 def record_selections(monkeypatch):
-    """Wrap csp's kernel and its cross_self_select; the returned list
-    collects (candidate tags, observation-window query tags, scores,
-    selection) for every selection, in call order."""
-    select = policies.cross_self_select
+    """Wrap csp's kernel and its selection kernel, _cross_self_select; the
+    returned list collects (candidate tags, observation-window query tags,
+    scores, selection) for every selection, in call order."""
+    select = policies._cross_self_select
     selections, window = [], {}
 
     def wrapper(kernel):
@@ -868,7 +1021,7 @@ def record_selections(monkeypatch):
         return chosen
 
     wrap_kernel(monkeypatch, "csp", wrapper)
-    monkeypatch.setattr(policies, "cross_self_select", selected)
+    monkeypatch.setattr(policies, "_cross_self_select", selected)
     return selections
 
 
