@@ -14,7 +14,6 @@ from .core import (
     ModalityTag,
     PruneConfig,
     as_tags,
-    modality_index,
     tag_counts,
     validate_config,
 )
@@ -25,7 +24,7 @@ from .scoring import (
     softmax_rows,
     trim_observation,
 )
-from .decompose import ImportanceScores, ModalityBlocks, block_views, cross_self_importance
+from .decompose import ImportanceScores, cross_self_importance
 from .selection import budget_to_k, cross_self_select, topk_mask
 from .policies import (
     POLICIES,
@@ -82,7 +81,6 @@ __all__ = [
     "INTERLEAVE_MODES",
     "ImportanceScores",
     "LayerReport",
-    "ModalityBlocks",
     "ModalityTag",
     "NonFiniteLogitError",
     "POLICIES",
@@ -103,7 +101,6 @@ __all__ = [
     "accumulated_score_step",
     "as_tags",
     "attention_logits",
-    "block_views",
     "budget_for_fraction",
     "budget_to_k",
     "cross_self_importance",
@@ -115,7 +112,6 @@ __all__ = [
     "js_divergence",
     "kde",
     "layer_report",
-    "modality_index",
     "policy_step",
     "prefill_tags",
     "read_trace",

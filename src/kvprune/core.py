@@ -9,6 +9,7 @@ in classes.
 
 from __future__ import annotations
 
+import math
 import numbers
 import sys
 from dataclasses import dataclass, replace
@@ -48,16 +49,19 @@ def as_tags(seq) -> np.ndarray:
     return tags
 
 
-def modality_index(tags) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of each modality, order preserved.
-
-    Returns (text_positions, visual_positions); together they partition
-    range(len(tags)).
-    """
-    tags = as_tags(tags)
-    text = np.flatnonzero(tags == TEXT_CODE)
-    visual = np.flatnonzero(tags == VISUAL_CODE)
-    return text, visual
+def as_real(value) -> float:
+    """value as a Python float for a range check, which then refuses what
+    lies outside with its own message. A real number past the float range
+    (a Python int such as 10**400) becomes the infinity of its sign, which
+    a finite bound refuses, where float() would raise OverflowError; a
+    value that is no real number becomes NaN, which every bound refuses. A
+    numpy float32 converts exactly, with no cast-overflow warning."""
+    if not isinstance(value, numbers.Real):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def tag_counts(tags) -> tuple[int, int]:
@@ -144,12 +148,13 @@ def validate_config(cfg: PruneConfig) -> PruneConfig:
         raise ValueError(f"obs_window must be a positive integer, got {cfg.obs_window}")
     if not 0.0 <= cfg.cross_ratio <= 1.0:
         raise ValueError(f"cross_ratio must lie in [0, 1], got {cfg.cross_ratio}")
-    if not 0.0 <= cfg.smoothing < np.inf:
+    if not 0.0 <= as_real(cfg.smoothing) < np.inf:
         raise ValueError(f"smoothing must be finite and >= 0, got {cfg.smoothing}")
-    if not 0.0 < cfg.recency_bias < np.inf:
+    recency_bias = as_real(cfg.recency_bias)
+    if not 0.0 < recency_bias < np.inf:
         raise ValueError(f"recency_bias must be finite and > 0, got {cfg.recency_bias}")
     # An int compared with a Python float, which is exact for any int.
-    if cfg.obs_window > sys.float_info.max / 2 / float(cfg.recency_bias):
+    if cfg.obs_window > sys.float_info.max / 2 / recency_bias:
         raise ValueError(
             f"recency_bias times obs_window must be at most {sys.float_info.max / 2:.4g}, "
             f"got {cfg.recency_bias} * {cfg.obs_window}"

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import modality_index
-from .scoring import _smoothed_softmax_rows, _trim_observation
+from .core import as_real
+from .scoring import _smoothed_softmax_rows
 from .traceio import AttentionTrace, checked_steps
 
 DEFAULT_BINS = 64
@@ -124,9 +124,9 @@ def kde(samples, bandwidth: float | None = None, grid_points: int = GRID_POINTS)
     if bandwidth is None:
         h = silverman_bandwidth(samples)
     else:
-        if not 0 < bandwidth < np.inf:
+        h = as_real(bandwidth)
+        if not 0 < h < math.inf:
             raise ValueError(f"bandwidth must be finite and positive, got {bandwidth}")
-        h = float(bandwidth)
     if not (isinstance(grid_points, numbers.Integral) and grid_points >= 2):
         raise ValueError(f"grid_points must be an integer >= 2, got {grid_points}")
 
@@ -189,15 +189,16 @@ def js_divergence(
     # Each histogram sums to its sample count plus bins * epsilon; once that
     # overflows, normalizing gives NaN. Dividing instead of multiplying
     # keeps a huge integer bins from overflowing the check itself.
-    if not (epsilon > 0 and bins <= sys.float_info.max / float(epsilon)):
+    eps = as_real(epsilon)
+    if not (eps > 0 and bins <= sys.float_info.max / eps):
         raise ValueError(f"epsilon must be positive with bins * epsilon finite, got {epsilon}")
 
     lo = min(p.min(), q.min())
     hi = max(p.max(), q.max())
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
-    p_hist = np.histogram(p, bins=bins, range=(lo, hi))[0].astype(np.float64) + epsilon
-    q_hist = np.histogram(q, bins=bins, range=(lo, hi))[0].astype(np.float64) + epsilon
+    p_hist = np.histogram(p, bins=bins, range=(lo, hi))[0].astype(np.float64) + eps
+    q_hist = np.histogram(q, bins=bins, range=(lo, hi))[0].astype(np.float64) + eps
     p_hist /= p_hist.sum()
     q_hist /= q_hist.sum()
     mid = 0.5 * (p_hist + q_hist)
@@ -226,14 +227,17 @@ def modality_weight_samples(
     """Per layer, collect (intra, inter) attention-weight samples.
 
     Every recorded step contributes: each head's logit block becomes a
-    plain softmax weight matrix, optionally trimmed to the last obs_window
-    query rows and all but the newest `recent` key columns, then split
-    four ways by modality pairing. Text-to-text and visual-to-visual
-    entries are intra; the mixed blocks are inter.
+    plain softmax weight matrix, trimmed to the last obs_window query rows
+    (all of them by default) and to all but the newest `recent` key
+    columns. An entry is intra when its query and key share a modality and
+    inter otherwise. Each pool of a layer lists its entries by step, then
+    head, then row-major over (window row, key).
 
-    Each step is read through traceio.checked_steps, which checks it once;
-    each (layer, head) block is then weighed, trimmed and split by the
-    unchecked kernels, straight from its float32 logits.
+    Each step is read through traceio.checked_steps, which checks it once.
+    One softmax kernel call then weighs the window rows of every layer and
+    head straight from the float32 logits; the recent keys stay in its
+    denominator, and are sliced off after. One same-modality mask over
+    (window row, key) splits the result.
     """
     if not isinstance(recent, numbers.Integral):
         raise ValueError(f"recent must be an integer, got {recent!r}")
@@ -248,8 +252,8 @@ def modality_weight_samples(
     # A Python int: the index arithmetic below would overflow a uint8 count.
     recent = int(recent)
     full_tags = trace.full_tags
-    intra: list[list[np.ndarray]] = [[] for _ in range(trace.layers)]
-    inter: list[list[np.ndarray]] = [[] for _ in range(trace.layers)]
+    intra: list[np.ndarray] = []
+    inter: list[np.ndarray] = []
     length = trace.prefill_tags.size
     for step in checked_steps(trace):
         length += step.new_tags.size
@@ -258,18 +262,15 @@ def modality_weight_samples(
         cols = length - recent
         if cols < 1:
             raise ValueError(f"recent={recent} leaves no keys at length {length}")
-        text_queries, visual_queries = modality_index(full_tags[length - window : length])
-        text_keys, visual_keys = modality_index(full_tags[:cols])
-        intra_pairs = [np.ix_(text_queries, text_keys), np.ix_(visual_queries, visual_keys)]
-        inter_pairs = [np.ix_(visual_queries, text_keys), np.ix_(text_queries, visual_keys)]
-        for layer in range(trace.layers):
-            for head in range(trace.heads):
-                weights = _smoothed_softmax_rows(step.blocks[layer, head], 0.0)
-                trimmed = _trim_observation(weights, window, recent)
-                intra[layer] += [trimmed[pair].ravel() for pair in intra_pairs]
-                inter[layer] += [trimmed[pair].ravel() for pair in inter_pairs]
+        same = full_tags[length - window : length, None] == full_tags[None, :cols]
+        weights = _smoothed_softmax_rows(step.blocks[:, :, rows - window :], 0.0)[..., :cols]
+        intra.append(weights[..., same])
+        inter.append(weights[..., ~same])
     return [
-        (np.concatenate(intra[layer]), np.concatenate(inter[layer]))
+        (
+            np.concatenate([pool[layer].ravel() for pool in intra]),
+            np.concatenate([pool[layer].ravel() for pool in inter]),
+        )
         for layer in range(trace.layers)
     ]
 

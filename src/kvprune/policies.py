@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TEXT_CODE, PruneConfig, _tag_counts, as_tags, validate_config
+from .core import TEXT_CODE, PruneConfig, _tag_counts, as_real, as_tags, validate_config
 from .decompose import _decompose
 from .scoring import _shifted_exp
 from .selection import _cross_self_select, _topk_mask, budget_to_k
@@ -335,7 +335,7 @@ _POOL_WIDTH = Option("pool_width", "pool_width",
                     lambda width: isinstance(width, numbers.Integral) and width >= 1)
 _BASELINE_SMOOTHING = Option("smoothing", "baseline_n",
                             "smoothing constant for the baseline policies",
-                            "must be finite and >= 0", lambda n: 0.0 <= n < np.inf)
+                            "must be finite and >= 0", lambda n: 0.0 <= as_real(n) < np.inf)
 
 
 def _baseline_smoothing(cfg: PruneConfig, options: dict) -> float:

@@ -8,18 +8,18 @@ can stand in for the evicted mass and keep the kept weights near their
 original values.
 
 All matrices here are float64 ndarrays; rows are queries, columns are keys.
-Each public function checks its input. The smoothed softmax and the trim
-then call an unchecked kernel of the same name with a leading underscore,
-which the simulator and diagnostics call directly on input they checked
-once. The policies never build a weight matrix: their column-mass scorer
-takes the smoothed softmax's shifted exponentials and denominators from
-`_shifted_exp`, the one copy of that arithmetic. It casts float32 or
-float64 logits to float64 once and then shifts, exponentiates and sums in
-place in that one dtype, skipping the smoothing term and its clamp of the
-shift at smoothing 0, where both are identities. So the scorer, the
-softmax, the simulator's reconstruction error and full outputs and the
-diagnostics all get the same bits from float32 logits as from their
-float64 copy.
+Each public function checks its input. The smoothed softmax then calls an
+unchecked kernel of the same name with a leading underscore, which the
+simulator and diagnostics call directly, on stacks of matrices too, on
+input they checked once. The policies never build a weight matrix: their
+column-mass scorer takes the smoothed softmax's shifted exponentials and
+denominators from `_shifted_exp`, the one copy of that arithmetic. It
+casts float32 or float64 logits to float64 once and then shifts,
+exponentiates and sums in place in that one dtype, skipping the smoothing
+term and its clamp of the shift at smoothing 0, where both are
+identities. So the scorer, the softmax, the simulator's reconstruction
+error and full outputs and the diagnostics all get the same bits from
+float32 logits as from their float64 copy.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ from __future__ import annotations
 import numbers
 
 import numpy as np
+
+from .core import as_real
 
 
 def _as_matrix(x, name: str) -> np.ndarray:
@@ -91,17 +93,19 @@ def smoothed_softmax_rows(logits, smoothing: float) -> np.ndarray:
     (rows, 0) result otherwise.
     """
     logits = _as_matrix(logits, "logits")
-    if not 0.0 <= smoothing < np.inf:
+    if not 0.0 <= as_real(smoothing) < np.inf:
         raise ValueError(f"smoothing must be finite and >= 0, got {smoothing}")
     return _smoothed_softmax_rows(logits, smoothing)
 
 
 def _smoothed_softmax_rows(logits: np.ndarray, smoothing: float) -> np.ndarray:
-    """smoothed_softmax_rows on a finite 2-D float32 or float64 matrix and
-    a valid smoothing, unchecked. The result is float64, and the same bits
-    for a float32 matrix as for its float64 copy. A -inf entry gets weight
-    exactly 0, so -inf pads a row without changing it, provided the row
-    keeps a finite entry or smoothing > 0 (else the row is NaN)."""
+    """smoothed_softmax_rows along the last axis of finite float32 or
+    float64 logits of any rank and a valid smoothing, unchecked. The result
+    is float64, and the same bits for a float32 array as for its float64
+    copy, and for a stack of matrices as for each matrix on its own. A -inf
+    entry gets weight exactly 0, so -inf pads a row without changing it,
+    provided the row keeps a finite entry or smoothing > 0 (else the row
+    is NaN)."""
     expd, denom = _shifted_exp(logits, smoothing)
     expd /= denom[..., None]
     return expd
@@ -160,19 +164,13 @@ def trim_observation(weights, obs_window: int, recent: int) -> np.ndarray:
     larger than the row count keeps every row.
     """
     weights = _as_matrix(weights, "weights")
-    cols = weights.shape[1]
+    rows, cols = weights.shape
     if not (isinstance(obs_window, numbers.Integral) and obs_window >= 1):
         raise ValueError(f"obs_window must be an integer >= 1, got {obs_window}")
     if not (isinstance(recent, numbers.Integral) and recent >= 0):
         raise ValueError(f"recent must be an integer >= 0, got {recent}")
     if recent >= cols:
         raise ValueError(f"recent window ({recent}) swallows every key column ({cols})")
-    return _trim_observation(weights, obs_window, recent)
-
-
-def _trim_observation(weights: np.ndarray, obs_window: int, recent: int) -> np.ndarray:
-    """trim_observation on a 2-D matrix, obs_window >= 1 and
-    0 <= recent < cols, unchecked."""
-    rows, cols = weights.shape
-    keep_rows = min(obs_window, rows)
-    return weights[rows - keep_rows :, : cols - recent]
+    # Python ints: index arithmetic on a uint8 count would overflow.
+    keep_rows = min(int(obs_window), rows)
+    return weights[rows - keep_rows :, : cols - int(recent)]

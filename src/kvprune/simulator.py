@@ -54,7 +54,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import policies
-from .core import TEXT_CODE, VISUAL_CODE, PruneConfig, as_tags, tag_counts, validate_config
+from .core import (
+    TEXT_CODE,
+    VISUAL_CODE,
+    PruneConfig,
+    as_real,
+    as_tags,
+    tag_counts,
+    validate_config,
+)
 from .policies import PolicyDecision
 from .scoring import _smoothed_softmax_rows, attention_logits
 from .traceio import AttentionTrace, TraceStep, checked_steps
@@ -89,9 +97,12 @@ class SynthSpec:
     spread: float = 1.0
 
     def __post_init__(self):
+        # Plain Python numbers from here on, as in PruneConfig: a uint8
+        # length would overflow in the index arithmetic downstream.
         for name in ("seed", "text_len", "visual_len", "layers", "heads", "head_dim", "steps"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.text_len < 1 or self.visual_len < 1:
             raise ValueError("text_len and visual_len must both be >= 1")
         if self.interleave not in INTERLEAVE_MODES:
@@ -102,10 +113,13 @@ class SynthSpec:
             raise ValueError("layers, heads and head_dim must all be >= 1")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
-        if not np.isfinite(self.shift):
+        shift, spread = as_real(self.shift), as_real(self.spread)
+        if not np.isfinite(shift):
             raise ValueError(f"shift must be finite, got {self.shift}")
-        if not 0 < self.spread < np.inf:
+        if not 0 < spread < np.inf:
             raise ValueError(f"spread must be finite and positive, got {self.spread}")
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "spread", spread)
 
     @property
     def prefill_len(self) -> int:
@@ -512,8 +526,10 @@ def record_trace(spec: SynthSpec, obs_window: int) -> AttentionTrace:
     Each step holds its own writable copy of its blocks, not a view of the
     decoder's slab, so editing one recorded step changes no other.
     """
-    if obs_window < 1:
-        raise ValueError("obs_window must be >= 1")
+    if not (isinstance(obs_window, numbers.Integral) and obs_window >= 1):
+        raise ValueError(f"obs_window must be an integer >= 1, got {obs_window!r}")
+    # A Python int: the decoder's index arithmetic would overflow a uint8.
+    obs_window = int(obs_window)
     decoder = SyntheticDecoder(spec)
     return AttentionTrace(
         layers=spec.layers,

@@ -414,6 +414,41 @@ def js_from_samples(p_samples, q_samples, bins, epsilon=1e-10):
     return 0.5 * kl_p + 0.5 * kl_q
 
 
+def modality_weight_pools(trace, obs_window=None, recent=0):
+    """Per layer, (intra, inter) float64 arrays of a trace's attention
+    weights by a plain loop, in the order diagnostics.modality_weight_samples
+    documents: step, then head, then window row, then key.
+
+    Each (layer, head) block is weighed on its own by the checked
+    scoring.softmax_rows over every key, the recent ones included; then
+    each entry of the last min(obs_window, rows) rows and the first
+    length - recent keys goes to intra when tag[query] == tag[key] and to
+    inter otherwise.
+    """
+    from kvprune.scoring import softmax_rows
+
+    tags = [int(tag) for tag in trace.prefill_tags]
+    intra = [[] for _ in range(trace.layers)]
+    inter = [[] for _ in range(trace.layers)]
+    for step in trace.steps:
+        tags += [int(tag) for tag in step.new_tags]
+        length = len(tags)
+        rows = step.blocks.shape[2]
+        window = rows if obs_window is None else min(obs_window, rows)
+        for layer in range(trace.layers):
+            for head in range(trace.heads):
+                weights = softmax_rows(step.blocks[layer, head].astype(np.float64))
+                for row in range(rows - window, rows):
+                    query = length - rows + row
+                    for key in range(length - recent):
+                        pools = intra if tags[query] == tags[key] else inter
+                        pools[layer].append(weights[row, key])
+    return [
+        (np.array(intra[layer], dtype=np.float64), np.array(inter[layer], dtype=np.float64))
+        for layer in range(trace.layers)
+    ]
+
+
 def per_step_logit_blocks(decoder, obs_window):
     """Each decode step's (added token count, blocks), built from scratch.
 

@@ -12,7 +12,6 @@ from kvprune.core import (
     ModalityTag,
     PruneConfig,
     as_tags,
-    modality_index,
     tag_counts,
     validate_config,
 )
@@ -41,17 +40,6 @@ class TestTags:
         with pytest.raises(ValueError, match="0 .* or 1"):
             as_tags([0, 1, 2])
 
-    def test_modality_index_partitions(self):
-        """Text and visual positions together cover every index once."""
-        rng = np.random.default_rng(42)
-        for _ in range(50):
-            tags = rng.integers(0, 2, size=rng.integers(1, 40))
-            text, visual = modality_index(tags)
-            merged = np.sort(np.concatenate([text, visual]))
-            np.testing.assert_array_equal(merged, np.arange(tags.size))
-            assert (tags[text] == 0).all()
-            assert (tags[visual] == 1).all()
-
     def test_tag_counts(self):
         assert tag_counts([0, 1, 1, 0, 1]) == (2, 3)
         assert tag_counts([]) == (0, 0)
@@ -64,9 +52,6 @@ class TestTagProperties:
         tags = as_tags(seq)
         assert tags.dtype == np.uint8
         assert tags.tolist() == [int(tag) for tag in seq]
-        got_text, got_visual = modality_index(seq)
-        assert got_text.tolist() == text
-        assert got_visual.tolist() == visual
         counts = tag_counts(seq)
         assert counts == (len(text), len(visual))
         assert all(type(count) is int for count in counts)
@@ -82,7 +67,7 @@ class TestTagProperties:
         seq = np.array(values, dtype=np.uint8) if as_array else values
         bad = next(value for value in values if value > 1)
         message = re.escape(f"modality tags must be 0 (text) or 1 (visual), got {bad}")
-        for helper in (as_tags, modality_index, tag_counts):
+        for helper in (as_tags, tag_counts):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 helper(seq)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kvprune.core import TEXT, VISUAL
-from kvprune.decompose import ImportanceScores, block_views, cross_self_importance
+from kvprune.decompose import ImportanceScores, cross_self_importance
 
 import oracles
 
@@ -99,67 +99,3 @@ class TestCrossSelfImportance:
     def test_shape_guard_on_scores(self):
         with pytest.raises(ValueError, match="disagree"):
             ImportanceScores(intra=np.zeros(3), inter=np.zeros(2))
-
-
-class TestBlockViews:
-    def test_worked_example(self):
-        blocks = block_views(WEIGHTS, QUERY_TAGS, KEY_TAGS)
-        np.testing.assert_allclose(blocks.text_text, [[0.5, 0.3]])
-        np.testing.assert_allclose(blocks.visual_visual, [[0.6]])
-        np.testing.assert_allclose(blocks.visual_text, [[0.1, 0.3]])
-        np.testing.assert_allclose(blocks.text_visual, [[0.2]])
-
-    def test_empty_blocks_have_zero_size(self):
-        blocks = block_views(WEIGHTS, [TEXT, TEXT], KEY_TAGS)
-        assert blocks.visual_visual.shape == (0, 1)
-        assert blocks.visual_text.shape == (0, 2)
-        assert blocks.text_text.shape == (2, 2)
-
-    def test_contiguous_layout_is_literal_slicing(self):
-        rng = np.random.default_rng(42)
-        weights = rng.random((5, 7))
-        qt = [VISUAL] * 2 + [TEXT] * 3
-        kt = [VISUAL] * 4 + [TEXT] * 3
-        blocks = block_views(weights, qt, kt)
-        np.testing.assert_allclose(blocks.visual_visual, weights[:2, :4])
-        np.testing.assert_allclose(blocks.text_text, weights[2:, 4:])
-        np.testing.assert_allclose(blocks.visual_text, weights[:2, 4:])
-        np.testing.assert_allclose(blocks.text_visual, weights[2:, :4])
-
-    def test_every_entry_lands_in_exactly_one_block(self):
-        rng = np.random.default_rng(42)
-        for _ in range(25):
-            rows = int(rng.integers(1, 6))
-            cols = int(rng.integers(1, 8))
-            weights = rng.random((rows, cols))
-            qt = rng.integers(0, 2, size=rows)
-            kt = rng.integers(0, 2, size=cols)
-            blocks = block_views(weights, qt, kt)
-            total = sum(
-                b.sum()
-                for b in (blocks.text_text, blocks.visual_visual, blocks.visual_text, blocks.text_visual)
-            )
-            np.testing.assert_allclose(total, weights.sum(), atol=1e-9)
-            count = sum(
-                b.size
-                for b in (blocks.text_text, blocks.visual_visual, blocks.visual_text, blocks.text_visual)
-            )
-            assert count == weights.size
-
-    def test_scatter_reconstruction(self):
-        """The four blocks reassemble the original matrix entry by entry."""
-        rng = np.random.default_rng(42)
-        weights = rng.random((4, 5))
-        qt = rng.integers(0, 2, size=4)
-        kt = rng.integers(0, 2, size=5)
-        blocks = block_views(weights, qt, kt)
-        rebuilt = np.zeros_like(weights)
-        tq = np.flatnonzero(qt == 0)
-        vq = np.flatnonzero(qt == 1)
-        tk = np.flatnonzero(kt == 0)
-        vk = np.flatnonzero(kt == 1)
-        rebuilt[np.ix_(tq, tk)] = blocks.text_text
-        rebuilt[np.ix_(vq, vk)] = blocks.visual_visual
-        rebuilt[np.ix_(vq, tk)] = blocks.visual_text
-        rebuilt[np.ix_(tq, vk)] = blocks.text_visual
-        np.testing.assert_allclose(rebuilt, weights)

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 
 import oracles
 from kvprune.core import PruneConfig
-from kvprune.decompose import block_views
 from kvprune.diagnostics import (
     BANDWIDTH_FLOOR,
     CHUNK_FLOATS,
@@ -24,7 +23,6 @@ from kvprune.diagnostics import (
     modality_weight_samples,
     silverman_bandwidth,
 )
-from kvprune.scoring import softmax_rows, trim_observation
 from kvprune.simulator import SynthSpec, record_trace
 from kvprune.traceio import AttentionTrace, TraceStep
 
@@ -340,6 +338,40 @@ def two_layer_trace(shift: float, steps: int = 2) -> AttentionTrace:
     return record_trace(spec, obs_window=4)
 
 
+def assert_same_pools(got, want):
+    """Each layer's (intra, inter) pools hold the same float64 bits in the
+    same order."""
+    assert len(got) == len(want)
+    for (got_intra, got_inter), (want_intra, want_inter) in zip(got, want):
+        assert got_intra.dtype == got_inter.dtype == np.float64
+        assert got_intra.tobytes() == want_intra.tobytes()
+        assert got_inter.tobytes() == want_inter.tobytes()
+
+
+@st.composite
+def weight_sample_cases(draw):
+    """(trace, obs_window, recent): a random tag layout over 1-3 steps of
+    1-2 added tokens each, 1-4 rows a step, float32 logits; obs_window None
+    or 1-6, so below, at or above a step's rows; recent from 0 to one less
+    than the first step's key count."""
+    layers, heads = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prefill = draw(st.lists(st.integers(0, 1), min_size=1, max_size=8))
+    length = len(prefill)
+    steps = []
+    for _ in range(draw(st.integers(1, 3))):
+        new_tags = draw(st.lists(st.integers(0, 1), max_size=2))
+        length += len(new_tags)
+        rows = draw(st.integers(1, min(4, length)))
+        blocks = rng.normal(scale=3.0, size=(layers, heads, rows, length)).astype(np.float32)
+        steps.append(TraceStep(new_tags=new_tags, blocks=blocks))
+    trace = AttentionTrace(layers=layers, heads=heads, head_dim=4, prefill_tags=prefill,
+                           steps=steps)
+    first_keys = steps[0].blocks.shape[3]
+    obs_window = draw(st.none() | st.integers(1, 6))
+    return trace, obs_window, draw(st.integers(0, first_keys - 1))
+
+
 class TestModalityWeightSamples:
     def test_sample_counts(self):
         """Every step contributes window x keys entries per head, split
@@ -382,30 +414,24 @@ class TestModalityWeightSamples:
     @pytest.mark.parametrize("interleave", ["block", "alternating", "random"])
     @pytest.mark.parametrize("obs_window, recent", [(None, 0), (2, 3), (9, 1)])
     def test_matches_checked_public_functions(self, interleave, obs_window, recent):
-        """Bit for bit the samples the checked public functions give, each
-        (layer, head) block weighed in float64, trimmed and split on its own."""
+        """Bit for bit and in order the pools a plain loop over each
+        (layer, head) block, weighed in float64 by the checked softmax,
+        gives."""
         spec = SynthSpec(seed=4, text_len=6, visual_len=5, interleave=interleave, layers=2,
                          heads=3, head_dim=8, steps=3, shift=1.0)
         trace = record_trace(spec, obs_window=4)
         got = modality_weight_samples(trace, obs_window=obs_window, recent=recent)
-        full_tags = trace.full_tags
-        intra, inter = [[] for _ in range(2)], [[] for _ in range(2)]
-        length = trace.prefill_tags.size
-        for step in trace.steps:
-            length += step.new_tags.size
-            rows = step.blocks.shape[2]
-            window = rows if obs_window is None else min(obs_window, rows)
-            for layer in range(2):
-                for head in range(3):
-                    weights = softmax_rows(step.blocks[layer, head].astype(np.float64))
-                    views = block_views(trim_observation(weights, window, recent),
-                                        full_tags[length - window : length],
-                                        full_tags[: length - recent])
-                    intra[layer] += [views.text_text.ravel(), views.visual_visual.ravel()]
-                    inter[layer] += [views.visual_text.ravel(), views.text_visual.ravel()]
-        for layer, (got_intra, got_inter) in enumerate(got):
-            assert got_intra.tobytes() == np.concatenate(intra[layer]).tobytes()
-            assert got_inter.tobytes() == np.concatenate(inter[layer]).tobytes()
+        want = oracles.modality_weight_pools(trace, obs_window=obs_window, recent=recent)
+        assert_same_pools(got, want)
+
+    @given(weight_sample_cases())
+    def test_matches_the_loop_on_any_layout(self, case):
+        """Any tag layout, row counts per step, a window below, at or above
+        them, and any recent that leaves every step a key."""
+        trace, obs_window, recent = case
+        got = modality_weight_samples(trace, obs_window=obs_window, recent=recent)
+        want = oracles.modality_weight_pools(trace, obs_window=obs_window, recent=recent)
+        assert_same_pools(got, want)
 
     def test_numpy_counts_equal_int_counts(self):
         """A uint8 window and recent count act as ints do, past length 255
@@ -414,9 +440,7 @@ class TestModalityWeightSamples:
                                        head_dim=4, steps=1), 4)
         want = modality_weight_samples(trace, obs_window=4, recent=1)
         got = modality_weight_samples(trace, obs_window=np.uint8(4), recent=np.uint8(1))
-        for (want_intra, want_inter), (got_intra, got_inter) in zip(want, got):
-            assert got_intra.tobytes() == want_intra.tobytes()
-            assert got_inter.tobytes() == want_inter.tobytes()
+        assert_same_pools(got, want)
 
     @pytest.mark.parametrize("edit, kwargs, match", [
         ("nan", {}, "step 1 layer 1 head 0: non-finite logit nan"),

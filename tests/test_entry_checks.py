@@ -179,6 +179,8 @@ PUBLIC_CASES = {
                            ("seed", 0.0))},
     "weight-samples-obs-2.5": (lambda: modality_weight_samples(TRACE, obs_window=2.5), ()),
     "weight-samples-recent-1.5": (lambda: modality_weight_samples(TRACE, recent=1.5), ()),
+    **{f"record-trace-obs-{value!r}": (record_trace, (SynthSpec(steps=1), value))
+       for value in (2.5, 4.0)},
     **{f"synth-spec-{name}-2.5": (partial(SynthSpec, **{name: 2.5}), ())
        for name in ("seed", "text_len", "visual_len", "layers", "heads", "head_dim", "steps")},
     **{f"trace-{name}-2.5": (partial(AttentionTrace, **{"layers": 1, "heads": 1, "head_dim": 1,
@@ -191,3 +193,47 @@ PUBLIC_CASES = {
 def test_public_function_rejects_bad_input(fn, args):
     with np.errstate(over="ignore"), pytest.raises(ValueError):
         fn(*args)
+
+
+# Each check of a real-valued argument, as (call taking the value, the
+# message it refuses with, a value it takes). Each converts the value once,
+# so an int past the float range, or a value that is no number, meets the
+# range check itself.
+REAL_SITES = {
+    "config-smoothing": (lambda v: PruneConfig(**CONFIG_FIELDS, smoothing=v),
+                         "smoothing must be finite and >= 0", 1.0),
+    "config-recency-bias": (lambda v: PruneConfig(**CONFIG_FIELDS, recency_bias=v),
+                            "recency_bias must be finite and > 0", 1.0),
+    **{f"{name}-smoothing": (partial(lambda step, v: step(KEY_TAGS, LOGITS, QUERY_TAGS,
+                                                          PRUNING, smoothing=v), STEPS[name]),
+                             "smoothing must be finite and >= 0", 1.0)
+       for name in BASELINES},
+    "softmax-smoothing": (lambda v: smoothed_softmax_rows(LOGITS[0], v),
+                          "smoothing must be finite and >= 0", 1.0),
+    "kde-bandwidth": (lambda v: kde([0.0, 1.0], bandwidth=v),
+                      "bandwidth must be finite and positive", 0.5),
+    "js-epsilon": (lambda v: js_divergence([0.0], [1.0], epsilon=v),
+                   "epsilon must be positive with bins \\* epsilon finite", 1e-10),
+    "synth-spec-shift": (lambda v: SynthSpec(shift=v), "shift must be finite", -2.0),
+    "synth-spec-spread": (lambda v: SynthSpec(spread=v), "spread must be finite and positive",
+                          1.5),
+}
+
+
+@pytest.mark.parametrize("value", [10**400, -(10**400), "1.0"],
+                         ids=["int-past-float-max", "negative-int-past-float-max", "str"])
+@pytest.mark.parametrize("name", REAL_SITES)
+def test_real_check_refuses_with_value_error(name, value):
+    """Not OverflowError or TypeError, and with the site's own message."""
+    call, message, _ = REAL_SITES[name]
+    with pytest.raises(ValueError, match=message):
+        call(value)
+
+
+@pytest.mark.parametrize("name", REAL_SITES)
+def test_real_check_takes_float32(name):
+    """A float32 passes each check as its float64 value does, with no cast
+    warning (warnings are errors in this suite)."""
+    call, _, value = REAL_SITES[name]
+    call(np.float32(value))
+    call(value)

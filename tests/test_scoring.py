@@ -325,3 +325,10 @@ class TestTrimObservation:
         m = np.arange(12.0).reshape(3, 4)
         with pytest.raises(ValueError, match="recent"):
             trim_observation(m, obs_window=2, recent=4)
+
+    def test_numpy_counts_act_as_ints(self):
+        """uint8 counts past 255 columns slice as ints do, where uint8
+        index arithmetic would overflow."""
+        m = np.arange(600.0).reshape(2, 300)
+        out = trim_observation(m, np.uint8(1), np.uint8(1))
+        assert out.tobytes() == m[1:, :299].tobytes()

@@ -93,6 +93,23 @@ class TestSynthSpec:
         with pytest.raises(ValueError):
             SynthSpec(**{field: value})
 
+    def test_numpy_fields_become_python_numbers(self):
+        """uint8 lengths past 255 in total act as ints do: the final length
+        does not wrap and a run equals the run of the int spec."""
+        sizes = dict(layers=1, heads=1, head_dim=4)
+        spec = SynthSpec(text_len=np.uint8(200), visual_len=np.uint8(200), steps=np.uint8(1),
+                         shift=np.float32(2.0), spread=np.float32(1.5), **sizes)
+        plain = SynthSpec(text_len=200, visual_len=200, steps=1, shift=2.0, spread=1.5, **sizes)
+        assert spec.final_len == 401
+        for field in dataclasses.fields(SynthSpec):
+            value = getattr(spec, field.name)
+            assert type(value) is type(getattr(plain, field.name)), field.name
+            assert value == getattr(plain, field.name)
+        cfg = PruneConfig(budget=100, recent=8, obs_window=8)
+        got, want = run_decode(spec, "csp", cfg), run_decode(plain, "csp", cfg)
+        assert got.per_step == want.per_step
+        assert got.recon_error == want.recon_error
+
 
 class TestPrefillTags:
     def test_block_layout(self):
@@ -427,6 +444,16 @@ class TestTraceReplay:
     def test_record_trace_obs_validation(self):
         with pytest.raises(ValueError, match="obs_window"):
             record_trace(SMALL, 0)
+
+    def test_record_trace_numpy_window(self):
+        """A uint8 window records what an int window does, past length 255
+        too, where uint8 index arithmetic would overflow."""
+        spec = SynthSpec(text_len=200, visual_len=200, layers=1, heads=1, head_dim=4, steps=1)
+        got, want = record_trace(spec, np.uint8(4)), record_trace(spec, 4)
+        assert len(got.steps) == len(want.steps)
+        for got_step, want_step in zip(got.steps, want.steps):
+            assert got_step.new_tags.tobytes() == want_step.new_tags.tobytes()
+            assert got_step.blocks.tobytes() == want_step.blocks.tobytes()
 
 
 def count_calls(monkeypatch, module, *names):
