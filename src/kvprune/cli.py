@@ -32,7 +32,7 @@ import numpy as np
 
 from .core import PruneConfig
 from .diagnostics import DEFAULT_BINS, DEFAULT_EPSILON, KERNEL_CUTOFF, MAX_BINS, layer_report
-from .policies import POLICIES, check_options, option_defaults
+from .policies import POLICIES, check_options
 from .simulator import (
     INTERLEAVE_MODES,
     SWEEP_AXES,
@@ -69,13 +69,12 @@ def _field(field: str, help: str, choices=None) -> Flag:
 
 
 def _option_flags() -> dict:
-    """A flag per policy option, in table order, with the default of the
-    first step that takes the option."""
+    """A flag per policy option, in table order, with the option's
+    default."""
     flags = {}
-    for name, policy in POLICIES.items():
-        defaults = option_defaults(name)
+    for policy in POLICIES.values():
         for option in policy.options:
-            flags.setdefault(option.flag, Flag(defaults[option.keyword], option.help))
+            flags.setdefault(option.flag, Flag(option.default, option.help))
     return flags
 
 

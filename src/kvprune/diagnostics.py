@@ -237,7 +237,8 @@ def modality_weight_samples(
     One softmax kernel call then weighs the window rows of every layer and
     head straight from the float32 logits; the recent keys stay in its
     denominator, and are sliced off after. One same-modality mask over
-    (window row, key) splits the result.
+    (window row, key) splits the result. A trace with no steps has
+    nothing to sample, which is a ValueError.
     """
     if not isinstance(recent, numbers.Integral):
         raise ValueError(f"recent must be an integer, got {recent!r}")
@@ -266,6 +267,8 @@ def modality_weight_samples(
         weights = _smoothed_softmax_rows(step.blocks[:, :, rows - window :], 0.0)[..., :cols]
         intra.append(weights[..., same])
         inter.append(weights[..., ~same])
+    if not intra:
+        raise ValueError("the trace has no steps to sample")
     return [
         (
             np.concatenate([pool[layer].ravel() for pool in intra]),

@@ -1,6 +1,6 @@
 """Eviction policies.
 
-Four interchangeable strategies, registered in POLICIES at the end of this
+Four interchangeable strategies, registered in POLICIES near the end of this
 module, decide which cached tokens survive a prune:
 
 * ``csp``          intersected per-modality top-k (the method under study)
@@ -11,55 +11,53 @@ module, decide which cached tokens survive a prune:
 The baselines are deliberately simplified single-knob reimplementations;
 they exist so modality retention can be compared under one harness, and
 their labels say "-like" to avoid overclaiming fidelity to the originals.
-The CLI's policy choices, help and options derive from POLICIES, so adding
-a policy is one step function, its kernel and one table entry.
 
-A policy is one step function of the tags of the layer's cached keys, a
-(heads, rows, cols) stack of raw attention logits whose rows are the newest
-queries and whose columns are those keys, the query rows' modality tags, a
-PruneConfig, and optional state (only ``accum`` keeps any: its running
-accumulator). Policies never see keys or values, since no decision reads
-them. A step returns (keep, decision, state): keep holds the positions that
-survive, the retained candidates in ascending order followed by the recent
-window, so keep[:keep.size - recent] are the kept candidates. The caller
-prunes by indexing its own per-position data with keep. Steps never mutate
+A policy is one kernel and one POLICIES entry. A kernel,
+kernel(key_tags, mass, cfg, state, options) -> (keep, decision, state),
+prunes one layer from the uint8 tags of its cached keys, a scorer, a
+PruneConfig, its state (only accum keeps any: its running accumulator,
+None at first) and the run's checked options (only global-topk reads
+them, for pool_width). It never sees keys, values, logits or query tags.
+mass() returns the read-only float64 (2, cols) column mass of the
+observation window, the last min(obs_window, rows) query rows, at the
+run's smoothing: row 0 sums the head-averaged smoothed softmax weights of
+the window's text queries, row 1 those of its visual queries. That is all
+any policy reads: csp splits it by key tag into intra and inter scores,
+global-topk ranks its column sums, and accum adds them to its running
+total. keep holds the retained candidates in ascending order, then the
+recent window, so keep[:keep.size - recent] are the kept candidates; the
+caller prunes its own per-position data with keep. Kernels never mutate
 their inputs.
 
-Each public step checks its own inputs once, on entry: its options, through
-check_options, then the config, both tag sequences, the logits' shape
-against them and finite logits. Then it calls its kernel (`_csp_step` and so
-on, named in its POLICIES entry) with the checked tags, a scorer built from
-the checked logits, the config, the state and every option by keyword;
-kernels declare no option defaults, the steps do. A kernel never reads
-logits: it calls mass(smoothing), the scorer, for the read-only float64
-(2, cols) column mass of the observation window, the last
-min(obs_window, rows) query rows. Row 0 sums the head-averaged smoothed
-softmax weights of the window's text queries, row 1 those of its visual
-queries; that is all any policy reads. csp splits it by key tag into intra
-and inter scores, global-topk ranks its column sums, and accum adds them
-to its running total. Every kernel scores through one function, `_mass`,
-and only when it needs scores, so a no-op step neither gathers nor scores;
-it never forms a (rows, cols) weight matrix. A kernel calls only the
-unchecked kernels of scoring, decompose, selection and core
-(`_shifted_exp`, `_decompose`, `_cross_self_select`, `_topk_mask`,
-`_tag_counts`), never their checked public forms, plus `budget_to_k` for
-the nominal split, whose one check costs a comparison. No kernel checks its
-scores for finiteness: a column mass is at most the window's row count, so
-only csp's recency_bias multiply could overflow, and validate_config bounds
-that.
-simulator.run_decodes checks its runs once, the options through
-run_options, builds each step's selector once, and then calls each run's
-kernel on every step and layer with a scorer shared by every run that
-holds the same keys there, so each distinct (keys, smoothing) of a
-layer-step is scored once.
+An entry names the kernel, lists the options with their defaults and
+checks, and gives smoothing(cfg, options), the one rule for the smoothing
+a run scores and replays with. The CLI's policy choices, help and option
+flags derive from POLICIES, and so does every checked step: policy_step
+checks a step's options, config, tags and logits once, then calls the
+kernel. csp_step, global_topk_step, accumulated_score_step and
+full_cache_step are its four steps.
+
+Every kernel scores through one function, `_mass`, and only when it needs
+scores, so a no-op step neither gathers nor scores; it never forms a
+(rows, cols) weight matrix. A kernel calls only the unchecked kernels of
+scoring, decompose, selection and core (`_shifted_exp`, `_decompose`,
+`_cross_self_select`, `_topk_mask`, `_tag_counts`), never their checked
+public forms, plus `budget_to_k` for the nominal split, whose one check
+costs a comparison. No kernel checks its scores for finiteness: a column
+mass is at most the window's row count, so only csp's recency_bias
+multiply could overflow, and validate_config bounds that.
+simulator.run_decodes checks its runs once, through run_options, and
+calls their kernels itself, with a scorer shared by every run that holds
+the same keys at a layer-step, so each distinct (keys, smoothing) there
+is scored once.
 """
 
 from __future__ import annotations
 
-import inspect
 import numbers
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -136,10 +134,10 @@ def _mass(logits: np.ndarray, select: np.ndarray, smoothing: float) -> np.ndarra
 
 
 def _scorer(logits: np.ndarray, select: np.ndarray, ids: np.ndarray | None = None):
-    """The mass(smoothing) callable a kernel scores with: _mass of the
-    checked (heads, rows, cols) logits' last window rows and their columns
-    ids (all of them when ids is None), select being the window's
-    _selector, so window = select.shape[1] // heads.
+    """mass(smoothing), the callable a kernel's scorer binds to one
+    smoothing: _mass of the checked (heads, rows, cols) logits' last window
+    rows and their columns ids (all of them when ids is None), select being
+    the window's _selector, so window = select.shape[1] // heads.
 
     The window is sliced and the columns gathered on the first call, so a
     kernel that never scores costs no gather and rows outside the window
@@ -164,7 +162,7 @@ def _scorer(logits: np.ndarray, select: np.ndarray, ids: np.ndarray | None = Non
 
 
 def _window_scorer(logits: np.ndarray, query_tags: np.ndarray, cfg: PruneConfig):
-    """A public step's scorer of its checked logits, over the last
+    """The _scorer of a step's checked logits, over the last
     min(cfg.obs_window, rows) rows."""
     window = min(cfg.obs_window, query_tags.size)
     return _scorer(logits, _selector(query_tags[query_tags.size - window :], logits.shape[0]))
@@ -194,24 +192,17 @@ def _pruned(key_tags: np.ndarray, cfg: PruneConfig, chosen: np.ndarray, ks):
     return _decided(key_tags, cfg, keep, ks, True)
 
 
-def csp_step(key_tags, logits, query_tags, cfg: PruneConfig, state=None):
+def _csp_step(key_tags, mass, cfg: PruneConfig, state, options):
     """One cross-self pruning step.
 
-    Below budget this keeps everything. Otherwise: smoothed softmax over
-    the raw logits, head averaging, observation trimming, modality
-    decomposition and intersected top-k selection, with the recent window
-    kept after the selected candidates.
+    Below budget this keeps everything. Otherwise: modality decomposition
+    of the column mass and intersected top-k selection, with the recent
+    window kept after the selected candidates.
     """
-    key_tags, logits, query_tags = _checked(key_tags, logits, query_tags, cfg)
-    return _csp_step(key_tags, _window_scorer(logits, query_tags, cfg), query_tags, cfg, state)
-
-
-def _csp_step(key_tags, mass, query_tags, cfg: PruneConfig, state):
-    """csp_step on checked inputs and a scorer, unchecked."""
     if key_tags.size < cfg.budget:
         return (*_noop(key_tags, cfg), None)
     cand = key_tags.size - cfg.recent
-    imp = _decompose(mass(cfg.smoothing)[:, :cand], key_tags[:cand])
+    imp = _decompose(mass()[:, :cand], key_tags[:cand])
     chosen = _cross_self_select(imp, cfg)
     return (*_pruned(key_tags, cfg, chosen, budget_to_k(cfg, cand)), None)
 
@@ -231,61 +222,28 @@ def _pooled(importance: np.ndarray, width: int) -> np.ndarray:
     return windows.max(axis=1)
 
 
-def global_topk_step(
-    key_tags,
-    logits,
-    query_tags,
-    cfg: PruneConfig,
-    state=None,
-    pool_width: int = 1,
-    smoothing: float = 0.0,
-):
-    """Single global ranking by column sum, no modality split."""
-    options = check_options("global-topk", {"pool_width": pool_width, "smoothing": smoothing})
-    key_tags, logits, query_tags = _checked(key_tags, logits, query_tags, cfg)
-    return _global_topk_step(key_tags, _window_scorer(logits, query_tags, cfg), query_tags, cfg,
-                             state, **options)
-
-
-def _global_topk_step(key_tags, mass, query_tags, cfg: PruneConfig, state, *,
-                      pool_width, smoothing):
-    """global_topk_step on checked inputs, options and a scorer, unchecked."""
+def _global_topk_step(key_tags, mass, cfg: PruneConfig, state, options):
+    """Single global ranking by column sum, max-pooled over
+    options["pool_width"] keys, no modality split."""
     if key_tags.size < cfg.budget:
         return (*_noop(key_tags, cfg), None)
     cand = key_tags.size - cfg.recent
-    columns = mass(smoothing)
-    importance = _pooled(columns[0, :cand] + columns[1, :cand], pool_width)
+    columns = mass()
+    importance = _pooled(columns[0, :cand] + columns[1, :cand], options["pool_width"])
     pool = max(cfg.budget - cfg.recent, 0)
     return (*_pruned(key_tags, cfg, _topk_mask(importance, pool), (pool, pool)), None)
 
 
-def accumulated_score_step(
-    key_tags,
-    logits,
-    query_tags,
-    cfg: PruneConfig,
-    state=None,
-    smoothing: float = 0.0,
-):
+def _accumulated_score_step(key_tags, mass, cfg: PruneConfig, state, options):
     """Heavy-hitter step: rank by attention mass accumulated across steps.
 
     `state` is the running accumulator returned by the previous step, one
     entry per cached token (None starts empty). Tokens added since then
     enter at zero. Every call adds the current step's column sums over the
     whole cache; eviction keeps the top pool accumulators among the
-    candidates, and evicted accumulators are dropped with their tokens.
+    candidates, and evicted accumulators are dropped with their tokens. A
+    state longer than the cache, which no input check sees, is refused.
     """
-    options = check_options("accum", {"smoothing": smoothing})
-    key_tags, logits, query_tags = _checked(key_tags, logits, query_tags, cfg)
-    return _accumulated_score_step(key_tags, _window_scorer(logits, query_tags, cfg), query_tags,
-                                   cfg, state, **options)
-
-
-def _accumulated_score_step(key_tags, mass, query_tags, cfg: PruneConfig, state, *,
-                            smoothing):
-    """accumulated_score_step on checked inputs, options and a scorer. It
-    still refuses a state longer than the cache, which no input check
-    sees."""
     running = np.zeros(0) if state is None else np.asarray(state, dtype=np.float64)
     grown = key_tags.size - running.size
     if grown < 0:
@@ -294,7 +252,7 @@ def _accumulated_score_step(key_tags, mass, query_tags, cfg: PruneConfig, state,
             f"{key_tags.size}: the cache shrank outside of this policy's own pruning"
         )
     running = np.concatenate([running, np.zeros(grown)])
-    columns = mass(smoothing)
+    columns = mass()
     running = running + (columns[0] + columns[1])
 
     if key_tags.size < cfg.budget:
@@ -305,55 +263,47 @@ def _accumulated_score_step(key_tags, mass, query_tags, cfg: PruneConfig, state,
     return keep, decision, running[keep]
 
 
-def full_cache_step(key_tags, logits, query_tags, cfg: PruneConfig, state=None):
-    """Reference policy: never evicts."""
-    key_tags, logits, query_tags = _checked(key_tags, logits, query_tags, cfg)
-    return _full_cache_step(key_tags, _window_scorer(logits, query_tags, cfg), query_tags, cfg,
-                            state)
-
-
-def _full_cache_step(key_tags, mass, query_tags, cfg: PruneConfig, state):
-    """full_cache_step on checked inputs, unchecked; it never scores."""
+def _full_cache_step(key_tags, mass, cfg: PruneConfig, state, options):
+    """Reference policy: never evicts, and so never scores."""
     return (*_noop(key_tags, cfg), None)
 
 
-# A keyword option of a policy step: the cli.FLAGS entry that sets it, its
-# help there, and the rule its values meet, checked by admits(value).
-Option = namedtuple("Option", "keyword flag help rule admits")
+# A keyword option of a policy: the cli.FLAGS entry that sets it, its
+# default, its help there, and the rule its values meet, checked by
+# admits(value).
+Option = namedtuple("Option", "keyword flag default help rule admits")
 
-# A registry entry: the policy's label; the module attribute names of its
-# checked step and of the unchecked kernel that step calls, each looked up
-# at call time so a rebound attribute (a wrapper, a patch) is the one that
-# runs; the step's options, in the order a sidecar records them; and
-# replay_smoothing(cfg, options), the smoothing constant a run replays the
-# policy's retained tokens with.
-Policy = namedtuple("Policy", "label step kernel options replay_smoothing")
+# A registry entry: the policy's label; the module attribute name of its
+# kernel, looked up at call time so a rebound attribute (a wrapper, a
+# patch) is the one that runs; its options, in the order a sidecar records
+# them; and smoothing(cfg, options), the smoothing constant a run with
+# those checked options scores and replays its retained tokens with.
+Policy = namedtuple("Policy", "label kernel options smoothing")
 
-_POOL_WIDTH = Option("pool_width", "pool_width",
-                    "global-topk: width of the 1-D max pool over column sums",
-                    "must be an integer >= 1",
-                    lambda width: isinstance(width, numbers.Integral) and width >= 1)
-_BASELINE_SMOOTHING = Option("smoothing", "baseline_n",
-                            "smoothing constant for the baseline policies",
-                            "must be finite and >= 0", lambda n: 0.0 <= as_real(n) < np.inf)
+_POOL_WIDTH = Option("pool_width", "pool_width", 1,
+                     "global-topk: width of the 1-D max pool over column sums",
+                     "must be an integer >= 1",
+                     lambda width: isinstance(width, numbers.Integral) and width >= 1)
+_BASELINE_SMOOTHING = Option("smoothing", "baseline_n", 0.0,
+                             "smoothing constant for the baseline policies",
+                             "must be finite and >= 0", lambda n: 0.0 <= as_real(n) < np.inf)
 
 
 def _baseline_smoothing(cfg: PruneConfig, options: dict) -> float:
-    return float(options.get("smoothing", 0.0))
+    return float(options["smoothing"])
 
 
-# csp scores with cfg.smoothing and replays with it too; the baselines
-# replay with their own smoothing option; the full cache with the plain
-# softmax. The first entry, the method under study, is the CLI's default.
+# csp smooths with cfg.smoothing; the baselines with their own smoothing
+# option; the full cache replays with the plain softmax and never scores.
+# The first entry, the method under study, is the CLI's default.
 POLICIES = {
-    "csp": Policy("csp (cross-self intersection)", "csp_step", "_csp_step", (),
+    "csp": Policy("csp (cross-self intersection)", "_csp_step", (),
                   lambda cfg, options: cfg.smoothing),
-    "global-topk": Policy("global-topk (SnapKV-like)", "global_topk_step", "_global_topk_step",
+    "global-topk": Policy("global-topk (SnapKV-like)", "_global_topk_step",
                           (_POOL_WIDTH, _BASELINE_SMOOTHING), _baseline_smoothing),
-    "accum": Policy("accum (H2O-like)", "accumulated_score_step", "_accumulated_score_step",
-                    (_BASELINE_SMOOTHING,), _baseline_smoothing),
-    "full": Policy("full (no eviction)", "full_cache_step", "_full_cache_step", (),
-                   lambda cfg, options: 0.0),
+    "accum": Policy("accum (H2O-like)", "_accumulated_score_step", (_BASELINE_SMOOTHING,),
+                    _baseline_smoothing),
+    "full": Policy("full (no eviction)", "_full_cache_step", (), lambda cfg, options: 0.0),
 }
 
 
@@ -365,26 +315,39 @@ def get_policy(name: str) -> Policy:
 
 
 def policy_step(name: str):
-    """The step function of a policy, by registry name."""
-    return globals()[get_policy(name).step]
+    """The checked step of policy `name`, step(key_tags, logits,
+    query_tags, cfg, state=None, **options) -> (keep, decision, state):
+    run_options, _checked, then the kernel with a scorer of the checked
+    logits at the policy's smoothing. The entry and its kernel are looked
+    up at call time. ValueError for an unknown policy."""
+    get_policy(name)
+
+    def step(key_tags, logits, query_tags, cfg: PruneConfig, state=None, **options):
+        """Check the options, config, tags and logits once, then run the
+        policy's kernel on a scorer of the logits."""
+        policy = POLICIES[name]
+        options = run_options(name, options)
+        key_tags, logits, query_tags = _checked(key_tags, logits, query_tags, cfg)
+        mass = partial(_window_scorer(logits, query_tags, cfg), policy.smoothing(cfg, options))
+        return globals()[policy.kernel](key_tags, mass, cfg, state, options)
+
+    return step
 
 
 def option_defaults(name: str) -> dict:
     """The default of each option of policy `name`, by keyword in table
-    order: the default of that parameter of its step."""
-    params = inspect.signature(policy_step(name)).parameters
-    return {option.keyword: params[option.keyword].default for option in get_policy(name).options}
+    order."""
+    return {option.keyword: option.default for option in get_policy(name).options}
 
 
 def run_options(name: str, values: dict) -> dict:
     """Every option policy `name` takes, checked, those values omits at
-    their step defaults: what its kernel takes by keyword. TypeError, as a
-    call of the step would raise, for a keyword the step does not take."""
+    their defaults: what its kernel reads. TypeError for a keyword the
+    policy does not take."""
     defaults = option_defaults(name)
     for keyword in values:
         if keyword not in defaults:
-            raise TypeError(f"{get_policy(name).step}() got an unexpected keyword argument "
-                            f"{keyword!r}")
+            raise TypeError(f"policy {name!r} got an unexpected keyword argument {keyword!r}")
     return check_options(name, {**defaults, **values})
 
 
@@ -401,3 +364,9 @@ def check_options(name: str, values: dict, from_flags: bool = False) -> dict:
             raise ValueError(f"{shown} {option.rule}, got {values[key]}")
         options[option.keyword] = values[key]
     return options
+
+
+csp_step = policy_step("csp")
+global_topk_step = policy_step("global-topk")
+accumulated_score_step = policy_step("accum")
+full_cache_step = policy_step("full")

@@ -85,6 +85,8 @@ def summarize(report: RunReport, budget_fraction: float | None = None) -> Result
     budget_fraction defaults to the configured budget over the final
     sequence length; sweeps pass the grid value instead.
     """
+    if not report.per_step:
+        raise ValueError("the run has no steps to summarize")
     if budget_fraction is None:
         budget_fraction = report.config.budget / report.full_length
     text, visual = report.retained_counts

@@ -28,11 +28,12 @@ AttentionTrace) with one loop over those records, all runs in lockstep;
 it all their runs at once. It checks each run once, on entry, and a
 trace's records once each per call, through traceio.checked_steps; a
 decoder's records come unchecked from its finite float32 slab. The loop
-then calls each run's unchecked kernel on every step and layer, handing it a scorer that runs
-holding the same keys there share, so each distinct (keys, smoothing) is
-gathered and scored at most once, and only if a kernel asks. A scoring is
-the read-only (2, cols) column mass of the observation window, all any
-policy reads, and each step builds its text/visual query selector once for
+then calls each run's unchecked kernel on every step and layer, handing it
+a scorer that runs holding the same keys there share, bound to the run's
+smoothing, so each distinct (keys, smoothing) is gathered and scored at
+most once, and only if a kernel asks. A scoring is the read-only (2, cols)
+column mass of the observation window, all any policy reads, and each step
+builds its text/visual query selector from the sequence's tags once for
 every layer and run. A synthetic run records each step's retained ids per
 layer and scores its reconstruction error after the loop, one batched pass
 per layer: each step's newest-query logits are gathered from the slab into
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -344,7 +346,7 @@ def run_decode(source, policy_name: str, cfg: PruneConfig, **policy_kwargs) -> R
     its pruned output is the full output.
 
     The run is checked once, on entry: the config, the policy options
-    (omitted ones take the step's defaults; an unknown keyword is a
+    (omitted ones take their table defaults; an unknown keyword is a
     TypeError) and the source's tags. traceio.checked_steps checks a
     trace's header and each of its records as the loop reaches them, since
     a trace in memory may have been edited after it was built or read. A
@@ -364,7 +366,7 @@ class _Run:
         self.policy_name, self.cfg = policy_name, cfg
         self.options = policies.run_options(policy_name, options)
         self.kernel = getattr(policies, policy.kernel)
-        self.smoothing = policy.replay_smoothing(cfg, self.options)
+        self.smoothing = policy.smoothing(cfg, self.options)
         self.retained = [np.arange(source.prefill_tags.size) for _ in range(source.layers)]
         self.states = [None] * source.layers
         self.per_step: list[list[PolicyDecision]] = []
@@ -415,9 +417,8 @@ def run_decodes(source, runs) -> list[RunReport]:
         blocks = record.blocks
         rows = blocks.shape[2]
         new_ids = np.arange(full_len - added, full_len)
-        query_tags = full_tags[full_len - rows : full_len]
         window = min(windows[0], rows)
-        select = policies._selector(query_tags[rows - window :], source.heads)
+        select = policies._selector(full_tags[full_len - window : full_len], source.heads)
         for run in runs:
             if added:
                 run.retained = [np.concatenate([ids, new_ids]) for ids in run.retained]
@@ -433,8 +434,8 @@ def run_decodes(source, runs) -> list[RunReport]:
                     scorers[key] = policies._scorer(blocks[layer], select,
                                                     None if ids.size == full_len else ids)
                 keep, decision, run.states[layer] = run.kernel(
-                    full_tags[ids], scorers[key], query_tags, run.cfg, run.states[layer],
-                    **run.options,
+                    full_tags[ids], partial(scorers[key], run.smoothing), run.cfg,
+                    run.states[layer], run.options,
                 )
                 if decision.pruned:
                     run.retained[layer] = ids[keep]

@@ -3,7 +3,6 @@
 import contextlib
 import dataclasses
 import hashlib
-import inspect
 import io
 import json
 import pathlib
@@ -17,10 +16,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import kvprune
-from kvprune import cli, simulator, traceio
+from kvprune import cli, policies, simulator, traceio
 from kvprune.cli import main
 from kvprune.core import PruneConfig
-from kvprune.policies import accumulated_score_step, global_topk_step
 from kvprune.reports import RESULTS_COLUMNS, STEP_COLUMNS
 from kvprune.simulator import SynthSpec
 from kvprune.traceio import MAGIC, read_trace
@@ -290,6 +288,17 @@ class TestSweep:
 
 
 class TestAnalyze:
+    def test_trace_without_steps(self, tmp_path, capsys):
+        """A trace of a prefill alone is a data error: exit 2, one error
+        line that names the cause, and no file written."""
+        path = tmp_path / "prefill.trace"
+        traceio.write_trace(traceio.AttentionTrace(layers=1, heads=1, head_dim=4,
+                                                   prefill_tags=[0, 1, 0]), path)
+        capsys.readouterr()
+        assert main(["analyze", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == "error: the trace has no steps to sample\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["prefill.trace"]
+
     def test_divergence_and_kde_outputs(self, tmp_path, trace_path):
         out = tmp_path / "div.csv"
         assert main(["analyze", str(trace_path), "--out", str(out)]) == 0
@@ -544,25 +553,35 @@ LIBRARY_DEFAULTS = [
     ("recency_bias", PruneConfig, "recency_bias"),
     ("widen", PruneConfig, "widen_to_budget"),
     ("seed", PruneConfig, "seed"),
-    ("pool_width", global_topk_step, "pool_width"),
-    ("baseline_n", global_topk_step, "smoothing"),
-    ("baseline_n", accumulated_score_step, "smoothing"),
+    ("pool_width", "global-topk", "pool_width"),
+    ("baseline_n", "global-topk", "smoothing"),
+    ("baseline_n", "accum", "smoothing"),
 ]
 NO_LIBRARY_DEFAULT = {"budget", "recent", "obs", "policy"}
 
 
 def library_default(owner, name):
+    """A dataclass field's default, or a policy option's by policy name."""
     if dataclasses.is_dataclass(owner):
         return {field.name: field.default for field in dataclasses.fields(owner)}[name]
-    return inspect.signature(owner).parameters[name].default
+    return policies.option_defaults(owner)[name]
+
+
+def library_default_id(flag, owner, name):
+    """flag-name, with the owner put in for a flag that several owners
+    repeat, so that every id is unique."""
+    if sum(row[0] == flag for row in LIBRARY_DEFAULTS) == 1:
+        return f"{flag}-{name}"
+    return f"{flag}-{getattr(owner, '__name__', owner)}.{name}"
 
 
 class TestLibraryDefaults:
-    """SynthSpec, PruneConfig and the baseline steps repeat the defaults of
-    cli.FLAGS; they must agree, or the library and the CLI drift apart."""
+    """SynthSpec, PruneConfig and the baseline policies' options repeat the
+    defaults of cli.FLAGS; they must agree, or the library and the CLI
+    drift apart."""
 
     @pytest.mark.parametrize("flag, owner, name", LIBRARY_DEFAULTS,
-                             ids=[f"{flag}-{name}" for flag, _, name in LIBRARY_DEFAULTS])
+                             ids=[library_default_id(*row) for row in LIBRARY_DEFAULTS])
     def test_default_matches_table(self, flag, owner, name):
         table = cli._FILE_FLAGS[flag].default
         value = library_default(owner, name)

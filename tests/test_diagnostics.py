@@ -411,6 +411,14 @@ class TestModalityWeightSamples:
         with pytest.raises(ValueError, match="leaves no keys"):
             modality_weight_samples(two_layer_trace(1.0), recent=16)
 
+    def test_trace_without_steps(self):
+        """A trace of a prefill alone has nothing to sample, for the
+        samples and for the report built from them."""
+        trace = AttentionTrace(layers=1, heads=1, head_dim=4, prefill_tags=[0, 1, 0])
+        for analysis in (modality_weight_samples, layer_report):
+            with pytest.raises(ValueError, match="^the trace has no steps to sample$"):
+                analysis(trace)
+
     @pytest.mark.parametrize("interleave", ["block", "alternating", "random"])
     @pytest.mark.parametrize("obs_window, recent", [(None, 0), (2, 3), (9, 1)])
     def test_matches_checked_public_functions(self, interleave, obs_window, recent):

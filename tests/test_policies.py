@@ -1,7 +1,7 @@
 """Tests for the four eviction policies and their shared step contract."""
 
-import inspect
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -246,6 +246,7 @@ class TestKernels:
         logits = logits.astype(dtype)
         drawn = {"pool_width": pool_width, "smoothing": smoothing}
         options = {option.keyword: drawn[option.keyword] for option in POLICIES[name].options}
+        checked = policies.run_options(name, options)
         # accum carries the accumulator of an earlier, shorter cache; -1
         # starts it empty.
         state = None
@@ -255,9 +256,9 @@ class TestKernels:
 
         keep, decision, after = policy_step(name)(key_tags, logits, query_tags, cfg, state,
                                                   **options)
-        kernel_keep, kernel_decision, kernel_after = kernel(
-            key_tags, policies._window_scorer(logits, query_tags, cfg), query_tags, cfg, state,
-            **options)
+        mass = partial(policies._window_scorer(logits, query_tags, cfg),
+                       POLICIES[name].smoothing(cfg, checked))
+        kernel_keep, kernel_decision, kernel_after = kernel(key_tags, mass, cfg, state, checked)
         np.testing.assert_array_equal(kernel_keep, keep)
         assert kernel_decision == decision
         if after is None:
@@ -265,23 +266,25 @@ class TestKernels:
         else:
             np.testing.assert_array_equal(kernel_after, after)
 
-    def test_kernels_declare_no_option_defaults(self):
-        """Each option's default lives on the public step alone."""
+    def test_option_defaults_are_the_table(self):
+        """Each option's default is declared once, in its table row, which
+        its checks admit and omitted options take."""
+        assert {name: policies.option_defaults(name) for name in POLICIES} == {
+            "csp": {}, "global-topk": {"pool_width": 1, "smoothing": 0.0},
+            "accum": {"smoothing": 0.0}, "full": {},
+        }
         for name, policy in POLICIES.items():
-            params = inspect.signature(getattr(policies, policy.kernel)).parameters
-            for option in policy.options:
-                assert params[option.keyword].default is inspect.Parameter.empty
-            assert set(policies.option_defaults(name)) == {o.keyword for o in policy.options}
+            table = {option.keyword: option.default for option in policy.options}
+            assert policies.option_defaults(name) == table == policies.run_options(name, {})
 
     def test_accum_kernel_refuses_a_shrunk_cache(self):
         """No input check sees a state longer than the cache, so the kernel
         itself refuses it."""
         cfg = PruneConfig(budget=4, recent=1, obs_window=1)
+        mass = partial(policies._window_scorer(np.zeros((1, 1, 2)), tags_of([0]), cfg), 0.0)
         with pytest.raises(ValueError, match="the cache shrank"):
-            policies._accumulated_score_step(tags_of([0, 1]),
-                                             policies._window_scorer(np.zeros((1, 1, 2)),
-                                                                     tags_of([0]), cfg),
-                                             tags_of([0]), cfg, np.zeros(3), smoothing=0.0)
+            policies._accumulated_score_step(tags_of([0, 1]), mass, cfg, np.zeros(3),
+                                             {"smoothing": 0.0})
 
 
 @st.composite
@@ -520,27 +523,53 @@ class TestPolicyObjects:
             ("accum", {"smoothing": 0.5}, 0.5),
             ("full", {}, 0.0),
         ]:
-            assert POLICIES[name].replay_smoothing(cfg, options) == smoothing
+            assert POLICIES[name].smoothing(cfg, policies.run_options(name, options)) == smoothing
             errors = run_decode(spec, name, keep_all, **options).recon_error
             assert (max(errors) == 0.0) == (smoothing == 0.0), name
 
     def test_policy_step_registry(self):
+        """A row is a label, a kernel name, options and a smoothing rule;
+        each exported step is policy_step of its name."""
         steps = {"csp": csp_step, "global-topk": global_topk_step,
                  "accum": accumulated_score_step, "full": full_cache_step}
         kernels = {"csp": "_csp_step", "global-topk": "_global_topk_step",
                    "accum": "_accumulated_score_step", "full": "_full_cache_step"}
+        assert policies.Policy._fields == ("label", "kernel", "options", "smoothing")
+        rng = np.random.default_rng(3)
+        args = (tags_of(rng.integers(0, 2, 12)), rng.standard_normal((2, 3, 12)),
+                tags_of(rng.integers(0, 2, 3)), PruneConfig(budget=8, recent=2, obs_window=2))
         for name, policy in POLICIES.items():
-            assert getattr(policies, policy.step) is policy_step(name) is steps[name]
             assert policy.kernel == kernels[name]
             assert callable(getattr(policies, policy.kernel))
+            built, exported = policy_step(name)(*args), steps[name](*args)
+            np.testing.assert_array_equal(built[0], exported[0])
+            assert built[1] == exported[1]
 
     def test_policy_step_resolved_at_call_time(self, monkeypatch):
-        """A rebound module attribute is what the lookup returns."""
-        def wrapped(*args, **kwargs):
-            return csp_step(*args, **kwargs)
+        """A kernel rebound after the step was built is the one it runs."""
+        calls = []
+        kernel = policies._csp_step
 
-        monkeypatch.setattr(policies, "csp_step", wrapped)
-        assert policy_step("csp") is wrapped
+        def wrapped(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(policies, "_csp_step", wrapped)
+        keep, _, _ = csp_step(tags_of(WORKED_TAGS), WORKED_LOGITS, [TEXT, VISUAL], WORKED_CFG)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(keep, [1, 3, 4])
+
+    def test_options_are_keyword_only(self):
+        """A step takes its options by keyword alone; an unknown keyword is
+        a TypeError that names it."""
+        cfg = PruneConfig(budget=4, recent=1, obs_window=1)
+        args = (tags_of([0, 1, 0]), np.zeros((1, 1, 3)), [TEXT], cfg)
+        with pytest.raises(TypeError, match="positional"):
+            global_topk_step(*args, None, 3)
+        for name in POLICIES:
+            with pytest.raises(TypeError,
+                               match=f"policy '{name}' got an unexpected keyword argument 'width'"):
+                policy_step(name)(*args, width=3)
 
     @pytest.mark.parametrize("name", list(POLICIES))
     def test_float32_logits_match_float64(self, name):

@@ -24,6 +24,7 @@ from kvprune.reports import (
     write_text,
 )
 from kvprune.simulator import SynthSpec, record_trace, run_decode
+from kvprune.traceio import AttentionTrace
 
 SPEC = SynthSpec(seed=5, text_len=12, visual_len=12, layers=2, heads=2,
                  head_dim=8, steps=6, shift=2.0)
@@ -76,6 +77,13 @@ class TestSummarize:
 
     def test_explicit_fraction_wins(self, csp_report):
         assert summarize(csp_report, budget_fraction=0.25).budget_fraction == 0.25
+
+    def test_run_without_steps(self):
+        """A run over a trace of a prefill alone has no step to summarize."""
+        trace = AttentionTrace(layers=1, heads=1, head_dim=4, prefill_tags=[0, 1, 0])
+        report = run_decode(trace, "csp", PruneConfig(budget=2, recent=1, obs_window=1))
+        with pytest.raises(ValueError, match="^the run has no steps to summarize$"):
+            summarize(report)
 
     def test_replay_has_empty_recon(self):
         trace = record_trace(SPEC, CFG.obs_window)

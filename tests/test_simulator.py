@@ -823,11 +823,11 @@ class TestRunDecodes:
         writes = []
 
         def wrapper(kernel):
-            def writing(key_tags, mass, query_tags, cfg, state, **options):
+            def writing(key_tags, mass, cfg, state, options):
                 with pytest.raises(ValueError, match="read-only"):
-                    mass(options["smoothing"])[0, 0] = 0.0
+                    mass()[0, 0] = 0.0
                 writes.append(key_tags.size)
-                return kernel(key_tags, mass, query_tags, cfg, state, **options)
+                return kernel(key_tags, mass, cfg, state, options)
             return writing
 
         runs = [("accum", self.CFG, {}), ("global-topk", self.CFG, {})]
@@ -851,6 +851,36 @@ def record_scorings(monkeypatch):
 
     monkeypatch.setattr(policies, "_mass", recorded)
     return scored
+
+
+class TestOneSmoothingPerRun:
+    """Every scoring of a run, live or replayed from its trace, uses its
+    policy's smoothing(cfg, options), the rule its reconstruction error
+    replays with: csp's cfg.smoothing (--n), a baseline's own smoothing
+    option (--baseline-n, default 0), and none for the full cache, which
+    never scores."""
+
+    SPEC = SynthSpec(seed=2, text_len=8, visual_len=8, layers=2, heads=2, head_dim=8,
+                     steps=4, shift=2.0)
+
+    @pytest.mark.parametrize("policy", list(policies.POLICIES))
+    def test_every_scoring_uses_the_rule(self, policy, monkeypatch):
+        base = PruneConfig(budget=12, recent=2, obs_window=4)
+        trace = record_trace(self.SPEC, base.obs_window)
+        takes = "smoothing" in policies.option_defaults(policy)
+        for n in (None, 2.5):
+            cfg = base if n is None else base.with_updates(smoothing=n)
+            for options in ({}, {"smoothing": 0.5}) if takes else ({},):
+                rule = {"csp": cfg.smoothing, "full": 0.0}.get(policy,
+                                                               options.get("smoothing", 0.0))
+                checked = policies.run_options(policy, options)
+                assert policies.POLICIES[policy].smoothing(cfg, checked) == rule
+                for source in (self.SPEC, trace):
+                    scored = record_scorings(monkeypatch)
+                    run_decode(source, policy, cfg, **options)
+                    want = set() if policy == "full" else {rule}
+                    assert {smoothing for smoothing, _ in scored} == want, (n, options, source)
+                    monkeypatch.undo()
 
 
 class TestReconErrorOracle:
@@ -939,7 +969,8 @@ class TestBatchedReconstruction:
         with mock.patch.object(simulator, "_layer_errors", recorded), \
                 mock.patch.object(simulator, "RECON_CHUNK_FLOATS", chunk_floats):
             report = run_decode(decoder, policy, cfg, **options)
-        smoothing = policies.get_policy(policy).replay_smoothing(cfg, options)
+        smoothing = policies.POLICIES[policy].smoothing(cfg,
+                                                         policies.run_options(policy, options))
         assert sorted(layer_errors) == list(range(spec.layers))
         for step, record in enumerate(decoder.steps(cfg.obs_window)):
             retained = [layer_errors[layer][0][step] for layer in range(spec.layers)]
@@ -1030,17 +1061,23 @@ class TestModalityBalance:
 
 
 def record_selections(monkeypatch):
-    """Wrap csp's kernel and its selection kernel, _cross_self_select; the
-    returned list collects (candidate tags, observation-window query tags,
-    scores, selection) for every selection, in call order."""
+    """Wrap csp's kernel, the step's query selector and the selection
+    kernel, _cross_self_select; the returned list collects (candidate tags,
+    observation-window query tags, scores, selection) for every selection,
+    in call order."""
     select = policies._cross_self_select
+    selector = policies._selector
     selections, window = [], {}
 
     def wrapper(kernel):
-        def stepped(key_tags, mass, query_tags, cfg, *args, **kwargs):
-            window.update(keys=key_tags, queries=query_tags[-cfg.obs_window:])
-            return kernel(key_tags, mass, query_tags, cfg, *args, **kwargs)
+        def stepped(key_tags, *args):
+            window.update(keys=key_tags)
+            return kernel(key_tags, *args)
         return stepped
+
+    def selecting(window_tags, heads):
+        window.update(queries=window_tags)
+        return selector(window_tags, heads)
 
     def selected(scores, cfg):
         chosen = select(scores, cfg)
@@ -1048,6 +1085,7 @@ def record_selections(monkeypatch):
         return chosen
 
     wrap_kernel(monkeypatch, "csp", wrapper)
+    monkeypatch.setattr(policies, "_selector", selecting)
     monkeypatch.setattr(policies, "_cross_self_select", selected)
     return selections
 
