@@ -18,8 +18,9 @@ Logit blocks are materialized in float32, the trace precision, and a live
 decoder streams them as the same `TraceStep` records a trace file holds, so a
 live synthetic run and a replay of its recorded trace rank keys identically.
 A logit depends only on (layer, head, query id, key id), never on the step,
-so a decoder computes every logit its steps need once, into one read-only
-slab, and each step's blocks are a view of it.
+so each `run_decodes` call builds every logit its steps need once, into one
+read-only slab of its own, and each step's blocks are a view of it. The
+decoder keeps nothing a call derives, so one decoder may serve any calls.
 
 `run_decodes` drives any number of runs, each a policy, config and
 options, over any of three sources (a SynthSpec, a SyntheticDecoder or an
@@ -36,13 +37,14 @@ column mass of the observation window, all any policy reads, and each step
 builds its text/visual query selector from the sequence's tags once for
 every layer and run. A synthetic run records each step's retained ids per
 layer and scores its reconstruction error after the loop, one batched pass
-per layer: each step's newest-query logits are gathered from the slab into
-one array padded with -inf to the largest kept count, so pads weigh 0 in the
+per layer. One routine, _outputs, computes both sides: each step's
+newest-query logits over its kept ids are gathered from the slab into one
+array padded with -inf to the largest kept count, so pads weigh 0 in the
 smoothed softmax, and one batched matmul against the gathered values gives
-every step's pruned output. The unpruned outputs are one (steps + 1, heads, head_dim) array per
-layer, computed once per decoder, so a sweep builds its slab and these once.
-Both sides work through their steps in chunks whose temporaries stay near
-RECON_CHUNK_FLOATS values, so peak memory does not grow with the step count.
+every step's output. The unpruned side keeps every key under smoothing 0;
+it is computed once per layer per call, and only if some run scores a step
+there. Steps go in chunks whose temporaries stay near RECON_CHUNK_FLOATS
+values, so peak memory does not grow with the step count.
 Traces carry no values or query vectors, so replays report no reconstruction
 error.
 """
@@ -183,46 +185,9 @@ class SyntheticDecoder:
             for head in range(spec.heads):
                 w_q = proj_rng.standard_normal((d, d)) * scale
                 self._queries[layer, head] = embeddings @ w_q.T
-        # The logit slab and its first query id, built by the first steps call,
-        # and per layer the full-cache outputs computed from it.
-        self._slab = None
-        self._slab_start = 0
-        self._full_outputs = [None] * spec.layers
 
     def values(self, layer: int, ids: np.ndarray | slice) -> np.ndarray:
         return self._values[layer][ids]
-
-    def newest_logits(self, layer: int) -> np.ndarray:
-        """The slab rows (heads, steps + 1, final_len) of each step's newest
-        query over all final_len keys; a step attends only to the first
-        prefill_len + step of them. Call it after steps has built the slab."""
-        first = self.spec.prefill_len - 1 - self._slab_start
-        return self._slab[layer, :, first : first + self.spec.steps + 1]
-
-    def full_outputs(self, layer: int) -> np.ndarray:
-        """Read-only attention outputs (steps + 1, heads, head_dim) of each
-        step's newest query over every live key, from the current slab.
-
-        Only the decoder and the layer determine them, so they are computed
-        once, on first use, and reused by every later run until the slab is
-        rebuilt. Each chunk of steps masks the keys beyond its lengths with
-        -inf and takes one softmax and one matmul against the values.
-        """
-        out = self._full_outputs[layer]
-        if out is None:
-            spec = self.spec
-            logits = self.newest_logits(layer)
-            lengths = spec.prefill_len + np.arange(spec.steps + 1)
-            live = np.arange(spec.final_len) < lengths[:, None]
-            out = np.empty((spec.steps + 1, spec.heads, spec.head_dim))
-            for chunk in _chunks(spec.steps + 1, 3 * spec.heads * spec.final_len):
-                masked = np.where(live[chunk], logits[:, chunk], -np.inf)
-                weights = _smoothed_softmax_rows(masked.reshape(-1, spec.final_len), 0.0)
-                outputs = weights @ self._values[layer]
-                out[chunk] = outputs.reshape(spec.heads, -1, spec.head_dim).transpose(1, 0, 2)
-            out.flags.writeable = False
-            self._full_outputs[layer] = out
-        return out
 
     def logit_block(self, layer: int, query_ids: np.ndarray, key_ids: np.ndarray) -> np.ndarray:
         """Raw scores (heads, queries, keys) between token ids, in float32."""
@@ -245,6 +210,25 @@ class SyntheticDecoder:
             )
         return out.astype(np.float32)
 
+    def slab(self, obs_window: int) -> tuple[np.ndarray, int]:
+        """A new read-only float32 logit slab of shape (layers, heads,
+        final_len - r0, final_len) for steps at obs_window, and r0 =
+        max(prefill_len - obs_window, 0), the first query any step observes:
+        row i holds query r0 + i over every key. It takes one logit_block
+        call per layer."""
+        if not (isinstance(obs_window, numbers.Integral) and obs_window >= 1):
+            raise ValueError(f"obs_window must be an integer >= 1, got {obs_window!r}")
+        spec = self.spec
+        # A Python int: the index arithmetic would overflow a uint8.
+        start = max(spec.prefill_len - int(obs_window), 0)
+        query_ids = np.arange(start, spec.final_len)
+        key_ids = np.arange(spec.final_len)
+        slab = np.stack([self.logit_block(layer, query_ids, key_ids)
+                         for layer in range(spec.layers)])
+        # Every step of every run over the slab shares it.
+        slab.flags.writeable = False
+        return slab, start
+
     def steps(self, obs_window: int):
         """Yield one TraceStep per decode step, as a trace would record it.
 
@@ -252,30 +236,18 @@ class SyntheticDecoder:
         step adds one text token. Blocks span every layer, the newest
         min(obs_window, length) queries as rows and every live key.
 
-        The blocks are read-only views of one float32 slab of shape
-        (layers, heads, final_len - r0, final_len), where
-        r0 = max(prefill_len - obs_window, 0) is the first query any step
-        observes; it takes one logit_block call per layer. The decoder
-        keeps the slab, so a later call with the same or a smaller window
-        reuses it, and a larger window, which needs earlier queries,
-        rebuilds it and drops the full outputs computed from the old one.
-        Copy a block before writing to it.
+        The blocks are read-only views of a new slab (see slab), built when
+        steps is called, which also refuses a bad window. Copy a block
+        before writing to it.
         """
-        spec = self.spec
-        start = max(spec.prefill_len - obs_window, 0)
-        if self._slab is None or start < self._slab_start:
-            query_ids = np.arange(start, spec.final_len)
-            key_ids = np.arange(spec.final_len)
-            slab = np.stack(
-                [self.logit_block(layer, query_ids, key_ids) for layer in range(spec.layers)]
-            )
-            # Every step of every run over this decoder shares the slab.
-            slab.flags.writeable = False
-            self._slab, self._slab_start = slab, start
-            self._full_outputs = [None] * spec.layers
-        slab, start = self._slab, self._slab_start
-        length = spec.prefill_len
-        for step in range(spec.steps + 1):
+        slab, start = self.slab(obs_window)
+        return self._records(slab, start, int(obs_window))
+
+    def _records(self, slab: np.ndarray, start: int, obs_window: int):
+        """The steps' TraceStep records as views of slab, whose first query
+        id is start."""
+        length = self.spec.prefill_len
+        for step in range(self.spec.steps + 1):
             added = 1 if step else 0
             length += added
             rows = min(obs_window, length)
@@ -333,11 +305,11 @@ def run_decode(source, policy_name: str, cfg: PruneConfig, **policy_kwargs) -> R
 
     Every source is a stream of TraceStep records: a SyntheticDecoder
     yields them from its logit slab, a trace holds them, and a SynthSpec
-    is shorthand for SyntheticDecoder(spec). Pass one decoder to several
-    runs to build its slab once. Each layer's cache is the array of global
-    token ids it retains. Each step appends the new tokens' ids to every
-    layer and lets the policy prune each layer from the key tags and a
-    scorer of the logits over its retained ids. A synthetic source also
+    is shorthand for SyntheticDecoder(spec). To build one slab for several
+    runs, pass the runs to one run_decodes call. Each layer's cache is the
+    array of global token ids it retains. Each step appends the new
+    tokens' ids to every layer and lets the policy prune each layer from
+    the key tags and a scorer of the logits over its retained ids. A synthetic source also
     has values, so it then measures the reconstruction error of the newest
     query's attention output against the unpruned cache, averaged over
     layers: it records each step's retained ids and scores every step in
@@ -405,7 +377,12 @@ def run_decodes(source, runs) -> list[RunReport]:
     if len(windows) > 1:
         raise ValueError(f"runs over one source must share obs_window, got {windows}")
     if isinstance(source, SyntheticDecoder):
-        decoder, steps = source, source.steps(windows[0])
+        decoder, (slab, start) = source, source.slab(windows[0])
+        steps = decoder._records(slab, start, windows[0])
+        # Each step's newest query over every key, and per layer the
+        # unpruned outputs, shared by every run of this call.
+        first = decoder.spec.prefill_len - 1 - start
+        newest, full = slab[:, :, first : first + decoder.spec.steps + 1], [None] * decoder.layers
     else:
         decoder, steps = None, checked_steps(source)
 
@@ -456,7 +433,8 @@ def run_decodes(source, runs) -> list[RunReport]:
             full_length=int(full_tags.size),
             per_step=run.per_step,
             bytes_cached=run.bytes_cached,
-            recon_error=[] if decoder is None else _recon_error(decoder, run.kept, run.smoothing),
+            recon_error=[] if decoder is None else _recon_error(decoder, newest, full, run.kept,
+                                                                run.smoothing),
             retained_ids=[ids.copy() for ids in run.retained],
             retained_tags=[full_tags[ids] for ids in run.retained],
         )
@@ -464,35 +442,37 @@ def run_decodes(source, runs) -> list[RunReport]:
     ]
 
 
-def _recon_error(decoder, kept: list[list[np.ndarray]], smoothing: float) -> list[float]:
+def _recon_error(decoder, newest: np.ndarray, full: list, kept: list[list[np.ndarray]],
+                 smoothing: float) -> list[float]:
     """Each step's mean over layers of ||full attention output - pruned
     output|| for the newest query, heads concatenated.
 
     kept[step][layer] holds the ids that layer retained after that step; a
-    run's steps are the decoder's, in order.
+    run's steps are the decoder's, in order. newest[layer] holds each
+    step's newest-query logits over every key, and full[layer] the layer's
+    unpruned outputs, or None until some run scores a step there.
     """
     errors = np.zeros((len(kept), decoder.layers))
     for layer in range(decoder.layers):
-        errors[:, layer] = _layer_errors(decoder, layer, [ids[layer] for ids in kept], smoothing)
+        errors[:, layer] = _layer_errors(decoder, newest, full, layer,
+                                         [ids[layer] for ids in kept], smoothing)
     return errors.mean(axis=1).tolist()
 
 
-def _layer_errors(decoder, layer: int, kept: list[np.ndarray], smoothing: float) -> np.ndarray:
+def _layer_errors(decoder, newest: np.ndarray, full: list, layer: int, kept: list[np.ndarray],
+                  smoothing: float) -> np.ndarray:
     """One layer's error at every step, kept[step] being its retained ids.
 
     A step that keeps every key under smoothing 0 is not computed: kept ids
     are unique, so its pruned output is the full output and its error is
     exactly 0.0, which computing it could miss, since numpy's sums depend
-    on buffer alignment. Every other step is scored in chunks of steps:
-    the newest query's logits over each step's kept ids are gathered into
-    one (heads, steps, width) array, padded with -inf up to the largest
-    kept count so pads weigh 0, weighed by one smoothed softmax and
-    multiplied by the gathered values in one batched matmul.
+    on buffer alignment. Both sides of every other step come from _outputs;
+    the full side keeps every key under smoothing 0, once per layer.
     """
-    spec = decoder.spec
+    lengths = decoder.spec.prefill_len + np.arange(len(kept))
     counts = np.array([ids.size for ids in kept])
     if smoothing == 0.0:
-        scored = np.flatnonzero(counts < spec.prefill_len + np.arange(len(kept)))
+        scored = np.flatnonzero(counts < lengths)
         # The same refusal the softmax makes for an empty row, which a padded
         # row would otherwise turn into NaN.
         if not counts[scored].all():
@@ -502,23 +482,44 @@ def _layer_errors(decoder, layer: int, kept: list[np.ndarray], smoothing: float)
     errors = np.zeros(len(kept))
     if scored.size == 0:
         return errors
-    full = decoder.full_outputs(layer)
-    logits = decoder.newest_logits(layer)
     values = decoder.values(layer, slice(None))
-    heads, width = spec.heads, int(counts[scored].max())
-    for chunk in _chunks(scored.size, width * (3 * heads + spec.head_dim + 1)):
-        steps = scored[chunk]
-        pads = np.arange(width) >= counts[steps, None]
+    if full[layer] is None:
+        every = [np.arange(length) for length in lengths]
+        full[layer] = _outputs(newest[layer], values, every, np.arange(len(kept)), 0.0)
+    diff = full[layer][scored] - _outputs(newest[layer], values, kept, scored, smoothing)
+    errors[scored] = np.sqrt(np.einsum("shd,shd->s", diff, diff))
+    return errors
+
+
+def _outputs(logits: np.ndarray, values: np.ndarray, kept: list[np.ndarray], steps: np.ndarray,
+             smoothing: float) -> np.ndarray:
+    """Attention outputs (steps.size, heads, head_dim) of the newest query
+    at each of steps over its kept keys, kept[step] being their ids.
+
+    logits (heads, all steps, keys) holds each step's newest-query logits
+    and values every key's value. In each chunk of steps the logits over
+    the kept ids are gathered into one (heads, steps, width) array, padded
+    with -inf up to the largest kept count so pads weigh 0, weighed by one
+    smoothed softmax and multiplied by the gathered values in one batched
+    matmul.
+    """
+    heads, head_dim = logits.shape[0], values.shape[1]
+    counts = np.array([kept[step].size for step in steps])
+    width = int(counts.max())
+    out = np.empty((steps.size, heads, head_dim))
+    for chunk in _chunks(steps.size, width * (3 * heads + head_dim + 1)):
+        rows = steps[chunk]
+        pads = np.arange(width) >= counts[chunk, None]
         cols = np.zeros(pads.shape, dtype=np.intp)
-        cols[~pads] = np.concatenate([kept[step] for step in steps])
-        gathered = logits[:, steps[:, None], cols]
+        cols[~pads] = np.concatenate([kept[step] for step in rows])
+        gathered = logits[:, rows[:, None], cols]
         gathered[:, pads] = -np.inf
         # The steps checked these logits and the smoothing.
-        weights = _smoothed_softmax_rows(gathered.reshape(heads * steps.size, width), smoothing)
-        weights = weights.reshape(heads, steps.size, width).transpose(1, 0, 2)
-        diff = full[steps] - weights @ values[cols]
-        errors[steps] = np.sqrt(np.einsum("shd,shd->s", diff, diff))
-    return errors
+        weights = _smoothed_softmax_rows(gathered.reshape(heads * rows.size, width), smoothing)
+        weights = weights.reshape(heads, rows.size, width).transpose(1, 0, 2)
+        # take copies what values[cols] would, in about 2/3 of its time here.
+        out[chunk] = weights @ values.take(cols, axis=0)
+    return out
 
 
 def record_trace(spec: SynthSpec, obs_window: int) -> AttentionTrace:
@@ -527,10 +528,6 @@ def record_trace(spec: SynthSpec, obs_window: int) -> AttentionTrace:
     Each step holds its own writable copy of its blocks, not a view of the
     decoder's slab, so editing one recorded step changes no other.
     """
-    if not (isinstance(obs_window, numbers.Integral) and obs_window >= 1):
-        raise ValueError(f"obs_window must be an integer >= 1, got {obs_window!r}")
-    # A Python int: the decoder's index arithmetic would overflow a uint8.
-    obs_window = int(obs_window)
     decoder = SyntheticDecoder(spec)
     return AttentionTrace(
         layers=spec.layers,

@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import math
+import re
 import sys
 import tracemalloc
 import warnings
@@ -57,18 +58,28 @@ def record_keeps(monkeypatch, policy):
     return keeps
 
 
-def record_full_outputs(monkeypatch):
-    """Wrap SyntheticDecoder.full_outputs; the returned list collects every
-    array it returns, in call order."""
-    outputs = []
-    original = SyntheticDecoder.full_outputs
+def record_outputs(monkeypatch):
+    """Wrap simulator._outputs, which computes both sides of the
+    reconstruction error; the returned list collects (kept, steps,
+    smoothing, outputs) for every call, in call order."""
+    calls = []
+    original = simulator._outputs
 
-    def recorded(self, layer):
-        outputs.append(original(self, layer))
-        return outputs[-1]
+    def recorded(logits, values, kept, steps, smoothing):
+        calls.append((kept, steps, smoothing, original(logits, values, kept, steps, smoothing)))
+        return calls[-1][-1]
 
-    monkeypatch.setattr(SyntheticDecoder, "full_outputs", recorded)
-    return outputs
+    monkeypatch.setattr(simulator, "_outputs", recorded)
+    return calls
+
+
+def keeps_every_key(call, spec):
+    """Whether an _outputs call is the unpruned side: every step of spec
+    keeping every live key under smoothing 0."""
+    kept, steps, smoothing, _ = call
+    lengths = spec.prefill_len + np.arange(spec.steps + 1)
+    return (smoothing == 0.0 and np.array_equal(steps, np.arange(spec.steps + 1))
+            and all(np.array_equal(kept[step], np.arange(n)) for step, n in enumerate(lengths)))
 
 
 class TestSynthSpec:
@@ -200,6 +211,25 @@ class TestSyntheticDecoder:
         with pytest.raises(ValueError, match="read-only"):
             step.blocks[0, 0, 0, 0] = 1.0
 
+    @pytest.mark.parametrize("obs_window", [0, -3, 2.5, np.uint8(3)],
+                             ids=["zero", "negative", "fraction", "uint8"])
+    def test_window_checked_on_entry(self, obs_window):
+        """steps refuses a window that is not an integer >= 1 when called,
+        with record_trace's message, and takes a numpy integer as the
+        Python int it equals, even where the prefill is longer than the
+        integer's dtype can hold."""
+        sizes = dict(steps=2, layers=1, heads=1, head_dim=4)
+        if isinstance(obs_window, np.integer):
+            spec = SynthSpec(text_len=200, visual_len=200, **sizes)
+            fresh = SyntheticDecoder(spec).steps(int(obs_window))
+            _assert_steps_bitwise(list(SyntheticDecoder(spec).steps(obs_window)),
+                                  [(step.new_tags.size, step.blocks) for step in fresh])
+        else:
+            decoder = SyntheticDecoder(SynthSpec(text_len=4, visual_len=4, **sizes))
+            with pytest.raises(ValueError, match=r"obs_window must be an integer >= 1, got "
+                                                 + re.escape(repr(obs_window))):
+                decoder.steps(obs_window)
+
 
 def _assert_steps_bitwise(steps, expected):
     """TraceSteps against (added, blocks) pairs, float32 bits compared."""
@@ -243,8 +273,7 @@ class TestStepsOracle:
 
     def test_repeated_steps_equal_a_fresh_decoder(self):
         """One decoder asked for windows 2, 6 and 2 yields what a fresh
-        decoder yields each time: the wider window rebuilds the slab with
-        earlier queries, and the narrower one after it reuses that slab."""
+        decoder yields each time."""
         decoder = SyntheticDecoder(SMALL)
         for obs_window in (2, 6, 2):
             fresh = SyntheticDecoder(SMALL).steps(obs_window)
@@ -312,17 +341,23 @@ class TestRunDecode:
 
     def test_layer_keeping_every_key_reads_the_slab(self, monkeypatch):
         """A layer that keeps every key is scored from its logit block as a
-        view of the decoder's read-only slab, not a copy; a pruned layer
-        from a gathered copy. A step below budget scores nothing."""
-        seen = []
-        score = policies._mass
+        view of the run's read-only slab, not a copy; a pruned layer from a
+        gathered copy. A step below budget scores nothing."""
+        seen, slabs = [], []
+        score, build = policies._mass, SyntheticDecoder.slab
 
         def recorded(logits, select, smoothing):
             seen.append((logits.shape[-1], logits.flags.writeable,
-                         np.shares_memory(logits, decoder._slab)))
+                         np.shares_memory(logits, slabs[0])))
             return score(logits, select, smoothing)
 
+        def built(self, obs_window):
+            slab, start = build(self, obs_window)
+            slabs.append(slab)
+            return slab, start
+
         monkeypatch.setattr(policies, "_mass", recorded)
+        monkeypatch.setattr(SyntheticDecoder, "slab", built)
         decoder = SyntheticDecoder(SMALL)
         cfg = PruneConfig(budget=27, recent=4, obs_window=4, widen_to_budget=True)
         report = run_decode(decoder, "csp", cfg)
@@ -334,6 +369,25 @@ class TestRunDecode:
         full = [(27, False, True)] * SMALL.layers + [(28, False, True)] * SMALL.layers
         pruned = [(28, True, False)] * (SMALL.layers * 2)
         assert seen == full + pruned
+        assert len(slabs) == 1
+
+    def test_a_decoder_keeps_no_state(self):
+        """One decoder run at obs 4, then at the whole prefill, then at obs 4
+        again reports what a fresh decoder does each time, and after every
+        run holds exactly the attributes, as the same objects, that
+        __init__ set."""
+        decoder = SyntheticDecoder(SMALL)
+        initial = dict(vars(decoder))
+        for obs_window in (4, SMALL.prefill_len, 4):
+            cfg = PruneConfig(budget=14, recent=4, obs_window=obs_window, widen_to_budget=True)
+            got = run_decode(decoder, "csp", cfg)
+            want = run_decode(SyntheticDecoder(SMALL), "csp", cfg)
+            assert got.recon_error == want.recon_error
+            assert got.per_step == want.per_step
+            for a, b in zip(got.retained_ids, want.retained_ids, strict=True):
+                np.testing.assert_array_equal(a, b)
+            assert vars(decoder).keys() == initial.keys()
+            assert all(vars(decoder)[name] is value for name, value in initial.items())
 
 
 class TestScriptedTrace:
@@ -962,8 +1016,8 @@ class TestBatchedReconstruction:
         layer_errors = {}
         original = simulator._layer_errors
 
-        def recorded(decoder, layer, kept, smoothing):
-            layer_errors[layer] = (kept, original(decoder, layer, kept, smoothing))
+        def recorded(decoder, newest, full, layer, kept, smoothing):
+            layer_errors[layer] = (kept, original(decoder, newest, full, layer, kept, smoothing))
             return layer_errors[layer][1]
 
         with mock.patch.object(simulator, "_layer_errors", recorded), \
@@ -1004,15 +1058,17 @@ class TestBatchedReconstruction:
         cfg = PruneConfig(budget=budget_for_fraction(0.5, spec.final_len, 8), recent=8,
                           obs_window=8)
         decoder = SyntheticDecoder(spec)
-        kept = []
+        calls = []
         original = simulator._recon_error
         with mock.patch.object(simulator, "_recon_error",
-                               lambda dec, steps, n: kept.append(steps) or [0.0]):
+                               lambda *args: calls.append(args) or [0.0]):
             run_decode(decoder, "csp", cfg)
+        [(_, newest, full, kept, smoothing)] = calls
+        assert full == [None] * spec.layers
         with mock.patch.object(simulator, "RECON_CHUNK_FLOATS", chunk_floats):
             tracemalloc.start()
             try:
-                original(decoder, kept[0], cfg.smoothing)
+                original(decoder, newest, full, kept, smoothing)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -1192,46 +1248,28 @@ class TestSweep:
 
     def test_one_full_side_per_layer(self, monkeypatch):
         """The unpruned side of the reconstruction error depends only on the
-        decoder and the layer, so a sweep computes one read-only
-        (steps + 1, heads, head_dim) array per layer, whatever the grid
-        size, and every run reads that same array."""
-        outputs = record_full_outputs(monkeypatch)
+        decoder and the layer, so a sweep computes one (steps + 1, heads,
+        head_dim) array per layer, whatever the grid size, with the same
+        routine as the pruned side, keeping every key under smoothing 0."""
+        calls = record_outputs(monkeypatch)
         sweep("budget_fraction", [0.3, 0.6, 0.45], SMALL, self.CFG, "csp")
-        assert len(outputs) == 3 * SMALL.layers
-        assert len({id(out) for out in outputs}) == SMALL.layers
-        for out in outputs:
+        full = [call for call in calls if keeps_every_key(call, SMALL)]
+        assert len(full) == SMALL.layers
+        assert len(calls) == SMALL.layers + 3 * SMALL.layers
+        for *_, out in full:
             assert out.shape == (SMALL.steps + 1, SMALL.heads, SMALL.head_dim)
-            assert not out.flags.writeable
-
-    def test_rebuilt_slab_recomputes_full_outputs(self):
-        """A larger obs window rebuilds the slab and drops the full outputs
-        computed from the old one; the rebuilt decoder then holds and
-        reports what a fresh decoder at that window does."""
-        narrow = self.CFG
-        wide = self.CFG.with_updates(obs_window=SMALL.prefill_len)
-        decoder = SyntheticDecoder(SMALL)
-        run_decode(decoder, "csp", narrow)
-        before = [decoder.full_outputs(layer) for layer in range(SMALL.layers)]
-        rebuilt = run_decode(decoder, "csp", wide)
-        fresh_decoder = SyntheticDecoder(SMALL)
-        fresh = run_decode(fresh_decoder, "csp", wide)
-        assert rebuilt.recon_error == fresh.recon_error
-        for layer, old in enumerate(before):
-            new = decoder.full_outputs(layer)
-            assert new is not old
-            np.testing.assert_array_equal(new, fresh_decoder.full_outputs(layer))
 
     def test_full_run_computes_no_reconstruction(self, monkeypatch):
         """A full run keeps every key under smoothing 0 on every layer, so
         each of its errors is exactly 0.0 and none is computed: neither
-        the unpruned side nor any softmax."""
-        outputs = record_full_outputs(monkeypatch)
+        side of any step, and no softmax."""
+        calls = record_outputs(monkeypatch)
         softmaxes = []
         monkeypatch.setattr(simulator, "_smoothed_softmax_rows",
                             lambda *args: softmaxes.append(args))
         rows = sweep("budget_fraction", [0.3, 0.6], SMALL, self.CFG, "full")
         assert all(report.recon_error == [0.0] * (SMALL.steps + 1) for _, report in rows)
-        assert outputs == [] and softmaxes == []
+        assert calls == [] and softmaxes == []
 
     def test_bad_axis(self):
         with pytest.raises(ValueError, match="axis"):
