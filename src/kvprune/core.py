@@ -64,6 +64,17 @@ def as_real(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+def as_count(value, name: str, least: int = 0) -> int:
+    """value as a Python int, for the count argument `name`: ValueError
+    naming it unless value is an integer (numbers.Integral, so not an
+    integral float) of at least `least`. Every count goes through here, so
+    none carries a numpy dtype into index or size arithmetic, where a uint8
+    count would overflow."""
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def tag_counts(tags) -> tuple[int, int]:
     """(text_count, visual_count) for a tag sequence."""
     return _tag_counts(as_tags(tags))
@@ -114,13 +125,18 @@ class PruneConfig:
 
     def __post_init__(self):
         validate_config(self)
-        # Plain Python numbers from here on: a numpy scalar would carry its
-        # dtype into the kernels' arithmetic, where a uint8 count overflows
-        # and a float32 ratio rounds coarser.
+        # Plain Python numbers from here on, as as_count gives every count:
+        # a float32 ratio would round coarser in the kernels' arithmetic.
         for name in ("budget", "recent", "obs_window", "seed"):
             object.__setattr__(self, name, int(getattr(self, name)))
         for name in ("cross_ratio", "smoothing", "recency_bias"):
             object.__setattr__(self, name, float(getattr(self, name)))
+
+    @property
+    def pool(self) -> int:
+        """The budget - recent tokens available for scored retention, at
+        least 1 by validate_config."""
+        return self.budget - self.recent
 
     def with_updates(self, **kwargs) -> "PruneConfig":
         return replace(self, **kwargs)
@@ -129,23 +145,20 @@ class PruneConfig:
 def validate_config(cfg: PruneConfig) -> PruneConfig:
     """Check every PruneConfig invariant; raise on the first violation.
 
-    The counts budget, recent, obs_window and seed must be integers
-    (numbers.Integral), not integral floats. recency_bias times obs_window
-    must be at most half the largest float: a key's column mass is at most
-    the obs_window rows that vote for it, so every biased score is then
-    finite, with room to spare for rounding. Idempotent: validating an
-    already valid config returns it unchanged.
+    The counts budget (>= 1), recent (>= 0) and obs_window (>= 1) are
+    checked by as_count; seed is only recorded, so it may be any integer.
+    recency_bias times obs_window must be at most half the largest float:
+    a key's column mass is at most the obs_window rows that vote for it,
+    so every biased score is then finite, with room to spare for rounding.
+    Idempotent: validating an already valid config returns it unchanged.
     """
-    if not (isinstance(cfg.budget, numbers.Integral) and cfg.budget > 0):
-        raise ValueError(f"budget must be a positive integer, got {cfg.budget}")
-    if not (isinstance(cfg.recent, numbers.Integral) and cfg.recent >= 0):
-        raise ValueError(f"recent must be a non-negative integer, got {cfg.recent}")
-    if cfg.recent >= cfg.budget:
+    budget = as_count(cfg.budget, "budget", 1)
+    recent = as_count(cfg.recent, "recent")
+    if recent >= budget:
         raise ValueError(
             f"recent must be smaller than budget, got recent={cfg.recent} budget={cfg.budget}"
         )
-    if not (isinstance(cfg.obs_window, numbers.Integral) and cfg.obs_window >= 1):
-        raise ValueError(f"obs_window must be a positive integer, got {cfg.obs_window}")
+    obs_window = as_count(cfg.obs_window, "obs_window", 1)
     if not 0.0 <= cfg.cross_ratio <= 1.0:
         raise ValueError(f"cross_ratio must lie in [0, 1], got {cfg.cross_ratio}")
     if not 0.0 <= as_real(cfg.smoothing) < np.inf:
@@ -154,7 +167,7 @@ def validate_config(cfg: PruneConfig) -> PruneConfig:
     if not 0.0 < recency_bias < np.inf:
         raise ValueError(f"recency_bias must be finite and > 0, got {cfg.recency_bias}")
     # An int compared with a Python float, which is exact for any int.
-    if cfg.obs_window > sys.float_info.max / 2 / recency_bias:
+    if obs_window > sys.float_info.max / 2 / recency_bias:
         raise ValueError(
             f"recency_bias times obs_window must be at most {sys.float_info.max / 2:.4g}, "
             f"got {cfg.recency_bias} * {cfg.obs_window}"

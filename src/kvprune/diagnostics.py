@@ -11,13 +11,12 @@ ln 2).
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_real
+from .core import as_count, as_real
 from .scoring import _smoothed_softmax_rows
 from .traceio import AttentionTrace, checked_steps
 
@@ -127,8 +126,7 @@ def kde(samples, bandwidth: float | None = None, grid_points: int = GRID_POINTS)
         h = as_real(bandwidth)
         if not 0 < h < math.inf:
             raise ValueError(f"bandwidth must be finite and positive, got {bandwidth}")
-    if not (isinstance(grid_points, numbers.Integral) and grid_points >= 2):
-        raise ValueError(f"grid_points must be an integer >= 2, got {grid_points}")
+    grid_points = as_count(grid_points, "grid_points", 2)
 
     # Python floats, so an overflow here is an inf to test, not a warning.
     lo, hi = float(samples[0]) - 4 * h, float(samples[-1]) + 4 * h
@@ -184,8 +182,9 @@ def js_divergence(
     """
     p = _clean_samples(p_samples, "p_samples")
     q = _clean_samples(q_samples, "q_samples")
-    if not (isinstance(bins, numbers.Integral) and 2 <= bins <= MAX_BINS):
-        raise ValueError(f"bins must be an integer in [2, {MAX_BINS}], got {bins}")
+    bins = as_count(bins, "bins", 2)
+    if bins > MAX_BINS:
+        raise ValueError(f"bins must be at most {MAX_BINS}, got {bins}")
     # Each histogram sums to its sample count plus bins * epsilon; once that
     # overflows, normalizing gives NaN. Dividing instead of multiplying
     # keeps a huge integer bins from overflowing the check itself.
@@ -240,18 +239,9 @@ def modality_weight_samples(
     (window row, key) splits the result. A trace with no steps has
     nothing to sample, which is a ValueError.
     """
-    if not isinstance(recent, numbers.Integral):
-        raise ValueError(f"recent must be an integer, got {recent!r}")
-    if recent < 0:
-        raise ValueError("recent must be >= 0")
+    recent = as_count(recent, "recent")
     if obs_window is not None:
-        if not isinstance(obs_window, numbers.Integral):
-            raise ValueError(f"obs_window must be an integer, got {obs_window!r}")
-        if obs_window < 1:
-            raise ValueError(f"obs_window must be >= 1, got {obs_window}")
-        obs_window = int(obs_window)
-    # A Python int: the index arithmetic below would overflow a uint8 count.
-    recent = int(recent)
+        obs_window = as_count(obs_window, "obs_window", 1)
     full_tags = trace.full_tags
     intra: list[np.ndarray] = []
     inter: list[np.ndarray] = []

@@ -230,7 +230,7 @@ def _global_topk_step(key_tags, mass, cfg: PruneConfig, state, options):
     cand = key_tags.size - cfg.recent
     columns = mass()
     importance = _pooled(columns[0, :cand] + columns[1, :cand], options["pool_width"])
-    pool = max(cfg.budget - cfg.recent, 0)
+    pool = cfg.pool
     return (*_pruned(key_tags, cfg, _topk_mask(importance, pool), (pool, pool)), None)
 
 
@@ -258,7 +258,7 @@ def _accumulated_score_step(key_tags, mass, cfg: PruneConfig, state, options):
     if key_tags.size < cfg.budget:
         return (*_noop(key_tags, cfg), running)
     cand = key_tags.size - cfg.recent
-    pool = max(cfg.budget - cfg.recent, 0)
+    pool = cfg.pool
     keep, decision = _pruned(key_tags, cfg, _topk_mask(running[:cand], pool), (pool, pool))
     return keep, decision, running[keep]
 

@@ -24,11 +24,9 @@ float32 logits as from their float64 copy.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
-from .core import as_real
+from .core import as_count, as_real
 
 
 def _as_matrix(x, name: str) -> np.ndarray:
@@ -40,24 +38,16 @@ def _as_matrix(x, name: str) -> np.ndarray:
     return x
 
 
-def attention_logits(queries, keys, head_dim: int | None = None) -> np.ndarray:
-    """Scaled dot-product logits, shape (n_queries, n_keys).
-
-    head_dim sets the 1/sqrt(d) scale; by default it is the shared inner
-    dimension, but it can be overridden (useful when vectors are padded or
-    the scale is calibrated separately).
-    """
+def attention_logits(queries, keys) -> np.ndarray:
+    """Scaled dot-product logits, shape (n_queries, n_keys), at the
+    1/sqrt(d) scale of the shared inner dimension d."""
     queries = _as_matrix(queries, "queries")
     keys = _as_matrix(keys, "keys")
     if queries.shape[1] != keys.shape[1]:
         raise ValueError(
             f"queries and keys disagree on inner dimension: {queries.shape[1]} vs {keys.shape[1]}"
         )
-    if head_dim is None:
-        head_dim = queries.shape[1]
-    if head_dim <= 0:
-        raise ValueError(f"head_dim must be positive, got {head_dim}")
-    return queries @ keys.T / np.sqrt(float(head_dim))
+    return queries @ keys.T / np.sqrt(float(queries.shape[1]))
 
 
 def softmax_rows(logits) -> np.ndarray:
@@ -165,12 +155,8 @@ def trim_observation(weights, obs_window: int, recent: int) -> np.ndarray:
     """
     weights = _as_matrix(weights, "weights")
     rows, cols = weights.shape
-    if not (isinstance(obs_window, numbers.Integral) and obs_window >= 1):
-        raise ValueError(f"obs_window must be an integer >= 1, got {obs_window}")
-    if not (isinstance(recent, numbers.Integral) and recent >= 0):
-        raise ValueError(f"recent must be an integer >= 0, got {recent}")
+    obs_window = as_count(obs_window, "obs_window", 1)
+    recent = as_count(recent, "recent")
     if recent >= cols:
         raise ValueError(f"recent window ({recent}) swallows every key column ({cols})")
-    # Python ints: index arithmetic on a uint8 count would overflow.
-    keep_rows = min(int(obs_window), rows)
-    return weights[rows - keep_rows :, : cols - int(recent)]
+    return weights[rows - min(obs_window, rows) :, : cols - recent]

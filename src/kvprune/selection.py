@@ -8,23 +8,26 @@ or evict a recent token.
 
 `topk_mask` and `cross_self_select` check their scores and then call the
 unchecked kernels `_topk_mask` and `_cross_self_select`, which the
-policies call directly on the column mass they scored. Widening finds its
-pool size by bisection inside a computed bracket: from the nominal pool
-to `_widening_stop`, a pool size at which every constrained ranking
-selects every candidate. That takes about log2((cand + 1) / min(ratio,
-1 - ratio)) intersection counts a call: 115 over the 18 widening
-searches of perfbench's replay-widen compare at seed 7, where doubling
-up from the pool took 274.
+policies call directly on the column mass they scored. Both the nominal
+split and every widened one come from `_split`, and the pool is
+`PruneConfig.pool`. A zero share is plain top-k: the other ranking then
+holds the whole pool, and its top pool candidates are the selection.
+Otherwise widening finds its pool size with the stdlib bisection inside a
+computed bracket: from the nominal pool to `_widening_stop`, a pool size
+at which both rankings select every candidate. That takes about
+log2((cand + 1) / min(ratio, 1 - ratio)) intersection counts a call: 115
+over the 18 widening searches of perfbench's replay-widen compare at seed
+7, where doubling up from the pool took 274.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-import numbers
 
 import numpy as np
 
-from .core import PruneConfig
+from .core import PruneConfig, as_count
 from .decompose import ImportanceScores
 
 
@@ -49,10 +52,7 @@ def topk_mask(scores, k: int) -> np.ndarray:
 
     k = 0 selects nothing, k >= len(scores) selects everything.
     """
-    scores = _checked_scores(scores)
-    if not (isinstance(k, numbers.Integral) and k >= 0):
-        raise ValueError(f"k must be an integer >= 0, got {k}")
-    return _topk_mask(scores, k)
+    return _topk_mask(_checked_scores(scores), as_count(k, "k"))
 
 
 def _topk_mask(scores: np.ndarray, k: int) -> np.ndarray:
@@ -77,20 +77,25 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def _split(t: int, ratio: float) -> tuple[int, int]:
+    """The (intra, inter) split of a pool of t: round_half_up(ratio * t) to
+    the inter ranking, the rest to intra."""
+    k_inter = _round_half_up(ratio * t)
+    return t - k_inter, k_inter
+
+
 def budget_to_k(cfg: PruneConfig, candidate_count: int) -> tuple[int, int]:
     """Split the selection pool between the intra and inter rankings.
 
-    pool = budget - recent tokens are available for scored retention;
+    cfg.pool = budget - recent tokens are available for scored retention;
     cross_ratio of them go to the inter ranking, the rest to intra. Both
     are capped at the candidate count. A zero share is possible at the
-    ratio extremes and is interpreted by cross_self_select as "that
-    ranking imposes no constraint".
+    ratio extremes, and cross_self_select then ranks by the other side
+    alone.
     """
     if candidate_count < 0:
         raise ValueError(f"candidate_count must be >= 0, got {candidate_count}")
-    pool = max(cfg.budget - cfg.recent, 0)
-    k_inter = _round_half_up(cfg.cross_ratio * pool)
-    k_intra = pool - k_inter
+    k_intra, k_inter = _split(cfg.pool, cfg.cross_ratio)
     return min(k_intra, candidate_count), min(k_inter, candidate_count)
 
 
@@ -105,46 +110,20 @@ def _biased(scores: ImportanceScores, cfg: PruneConfig) -> tuple[np.ndarray, np.
     return scores.intra * bias, scores.inter * bias
 
 
-def _effective_ks(t: int, cand: int, ratio: float, free_intra: bool,
-                  free_inter: bool) -> tuple[int, int]:
-    """The (intra, inter) top-k sizes at pool size t: the budget_to_k split
-    of t, capped at cand, except that a free side (one whose nominal
-    allocation is zero) selects all cand candidates."""
-    k_inter = _round_half_up(ratio * t)
-    return (
-        cand if free_intra else min(t - k_inter, cand),
-        cand if free_inter else min(k_inter, cand),
-    )
-
-
-def _widening_stop(cand: int, pool: int, ratio: float, free_intra: bool,
-                   free_inter: bool) -> int:
-    """A pool size t >= pool at which every constrained side selects all
-    cand candidates, so that widening stops there at the latest.
+def _widening_stop(cand: int, pool: int, ratio: float) -> int:
+    """A pool size t >= pool at which both sides of a split with nonzero
+    nominal shares select all cand candidates, so that widening stops
+    there at the latest.
 
     The inter k, round_half_up(ratio * t), reaches cand once ratio * t >=
     cand - 1/2, and the intra k, t minus that, once (1 - ratio) * t >= cand
     + 1/2. So t = (cand + 1) / share is enough for a side whose share of
     the pool is share; the spare half candidate absorbs the rounding of
-    ratio * t below t = 2**52. A constrained side has a nominal k of at
-    least 1, so its share exceeds 1 / (2 * pool), and the stop is below
-    2 * (cand + 1) * pool + 1.
+    ratio * t below t = 2**52. Each side has a nominal k of at least 1, so
+    its share exceeds 1 / (2 * pool), and the stop is below 2 * (cand + 1)
+    * pool + 1.
     """
-    shares = [share for share, free in ((1.0 - ratio, free_intra), (ratio, free_inter))
-              if not free]
-    return max(pool, math.ceil((cand + 1) / min(shares)))
-
-
-def _first_true(pred, lo: int, hi: int) -> int:
-    """Smallest t in [lo, hi] with pred(t), for pred monotone in t and true
-    at hi: bisection, ceil(log2(hi - lo + 1)) probes, none of them at hi."""
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return max(pool, math.ceil((cand + 1) / min(ratio, 1.0 - ratio)))
 
 
 def cross_self_select(scores: ImportanceScores, cfg: PruneConfig) -> np.ndarray:
@@ -152,27 +131,26 @@ def cross_self_select(scores: ImportanceScores, cfg: PruneConfig) -> np.ndarray:
 
     Returns the surviving candidate positions in ascending order. A
     candidate survives only if both rankings select it, so the selection is
-    usually smaller than the pool. A ranking whose allocation is zero
-    (cross_ratio 0 or 1) is treated as unconstrained rather than as an
-    empty veto, which is what makes the ratio extremes mean pure-intra /
-    pure-inter selection.
+    usually smaller than the pool. A zero share is plain top-k: when one
+    ranking's nominal k is 0 (always at cross_ratio 0 or 1), the other
+    holds the whole pool, and the selection is its top pool candidates,
+    widened or not, since that already reaches min(pool, candidates).
 
     With widen_to_budget the pool size t grows from the nominal pool, both
-    k values following the budget_to_k split of t (ratio preserved, capped
-    at the candidate count), and the result is the selection at the
-    smallest t where the intersection reaches the pool or both rankings
-    select every candidate. A side that started unconstrained stays
-    unconstrained.
+    k values following the budget_to_k split of t (ratio preserved), and
+    the result is the selection at the smallest t where the intersection
+    reaches the pool or both rankings select every candidate.
 
     Each ranking is sorted once: its top-k set is rank < k, so the
-    selection at any t is one vectorised comparison. round_half_up(ratio *
-    t) rises by 0 or 1 per unit of t, so both k values, and with them the
-    intersection size, never shrink as t grows. The search bisects between
-    the pool and `_widening_stop`, a t of about (cand + 1) / min(ratio,
-    1 - ratio) at which every constrained ranking selects every candidate,
-    so it counts the intersection about log2 of that many times. A call costs two stable
-    sorts plus those counts, instead of re-sorting once per unit of
-    widening.
+    selection at any t is one vectorised comparison, and a k past the
+    candidate count selects what the count does. round_half_up(ratio * t)
+    rises by 0 or 1 per unit of t, so both k values, and with them the
+    intersection size, never shrink as t grows. The stdlib bisection
+    searches from the pool to `_widening_stop`, a t of about (cand + 1) /
+    min(ratio, 1 - ratio) at which both rankings select every candidate,
+    so it counts the intersection about log2 of that many times. A call
+    costs two stable sorts plus those counts, instead of re-sorting once
+    per unit of widening.
 
     The scores must be finite after the recency bias, since a finite score
     times a finite bias can still overflow; a column mass cannot, because
@@ -190,23 +168,25 @@ def cross_self_select(scores: ImportanceScores, cfg: PruneConfig) -> np.ndarray:
 def _cross_self_select(scores: ImportanceScores, cfg: PruneConfig) -> np.ndarray:
     """cross_self_select on 1-D float64 scores of at least one candidate,
     finite after the recency bias, unchecked."""
-    cand = len(scores)
+    cand, pool = len(scores), cfg.pool
     intra, inter = _biased(scores, cfg)
+    k_intra, k_inter = _split(pool, cfg.cross_ratio)
+    if k_intra == 0:
+        return _topk_mask(inter, pool)
+    if k_inter == 0:
+        return _topk_mask(intra, pool)
     intra_rank, inter_rank = _ranks(intra), _ranks(inter)
-    k_intra, k_inter = budget_to_k(cfg, cand)
-    # Effective k: a zero allocation selects everything instead of nothing.
-    free = (k_intra == 0, k_inter == 0)
 
     def selected(t: int) -> np.ndarray:
-        eff_intra, eff_inter = _effective_ks(t, cand, cfg.cross_ratio, *free)
-        return (intra_rank < eff_intra) & (inter_rank < eff_inter)
+        k_intra, k_inter = _split(t, cfg.cross_ratio)
+        return (intra_rank < k_intra) & (inter_rank < k_inter)
 
-    pool = max(cfg.budget - cfg.recent, 0)
     t = pool
     if cfg.widen_to_budget:
-        # At the stop every side selects every candidate, which is at least
-        # the target, so the predicate holds there without a count.
+        # At the stop both sides select every candidate, which is at least
+        # the target, so the search takes it as true without a count.
         target = min(pool, cand)
-        t = _first_true(lambda t: np.count_nonzero(selected(t)) >= target, pool,
-                        _widening_stop(cand, pool, cfg.cross_ratio, *free))
+        stop = _widening_stop(cand, pool, cfg.cross_ratio)
+        t = pool + bisect.bisect_left(
+            range(pool, stop), True, key=lambda t: np.count_nonzero(selected(t)) >= target)
     return np.flatnonzero(selected(t))

@@ -51,7 +51,6 @@ error.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import partial
 
@@ -62,6 +61,7 @@ from .core import (
     TEXT_CODE,
     VISUAL_CODE,
     PruneConfig,
+    as_count,
     as_real,
     as_tags,
     tag_counts,
@@ -101,22 +101,13 @@ class SynthSpec:
     spread: float = 1.0
 
     def __post_init__(self):
-        # Plain Python numbers from here on, as in PruneConfig: a uint8
-        # length would overflow in the index arithmetic downstream.
-        for name in ("seed", "text_len", "visual_len", "layers", "heads", "head_dim", "steps"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, int(getattr(self, name)))
-        if self.text_len < 1 or self.visual_len < 1:
-            raise ValueError("text_len and visual_len must both be >= 1")
+        for name, least in (("seed", 0), ("text_len", 1), ("visual_len", 1), ("layers", 1),
+                            ("heads", 1), ("head_dim", 1), ("steps", 0)):
+            object.__setattr__(self, name, as_count(getattr(self, name), name, least))
         if self.interleave not in INTERLEAVE_MODES:
             raise ValueError(
                 f"interleave must be one of {INTERLEAVE_MODES}, got {self.interleave!r}"
             )
-        if self.layers < 1 or self.heads < 1 or self.head_dim < 1:
-            raise ValueError("layers, heads and head_dim must all be >= 1")
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
         shift, spread = as_real(self.shift), as_real(self.spread)
         if not np.isfinite(shift):
             raise ValueError(f"shift must be finite, got {self.shift}")
@@ -216,11 +207,9 @@ class SyntheticDecoder:
         max(prefill_len - obs_window, 0), the first query any step observes:
         row i holds query r0 + i over every key. It takes one logit_block
         call per layer."""
-        if not (isinstance(obs_window, numbers.Integral) and obs_window >= 1):
-            raise ValueError(f"obs_window must be an integer >= 1, got {obs_window!r}")
+        obs_window = as_count(obs_window, "obs_window", 1)
         spec = self.spec
-        # A Python int: the index arithmetic would overflow a uint8.
-        start = max(spec.prefill_len - int(obs_window), 0)
+        start = max(spec.prefill_len - obs_window, 0)
         query_ids = np.arange(start, spec.final_len)
         key_ids = np.arange(spec.final_len)
         slab = np.stack([self.logit_block(layer, query_ids, key_ids)
@@ -240,8 +229,8 @@ class SyntheticDecoder:
         steps is called, which also refuses a bad window. Copy a block
         before writing to it.
         """
-        slab, start = self.slab(obs_window)
-        return self._records(slab, start, int(obs_window))
+        obs_window = as_count(obs_window, "obs_window", 1)
+        return self._records(*self.slab(obs_window), obs_window)
 
     def _records(self, slab: np.ndarray, start: int, obs_window: int):
         """The steps' TraceStep records as views of slab, whose first query

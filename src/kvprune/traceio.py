@@ -42,7 +42,6 @@ its array.
 from __future__ import annotations
 
 import io
-import numbers
 import os
 import stat
 import struct
@@ -50,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_tags
+from .core import as_count, as_tags
 
 MAGIC = b"CSPT"
 VERSION = 1
@@ -139,9 +138,8 @@ class AttentionTrace:
 
     def __post_init__(self):
         self.prefill_tags = as_tags(self.prefill_tags)
-        if not all(isinstance(count, numbers.Integral) and count >= 1
-                   for count in (self.layers, self.heads, self.head_dim)):
-            raise ValueError("layers, heads and head_dim must all be integers >= 1")
+        for name in ("layers", "heads", "head_dim"):
+            setattr(self, name, as_count(getattr(self, name), name, 1))
         if self.prefill_tags.size < 1:
             raise ValueError("a trace needs a nonempty prefill")
         length = self.prefill_tags.size

@@ -182,6 +182,15 @@ class TestSimulate:
         assert main([*argv, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_negative_seed(self, tmp_path, trace_path, capsys):
+        """A synthetic decode refuses a negative seed, naming it, before it
+        decodes; a replay only records the seed, so it takes one."""
+        assert main(["simulate", *SPEC_FLAGS, *CFG_FLAGS, "--seed", "-1",
+                     "--out", str(tmp_path / "x.csv")]) == 1
+        assert "error: seed must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert main(["simulate", "--trace", str(trace_path), *CFG_FLAGS, "--seed", "-1",
+                     "--out", str(tmp_path / "replay.csv")]) == 0
+
     def test_bad_budget_fraction(self, tmp_path):
         assert main(["simulate", *SPEC_FLAGS, "--budget", "0",
                      "--out", str(tmp_path / "x.csv")]) == 1

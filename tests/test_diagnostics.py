@@ -453,7 +453,7 @@ class TestModalityWeightSamples:
     @pytest.mark.parametrize("edit, kwargs, match", [
         ("nan", {}, "step 1 layer 1 head 0: non-finite logit nan"),
         ("tag", {}, "modality tags must be 0 .* got 2"),
-        (None, {"obs_window": 0}, "obs_window must be >= 1, got 0"),
+        (None, {"obs_window": 0}, "obs_window must be an integer >= 1, got 0"),
         ("cols", {}, "step 1 blocks cover 16 keys but 17 tokens exist"),
         ("layers", {}, "step 1 has 1x2 blocks, header says 2x2"),
     ])

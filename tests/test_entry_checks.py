@@ -23,7 +23,7 @@ from kvprune.policies import (
 )
 from kvprune.scoring import head_average, smoothed_softmax_rows, trim_observation
 from kvprune.selection import cross_self_select, topk_mask
-from kvprune.simulator import SynthSpec, record_trace
+from kvprune.simulator import SynthSpec, SyntheticDecoder, record_trace
 from kvprune.traceio import AttentionTrace
 
 STEPS = {
@@ -237,3 +237,68 @@ def test_real_check_takes_float32(name):
     call, _, value = REAL_SITES[name]
     call(np.float32(value))
     call(value)
+
+
+SPEC_FIELDS = {"text_len": 4, "visual_len": 4, "layers": 1, "heads": 1, "head_dim": 4,
+               "steps": 2, "seed": 0}
+TRACE_FIELDS = {"layers": 1, "heads": 1, "head_dim": 1}
+
+# Each core.as_count site, as (call taking the count, the count's name, its
+# floor, a value it takes).
+COUNT_SITES = {
+    **{f"config-{name}": (lambda v, name=name: PruneConfig(**{**CONFIG_FIELDS, name: v}),
+                          name, least, 5)
+       for name, least in (("budget", 1), ("recent", 0), ("obs_window", 1))},
+    **{f"synth-spec-{name}": (lambda v, name=name: SynthSpec(**{**SPEC_FIELDS, name: v}),
+                              name, 0 if name in ("steps", "seed") else 1, 3)
+       for name in SPEC_FIELDS},
+    **{f"trace-{name}": (lambda v, name=name: AttentionTrace(**{**TRACE_FIELDS, name: v},
+                                                             prefill_tags=[0]),
+                         name, 1, 3)
+       for name in TRACE_FIELDS},
+    "decoder-slab": (lambda v: SyntheticDecoder(SynthSpec(**SPEC_FIELDS)).slab(v),
+                     "obs_window", 1, 3),
+    "decoder-steps": (lambda v: list(SyntheticDecoder(SynthSpec(**SPEC_FIELDS)).steps(v)),
+                      "obs_window", 1, 3),
+    "trim-obs": (lambda v: trim_observation(WEIGHTS, v, 1), "obs_window", 1, 2),
+    "trim-recent": (lambda v: trim_observation(WEIGHTS, 2, v), "recent", 0, 1),
+    "topk-k": (lambda v: topk_mask(np.arange(5.0), v), "k", 0, 2),
+    "kde-grid-points": (lambda v: kde([0.0, 1.0], grid_points=v), "grid_points", 2, 16),
+    "js-bins": (lambda v: js_divergence([0.0, 0.5], [1.0], v), "bins", 2, 4),
+    "weight-samples-obs": (lambda v: modality_weight_samples(TRACE, obs_window=v),
+                           "obs_window", 1, 2),
+    "weight-samples-recent": (lambda v: modality_weight_samples(TRACE, recent=v),
+                              "recent", 0, 1),
+}
+
+
+def canonical(result):
+    """A comparable form of a result that keeps every number's type and
+    every array's dtype, shape and bytes."""
+    if isinstance(result, np.ndarray):
+        return result.dtype.str, result.shape, result.tobytes()
+    if dataclasses.is_dataclass(result):
+        return canonical(dataclasses.astuple(result))
+    if isinstance(result, (list, tuple)):
+        return tuple(canonical(item) for item in result)
+    return type(result), result
+
+
+@pytest.mark.parametrize("form", [np.uint8, np.int64], ids=["uint8", "int64"])
+@pytest.mark.parametrize("site", COUNT_SITES)
+def test_count_forms_act_as_ints(site, form):
+    """A numpy integer count gives what the int gives, down to the type of
+    every value a result stores: each site keeps its count as a Python int."""
+    call, _, _, value = COUNT_SITES[site]
+    assert canonical(call(form(value))) == canonical(call(value))
+
+
+@pytest.mark.parametrize("site", COUNT_SITES)
+def test_count_refusals_name_the_argument(site):
+    """An integral float, and an integer below the floor, are refused with
+    the one count message."""
+    call, name, least, _ = COUNT_SITES[site]
+    for bad in (2.0, least - 1):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= {least}, "
+                                             rf"got {bad!r}$"):
+            call(bad)

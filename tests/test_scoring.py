@@ -19,13 +19,8 @@ import oracles
 
 class TestAttentionLogits:
     def test_unit_dot(self):
-        out = attention_logits(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]), head_dim=1)
+        out = attention_logits(np.array([[1.0]]), np.array([[1.0]]))
         np.testing.assert_allclose(out, [[1.0]])
-
-    def test_scale_override(self):
-        """The scale divisor is the stated head dimension, not the vector length."""
-        out = attention_logits(np.array([[2.0, 0.0]]), np.array([[2.0, 0.0]]), head_dim=4)
-        np.testing.assert_allclose(out, [[2.0]])
 
     def test_matches_dot_product_oracle(self):
         rng = np.random.default_rng(42)
@@ -40,10 +35,6 @@ class TestAttentionLogits:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             attention_logits(np.zeros((2, 3)), np.zeros((2, 4)))
-
-    def test_bad_head_dim(self):
-        with pytest.raises(ValueError):
-            attention_logits(np.zeros((1, 2)), np.zeros((1, 2)), head_dim=0)
 
 
 class TestSoftmaxRows:

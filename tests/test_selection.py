@@ -1,14 +1,18 @@
 """Tests for top-k selection, budget splitting, and cross-self selection."""
 
+import bisect
+import types
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
+from kvprune import selection
 from kvprune.core import PruneConfig
 from kvprune.decompose import ImportanceScores
 from kvprune.selection import (
     _cross_self_select,
-    _effective_ks,
+    _split,
     _topk_mask,
     _widening_stop,
     budget_to_k,
@@ -340,10 +344,30 @@ class TestKernels:
     @given(st.integers(1, 2000), st.integers(1, 3000), EXTREME_RATIOS)
     def test_every_constrained_side_is_full_at_the_stop(self, cand, pool, ratio):
         """The widening search takes the predicate as true at the stop
-        without probing it: there every side selects every candidate."""
-        cfg = PruneConfig(budget=pool, recent=0, obs_window=1, cross_ratio=ratio)
-        k_intra, k_inter = budget_to_k(cfg, cand)
-        free = (k_intra == 0, k_inter == 0)
-        stop = _widening_stop(cand, pool, ratio, *free)
+        without probing it: there both sides of a split with nonzero
+        nominal shares select every candidate."""
+        assume(min(_split(pool, ratio)) > 0)
+        stop = _widening_stop(cand, pool, ratio)
         assert pool <= stop <= 2 * (cand + 1) * pool + 1
-        assert _effective_ks(stop, cand, ratio, *free) == (cand, cand)
+        assert min(_split(stop, ratio)) >= cand
+
+    def test_widening_probes_are_pinned(self, monkeypatch):
+        """The search's cost. Over a seeded batch of widened selections the
+        pool sizes the bisection counts at are pinned: a bracket wider or
+        narrower than `_widening_stop`'s selects the same candidates but
+        probes other pool sizes."""
+        probes = []
+
+        def recording(a, x, *, key):
+            return bisect.bisect_left(a, x, key=lambda t: probes.append(t) or key(t))
+
+        monkeypatch.setattr(selection, "bisect", types.SimpleNamespace(bisect_left=recording))
+        rng = np.random.default_rng(7)
+        for trial in range(200):
+            cand = int(rng.integers(1, 300))
+            budget = int(rng.integers(2, cand + 60))
+            cfg = PruneConfig(budget=budget, recent=int(rng.integers(0, budget)), obs_window=4,
+                              cross_ratio=(0.01, 0.3, 0.5, 0.99, float(rng.random()))[trial % 5],
+                              widen_to_budget=True)
+            _cross_self_select(scores_from(rng.random(cand), rng.random(cand)), cfg)
+        assert (len(probes), sum(probes)) == (1399, 4603391)

@@ -478,6 +478,22 @@ class TestTraceReplay:
             assert replay.recon_error == []
             assert live.recon_error
 
+    def test_numpy_trace_sizes_act_as_ints(self):
+        """A trace built with numpy integer sizes stores Python ints, so its
+        bytes_cached is what the same trace built with ints gives, with no
+        uint16 wrap-around."""
+        recorded = record_trace(SMALL, 4)
+
+        def built(small, wide):
+            return AttentionTrace(small(recorded.layers), small(recorded.heads), wide(4000),
+                                  recorded.prefill_tags, recorded.steps)
+
+        got, want = built(np.uint8, np.uint16), built(int, int)
+        assert [type(got.layers), type(got.heads), type(got.head_dim)] == [int] * 3
+        cfg = PruneConfig(budget=14, recent=4, obs_window=4)
+        assert run_decode(got, "csp", cfg).bytes_cached == \
+            run_decode(want, "csp", cfg).bytes_cached
+
     def test_record_trace_shapes(self):
         trace = record_trace(SMALL, 4)
         assert trace.final_length == SMALL.final_len
