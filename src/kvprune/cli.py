@@ -69,12 +69,12 @@ def _field(field: str, help: str, choices=None) -> Flag:
 
 
 def _option_flags() -> dict:
-    """A flag per policy option, in table order, with the option's
-    default."""
+    """A flag per policy option, named by its keyword, in table order,
+    with the option's default."""
     flags = {}
     for policy in POLICIES.values():
         for option in policy.options:
-            flags.setdefault(option.flag, Flag(option.default, option.help))
+            flags.setdefault(option.keyword, Flag(option.default, option.help))
     return flags
 
 
@@ -102,7 +102,7 @@ FLAGS = {
                        field="recent"),
         "obs": Flag(32, "query rows per step that vote, are recorded or sampled (analyze: all)",
                     field="obs_window"),
-        "n": _field("smoothing", "smoothing constant added to softmax denominators"),
+        "n": _field("smoothing", "csp: smoothing constant n added to softmax denominators"),
         "recency_bias": _field("recency_bias", "weight on the newest obs-window candidates' scores"),
         "widen": _field("widen_to_budget", "grow top-k sizes until the intersection fills the budget"),
         "seed": _field("seed", "RNG seed of the synthetic decode, recorded with results"),

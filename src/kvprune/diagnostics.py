@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import as_count, as_real
 from .scoring import _smoothed_softmax_rows
-from .traceio import AttentionTrace, checked_steps
+from .traceio import AttentionTrace, checked
 
 DEFAULT_BINS = 64
 # Ceiling on histogram bins: far above any useful resolution, and two
@@ -232,7 +232,7 @@ def modality_weight_samples(
     inter otherwise. Each pool of a layer lists its entries by step, then
     head, then row-major over (window row, key).
 
-    Each step is read through traceio.checked_steps, which checks it once.
+    The trace is read through traceio.checked, which checks it once.
     One softmax kernel call then weighs the window rows of every layer and
     head straight from the float32 logits; the recent keys stay in its
     denominator, and are sliced off after. One same-modality mask over
@@ -242,11 +242,12 @@ def modality_weight_samples(
     recent = as_count(recent, "recent")
     if obs_window is not None:
         obs_window = as_count(obs_window, "obs_window", 1)
+    trace = checked(trace)
     full_tags = trace.full_tags
     intra: list[np.ndarray] = []
     inter: list[np.ndarray] = []
     length = trace.prefill_tags.size
-    for step in checked_steps(trace):
+    for step in trace.steps:
         length += step.new_tags.size
         rows = step.blocks.shape[2]
         window = rows if obs_window is None else min(obs_window, rows)

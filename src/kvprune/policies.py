@@ -8,9 +8,11 @@ module, decide which cached tokens survive a prune:
 * ``accum``        accumulated column sums across steps (H2O-like)
 * ``full``         never evicts (reference)
 
-The baselines are deliberately simplified single-knob reimplementations;
-they exist so modality retention can be compared under one harness, and
-their labels say "-like" to avoid overclaiming fidelity to the originals.
+The baselines are deliberately simplified reimplementations; they exist so
+modality retention can be compared under one harness, and their labels say
+"-like" to avoid overclaiming fidelity to the originals. Like SnapKV and
+H2O, they rank by the plain softmax: only csp, the method under study,
+scores and replays with the n-softmax (cfg.smoothing).
 
 A policy is one kernel and one POLICIES entry. A kernel,
 kernel(key_tags, mass, cfg, state, options) -> (keep, decision, state),
@@ -30,8 +32,8 @@ caller prunes its own per-position data with keep. Kernels never mutate
 their inputs.
 
 An entry names the kernel, lists the options with their defaults and
-checks, and gives smoothing(cfg, options), the one rule for the smoothing
-a run scores and replays with. The CLI's policy choices, help and option
+checks, and gives smoothing(cfg), the one rule for the smoothing a run
+scores and replays with. The CLI's policy choices, help and option
 flags derive from POLICIES, and so does every checked step: policy_step
 checks a step's options, config, tags and logits once, then calls the
 kernel. csp_step, global_topk_step, accumulated_score_step and
@@ -61,7 +63,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import TEXT_CODE, PruneConfig, _tag_counts, as_real, as_tags, validate_config
+from .core import TEXT_CODE, PruneConfig, _tag_counts, as_tags, validate_config
 from .decompose import _decompose
 from .scoring import _shifted_exp
 from .selection import _cross_self_select, _topk_mask, budget_to_k
@@ -268,42 +270,37 @@ def _full_cache_step(key_tags, mass, cfg: PruneConfig, state, options):
     return (*_noop(key_tags, cfg), None)
 
 
-# A keyword option of a policy: the cli.FLAGS entry that sets it, its
-# default, its help there, and the rule its values meet, checked by
-# admits(value).
-Option = namedtuple("Option", "keyword flag default help rule admits")
+# A keyword option of a policy, which the cli.FLAGS entry of the same name
+# sets: its default, its help there, and the rule its values meet, checked
+# by admits(value).
+Option = namedtuple("Option", "keyword default help rule admits")
 
 # A registry entry: the policy's label; the module attribute name of its
 # kernel, looked up at call time so a rebound attribute (a wrapper, a
 # patch) is the one that runs; its options, in the order a sidecar records
-# them; and smoothing(cfg, options), the smoothing constant a run with
-# those checked options scores and replays its retained tokens with.
+# them; and smoothing(cfg), the smoothing constant a run scores and replays
+# its retained tokens with.
 Policy = namedtuple("Policy", "label kernel options smoothing")
 
-_POOL_WIDTH = Option("pool_width", "pool_width", 1,
-                     "global-topk: width of the 1-D max pool over column sums",
+_POOL_WIDTH = Option("pool_width", 1, "global-topk: width of the 1-D max pool over column sums",
                      "must be an integer >= 1",
                      lambda width: isinstance(width, numbers.Integral) and width >= 1)
-_BASELINE_SMOOTHING = Option("smoothing", "baseline_n", 0.0,
-                             "smoothing constant for the baseline policies",
-                             "must be finite and >= 0", lambda n: 0.0 <= as_real(n) < np.inf)
 
 
-def _baseline_smoothing(cfg: PruneConfig, options: dict) -> float:
-    return float(options["smoothing"])
+def _plain_softmax(cfg: PruneConfig) -> float:
+    return 0.0
 
 
-# csp smooths with cfg.smoothing; the baselines with their own smoothing
-# option; the full cache replays with the plain softmax and never scores.
-# The first entry, the method under study, is the CLI's default.
+# csp smooths with cfg.smoothing, its n-softmax; the baselines score and
+# replay with the plain softmax, and the full cache replays with it and
+# never scores. The first entry, the method under study, is the CLI's
+# default.
 POLICIES = {
-    "csp": Policy("csp (cross-self intersection)", "_csp_step", (),
-                  lambda cfg, options: cfg.smoothing),
-    "global-topk": Policy("global-topk (SnapKV-like)", "_global_topk_step",
-                          (_POOL_WIDTH, _BASELINE_SMOOTHING), _baseline_smoothing),
-    "accum": Policy("accum (H2O-like)", "_accumulated_score_step", (_BASELINE_SMOOTHING,),
-                    _baseline_smoothing),
-    "full": Policy("full (no eviction)", "_full_cache_step", (), lambda cfg, options: 0.0),
+    "csp": Policy("csp (cross-self intersection)", "_csp_step", (), lambda cfg: cfg.smoothing),
+    "global-topk": Policy("global-topk (SnapKV-like)", "_global_topk_step", (_POOL_WIDTH,),
+                          _plain_softmax),
+    "accum": Policy("accum (H2O-like)", "_accumulated_score_step", (), _plain_softmax),
+    "full": Policy("full (no eviction)", "_full_cache_step", (), _plain_softmax),
 }
 
 
@@ -328,7 +325,7 @@ def policy_step(name: str):
         policy = POLICIES[name]
         options = run_options(name, options)
         key_tags, logits, query_tags = _checked(key_tags, logits, query_tags, cfg)
-        mass = partial(_window_scorer(logits, query_tags, cfg), policy.smoothing(cfg, options))
+        mass = partial(_window_scorer(logits, query_tags, cfg), policy.smoothing(cfg))
         return globals()[policy.kernel](key_tags, mass, cfg, state, options)
 
     return step
@@ -354,15 +351,15 @@ def run_options(name: str, values: dict) -> dict:
 def check_options(name: str, values: dict, from_flags: bool = False) -> dict:
     """The options policy `name` takes, by keyword in table order, each one
     checked: ValueError for an unknown policy or a value its option does
-    not admit. values holds them by keyword or, from_flags, by their
-    cli.FLAGS names, and errors then name the command-line flag."""
+    not admit. values holds them by keyword, which is also their cli.FLAGS
+    name; from_flags, errors name the command-line flag."""
     options = {}
     for option in get_policy(name).options:
-        key = option.flag if from_flags else option.keyword
+        key = option.keyword
         if not option.admits(values[key]):
             shown = "--" + key.replace("_", "-") if from_flags else key
             raise ValueError(f"{shown} {option.rule}, got {values[key]}")
-        options[option.keyword] = values[key]
+        options[key] = values[key]
     return options
 
 

@@ -27,12 +27,12 @@ options, over any of three sources (a SynthSpec, a SyntheticDecoder or an
 AttentionTrace) with one loop over those records, all runs in lockstep;
 `run_decode` is its one-run case, and `sweep` and the CLI's compare pass
 it all their runs at once. It checks each run once, on entry, and a
-trace's records once each per call, through traceio.checked_steps; a
-decoder's records come unchecked from its finite float32 slab. The loop
-then calls each run's unchecked kernel on every step and layer, handing it
-a scorer that runs holding the same keys there share, bound to the run's
-smoothing, so each distinct (keys, smoothing) is gathered and scored at
-most once, and only if a kernel asks. A scoring is the read-only (2, cols)
+trace's header and records once per call, through traceio.checked, then
+reads only the checked copy; a decoder's records come unchecked from its
+finite float32 slab. The loop then calls each run's unchecked kernel on
+every step and layer, handing it a scorer that runs holding the same keys
+there share, bound to the run's smoothing, so each distinct (keys,
+smoothing) is gathered and scored at most once, and only if a kernel asks. A scoring is the read-only (2, cols)
 column mass of the observation window, all any policy reads, and each step
 builds its text/visual query selector from the sequence's tags once for
 every layer and run. A synthetic run records each step's retained ids per
@@ -69,7 +69,7 @@ from .core import (
 )
 from .policies import PolicyDecision
 from .scoring import _smoothed_softmax_rows, attention_logits
-from .traceio import AttentionTrace, TraceStep, checked_steps
+from .traceio import AttentionTrace, TraceStep, checked
 
 INTERLEAVE_MODES = ("block", "alternating", "random")
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
@@ -130,15 +130,10 @@ def prefill_tags(spec: SynthSpec) -> np.ndarray:
     if spec.interleave == "block":
         tags = [VISUAL_CODE] * spec.visual_len + [TEXT_CODE] * spec.text_len
     elif spec.interleave == "alternating":
-        tags = []
-        text, visual = spec.text_len, spec.visual_len
-        while text or visual:
-            if visual:
-                tags.append(VISUAL_CODE)
-                visual -= 1
-            if text:
-                tags.append(TEXT_CODE)
-                text -= 1
+        # Visual then text while both last, then the longer modality's rest.
+        pairs = min(spec.text_len, spec.visual_len)
+        tags = ([VISUAL_CODE, TEXT_CODE] * pairs + [VISUAL_CODE] * (spec.visual_len - pairs)
+                + [TEXT_CODE] * (spec.text_len - pairs))
     else:
         tags = [VISUAL_CODE] * spec.visual_len + [TEXT_CODE] * spec.text_len
         rng = np.random.default_rng([spec.seed, 0])
@@ -308,11 +303,11 @@ def run_decode(source, policy_name: str, cfg: PruneConfig, **policy_kwargs) -> R
 
     The run is checked once, on entry: the config, the policy options
     (omitted ones take their table defaults; an unknown keyword is a
-    TypeError) and the source's tags. traceio.checked_steps checks a
-    trace's header and each of its records as the loop reaches them, since
-    a trace in memory may have been edited after it was built or read. A
-    decoder's records need no checks. Each layer-step then calls the
-    policy's unchecked kernel, not its step.
+    TypeError) and the source's tags. traceio.checked checks a trace's
+    header and each of its records before the loop, which then reads only
+    the checked copy, since a trace in memory may have been edited after it
+    was built or read. A decoder's records need no checks. Each layer-step
+    then calls the policy's unchecked kernel, not its step.
     """
     return run_decodes(source, [(policy_name, cfg, policy_kwargs)])[0]
 
@@ -327,7 +322,7 @@ class _Run:
         self.policy_name, self.cfg = policy_name, cfg
         self.options = policies.run_options(policy_name, options)
         self.kernel = getattr(policies, policy.kernel)
-        self.smoothing = policy.smoothing(cfg, self.options)
+        self.smoothing = policy.smoothing(cfg)
         self.retained = [np.arange(source.prefill_tags.size) for _ in range(source.layers)]
         self.states = [None] * source.layers
         self.per_step: list[list[PolicyDecision]] = []
@@ -357,7 +352,9 @@ def run_decodes(source, runs) -> list[RunReport]:
     """
     if isinstance(source, SynthSpec):
         source = SyntheticDecoder(source)
-    if not isinstance(source, (SyntheticDecoder, AttentionTrace)):
+    elif isinstance(source, AttentionTrace):
+        source = checked(source)
+    elif not isinstance(source, SyntheticDecoder):
         raise TypeError(f"cannot drive a decode from {type(source).__name__}")
     runs = [_Run(name, cfg, options, source) for name, cfg, options in runs]
     if not runs:
@@ -373,7 +370,7 @@ def run_decodes(source, runs) -> list[RunReport]:
         first = decoder.spec.prefill_len - 1 - start
         newest, full = slab[:, :, first : first + decoder.spec.steps + 1], [None] * decoder.layers
     else:
-        decoder, steps = None, checked_steps(source)
+        decoder, steps = None, source.steps
 
     full_tags = as_tags(source.full_tags)
     full_len = source.prefill_tags.size

@@ -25,10 +25,11 @@ Layout (all little-endian):
 
 Column counts must equal the running token total, so every payload size is
 derivable from the header; anything else is rejected, and so is any logit
-that is NaN or infinite. `checked_steps` owns that rule for a trace in
-memory, which may have been edited since it was built or read: write_trace,
+that is NaN or infinite. `checked` owns that rule for a trace in memory,
+which may have been edited since it was built or read: write_trace,
 simulator.run_decodes and diagnostics.modality_weight_samples read its
-steps through it, so each refuses what read_trace refuses.
+header and steps only from the trace it returns, so each refuses what
+read_trace refuses.
 
 Each logit is copied once in each direction. read_trace reads every block
 straight into one float32 arena sized from the file (a file holds at least
@@ -156,18 +157,21 @@ class AttentionTrace:
         return int(self.prefill_tags.size + sum(s.new_tags.size for s in self.steps))
 
 
-def checked_steps(trace: AttentionTrace):
-    """Yield the steps of trace as they stand now, each checked once,
-    structure (checked_step) and one finiteness pass, after the header and
-    prefill tags; ValueError at the first fault, NonFiniteLogitError for a logit."""
-    # A trace of no steps checks the header and the prefill tags.
-    header = AttentionTrace(trace.layers, trace.heads, trace.head_dim, trace.prefill_tags)
-    length = header.prefill_tags.size
+def checked(trace: AttentionTrace) -> AttentionTrace:
+    """A new trace of trace's header, prefill tags and steps as they stand
+    now, each checked once: the header and prefill tags as AttentionTrace
+    checks them, then each step's structure (checked_step) and one
+    finiteness pass. ValueError at the first fault, NonFiniteLogitError for
+    a logit. Its consumers read every field from the result, so an edit
+    made after the trace was built is refused or converted, never read."""
+    copy = AttentionTrace(trace.layers, trace.heads, trace.head_dim, trace.prefill_tags)
+    length = copy.prefill_tags.size
     for index, step in enumerate(trace.steps):
-        record = checked_step(step, trace.layers, trace.heads, length, index)
+        record = checked_step(step, copy.layers, copy.heads, length, index)
         _check_finite(record.blocks, index)
         length += record.new_tags.size
-        yield record
+        copy.steps.append(record)
+    return copy
 
 
 def _pack(fmt: str, **fields) -> bytes:
@@ -183,7 +187,7 @@ def _pack(fmt: str, **fields) -> bytes:
 def write_trace(trace: AttentionTrace, path) -> None:
     # Every check runs before the file is opened, so a refused trace leaves
     # no file; the blocks are then written straight from their arrays.
-    steps = list(checked_steps(trace))
+    trace = checked(trace)
     buffers = [
         MAGIC,
         _pack(
@@ -191,13 +195,13 @@ def write_trace(trace: AttentionTrace, path) -> None:
             version=VERSION,
             layers=trace.layers,
             heads=trace.heads,
-            steps=len(steps),
+            steps=len(trace.steps),
             head_dim=trace.head_dim,
             prefill_length=trace.prefill_tags.size,
         ),
         np.ascontiguousarray(trace.prefill_tags, dtype="<u1"),
     ]
-    for step in steps:
+    for step in trace.steps:
         buffers.append(_pack("I", new_tokens=step.new_tags.size))
         buffers.append(np.ascontiguousarray(step.new_tags))
         _, _, rows, cols = step.blocks.shape

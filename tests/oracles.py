@@ -249,7 +249,7 @@ def global_topk_retained_global(
     return history
 
 
-def accum_retained_global(blocks_by_step, budget, recent, obs_window, smoothing=0.0):
+def accum_retained_global(blocks_by_step, budget, recent, obs_window):
     """Same driver for the accumulated-score baseline (single layer).
 
     Every step adds each retained token's column sum over the obs rows to
@@ -266,7 +266,7 @@ def accum_retained_global(blocks_by_step, budget, recent, obs_window, smoothing=
         cols = len(blocks[0][0])
         retained.extend(range(cols - new_count, cols))
         rows = len(blocks[0])
-        avg = _head_average_over(blocks, retained, smoothing)
+        avg = _head_average_over(blocks, retained, 0.0)
         obs_rows = min(obs_window, rows)
         for j, token in enumerate(retained):
             column = sum(row[j] for row in avg[rows - obs_rows :])

@@ -354,7 +354,7 @@ def test_criterion_10_degenerate_equivalence():
 
         csp_keep, csp_decision, _ = csp_step(key_tags, logits, query_tags, cfg)
         topk_keep, topk_decision, _ = global_topk_step(key_tags, logits, query_tags, cfg,
-                                                       pool_width=1, smoothing=0.0)
+                                                       pool_width=1)
         assert csp_decision.pruned and topk_decision.pruned
         np.testing.assert_array_equal(
             csp_keep[: csp_keep.size - recent],

@@ -74,13 +74,13 @@ class TestHelpAndUsage:
         ("gen-trace", "text visual interleave layers heads dim steps shift spread obs seed out"),
         ("simulate", "trace text visual interleave layers heads dim steps shift spread budget "
                      "ratio recent obs n recency-bias widen no-widen seed policy pool-width "
-                     "baseline-n out"),
+                     "out"),
         ("sweep", "axis grid svg text visual interleave layers heads dim steps shift spread "
                   "budget ratio recent obs n recency-bias widen no-widen seed policy "
-                  "pool-width baseline-n out"),
+                  "pool-width out"),
         ("analyze", "bins epsilon bandwidth obs recent svg out"),
         ("compare", "policies trace budget ratio recent obs n recency-bias widen no-widen "
-                    "seed pool-width baseline-n out"),
+                    "seed pool-width out"),
     ])
     def test_subcommand_flags(self, command, flags, capsys):
         """Each subcommand's --help lists exactly these flags."""
@@ -563,8 +563,6 @@ LIBRARY_DEFAULTS = [
     ("widen", PruneConfig, "widen_to_budget"),
     ("seed", PruneConfig, "seed"),
     ("pool_width", "global-topk", "pool_width"),
-    ("baseline_n", "global-topk", "smoothing"),
-    ("baseline_n", "accum", "smoothing"),
 ]
 NO_LIBRARY_DEFAULT = {"budget", "recent", "obs", "policy"}
 
@@ -585,7 +583,7 @@ def library_default_id(flag, owner, name):
 
 
 class TestLibraryDefaults:
-    """SynthSpec, PruneConfig and the baseline policies' options repeat the
+    """SynthSpec, PruneConfig and global-topk's option repeat the
     defaults of cli.FLAGS; they must agree, or the library and the CLI
     drift apart."""
 
@@ -641,10 +639,9 @@ class TestSidecarSchema:
 
     @pytest.mark.parametrize("argv, options", [
         (["compare", "--policies", "csp,global-topk,accum,full", "--trace", "TRACE"],
-         '{"accum": {"smoothing": 0.0}, "csp": {}, "full": {}, '
-         '"global-topk": {"pool_width": 1, "smoothing": 0.0}}'),
+         '{"accum": {}, "csp": {}, "full": {}, "global-topk": {"pool_width": 1}}'),
         (["simulate", "--policy", "global-topk", *SPEC_FLAGS],
-         '{"pool_width": 1, "smoothing": 0.0}'),
+         '{"pool_width": 1}'),
     ], ids=["compare", "simulate"])
     def test_policy_options(self, tmp_path, trace_path, argv, options):
         """The options each policy ran with: values, types and key order as
@@ -682,9 +679,9 @@ class TestConfigFile:
         assert sidecar["spec"]["text_len"] == 12
 
     def test_unknown_key(self, tmp_path, capsys):
-        """A misspelt key, or a key such as head_mode that names no flag,
-        is a usage error naming the key."""
-        for key, value in (("texts", 8), ("head_mode", "averaged")):
+        """A misspelt key, or a key such as head_mode or baseline_n that
+        names no flag, is a usage error naming the key."""
+        for key, value in (("texts", 8), ("head_mode", "averaged"), ("baseline_n", 0.0)):
             cfg = self.write_config(tmp_path, {key: value})
             assert main(["--config", str(cfg), "simulate",
                          "--out", str(tmp_path / "x.csv")]) == 1
@@ -808,17 +805,12 @@ class TestBadValues:
         ("sweep", ["--axis", "budget_fraction", "--grid", "0.3,inf"]),
         ("simulate", ["--n", "inf"]),
         ("simulate", ["--recency-bias", "inf"]),
-        ("simulate", ["--policy", "accum", "--baseline-n", "-1"]),
-        ("simulate", ["--policy", "global-topk", "--baseline-n", "inf"]),
-        ("compare", ["--policies", "csp,accum", "--baseline-n", "-1"]),
-        ("compare", ["--policies", "csp,global-topk", "--baseline-n", "inf"]),
         ("simulate", ["--shift", "nan"]),
         ("simulate", ["--shift", "inf"]),
         ("simulate", ["--spread", "inf"]),
     ], ids=["simulate-budget-inf", "simulate-budget-overflow", "compare-budget-inf",
-            "sweep-budget-grid-inf", "n-inf", "recency-bias-inf", "accum-baseline-n-negative",
-            "global-topk-baseline-n-inf", "compare-accum-baseline-n-negative",
-            "compare-global-topk-baseline-n-inf", "shift-nan", "shift-inf", "spread-inf"])
+            "sweep-budget-grid-inf", "n-inf", "recency-bias-inf", "shift-nan", "shift-inf",
+            "spread-inf"])
     def test_bad_parameter_value(self, tmp_path, trace_path, command, flags, capsys):
         source = ["--trace", str(trace_path)] if command == "compare" else SPEC_FLAGS
         assert main([command, *source, *CFG_FLAGS, *flags,
@@ -826,6 +818,26 @@ class TestBadValues:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, flags", [
+        ("simulate", ["--policy", "accum", "--baseline-n", "-1"]),
+        ("simulate", ["--policy", "global-topk", "--baseline-n", "inf"]),
+        ("compare", ["--policies", "csp,accum", "--baseline-n", "-1"]),
+        ("compare", ["--policies", "csp,global-topk", "--baseline-n", "inf"]),
+        ("simulate", ["--policy", "accum", "--baseline-n", "0"]),
+    ], ids=["accum-baseline-n-negative", "global-topk-baseline-n-inf",
+            "compare-accum-baseline-n-negative", "compare-global-topk-baseline-n-inf",
+            "accum-baseline-n-default"])
+    def test_baseline_n_is_no_flag(self, tmp_path, trace_path, command, flags, capsys):
+        """The baselines score with the plain softmax and take no smoothing
+        flag: --baseline-n is refused as any unknown flag is, whatever its
+        value."""
+        source = ["--trace", str(trace_path)] if command == "compare" else SPEC_FLAGS
+        out = tmp_path / "x.csv"
+        assert main([command, *source, *CFG_FLAGS, *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --baseline-n" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, flags", [
         ("gen-trace", ["--spread", "1e300"]),

@@ -32,7 +32,6 @@ STEPS = {
     "accum": accumulated_score_step,
     "full": full_cache_step,
 }
-BASELINES = ("global-topk", "accum")
 
 KEY_TAGS = np.array([0, 1, 0, 1, 0, 0], dtype=np.uint8)
 QUERY_TAGS = np.array([1, 0], dtype=np.uint8)
@@ -84,10 +83,6 @@ def step_cases():
             }
             for case, args in bad_args.items():
                 yield f"{name}-{path}-{case}", name, args, {}
-            if name in BASELINES:
-                for v in BAD_SMOOTHING:
-                    yield (f"{name}-{path}-smoothing-{v}", name,
-                           (KEY_TAGS, LOGITS, QUERY_TAGS, cfg), {"smoothing": v})
             if name == "global-topk":
                 for width in (0, 2.5):
                     yield (f"{name}-{path}-pool-width-{width}", name,
@@ -204,10 +199,6 @@ REAL_SITES = {
                          "smoothing must be finite and >= 0", 1.0),
     "config-recency-bias": (lambda v: PruneConfig(**CONFIG_FIELDS, recency_bias=v),
                             "recency_bias must be finite and > 0", 1.0),
-    **{f"{name}-smoothing": (partial(lambda step, v: step(KEY_TAGS, LOGITS, QUERY_TAGS,
-                                                          PRUNING, smoothing=v), STEPS[name]),
-                             "smoothing must be finite and >= 0", 1.0)
-       for name in BASELINES},
     "softmax-smoothing": (lambda v: smoothed_softmax_rows(LOGITS[0], v),
                           "smoothing must be finite and >= 0", 1.0),
     "kde-bandwidth": (lambda v: kde([0.0, 1.0], bandwidth=v),

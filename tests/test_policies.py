@@ -238,14 +238,12 @@ class TestKernels:
     @pytest.mark.parametrize("name", list(POLICIES))
     @settings(max_examples=40)
     @given(case=step_cases(), widen=st.booleans(), pool_width=st.integers(1, 4),
-           smoothing=st.sampled_from([0.0, 0.5, 3.0]), carried=st.integers(-1, 60))
-    def test_kernel_matches_step(self, name, dtype, case, widen, pool_width, smoothing,
-                                 carried):
+           carried=st.integers(-1, 60))
+    def test_kernel_matches_step(self, name, dtype, case, widen, pool_width, carried):
         key_tags, logits, query_tags, cfg = case
         cfg = cfg.with_updates(widen_to_budget=widen)
         logits = logits.astype(dtype)
-        drawn = {"pool_width": pool_width, "smoothing": smoothing}
-        options = {option.keyword: drawn[option.keyword] for option in POLICIES[name].options}
+        options = {option.keyword: pool_width for option in POLICIES[name].options}
         checked = policies.run_options(name, options)
         # accum carries the accumulator of an earlier, shorter cache; -1
         # starts it empty.
@@ -257,7 +255,7 @@ class TestKernels:
         keep, decision, after = policy_step(name)(key_tags, logits, query_tags, cfg, state,
                                                   **options)
         mass = partial(policies._window_scorer(logits, query_tags, cfg),
-                       POLICIES[name].smoothing(cfg, checked))
+                       POLICIES[name].smoothing(cfg))
         kernel_keep, kernel_decision, kernel_after = kernel(key_tags, mass, cfg, state, checked)
         np.testing.assert_array_equal(kernel_keep, keep)
         assert kernel_decision == decision
@@ -270,8 +268,7 @@ class TestKernels:
         """Each option's default is declared once, in its table row, which
         its checks admit and omitted options take."""
         assert {name: policies.option_defaults(name) for name in POLICIES} == {
-            "csp": {}, "global-topk": {"pool_width": 1, "smoothing": 0.0},
-            "accum": {"smoothing": 0.0}, "full": {},
+            "csp": {}, "global-topk": {"pool_width": 1}, "accum": {}, "full": {},
         }
         for name, policy in POLICIES.items():
             table = {option.keyword: option.default for option in policy.options}
@@ -283,8 +280,7 @@ class TestKernels:
         cfg = PruneConfig(budget=4, recent=1, obs_window=1)
         mass = partial(policies._window_scorer(np.zeros((1, 1, 2)), tags_of([0]), cfg), 0.0)
         with pytest.raises(ValueError, match="the cache shrank"):
-            policies._accumulated_score_step(tags_of([0, 1]), mass, cfg, np.zeros(3),
-                                             {"smoothing": 0.0})
+            policies._accumulated_score_step(tags_of([0, 1]), mass, cfg, np.zeros(3), {})
 
 
 @st.composite
@@ -509,23 +505,58 @@ class TestPolicyObjects:
         assert not decision.pruned
 
     def test_replay_smoothing_rules(self):
-        """csp replays with cfg.smoothing, the baselines with their own
-        smoothing option (default 0), the full cache with none. A run that
-        keeps every key reconstructs exactly just when it replays with 0."""
-        cfg = PruneConfig(budget=4, recent=1, obs_window=1, smoothing=2.5)
+        """csp replays with cfg.smoothing; the baselines and the full cache
+        with the plain softmax, whatever cfg.smoothing is. A run that keeps
+        every key reconstructs exactly just when it replays with 0."""
         spec = SynthSpec(text_len=4, visual_len=4, layers=1, heads=2, head_dim=4, steps=2)
-        keep_all = cfg.with_updates(budget=spec.final_len + 1)
-        for name, options, smoothing in [
-            ("csp", {}, 2.5),
-            ("global-topk", {}, 0.0),
-            ("global-topk", {"pool_width": 3, "smoothing": 1.0}, 1.0),
-            ("accum", {}, 0.0),
-            ("accum", {"smoothing": 0.5}, 0.5),
-            ("full", {}, 0.0),
-        ]:
-            assert POLICIES[name].smoothing(cfg, policies.run_options(name, options)) == smoothing
-            errors = run_decode(spec, name, keep_all, **options).recon_error
-            assert (max(errors) == 0.0) == (smoothing == 0.0), name
+        for n in (0.0, 2.5):
+            cfg = PruneConfig(budget=4, recent=1, obs_window=1, smoothing=n)
+            keep_all = cfg.with_updates(budget=spec.final_len + 1)
+            for name, options, smoothing in [
+                ("csp", {}, n),
+                ("global-topk", {}, 0.0),
+                ("global-topk", {"pool_width": 3}, 0.0),
+                ("accum", {}, 0.0),
+                ("full", {}, 0.0),
+            ]:
+                assert POLICIES[name].smoothing(cfg) == smoothing
+                errors = run_decode(spec, name, keep_all, **options).recon_error
+                assert (max(errors) == 0.0) == (smoothing == 0.0), name
+
+    @pytest.mark.parametrize("name", list(POLICIES))
+    def test_zero_heads_refused(self, name):
+        """A step needs at least one head, on the no-op path as well as
+        the pruning one."""
+        for budget in (2, 8):
+            cfg = PruneConfig(budget=budget, recent=1, obs_window=1)
+            with pytest.raises(ValueError, match="need at least one head"):
+                policy_step(name)(tags_of([0, 1, 0]), np.zeros((0, 1, 3)), [TEXT], cfg)
+
+    @pytest.mark.parametrize("name", list(POLICIES))
+    def test_noop_decision(self, name):
+        """Below budget every policy keeps everything, and its decision
+        records no split: ks_used is (0, 0)."""
+        cfg = PruneConfig(budget=8, recent=1, obs_window=1)
+        _, decision, _ = policy_step(name)(tags_of([0, 1, 1, 0]), np.zeros((2, 1, 4)), [TEXT],
+                                           cfg)
+        assert decision == policies.PolicyDecision(achieved_occupancy=4,
+                                                   per_modality_retained=(1, 2),
+                                                   ks_used=(0, 0), pruned=False)
+
+    @pytest.mark.parametrize("name", ["global-topk", "accum"])
+    def test_baselines_take_no_smoothing(self, name):
+        """A baseline scores with the plain softmax and has no smoothing
+        option: its step and run_decode refuse the keyword, whatever its
+        value, as any unknown keyword."""
+        cfg = PruneConfig(budget=4, recent=1, obs_window=2)
+        spec = SynthSpec(text_len=4, visual_len=4, layers=1, heads=1, head_dim=4, steps=1)
+        for value in (0.0, 1.0, -1.0, np.inf):
+            with pytest.raises(TypeError, match=f"policy '{name}' got an unexpected keyword "
+                                                "argument 'smoothing'"):
+                policy_step(name)(tags_of([0, 1, 0, 1, 0, 0]), np.zeros((2, 2, 6)),
+                                  [TEXT, VISUAL], cfg, smoothing=value)
+            with pytest.raises(TypeError, match="unexpected keyword argument 'smoothing'"):
+                run_decode(spec, name, cfg, smoothing=value)
 
     def test_policy_step_registry(self):
         """A row is a label, a kernel name, options and a smoothing rule;

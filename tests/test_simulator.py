@@ -131,6 +131,10 @@ class TestPrefillTags:
         spec = SynthSpec(text_len=2, visual_len=3, interleave="alternating")
         np.testing.assert_array_equal(prefill_tags(spec), [1, 0, 1, 0, 1])
 
+    def test_alternating_layout_with_more_text(self):
+        spec = SynthSpec(text_len=3, visual_len=1, interleave="alternating")
+        np.testing.assert_array_equal(prefill_tags(spec), [1, 0, 0, 0])
+
     def test_random_layout_preserves_counts(self):
         spec = SynthSpec(text_len=10, visual_len=6, interleave="random", seed=3)
         tags = prefill_tags(spec)
@@ -140,6 +144,8 @@ class TestPrefillTags:
     def test_random_layout_is_seeded(self):
         spec = SynthSpec(text_len=10, visual_len=6, interleave="random", seed=3)
         np.testing.assert_array_equal(prefill_tags(spec), prefill_tags(spec))
+        np.testing.assert_array_equal(prefill_tags(spec),
+                                      [0, 0, 0, 1, 0, 1, 0, 0, 1, 1, 0, 0, 0, 1, 1, 0])
 
 
 class TestSyntheticDecoder:
@@ -327,6 +333,15 @@ class TestRunDecode:
             length = SMALL.prefill_len + step
             assert total == SMALL.layers * length * 2 * SMALL.head_dim * 4
 
+    def test_recon_errors_pinned(self):
+        """One small run's reconstruction errors at 9 significant digits,
+        which pin the decoder's embeddings, projections and their scales."""
+        spec = SynthSpec(seed=3, text_len=6, visual_len=6, layers=2, heads=2, head_dim=8,
+                         steps=4)
+        report = run_decode(spec, "csp", PruneConfig(budget=8, recent=2, obs_window=4))
+        assert ["%.9g" % error for error in report.recon_error] == [
+            "1.37265756", "1.17190852", "0.49053227", "0.863230277", "0.707562576"]
+
     def test_pruning_reduces_bytes(self):
         cfg = PruneConfig(budget=12, recent=4, obs_window=4, widen_to_budget=True)
         pruned = run_decode(SMALL, "csp", cfg)
@@ -478,6 +493,23 @@ class TestTraceReplay:
             assert replay.recon_error == []
             assert live.recon_error
 
+    @pytest.mark.parametrize("policy", list(policies.POLICIES))
+    def test_window_beyond_the_recorded_rows(self, policy):
+        """A trace recorded at obs 4 holds at most 4 query rows a step, so a
+        replay at obs 8 observes those same rows. At recency_bias 1, which
+        weighs no candidate by the window, it decides as the replay at
+        obs 4."""
+        trace = record_trace(SMALL, 4)
+        cfg = PruneConfig(budget=14, recent=4, obs_window=4, cross_ratio=0.5,
+                          recency_bias=1.0, widen_to_budget=True)
+        narrow = run_decode(trace, policy, cfg)
+        wide = run_decode(trace, policy, cfg.with_updates(obs_window=8))
+        assert wide.per_step == narrow.per_step
+        assert wide.bytes_cached == narrow.bytes_cached
+        for got, want in zip(wide.retained_ids, narrow.retained_ids, strict=True):
+            np.testing.assert_array_equal(got, want)
+        assert any(d.pruned for step in wide.per_step for d in step) == (policy != "full")
+
     def test_numpy_trace_sizes_act_as_ints(self):
         """A trace built with numpy integer sizes stores Python ints, so its
         bytes_cached is what the same trace built with ints gives, with no
@@ -599,8 +631,8 @@ class TestChecksOncePerRun:
         with pytest.raises(TypeError, match="unexpected keyword argument 'width'"):
             run_decode(empty, policy, self.CFG, width=3)
         if policies.POLICIES[policy].options:
-            with pytest.raises(ValueError, match="smoothing must be finite and >= 0"):
-                run_decode(empty, policy, self.CFG, smoothing=-1.0)
+            with pytest.raises(ValueError, match="pool_width must be an integer >= 1"):
+                run_decode(empty, policy, self.CFG, pool_width=0)
 
     def test_omitted_options_take_step_defaults(self):
         """A run with no options equals one given the step defaults."""
@@ -802,9 +834,8 @@ def lockstep_runs(draw):
                           cross_ratio=draw(st.sampled_from([0.0, 0.5, 1.0])),
                           smoothing=draw(st.sampled_from([0.0, 1.0])),
                           widen_to_budget=draw(st.booleans()))
-        drawn = {"pool_width": draw(st.integers(1, 3)),
-                 "smoothing": draw(st.sampled_from([0.0, 1.0]))}
-        runs.append((policy, cfg, {option.keyword: drawn[option.keyword]
+        width = draw(st.integers(1, 3))
+        runs.append((policy, cfg, {option.keyword: width
                                    for option in policies.POLICIES[policy].options}))
     return spec, runs
 
@@ -846,9 +877,9 @@ class TestRunDecodes:
 
     def test_step_zero_scores_once_per_distinct_smoothing(self, monkeypatch):
         """At step 0 every run holds the whole prefill. csp scores with
-        cfg.smoothing (1 by default), global-topk and accum with their
-        smoothing option (0 by default), so three runs score each layer
-        twice, and the two baselines read the same mass."""
+        cfg.smoothing (1 by default), global-topk and accum with the plain
+        softmax, so three runs score each layer twice, and the two
+        baselines read the same mass."""
         scored = record_scorings(monkeypatch)
         spec = SynthSpec(**{**SMALL.__dict__, "steps": 0})
         runs = [(policy, self.CFG, {}) for policy in ("csp", "global-topk", "accum")]
@@ -925,10 +956,9 @@ def record_scorings(monkeypatch):
 
 class TestOneSmoothingPerRun:
     """Every scoring of a run, live or replayed from its trace, uses its
-    policy's smoothing(cfg, options), the rule its reconstruction error
-    replays with: csp's cfg.smoothing (--n), a baseline's own smoothing
-    option (--baseline-n, default 0), and none for the full cache, which
-    never scores."""
+    policy's smoothing(cfg), the rule its reconstruction error replays
+    with: csp's cfg.smoothing (--n), the plain softmax (0) for the
+    baselines, and none for the full cache, which never scores."""
 
     SPEC = SynthSpec(seed=2, text_len=8, visual_len=8, layers=2, heads=2, head_dim=8,
                      steps=4, shift=2.0)
@@ -937,20 +967,16 @@ class TestOneSmoothingPerRun:
     def test_every_scoring_uses_the_rule(self, policy, monkeypatch):
         base = PruneConfig(budget=12, recent=2, obs_window=4)
         trace = record_trace(self.SPEC, base.obs_window)
-        takes = "smoothing" in policies.option_defaults(policy)
         for n in (None, 2.5):
             cfg = base if n is None else base.with_updates(smoothing=n)
-            for options in ({}, {"smoothing": 0.5}) if takes else ({},):
-                rule = {"csp": cfg.smoothing, "full": 0.0}.get(policy,
-                                                               options.get("smoothing", 0.0))
-                checked = policies.run_options(policy, options)
-                assert policies.POLICIES[policy].smoothing(cfg, checked) == rule
-                for source in (self.SPEC, trace):
-                    scored = record_scorings(monkeypatch)
-                    run_decode(source, policy, cfg, **options)
-                    want = set() if policy == "full" else {rule}
-                    assert {smoothing for smoothing, _ in scored} == want, (n, options, source)
-                    monkeypatch.undo()
+            rule = cfg.smoothing if policy == "csp" else 0.0
+            assert policies.POLICIES[policy].smoothing(cfg) == rule
+            for source in (self.SPEC, trace):
+                scored = record_scorings(monkeypatch)
+                run_decode(source, policy, cfg)
+                want = set() if policy == "full" else {rule}
+                assert {smoothing for smoothing, _ in scored} == want, (n, source)
+                monkeypatch.undo()
 
 
 class TestReconErrorOracle:
@@ -965,9 +991,8 @@ class TestReconErrorOracle:
         spec = SynthSpec(**{**SMALL.__dict__, "interleave": interleave})
         cfg = PruneConfig(budget=14, recent=4, obs_window=6, cross_ratio=0.5,
                           smoothing=smoothing, widen_to_budget=True)
-        kwargs = {"smoothing": smoothing} if policy in ("global-topk", "accum") else {}
-        report = run_decode(spec, policy, cfg, **kwargs)
-        deployed = 0.0 if policy == "full" else smoothing
+        report = run_decode(spec, policy, cfg)
+        deployed = smoothing if policy == "csp" else 0.0
         expected = oracles.recon_error_final(spec, report.retained_ids, deployed)
         assert report.recon_error[-1] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
@@ -1013,7 +1038,7 @@ def batched_runs(draw):
         widen_to_budget=draw(st.booleans()),
     )
     policy = draw(st.sampled_from(list(policies.POLICIES)))
-    options = {"smoothing": n} if policy in ("global-topk", "accum") else {}
+    options = {"pool_width": draw(st.integers(1, 3))} if policy == "global-topk" else {}
     return spec, cfg, policy, options
 
 
@@ -1039,8 +1064,7 @@ class TestBatchedReconstruction:
         with mock.patch.object(simulator, "_layer_errors", recorded), \
                 mock.patch.object(simulator, "RECON_CHUNK_FLOATS", chunk_floats):
             report = run_decode(decoder, policy, cfg, **options)
-        smoothing = policies.POLICIES[policy].smoothing(cfg,
-                                                         policies.run_options(policy, options))
+        smoothing = policies.POLICIES[policy].smoothing(cfg)
         assert sorted(layer_errors) == list(range(spec.layers))
         for step, record in enumerate(decoder.steps(cfg.obs_window)):
             retained = [layer_errors[layer][0][step] for layer in range(spec.layers)]
@@ -1368,12 +1392,12 @@ class TestOracleExecutors:
     @pytest.mark.parametrize("interleave", ["block", "alternating", "random"])
     @pytest.mark.parametrize("smoothing", [0.0, 1.0])
     def test_accum_matches_oracle(self, interleave, smoothing):
+        """accum ranks by the plain softmax, whatever cfg.smoothing is."""
         for recorded, trace in self._traces(interleave):
             steps = _oracle_steps(trace)
             for budget in (self.BUDGET, 2 * self.BUDGET):
-                cfg = PruneConfig(budget=budget, recent=self.RECENT, obs_window=self.OBS)
-                history = oracles.accum_retained_global(
-                    steps, budget, self.RECENT, self.OBS, smoothing=smoothing
-                )
-                report = run_decode(trace, "accum", cfg, smoothing=smoothing)
+                cfg = PruneConfig(budget=budget, recent=self.RECENT, obs_window=self.OBS,
+                                  smoothing=smoothing)
+                history = oracles.accum_retained_global(steps, budget, self.RECENT, self.OBS)
+                report = run_decode(trace, "accum", cfg)
                 self._check(report, history, f"recorded={recorded} budget={budget}")

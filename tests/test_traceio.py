@@ -513,3 +513,32 @@ class TestConsumersAgree:
         for got, want in zip(back.steps, trace.steps):
             np.testing.assert_array_equal(got.new_tags, want.new_tags)
             np.testing.assert_array_equal(got.blocks, want.blocks)
+
+    @pytest.mark.parametrize("edit", [
+        lambda trace: setattr(trace, "head_dim", np.uint16(trace.head_dim)),
+        lambda trace: setattr(trace, "prefill_tags", trace.prefill_tags.tolist()),
+    ], ids=["head-dim-uint16", "prefill-tags-list"])
+    def test_header_edits_the_rule_admits_change_nothing(self, tmp_path, edit):
+        """A header field edited after construction to a form the header
+        rule accepts and converts gives every consumer the unedited trace's
+        result, with no warning: each reads the header of the checked copy,
+        not the trace's own fields. A head_dim of 4000 would overflow a
+        uint16 in bytes_cached."""
+        plain = small_trace()
+        plain.head_dim = 4000
+        edited = small_trace()
+        edited.head_dim = 4000
+        edit(edited)
+        cfg = PruneConfig(budget=4, recent=1, obs_window=2)
+        results = []
+        for index, trace in enumerate((plain, edited)):
+            path = tmp_path / f"{index}.trace"
+            write_trace(trace, path)
+            report = run_decode(trace, "global-topk", cfg)
+            results.append((path.read_bytes(), report.bytes_cached, report.per_step,
+                            [ids.tolist() for ids in report.retained_ids],
+                            [(intra.tobytes(), inter.tobytes())
+                             for intra, inter in modality_weight_samples(trace)]))
+        assert results[0] == results[1]
+        # Two layers of cfg.budget float32 keys and values.
+        assert results[0][1][-1] == 2 * cfg.budget * 2 * 4000 * 4

@@ -39,10 +39,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TESTS = {
     "core": ["test_core.py", "test_entry_checks.py", "test_selection.py"],
     "selection": ["test_selection.py", "test_policies.py", "test_acceptance.py"],
-    "policies": ["test_policies.py", "test_simulator.py", "test_acceptance.py"],
-    "scoring": ["test_scoring.py", "test_policies.py", "test_acceptance.py"],
-    "decompose": ["test_decompose.py", "test_policies.py", "test_acceptance.py"],
-    "simulator": ["test_simulator.py", "test_acceptance.py"],
+    "policies": ["test_entry_checks.py", "test_policies.py", "test_simulator.py",
+                 "test_acceptance.py"],
+    "scoring": ["test_entry_checks.py", "test_scoring.py", "test_policies.py",
+                "test_acceptance.py"],
+    "decompose": ["test_entry_checks.py", "test_decompose.py", "test_policies.py",
+                  "test_acceptance.py"],
+    "simulator": ["test_entry_checks.py", "test_simulator.py", "test_acceptance.py"],
 }
 
 # Each operator's replacements: a comparison's boundary twin and its
