@@ -32,6 +32,9 @@ STEPS = {
     "accum": accumulated_score_step,
     "full": full_cache_step,
 }
+# The baselines score with the plain softmax, yet they are handed the
+# config's n and refuse a bad one as csp does.
+BASELINES = ("global-topk", "accum")
 
 KEY_TAGS = np.array([0, 1, 0, 1, 0, 0], dtype=np.uint8)
 QUERY_TAGS = np.array([1, 0], dtype=np.uint8)
@@ -60,9 +63,9 @@ def with_tag(tags, value=2):
     return tags
 
 
-def invalid_config(**fields):
-    """A PruneConfig holding values __post_init__ would have refused."""
-    cfg = dataclasses.replace(PRUNING)
+def invalid_config(base=PRUNING, **fields):
+    """A copy of base holding values __post_init__ would have refused."""
+    cfg = dataclasses.replace(base)
     for name, value in fields.items():
         object.__setattr__(cfg, name, value)
     return cfg
@@ -83,6 +86,10 @@ def step_cases():
             }
             for case, args in bad_args.items():
                 yield f"{name}-{path}-{case}", name, args, {}
+            if name in BASELINES:
+                for v in BAD_SMOOTHING:
+                    yield (f"{name}-{path}-smoothing-{v}", name,
+                           (KEY_TAGS, LOGITS, QUERY_TAGS, invalid_config(cfg, smoothing=v)), {})
             if name == "global-topk":
                 for width in (0, 2.5):
                     yield (f"{name}-{path}-pool-width-{width}", name,
@@ -199,6 +206,11 @@ REAL_SITES = {
                          "smoothing must be finite and >= 0", 1.0),
     "config-recency-bias": (lambda v: PruneConfig(**CONFIG_FIELDS, recency_bias=v),
                             "recency_bias must be finite and > 0", 1.0),
+    **{f"{name}-smoothing": (partial(lambda step, v: step(KEY_TAGS, LOGITS, QUERY_TAGS,
+                                                          invalid_config(smoothing=v)),
+                                     STEPS[name]),
+                             "smoothing must be finite and >= 0", 1.0)
+       for name in BASELINES},
     "softmax-smoothing": (lambda v: smoothed_softmax_rows(LOGITS[0], v),
                           "smoothing must be finite and >= 0", 1.0),
     "kde-bandwidth": (lambda v: kde([0.0, 1.0], bandwidth=v),
