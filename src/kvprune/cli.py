@@ -32,7 +32,7 @@ import numpy as np
 
 from .core import PruneConfig
 from .diagnostics import DEFAULT_BINS, DEFAULT_EPSILON, KERNEL_CUTOFF, MAX_BINS, layer_report
-from .policies import POLICIES, check_options
+from .policies import POLICIES, get_policy
 from .simulator import (
     INTERLEAVE_MODES,
     SWEEP_AXES,
@@ -68,21 +68,13 @@ def _field(field: str, help: str, choices=None) -> Flag:
     return Flag(getattr(owner, field), help, choices, field)
 
 
-def _option_flags() -> dict:
-    """A flag per policy option, named by its keyword, in table order,
-    with the option's default."""
-    flags = {}
-    for policy in POLICIES.values():
-        for option in policy.options:
-            flags.setdefault(option.keyword, Flag(option.default, option.help))
-    return flags
-
-
 # Every flag a config file may set, under its --help group title. A flag's
-# type is its default's type. Only budget, recent, obs and policy have
-# defaults of their own here. The argparse default of each is None, so
-# resolution can tell a flag that was not given: flag value, else
-# config-file value, else the default here.
+# type is its default's type. Each flag but budget and policy sets one
+# SynthSpec or PruneConfig field, every policy's knobs included (pool_width
+# is global-topk's); only budget, recent, obs and policy have defaults of
+# their own here, and the others take their field's. The argparse default
+# of each is None, so resolution can tell a flag that was not given: flag
+# value, else config-file value, else the default here.
 FLAGS = {
     "synthetic decode": {
         "text": _field("text_len", "prefill text token count"),
@@ -111,7 +103,8 @@ FLAGS = {
         "policy": Flag(next(iter(POLICIES)),
                        "one of: " + ", ".join(policy.label for policy in POLICIES.values()),
                        tuple(POLICIES)),
-        **_option_flags(),
+        "pool_width": _field("pool_width",
+                             "global-topk: width of the 1-D max pool over column sums"),
     },
 }
 _FILE_FLAGS = {name: flag for group in FLAGS.values() for name, flag in group.items()}
@@ -290,7 +283,6 @@ def _cmd_simulate(args, file_cfg) -> int:
     resolved = _resolve(args, file_cfg)
     fraction = resolved["budget"]
     policy = resolved["policy"]
-    kwargs = _usage(check_options, policy, resolved, from_flags=True)
 
     if args.trace:
         source = read_trace(args.trace)
@@ -300,16 +292,15 @@ def _cmd_simulate(args, file_cfg) -> int:
         full_length, source_payload = source.final_len, {"spec": asdict(source)}
     cfg = _config_from(resolved, fraction, full_length)
     if args.trace:
-        report = run_decode(source, policy, cfg, **kwargs)
+        report = run_decode(source, policy, cfg)
     else:  # flags alone define a synthetic decode, so its errors are usage errors
-        report = _usage(run_decode, source, policy, cfg, **kwargs)
+        report = _usage(run_decode, source, policy, cfg)
 
     reports.write_text(args.out, reports.steps_csv(report, fraction))
     _write_sidecar(
         args.out,
-        {"command": "simulate", "policy": policy, "policy_options": kwargs,
-         "config": _config_payload(cfg, fraction), **source_payload,
-         "outputs": [args.out]},
+        {"command": "simulate", "policy": policy, "config": _config_payload(cfg, fraction),
+         **source_payload, "outputs": [args.out]},
     )
     print(f"wrote {args.out} ({report.steps} steps x {len(report.retained_ids)} layers)")
     return 0
@@ -329,12 +320,11 @@ def _cmd_sweep(args, file_cfg) -> int:
     resolved = _resolve(args, file_cfg)
     fraction = resolved["budget"]
     policy = resolved["policy"]
-    kwargs = _usage(check_options, policy, resolved, from_flags=True)
     grid = _parse_grid(args.grid)
 
     spec = _build(SynthSpec, resolved)
     cfg = _config_from(resolved, fraction, spec.final_len)
-    results = _usage(sweep, args.axis, grid, spec, cfg, policy, **kwargs)
+    results = _usage(sweep, args.axis, grid, spec, cfg, policy)
 
     rows = [
         reports.summarize(report, value if args.axis == "budget_fraction" else None)
@@ -357,8 +347,7 @@ def _cmd_sweep(args, file_cfg) -> int:
     _write_sidecar(
         args.out,
         {"command": "sweep", "axis": args.axis, "grid": grid, "policy": policy,
-         "policy_options": kwargs, "config": _config_payload(cfg, fraction),
-         "spec": asdict(spec), "outputs": outputs},
+         "config": _config_payload(cfg, fraction), "spec": asdict(spec), "outputs": outputs},
     )
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
@@ -440,21 +429,19 @@ def _cmd_compare(args, file_cfg) -> int:
     names = [part.strip() for part in args.policies.split(",") if part.strip()]
     if len(names) < 2:
         raise UsageError("--policies needs at least two comma-separated names")
-    options = {}
-    for name in names:
-        if name in options:
+    for index, name in enumerate(names):
+        if name in names[:index]:
             raise UsageError(f"--policies lists {name!r} more than once")
-        options[name] = _usage(check_options, name, resolved, from_flags=True)
+        _usage(get_policy, name)
 
     trace = read_trace(args.trace)
     cfg = _config_from(resolved, fraction, trace.final_length)
-    runs = run_decodes(trace, [(name, cfg, kwargs) for name, kwargs in options.items()])
+    runs = run_decodes(trace, [(name, cfg) for name in names])
     reports.write_text(args.out, reports.steps_csv(runs, fraction))
     _write_sidecar(
         args.out,
         {"command": "compare", "policies": names, "trace": args.trace,
-         "config": _config_payload(cfg, fraction), "policy_options": options,
-         "outputs": [args.out]},
+         "config": _config_payload(cfg, fraction), "outputs": [args.out]},
     )
     print(f"wrote {args.out} ({len(names)} policies)")
     return 0

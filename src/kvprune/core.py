@@ -89,7 +89,10 @@ def _tag_counts(tags: np.ndarray) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class PruneConfig:
-    """Knobs shared by every eviction policy.
+    """The one configuration of every eviction policy: budget, recent and
+    obs_window concern them all, cross_ratio, recency_bias and
+    widen_to_budget only csp, pool_width only global-topk, and a policy
+    ignores the knobs it does not read.
 
     budget
         Maximum cache length in tokens; pruning triggers once the cache
@@ -110,6 +113,8 @@ class PruneConfig:
     widen_to_budget
         Grow both top-k sizes in lock-step until the intersected mask fills
         the pool (or every candidate is selected).
+    pool_width
+        Width of global-topk's 1-D max pool over column sums; 1 is a no-op.
     seed
         RNG seed recorded alongside results.
     """
@@ -121,16 +126,18 @@ class PruneConfig:
     smoothing: float = 1.0
     recency_bias: float = 1.0
     widen_to_budget: bool = False
+    pool_width: int = 1
     seed: int = 0
 
     def __post_init__(self):
         validate_config(self)
         # Plain Python numbers from here on, as as_count gives every count:
         # a float32 ratio would round coarser in the kernels' arithmetic.
-        for name in ("budget", "recent", "obs_window", "seed"):
+        for name in ("budget", "recent", "obs_window", "pool_width", "seed"):
             object.__setattr__(self, name, int(getattr(self, name)))
         for name in ("cross_ratio", "smoothing", "recency_bias"):
             object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "widen_to_budget", bool(self.widen_to_budget))
 
     @property
     def pool(self) -> int:
@@ -145,8 +152,10 @@ class PruneConfig:
 def validate_config(cfg: PruneConfig) -> PruneConfig:
     """Check every PruneConfig invariant; raise on the first violation.
 
-    The counts budget (>= 1), recent (>= 0) and obs_window (>= 1) are
-    checked by as_count; seed is only recorded, so it may be any integer.
+    The counts budget (>= 1), recent (>= 0), obs_window (>= 1) and
+    pool_width (>= 1) are checked by as_count, the reals through as_real;
+    widen_to_budget must be a bool (a numpy bool too); seed is only
+    recorded, so it may be any integer.
     recency_bias times obs_window must be at most half the largest float:
     a key's column mass is at most the obs_window rows that vote for it,
     so every biased score is then finite, with room to spare for rounding.
@@ -159,7 +168,8 @@ def validate_config(cfg: PruneConfig) -> PruneConfig:
             f"recent must be smaller than budget, got recent={cfg.recent} budget={cfg.budget}"
         )
     obs_window = as_count(cfg.obs_window, "obs_window", 1)
-    if not 0.0 <= cfg.cross_ratio <= 1.0:
+    as_count(cfg.pool_width, "pool_width", 1)
+    if not 0.0 <= as_real(cfg.cross_ratio) <= 1.0:
         raise ValueError(f"cross_ratio must lie in [0, 1], got {cfg.cross_ratio}")
     if not 0.0 <= as_real(cfg.smoothing) < np.inf:
         raise ValueError(f"smoothing must be finite and >= 0, got {cfg.smoothing}")
@@ -172,6 +182,8 @@ def validate_config(cfg: PruneConfig) -> PruneConfig:
             f"recency_bias times obs_window must be at most {sys.float_info.max / 2:.4g}, "
             f"got {cfg.recency_bias} * {cfg.obs_window}"
         )
+    if not isinstance(cfg.widen_to_budget, (bool, np.bool_)):
+        raise ValueError(f"widen_to_budget must be a bool, got {cfg.widen_to_budget!r}")
     if not isinstance(cfg.seed, numbers.Integral):
         raise ValueError(f"seed must be an integer, got {cfg.seed}")
     return cfg

@@ -15,11 +15,11 @@ H2O, they rank by the plain softmax: only csp, the method under study,
 scores and replays with the n-softmax (cfg.smoothing).
 
 A policy is one kernel and one POLICIES entry. A kernel,
-kernel(key_tags, mass, cfg, state, options) -> (keep, decision, state),
-prunes one layer from the uint8 tags of its cached keys, a scorer, a
-PruneConfig, its state (only accum keeps any: its running accumulator,
-None at first) and the run's checked options (only global-topk reads
-them, for pool_width). It never sees keys, values, logits or query tags.
+kernel(key_tags, mass, cfg, state) -> (keep, decision, state), prunes one
+layer from the uint8 tags of its cached keys, a scorer, a PruneConfig,
+which holds every knob of every policy (global-topk reads its pool_width),
+and its state (only accum keeps any: its running accumulator, None at
+first). It never sees keys, values, logits or query tags.
 mass() returns the read-only float64 (2, cols) column mass of the
 observation window, the last min(obs_window, rows) query rows, at the
 run's smoothing: row 0 sums the head-averaged smoothed softmax weights of
@@ -31,13 +31,12 @@ recent window, so keep[:keep.size - recent] are the kept candidates; the
 caller prunes its own per-position data with keep. Kernels never mutate
 their inputs.
 
-An entry names the kernel, lists the options with their defaults and
-checks, and gives smoothing(cfg), the one rule for the smoothing a run
-scores and replays with. The CLI's policy choices, help and option
-flags derive from POLICIES, and so does every checked step: policy_step
-checks a step's options, config, tags and logits once, then calls the
-kernel. csp_step, global_topk_step, accumulated_score_step and
-full_cache_step are its four steps.
+An entry names the kernel and gives smoothing(cfg), the one rule for the
+smoothing a run scores and replays with. The CLI's policy choices and
+help derive from POLICIES, and so does every checked step: policy_step
+checks a step's config, tags and logits once, then calls the kernel.
+csp_step, global_topk_step, accumulated_score_step and full_cache_step
+are its four steps.
 
 Every kernel scores through one function, `_mass`, and only when it needs
 scores, so a no-op step neither gathers nor scores; it never forms a
@@ -48,15 +47,14 @@ public forms, plus `budget_to_k` for the nominal split, whose one check
 costs a comparison. No kernel checks its scores for finiteness: a column
 mass is at most the window's row count, so only csp's recency_bias
 multiply could overflow, and validate_config bounds that.
-simulator.run_decodes checks its runs once, through run_options, and
-calls their kernels itself, with a scorer shared by every run that holds
-the same keys at a layer-step, so each distinct (keys, smoothing) there
-is scored once.
+simulator.run_decodes checks each run's config once and calls the
+kernels itself, with a scorer shared by every run that holds the same
+keys at a layer-step, so each distinct (keys, smoothing) there is scored
+once.
 """
 
 from __future__ import annotations
 
-import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
@@ -86,10 +84,10 @@ class PolicyDecision:
 
 
 def _checked(key_tags, logits, query_tags, cfg: PruneConfig):
-    """A step's entry checks of everything but its options. Returns the key
-    and query tags as uint8 and the logits as a (heads, rows, cols) array,
-    float32 if they came as float32 and float64 otherwise, with cols
-    matching the key tags and rows the query tags."""
+    """A step's entry checks. Returns the key and query tags as uint8 and
+    the logits as a (heads, rows, cols) array, float32 if they came as
+    float32 and float64 otherwise, with cols matching the key tags and rows
+    the query tags."""
     validate_config(cfg)
     key_tags = as_tags(key_tags)
     logits = np.asarray(logits)
@@ -194,7 +192,7 @@ def _pruned(key_tags: np.ndarray, cfg: PruneConfig, chosen: np.ndarray, ks):
     return _decided(key_tags, cfg, keep, ks, True)
 
 
-def _csp_step(key_tags, mass, cfg: PruneConfig, state, options):
+def _csp_step(key_tags, mass, cfg: PruneConfig, state):
     """One cross-self pruning step.
 
     Below budget this keeps everything. Otherwise: modality decomposition
@@ -213,8 +211,7 @@ def _pooled(importance: np.ndarray, width: int) -> np.ndarray:
     """Sliding 1-D max-pool, 'same' length; width 1 is the identity."""
     # At width 2 * size - 1 every window already spans every candidate, so
     # a wider pool gives the same array: clamp the width, never the pad.
-    # int(): np.pad refuses a pad of an unsigned numpy integer type.
-    width = min(int(width), 2 * importance.size - 1)
+    width = min(width, 2 * importance.size - 1)
     if width <= 1:
         return importance
     pad_left = (width - 1) // 2
@@ -224,19 +221,19 @@ def _pooled(importance: np.ndarray, width: int) -> np.ndarray:
     return windows.max(axis=1)
 
 
-def _global_topk_step(key_tags, mass, cfg: PruneConfig, state, options):
+def _global_topk_step(key_tags, mass, cfg: PruneConfig, state):
     """Single global ranking by column sum, max-pooled over
-    options["pool_width"] keys, no modality split."""
+    cfg.pool_width keys, no modality split."""
     if key_tags.size < cfg.budget:
         return (*_noop(key_tags, cfg), None)
     cand = key_tags.size - cfg.recent
     columns = mass()
-    importance = _pooled(columns[0, :cand] + columns[1, :cand], options["pool_width"])
+    importance = _pooled(columns[0, :cand] + columns[1, :cand], cfg.pool_width)
     pool = cfg.pool
     return (*_pruned(key_tags, cfg, _topk_mask(importance, pool), (pool, pool)), None)
 
 
-def _accumulated_score_step(key_tags, mass, cfg: PruneConfig, state, options):
+def _accumulated_score_step(key_tags, mass, cfg: PruneConfig, state):
     """Heavy-hitter step: rank by attention mass accumulated across steps.
 
     `state` is the running accumulator returned by the previous step, one
@@ -265,26 +262,16 @@ def _accumulated_score_step(key_tags, mass, cfg: PruneConfig, state, options):
     return keep, decision, running[keep]
 
 
-def _full_cache_step(key_tags, mass, cfg: PruneConfig, state, options):
+def _full_cache_step(key_tags, mass, cfg: PruneConfig, state):
     """Reference policy: never evicts, and so never scores."""
     return (*_noop(key_tags, cfg), None)
 
 
-# A keyword option of a policy, which the cli.FLAGS entry of the same name
-# sets: its default, its help there, and the rule its values meet, checked
-# by admits(value).
-Option = namedtuple("Option", "keyword default help rule admits")
-
 # A registry entry: the policy's label; the module attribute name of its
 # kernel, looked up at call time so a rebound attribute (a wrapper, a
-# patch) is the one that runs; its options, in the order a sidecar records
-# them; and smoothing(cfg), the smoothing constant a run scores and replays
-# its retained tokens with.
-Policy = namedtuple("Policy", "label kernel options smoothing")
-
-_POOL_WIDTH = Option("pool_width", 1, "global-topk: width of the 1-D max pool over column sums",
-                     "must be an integer >= 1",
-                     lambda width: isinstance(width, numbers.Integral) and width >= 1)
+# patch) is the one that runs; and smoothing(cfg), the smoothing constant a
+# run scores and replays its retained tokens with.
+Policy = namedtuple("Policy", "label kernel smoothing")
 
 
 def _plain_softmax(cfg: PruneConfig) -> float:
@@ -296,11 +283,10 @@ def _plain_softmax(cfg: PruneConfig) -> float:
 # never scores. The first entry, the method under study, is the CLI's
 # default.
 POLICIES = {
-    "csp": Policy("csp (cross-self intersection)", "_csp_step", (), lambda cfg: cfg.smoothing),
-    "global-topk": Policy("global-topk (SnapKV-like)", "_global_topk_step", (_POOL_WIDTH,),
-                          _plain_softmax),
-    "accum": Policy("accum (H2O-like)", "_accumulated_score_step", (), _plain_softmax),
-    "full": Policy("full (no eviction)", "_full_cache_step", (), _plain_softmax),
+    "csp": Policy("csp (cross-self intersection)", "_csp_step", lambda cfg: cfg.smoothing),
+    "global-topk": Policy("global-topk (SnapKV-like)", "_global_topk_step", _plain_softmax),
+    "accum": Policy("accum (H2O-like)", "_accumulated_score_step", _plain_softmax),
+    "full": Policy("full (no eviction)", "_full_cache_step", _plain_softmax),
 }
 
 
@@ -313,54 +299,21 @@ def get_policy(name: str) -> Policy:
 
 def policy_step(name: str):
     """The checked step of policy `name`, step(key_tags, logits,
-    query_tags, cfg, state=None, **options) -> (keep, decision, state):
-    run_options, _checked, then the kernel with a scorer of the checked
-    logits at the policy's smoothing. The entry and its kernel are looked
-    up at call time. ValueError for an unknown policy."""
+    query_tags, cfg, state=None) -> (keep, decision, state): _checked,
+    then the kernel with a scorer of the checked logits at the policy's
+    smoothing. The entry and its kernel are looked up at call time.
+    ValueError for an unknown policy."""
     get_policy(name)
 
-    def step(key_tags, logits, query_tags, cfg: PruneConfig, state=None, **options):
-        """Check the options, config, tags and logits once, then run the
-        policy's kernel on a scorer of the logits."""
+    def step(key_tags, logits, query_tags, cfg: PruneConfig, state=None):
+        """Check the config, tags and logits once, then run the policy's
+        kernel on a scorer of the logits."""
         policy = POLICIES[name]
-        options = run_options(name, options)
         key_tags, logits, query_tags = _checked(key_tags, logits, query_tags, cfg)
         mass = partial(_window_scorer(logits, query_tags, cfg), policy.smoothing(cfg))
-        return globals()[policy.kernel](key_tags, mass, cfg, state, options)
+        return globals()[policy.kernel](key_tags, mass, cfg, state)
 
     return step
-
-
-def option_defaults(name: str) -> dict:
-    """The default of each option of policy `name`, by keyword in table
-    order."""
-    return {option.keyword: option.default for option in get_policy(name).options}
-
-
-def run_options(name: str, values: dict) -> dict:
-    """Every option policy `name` takes, checked, those values omits at
-    their defaults: what its kernel reads. TypeError for a keyword the
-    policy does not take."""
-    defaults = option_defaults(name)
-    for keyword in values:
-        if keyword not in defaults:
-            raise TypeError(f"policy {name!r} got an unexpected keyword argument {keyword!r}")
-    return check_options(name, {**defaults, **values})
-
-
-def check_options(name: str, values: dict, from_flags: bool = False) -> dict:
-    """The options policy `name` takes, by keyword in table order, each one
-    checked: ValueError for an unknown policy or a value its option does
-    not admit. values holds them by keyword, which is also their cli.FLAGS
-    name; from_flags, errors name the command-line flag."""
-    options = {}
-    for option in get_policy(name).options:
-        key = option.keyword
-        if not option.admits(values[key]):
-            shown = "--" + key.replace("_", "-") if from_flags else key
-            raise ValueError(f"{shown} {option.rule}, got {values[key]}")
-        options[key] = values[key]
-    return options
 
 
 csp_step = policy_step("csp")

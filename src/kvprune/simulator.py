@@ -22,8 +22,8 @@ so each `run_decodes` call builds every logit its steps need once, into one
 read-only slab of its own, and each step's blocks are a view of it. The
 decoder keeps nothing a call derives, so one decoder may serve any calls.
 
-`run_decodes` drives any number of runs, each a policy, config and
-options, over any of three sources (a SynthSpec, a SyntheticDecoder or an
+`run_decodes` drives any number of runs, each a policy and a config,
+over any of three sources (a SynthSpec, a SyntheticDecoder or an
 AttentionTrace) with one loop over those records, all runs in lockstep;
 `run_decode` is its one-run case, and `sweep` and the CLI's compare pass
 it all their runs at once. It checks each run once, on entry, and a
@@ -282,10 +282,10 @@ def budget_for_fraction(fraction: float, full_length: int, recent: int) -> int:
     return max(recent + 1, int(tokens))
 
 
-def run_decode(source, policy_name: str, cfg: PruneConfig, **policy_kwargs) -> RunReport:
+def run_decode(source, policy_name: str, cfg: PruneConfig) -> RunReport:
     """Drive one policy over a synthetic decode or a recorded trace: the
-    one-run case of run_decodes, run_decodes(source, [(policy_name, cfg,
-    policy_kwargs)])[0].
+    one-run case of run_decodes, run_decodes(source, [(policy_name,
+    cfg)])[0]. cfg holds every knob the policy reads.
 
     Every source is a stream of TraceStep records: a SyntheticDecoder
     yields them from its logit slab, a trace holds them, and a SynthSpec
@@ -301,26 +301,24 @@ def run_decode(source, policy_name: str, cfg: PruneConfig, **policy_kwargs) -> R
     key under smoothing 0 has error exactly 0.0 and is not computed, since
     its pruned output is the full output.
 
-    The run is checked once, on entry: the config, the policy options
-    (omitted ones take their table defaults; an unknown keyword is a
-    TypeError) and the source's tags. traceio.checked checks a trace's
-    header and each of its records before the loop, which then reads only
-    the checked copy, since a trace in memory may have been edited after it
-    was built or read. A decoder's records need no checks. Each layer-step
+    The run is checked once, on entry: the policy name, the config and
+    the source's tags. traceio.checked checks a trace's header and each of
+    its records before the loop, which then reads only the checked copy,
+    since a trace in memory may have been edited after it was built or
+    read. A decoder's records need no checks. Each layer-step
     then calls the policy's unchecked kernel, not its step.
     """
-    return run_decodes(source, [(policy_name, cfg, policy_kwargs)])[0]
+    return run_decodes(source, [(policy_name, cfg)])[0]
 
 
 class _Run:
-    """One run of run_decodes: its checked policy, config and options, and
-    what its steps have decided so far."""
+    """One run of run_decodes: its checked policy and config, and what its
+    steps have decided so far."""
 
-    def __init__(self, policy_name: str, cfg: PruneConfig, options: dict, source):
+    def __init__(self, policy_name: str, cfg: PruneConfig, source):
         policy = policies.get_policy(policy_name)
         validate_config(cfg)
         self.policy_name, self.cfg = policy_name, cfg
-        self.options = policies.run_options(policy_name, options)
         self.kernel = getattr(policies, policy.kernel)
         self.smoothing = policy.smoothing(cfg)
         self.retained = [np.arange(source.prefill_tags.size) for _ in range(source.layers)]
@@ -334,11 +332,10 @@ def run_decodes(source, runs) -> list[RunReport]:
     """Drive several runs over one source in lockstep; one report per run,
     in order, each equal to that of run_decode on the run alone.
 
-    runs is a sequence of (policy_name, cfg, options), options being the
-    policy's keyword options as a dict. Every run must share cfg.obs_window,
-    since the source's records are read once for all of them: a decoder's
-    steps are built once and a trace's records checked once per call, not
-    once per run. Each run is checked as run_decode checks it, and every
+    runs is a sequence of (policy_name, cfg) pairs. Every run must share
+    cfg.obs_window, since the source's records are read once for all of
+    them: a decoder's steps are built once and a trace's records checked
+    once per call, not once per run. Each run is checked as run_decode checks it, and every
     refusal (no run, a bad run, differing windows) comes before any step.
 
     At each layer-step, runs that retain the same ids share one scorer:
@@ -346,9 +343,9 @@ def run_decodes(source, runs) -> list[RunReport]:
     most once per smoothing, on the first kernel call that asks, and every
     run reads the same read-only column mass. Runs that differ only in what
     their policy ignores (a global-topk sweep along smooth_n or
-    cross_ratio) therefore score once per layer-step, whatever their
-    number. Runs share nothing else, and the reconstruction error is
-    scored per run after the loop.
+    cross_ratio, csp runs at several pool_width values) therefore score
+    once per layer-step, whatever their number. Runs share nothing else,
+    and the reconstruction error is scored per run after the loop.
     """
     if isinstance(source, SynthSpec):
         source = SyntheticDecoder(source)
@@ -356,7 +353,7 @@ def run_decodes(source, runs) -> list[RunReport]:
         source = checked(source)
     elif not isinstance(source, SyntheticDecoder):
         raise TypeError(f"cannot drive a decode from {type(source).__name__}")
-    runs = [_Run(name, cfg, options, source) for name, cfg, options in runs]
+    runs = [_Run(name, cfg, source) for name, cfg in runs]
     if not runs:
         raise ValueError("run_decodes needs at least one run")
     windows = sorted({run.cfg.obs_window for run in runs})
@@ -398,8 +395,7 @@ def run_decodes(source, runs) -> list[RunReport]:
                                                     None if ids.size == full_len else ids)
                 keep, decision, run.states[layer] = run.kernel(
                     full_tags[ids], partial(scorers[key], run.smoothing), run.cfg,
-                    run.states[layer], run.options,
-                )
+                    run.states[layer])
                 if decision.pruned:
                     run.retained[layer] = ids[keep]
                 run.per_step[-1].append(decision)
@@ -536,12 +532,13 @@ def sweep(
     spec: SynthSpec,
     cfg: PruneConfig,
     policy_name: str,
-    **policy_kwargs,
 ) -> list[tuple[float, RunReport]]:
     """Run one decode per grid value, varying a single config axis.
 
-    Rows come back in grid order. The budget_fraction axis recomputes the
-    token budget from the final length; the other axes keep cfg.budget as
+    Rows come back in grid order. Every run is cfg with the axis field
+    set to its grid value, so it keeps every other knob of cfg, the
+    policy's included. The budget_fraction axis recomputes the token
+    budget from the final length; the other axes keep cfg.budget as
     given. No axis changes obs_window, so every run reads one
     SyntheticDecoder in one run_decodes pass: the sweep builds one logit
     slab, and runs holding the same keys at a layer-step share their
@@ -562,5 +559,5 @@ def sweep(
             return cfg.with_updates(cross_ratio=value)
         return cfg.with_updates(smoothing=value)
 
-    runs = [(policy_name, configured(value), policy_kwargs) for value in values]
+    runs = [(policy_name, configured(value)) for value in values]
     return list(zip(values, run_decodes(SyntheticDecoder(spec), runs)))

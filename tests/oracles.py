@@ -530,8 +530,7 @@ def recon_step_errors(decoder, blocks, retained, smoothing):
             continue
         logits = blocks[layer, :, -1, :].astype(np.float64)
         values = decoder.values(layer, slice(length))
-        full = np.exp(logits - logits.max(axis=1, keepdims=True))
-        full_out = (full / full.sum(axis=1, keepdims=True)) @ values
+        full_out = _full_output(decoder, blocks, layer)
         if kept.size == 0:
             if smoothing == 0.0:
                 raise ValueError("no columns and smoothing is 0; weights are undefined")
@@ -545,6 +544,23 @@ def recon_step_errors(decoder, blocks, retained, smoothing):
             pruned_out = weights @ values[kept]
         errors.append(float(np.linalg.norm(full_out - pruned_out)))
     return errors
+
+
+def _full_output(decoder, blocks, layer):
+    """The newest query's (heads, head_dim) attention output over every key
+    of one layer at one step, by the plain softmax."""
+    length = blocks.shape[3]
+    logits = blocks[layer, :, -1, :].astype(np.float64)
+    full = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return (full / full.sum(axis=1, keepdims=True)) @ decoder.values(layer, slice(length))
+
+
+def full_output_norms(decoder, blocks):
+    """Per layer, the norm of the full side of recon_step_errors, heads
+    concatenated: the scale of that step's outputs, which an error is a
+    difference of."""
+    return [float(np.linalg.norm(_full_output(decoder, blocks, layer)))
+            for layer in range(blocks.shape[0])]
 
 
 def read_trace_bytes(data):

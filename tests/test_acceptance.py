@@ -344,7 +344,7 @@ def test_criterion_10_degenerate_equivalence():
 
         cfg = PruneConfig(
             budget=recent + pool, recent=recent, obs_window=2 * pairs,
-            cross_ratio=0.5, smoothing=0.0, widen_to_budget=True,
+            cross_ratio=0.5, smoothing=0.0, widen_to_budget=True, pool_width=1,
         )
         rng.normal(size=(2, length, 4))  # keep the random stream, and so the 1,000 instances, fixed
         key_tags = as_tags(rng.integers(0, 2, length))
@@ -353,8 +353,7 @@ def test_criterion_10_degenerate_equivalence():
         query_tags = as_tags(np.tile([TEXT, VISUAL], pairs))
 
         csp_keep, csp_decision, _ = csp_step(key_tags, logits, query_tags, cfg)
-        topk_keep, topk_decision, _ = global_topk_step(key_tags, logits, query_tags, cfg,
-                                                       pool_width=1)
+        topk_keep, topk_decision, _ = global_topk_step(key_tags, logits, query_tags, cfg)
         assert csp_decision.pruned and topk_decision.pruned
         np.testing.assert_array_equal(
             csp_keep[: csp_keep.size - recent],

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import kvprune
-from kvprune import cli, policies, simulator, traceio
+from kvprune import cli, simulator, traceio
 from kvprune.cli import main
 from kvprune.core import PruneConfig
 from kvprune.reports import RESULTS_COLUMNS, STEP_COLUMNS
@@ -238,10 +238,19 @@ class TestSimulate:
         else:
             assert out.exists()
 
-    def test_pool_width_validation(self, tmp_path):
-        assert main(["simulate", *SPEC_FLAGS, *CFG_FLAGS,
-                     "--policy", "global-topk", "--pool-width", "0",
-                     "--out", str(tmp_path / "x.csv")]) == 1
+    def test_pool_width_validation(self, tmp_path, capsys):
+        """pool_width is a PruneConfig field: a width below 1, from the flag
+        or from a config file, is refused with the config's message."""
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"pool_width": 0}))
+        out = tmp_path / "x.csv"
+        for argv in (["simulate", "--pool-width", "0"],
+                     ["--config", str(config), "simulate"]):
+            assert main([*argv, *SPEC_FLAGS, *CFG_FLAGS, "--policy", "global-topk",
+                         "--out", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                "error: pool_width must be an integer >= 1, got 0\n")
+            assert not out.exists()
 
 
 class TestSweep:
@@ -452,6 +461,25 @@ class TestCompare:
                      "--trace", str(trace_path),
                      "--out", str(tmp_path / "x.csv")]) == 1
 
+    @pytest.mark.parametrize("names", ["csp,oracle", "csp,accum,csp"])
+    def test_policy_names_refused_before_the_trace_is_read(self, tmp_path, names, capsys):
+        """An unknown or repeated name is a usage error even when the trace
+        cannot be read: the names are checked first."""
+        assert main(["compare", "--policies", names, "--trace", str(tmp_path / "absent.trace"),
+                     "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "absent.trace" not in err
+
+    def test_bad_config_value_with_unreadable_trace(self, tmp_path, capsys):
+        """Config values are checked once the trace's length sets the token
+        budget, so an unreadable trace is reported first, as a data error,
+        for --pool-width as for --ratio."""
+        for flags in (["--pool-width", "0"], ["--ratio", "2"]):
+            assert main(["compare", "--policies", "csp,global-topk", *flags,
+                         "--trace", str(tmp_path / "absent.trace"),
+                         "--out", str(tmp_path / "x.csv")]) == 2
+            assert "absent.trace" in capsys.readouterr().err
+
     def test_repeated_policy(self, tmp_path, trace_path, capsys):
         """A name given twice would write its rows twice, with nothing in
         the CSV to tell the two runs apart."""
@@ -562,16 +590,14 @@ LIBRARY_DEFAULTS = [
     ("recency_bias", PruneConfig, "recency_bias"),
     ("widen", PruneConfig, "widen_to_budget"),
     ("seed", PruneConfig, "seed"),
-    ("pool_width", "global-topk", "pool_width"),
+    ("pool_width", PruneConfig, "pool_width"),
 ]
 NO_LIBRARY_DEFAULT = {"budget", "recent", "obs", "policy"}
 
 
 def library_default(owner, name):
-    """A dataclass field's default, or a policy option's by policy name."""
-    if dataclasses.is_dataclass(owner):
-        return {field.name: field.default for field in dataclasses.fields(owner)}[name]
-    return policies.option_defaults(owner)[name]
+    """A dataclass field's default."""
+    return {field.name: field.default for field in dataclasses.fields(owner)}[name]
 
 
 def library_default_id(flag, owner, name):
@@ -579,13 +605,12 @@ def library_default_id(flag, owner, name):
     repeat, so that every id is unique."""
     if sum(row[0] == flag for row in LIBRARY_DEFAULTS) == 1:
         return f"{flag}-{name}"
-    return f"{flag}-{getattr(owner, '__name__', owner)}.{name}"
+    return f"{flag}-{owner.__name__}.{name}"
 
 
 class TestLibraryDefaults:
-    """SynthSpec, PruneConfig and global-topk's option repeat the
-    defaults of cli.FLAGS; they must agree, or the library and the CLI
-    drift apart."""
+    """SynthSpec and PruneConfig repeat the defaults of cli.FLAGS; they
+    must agree, or the library and the CLI drift apart."""
 
     @pytest.mark.parametrize("flag, owner, name", LIBRARY_DEFAULTS,
                              ids=[library_default_id(*row) for row in LIBRARY_DEFAULTS])
@@ -602,8 +627,8 @@ class TestLibraryDefaults:
 
 SPEC_KEYS = ["head_dim", "heads", "interleave", "layers", "seed", "shift", "spread", "steps",
              "text_len", "visual_len"]
-CONFIG_KEYS = ["budget_fraction", "budget_tokens", "cross_ratio", "obs_window", "recency_bias",
-               "recent", "seed", "smoothing", "widen_to_budget"]
+CONFIG_KEYS = ["budget_fraction", "budget_tokens", "cross_ratio", "obs_window", "pool_width",
+               "recency_bias", "recent", "seed", "smoothing", "widen_to_budget"]
 
 
 class TestSidecarSchema:
@@ -613,17 +638,16 @@ class TestSidecarSchema:
         (["gen-trace", *SPEC_FLAGS],
          ["command", "obs_window", "outputs", "spec", "versions"]),
         (["simulate", *SPEC_FLAGS, *CFG_FLAGS],
-         ["command", "config", "outputs", "policy", "policy_options", "spec", "versions"]),
+         ["command", "config", "outputs", "policy", "spec", "versions"]),
         (["simulate", "--trace", "TRACE", *CFG_FLAGS],
-         ["command", "config", "outputs", "policy", "policy_options", "trace", "versions"]),
+         ["command", "config", "outputs", "policy", "trace", "versions"]),
         (["sweep", "--axis", "cross_ratio", "--grid", "0.5", *SPEC_FLAGS, *CFG_FLAGS],
-         ["axis", "command", "config", "grid", "outputs", "policy", "policy_options", "spec",
-          "versions"]),
+         ["axis", "command", "config", "grid", "outputs", "policy", "spec", "versions"]),
         (["analyze", "TRACE"],
          ["bandwidth", "bins", "command", "epsilon", "obs_window", "outputs", "recent", "trace",
           "versions"]),
         (["compare", "--policies", "csp,accum", "--trace", "TRACE", *CFG_FLAGS],
-         ["command", "config", "outputs", "policies", "policy_options", "trace", "versions"]),
+         ["command", "config", "outputs", "policies", "trace", "versions"]),
     ], ids=["gen-trace", "simulate", "simulate-replay", "sweep", "analyze", "compare"])
     def test_keys(self, tmp_path, trace_path, argv, keys):
         out = tmp_path / "out.csv"
@@ -637,20 +661,22 @@ class TestSidecarSchema:
         if "config" in sidecar:
             assert sorted(sidecar["config"]) == CONFIG_KEYS
 
-    @pytest.mark.parametrize("argv, options", [
-        (["compare", "--policies", "csp,global-topk,accum,full", "--trace", "TRACE"],
-         '{"accum": {}, "csp": {}, "full": {}, "global-topk": {"pool_width": 1}}'),
-        (["simulate", "--policy", "global-topk", *SPEC_FLAGS],
-         '{"pool_width": 1}'),
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--policies", "csp,global-topk,accum,full", "--trace", "TRACE"],
+        ["simulate", "--policy", "global-topk", *SPEC_FLAGS],
     ], ids=["compare", "simulate"])
-    def test_policy_options(self, tmp_path, trace_path, argv, options):
-        """The options each policy ran with: values, types and key order as
-        the file holds them."""
+    def test_policy_options(self, tmp_path, trace_path, argv):
+        """A policy's knobs are config fields: the sidecar records the
+        width every run ran with, as an integer, under config, and holds
+        no separate options."""
         out = tmp_path / "out.csv"
         argv = [str(trace_path) if arg == "TRACE" else arg for arg in argv]
-        assert main([*argv, *CFG_FLAGS, "--out", str(out)]) == 0
-        sidecar = json.loads((tmp_path / "out.csv.config.json").read_text())
-        assert json.dumps(sidecar["policy_options"]) == options
+        for width in ("1", "3"):
+            assert main([*argv, *CFG_FLAGS, "--pool-width", width, "--out", str(out)]) == 0
+            sidecar = json.loads((tmp_path / "out.csv.config.json").read_text())
+            assert (type(sidecar["config"]["pool_width"]), sidecar["config"]["pool_width"]) == (
+                int, int(width))
+            assert "policy_options" not in sidecar
 
 
 class TestConfigFile:

@@ -78,6 +78,7 @@ class TestPruneConfig:
         assert cfg.cross_ratio == 0.5
         assert cfg.smoothing == 1.0
         assert cfg.widen_to_budget is False
+        assert cfg.pool_width == 1
         assert validate_config(cfg) is cfg
 
     @pytest.mark.parametrize(
@@ -95,13 +96,33 @@ class TestPruneConfig:
             ({"recency_bias": 0.0}, "recency_bias"),
             ({"smoothing": float("inf")}, "smoothing"),
             ({"recency_bias": float("inf")}, "recency_bias"),
+            ({"cross_ratio": "0.5"}, "cross_ratio"),
+            ({"cross_ratio": None}, "cross_ratio"),
+            ({"widen_to_budget": "no"}, "widen_to_budget"),
+            ({"widen_to_budget": 1}, "widen_to_budget"),
+            ({"widen_to_budget": None}, "widen_to_budget"),
+            ({"pool_width": 0}, "pool_width"),
+            ({"pool_width": -1}, "pool_width"),
+            ({"pool_width": 1.5}, "pool_width"),
         ],
     )
     def test_invalid_fields_name_the_culprit(self, kwargs, field):
+        """Every field meets one rule: a value of the wrong type is refused
+        like one out of range, with a ValueError naming the field."""
         base = dict(budget=100, recent=20, obs_window=32)
         base.update(kwargs)
         with pytest.raises(ValueError, match=field):
             PruneConfig(**base)
+
+    def test_numpy_values_are_stored_as_python_values(self):
+        """A numpy bool is a bool and a numpy integer a count; the config
+        keeps them as a Python bool and int."""
+        cfg = PruneConfig(budget=100, recent=20, obs_window=32, widen_to_budget=np.True_,
+                          pool_width=np.uint8(3))
+        assert cfg.widen_to_budget is True
+        assert type(cfg.pool_width) is int and cfg.pool_width == 3
+        assert PruneConfig(budget=100, recent=20, obs_window=32,
+                           widen_to_budget=np.False_).widen_to_budget is False
 
     def test_with_updates_revalidates(self):
         cfg = PruneConfig(budget=100, recent=20, obs_window=32)

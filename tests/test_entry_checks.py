@@ -93,7 +93,8 @@ def step_cases():
             if name == "global-topk":
                 for width in (0, 2.5):
                     yield (f"{name}-{path}-pool-width-{width}", name,
-                           (KEY_TAGS, LOGITS, QUERY_TAGS, cfg), {"pool_width": width})
+                           (KEY_TAGS, LOGITS, QUERY_TAGS, invalid_config(cfg, pool_width=width)),
+                           {})
         for field, value in (("recent", 4), ("cross_ratio", 1.5), ("smoothing", -1.0)):
             cfg = invalid_config(**{field: value})
             yield f"{name}-config-{field}", name, (KEY_TAGS, LOGITS, QUERY_TAGS, cfg), {}
@@ -178,7 +179,7 @@ PUBLIC_CASES = {
     "topk-k-2.5": (topk_mask, (np.arange(5.0), 2.5)),
     **{f"config-{name}-{value}": (partial(PruneConfig, **{**CONFIG_FIELDS, name: value}), ())
        for name, value in (("budget", 20.0), ("recent", 4.0), ("obs_window", 4.0),
-                           ("seed", 0.0))},
+                           ("pool_width", 2.0), ("seed", 0.0))},
     "weight-samples-obs-2.5": (lambda: modality_weight_samples(TRACE, obs_window=2.5), ()),
     "weight-samples-recent-1.5": (lambda: modality_weight_samples(TRACE, recent=1.5), ()),
     **{f"record-trace-obs-{value!r}": (record_trace, (SynthSpec(steps=1), value))
@@ -202,6 +203,8 @@ def test_public_function_rejects_bad_input(fn, args):
 # so an int past the float range, or a value that is no number, meets the
 # range check itself.
 REAL_SITES = {
+    "config-cross-ratio": (lambda v: PruneConfig(**CONFIG_FIELDS, cross_ratio=v),
+                           "cross_ratio must lie in \\[0, 1\\]", 0.5),
     "config-smoothing": (lambda v: PruneConfig(**CONFIG_FIELDS, smoothing=v),
                          "smoothing must be finite and >= 0", 1.0),
     "config-recency-bias": (lambda v: PruneConfig(**CONFIG_FIELDS, recency_bias=v),
@@ -251,7 +254,7 @@ TRACE_FIELDS = {"layers": 1, "heads": 1, "head_dim": 1}
 COUNT_SITES = {
     **{f"config-{name}": (lambda v, name=name: PruneConfig(**{**CONFIG_FIELDS, name: v}),
                           name, least, 5)
-       for name, least in (("budget", 1), ("recent", 0), ("obs_window", 1))},
+       for name, least in (("budget", 1), ("recent", 0), ("obs_window", 1), ("pool_width", 1))},
     **{f"synth-spec-{name}": (lambda v, name=name: SynthSpec(**{**SPEC_FIELDS, name: v}),
                               name, 0 if name in ("steps", "seed") else 1, 3)
        for name in SPEC_FIELDS},

@@ -171,9 +171,9 @@ class TestKeepPositions:
     def test_every_pruning_policy_keeps_mask_then_recent(self, name, kwargs):
         rng = np.random.default_rng(5)
         tags = tags_of(rng.integers(0, 2, size=16))
-        cfg = PruneConfig(budget=10, recent=3, obs_window=4)
+        cfg = PruneConfig(budget=10, recent=3, obs_window=4, **kwargs)
         keep, decision, _ = policy_step(name)(
-            tags, rng.standard_normal((2, 4, 16)), rng.integers(0, 2, size=4), cfg, **kwargs
+            tags, rng.standard_normal((2, 4, 16)), rng.integers(0, 2, size=4), cfg
         )
         assert decision.pruned
         assert keep.size == decision.achieved_occupancy <= cfg.budget
@@ -212,9 +212,8 @@ class TestKeepProperties:
     @given(case=step_cases(), pool_width=st.integers(1, 3))
     def test_keep_and_decision_invariants(self, name, widen, case, pool_width):
         key_tags, logits, query_tags, cfg = case
-        cfg = cfg.with_updates(widen_to_budget=widen)
-        kwargs = {"pool_width": pool_width} if name == "global-topk" else {}
-        keep, decision, _ = policy_step(name)(key_tags, logits, query_tags, cfg, **kwargs)
+        cfg = cfg.with_updates(widen_to_budget=widen, pool_width=pool_width)
+        keep, decision, _ = policy_step(name)(key_tags, logits, query_tags, cfg)
 
         length = key_tags.size
         cand = max(length - cfg.recent, 0)
@@ -241,10 +240,8 @@ class TestKernels:
            carried=st.integers(-1, 60))
     def test_kernel_matches_step(self, name, dtype, case, widen, pool_width, carried):
         key_tags, logits, query_tags, cfg = case
-        cfg = cfg.with_updates(widen_to_budget=widen)
+        cfg = cfg.with_updates(widen_to_budget=widen, pool_width=pool_width)
         logits = logits.astype(dtype)
-        options = {option.keyword: pool_width for option in POLICIES[name].options}
-        checked = policies.run_options(name, options)
         # accum carries the accumulator of an earlier, shorter cache; -1
         # starts it empty.
         state = None
@@ -252,11 +249,10 @@ class TestKernels:
             state = np.random.default_rng(carried).random(min(carried, key_tags.size)) * 4
         kernel = getattr(policies, POLICIES[name].kernel)
 
-        keep, decision, after = policy_step(name)(key_tags, logits, query_tags, cfg, state,
-                                                  **options)
+        keep, decision, after = policy_step(name)(key_tags, logits, query_tags, cfg, state)
         mass = partial(policies._window_scorer(logits, query_tags, cfg),
                        POLICIES[name].smoothing(cfg))
-        kernel_keep, kernel_decision, kernel_after = kernel(key_tags, mass, cfg, state, checked)
+        kernel_keep, kernel_decision, kernel_after = kernel(key_tags, mass, cfg, state)
         np.testing.assert_array_equal(kernel_keep, keep)
         assert kernel_decision == decision
         if after is None:
@@ -264,23 +260,13 @@ class TestKernels:
         else:
             np.testing.assert_array_equal(kernel_after, after)
 
-    def test_option_defaults_are_the_table(self):
-        """Each option's default is declared once, in its table row, which
-        its checks admit and omitted options take."""
-        assert {name: policies.option_defaults(name) for name in POLICIES} == {
-            "csp": {}, "global-topk": {"pool_width": 1}, "accum": {}, "full": {},
-        }
-        for name, policy in POLICIES.items():
-            table = {option.keyword: option.default for option in policy.options}
-            assert policies.option_defaults(name) == table == policies.run_options(name, {})
-
     def test_accum_kernel_refuses_a_shrunk_cache(self):
         """No input check sees a state longer than the cache, so the kernel
         itself refuses it."""
         cfg = PruneConfig(budget=4, recent=1, obs_window=1)
         mass = partial(policies._window_scorer(np.zeros((1, 1, 2)), tags_of([0]), cfg), 0.0)
         with pytest.raises(ValueError, match="the cache shrank"):
-            policies._accumulated_score_step(tags_of([0, 1]), mass, cfg, np.zeros(3), {})
+            policies._accumulated_score_step(tags_of([0, 1]), mass, cfg, np.zeros(3))
 
 
 @st.composite
@@ -376,7 +362,7 @@ class TestGlobalTopkStep:
         logits[0, 0, 4] = 5.0    # lone medium key far away
         cfg = PruneConfig(budget=4, recent=2, obs_window=1)
         plain = global_topk_step(tags, logits, [TEXT], cfg)[0]
-        pooled = global_topk_step(tags, logits, [TEXT], cfg, pool_width=3)[0]
+        pooled = global_topk_step(tags, logits, [TEXT], cfg.with_updates(pool_width=3))[0]
         assert 4 in set(plain[: plain.size - cfg.recent])
         np.testing.assert_array_equal(pooled[: pooled.size - cfg.recent], [0, 1])
 
@@ -403,10 +389,14 @@ class TestGlobalTopkStep:
         assert state is None and not decision.pruned
 
     def test_bad_pool_width(self):
-        cfg = PruneConfig(budget=4, recent=2, obs_window=1)
+        """pool_width is a config field: PruneConfig refuses a width below
+        1, and the step refuses a config that holds one anyway."""
         with pytest.raises(ValueError, match="pool_width must be an integer >= 1, got 0"):
-            global_topk_step(np.zeros(5, dtype=np.uint8), np.zeros((1, 1, 5)), [TEXT], cfg,
-                             pool_width=0)
+            PruneConfig(budget=4, recent=2, obs_window=1, pool_width=0)
+        cfg = PruneConfig(budget=4, recent=2, obs_window=1)
+        object.__setattr__(cfg, "pool_width", 0)
+        with pytest.raises(ValueError, match="pool_width must be an integer >= 1, got 0"):
+            global_topk_step(np.zeros(5, dtype=np.uint8), np.zeros((1, 1, 5)), [TEXT], cfg)
 
 
 class TestAccumulatedScoreStep:
@@ -512,15 +502,16 @@ class TestPolicyObjects:
         for n in (0.0, 2.5):
             cfg = PruneConfig(budget=4, recent=1, obs_window=1, smoothing=n)
             keep_all = cfg.with_updates(budget=spec.final_len + 1)
-            for name, options, smoothing in [
-                ("csp", {}, n),
-                ("global-topk", {}, 0.0),
-                ("global-topk", {"pool_width": 3}, 0.0),
-                ("accum", {}, 0.0),
-                ("full", {}, 0.0),
+            for name, width, smoothing in [
+                ("csp", 1, n),
+                ("global-topk", 1, 0.0),
+                ("global-topk", 3, 0.0),
+                ("accum", 1, 0.0),
+                ("full", 1, 0.0),
             ]:
                 assert POLICIES[name].smoothing(cfg) == smoothing
-                errors = run_decode(spec, name, keep_all, **options).recon_error
+                run = keep_all.with_updates(pool_width=width)
+                errors = run_decode(spec, name, run).recon_error
                 assert (max(errors) == 0.0) == (smoothing == 0.0), name
 
     @pytest.mark.parametrize("name", list(POLICIES))
@@ -546,26 +537,25 @@ class TestPolicyObjects:
     @pytest.mark.parametrize("name", ["global-topk", "accum"])
     def test_baselines_take_no_smoothing(self, name):
         """A baseline scores with the plain softmax and has no smoothing
-        option: its step and run_decode refuse the keyword, whatever its
-        value, as any unknown keyword."""
+        keyword: its step and run_decode refuse it, whatever its value, as
+        any unknown keyword."""
         cfg = PruneConfig(budget=4, recent=1, obs_window=2)
         spec = SynthSpec(text_len=4, visual_len=4, layers=1, heads=1, head_dim=4, steps=1)
         for value in (0.0, 1.0, -1.0, np.inf):
-            with pytest.raises(TypeError, match=f"policy '{name}' got an unexpected keyword "
-                                                "argument 'smoothing'"):
+            with pytest.raises(TypeError, match="unexpected keyword argument 'smoothing'"):
                 policy_step(name)(tags_of([0, 1, 0, 1, 0, 0]), np.zeros((2, 2, 6)),
                                   [TEXT, VISUAL], cfg, smoothing=value)
             with pytest.raises(TypeError, match="unexpected keyword argument 'smoothing'"):
                 run_decode(spec, name, cfg, smoothing=value)
 
     def test_policy_step_registry(self):
-        """A row is a label, a kernel name, options and a smoothing rule;
-        each exported step is policy_step of its name."""
+        """A row is a label, a kernel name and a smoothing rule; each
+        exported step is policy_step of its name."""
         steps = {"csp": csp_step, "global-topk": global_topk_step,
                  "accum": accumulated_score_step, "full": full_cache_step}
         kernels = {"csp": "_csp_step", "global-topk": "_global_topk_step",
                    "accum": "_accumulated_score_step", "full": "_full_cache_step"}
-        assert policies.Policy._fields == ("label", "kernel", "options", "smoothing")
+        assert policies.Policy._fields == ("label", "kernel", "smoothing")
         rng = np.random.default_rng(3)
         args = (tags_of(rng.integers(0, 2, 12)), rng.standard_normal((2, 3, 12)),
                 tags_of(rng.integers(0, 2, 3)), PruneConfig(budget=8, recent=2, obs_window=2))
@@ -590,17 +580,19 @@ class TestPolicyObjects:
         assert len(calls) == 1
         np.testing.assert_array_equal(keep, [1, 3, 4])
 
-    def test_options_are_keyword_only(self):
-        """A step takes its options by keyword alone; an unknown keyword is
-        a TypeError that names it."""
+    def test_steps_take_no_options(self):
+        """Every knob is a config field, so a step takes nothing past its
+        state: an extra argument, or a keyword such as pool_width, is a
+        TypeError that names it."""
         cfg = PruneConfig(budget=4, recent=1, obs_window=1)
         args = (tags_of([0, 1, 0]), np.zeros((1, 1, 3)), [TEXT], cfg)
         with pytest.raises(TypeError, match="positional"):
             global_topk_step(*args, None, 3)
         for name in POLICIES:
-            with pytest.raises(TypeError,
-                               match=f"policy '{name}' got an unexpected keyword argument 'width'"):
-                policy_step(name)(*args, width=3)
+            for keyword in ("pool_width", "width"):
+                with pytest.raises(TypeError,
+                                   match=f"unexpected keyword argument '{keyword}'"):
+                    policy_step(name)(*args, **{keyword: 3})
 
     @pytest.mark.parametrize("name", list(POLICIES))
     def test_float32_logits_match_float64(self, name):

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kvprune import core, policies, selection, simulator
 from kvprune.core import PruneConfig, TEXT, VISUAL
@@ -579,8 +579,8 @@ def count_calls(monkeypatch, module, *names):
 
 
 class TestChecksOncePerRun:
-    """run_decode checks a run's config, options and source once, then
-    drives unchecked kernels: a longer decode makes no more checks."""
+    """run_decode checks a run's config and source once, then drives
+    unchecked kernels: a longer decode makes no more checks."""
 
     CFG = PruneConfig(budget=14, recent=4, obs_window=4, widen_to_budget=True)
 
@@ -624,24 +624,18 @@ class TestChecksOncePerRun:
 
     @pytest.mark.parametrize("policy", list(policies.POLICIES))
     def test_options_checked_before_any_step(self, policy):
-        """An unknown keyword is a TypeError, as calling the step with it
-        would be, and a bad value a ValueError, even for a trace with no
-        step to call a kernel on."""
+        """A policy's knobs are config fields: a run takes no keyword
+        options, and a config holding a bad one is refused under every
+        policy, even for a trace with no step to call a kernel on."""
         empty = AttentionTrace(layers=1, heads=1, head_dim=4, prefill_tags=[0, 1, 0])
-        with pytest.raises(TypeError, match="unexpected keyword argument 'width'"):
-            run_decode(empty, policy, self.CFG, width=3)
-        if policies.POLICIES[policy].options:
-            with pytest.raises(ValueError, match="pool_width must be an integer >= 1"):
-                run_decode(empty, policy, self.CFG, pool_width=0)
-
-    def test_omitted_options_take_step_defaults(self):
-        """A run with no options equals one given the step defaults."""
-        for policy in policies.POLICIES:
-            defaults = policies.option_defaults(policy)
-            bare = run_decode(SMALL, policy, self.CFG)
-            explicit = run_decode(SMALL, policy, self.CFG, **defaults)
-            assert bare.per_step == explicit.per_step
-            assert bare.recon_error == explicit.recon_error
+        with pytest.raises(TypeError, match="unexpected keyword argument 'pool_width'"):
+            run_decode(empty, policy, self.CFG, pool_width=3)
+        for field, value, message in (("pool_width", 0, "pool_width must be an integer >= 1"),
+                                      ("widen_to_budget", "no", "widen_to_budget must be a bool")):
+            cfg = dataclasses.replace(self.CFG)
+            object.__setattr__(cfg, field, value)
+            with pytest.raises(ValueError, match=message):
+                run_decode(empty, policy, cfg)
 
 
 def count_forms(value, integral_floats):
@@ -678,9 +672,9 @@ FLOAT_MAX = float(np.finfo(np.float64).max)
 
 @st.composite
 def config_draws(draw):
-    """Keyword fields for PruneConfig and options for every policy, valid
-    or not: counts of every integer-like type, reals up to the largest
-    float, and values out of range. Each field comes from a valid range
+    """Keyword fields for PruneConfig, valid or not: counts of every
+    integer-like type, reals up to the largest float, bools of either
+    type, and values out of range. Each field comes from a valid range
     or, one draw in eight, from its extremes, and integral floats appear
     in one example in four, so that about half the configs are accepted."""
     integral_floats = draw(st.integers(0, 3)) == 3
@@ -705,28 +699,25 @@ def config_draws(draw):
         "smoothing": real(0.0, 4.0, 0.0, 1e-300, FLOAT_MAX, -1.0, np.inf, np.nan),
         "recency_bias": real(1e-3, 1e6, 1.0, 5e-324, 1e308, FLOAT_MAX / 64, FLOAT_MAX, 0.0,
                              -1.0, np.inf, np.nan),
-        "widen_to_budget": draw(st.booleans()),
+        "widen_to_budget": pick(st.booleans(), [0, "no"], lambda value: st.sampled_from(
+            [value, np.bool_(value)] if isinstance(value, bool) else [value])),
+        "pool_width": count(1, 40, 0, -1, 2**40),
         "seed": count(0, 2**40, -3),
     }
-    options = {
-        "pool_width": count(1, 40, 0, -1, 2**40),
-        "smoothing": real(0.0, 4.0, 0.0, FLOAT_MAX, -1.0, np.inf, np.nan),
-    }
-    return fields, options
+    return fields
 
 
 class TestAcceptedConfigRuns:
-    """A config that PruneConfig accepts, with options that a run accepts,
-    runs to the end under every policy: no kernel trips over a type or a
-    value the checks let through."""
+    """A config that PruneConfig accepts runs to the end under every
+    policy: no kernel trips over a type or a value the checks let
+    through."""
 
     SPEC = SynthSpec(seed=3, text_len=8, visual_len=8, layers=2, heads=2, head_dim=8,
                      steps=4, shift=2.0)
 
     @given(config_draws())
     @settings(max_examples=200)
-    def test_refused_when_built_or_runs(self, draw):
-        fields, options = draw
+    def test_refused_when_built_or_runs(self, fields):
         try:
             cfg = PruneConfig(**fields)
         except ValueError:
@@ -735,23 +726,16 @@ class TestAcceptedConfigRuns:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for policy in policies.POLICIES:
-                taken = {keyword: options[keyword] for keyword in policies.option_defaults(policy)}
                 for source in (self.SPEC, trace):
                     try:
-                        policies.run_options(policy, taken)
-                    except ValueError:
-                        with pytest.raises(ValueError):
-                            run_decode(source, policy, cfg, **taken)
-                        continue
-                    try:
-                        report = run_decode(source, policy, cfg, **taken)
+                        report = run_decode(source, policy, cfg)
                     except ValueError as error:
                         # TestEmptyKeptSet's refusal: a live decode that
                         # empties a layer's kept set cannot replay it at
                         # smoothing 0. The trace replay shows the emptying.
                         assert source is self.SPEC, error
                         assert "no columns and smoothing is 0" in str(error)
-                        replay = run_decode(trace, policy, cfg, **taken)
+                        replay = run_decode(trace, policy, cfg)
                         assert any(decision.achieved_occupancy == 0
                                    for step in replay.per_step for decision in step)
                         continue
@@ -790,7 +774,7 @@ class TestKernelsCallOnlyKernels:
             for name in ("topk_mask", "cross_self_select", "_checked_scores"):
                 monkeypatch.setattr(module, name, refuse, raising=False)
         cfg = self.CFG.with_updates(widen_to_budget=widen)
-        runs = [(policy, cfg, {}) for policy in policies.POLICIES]
+        runs = [(policy, cfg) for policy in policies.POLICIES]
         for source in (SMALL, record_trace(SMALL, cfg.obs_window)):
             reports = run_decodes(source, runs)
             assert all(any(decision.pruned for step in report.per_step for decision in step)
@@ -833,10 +817,9 @@ def lockstep_runs(draw):
                           obs_window=obs_window,
                           cross_ratio=draw(st.sampled_from([0.0, 0.5, 1.0])),
                           smoothing=draw(st.sampled_from([0.0, 1.0])),
-                          widen_to_budget=draw(st.booleans()))
-        width = draw(st.integers(1, 3))
-        runs.append((policy, cfg, {option.keyword: width
-                                   for option in policies.POLICIES[policy].options}))
+                          widen_to_budget=draw(st.booleans()),
+                          pool_width=draw(st.integers(1, 3)))
+        runs.append((policy, cfg))
     return spec, runs
 
 
@@ -857,23 +840,24 @@ class TestRunDecodes:
             source = spec if kind == "spec" else SyntheticDecoder(spec)
         reports = run_decodes(source, runs)
         assert len(reports) == len(runs)
-        for report, (policy, cfg, options) in zip(reports, runs):
-            alone = run_decode(source if kind == "trace" else spec, policy, cfg, **options)
+        for report, (policy, cfg) in zip(reports, runs):
+            alone = run_decode(source if kind == "trace" else spec, policy, cfg)
             assert_same_report(report, alone)
 
     @settings(max_examples=30, deadline=None)
     @given(case=lockstep_runs(), axis=st.sampled_from(SWEEP_AXES),
            grid=st.lists(st.sampled_from([0.0, 0.3, 0.5, 1.0, 2.0]), min_size=1, max_size=4))
     def test_each_sweep_row_equals_the_run_alone(self, case, axis, grid):
-        spec, [(policy, cfg, options), *_] = case
+        spec, [(policy, cfg), *_] = case
         if axis == "budget_fraction":
             grid = [value + 0.1 for value in grid]
         elif axis == "cross_ratio":
             grid = [min(value, 1.0) for value in grid]
-        rows = sweep(axis, grid, spec, cfg, policy, **options)
+        rows = sweep(axis, grid, spec, cfg, policy)
         assert [value for value, _ in rows] == grid
         for _, report in rows:
-            assert_same_report(report, run_decode(spec, policy, report.config, **options))
+            assert report.config.pool_width == cfg.pool_width
+            assert_same_report(report, run_decode(spec, policy, report.config))
 
     def test_step_zero_scores_once_per_distinct_smoothing(self, monkeypatch):
         """At step 0 every run holds the whole prefill. csp scores with
@@ -882,7 +866,7 @@ class TestRunDecodes:
         baselines read the same mass."""
         scored = record_scorings(monkeypatch)
         spec = SynthSpec(**{**SMALL.__dict__, "steps": 0})
-        runs = [(policy, self.CFG, {}) for policy in ("csp", "global-topk", "accum")]
+        runs = [(policy, self.CFG) for policy in ("csp", "global-topk", "accum")]
         run_decodes(spec, runs)
         assert collections.Counter(smoothing for smoothing, _ in scored) == {
             1.0: spec.layers, 0.0: spec.layers}
@@ -914,9 +898,9 @@ class TestRunDecodes:
             run_decodes(SMALL, [])
         wide = self.CFG.with_updates(obs_window=6)
         with pytest.raises(ValueError, match=r"must share obs_window, got \[4, 6\]"):
-            run_decodes(SMALL, [("csp", self.CFG, {}), ("accum", wide, {})])
+            run_decodes(SMALL, [("csp", self.CFG), ("accum", wide)])
         with pytest.raises(TypeError, match="cannot drive"):
-            run_decodes("no", [("csp", self.CFG, {})])
+            run_decodes("no", [("csp", self.CFG)])
 
     def test_shared_weights_are_read_only(self, monkeypatch):
         """A kernel that writes to the column mass it is handed gets a
@@ -924,15 +908,15 @@ class TestRunDecodes:
         writes = []
 
         def wrapper(kernel):
-            def writing(key_tags, mass, cfg, state, options):
+            def writing(key_tags, mass, cfg, state):
                 with pytest.raises(ValueError, match="read-only"):
                     mass()[0, 0] = 0.0
                 writes.append(key_tags.size)
-                return kernel(key_tags, mass, cfg, state, options)
+                return kernel(key_tags, mass, cfg, state)
             return writing
 
-        runs = [("accum", self.CFG, {}), ("global-topk", self.CFG, {})]
-        alone = [run_decode(SMALL, policy, cfg) for policy, cfg, _ in runs]
+        runs = [("accum", self.CFG), ("global-topk", self.CFG)]
+        alone = [run_decode(SMALL, policy, cfg) for policy, cfg in runs]
         wrap_kernel(monkeypatch, "accum", wrapper)
         for report, want in zip(run_decodes(SMALL, runs), alone):
             assert_same_report(report, want)
@@ -1017,9 +1001,9 @@ EMPTYING_CFG = PruneConfig(budget=budget_for_fraction(0.1, EMPTYING.final_len, 0
 
 @st.composite
 def batched_runs(draw):
-    """(spec, cfg, policy, options) of a small live run whose kept sets never
-    empty (recent >= 1), over every policy, widening setting, smoothing
-    0 or 1 and interleave."""
+    """(spec, cfg, policy) of a small live run whose kept sets never empty
+    (recent >= 1), over every policy, widening setting, pool width,
+    smoothing 0 or 1 and interleave."""
     spec = SynthSpec(
         seed=draw(st.integers(0, 99)),
         text_len=draw(st.integers(2, 12)),
@@ -1035,11 +1019,9 @@ def batched_runs(draw):
     cfg = PruneConfig(
         budget=budget_for_fraction(draw(st.floats(0.05, 1.1)), spec.final_len, recent),
         recent=recent, obs_window=draw(st.integers(1, 8)), smoothing=n,
-        widen_to_budget=draw(st.booleans()),
+        widen_to_budget=draw(st.booleans()), pool_width=draw(st.integers(1, 3)),
     )
-    policy = draw(st.sampled_from(list(policies.POLICIES)))
-    options = {"pool_width": draw(st.integers(1, 3))} if policy == "global-topk" else {}
-    return spec, cfg, policy, options
+    return spec, cfg, draw(st.sampled_from(list(policies.POLICIES)))
 
 
 class TestBatchedReconstruction:
@@ -1049,10 +1031,20 @@ class TestBatchedReconstruction:
 
     @settings(max_examples=80)
     @given(run=batched_runs(), chunk_floats=st.sampled_from([1, 300, 2**17]))
+    # Step 2's error is 3.4e-5, a difference of two outputs of norm about
+    # 1, so the batched and per-step sums differ by 4.7e-12 of it.
+    @example(run=(SynthSpec(seed=82, text_len=2, visual_len=7, interleave="alternating",
+                            layers=1, heads=1, head_dim=4, steps=3),
+                  PruneConfig(budget=12, recent=1, obs_window=1, smoothing=1.0), "csp"),
+             chunk_floats=2**17)
     def test_every_step_matches_the_per_step_oracle(self, run, chunk_floats):
         """chunk_floats 1 puts each step in its own chunk, 300 a few steps
-        in each, 2**17 the whole run in one."""
-        spec, cfg, policy, options = run
+        in each, 2**17 the whole run in one. An error is the norm of a
+        difference of two outputs, so it is compared to within 1e-12 of
+        itself or of the full output's norm, whichever is larger: the
+        rounding of each side scales with the outputs, not with their
+        difference."""
+        spec, cfg, policy = run
         decoder = SyntheticDecoder(spec)
         layer_errors = {}
         original = simulator._layer_errors
@@ -1063,20 +1055,25 @@ class TestBatchedReconstruction:
 
         with mock.patch.object(simulator, "_layer_errors", recorded), \
                 mock.patch.object(simulator, "RECON_CHUNK_FLOATS", chunk_floats):
-            report = run_decode(decoder, policy, cfg, **options)
+            report = run_decode(decoder, policy, cfg)
         smoothing = policies.POLICIES[policy].smoothing(cfg)
         assert sorted(layer_errors) == list(range(spec.layers))
         for step, record in enumerate(decoder.steps(cfg.obs_window)):
             retained = [layer_errors[layer][0][step] for layer in range(spec.layers)]
             expected = oracles.recon_step_errors(decoder, record.blocks, retained, smoothing)
+            norms = oracles.full_output_norms(decoder, record.blocks)
             length = spec.prefill_len + step
             for layer, want in enumerate(expected):
                 got = layer_errors[layer][1][step]
-                assert math.isclose(got, want, rel_tol=1e-12), (step, layer)
+                assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12 * norms[layer]), \
+                    (step, layer)
                 if retained[layer].size == length and smoothing == 0.0:
                     assert got == 0.0
-            assert math.isclose(report.recon_error[step], float(np.mean(expected)),
-                                rel_tol=1e-12)
+            # A mean of values each within max(rel, abs) of its own is within
+            # the mean of both bounds of theirs.
+            mean = float(np.mean(expected))
+            assert math.isclose(report.recon_error[step], mean, rel_tol=1e-12,
+                                abs_tol=1e-12 * (mean + float(np.mean(norms))))
 
     def test_chunks_cover_the_steps_within_the_float_budget(self):
         for count, per_step in ((0, 10), (1, 10**9), (7, 0), (129, 25_000), (13, 4_900)):
@@ -1382,11 +1379,12 @@ class TestOracleExecutors:
         for recorded, trace in self._traces(interleave):
             steps = _oracle_steps(trace)
             for budget in (self.BUDGET, 2 * self.BUDGET):
-                cfg = PruneConfig(budget=budget, recent=self.RECENT, obs_window=self.OBS)
+                cfg = PruneConfig(budget=budget, recent=self.RECENT, obs_window=self.OBS,
+                                  pool_width=pool_width)
                 history = oracles.global_topk_retained_global(
                     steps, budget, self.RECENT, self.OBS, pool_width=pool_width
                 )
-                report = run_decode(trace, "global-topk", cfg, pool_width=pool_width)
+                report = run_decode(trace, "global-topk", cfg)
                 self._check(report, history, f"recorded={recorded} budget={budget}")
 
     @pytest.mark.parametrize("interleave", ["block", "alternating", "random"])

@@ -46,6 +46,8 @@ TESTS = {
     "decompose": ["test_entry_checks.py", "test_decompose.py", "test_policies.py",
                   "test_acceptance.py"],
     "simulator": ["test_entry_checks.py", "test_simulator.py", "test_acceptance.py"],
+    "cli": ["test_cli.py"],
+    "traceio": ["test_entry_checks.py", "test_traceio.py"],
 }
 
 # Each operator's replacements: a comparison's boundary twin and its
