@@ -15,7 +15,7 @@ H2O, they rank by the plain softmax: only csp, the method under study,
 scores and replays with the n-softmax (cfg.smoothing).
 
 A policy is one kernel and one POLICIES entry. A kernel,
-kernel(key_tags, mass, cfg, state) -> (keep, decision, state), prunes one
+kernel(key_tags, mass, cfg, state) -> (keep, ks_used, state), prunes one
 layer from the uint8 tags of its cached keys, a scorer, a PruneConfig,
 which holds every knob of every policy (global-topk reads its pool_width),
 and its state (only accum keeps any: its running accumulator, None at
@@ -26,10 +26,15 @@ run's smoothing: row 0 sums the head-averaged smoothed softmax weights of
 the window's text queries, row 1 those of its visual queries. That is all
 any policy reads: csp splits it by key tag into intra and inter scores,
 global-topk ranks its column sums, and accum adds them to its running
-total. keep holds the retained candidates in ascending order, then the
-recent window, so keep[:keep.size - recent] are the kept candidates; the
-caller prunes its own per-position data with keep. Kernels never mutate
-their inputs.
+total. keep is None for a step that evicts nothing, so a no-op allocates
+nothing; otherwise it holds the retained candidates in ascending order,
+then the recent window, so keep[:keep.size - recent] are the kept
+candidates, and the caller prunes its own per-position data with it.
+ks_used is the nominal budget split before any widening, (0, 0) for a
+no-op. Kernels never mutate their inputs and build no decision record:
+_decided builds every PolicyDecision from the kept tokens' tags, for
+policy_step and for simulator.RunReport, which derives its per-step
+records from the retained ids only when they are read.
 
 An entry names the kernel and gives smoothing(cfg), the one rule for the
 smoothing a run scores and replays with. The CLI's policy choices and
@@ -114,9 +119,13 @@ def _selector(window_tags: np.ndarray, heads: int) -> np.ndarray:
     """The (2, heads * window) 0/1 float64 matrix that picks the text
     (row 0) and the visual (row 1) query rows out of a window's
     (heads * window, cols) stack of rows, head-major; window_tags are the
-    window's uint8 query tags."""
+    window's uint8 query tags. Both rows are written into one array, each
+    broadcast over the heads."""
     text = window_tags == TEXT_CODE
-    return np.tile(np.stack([text, ~text]).astype(np.float64), heads)
+    select = np.empty((2, heads, text.size))
+    select[0] = text
+    select[1] = ~text
+    return select.reshape(2, heads * text.size)
 
 
 def _mass(logits: np.ndarray, select: np.ndarray, smoothing: float) -> np.ndarray:
@@ -168,28 +177,21 @@ def _window_scorer(logits: np.ndarray, query_tags: np.ndarray, cfg: PruneConfig)
     return _scorer(logits, _selector(query_tags[query_tags.size - window :], logits.shape[0]))
 
 
-def _decided(key_tags: np.ndarray, cfg: PruneConfig, keep: np.ndarray, ks, pruned: bool):
-    """(keep, decision) for a step that keeps the positions keep."""
-    decision = PolicyDecision(
-        achieved_occupancy=keep.size,
-        per_modality_retained=_tag_counts(key_tags[keep[: max(keep.size - cfg.recent, 0)]]),
+def _decided(kept_tags: np.ndarray, cfg: PruneConfig, ks, pruned: bool) -> PolicyDecision:
+    """The decision of a step that keeps the tokens tagged kept_tags, in
+    cache order, the recent window last, having split its budget as ks."""
+    return PolicyDecision(
+        achieved_occupancy=kept_tags.size,
+        per_modality_retained=_tag_counts(kept_tags[: max(kept_tags.size - cfg.recent, 0)]),
         ks_used=ks,
         pruned=pruned,
     )
-    return keep, decision
 
 
-def _noop(key_tags: np.ndarray, cfg: PruneConfig):
-    """(keep, decision) for a step that evicts nothing."""
-    return _decided(key_tags, cfg, np.arange(key_tags.size), (0, 0), False)
-
-
-def _pruned(key_tags: np.ndarray, cfg: PruneConfig, chosen: np.ndarray, ks):
-    """(keep, decision) for a step that keeps the ascending candidate
-    positions chosen, then the recent window."""
-    length = key_tags.size
-    keep = np.concatenate([chosen, np.arange(length - cfg.recent, length)])
-    return _decided(key_tags, cfg, keep, ks, True)
+def _kept(chosen: np.ndarray, length: int, cfg: PruneConfig) -> np.ndarray:
+    """The keep of a step over length keys that keeps the ascending
+    candidate positions chosen, then the recent window."""
+    return np.concatenate([chosen, np.arange(length - cfg.recent, length)])
 
 
 def _csp_step(key_tags, mass, cfg: PruneConfig, state):
@@ -200,11 +202,11 @@ def _csp_step(key_tags, mass, cfg: PruneConfig, state):
     window kept after the selected candidates.
     """
     if key_tags.size < cfg.budget:
-        return (*_noop(key_tags, cfg), None)
+        return None, (0, 0), None
     cand = key_tags.size - cfg.recent
     imp = _decompose(mass()[:, :cand], key_tags[:cand])
     chosen = _cross_self_select(imp, cfg)
-    return (*_pruned(key_tags, cfg, chosen, budget_to_k(cfg, cand)), None)
+    return _kept(chosen, key_tags.size, cfg), budget_to_k(cfg, cand), None
 
 
 def _pooled(importance: np.ndarray, width: int) -> np.ndarray:
@@ -225,12 +227,12 @@ def _global_topk_step(key_tags, mass, cfg: PruneConfig, state):
     """Single global ranking by column sum, max-pooled over
     cfg.pool_width keys, no modality split."""
     if key_tags.size < cfg.budget:
-        return (*_noop(key_tags, cfg), None)
+        return None, (0, 0), None
     cand = key_tags.size - cfg.recent
     columns = mass()
     importance = _pooled(columns[0, :cand] + columns[1, :cand], cfg.pool_width)
     pool = cfg.pool
-    return (*_pruned(key_tags, cfg, _topk_mask(importance, pool), (pool, pool)), None)
+    return _kept(_topk_mask(importance, pool), key_tags.size, cfg), (pool, pool), None
 
 
 def _accumulated_score_step(key_tags, mass, cfg: PruneConfig, state):
@@ -255,16 +257,16 @@ def _accumulated_score_step(key_tags, mass, cfg: PruneConfig, state):
     running = running + (columns[0] + columns[1])
 
     if key_tags.size < cfg.budget:
-        return (*_noop(key_tags, cfg), running)
+        return None, (0, 0), running
     cand = key_tags.size - cfg.recent
     pool = cfg.pool
-    keep, decision = _pruned(key_tags, cfg, _topk_mask(running[:cand], pool), (pool, pool))
-    return keep, decision, running[keep]
+    keep = _kept(_topk_mask(running[:cand], pool), key_tags.size, cfg)
+    return keep, (pool, pool), running[keep]
 
 
 def _full_cache_step(key_tags, mass, cfg: PruneConfig, state):
     """Reference policy: never evicts, and so never scores."""
-    return (*_noop(key_tags, cfg), None)
+    return None, (0, 0), None
 
 
 # A registry entry: the policy's label; the module attribute name of its
@@ -301,17 +303,21 @@ def policy_step(name: str):
     """The checked step of policy `name`, step(key_tags, logits,
     query_tags, cfg, state=None) -> (keep, decision, state): _checked,
     then the kernel with a scorer of the checked logits at the policy's
-    smoothing. The entry and its kernel are looked up at call time.
-    ValueError for an unknown policy."""
+    smoothing, then _decided over the kept tags. keep is every position,
+    in order, for a step that evicts nothing. The entry and its kernel are
+    looked up at call time. ValueError for an unknown policy."""
     get_policy(name)
 
     def step(key_tags, logits, query_tags, cfg: PruneConfig, state=None):
-        """Check the config, tags and logits once, then run the policy's
-        kernel on a scorer of the logits."""
+        """Check the config, tags and logits once, run the policy's kernel
+        on a scorer of the logits, and decide from what it kept."""
         policy = POLICIES[name]
         key_tags, logits, query_tags = _checked(key_tags, logits, query_tags, cfg)
         mass = partial(_window_scorer(logits, query_tags, cfg), policy.smoothing(cfg))
-        return globals()[policy.kernel](key_tags, mass, cfg, state)
+        keep, ks, state = globals()[policy.kernel](key_tags, mass, cfg, state)
+        if keep is None:
+            return np.arange(key_tags.size), _decided(key_tags, cfg, ks, False), state
+        return keep, _decided(key_tags[keep], cfg, ks, True), state
 
     return step
 

@@ -85,7 +85,7 @@ def summarize(report: RunReport, budget_fraction: float | None = None) -> Result
     budget_fraction defaults to the configured budget over the final
     sequence length; sweeps pass the grid value instead.
     """
-    if not report.per_step:
+    if not report.steps:
         raise ValueError("the run has no steps to summarize")
     if budget_fraction is None:
         budget_fraction = report.config.budget / report.full_length

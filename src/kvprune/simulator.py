@@ -35,24 +35,28 @@ there share, bound to the run's smoothing, so each distinct (keys,
 smoothing) is gathered and scored at most once, and only if a kernel asks. A scoring is the read-only (2, cols)
 column mass of the observation window, all any policy reads, and each step
 builds its text/visual query selector from the sequence's tags once for
-every layer and run. A synthetic run records each step's retained ids per
-layer and scores its reconstruction error after the loop, one batched pass
-per layer. One routine, _outputs, computes both sides: each step's
-newest-query logits over its kept ids are gathered from the slab into one
-array padded with -inf to the largest kept count, so pads weigh 0 in the
-smoothed softmax, and one batched matmul against the gathered values gives
-every step's output. The unpruned side keeps every key under smoothing 0;
-it is computed once per layer per call, and only if some run scores a step
-there. Steps go in chunks whose temporaries stay near RECON_CHUNK_FLOATS
-values, so peak memory does not grow with the step count.
+every layer and run. A kernel builds no decision record: each run records,
+per step and layer, its retained ids, the kernel's ks_used and whether it
+pruned, and its report derives the per-step decisions and cached bytes from
+those records on first read, so a caller that reads neither pays for
+neither. A synthetic run scores its reconstruction error from the same
+retained ids after the loop, one batched pass per layer. One routine,
+_outputs, computes both sides: each step's newest-query logits over its
+kept ids are gathered from the slab into one array padded with -inf to the
+largest kept count, so pads weigh 0 in the smoothed softmax, and one
+batched matmul against the gathered values gives every step's output.
+The unpruned side keeps every key under smoothing 0; it is computed once
+per layer per call, and only if some run scores a step there. Steps go
+in chunks whose temporaries stay near RECON_CHUNK_FLOATS values, so peak
+memory does not grow with the step count.
 Traces carry no values or query vectors, so replays report no reconstruction
 error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -68,7 +72,7 @@ from .core import (
     validate_config,
 )
 from .policies import PolicyDecision
-from .scoring import _smoothed_softmax_rows, attention_logits
+from .scoring import _smoothed_softmax_rows
 from .traceio import AttentionTrace, TraceStep, checked
 
 INTERLEAVE_MODES = ("block", "alternating", "random")
@@ -159,18 +163,16 @@ class SyntheticDecoder:
         proj_rng = np.random.default_rng([spec.seed, 2])
         embeddings = emb_rng.standard_normal((spec.final_len, d))
         scale = 1.0 / np.sqrt(d)
-        # One K/V projection per layer, one Q projection per layer and head.
-        self._keys = np.empty((spec.layers, spec.final_len, d))
-        self._values = np.empty((spec.layers, spec.final_len, d))
-        self._queries = np.empty((spec.layers, spec.heads, spec.final_len, d))
-        for layer in range(spec.layers):
-            w_k = proj_rng.standard_normal((d, d)) * scale
-            w_v = proj_rng.standard_normal((d, d)) * scale
-            self._keys[layer] = embeddings @ w_k.T
-            self._values[layer] = embeddings @ w_v.T
-            for head in range(spec.heads):
-                w_q = proj_rng.standard_normal((d, d)) * scale
-                self._queries[layer, head] = embeddings @ w_q.T
+        # Per layer a K, a V and one Q projection per head, drawn in that
+        # order in one call. Each kind is applied in one batched matmul into
+        # an array of its own: a single array for all three, once freed,
+        # raised the peak RSS of the work that followed it in the process
+        # (glibc then serves larger blocks from its heap).
+        weights = proj_rng.standard_normal((spec.layers, 2 + spec.heads, d, d))
+        weights *= scale
+        self._keys = embeddings @ weights[:, 0].transpose(0, 2, 1)
+        self._values = embeddings @ weights[:, 1].transpose(0, 2, 1)
+        self._queries = embeddings @ weights[:, 2:].transpose(0, 1, 3, 2)
 
     def values(self, layer: int, ids: np.ndarray | slice) -> np.ndarray:
         return self._values[layer][ids]
@@ -181,13 +183,15 @@ class SyntheticDecoder:
         q_tags = self.full_tags[query_ids]
         k_tags = self.full_tags[key_ids]
         cross = (q_tags[:, None] != k_tags[None, :]).astype(np.float64)
-        out = np.empty((spec.heads, len(query_ids), len(key_ids)))
         keys = self._keys[layer][key_ids]
+        queries = self._queries[layer][:, query_ids]
         # Overflow is refused below, with the flags that cause it, not warned of.
         with np.errstate(over="ignore", invalid="ignore"):
-            for head in range(spec.heads):
-                queries = self._queries[layer, head][query_ids]
-                out[head] = spec.spread * attention_logits(queries, keys) - spec.shift * cross
+            # In place, so the block is the one (heads, queries, keys) array.
+            out = queries @ keys.T
+            out /= np.sqrt(float(spec.head_dim))
+            out *= spec.spread
+            out -= spec.shift * cross
         # max and min are NaN if any logit is, which fails both comparisons.
         if not (out.max(initial=0.0) <= _FLOAT32_MAX and out.min(initial=0.0) >= -_FLOAT32_MAX):
             raise ValueError(
@@ -245,21 +249,46 @@ class SyntheticDecoder:
 
 @dataclass
 class RunReport:
-    """Everything a completed decode run produced, per step and per layer."""
+    """Everything a completed decode run produced, per step and per layer.
+
+    A run records three things per step and layer: step_ids, the ids the
+    layer retained after the step; step_ks, the ks_used of its kernel; and
+    step_pruned, whether it pruned. full_tags holds every token's tag.
+    per_step and bytes_cached are derived from those records the first
+    time they are read, then cached.
+    """
 
     policy: str
     config: PruneConfig
     seed: int
     full_length: int
-    per_step: list[list[PolicyDecision]]
-    bytes_cached: list[int]
+    head_dim: int
     recon_error: list[float]
     retained_ids: list[np.ndarray]
     retained_tags: list[np.ndarray]
+    full_tags: np.ndarray = field(repr=False)
+    step_ids: list[list[np.ndarray]] = field(repr=False)
+    step_ks: list[list[tuple[int, int]]] = field(repr=False)
+    step_pruned: list[list[bool]] = field(repr=False)
+
+    @cached_property
+    def per_step(self) -> list[list[PolicyDecision]]:
+        """Each step's decision per layer, as policy_step would give it."""
+        return [
+            [policies._decided(self.full_tags[ids], self.config, ks, pruned)
+             for ids, ks, pruned in zip(*records)]
+            for records in zip(self.step_ids, self.step_ks, self.step_pruned)
+        ]
+
+    @cached_property
+    def bytes_cached(self) -> list[int]:
+        """Each step's float32 keys and values for every retained token."""
+        return [sum(ids.size * 2 * self.head_dim * 4 for ids in layers)
+                for layers in self.step_ids]
 
     @property
     def steps(self) -> int:
-        return len(self.per_step)
+        return len(self.step_ids)
 
     @property
     def achieved_budget_fraction(self) -> float:
@@ -313,7 +342,7 @@ def run_decode(source, policy_name: str, cfg: PruneConfig) -> RunReport:
 
 class _Run:
     """One run of run_decodes: its checked policy and config, and what its
-    steps have decided so far."""
+    steps have recorded so far (see RunReport)."""
 
     def __init__(self, policy_name: str, cfg: PruneConfig, source):
         policy = policies.get_policy(policy_name)
@@ -323,9 +352,9 @@ class _Run:
         self.smoothing = policy.smoothing(cfg)
         self.retained = [np.arange(source.prefill_tags.size) for _ in range(source.layers)]
         self.states = [None] * source.layers
-        self.per_step: list[list[PolicyDecision]] = []
-        self.bytes_cached: list[int] = []
-        self.kept: list[list[np.ndarray]] = []
+        self.step_ids: list[list[np.ndarray]] = []
+        self.step_ks: list[list[tuple[int, int]]] = []
+        self.step_pruned: list[list[bool]] = []
 
 
 def run_decodes(source, runs) -> list[RunReport]:
@@ -369,7 +398,10 @@ def run_decodes(source, runs) -> list[RunReport]:
     else:
         decoder, steps = None, source.steps
 
-    full_tags = as_tags(source.full_tags)
+    # Reports derive their decisions from these tags when read, so they
+    # keep a read-only copy that no later edit of the source reaches.
+    full_tags = as_tags(source.full_tags).copy()
+    full_tags.flags.writeable = False
     full_len = source.prefill_tags.size
     for record in steps:
         added = record.new_tags.size
@@ -382,7 +414,8 @@ def run_decodes(source, runs) -> list[RunReport]:
         for run in runs:
             if added:
                 run.retained = [np.concatenate([ids, new_ids]) for ids in run.retained]
-            run.per_step.append([])
+            run.step_ks.append([])
+            run.step_pruned.append([])
         for layer in range(source.layers):
             scorers = {}
             for run in runs:
@@ -393,19 +426,16 @@ def run_decodes(source, runs) -> list[RunReport]:
                     # them holds every key and is scored from the block itself.
                     scorers[key] = policies._scorer(blocks[layer], select,
                                                     None if ids.size == full_len else ids)
-                keep, decision, run.states[layer] = run.kernel(
+                keep, ks, run.states[layer] = run.kernel(
                     full_tags[ids], partial(scorers[key], run.smoothing), run.cfg,
                     run.states[layer])
-                if decision.pruned:
+                if keep is not None:
                     run.retained[layer] = ids[keep]
-                run.per_step[-1].append(decision)
+                run.step_ks[-1].append(ks)
+                run.step_pruned[-1].append(keep is not None)
         for run in runs:
-            # float32 keys and values for every retained token.
-            run.bytes_cached.append(sum(ids.size * 2 * source.head_dim * 4
-                                        for ids in run.retained))
-            if decoder is not None:
-                # A step replaces the arrays it changes, so a shallow copy records it.
-                run.kept.append(run.retained.copy())
+            # A step replaces the arrays it changes, so a shallow copy records it.
+            run.step_ids.append(run.retained.copy())
 
     return [
         RunReport(
@@ -413,12 +443,15 @@ def run_decodes(source, runs) -> list[RunReport]:
             config=run.cfg,
             seed=run.cfg.seed,
             full_length=int(full_tags.size),
-            per_step=run.per_step,
-            bytes_cached=run.bytes_cached,
-            recon_error=[] if decoder is None else _recon_error(decoder, newest, full, run.kept,
-                                                                run.smoothing),
+            head_dim=source.head_dim,
+            recon_error=[] if decoder is None else _recon_error(decoder, newest, full,
+                                                                run.step_ids, run.smoothing),
             retained_ids=[ids.copy() for ids in run.retained],
             retained_tags=[full_tags[ids] for ids in run.retained],
+            full_tags=full_tags,
+            step_ids=run.step_ids,
+            step_ks=run.step_ks,
+            step_pruned=run.step_pruned,
         )
         for run in runs
     ]

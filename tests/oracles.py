@@ -449,6 +449,51 @@ def modality_weight_pools(trace, obs_window=None, recent=0):
     ]
 
 
+def query_selector(window_tags, heads):
+    """The (2, heads * window) 0/1 float64 text/visual query selector,
+    stacked and then tiled across the heads."""
+    text = np.asarray(window_tags) == 0
+    return np.tile(np.stack([text, ~text]).astype(np.float64), heads)
+
+
+def decoder_projections(spec):
+    """A SyntheticDecoder's (keys, values, queries) arrays, one draw and
+    one matmul per matrix: per layer a K and a V projection, then one Q
+    projection per head."""
+    d = spec.head_dim
+    emb_rng = np.random.default_rng([spec.seed, 1])
+    proj_rng = np.random.default_rng([spec.seed, 2])
+    embeddings = emb_rng.standard_normal((spec.final_len, d))
+    scale = 1.0 / np.sqrt(d)
+    keys = np.empty((spec.layers, spec.final_len, d))
+    values = np.empty((spec.layers, spec.final_len, d))
+    queries = np.empty((spec.layers, spec.heads, spec.final_len, d))
+    for layer in range(spec.layers):
+        w_k = proj_rng.standard_normal((d, d)) * scale
+        w_v = proj_rng.standard_normal((d, d)) * scale
+        keys[layer] = embeddings @ w_k.T
+        values[layer] = embeddings @ w_v.T
+        for head in range(spec.heads):
+            w_q = proj_rng.standard_normal((d, d)) * scale
+            queries[layer, head] = embeddings @ w_q.T
+    return keys, values, queries
+
+
+def per_head_logit_block(spec, full_tags, layer, query_ids, key_ids):
+    """SyntheticDecoder.logit_block before its float32 cast, from
+    decoder_projections, one matmul per head."""
+    keys, _, queries = decoder_projections(spec)
+    q_tags = full_tags[query_ids]
+    k_tags = full_tags[key_ids]
+    cross = (q_tags[:, None] != k_tags[None, :]).astype(np.float64)
+    out = np.empty((spec.heads, len(query_ids), len(key_ids)))
+    scale = np.sqrt(float(spec.head_dim))
+    for head in range(spec.heads):
+        dots = queries[layer, head][query_ids] @ keys[layer][key_ids].T / scale
+        out[head] = spec.spread * dots - spec.shift * cross
+    return out
+
+
 def per_step_logit_blocks(decoder, obs_window):
     """Each decode step's (added token count, blocks), built from scratch.
 

@@ -231,7 +231,8 @@ class TestKeepProperties:
 class TestKernels:
     """The kernel run_decode calls for a policy gives, on any input its
     public step accepts and a scorer of the checked logits, the step's
-    keep, decision and state."""
+    keep, ks_used, pruned flag and state: keep is None exactly when the
+    step did not prune, and the step then keeps every position."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("name", list(POLICIES))
@@ -252,9 +253,12 @@ class TestKernels:
         keep, decision, after = policy_step(name)(key_tags, logits, query_tags, cfg, state)
         mass = partial(policies._window_scorer(logits, query_tags, cfg),
                        POLICIES[name].smoothing(cfg))
-        kernel_keep, kernel_decision, kernel_after = kernel(key_tags, mass, cfg, state)
+        kernel_keep, ks, kernel_after = kernel(key_tags, mass, cfg, state)
+        assert (kernel_keep is not None) == decision.pruned
+        if kernel_keep is None:
+            kernel_keep = np.arange(key_tags.size)
         np.testing.assert_array_equal(kernel_keep, keep)
-        assert kernel_decision == decision
+        assert ks == decision.ks_used
         if after is None:
             assert kernel_after is None
         else:
@@ -267,6 +271,21 @@ class TestKernels:
         mass = partial(policies._window_scorer(np.zeros((1, 1, 2)), tags_of([0]), cfg), 0.0)
         with pytest.raises(ValueError, match="the cache shrank"):
             policies._accumulated_score_step(tags_of([0, 1]), mass, cfg, np.zeros(3))
+
+
+class TestSelector:
+    """The query selector writes both rows into one array; tests/oracles.py
+    stacks and tiles them. Both give the same float64 bits."""
+
+    @settings(max_examples=200)
+    @given(window=st.lists(st.integers(0, 1), max_size=40), heads=st.integers(1, 8))
+    def test_matches_the_tiled_oracle(self, window, heads):
+        window_tags = tags_of(window)
+        got = policies._selector(window_tags, heads)
+        want = oracles.query_selector(window_tags, heads)
+        assert got.dtype == want.dtype == np.float64
+        assert got.shape == want.shape == (2, heads * len(window))
+        assert got.tobytes() == want.tobytes()
 
 
 @st.composite

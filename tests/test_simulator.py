@@ -44,14 +44,15 @@ def wrap_kernel(monkeypatch, policy, wrapper):
 
 def record_keeps(monkeypatch, policy):
     """Wrap the kernel run_decode calls for a policy; the returned list
-    collects the keep array of every call, in call order."""
+    collects the keep of every call, in call order: None for a step that
+    evicts nothing."""
     keeps = []
 
     def wrapper(kernel):
         def recorded(*args, **kwargs):
-            keep, decision, state = kernel(*args, **kwargs)
+            keep, ks, state = kernel(*args, **kwargs)
             keeps.append(keep)
-            return keep, decision, state
+            return keep, ks, state
         return recorded
 
     wrap_kernel(monkeypatch, policy, wrapper)
@@ -289,6 +290,47 @@ class TestStepsOracle:
             )
 
 
+DECODER_SPECS = st.builds(
+    SynthSpec,
+    seed=st.integers(0, 2**16),
+    text_len=st.integers(1, 12),
+    visual_len=st.integers(1, 12),
+    interleave=st.sampled_from(simulator.INTERLEAVE_MODES),
+    layers=st.integers(1, 4),
+    heads=st.integers(1, 8),
+    head_dim=st.integers(0, 20).map(lambda half: 2 * half + 1) | st.integers(1, 40),
+    steps=st.integers(0, 6),
+    shift=st.floats(-4.0, 4.0).filter(lambda shift: shift != 2.0),
+    spread=st.floats(0.1, 4.0).filter(lambda spread: spread != 1.0),
+)
+
+
+class TestDecoderOracle:
+    """The decoder draws every projection in one call and applies them,
+    and every head's logits, in batched matmuls. tests/oracles.py draws
+    and applies one matrix at a time, and multiplies one head at a time;
+    both give the same bits. As with TestStepsOracle, that rests on the
+    BLAS computing each dot product the same way in either form."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=DECODER_SPECS, data=st.data())
+    def test_projections_and_blocks_match_the_per_matrix_loop(self, spec, data):
+        decoder = SyntheticDecoder(spec)
+        keys, values, queries = oracles.decoder_projections(spec)
+        assert np.array_equal(decoder._keys, keys)
+        assert np.array_equal(decoder._values, values)
+        assert np.array_equal(decoder._queries, queries)
+
+        ids = st.lists(st.integers(0, spec.final_len - 1), min_size=1, max_size=20)
+        query_ids = np.array(data.draw(ids))
+        key_ids = np.array(data.draw(ids))
+        layer = data.draw(st.integers(0, spec.layers - 1))
+        want = oracles.per_head_logit_block(spec, decoder.full_tags, layer, query_ids, key_ids)
+        block = decoder.logit_block(layer, query_ids, key_ids)
+        assert block.dtype == np.float32
+        assert np.array_equal(block, want.astype(np.float32))
+
+
 class TestBudgetForFraction:
     def test_rounds_to_nearest(self):
         assert budget_for_fraction(0.25, 136, 8) == 34
@@ -449,14 +491,14 @@ class TestScriptedTrace:
         report = run_decode(trace, "csp", cfg)
 
         step0, step1, step2 = (step[0] for step in report.per_step)
-        keep0, _, keep2 = keeps
+        keep0, keep1, keep2 = keeps
         assert step0.pruned
         np.testing.assert_array_equal(keep0[: keep0.size - cfg.recent], [0, 1])
         assert step0.ks_used == (2, 2)
         assert step0.per_modality_retained == (0, 2)
         assert step0.achieved_occupancy == 4
 
-        assert not step1.pruned
+        assert not step1.pruned and keep1 is None
         assert step1.achieved_occupancy == 5
 
         assert step2.pruned
@@ -781,20 +823,34 @@ class TestKernelsCallOnlyKernels:
                        for report in reports if report.policy != "full")
 
 
+def assert_same_arrays(got, want):
+    """Two lists of arrays, by dtype and value."""
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert x.dtype == y.dtype
+        np.testing.assert_array_equal(x, y)
+
+
 def assert_same_report(got, want):
     """Field by field and bit for bit: arrays by dtype and value, floats by
-    their bytes."""
+    their bytes; then per_step and bytes_cached, which a report derives
+    from its fields and which are therefore no fields themselves."""
     for field in dataclasses.fields(simulator.RunReport):
         a, b = getattr(got, field.name), getattr(want, field.name)
         if field.name in ("retained_ids", "retained_tags"):
+            assert_same_arrays(a, b)
+        elif field.name == "full_tags":
+            assert_same_arrays([a], [b])
+        elif field.name == "step_ids":
             assert len(a) == len(b)
             for x, y in zip(a, b):
-                assert x.dtype == y.dtype
-                np.testing.assert_array_equal(x, y)
+                assert_same_arrays(x, y)
         elif field.name == "recon_error":
             assert np.array(a, dtype=np.float64).tobytes() == np.array(b).tobytes()
         else:
             assert a == b, field.name
+    assert got.per_step == want.per_step
+    assert got.bytes_cached == want.bytes_cached
 
 
 @st.composite
@@ -921,6 +977,72 @@ class TestRunDecodes:
         for report, want in zip(run_decodes(SMALL, runs), alone):
             assert_same_report(report, want)
         assert len(writes) == (SMALL.steps + 1) * SMALL.layers
+
+
+def eager_records(source, policy, cfg):
+    """(per_step, bytes_cached) of one run, by stepping the public
+    policy_step over every record of source, a SyntheticDecoder or a
+    trace, with each layer's key tags and window logits, and keeping the
+    decision each call builds."""
+    step = policies.policy_step(policy)
+    records = (source.steps(cfg.obs_window) if isinstance(source, SyntheticDecoder)
+               else source.steps)
+    full_tags = np.asarray(source.full_tags, dtype=np.uint8)
+    length = source.prefill_tags.size
+    retained = [np.arange(length)] * source.layers
+    states = [None] * source.layers
+    per_step, bytes_cached = [], []
+    for record in records:
+        added = record.new_tags.size
+        length += added
+        query_tags = full_tags[length - record.blocks.shape[2] : length]
+        decisions = []
+        for layer in range(source.layers):
+            ids = np.concatenate([retained[layer], np.arange(length - added, length)])
+            keep, decision, states[layer] = step(full_tags[ids], record.blocks[layer][:, :, ids],
+                                                 query_tags, cfg, states[layer])
+            retained[layer] = ids[keep]
+            decisions.append(decision)
+        per_step.append(decisions)
+        bytes_cached.append(sum(ids.size * 2 * source.head_dim * 4 for ids in retained))
+    return per_step, bytes_cached
+
+
+class TestDerivedRecords:
+    """A report derives per_step and bytes_cached from the retained ids,
+    ks_used and pruned flags its run recorded. They equal what stepping
+    the public policy_step gives, one decision built per call, for every
+    policy, with widening on and off, beside any other runs."""
+
+    @pytest.mark.parametrize("widen", [False, True])
+    @pytest.mark.parametrize("policy", list(policies.POLICIES))
+    @settings(max_examples=25, deadline=None)
+    @given(case=lockstep_runs(), kind=st.sampled_from(["decoder", "trace"]))
+    def test_match_an_eager_policy_step_oracle(self, policy, widen, case, kind):
+        spec, runs = case
+        runs = [(policy, runs[0][1].with_updates(widen_to_budget=widen)), *runs]
+        source = SyntheticDecoder(spec)
+        if kind == "trace":
+            source = record_trace(spec, runs[0][1].obs_window)
+        for report, (name, cfg) in zip(run_decodes(source, runs), runs, strict=True):
+            per_step, bytes_cached = eager_records(source, name, cfg)
+            assert report.steps == len(per_step)
+            assert report.per_step == per_step
+            assert report.bytes_cached == bytes_cached
+            # Read once, then cached.
+            assert report.per_step is report.per_step
+
+    def test_a_later_edit_of_the_source_changes_no_report(self):
+        """Decisions are derived when read, from the report's own copy of
+        the tags, so editing the decoder's tags after the run is harmless."""
+        decoder = SyntheticDecoder(SMALL)
+        cfg = PruneConfig(budget=14, recent=4, obs_window=4)
+        want = run_decode(SMALL, "csp", cfg).per_step
+        report = run_decode(decoder, "csp", cfg)
+        decoder.full_tags[:] = VISUAL
+        assert report.per_step == want
+        with pytest.raises(ValueError, match="read-only"):
+            report.full_tags[0] = TEXT
 
 
 def record_scorings(monkeypatch):
