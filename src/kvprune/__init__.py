@@ -8,6 +8,10 @@ a synthetic decode simulator, trace file I/O, distribution diagnostics and
 a CLI round out the toolkit.
 """
 
+# Defined before the imports below, so a submodule may import it while the
+# package is still initialising.
+__version__ = "0.1.0"
+
 from .core import (
     TEXT,
     VISUAL,
@@ -18,7 +22,6 @@ from .core import (
     validate_config,
 )
 from .scoring import (
-    attention_logits,
     head_average,
     smoothed_softmax_rows,
     softmax_rows,
@@ -71,8 +74,6 @@ from .diagnostics import (
 )
 from .reports import ResultsRow, results_csv, steps_csv, summarize
 
-__version__ = "0.1.0"
-
 __all__ = [
     "AttentionTrace",
     "BadMagicError",
@@ -100,7 +101,6 @@ __all__ = [
     "VISUAL",
     "accumulated_score_step",
     "as_tags",
-    "attention_logits",
     "budget_for_fraction",
     "budget_to_k",
     "cross_self_importance",

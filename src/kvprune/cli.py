@@ -23,7 +23,6 @@ import argparse
 import functools
 import json
 import os
-import platform
 import sys
 from collections import namedtuple
 from dataclasses import asdict, fields
@@ -44,7 +43,7 @@ from .simulator import (
     sweep,
 )
 from .traceio import MAX_U16, TraceError, read_trace, write_trace
-from . import __version__, plots, reports
+from . import plots, reports
 
 
 class UsageError(Exception):
@@ -247,15 +246,6 @@ def _config_payload(cfg: PruneConfig, budget_fraction: float) -> dict:
     return {**payload, "budget_fraction": budget_fraction}
 
 
-def _write_sidecar(out_path: str, payload: dict) -> None:
-    versions = {
-        "kvprune": __version__,
-        "numpy": np.__version__,
-        "python": platform.python_version(),
-    }
-    reports.write_config_sidecar(out_path, {**payload, "versions": versions})
-
-
 def _stem(path: str) -> str:
     root, _ = os.path.splitext(path)
     return root
@@ -270,7 +260,7 @@ def _cmd_gen_trace(args, file_cfg) -> int:
     spec = _build(SynthSpec, resolved)
     trace = _usage(record_trace, spec, resolved["obs"])
     write_trace(trace, args.out)
-    _write_sidecar(
+    reports.write_config_sidecar(
         args.out,
         {"command": "gen-trace", "spec": asdict(spec), "obs_window": resolved["obs"],
          "outputs": [args.out]},
@@ -297,7 +287,7 @@ def _cmd_simulate(args, file_cfg) -> int:
         report = _usage(run_decode, source, policy, cfg)
 
     reports.write_text(args.out, reports.steps_csv(report, fraction))
-    _write_sidecar(
+    reports.write_config_sidecar(
         args.out,
         {"command": "simulate", "policy": policy, "config": _config_payload(cfg, fraction),
          **source_payload, "outputs": [args.out]},
@@ -344,7 +334,7 @@ def _cmd_sweep(args, file_cfg) -> int:
         )
         reports.write_text(svg_path, svg)
         outputs.append(svg_path)
-    _write_sidecar(
+    reports.write_config_sidecar(
         args.out,
         {"command": "sweep", "axis": args.axis, "grid": grid, "policy": policy,
          "config": _config_payload(cfg, fraction), "spec": asdict(spec), "outputs": outputs},
@@ -413,7 +403,7 @@ def _cmd_analyze(args, file_cfg) -> int:
             )
             reports.write_text(overlay_path, svg)
             outputs.append(overlay_path)
-    _write_sidecar(
+    reports.write_config_sidecar(
         args.out,
         {"command": "analyze", "trace": args.trace, "bins": args.bins,
          "epsilon": args.epsilon, "bandwidth": args.bandwidth, "obs_window": obs,
@@ -438,7 +428,7 @@ def _cmd_compare(args, file_cfg) -> int:
     cfg = _config_from(resolved, fraction, trace.final_length)
     runs = run_decodes(trace, [(name, cfg) for name in names])
     reports.write_text(args.out, reports.steps_csv(runs, fraction))
-    _write_sidecar(
+    reports.write_config_sidecar(
         args.out,
         {"command": "compare", "policies": names, "trace": args.trace,
          "config": _config_payload(cfg, fraction), "outputs": [args.out]},

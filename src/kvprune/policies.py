@@ -53,16 +53,15 @@ costs a comparison. No kernel checks its scores for finiteness: a column
 mass is at most the window's row count, so only csp's recency_bias
 multiply could overflow, and validate_config bounds that.
 simulator.run_decodes checks each run's config once and calls the
-kernels itself, with a scorer shared by every run that holds the same
-keys at a layer-step, so each distinct (keys, smoothing) there is scored
-once.
+kernels itself, with one _scorer per distinct (keys, smoothing) at a
+layer-step, shared by every run that holds those keys at that smoothing,
+so each is gathered and scored at most once.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -142,39 +141,31 @@ def _mass(logits: np.ndarray, select: np.ndarray, smoothing: float) -> np.ndarra
     return mass
 
 
-def _scorer(logits: np.ndarray, select: np.ndarray, ids: np.ndarray | None = None):
-    """mass(smoothing), the callable a kernel's scorer binds to one
-    smoothing: _mass of the checked (heads, rows, cols) logits' last window
-    rows and their columns ids (all of them when ids is None), select being
-    the window's _selector, so window = select.shape[1] // heads.
+def _scorer(logits: np.ndarray, select: np.ndarray, smoothing: float,
+            ids: np.ndarray | None = None):
+    """mass(), the scorer a kernel reads: _mass at smoothing of the checked
+    (heads, rows, cols) logits' last window rows and their columns ids (all
+    of them when ids is None), select being the window's _selector, so
+    window = select.shape[1] // heads.
 
-    The window is sliced and the columns gathered on the first call, so a
-    kernel that never scores costs no gather and rows outside the window
-    are never read. Each smoothing is scored once and then handed out
-    again, read-only, to every later call. The gather keeps fancy
-    indexing's layout, and a full block is read as a view, not copied.
+    The first call slices the window, gathers the columns and scores them,
+    so a kernel that never scores costs no gather and rows outside the
+    window are never read; every later call hands out the same read-only
+    mass. The gather keeps fancy indexing's layout, and a full block is
+    read as a view, not copied.
     """
     heads, rows, _ = logits.shape
     first = rows - select.shape[1] // heads
-    memo = {}
-    block = None
+    scored = None
 
-    def mass(smoothing: float) -> np.ndarray:
-        nonlocal block
-        if smoothing not in memo:
-            if block is None:
-                block = logits[:, first:] if ids is None else logits[:, first:, ids]
-            memo[smoothing] = _mass(block, select, smoothing)
-        return memo[smoothing]
+    def mass() -> np.ndarray:
+        nonlocal scored
+        if scored is None:
+            block = logits[:, first:] if ids is None else logits[:, first:, ids]
+            scored = _mass(block, select, smoothing)
+        return scored
 
     return mass
-
-
-def _window_scorer(logits: np.ndarray, query_tags: np.ndarray, cfg: PruneConfig):
-    """The _scorer of a step's checked logits, over the last
-    min(cfg.obs_window, rows) rows."""
-    window = min(cfg.obs_window, query_tags.size)
-    return _scorer(logits, _selector(query_tags[query_tags.size - window :], logits.shape[0]))
 
 
 def _decided(kept_tags: np.ndarray, cfg: PruneConfig, ks, pruned: bool) -> PolicyDecision:
@@ -302,10 +293,11 @@ def get_policy(name: str) -> Policy:
 def policy_step(name: str):
     """The checked step of policy `name`, step(key_tags, logits,
     query_tags, cfg, state=None) -> (keep, decision, state): _checked,
-    then the kernel with a scorer of the checked logits at the policy's
-    smoothing, then _decided over the kept tags. keep is every position,
-    in order, for a step that evicts nothing. The entry and its kernel are
-    looked up at call time. ValueError for an unknown policy."""
+    then the kernel with a _scorer of the checked logits' last
+    min(cfg.obs_window, rows) rows at the policy's smoothing, then
+    _decided over the kept tags. keep is every position, in order, for a
+    step that evicts nothing. The entry and its kernel are looked up at
+    call time. ValueError for an unknown policy."""
     get_policy(name)
 
     def step(key_tags, logits, query_tags, cfg: PruneConfig, state=None):
@@ -313,7 +305,8 @@ def policy_step(name: str):
         on a scorer of the logits, and decide from what it kept."""
         policy = POLICIES[name]
         key_tags, logits, query_tags = _checked(key_tags, logits, query_tags, cfg)
-        mass = partial(_window_scorer(logits, query_tags, cfg), policy.smoothing(cfg))
+        window = query_tags[query_tags.size - min(cfg.obs_window, query_tags.size) :]
+        mass = _scorer(logits, _selector(window, logits.shape[0]), policy.smoothing(cfg))
         keep, ks, state = globals()[policy.kernel](key_tags, mass, cfg, state)
         if keep is None:
             return np.arange(key_tags.size), _decided(key_tags, cfg, ks, False), state

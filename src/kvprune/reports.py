@@ -8,24 +8,13 @@ produces byte-identical files, which the tests rely on. Missing values
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import platform
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import __version__
 from .simulator import RunReport
-
-RESULTS_COLUMNS = (
-    "policy",
-    "budget_fraction",
-    "cross_ratio",
-    "smooth_n",
-    "seed",
-    "achieved_occupancy",
-    "text_retained",
-    "visual_retained",
-    "mean_recon_error",
-    "bytes_cached",
-)
 
 STEP_COLUMNS = (
     "step",
@@ -61,6 +50,10 @@ class ResultsRow:
 
     def cells(self) -> list:
         return [getattr(self, name) for name in RESULTS_COLUMNS]
+
+
+# The results CSV's header: ResultsRow's fields, in declaration order.
+RESULTS_COLUMNS = tuple(field.name for field in fields(ResultsRow))
 
 
 def format_cell(value) -> str:
@@ -172,9 +165,15 @@ def write_text(path, text: str) -> None:
 
 
 def write_config_sidecar(out_path, payload: dict) -> str:
-    """Echo the fully resolved run configuration next to its output file."""
+    """Echo the fully resolved run configuration next to its output file,
+    with the kvprune, numpy and Python versions under "versions"."""
+    versions = {
+        "kvprune": __version__,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+    }
     sidecar = f"{out_path}.config.json"
     with open(sidecar, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump({**payload, "versions": versions}, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return sidecar

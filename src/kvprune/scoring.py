@@ -38,18 +38,6 @@ def _as_matrix(x, name: str) -> np.ndarray:
     return x
 
 
-def attention_logits(queries, keys) -> np.ndarray:
-    """Scaled dot-product logits, shape (n_queries, n_keys), at the
-    1/sqrt(d) scale of the shared inner dimension d."""
-    queries = _as_matrix(queries, "queries")
-    keys = _as_matrix(keys, "keys")
-    if queries.shape[1] != keys.shape[1]:
-        raise ValueError(
-            f"queries and keys disagree on inner dimension: {queries.shape[1]} vs {keys.shape[1]}"
-        )
-    return queries @ keys.T / np.sqrt(float(queries.shape[1]))
-
-
 def softmax_rows(logits) -> np.ndarray:
     """Row-wise softmax with max-shift stabilization.
 

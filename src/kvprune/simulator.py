@@ -22,33 +22,35 @@ so each `run_decodes` call builds every logit its steps need once, into one
 read-only slab of its own, and each step's blocks are a view of it. The
 decoder keeps nothing a call derives, so one decoder may serve any calls.
 
-`run_decodes` drives any number of runs, each a policy and a config,
-over any of three sources (a SynthSpec, a SyntheticDecoder or an
+`run_decodes` drives any number of runs, each a policy and a config, over
+any of three sources (a SynthSpec, a SyntheticDecoder or an
 AttentionTrace) with one loop over those records, all runs in lockstep;
 `run_decode` is its one-run case, and `sweep` and the CLI's compare pass
 it all their runs at once. It checks each run once, on entry, and a
 trace's header and records once per call, through traceio.checked, then
 reads only the checked copy; a decoder's records come unchecked from its
 finite float32 slab. The loop then calls each run's unchecked kernel on
-every step and layer, handing it a scorer that runs holding the same keys
-there share, bound to the run's smoothing, so each distinct (keys,
-smoothing) is gathered and scored at most once, and only if a kernel asks. A scoring is the read-only (2, cols)
-column mass of the observation window, all any policy reads, and each step
-builds its text/visual query selector from the sequence's tags once for
-every layer and run. A kernel builds no decision record: each run records,
-per step and layer, its retained ids, the kernel's ks_used and whether it
-pruned, and its report derives the per-step decisions and cached bytes from
-those records on first read, so a caller that reads neither pays for
-neither. A synthetic run scores its reconstruction error from the same
-retained ids after the loop, one batched pass per layer. One routine,
-_outputs, computes both sides: each step's newest-query logits over its
-kept ids are gathered from the slab into one array padded with -inf to the
-largest kept count, so pads weigh 0 in the smoothed softmax, and one
-batched matmul against the gathered values gives every step's output.
-The unpruned side keeps every key under smoothing 0; it is computed once
-per layer per call, and only if some run scores a step there. Steps go
-in chunks whose temporaries stay near RECON_CHUNK_FLOATS values, so peak
-memory does not grow with the step count.
+every step and layer, handing it the scorer of the run's (keys, smoothing)
+there, which every run holding those keys at that smoothing shares, so
+each is gathered and scored at most once, and only if a kernel asks. A
+scoring is the read-only (2, cols) column mass of the observation window,
+all any policy reads, and each step builds its text/visual query selector
+from the sequence's tags once for every layer and run. A kernel builds no
+decision record: each run records, per step and layer, its retained ids,
+the kernel's ks_used and whether it pruned, and its report derives the
+per-step decisions and cached bytes from those records on first read, so a
+caller that reads neither pays for neither. After the loop, _recon_errors
+scores every synthetic run's reconstruction error from the same retained
+ids, looping over layers, then runs, one batched pass per run and layer.
+One routine, _outputs, computes both sides: each step's newest-query
+logits over its kept ids are gathered from the slab into one array padded
+with -inf to the largest kept count, so pads weigh 0 in the smoothed
+softmax, and one batched matmul against the gathered values gives every
+step's output. The unpruned side keeps every key under smoothing 0; it is
+computed once per layer per call, by the first run that scores a step
+there, and not at all if none does. Steps go in chunks whose temporaries
+stay near RECON_CHUNK_FLOATS values, so peak memory does not grow with the
+step count.
 Traces carry no values or query vectors, so replays report no reconstruction
 error.
 """
@@ -56,7 +58,7 @@ error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -367,14 +369,16 @@ def run_decodes(source, runs) -> list[RunReport]:
     once per call, not once per run. Each run is checked as run_decode checks it, and every
     refusal (no run, a bad run, differing windows) comes before any step.
 
-    At each layer-step, runs that retain the same ids share one scorer:
-    the logits over those ids are gathered at most once and scored at
-    most once per smoothing, on the first kernel call that asks, and every
-    run reads the same read-only column mass. Runs that differ only in what
-    their policy ignores (a global-topk sweep along smooth_n or
-    cross_ratio, csp runs at several pool_width values) therefore score
-    once per layer-step, whatever their number. Runs share nothing else,
-    and the reconstruction error is scored per run after the loop.
+    At each layer-step, a dict keyed by (retained ids, smoothing) holds
+    one scorer per key, shared by every run with that key: the logits over
+    those ids are gathered and scored at most once, on the first kernel
+    call that asks, and every such run reads the same read-only column
+    mass. Runs that differ only in what their policy ignores (a global-topk
+    sweep along smooth_n or cross_ratio, csp runs at several pool_width
+    values) therefore score once per layer-step, whatever their number.
+    After the loop, each layer's unpruned reconstruction outputs are
+    computed once, by the first run that needs them, and shared by the
+    rest; runs share nothing else.
     """
     if isinstance(source, SynthSpec):
         source = SyntheticDecoder(source)
@@ -391,10 +395,9 @@ def run_decodes(source, runs) -> list[RunReport]:
     if isinstance(source, SyntheticDecoder):
         decoder, (slab, start) = source, source.slab(windows[0])
         steps = decoder._records(slab, start, windows[0])
-        # Each step's newest query over every key, and per layer the
-        # unpruned outputs, shared by every run of this call.
+        # Each step's newest query over every key.
         first = decoder.spec.prefill_len - 1 - start
-        newest, full = slab[:, :, first : first + decoder.spec.steps + 1], [None] * decoder.layers
+        newest = slab[:, :, first : first + decoder.spec.steps + 1]
     else:
         decoder, steps = None, source.steps
 
@@ -420,15 +423,14 @@ def run_decodes(source, runs) -> list[RunReport]:
             scorers = {}
             for run in runs:
                 ids = run.retained[layer]
-                key = ids.tobytes()
+                key = (ids.tobytes(), run.smoothing)
                 if key not in scorers:
                     # Retained ids ascend, so a layer holding full_len of
                     # them holds every key and is scored from the block itself.
-                    scorers[key] = policies._scorer(blocks[layer], select,
+                    scorers[key] = policies._scorer(blocks[layer], select, run.smoothing,
                                                     None if ids.size == full_len else ids)
-                keep, ks, run.states[layer] = run.kernel(
-                    full_tags[ids], partial(scorers[key], run.smoothing), run.cfg,
-                    run.states[layer])
+                keep, ks, run.states[layer] = run.kernel(full_tags[ids], scorers[key], run.cfg,
+                                                         run.states[layer])
                 if keep is not None:
                     run.retained[layer] = ids[keep]
                 run.step_ks[-1].append(ks)
@@ -437,6 +439,9 @@ def run_decodes(source, runs) -> list[RunReport]:
             # A step replaces the arrays it changes, so a shallow copy records it.
             run.step_ids.append(run.retained.copy())
 
+    # Each run's reconstruction error per step, the mean over layers.
+    recon = ([[] for _ in runs] if decoder is None
+             else [errors.mean(axis=1).tolist() for errors in _recon_errors(decoder, newest, runs)])
     return [
         RunReport(
             policy=run.policy_name,
@@ -444,8 +449,7 @@ def run_decodes(source, runs) -> list[RunReport]:
             seed=run.cfg.seed,
             full_length=int(full_tags.size),
             head_dim=source.head_dim,
-            recon_error=[] if decoder is None else _recon_error(decoder, newest, full,
-                                                                run.step_ids, run.smoothing),
+            recon_error=recon_error,
             retained_ids=[ids.copy() for ids in run.retained],
             retained_tags=[full_tags[ids] for ids in run.retained],
             full_tags=full_tags,
@@ -453,56 +457,47 @@ def run_decodes(source, runs) -> list[RunReport]:
             step_ks=run.step_ks,
             step_pruned=run.step_pruned,
         )
-        for run in runs
+        for run, recon_error in zip(runs, recon)
     ]
 
 
-def _recon_error(decoder, newest: np.ndarray, full: list, kept: list[list[np.ndarray]],
-                 smoothing: float) -> list[float]:
-    """Each step's mean over layers of ||full attention output - pruned
-    output|| for the newest query, heads concatenated.
-
-    kept[step][layer] holds the ids that layer retained after that step; a
-    run's steps are the decoder's, in order. newest[layer] holds each
-    step's newest-query logits over every key, and full[layer] the layer's
-    unpruned outputs, or None until some run scores a step there.
-    """
-    errors = np.zeros((len(kept), decoder.layers))
-    for layer in range(decoder.layers):
-        errors[:, layer] = _layer_errors(decoder, newest, full, layer,
-                                         [ids[layer] for ids in kept], smoothing)
-    return errors.mean(axis=1).tolist()
-
-
-def _layer_errors(decoder, newest: np.ndarray, full: list, layer: int, kept: list[np.ndarray],
-                  smoothing: float) -> np.ndarray:
-    """One layer's error at every step, kept[step] being its retained ids.
+def _recon_errors(decoder, newest: np.ndarray, runs: list[_Run]) -> np.ndarray:
+    """Every run's error (runs, steps, layers) at every step and layer:
+    ||full attention output - pruned output|| for the newest query, heads
+    concatenated, run.step_ids[step][layer] being the ids that layer
+    retained after that step. newest[layer] holds each step's newest-query
+    logits over every key.
 
     A step that keeps every key under smoothing 0 is not computed: kept ids
     are unique, so its pruned output is the full output and its error is
     exactly 0.0, which computing it could miss, since numpy's sums depend
-    on buffer alignment. Both sides of every other step come from _outputs;
-    the full side keeps every key under smoothing 0, once per layer.
+    on buffer alignment. Both sides of every other step come from _outputs.
+    The full side keeps every key under smoothing 0; the first run that
+    scores a step at a layer computes it, and the layer's later runs reuse
+    it.
     """
-    lengths = decoder.spec.prefill_len + np.arange(len(kept))
-    counts = np.array([ids.size for ids in kept])
-    if smoothing == 0.0:
-        scored = np.flatnonzero(counts < lengths)
-        # The same refusal the softmax makes for an empty row, which a padded
-        # row would otherwise turn into NaN.
-        if not counts[scored].all():
-            raise ValueError("no columns and smoothing is 0; weights are undefined")
-    else:
-        scored = np.arange(len(kept))
-    errors = np.zeros(len(kept))
-    if scored.size == 0:
-        return errors
-    values = decoder.values(layer, slice(None))
-    if full[layer] is None:
-        every = [np.arange(length) for length in lengths]
-        full[layer] = _outputs(newest[layer], values, every, np.arange(len(kept)), 0.0)
-    diff = full[layer][scored] - _outputs(newest[layer], values, kept, scored, smoothing)
-    errors[scored] = np.sqrt(np.einsum("shd,shd->s", diff, diff))
+    lengths = decoder.spec.prefill_len + np.arange(decoder.spec.steps + 1)
+    errors = np.zeros((len(runs), lengths.size, decoder.layers))
+    for layer in range(decoder.layers):
+        values, full = decoder.values(layer, slice(None)), None
+        for run, run_errors in zip(runs, errors):
+            kept = [ids[layer] for ids in run.step_ids]
+            counts = np.array([ids.size for ids in kept])
+            if run.smoothing == 0.0:
+                scored = np.flatnonzero(counts < lengths)
+                # The same refusal the softmax makes for an empty row, which a
+                # padded row would otherwise turn into NaN.
+                if not counts[scored].all():
+                    raise ValueError("no columns and smoothing is 0; weights are undefined")
+            else:
+                scored = np.arange(lengths.size)
+            if scored.size == 0:
+                continue
+            if full is None:
+                every = [np.arange(length) for length in lengths]
+                full = _outputs(newest[layer], values, every, np.arange(lengths.size), 0.0)
+            diff = full[scored] - _outputs(newest[layer], values, kept, scored, run.smoothing)
+            run_errors[scored, layer] = np.sqrt(np.einsum("shd,shd->s", diff, diff))
     return errors
 
 

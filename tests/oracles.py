@@ -563,9 +563,10 @@ def recon_step_errors(decoder, blocks, retained, smoothing):
     is the norm of the difference of the two outputs, heads concatenated.
 
     It is the per-step reference for the batched scoring of
-    kvprune.simulator._layer_errors. A layer that keeps every key under smoothing 0 reports exactly 0.0, an
-    empty kept set under smoothing 0 raises ValueError, and one under
-    smoothing > 0 has a zero pruned output.
+    kvprune.simulator._recon_errors. A layer that keeps every key under
+    smoothing 0 reports exactly 0.0, an empty kept set under smoothing 0
+    raises ValueError, and one under smoothing > 0 has a zero pruned
+    output.
     """
     length = blocks.shape[3]
     errors = []

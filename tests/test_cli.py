@@ -164,6 +164,12 @@ class TestSimulate:
         assert sidecar["config"]["budget_fraction"] == 0.5
         assert sidecar["spec"]["text_len"] == 8
 
+    def test_recent_defaults_to_32(self, tmp_path):
+        out = tmp_path / "steps.csv"
+        assert main(["simulate", *SPEC_FLAGS, "--out", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "steps.csv.config.json").read_text())
+        assert sidecar["config"]["recent"] == 32
+
     def test_trace_replay_has_empty_recon_cells(self, tmp_path, trace_path):
         out = tmp_path / "replay.csv"
         assert main(["simulate", "--trace", str(trace_path), *CFG_FLAGS,
@@ -281,6 +287,17 @@ class TestSweep:
         fraction_index = RESULTS_COLUMNS.index("budget_fraction")
         cells = [line.split(",")[fraction_index] for line in read_lines(out)[1:]]
         assert cells == ["0.4", "0.8"]
+
+    def test_budget_axis_reports_the_grid_value_not_the_token_budget(self, tmp_path):
+        """At full length 20, 0.33 rounds to a budget of 7 tokens, which reads
+        back as 0.35; the row still reports the grid value."""
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--axis", "budget_fraction", "--grid", "0.33",
+                     *SPEC_FLAGS, "--recent", "2", "--obs", "4", "--policy", "csp",
+                     "--out", str(out)]) == 0
+        assert simulator.budget_for_fraction(0.33, 20, 2) == 7
+        fraction_index = RESULTS_COLUMNS.index("budget_fraction")
+        assert [line.split(",")[fraction_index] for line in read_lines(out)[1:]] == ["0.33"]
 
     def test_axis_span_beyond_the_largest_float(self, tmp_path):
         """A grid whose padded span overflows still plots every point and

@@ -1,7 +1,6 @@
 """Tests for the four eviction policies and their shared step contract."""
 
 import tracemalloc
-from functools import partial
 
 import numpy as np
 import pytest
@@ -251,8 +250,9 @@ class TestKernels:
         kernel = getattr(policies, POLICIES[name].kernel)
 
         keep, decision, after = policy_step(name)(key_tags, logits, query_tags, cfg, state)
-        mass = partial(policies._window_scorer(logits, query_tags, cfg),
-                       POLICIES[name].smoothing(cfg))
+        window = query_tags[query_tags.size - min(cfg.obs_window, query_tags.size) :]
+        mass = policies._scorer(logits, policies._selector(window, logits.shape[0]),
+                                POLICIES[name].smoothing(cfg))
         kernel_keep, ks, kernel_after = kernel(key_tags, mass, cfg, state)
         assert (kernel_keep is not None) == decision.pruned
         if kernel_keep is None:
@@ -268,7 +268,7 @@ class TestKernels:
         """No input check sees a state longer than the cache, so the kernel
         itself refuses it."""
         cfg = PruneConfig(budget=4, recent=1, obs_window=1)
-        mass = partial(policies._window_scorer(np.zeros((1, 1, 2)), tags_of([0]), cfg), 0.0)
+        mass = policies._scorer(np.zeros((1, 1, 2)), policies._selector(tags_of([0]), 1), 0.0)
         with pytest.raises(ValueError, match="the cache shrank"):
             policies._accumulated_score_step(tags_of([0, 1]), mass, cfg, np.zeros(3))
 
@@ -319,7 +319,7 @@ class TestMass:
         heads, rows, cols = logits.shape
         window = min(obs_window, rows)
         window_tags = query_tags[rows - window :]
-        mass = policies._scorer(logits, policies._selector(window_tags, heads), ids)(smoothing)
+        mass = policies._scorer(logits, policies._selector(window_tags, heads), smoothing, ids)()
 
         retained = list(range(cols)) if ids is None else ids.tolist()
         averaged = oracles._head_average_over(logits.astype(np.float64).tolist(), retained,
@@ -344,8 +344,8 @@ class TestMass:
         logits = np.random.default_rng(5).normal(0.0, 3.0, size=(2, 6, 9)).astype(np.float32)
         query_tags = tags_of([VISUAL, VISUAL, TEXT, TEXT, TEXT, TEXT])
         key_tags = tags_of([VISUAL, TEXT] * 4 + [TEXT])
-        cfg = PruneConfig(budget=4, recent=1, obs_window=4)
-        mass = policies._window_scorer(logits, query_tags, cfg)(1.0)
+        # A window of the last 4 rows, all text.
+        mass = policies._scorer(logits, policies._selector(query_tags[2:], 2), 1.0)()
         assert np.all(mass[0] > 0.0)
         assert mass[1].tolist() == [0.0] * 9
         scores = _decompose(mass, key_tags)

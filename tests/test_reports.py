@@ -1,6 +1,7 @@
 """Tests for CSV/JSON emission: schemas, formatting, determinism."""
 
 import json
+import platform
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+import kvprune
 from kvprune.core import PruneConfig
 from kvprune.diagnostics import DensityCurve, layer_report
 from kvprune.reports import (
@@ -97,6 +99,9 @@ class TestResultsCsv:
         text = results_csv([summarize(csp_report)])
         lines = text.splitlines()
         assert lines[0] == ",".join(RESULTS_COLUMNS)
+        # Spelled out, so a reordered or renamed ResultsRow field shows here.
+        assert lines[0] == ("policy,budget_fraction,cross_ratio,smooth_n,seed,achieved_occupancy,"
+                            "text_retained,visual_retained,mean_recon_error,bytes_cached")
         assert len(lines) == 2
         assert len(lines[1].split(",")) == len(RESULTS_COLUMNS)
         assert text.endswith("\n")
@@ -188,4 +193,9 @@ class TestFileHelpers:
         sidecar = write_config_sidecar(target, {"budget": 14, "policy": "csp"})
         assert sidecar == f"{target}.config.json"
         payload = json.loads((tmp_path / "results.csv.config.json").read_text())
-        assert payload == {"budget": 14, "policy": "csp"}
+        assert payload == {
+            "budget": 14,
+            "policy": "csp",
+            "versions": {"kvprune": kvprune.__version__, "numpy": np.__version__,
+                         "python": platform.python_version()},
+        }

@@ -1,4 +1,4 @@
-"""Tests for logits, softmax variants, head averaging, and trimming."""
+"""Tests for softmax variants, head averaging, and trimming."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from kvprune.scoring import (
     _shifted_exp,
     _smoothed_softmax_rows,
-    attention_logits,
     head_average,
     smoothed_softmax_rows,
     softmax_rows,
@@ -15,26 +14,6 @@ from kvprune.scoring import (
 )
 
 import oracles
-
-
-class TestAttentionLogits:
-    def test_unit_dot(self):
-        out = attention_logits(np.array([[1.0]]), np.array([[1.0]]))
-        np.testing.assert_allclose(out, [[1.0]])
-
-    def test_matches_dot_product_oracle(self):
-        rng = np.random.default_rng(42)
-        q = rng.standard_normal((3, 2))
-        k = rng.standard_normal((5, 2))
-        out = attention_logits(q, k)
-        for i in range(3):
-            for j in range(5):
-                expected = sum(q[i, a] * k[j, a] for a in range(2)) / np.sqrt(2.0)
-                assert abs(out[i, j] - expected) < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            attention_logits(np.zeros((2, 3)), np.zeros((2, 4)))
 
 
 class TestSoftmaxRows:

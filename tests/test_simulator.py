@@ -978,6 +978,35 @@ class TestRunDecodes:
             assert_same_report(report, want)
         assert len(writes) == (SMALL.steps + 1) * SMALL.layers
 
+    def test_sweep_live_scores_176_times_a_job(self, monkeypatch):
+        """perfbench's sweep-live job at seed 7: a budget_fraction sweep
+        over 0.1, 0.25 and 0.6 per policy, the full cache's included, at
+        text=visual=48, 2 layers, 4 heads, dim 32, 12 steps and
+        recent=obs=16. Its runs ask for 188 scorings; runs holding the same
+        keys at the same smoothing share one, so _mass runs 176 times."""
+        scored = record_scorings(monkeypatch)
+        spec = SynthSpec(seed=7, text_len=48, visual_len=48, layers=2, heads=4, head_dim=32,
+                         steps=12)
+        cfg = PruneConfig(budget=budget_for_fraction(0.3, spec.final_len, 16), recent=16,
+                          obs_window=16, seed=7)
+        for policy in policies.POLICIES:
+            sweep("budget_fraction", [0.1, 0.25, 0.6], spec, cfg, policy)
+        assert len(scored) == 176
+
+    def test_replay_widen_scores_43_times_a_compare(self, monkeypatch):
+        """perfbench's replay-widen compare at seed 7: csp, global-topk and
+        accum with widening over a trace of text=visual=256, 2 layers, 4
+        heads, dim 32 and 8 steps at obs 32, with budget 0.25 and recent
+        32. Its runs ask for 54 scorings, and _mass runs 43 times."""
+        spec = SynthSpec(seed=7, text_len=256, visual_len=256, layers=2, heads=4,
+                         head_dim=32, steps=8)
+        trace = record_trace(spec, 32)
+        cfg = PruneConfig(budget=budget_for_fraction(0.25, spec.final_len, 32), recent=32,
+                          obs_window=32, widen_to_budget=True, seed=7)
+        scored = record_scorings(monkeypatch)
+        run_decodes(trace, [(policy, cfg) for policy in ("csp", "global-topk", "accum")])
+        assert len(scored) == 43
+
 
 def eager_records(source, policy, cfg):
     """(per_step, bytes_cached) of one run, by stepping the public
@@ -1168,25 +1197,26 @@ class TestBatchedReconstruction:
         difference."""
         spec, cfg, policy = run
         decoder = SyntheticDecoder(spec)
-        layer_errors = {}
-        original = simulator._layer_errors
+        calls = []
+        original = simulator._recon_errors
 
-        def recorded(decoder, newest, full, layer, kept, smoothing):
-            layer_errors[layer] = (kept, original(decoder, newest, full, layer, kept, smoothing))
-            return layer_errors[layer][1]
+        def recorded(*args):
+            calls.append(original(*args))
+            return calls[-1]
 
-        with mock.patch.object(simulator, "_layer_errors", recorded), \
+        with mock.patch.object(simulator, "_recon_errors", recorded), \
                 mock.patch.object(simulator, "RECON_CHUNK_FLOATS", chunk_floats):
             report = run_decode(decoder, policy, cfg)
         smoothing = policies.POLICIES[policy].smoothing(cfg)
-        assert sorted(layer_errors) == list(range(spec.layers))
+        [[layer_errors]] = calls
+        assert layer_errors.shape == (spec.steps + 1, spec.layers)
         for step, record in enumerate(decoder.steps(cfg.obs_window)):
-            retained = [layer_errors[layer][0][step] for layer in range(spec.layers)]
+            retained = report.step_ids[step]
             expected = oracles.recon_step_errors(decoder, record.blocks, retained, smoothing)
             norms = oracles.full_output_norms(decoder, record.blocks)
             length = spec.prefill_len + step
             for layer, want in enumerate(expected):
-                got = layer_errors[layer][1][step]
+                got = layer_errors[step, layer]
                 assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12 * norms[layer]), \
                     (step, layer)
                 if retained[layer].size == length and smoothing == 0.0:
@@ -1218,16 +1248,15 @@ class TestBatchedReconstruction:
                           obs_window=8)
         decoder = SyntheticDecoder(spec)
         calls = []
-        original = simulator._recon_error
-        with mock.patch.object(simulator, "_recon_error",
-                               lambda *args: calls.append(args) or [0.0]):
+        original = simulator._recon_errors
+        with mock.patch.object(simulator, "_recon_errors",
+                               lambda *args: calls.append(args) or np.zeros((1, 1, 1))):
             run_decode(decoder, "csp", cfg)
-        [(_, newest, full, kept, smoothing)] = calls
-        assert full == [None] * spec.layers
+        [args] = calls
         with mock.patch.object(simulator, "RECON_CHUNK_FLOATS", chunk_floats):
             tracemalloc.start()
             try:
-                original(decoder, newest, full, kept, smoothing)
+                original(*args)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -48,6 +48,10 @@ TESTS = {
     "simulator": ["test_entry_checks.py", "test_simulator.py", "test_acceptance.py"],
     "cli": ["test_cli.py"],
     "traceio": ["test_entry_checks.py", "test_traceio.py"],
+    "diagnostics": ["test_entry_checks.py", "test_diagnostics.py", "test_cli.py",
+                    "test_acceptance.py"],
+    "reports": ["test_reports.py", "test_cli.py"],
+    "plots": ["test_plots.py", "test_cli.py"],
 }
 
 # Each operator's replacements: a comparison's boundary twin and its
