@@ -27,10 +27,8 @@ import sys
 from collections import namedtuple
 from dataclasses import asdict, fields
 
-import numpy as np
-
 from .core import PruneConfig
-from .diagnostics import DEFAULT_BINS, DEFAULT_EPSILON, KERNEL_CUTOFF, MAX_BINS, layer_report
+from .diagnostics import DEFAULT_BINS, DEFAULT_EPSILON, check_options, layer_report
 from .policies import POLICIES, get_policy
 from .simulator import (
     INTERLEAVE_MODES,
@@ -42,7 +40,7 @@ from .simulator import (
     run_decodes,
     sweep,
 )
-from .traceio import MAX_U16, TraceError, read_trace, write_trace
+from .traceio import TraceError, pack_header, read_trace, write_trace
 from . import plots, reports
 
 
@@ -253,11 +251,10 @@ def _stem(path: str) -> str:
 
 def _cmd_gen_trace(args, file_cfg) -> int:
     resolved = _resolve(args, file_cfg)
-    # The trace header stores these as u16; check before decoding anything.
-    for key in ("layers", "heads", "dim"):
-        if resolved[key] > MAX_U16:
-            raise UsageError(f"--{key} must be at most {MAX_U16} in a trace, got {resolved[key]}")
     spec = _build(SynthSpec, resolved)
+    # Refuse sizes the trace header cannot hold before decoding anything;
+    # the trace records the prefill observation and then every step.
+    _usage(pack_header, spec.layers, spec.heads, spec.steps + 1, spec.head_dim, spec.prefill_len)
     trace = _usage(record_trace, spec, resolved["obs"])
     write_trace(trace, args.out)
     reports.write_config_sidecar(
@@ -298,12 +295,9 @@ def _cmd_simulate(args, file_cfg) -> int:
 
 def _parse_grid(text: str) -> list:
     try:
-        values = [float(part) for part in text.split(",") if part.strip() != ""]
+        return [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
         raise UsageError(f"--grid must be comma-separated numbers, got {text!r}")
-    if not values:
-        raise UsageError("--grid is empty")
-    return values
 
 
 def _cmd_sweep(args, file_cfg) -> int:
@@ -345,38 +339,10 @@ def _cmd_sweep(args, file_cfg) -> int:
 
 def _cmd_analyze(args, file_cfg) -> int:
     resolved = _resolve(args, file_cfg, obs=None, recent=0)
-    obs, recent = resolved["obs"], resolved["recent"]
-    if not 2 <= args.bins <= MAX_BINS:
-        raise UsageError(f"--bins must lie in [2, {MAX_BINS}], got {args.bins}")
-    if not (args.epsilon > 0 and args.bins <= sys.float_info.max / args.epsilon):
-        raise UsageError(
-            f"--epsilon must be positive with --bins x --epsilon finite, got {args.epsilon}"
-        )
-    # kde divides by the bandwidth and reaches KERNEL_CUTOFF bandwidths out;
-    # either overflowing would leave it no finite curve to draw.
-    if args.bandwidth is not None and not (
-        0 < args.bandwidth
-        and 1.0 / args.bandwidth < np.inf
-        and KERNEL_CUTOFF * args.bandwidth < np.inf
-    ):
-        raise UsageError(
-            f"--bandwidth must be positive with 1/bandwidth and {KERNEL_CUTOFF:g} x bandwidth "
-            f"finite, got {args.bandwidth}"
-        )
-    if obs is not None and obs < 1:
-        raise UsageError(f"--obs must be >= 1, got {obs}")
-    if recent < 0:
-        raise UsageError(f"--recent must be >= 0, got {recent}")
-
-    trace = read_trace(args.trace)
-    report = layer_report(
-        trace,
-        bins=args.bins,
-        epsilon=args.epsilon,
-        bandwidth=args.bandwidth,
-        obs_window=obs,
-        recent=recent,
-    )
+    options = {"bins": args.bins, "epsilon": args.epsilon, "bandwidth": args.bandwidth,
+               "obs_window": resolved["obs"], "recent": resolved["recent"]}
+    _usage(check_options, **options)
+    report = layer_report(read_trace(args.trace), **options)
     reports.write_text(args.out, reports.divergence_csv(report))
     kde_path = _stem(args.out) + "_kde.csv"
     reports.write_text(kde_path, reports.density_csv(report))
@@ -405,9 +371,7 @@ def _cmd_analyze(args, file_cfg) -> int:
             outputs.append(overlay_path)
     reports.write_config_sidecar(
         args.out,
-        {"command": "analyze", "trace": args.trace, "bins": args.bins,
-         "epsilon": args.epsilon, "bandwidth": args.bandwidth, "obs_window": obs,
-         "recent": recent, "outputs": outputs},
+        {"command": "analyze", "trace": args.trace, **options, "outputs": outputs},
     )
     print(f"wrote {args.out} ({len(report.curves)} layers)")
     return 0

@@ -84,6 +84,58 @@ def _clean_samples(samples, name: str) -> np.ndarray:
     return out
 
 
+def _checked_bins(bins) -> int:
+    bins = as_count(bins, "bins", 2)
+    if bins > MAX_BINS:
+        raise ValueError(f"bins must be at most {MAX_BINS}, got {bins}")
+    return bins
+
+
+def _checked_epsilon(epsilon, bins: int) -> float:
+    # Each histogram sums to its sample count plus bins * epsilon; once that
+    # overflows, normalizing gives NaN. Dividing instead of multiplying
+    # keeps a huge integer bins from overflowing the check itself.
+    eps = as_real(epsilon)
+    if not (eps > 0 and bins <= sys.float_info.max / eps):
+        raise ValueError(f"epsilon must be positive with bins * epsilon finite, got {epsilon}")
+    return eps
+
+
+def _checked_bandwidth(bandwidth) -> float:
+    # kde divides by the bandwidth and reaches KERNEL_CUTOFF bandwidths out;
+    # either overflowing would leave it no finite curve.
+    h = as_real(bandwidth)
+    if not 0 < h < math.inf:
+        raise ValueError(f"bandwidth must be finite and positive, got {bandwidth}")
+    if not (1 / h < math.inf and KERNEL_CUTOFF * h < math.inf):
+        raise ValueError(f"bandwidth {h!r} overflows its reciprocal or the kernel reach")
+    return h
+
+
+def _checked_window(obs_window, recent) -> tuple[int | None, int]:
+    recent = as_count(recent, "recent")
+    if obs_window is not None:
+        obs_window = as_count(obs_window, "obs_window", 1)
+    return obs_window, recent
+
+
+def check_options(
+    bins=DEFAULT_BINS,
+    epsilon=DEFAULT_EPSILON,
+    bandwidth=None,
+    obs_window=None,
+    recent=0,
+) -> None:
+    """ValueError, with its owner's message, for the first option of
+    layer_report that its owner refuses: bins and epsilon (js_divergence),
+    bandwidth (kde), obs_window and recent (modality_weight_samples). Needs
+    no trace, so a caller can refuse options before reading one."""
+    _checked_epsilon(epsilon, _checked_bins(bins))
+    if bandwidth is not None:
+        _checked_bandwidth(bandwidth)
+    _checked_window(obs_window, recent)
+
+
 def silverman_bandwidth(samples: np.ndarray) -> float:
     """1.06 * min(std, IQR/1.34) * n^(-1/5), floored to stay usable on
     degenerate samples (single point, all-equal)."""
@@ -120,12 +172,7 @@ def kde(samples, bandwidth: float | None = None, grid_points: int = GRID_POINTS)
     at the default grid), whatever n is.
     """
     samples = np.sort(_clean_samples(samples, "samples"))
-    if bandwidth is None:
-        h = silverman_bandwidth(samples)
-    else:
-        h = as_real(bandwidth)
-        if not 0 < h < math.inf:
-            raise ValueError(f"bandwidth must be finite and positive, got {bandwidth}")
+    h = silverman_bandwidth(samples) if bandwidth is None else _checked_bandwidth(bandwidth)
     grid_points = as_count(grid_points, "grid_points", 2)
 
     # Python floats, so an overflow here is an inf to test, not a warning.
@@ -149,17 +196,21 @@ def kde(samples, bandwidth: float | None = None, grid_points: int = GRID_POINTS)
     chunk = max(1, CHUNK_FLOATS // width)
     heads[::chunk] = True
     cells = np.zeros(windows.shape)
-    for first in range(0, samples.size, chunk):
-        cell = starts[first : first + chunk]
-        # z = (grid - sample) / h, then exp(-z^2 / 2), all in one buffer.
-        z = windows[cell]
-        z -= samples[first : first + chunk, None]
-        z /= h
-        z *= z
-        z *= -0.5
-        np.exp(z, out=z)
-        runs = np.flatnonzero(heads[first : first + chunk])
-        cells[cell[runs]] += np.add.reduceat(z, runs, axis=0)
+    # A bandwidth far finer than the grid spacing can leave a window's
+    # points so many bandwidths out that z overflows to inf; its kernel
+    # weight exp(-inf) = 0 is then exact, so the overflow is no fault.
+    with np.errstate(over="ignore"):
+        for first in range(0, samples.size, chunk):
+            cell = starts[first : first + chunk]
+            # z = (grid - sample) / h, then exp(-z^2 / 2), all in one buffer.
+            z = windows[cell]
+            z -= samples[first : first + chunk, None]
+            z /= h
+            z *= z
+            z *= -0.5
+            np.exp(z, out=z)
+            runs = np.flatnonzero(heads[first : first + chunk])
+            cells[cell[runs]] += np.add.reduceat(z, runs, axis=0)
     targets = (used[:, None] + np.arange(width)).ravel()
     density = np.bincount(targets, cells[used].ravel(), minlength=grid_points)
     density *= norm
@@ -182,15 +233,8 @@ def js_divergence(
     """
     p = _clean_samples(p_samples, "p_samples")
     q = _clean_samples(q_samples, "q_samples")
-    bins = as_count(bins, "bins", 2)
-    if bins > MAX_BINS:
-        raise ValueError(f"bins must be at most {MAX_BINS}, got {bins}")
-    # Each histogram sums to its sample count plus bins * epsilon; once that
-    # overflows, normalizing gives NaN. Dividing instead of multiplying
-    # keeps a huge integer bins from overflowing the check itself.
-    eps = as_real(epsilon)
-    if not (eps > 0 and bins <= sys.float_info.max / eps):
-        raise ValueError(f"epsilon must be positive with bins * epsilon finite, got {epsilon}")
+    bins = _checked_bins(bins)
+    eps = _checked_epsilon(epsilon, bins)
 
     lo = min(p.min(), q.min())
     hi = max(p.max(), q.max())
@@ -239,9 +283,7 @@ def modality_weight_samples(
     (window row, key) splits the result. A trace with no steps has
     nothing to sample, which is a ValueError.
     """
-    recent = as_count(recent, "recent")
-    if obs_window is not None:
-        obs_window = as_count(obs_window, "obs_window", 1)
+    obs_window, recent = _checked_window(obs_window, recent)
     trace = checked(trace)
     full_tags = trace.full_tags
     intra: list[np.ndarray] = []
@@ -279,9 +321,11 @@ def layer_report(
 ) -> LayerReport:
     """Divergence and density curves per layer of a trace.
 
-    Needs both modalities present among the sampled pairs; a single-modality
+    Refuses bad options (check_options) before it reads the trace. Needs
+    both modalities present among the sampled pairs; a single-modality
     trace has no inter samples to compare.
     """
+    check_options(bins, epsilon, bandwidth, obs_window, recent)
     samples = modality_weight_samples(trace, obs_window=obs_window, recent=recent)
     per_layer = []
     curves = []

@@ -257,7 +257,8 @@ class RunReport:
     layer retained after the step; step_ks, the ks_used of its kernel; and
     step_pruned, whether it pruned. full_tags holds every token's tag.
     per_step and bytes_cached are derived from those records the first
-    time they are read, then cached.
+    time they are read, then cached. seed is the synthetic decode's seed,
+    or the config's for a replay, since a trace records none.
     """
 
     policy: str
@@ -446,7 +447,7 @@ def run_decodes(source, runs) -> list[RunReport]:
         RunReport(
             policy=run.policy_name,
             config=run.cfg,
-            seed=run.cfg.seed,
+            seed=run.cfg.seed if decoder is None else decoder.spec.seed,
             full_length=int(full_tags.size),
             head_dim=source.head_dim,
             recon_error=recon_error,

@@ -23,13 +23,18 @@ Layout (all little-endian):
         layers x heads blocks, each:
             u32 rows, u32 cols, rows*cols float32 row-major
 
-Column counts must equal the running token total, so every payload size is
-derivable from the header; anything else is rejected, and so is any logit
-that is NaN or infinite. `checked` owns that rule for a trace in memory,
-which may have been edited since it was built or read: write_trace,
-simulator.run_decodes and diagnostics.modality_weight_samples read its
-header and steps only from the trace it returns, so each refuses what
-read_trace refuses.
+Each rule is written once, here. pack_header owns which sizes a header
+holds: write_trace packs with it, and a caller about to build a trace
+(`kvprune gen-trace`) calls it first to refuse sizes no trace can hold.
+check_block_shape owns a step's block shape: column counts equal the
+running token total and 1 <= rows <= cols, so every payload size is
+derivable from the header. read_trace applies it to each step's first
+block and requires the others to match that block; it also rejects any
+logit that is NaN or infinite. `checked` applies the same rules to a trace
+in memory, which may have been edited since it was built or read:
+write_trace, simulator.run_decodes and
+diagnostics.modality_weight_samples read its header and steps only from
+the trace it returns, so each refuses what read_trace refuses.
 
 Each logit is copied once in each direction. read_trace reads every block
 straight into one float32 arena sized from the file (a file holds at least
@@ -79,8 +84,8 @@ class TruncatedTraceError(TraceError):
         self.step = step
 
 
-class SizeMismatchError(TraceError):
-    """Declared sizes are internally inconsistent."""
+class SizeMismatchError(TraceError, ValueError):
+    """Declared sizes are internally inconsistent; a ValueError for a trace in memory."""
 
 
 class NonFiniteLogitError(TraceError, ValueError):
@@ -111,21 +116,27 @@ class TraceStep:
         return step
 
 
+def check_block_shape(rows: int, cols: int, length: int, index: int) -> None:
+    """The one rule for the blocks of step `index`, whose running length is
+    `length`: cols equal length and 1 <= rows <= cols. SizeMismatchError,
+    a ValueError too, otherwise."""
+    if cols != length:
+        raise SizeMismatchError(f"step {index} blocks cover {cols} keys but {length} tokens exist")
+    if not 1 <= rows <= cols:
+        raise SizeMismatchError(f"step {index} has an impossible row count {rows}")
+
+
 def checked_step(step: TraceStep, layers: int, heads: int, length: int, index: int) -> TraceStep:
     """Step `index`, after `length` tokens, as a new record of its tags and
     blocks as TraceStep holds them. ValueError unless its blocks are
-    (layers, heads, rows, cols), cols its running length and 1 <= rows <= cols."""
+    (layers, heads, rows, cols) of a shape check_block_shape takes."""
     record = TraceStep(step.new_tags, step.blocks)
-    length += record.new_tags.size
     step_layers, step_heads, rows, cols = record.blocks.shape
     if (step_layers, step_heads) != (layers, heads):
         raise ValueError(
             f"step {index} has {step_layers}x{step_heads} blocks, header says {layers}x{heads}"
         )
-    if cols != length:
-        raise ValueError(f"step {index} blocks cover {cols} keys but {length} tokens exist")
-    if not 1 <= rows <= cols:
-        raise ValueError(f"step {index} has an impossible row count {rows}")
+    check_block_shape(rows, cols, length + record.new_tags.size, index)
     return record
 
 
@@ -184,21 +195,21 @@ def _pack(fmt: str, **fields) -> bytes:
     return struct.pack("<" + fmt, *fields.values())
 
 
+def pack_header(layers: int, heads: int, steps: int, head_dim: int, prefill_length: int) -> bytes:
+    """The header of a trace of these sizes, magic to prefill length: the
+    one rule for which sizes a trace can hold. ValueError, naming the
+    field, for a size wider than its field."""
+    return MAGIC + _pack("HHHIHI", version=VERSION, layers=layers, heads=heads, steps=steps,
+                         head_dim=head_dim, prefill_length=prefill_length)
+
+
 def write_trace(trace: AttentionTrace, path) -> None:
     # Every check runs before the file is opened, so a refused trace leaves
     # no file; the blocks are then written straight from their arrays.
     trace = checked(trace)
     buffers = [
-        MAGIC,
-        _pack(
-            "HHHIHI",
-            version=VERSION,
-            layers=trace.layers,
-            heads=trace.heads,
-            steps=len(trace.steps),
-            head_dim=trace.head_dim,
-            prefill_length=trace.prefill_tags.size,
-        ),
+        pack_header(trace.layers, trace.heads, len(trace.steps), trace.head_dim,
+                    trace.prefill_tags.size),
         np.ascontiguousarray(trace.prefill_tags, dtype="<u1"),
     ]
     for step in trace.steps:
@@ -311,46 +322,31 @@ def _parse(cur: _Reader) -> AttentionTrace:
     used = 0
     length = prefill_len
     records: list[TraceStep] = []
-    for step_index in range(steps):
-        cur.step = step_index
+    for index in range(steps):
+        cur.step = index
         (n_new,) = cur.unpack("<I", "new-token count")
         new_tags = cur.tags(n_new, "new-token tags")
-        _check_tag_bytes(new_tags, f"step {step_index}")
+        _check_tag_bytes(new_tags, f"step {index}")
         length += n_new
-
-        blocks = None
-        shared_shape: tuple[int, int] | None = None
-        for layer in range(layers):
-            for head in range(heads):
-                rows, cols = cur.unpack("<II", "block shape")
-                if cols != length:
-                    raise SizeMismatchError(
-                        f"step {step_index} layer {layer} head {head}: block covers "
-                        f"{cols} keys but {length} tokens exist"
-                    )
-                if not 1 <= rows <= length:
-                    raise SizeMismatchError(
-                        f"step {step_index}: impossible row count {rows} for length {length}"
-                    )
-                if shared_shape is None:
-                    shared_shape = (rows, cols)
-                    # Every block shares this shape, so the step's whole
-                    # payload is known; check it exists before taking it.
-                    # The first block's 8-byte shape prefix is already read.
-                    cur.require(
-                        layers * heads * (8 + rows * cols * 4) - 8,
-                        f"{layers}x{heads} blocks of {rows}x{cols}",
-                    )
-                    count = layers * heads * rows * cols
-                    blocks = arena[used : used + count].reshape(layers, heads, rows, cols)
-                    used += count
-                elif (rows, cols) != shared_shape:
-                    raise SizeMismatchError(
-                        f"step {step_index}: block shapes differ across heads/layers "
-                        f"({(rows, cols)} vs {shared_shape})"
-                    )
-                cur.fill(blocks[layer, head].view(np.uint8), "block data")
-        _check_finite(blocks, step_index)
+        shape = rows, cols = cur.unpack("<II", "block shape")
+        check_block_shape(rows, cols, length, index)
+        # Every block of the step shares this shape, so its whole payload
+        # is known; check it exists before taking it. The first block's
+        # 8-byte shape prefix is already read.
+        cur.require(
+            layers * heads * (8 + rows * cols * 4) - 8,
+            f"{layers}x{heads} blocks of {rows}x{cols}",
+        )
+        count = layers * heads * rows * cols
+        blocks = arena[used : used + count].reshape(layers, heads, rows, cols)
+        used += count
+        for position, block in enumerate(blocks.reshape(layers * heads, rows * cols)):
+            if position and (other := cur.unpack("<II", "block shape")) != shape:
+                raise SizeMismatchError(
+                    f"step {index}: block shapes differ across heads/layers ({other} vs {shape})"
+                )
+            cur.fill(block.view(np.uint8), "block data")
+        _check_finite(blocks, index)
         records.append(TraceStep.trusted(new_tags, blocks))
 
     # Measured from the stream's end, not its size, so bytes appended after

@@ -5,9 +5,11 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import pathlib
 import platform
 import re
+import shutil
 import struct
 import warnings
 
@@ -19,11 +21,12 @@ import kvprune
 from kvprune import cli, simulator, traceio
 from kvprune.cli import main
 from kvprune.core import PruneConfig
+from kvprune.diagnostics import MAX_BINS, check_options, layer_report
 from kvprune.reports import RESULTS_COLUMNS, STEP_COLUMNS
 from kvprune.simulator import SynthSpec
 from kvprune.traceio import MAGIC, read_trace
 from test_traceio import (  # noqa: F401  (fuzz_dir is a fixture)
-    fuzz_dir, mutated_bytes, write_with_logit,
+    U16_EDGES, U32_EDGES, fuzz_dir, mutated_bytes, write_with_logit,
 )
 
 SPEC_FLAGS = ["--text", "8", "--visual", "8", "--layers", "2", "--heads", "2",
@@ -48,6 +51,14 @@ ANALYZE_GOLDEN = {
     "divergence_kde_layer1.svg":
         "fc4cd0d8c70bc23a6e9203fefe6eb7068f1df99c084c8ac6c80ef5ebe7f76e1c",
 }
+
+
+class Decoded(Exception):
+    """Raised by a stand-in for record_trace: gen-trace began decoding."""
+
+
+def decoded(*args):
+    raise Decoded
 
 
 @pytest.fixture()
@@ -130,11 +141,14 @@ class TestGenTrace:
         assert main(["gen-trace", "--spread", "0",
                      "--out", str(tmp_path / "t.trace")]) == 1
 
-    @pytest.mark.parametrize("flag", ["--layers", "--heads", "--dim"])
-    def test_header_field_overflow(self, tmp_path, flag, capsys, monkeypatch):
+    @pytest.mark.parametrize("flag, field", [("--layers", "layers"), ("--heads", "heads"),
+                                             ("--dim", "head_dim")],
+                             ids=["--layers", "--heads", "--dim"])
+    def test_header_field_overflow(self, tmp_path, flag, field, capsys, monkeypatch):
         """The trace header stores layers, heads and head dim as u16, so a
-        larger value is a usage error, raised before anything is decoded
-        (decoding such a spec could take gigabytes)."""
+        larger value is a usage error naming the header field, raised
+        before anything is decoded (decoding such a spec could take
+        gigabytes)."""
 
         def no_decode(*args):
             raise AssertionError("gen-trace decoded an unwritable spec")
@@ -143,8 +157,53 @@ class TestGenTrace:
         out = tmp_path / "t.trace"
         assert main(["gen-trace", flag, "65536", "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.count("error:") == 1 and flag in err
+        assert err.count("error:") == 1 and f"trace {field} 65536 does not fit its u16" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--steps", "4294967295"], "steps 4294967296"),
+        (["--text", "4294967295", "--visual", "1"], "prefill_length 4294967296"),
+    ], ids=["steps", "prefill"])
+    def test_u32_header_field_overflow(self, tmp_path, flags, field, capsys, monkeypatch):
+        """A trace holds steps + 1 records and the whole prefill, each
+        counted in a u32 field: one past either is a usage error naming
+        the field, raised before anything is decoded."""
+        monkeypatch.setattr(cli, "record_trace", decoded)
+        out = tmp_path / "t.trace"
+        assert main(["gen-trace", *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: trace {field} does not fit its u32 field\n"
+        assert not out.exists()
+
+    @given(layers=U16_EDGES, heads=U16_EDGES, dim=U16_EDGES, steps=U32_EDGES,
+           text=U32_EDGES.filter(bool))
+    def test_refuses_exactly_the_headers_traceio_refuses(self, fuzz_dir, layers, heads, dim,
+                                                         steps, text):
+        """gen-trace exits 1, with traceio's message and before decoding,
+        exactly when pack_header, which write_trace packs every header
+        with, refuses the spec's header of steps + 1 records; otherwise it
+        decodes."""
+        sizes = {"layers": layers, "heads": heads, "steps": steps + 1, "head_dim": dim,
+                 "prefill_length": text + 1}
+        wide = max(layers, heads, dim) > 2**16 - 1 or max(steps + 1, text + 1) > 2**32 - 1
+        try:
+            traceio.pack_header(**sizes)
+            message = None
+        except ValueError as err:
+            message = f"error: {err}\n"
+        assert wide == (message is not None)
+        out = fuzz_dir / "header.trace"
+        argv = ["gen-trace", "--layers", str(layers), "--heads", str(heads), "--dim", str(dim),
+                "--steps", str(steps), "--text", str(text), "--visual", "1", "--out", str(out)]
+        err = io.StringIO()
+        with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stderr(err):
+            patch.setattr(cli, "record_trace", decoded)
+            if message is None:
+                with pytest.raises(Decoded):
+                    main(argv)
+            else:
+                assert main(argv) == 1
+        assert err.getvalue() == (message or "")
         assert not out.exists()
 
 
@@ -396,9 +455,57 @@ class TestAnalyze:
         assert main(["analyze", str(trace_path), "--bandwidth", bandwidth,
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: --bandwidth") and err.count("\n") == 1
+        assert err.startswith(f"error: bandwidth {float(bandwidth)!r} overflows")
+        assert err.count("\n") == 1
         assert not out.exists() and not (tmp_path / "x_kde.csv").exists()
         assert not (tmp_path / "x.csv.config.json").exists()
+
+    @given(bins=st.one_of(st.integers(-1, 8),
+                          st.sampled_from([MAX_BINS, MAX_BINS + 1, 2**62, 10**401])),
+           # Subnormal epsilons are left out: they make the divergence NaN
+           # (see test_diagnostics' xfail on them), a data error that
+           # warns first, and this suite turns warnings into errors.
+           epsilon=st.sampled_from([-1.0, 0.0, 1e-300, 1e-10, 0.5, 1e300, 1e307, 1e308,
+                                    math.inf, math.nan]),
+           bandwidth=st.sampled_from([None, -1.0, 0.0, 5e-324, 1e-310, 1e-300, 0.05, 1e307,
+                                      2e307, 1e308, math.inf, math.nan]),
+           obs=st.one_of(st.none(), st.integers(-1, 3)),
+           recent=st.integers(-1, 8))
+    def test_options_refused_exactly_as_the_library_refuses(self, fuzz_dir, bins, epsilon,
+                                                            bandwidth, obs, recent):
+        """analyze exits 1, with the library's message, before reading the
+        trace and writing anything, exactly when check_options refuses its
+        options; otherwise it exits 2 exactly when layer_report raises on
+        the trace, and 0 when it does not."""
+        options = {"bins": bins, "epsilon": epsilon, "bandwidth": bandwidth,
+                   "obs_window": obs, "recent": recent}
+        try:
+            check_options(**options)
+            message = None
+        except ValueError as err:
+            message = f"error: {err}\n"
+        if message is None:
+            try:
+                layer_report(read_trace(fuzz_dir / "valid.trace"), **options)
+                expected = 0
+            except ValueError:
+                expected = 2
+        else:
+            expected = 1
+        flags = ["--bins", str(bins), "--epsilon", repr(epsilon), "--recent", str(recent)]
+        flags += [] if bandwidth is None else ["--bandwidth", repr(bandwidth)]
+        flags += [] if obs is None else ["--obs", str(obs)]
+        work = fuzz_dir / "options"
+        shutil.rmtree(work, ignore_errors=True)
+        work.mkdir()
+        for trace, code in ((fuzz_dir / "valid.trace", expected),
+                            (fuzz_dir / "absent.trace", 1 if message else 2)):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert main(["analyze", str(trace), *flags, "--out", str(work / "d.csv")]) == code
+            if message:
+                assert err.getvalue() == message
+                assert list(work.iterdir()) == []
 
     def test_golden_bytes(self, tmp_path):
         """gen-trace then analyze --svg at the benchmark's trace-analyze

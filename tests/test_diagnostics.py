@@ -17,6 +17,7 @@ from kvprune.diagnostics import (
     MAX_BINS,
     DensityCurve,
     DivergenceReport,
+    check_options,
     js_divergence,
     kde,
     layer_report,
@@ -86,12 +87,20 @@ class TestKde:
 
     @pytest.mark.parametrize("bandwidth", [5e-324, 1e-310, 1e308, 2e307])
     def test_overflowing_bandwidth(self, bandwidth):
-        """Finite and positive, but 1e308 and 2e307 overflow the grid or
-        the 10-bandwidth reach, and 5e-324 and 1e-310 overflow the
-        normalising factor 1 / (n h sqrt(2 pi)): a named error, not a
-        ZeroDivisionError or a curve of NaN and inf."""
+        """Finite and positive, but 1e308 and 2e307 overflow the
+        10-bandwidth reach, and 5e-324 and 1e-310 overflow the reciprocal:
+        a named error, not a ZeroDivisionError or a curve of NaN and inf."""
         with pytest.raises(ValueError, match=re.escape(f"bandwidth {bandwidth!r}")):
             kde([1.0, 2.0], bandwidth=bandwidth)
+
+    def test_bandwidth_far_finer_than_the_grid(self):
+        """0.3 lies on no grid point, so its window holds a point about
+        1e297 bandwidths out, whose z * z overflows: that weight is
+        exactly 0, with no overflow warning (an error in this suite)."""
+        curve = kde([0.0, 0.3, 1.0], bandwidth=1e-300)
+        assert curve.grid[-1] == 1.0
+        assert curve.density[-1] == 1.0 / (3 * 1e-300 * math.sqrt(2.0 * math.pi))
+        assert not curve.density[1:-1].any()
 
     def test_empty_samples(self):
         with pytest.raises(ValueError, match="empty"):
@@ -319,6 +328,44 @@ class TestJsDivergence:
     def test_empty_side(self):
         with pytest.raises(ValueError, match="empty"):
             js_divergence([], [1.0])
+
+    @pytest.mark.xfail(raises=RuntimeWarning, strict=True,
+                       reason="a subnormal epsilon underflows to 0 once normalised, and "
+                              "0 * log 0 makes the divergence NaN")
+    def test_subnormal_epsilon(self):
+        assert 0.0 <= js_divergence([0.0, 0.1], [1.0], bins=8, epsilon=5e-324) <= math.log(2.0)
+
+
+class TestCheckOptions:
+    """check_options refuses each option of layer_report with the message
+    of the function that owns it, and needs no trace."""
+
+    TRACE = None  # never read: every case is refused first
+
+    @pytest.mark.parametrize("options, owner", [
+        ({"bins": 1}, lambda: js_divergence([0.0], [1.0], bins=1)),
+        ({"bins": MAX_BINS + 1}, lambda: js_divergence([0.0], [1.0], bins=MAX_BINS + 1)),
+        ({"epsilon": 0.0}, lambda: js_divergence([0.0], [1.0], epsilon=0.0)),
+        ({"bins": 8, "epsilon": 1e308}, lambda: js_divergence([0.0], [1.0], 8, 1e308)),
+        ({"bandwidth": math.nan}, lambda: kde([0.0], bandwidth=math.nan)),
+        ({"bandwidth": 1e-310}, lambda: kde([0.0], bandwidth=1e-310)),
+        ({"bandwidth": 2e307}, lambda: kde([0.0], bandwidth=2e307)),
+        ({"obs_window": 0}, lambda: modality_weight_samples(two_layer_trace(1.0), obs_window=0)),
+        ({"recent": -1}, lambda: modality_weight_samples(two_layer_trace(1.0), recent=-1)),
+    ], ids=["bins-1", "bins-ceiling", "epsilon-0", "epsilon-sum", "bandwidth-nan",
+            "bandwidth-reciprocal", "bandwidth-reach", "obs-0", "recent-negative"])
+    def test_refuses_as_the_owner_refuses(self, options, owner):
+        with pytest.raises(ValueError) as refused:
+            owner()
+        message = f"^{re.escape(str(refused.value))}$"
+        with pytest.raises(ValueError, match=message):
+            check_options(**options)
+        with pytest.raises(ValueError, match=message):
+            layer_report(self.TRACE, **options)
+
+    def test_takes_the_defaults_and_the_limits(self):
+        check_options()
+        check_options(bins=MAX_BINS, epsilon=1e-300, bandwidth=1e307, obs_window=1, recent=0)
 
 
 class TestDivergenceReport:

@@ -36,3 +36,17 @@ def test_readme_name_resolves(name):
         obj = getattr(kvprune, first)
     for part in rest:
         obj = getattr(obj, part)
+
+
+def test_library_example_reports_its_seed(capsys):
+    """README's Library example runs, and its report carries the seed its
+    decode used, the spec's, though the config keeps the default seed."""
+    library = README.read_text().split("## Library", 1)[1]
+    code = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    namespace = {}
+    exec(code, namespace)
+    assert capsys.readouterr().out.startswith("(")
+    spec, cfg, report = namespace["spec"], namespace["cfg"], namespace["report"]
+    assert (spec.seed, cfg.seed) == (7, 0)
+    assert report.seed == 7
+    assert namespace["summarize"](report).seed == 7

@@ -69,7 +69,7 @@ class TestSummarize:
         assert row.budget_fraction == 14 / 30
         assert row.cross_ratio == 0.5
         assert row.smooth_n == 1.0
-        assert row.seed == CFG.seed
+        assert row.seed == SPEC.seed
         assert row.achieved_occupancy == np.mean(
             [ids.size for ids in csp_report.retained_ids]
         )
@@ -92,6 +92,13 @@ class TestSummarize:
         row = summarize(run_decode(trace, "csp", CFG))
         assert row.mean_recon_error is None
         assert ",," in results_csv([row])
+
+    def test_seed_is_the_decodes(self):
+        """A live run reports its spec's seed; a replay, whose trace
+        records no seed, reports its config's."""
+        cfg = CFG.with_updates(seed=3)
+        assert summarize(run_decode(SPEC, "csp", cfg)).seed == SPEC.seed == 5
+        assert summarize(run_decode(record_trace(SPEC, cfg.obs_window), "csp", cfg)).seed == 3
 
 
 class TestResultsCsv:

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 import struct
 import threading
 import tracemalloc
@@ -24,9 +25,14 @@ from kvprune.traceio import (
     TraceStep,
     TruncatedTraceError,
     UnsupportedVersionError,
+    pack_header,
     read_trace,
     write_trace,
 )
+
+# Header sizes at and around the u16 and u32 limits.
+U16_EDGES = st.sampled_from([1, 2**16 - 2, 2**16 - 1, 2**16, 2**17])
+U32_EDGES = st.sampled_from([0, 1, 2**32 - 2, 2**32 - 1, 2**32, 2**33])
 
 
 def small_trace(seed=42):
@@ -232,6 +238,44 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"{field} {value} .*u16"):
             write_trace(trace, path)
         assert not path.exists()
+
+    @given(layers=U16_EDGES, heads=U16_EDGES, steps=U32_EDGES, head_dim=U16_EDGES,
+           prefill=U32_EDGES)
+    def test_pack_header_refuses_exactly_the_wide_sizes(self, layers, heads, steps, head_dim,
+                                                        prefill):
+        """pack_header packs the layout's fields, and refuses the first
+        size wider than its field, naming the field."""
+        fields = [("layers", layers, 16), ("heads", heads, 16), ("steps", steps, 32),
+                  ("head_dim", head_dim, 16), ("prefill_length", prefill, 32)]
+        wide = [(name, value, bits) for name, value, bits in fields if value >= 2**bits]
+        if wide:
+            name, value, bits = wide[0]
+            with pytest.raises(ValueError, match=f"^trace {name} {value} does not fit its "
+                                                 f"u{bits} field$"):
+                pack_header(layers, heads, steps, head_dim, prefill)
+        else:
+            assert pack_header(layers, heads, steps, head_dim, prefill) == MAGIC + struct.pack(
+                "<HHHIHI", 1, layers, heads, steps, head_dim, prefill)
+
+    @pytest.mark.parametrize("layers, heads, head_dim", [
+        (1, 1, 2**16 - 1), (2**16 - 1, 1, 1), (1, 2**16 - 1, 1),
+        (2**16, 1, 1), (1, 2**16, 1), (1, 1, 2**16), (2**16, 2**16, 2**16),
+    ])
+    def test_write_trace_packs_with_pack_header(self, tmp_path, layers, heads, head_dim):
+        """write_trace refuses exactly the header pack_header refuses, with
+        its message and before opening the file, and otherwise writes its
+        bytes."""
+        trace = AttentionTrace(layers=layers, heads=heads, head_dim=head_dim, prefill_tags=[0, 1])
+        path = tmp_path / "t.trace"
+        try:
+            header = pack_header(layers, heads, 0, head_dim, 2)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+                write_trace(trace, path)
+            assert not path.exists()
+        else:
+            write_trace(trace, path)
+            assert path.read_bytes() == header + bytes([0, 1])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_logit_refused(self, tmp_path, value):

@@ -47,7 +47,8 @@ TESTS = {
                   "test_acceptance.py"],
     "simulator": ["test_entry_checks.py", "test_simulator.py", "test_acceptance.py"],
     "cli": ["test_cli.py"],
-    "traceio": ["test_entry_checks.py", "test_traceio.py"],
+    "traceio": ["test_entry_checks.py", "test_traceio.py", "test_cli.py", "test_simulator.py",
+                "test_diagnostics.py"],
     "diagnostics": ["test_entry_checks.py", "test_diagnostics.py", "test_cli.py",
                     "test_acceptance.py"],
     "reports": ["test_reports.py", "test_cli.py"],
