@@ -8,6 +8,14 @@ diagnostics from a trace, compare runs several policies over one trace.
 Exit codes: 0 success, 1 usage error (bad flags, bad parameter values),
 2 data error (unreadable/malformed files, dimension drift).
 
+A parameter value is refused by the library check that owns it, with
+that check's message, and before the work it guards: gen-trace packs the
+trace header it would write (traceio.pack_header) before decoding, analyze
+checks its options (diagnostics.check_options) before reading the trace,
+and sweep leaves an empty grid to simulator.sweep. The CLI checks only its
+own syntax: flag types and choices, the --policies list, the --grid
+numbers and the config file's JSON types.
+
 Every run writes a JSON sidecar next to its output file with the fully
 resolved configuration and the kvprune, numpy and Python versions. A JSON
 config file (--config) supplies defaults for any flag not given on the
@@ -319,7 +327,8 @@ def _cmd_sweep(args, file_cfg) -> int:
     if args.svg:
         svg_path = _stem(args.out) + ".svg"
         xs = [value for value, _ in results]
-        ys = [row.mean_recon_error if row.mean_recon_error is not None else 0.0 for row in rows]
+        # A live decode always has a reconstruction error to plot.
+        ys = [row.mean_recon_error for row in rows]
         svg = plots.line_chart(
             [(policy, xs, ys)],
             title=f"{args.axis} sweep",

@@ -228,11 +228,15 @@ def write_trace(trace: AttentionTrace, path) -> None:
 
 def _write_all(fd: int, buffers) -> None:
     """Write the byte buffers to fd in order, up to _IOV_MAX of them per
-    writev call, resuming after a partial write."""
+    writev call, resuming after a partial write. OSError if a call writes
+    nothing: each call starts at a buffer with bytes left, so the loop
+    would never end."""
     views = [memoryview(buffer).cast("B") for buffer in buffers]
     start = 0
     while start < len(views):
         written = os.writev(fd, views[start : start + _IOV_MAX])
+        if not written:
+            raise OSError(f"a write call wrote nothing at buffer {start} of {len(views)}")
         while start < len(views) and written >= views[start].nbytes:
             written -= views[start].nbytes
             start += 1

@@ -229,6 +229,12 @@ class TestSimulate:
         sidecar = json.loads((tmp_path / "steps.csv.config.json").read_text())
         assert sidecar["config"]["recent"] == 32
 
+    def test_obs_defaults_to_32(self, tmp_path):
+        out = tmp_path / "steps.csv"
+        assert main(["simulate", *SPEC_FLAGS, "--out", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "steps.csv.config.json").read_text())
+        assert sidecar["config"]["obs_window"] == 32
+
     def test_trace_replay_has_empty_recon_cells(self, tmp_path, trace_path):
         out = tmp_path / "replay.csv"
         assert main(["simulate", "--trace", str(trace_path), *CFG_FLAGS,
@@ -337,6 +343,21 @@ class TestSweep:
         assert sidecar["grid"] == [0.2, 0.8]
         assert "threads" not in sidecar
         assert str(tmp_path / "sweep.svg") in sidecar["outputs"]
+
+    def test_svg_plots_each_grid_value_against_its_mean_error(self, tmp_path, monkeypatch):
+        """The sweep curve's points are the grid values and the rows' mean
+        reconstruction errors."""
+        drawn = []
+        monkeypatch.setattr(cli.plots, "line_chart", lambda series, **_: drawn.append(series) or "")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--axis", "cross_ratio", "--grid", "0.2,0.8", *SPEC_FLAGS,
+                     *CFG_FLAGS, "--svg", "--out", str(out)]) == 0
+        errors = [float(line.split(",")[RESULTS_COLUMNS.index("mean_recon_error")])
+                  for line in read_lines(out)[1:]]
+        [[(policy, xs, ys)]] = drawn
+        assert (policy, xs) == ("csp", [0.2, 0.8])
+        assert all(error > 0 for error in errors)
+        np.testing.assert_allclose(ys, errors, rtol=1e-8)
 
     def test_budget_axis_reports_grid_fraction(self, tmp_path):
         out = tmp_path / "sweep.csv"

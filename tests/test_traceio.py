@@ -129,6 +129,24 @@ class TestRoundTrip:
         write_trace(small_trace(), piecemeal)
         assert piecemeal.read_bytes() == whole.read_bytes()
 
+    @pytest.mark.parametrize("stall_after", [0, 3])
+    def test_write_that_makes_no_progress_is_an_error(self, tmp_path, monkeypatch, stall_after):
+        """A write call that writes nothing, at once or after a few that
+        did, raises OSError instead of spinning: a writer loop that asks to
+        write no buffers fails fast, not by hanging the suite."""
+        calls = []
+
+        def stalling(fd, buffers):
+            calls.append(len(buffers))
+            if len(calls) > stall_after:
+                return 0
+            return os.write(fd, bytes(buffers[0])[:5])
+
+        monkeypatch.setattr(os, "writev", stalling)
+        with pytest.raises(OSError, match="wrote nothing"):
+            write_trace(small_trace(), tmp_path / "t.trace")
+        assert len(calls) == stall_after + 1 and min(calls) >= 1
+
     def test_more_blocks_than_one_write_call_takes(self, tmp_path):
         """600 heads make 1200 block buffers, more than one writev takes."""
         rng = np.random.default_rng(3)
