@@ -81,6 +81,29 @@ def mutated_bytes(draw, data: bytes):
     return bytes(out)
 
 
+def test_writer_hands_the_os_each_byte_once(tmp_path, monkeypatch):
+    """write_trace passes the OS every byte of the file once, here in one
+    write call. The first test in this file to write a trace, so a writer
+    loop that would rewrite bytes forever, or spin, fails here at once
+    instead of hanging the suite or filling the disk."""
+    trace = small_trace()
+    size = 4 + 16 + trace.prefill_tags.size + sum(
+        4 + step.new_tags.size + step.blocks.shape[0] * step.blocks.shape[1]
+        * (8 + 4 * step.blocks.shape[2] * step.blocks.shape[3]) for step in trace.steps)
+    written = []
+    writev = os.writev
+
+    def once(fd, buffers):
+        assert sum(written) < size, "the writer wrote past the end of the trace"
+        written.append(writev(fd, buffers))
+        return written[-1]
+
+    monkeypatch.setattr(os, "writev", once)
+    path = tmp_path / "t.trace"
+    write_trace(trace, path)
+    assert written == [size] == [path.stat().st_size]
+
+
 class TestRoundTrip:
     def test_lossless(self, tmp_path):
         trace = small_trace()
