@@ -329,6 +329,16 @@ class TestValidation:
             write_trace(trace, path)
         assert not path.exists()
 
+    def test_first_non_finite_logit_is_named(self, tmp_path):
+        """Of several bad logits in a step, the first in (layer, head, row,
+        col) order is named."""
+        trace = small_trace()
+        trace.steps[2].blocks[0, 2, 1, 5] = np.inf
+        trace.steps[2].blocks[1, 0, 0, 1] = np.nan
+        with pytest.raises(NonFiniteLogitError,
+                           match="^step 2 layer 0 head 2: non-finite logit inf at row 1, col 5$"):
+            write_trace(trace, tmp_path / "t.trace")
+
     EDITS = {
         "cols": lambda trace: setattr(trace.steps[2], "blocks", trace.steps[2].blocks[..., :-1]),
         "layers": lambda trace: setattr(trace.steps[2], "blocks", trace.steps[2].blocks[:1]),
@@ -394,6 +404,41 @@ class TestCorruption:
         with pytest.raises(TruncatedTraceError):
             read_trace(path)
 
+    def test_truncation_counts_the_bytes_left(self, tmp_path):
+        path, raw = self.write_good(tmp_path)
+        path.write_bytes(raw[: self.HEADER_BYTES + 3])  # 3 of the 4 prefill tags
+        with pytest.raises(TruncatedTraceError, match="^trace truncated in header: needed 4 "
+                                                      "bytes for prefill tags, 3 left$"):
+            read_trace(path)
+
+    def test_truncation_short_of_a_step_payload_is_caught_whole(self, tmp_path):
+        """One byte short of the last step's payload fails the step's
+        payload bound, which counts every block after the first prefix."""
+        path, raw = self.write_good(tmp_path)
+        path.write_bytes(raw[:-1])
+        # Step 2 has 2x3 blocks of 2 rows over 7 keys: 6 x (8 + 56) - 8 bytes.
+        with pytest.raises(TruncatedTraceError, match="^trace truncated in step 2: needed 376 "
+                                                      "bytes for 2x3 blocks of 2x7, 375 left$"):
+            read_trace(path)
+
+    def test_regular_file_reporting_no_size_is_read_whole(self, tmp_path, monkeypatch):
+        """A procfs-style file sizes as 0, so it is read whole, not taken
+        as empty."""
+        path, raw = self.write_good(tmp_path)
+        want = read_trace(path)
+        real_fstat = os.fstat
+
+        def sizeless_fstat(fd):
+            fields = list(real_fstat(fd))
+            fields[6] = 0  # st_size
+            return os.stat_result(fields)
+
+        monkeypatch.setattr(os, "fstat", sizeless_fstat)
+        got = read_trace(path)
+        assert len(got.steps) == len(want.steps) == 3
+        for mine, theirs in zip(got.steps, want.steps):
+            np.testing.assert_array_equal(mine.blocks, theirs.blocks)
+
     def test_truncation_names_the_step(self, tmp_path):
         path, raw = self.write_good(tmp_path)
         # Keep the header, tags, and most of step 0, then cut mid-payload.
@@ -404,8 +449,8 @@ class TestCorruption:
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path, raw = self.write_good(tmp_path)
-        path.write_bytes(bytes(raw) + b"\x00\x00")
-        with pytest.raises(SizeMismatchError, match="trailing"):
+        path.write_bytes(bytes(raw) + b"\x00")  # one byte is already too many
+        with pytest.raises(SizeMismatchError, match="^1 trailing bytes after the declared 3 steps$"):
             read_trace(path)
 
     HEADER_BYTES = 4 + struct.calcsize("<HHHIHI")
@@ -423,9 +468,9 @@ class TestCorruption:
 
     def test_bad_tag_byte_rejected(self, tmp_path):
         path, raw = self.write_good(tmp_path)
-        raw[self.HEADER_BYTES] = 7  # first prefill tag
+        raw[self.HEADER_BYTES] = 2  # first prefill tag; 2 is the least that is no modality
         path.write_bytes(raw)
-        with pytest.raises(SizeMismatchError, match="not a modality"):
+        with pytest.raises(SizeMismatchError, match="tag byte 2 is not a modality"):
             read_trace(path)
 
     def test_degenerate_header_rejected(self, tmp_path):
