@@ -338,9 +338,8 @@ class TestJsDivergence:
 
 class TestCheckOptions:
     """check_options refuses each option of layer_report with the message
-    of the function that owns it, and needs no trace."""
-
-    TRACE = None  # never read: every case is refused first
+    of the function that owns it, and needs no trace: layer_report refuses
+    the option before it touches the trace, here None."""
 
     @pytest.mark.parametrize("options, owner", [
         ({"bins": 1}, lambda: js_divergence([0.0], [1.0], bins=1)),
@@ -361,7 +360,7 @@ class TestCheckOptions:
         with pytest.raises(ValueError, match=message):
             check_options(**options)
         with pytest.raises(ValueError, match=message):
-            layer_report(self.TRACE, **options)
+            layer_report(None, **options)
 
     def test_takes_the_defaults_and_the_limits(self):
         check_options()
