@@ -9,8 +9,8 @@ Exit codes: 0 success, 1 usage error (bad flags, bad parameter values),
 2 data error (unreadable/malformed files, dimension drift).
 
 A parameter value is refused by the library check that owns it, with
-that check's message, and before the work it guards: gen-trace packs the
-trace header it would write (traceio.pack_header) before decoding, analyze
+that check's message, and before the work it guards: gen-trace checks the
+sizes of the trace it would write (traceio.pack_header) before decoding, analyze
 checks its options (diagnostics.check_options) before reading the trace,
 and sweep leaves an empty grid to simulator.sweep. The CLI checks only its
 own syntax: flag types and choices, the --policies list, the --grid
@@ -36,7 +36,7 @@ from collections import namedtuple
 from dataclasses import asdict, fields
 
 from .core import PruneConfig
-from .diagnostics import DEFAULT_BINS, DEFAULT_EPSILON, check_options, layer_report
+from .diagnostics import DEFAULT_BINS, check_options, layer_report
 from .policies import POLICIES, get_policy
 from .simulator import (
     INTERLEAVE_MODES,
@@ -169,7 +169,6 @@ def build_parser() -> _Parser:
     p.set_defaults(run=_cmd_analyze)
     p.add_argument("trace", help="trace file to analyze")
     p.add_argument("--bins", type=int, default=DEFAULT_BINS)
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--bandwidth", type=float, help="fixed KDE bandwidth (default: Silverman)")
     _add_flags(p, ("obs", "recent"))
     p.add_argument("--svg", action="store_true", help="also plot divergence bars and KDE overlays")
@@ -260,9 +259,10 @@ def _stem(path: str) -> str:
 def _cmd_gen_trace(args, file_cfg) -> int:
     resolved = _resolve(args, file_cfg)
     spec = _build(SynthSpec, resolved)
-    # Refuse sizes the trace header cannot hold before decoding anything;
-    # the trace records the prefill observation and then every step.
-    _usage(pack_header, spec.layers, spec.heads, spec.steps + 1, spec.head_dim, spec.prefill_len)
+    # Refuse sizes no trace can hold before decoding anything; the trace
+    # records the prefill observation and then every step.
+    _usage(pack_header, spec.layers, spec.heads, spec.steps + 1, spec.head_dim, spec.prefill_len,
+           spec.final_len)
     trace = _usage(record_trace, spec, resolved["obs"])
     write_trace(trace, args.out)
     reports.write_config_sidecar(
@@ -348,8 +348,8 @@ def _cmd_sweep(args, file_cfg) -> int:
 
 def _cmd_analyze(args, file_cfg) -> int:
     resolved = _resolve(args, file_cfg, obs=None, recent=0)
-    options = {"bins": args.bins, "epsilon": args.epsilon, "bandwidth": args.bandwidth,
-               "obs_window": resolved["obs"], "recent": resolved["recent"]}
+    options = {"bins": args.bins, "bandwidth": args.bandwidth, "obs_window": resolved["obs"],
+               "recent": resolved["recent"]}
     _usage(check_options, **options)
     report = layer_report(read_trace(args.trace), **options)
     reports.write_text(args.out, reports.divergence_csv(report))

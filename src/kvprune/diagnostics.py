@@ -11,7 +11,6 @@ ln 2).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,6 @@ DEFAULT_BINS = 64
 # Ceiling on histogram bins: far above any useful resolution, and two
 # histograms of it stay a few MiB.
 MAX_BINS = 2**20
-DEFAULT_EPSILON = 1e-10
 GRID_POINTS = 512
 BANDWIDTH_FLOOR = 1e-6
 KERNEL_CUTOFF = 10.0
@@ -47,7 +45,7 @@ class DensityCurve:
             raise ValueError("grid and density must be 1-D and equally long")
         if not (np.isfinite(self.grid).all() and np.isfinite(self.density).all()):
             raise ValueError("grid and density must be finite")
-        if self.grid.size > 1 and not (np.diff(self.grid) > 0).all():
+        if not (np.diff(self.grid) > 0).all():
             raise ValueError("grid must be strictly ascending")
         if (self.density < 0).any():
             raise ValueError("density values must be nonnegative")
@@ -64,7 +62,6 @@ class DensityCurve:
 class DivergenceReport:
     per_layer: list
     bins: int
-    epsilon: float
 
     def __post_init__(self):
         for layer, value in self.per_layer:
@@ -91,16 +88,6 @@ def _checked_bins(bins) -> int:
     return bins
 
 
-def _checked_epsilon(epsilon, bins: int) -> float:
-    # Each histogram sums to its sample count plus bins * epsilon; once that
-    # overflows, normalizing gives NaN. Dividing instead of multiplying
-    # keeps a huge integer bins from overflowing the check itself.
-    eps = as_real(epsilon)
-    if not (eps > 0 and bins <= sys.float_info.max / eps):
-        raise ValueError(f"epsilon must be positive with bins * epsilon finite, got {epsilon}")
-    return eps
-
-
 def _checked_bandwidth(bandwidth) -> float:
     # kde divides by the bandwidth and reaches KERNEL_CUTOFF bandwidths out;
     # either overflowing would leave it no finite curve.
@@ -119,18 +106,12 @@ def _checked_window(obs_window, recent) -> tuple[int | None, int]:
     return obs_window, recent
 
 
-def check_options(
-    bins=DEFAULT_BINS,
-    epsilon=DEFAULT_EPSILON,
-    bandwidth=None,
-    obs_window=None,
-    recent=0,
-) -> None:
+def check_options(bins=DEFAULT_BINS, bandwidth=None, obs_window=None, recent=0) -> None:
     """ValueError, with its owner's message, for the first option of
-    layer_report that its owner refuses: bins and epsilon (js_divergence),
-    bandwidth (kde), obs_window and recent (modality_weight_samples). Needs
-    no trace, so a caller can refuse options before reading one."""
-    _checked_epsilon(epsilon, _checked_bins(bins))
+    layer_report that its owner refuses: bins (js_divergence), bandwidth
+    (kde), obs_window and recent (modality_weight_samples). Needs no
+    trace, so a caller can refuse options before reading one."""
+    _checked_bins(bins)
     if bandwidth is not None:
         _checked_bandwidth(bandwidth)
     _checked_window(obs_window, recent)
@@ -189,9 +170,7 @@ def kde(samples, bandwidth: float | None = None, grid_points: int = GRID_POINTS)
     windows = np.lib.stride_tricks.sliding_window_view(grid, width)
     # heads marks the first sample of each cell, then also of each chunk:
     # the rows that open a run reduceat sums.
-    heads = np.empty(samples.size, dtype=bool)
-    heads[0] = True
-    np.not_equal(starts[1:], starts[:-1], out=heads[1:])
+    heads = np.concatenate(([True], starts[1:] != starts[:-1]))
     used = starts[heads]
     chunk = max(1, CHUNK_FLOATS // width)
     heads[::chunk] = True
@@ -219,35 +198,32 @@ def kde(samples, bandwidth: float | None = None, grid_points: int = GRID_POINTS)
     return DensityCurve(grid=grid, density=density, bandwidth=h)
 
 
-def js_divergence(
-    p_samples,
-    q_samples,
-    bins: int = DEFAULT_BINS,
-    epsilon: float = DEFAULT_EPSILON,
-) -> float:
+def js_divergence(p_samples, q_samples, bins: int = DEFAULT_BINS) -> float:
     """Jensen-Shannon divergence between two sample sets.
 
-    Both sets are histogrammed on their joint range, every bin gets epsilon
-    before normalizing, and the divergence uses the natural log, so results
-    fall in [0, ln 2]. Exactly symmetric in its arguments.
+    Both sets are histogrammed on their joint range and normalized by
+    their sample counts. The divergence uses the natural log and takes
+    0 * log 0 as 0, so it needs no smoothing: it is 0 for equal
+    histograms, ln 2 for disjoint ones and between them otherwise.
+    Exactly symmetric in its arguments.
     """
     p = _clean_samples(p_samples, "p_samples")
     q = _clean_samples(q_samples, "q_samples")
     bins = _checked_bins(bins)
-    eps = _checked_epsilon(epsilon, bins)
 
+    # np.histogram widens an empty range (lo == hi) by 0.5 each way.
     lo = min(p.min(), q.min())
     hi = max(p.max(), q.max())
-    if lo == hi:
-        lo, hi = lo - 0.5, hi + 0.5
-    p_hist = np.histogram(p, bins=bins, range=(lo, hi))[0].astype(np.float64) + eps
-    q_hist = np.histogram(q, bins=bins, range=(lo, hi))[0].astype(np.float64) + eps
-    p_hist /= p_hist.sum()
-    q_hist /= q_hist.sum()
+    p_hist = np.histogram(p, bins=bins, range=(lo, hi))[0] / p.size
+    q_hist = np.histogram(q, bins=bins, range=(lo, hi))[0] / q.size
     mid = 0.5 * (p_hist + q_hist)
-    kl_p = float(np.sum(p_hist * np.log(p_hist / mid)))
-    kl_q = float(np.sum(q_hist * np.log(q_hist / mid)))
-    return 0.5 * kl_p + 0.5 * kl_q
+    return 0.5 * _kl(p_hist, mid) + 0.5 * _kl(q_hist, mid)
+
+
+def _kl(dist: np.ndarray, mid: np.ndarray) -> float:
+    """KL(dist || mid) over the bins dist fills; mid is positive there."""
+    filled = dist > 0
+    return float(np.sum(dist[filled] * np.log(dist[filled] / mid[filled])))
 
 
 @dataclass(frozen=True)
@@ -314,7 +290,6 @@ def modality_weight_samples(
 def layer_report(
     trace: AttentionTrace,
     bins: int = DEFAULT_BINS,
-    epsilon: float = DEFAULT_EPSILON,
     bandwidth: float | None = None,
     obs_window: int | None = None,
     recent: int = 0,
@@ -325,7 +300,7 @@ def layer_report(
     both modalities present among the sampled pairs; a single-modality
     trace has no inter samples to compare.
     """
-    check_options(bins, epsilon, bandwidth, obs_window, recent)
+    check_options(bins, bandwidth, obs_window, recent)
     samples = modality_weight_samples(trace, obs_window=obs_window, recent=recent)
     per_layer = []
     curves = []
@@ -335,9 +310,9 @@ def layer_report(
                 f"layer {layer} has an empty modality pairing; diagnostics need "
                 "both intra- and inter-modality weights"
             )
-        per_layer.append((layer, js_divergence(intra, inter, bins=bins, epsilon=epsilon)))
+        per_layer.append((layer, js_divergence(intra, inter, bins=bins)))
         curves.append((kde(intra, bandwidth=bandwidth), kde(inter, bandwidth=bandwidth)))
     return LayerReport(
-        divergence=DivergenceReport(per_layer=per_layer, bins=bins, epsilon=epsilon),
+        divergence=DivergenceReport(per_layer=per_layer, bins=bins),
         curves=curves,
     )

@@ -23,15 +23,18 @@ Layout (all little-endian):
         layers x heads blocks, each:
             u32 rows, u32 cols, rows*cols float32 row-major
 
-Each rule is written once, here. pack_header owns which sizes a header
-holds: write_trace packs with it, and a caller about to build a trace
-(`kvprune gen-trace`) calls it first to refuse sizes no trace can hold.
-check_block_shape owns a step's block shape: column counts equal the
-running token total and 1 <= rows <= cols, so every payload size is
-derivable from the header. read_trace applies it to each step's first
-block and requires the others to match that block; it also rejects any
-logit that is NaN or infinite. `checked` applies the same rules to a trace
-in memory, which may have been edited since it was built or read:
+Each rule is written once, here. pack_header owns which sizes a trace
+holds: its header fields, and the final token count, which every u32
+count and shape field after the header is at most. write_trace packs with
+it, and a caller about to build a trace (`kvprune gen-trace`) calls it
+first to refuse sizes no trace can hold. check_block_shape owns a step's
+block shape: column counts equal the running token total and
+1 <= rows <= cols, so every payload size is derivable from the header.
+read_trace applies it to each step's first block and requires the others
+to match that block; it also rejects any logit that is NaN or infinite.
+AttentionTrace applies the same structural rules to the steps it is built
+with, and `checked` builds one from a trace in memory, which may have
+been edited since it was built or read, plus one finiteness pass:
 write_trace, simulator.run_decodes and
 diagnostics.modality_weight_samples read its header and steps only from
 the trace it returns, so each refuses what read_trace refuses.
@@ -41,8 +44,8 @@ straight into one float32 arena sized from the file (a file holds at least
 4 bytes per logit, so its size bounds the arena); a read trace's steps are
 disjoint views of that one buffer. A pipe or other stream with no size is
 first read whole into memory, and its length is the bound. write_trace runs
-every check, then writes each header field and each block straight from
-its array.
+every check, then hands each header field and each block, straight from
+its array, to a buffered file.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ MAGIC = b"CSPT"
 VERSION = 1
 MAX_U16 = 2**16 - 1
 MAX_U32 = 2**32 - 1
-_IOV_MAX = 1024  # buffers one writev call may take (Linux's limit)
 
 
 class TraceError(Exception):
@@ -126,22 +128,13 @@ def check_block_shape(rows: int, cols: int, length: int, index: int) -> None:
         raise SizeMismatchError(f"step {index} has an impossible row count {rows}")
 
 
-def checked_step(step: TraceStep, layers: int, heads: int, length: int, index: int) -> TraceStep:
-    """Step `index`, after `length` tokens, as a new record of its tags and
-    blocks as TraceStep holds them. ValueError unless its blocks are
-    (layers, heads, rows, cols) of a shape check_block_shape takes."""
-    record = TraceStep(step.new_tags, step.blocks)
-    step_layers, step_heads, rows, cols = record.blocks.shape
-    if (step_layers, step_heads) != (layers, heads):
-        raise ValueError(
-            f"step {index} has {step_layers}x{step_heads} blocks, header says {layers}x{heads}"
-        )
-    check_block_shape(rows, cols, length + record.new_tags.size, index)
-    return record
-
-
 @dataclass
 class AttentionTrace:
+    """A trace's header and steps. Each step given is kept as a new
+    TraceStep of its tags and blocks, which shares their arrays when they
+    already have TraceStep's dtypes. ValueError unless every step's blocks
+    are (layers, heads, rows, cols) of a shape check_block_shape takes."""
+
     layers: int
     heads: int
     head_dim: int
@@ -155,8 +148,17 @@ class AttentionTrace:
         if self.prefill_tags.size < 1:
             raise ValueError("a trace needs a nonempty prefill")
         length = self.prefill_tags.size
+        records = []
         for index, step in enumerate(self.steps):
-            length += checked_step(step, self.layers, self.heads, length, index).new_tags.size
+            record = TraceStep(step.new_tags, step.blocks)
+            step_layers, step_heads, rows, cols = record.blocks.shape
+            if (step_layers, step_heads) != (self.layers, self.heads):
+                raise ValueError(f"step {index} has {step_layers}x{step_heads} blocks, "
+                                 f"header says {self.layers}x{self.heads}")
+            length += record.new_tags.size
+            check_block_shape(rows, cols, length, index)
+            records.append(record)
+        self.steps = records
 
     @property
     def full_tags(self) -> np.ndarray:
@@ -170,18 +172,14 @@ class AttentionTrace:
 
 def checked(trace: AttentionTrace) -> AttentionTrace:
     """A new trace of trace's header, prefill tags and steps as they stand
-    now, each checked once: the header and prefill tags as AttentionTrace
-    checks them, then each step's structure (checked_step) and one
-    finiteness pass. ValueError at the first fault, NonFiniteLogitError for
+    now, checked once: as AttentionTrace checks them, then one finiteness
+    pass per step. ValueError at the first fault, NonFiniteLogitError for
     a logit. Its consumers read every field from the result, so an edit
     made after the trace was built is refused or converted, never read."""
-    copy = AttentionTrace(trace.layers, trace.heads, trace.head_dim, trace.prefill_tags)
-    length = copy.prefill_tags.size
-    for index, step in enumerate(trace.steps):
-        record = checked_step(step, copy.layers, copy.heads, length, index)
-        _check_finite(record.blocks, index)
-        length += record.new_tags.size
-        copy.steps.append(record)
+    copy = AttentionTrace(trace.layers, trace.heads, trace.head_dim, trace.prefill_tags,
+                          trace.steps)
+    for index, step in enumerate(copy.steps):
+        _check_finite(step.blocks, index)
     return copy
 
 
@@ -195,12 +193,17 @@ def _pack(fmt: str, **fields) -> bytes:
     return struct.pack("<" + fmt, *fields.values())
 
 
-def pack_header(layers: int, heads: int, steps: int, head_dim: int, prefill_length: int) -> bytes:
+def pack_header(layers: int, heads: int, steps: int, head_dim: int, prefill_length: int,
+                final_length: int) -> bytes:
     """The header of a trace of these sizes, magic to prefill length: the
-    one rule for which sizes a trace can hold. ValueError, naming the
-    field, for a size wider than its field."""
-    return MAGIC + _pack("HHHIHI", version=VERSION, layers=layers, heads=heads, steps=steps,
-                         head_dim=head_dim, prefill_length=prefill_length)
+    one rule for which sizes a trace can hold. The final token count packs
+    nowhere, but bounds every later u32 field: a step's new-token count,
+    and its block rows and cols. ValueError, naming the field, for a size
+    wider than its field, cols standing for the final length."""
+    header = MAGIC + _pack("HHHIHI", version=VERSION, layers=layers, heads=heads, steps=steps,
+                           head_dim=head_dim, prefill_length=prefill_length)
+    _pack("I", cols=final_length)
+    return header
 
 
 def write_trace(trace: AttentionTrace, path) -> None:
@@ -209,39 +212,20 @@ def write_trace(trace: AttentionTrace, path) -> None:
     trace = checked(trace)
     buffers = [
         pack_header(trace.layers, trace.heads, len(trace.steps), trace.head_dim,
-                    trace.prefill_tags.size),
+                    trace.prefill_tags.size, trace.final_length),
         np.ascontiguousarray(trace.prefill_tags, dtype="<u1"),
     ]
     for step in trace.steps:
-        buffers.append(_pack("I", new_tokens=step.new_tags.size))
+        buffers.append(struct.pack("<I", step.new_tags.size))
         buffers.append(np.ascontiguousarray(step.new_tags))
-        _, _, rows, cols = step.blocks.shape
-        prefix = _pack("II", rows=rows, cols=cols)
+        prefix = struct.pack("<II", *step.blocks.shape[2:])
         payload = np.ascontiguousarray(step.blocks, dtype="<f4").view(np.uint8)
         for layer_blocks in payload:
             for block in layer_blocks:
                 buffers.append(prefix)
                 buffers.append(block)
-    with open(path, "wb", buffering=0) as fh:
-        _write_all(fh.fileno(), buffers)
-
-
-def _write_all(fd: int, buffers) -> None:
-    """Write the byte buffers to fd in order, up to _IOV_MAX of them per
-    writev call, resuming after a partial write. OSError if a call writes
-    nothing: each call starts at a buffer with bytes left, so the loop
-    would never end."""
-    views = [memoryview(buffer).cast("B") for buffer in buffers]
-    start = 0
-    while start < len(views):
-        written = os.writev(fd, views[start : start + _IOV_MAX])
-        if not written:
-            raise OSError(f"a write call wrote nothing at buffer {start} of {len(views)}")
-        while start < len(views) and written >= views[start].nbytes:
-            written -= views[start].nbytes
-            start += 1
-        if written:
-            views[start] = views[start][written:]
+    with open(path, "wb") as fh:
+        fh.writelines(buffers)
 
 
 class _Reader:

@@ -130,20 +130,6 @@ def select_retained(
     return chosen
 
 
-def softmax_rows_plain(matrix):
-    """Row softmax with the plain exp/sum formula in float, max-shifted."""
-    out = []
-    for row in matrix:
-        if not row:
-            out.append([])
-            continue
-        top = max(row)
-        exps = [math.exp(x - top) for x in row]
-        total = sum(exps)
-        out.append([e / total for e in exps])
-    return out
-
-
 def smoothed_softmax_plain(row, smoothing):
     """exp(x)/(n + sum exp(x)) straight from the definition, no shift.
 
@@ -388,8 +374,9 @@ def polyline_points(series, left, right, top, bottom):
     return out
 
 
-def js_from_samples(p_samples, q_samples, bins, epsilon=1e-10):
-    """Histogram JS divergence by explicit probability-mass bookkeeping."""
+def js_from_samples(p_samples, q_samples, bins):
+    """Histogram JS divergence by explicit probability-mass bookkeeping,
+    with 0 * log 0 taken as 0."""
     lo = min(min(p_samples), min(q_samples))
     hi = max(max(p_samples), max(q_samples))
     if lo == hi:
@@ -403,14 +390,14 @@ def js_from_samples(p_samples, q_samples, bins, epsilon=1e-10):
             if index == bins:  # right edge belongs to the last bin
                 index -= 1
             counts[index] += 1.0
-        total = sum(c + epsilon for c in counts)
-        return [(c + epsilon) / total for c in counts]
+        total = sum(counts)
+        return [c / total for c in counts]
 
     p = hist(p_samples)
     q = hist(q_samples)
     m = [(a + b) / 2.0 for a, b in zip(p, q)]
-    kl_p = sum(a * math.log(a / c) for a, c in zip(p, m))
-    kl_q = sum(b * math.log(b / c) for b, c in zip(q, m))
+    kl_p = sum(a * math.log(a / c) for a, c in zip(p, m) if a > 0)
+    kl_q = sum(b * math.log(b / c) for b, c in zip(q, m) if b > 0)
     return 0.5 * kl_p + 0.5 * kl_q
 
 

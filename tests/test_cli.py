@@ -89,7 +89,7 @@ class TestHelpAndUsage:
         ("sweep", "axis grid svg text visual interleave layers heads dim steps shift spread "
                   "budget ratio recent obs n recency-bias widen no-widen seed policy "
                   "pool-width out"),
-        ("analyze", "bins epsilon bandwidth obs recent svg out"),
+        ("analyze", "bins bandwidth obs recent svg out"),
         ("compare", "policies trace budget ratio recent obs n recency-bias widen no-widen "
                     "seed pool-width out"),
     ])
@@ -164,11 +164,13 @@ class TestGenTrace:
     @pytest.mark.parametrize("flags, field", [
         (["--steps", "4294967295"], "steps 4294967296"),
         (["--text", "4294967295", "--visual", "1"], "prefill_length 4294967296"),
-    ], ids=["steps", "prefill"])
+        (["--text", "4294967294", "--visual", "1", "--steps", "1"], "cols 4294967296"),
+    ], ids=["steps", "prefill", "final-length"])
     def test_u32_header_field_overflow(self, tmp_path, flags, field, capsys, monkeypatch):
-        """A trace holds steps + 1 records and the whole prefill, each
-        counted in a u32 field: one past either is a usage error naming
-        the field, raised before anything is decoded."""
+        """A trace holds steps + 1 records, the whole prefill and blocks
+        over every token, each counted in a u32 field: one past any is a
+        usage error naming the field, raised before anything is decoded
+        (record_trace fails the test if called)."""
         monkeypatch.setattr(cli, "record_trace", decoded)
         out = tmp_path / "t.trace"
         assert main(["gen-trace", *flags, "--out", str(out)]) == 1
@@ -181,11 +183,12 @@ class TestGenTrace:
                                                          steps, text):
         """gen-trace exits 1, with traceio's message and before decoding,
         exactly when pack_header, which write_trace packs every header
-        with, refuses the spec's header of steps + 1 records; otherwise it
-        decodes."""
+        with, refuses the spec's sizes: steps + 1 records and a final
+        length of prefill + steps; otherwise it decodes."""
         sizes = {"layers": layers, "heads": heads, "steps": steps + 1, "head_dim": dim,
-                 "prefill_length": text + 1}
-        wide = max(layers, heads, dim) > 2**16 - 1 or max(steps + 1, text + 1) > 2**32 - 1
+                 "prefill_length": text + 1, "final_length": text + 1 + steps}
+        wide = (max(layers, heads, dim) > 2**16 - 1
+                or max(steps + 1, text + 1 + steps) > 2**32 - 1)
         try:
             traceio.pack_header(**sizes)
             message = None
@@ -433,7 +436,7 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("flags", [
         ["--bins", "1"],
-        ["--epsilon", "0"],
+        ["--bandwidth", "-1"],
         ["--bandwidth", "0"],
         ["--obs", "0"],
         ["--recent", "-1"],
@@ -453,19 +456,25 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("flags", [
         ["--bandwidth", "inf"],
-        ["--epsilon", "inf"],
-        ["--epsilon", "1e307"],
-    ], ids=["bandwidth-inf", "epsilon-inf", "epsilon-overflow"])
+    ], ids=["bandwidth-inf"])
     def test_non_finite_parameter(self, tmp_path, trace_path, flags, capsys):
-        """Values that are positive but not finite, or whose histogram sum
-        over the default bins is not, are usage errors with one error
-        line, not a data error or a traceback."""
+        """A value that is positive but not finite is a usage error with
+        one error line, not a data error or a traceback."""
         capsys.readouterr()
         assert main(["analyze", str(trace_path), *flags,
                      "--out", str(tmp_path / "x.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_epsilon_is_an_unknown_flag(self, tmp_path, trace_path, capsys):
+        """The divergence needs no smoothing, so --epsilon is refused as
+        any unknown flag is: exit 1, and nothing written."""
+        out = tmp_path / "x.csv"
+        assert main(["analyze", str(trace_path), "--epsilon", "1e-10", "--out", str(out)]) == 1
+        assert "unrecognized arguments: --epsilon 1e-10" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "run.trace", "run.trace.config.json"]
 
     @pytest.mark.parametrize("bandwidth", ["5e-324", "1e-310", "1e308", "2e307"])
     def test_overflowing_bandwidth(self, tmp_path, trace_path, bandwidth, capsys):
@@ -483,23 +492,17 @@ class TestAnalyze:
 
     @given(bins=st.one_of(st.integers(-1, 8),
                           st.sampled_from([MAX_BINS, MAX_BINS + 1, 2**62, 10**401])),
-           # Subnormal epsilons are left out: they make the divergence NaN
-           # (see test_diagnostics' xfail on them), a data error that
-           # warns first, and this suite turns warnings into errors.
-           epsilon=st.sampled_from([-1.0, 0.0, 1e-300, 1e-10, 0.5, 1e300, 1e307, 1e308,
-                                    math.inf, math.nan]),
            bandwidth=st.sampled_from([None, -1.0, 0.0, 5e-324, 1e-310, 1e-300, 0.05, 1e307,
                                       2e307, 1e308, math.inf, math.nan]),
            obs=st.one_of(st.none(), st.integers(-1, 3)),
            recent=st.integers(-1, 8))
-    def test_options_refused_exactly_as_the_library_refuses(self, fuzz_dir, bins, epsilon,
-                                                            bandwidth, obs, recent):
+    def test_options_refused_exactly_as_the_library_refuses(self, fuzz_dir, bins, bandwidth,
+                                                            obs, recent):
         """analyze exits 1, with the library's message, before reading the
         trace and writing anything, exactly when check_options refuses its
         options; otherwise it exits 2 exactly when layer_report raises on
         the trace, and 0 when it does not."""
-        options = {"bins": bins, "epsilon": epsilon, "bandwidth": bandwidth,
-                   "obs_window": obs, "recent": recent}
+        options = {"bins": bins, "bandwidth": bandwidth, "obs_window": obs, "recent": recent}
         try:
             check_options(**options)
             message = None
@@ -513,7 +516,7 @@ class TestAnalyze:
                 expected = 2
         else:
             expected = 1
-        flags = ["--bins", str(bins), "--epsilon", repr(epsilon), "--recent", str(recent)]
+        flags = ["--bins", str(bins), "--recent", str(recent)]
         flags += [] if bandwidth is None else ["--bandwidth", repr(bandwidth)]
         flags += [] if obs is None else ["--obs", str(obs)]
         work = fuzz_dir / "options"
@@ -648,17 +651,17 @@ class TestCompare:
 
     def test_each_record_checked_once_per_compare(self, tmp_path, monkeypatch):
         """compare replays all its policies in one pass, so a 3-policy
-        compare checks each of 9 records once (9 record checks, each with
-        its finiteness pass), not once per policy (27)."""
+        compare checks each of 9 records once (9 finiteness passes), not
+        once per policy (27)."""
         _, argv = self._nine_step_trace(monkeypatch, tmp_path)
         checked = []
-        check = traceio.checked_step
+        check = traceio._check_finite
 
         def counted(*args):
             checked.append(args)
             return check(*args)
 
-        monkeypatch.setattr(traceio, "checked_step", counted)
+        monkeypatch.setattr(traceio, "_check_finite", counted)
         assert main(argv) == 0
         assert len(checked) == 9
 
@@ -789,8 +792,7 @@ class TestSidecarSchema:
         (["sweep", "--axis", "cross_ratio", "--grid", "0.5", *SPEC_FLAGS, *CFG_FLAGS],
          ["axis", "command", "config", "grid", "outputs", "policy", "spec", "versions"]),
         (["analyze", "TRACE"],
-         ["bandwidth", "bins", "command", "epsilon", "obs_window", "outputs", "recent", "trace",
-          "versions"]),
+         ["bandwidth", "bins", "command", "obs_window", "outputs", "recent", "trace", "versions"]),
         (["compare", "--policies", "csp,accum", "--trace", "TRACE", *CFG_FLAGS],
          ["command", "config", "outputs", "policies", "trace", "versions"]),
     ], ids=["gen-trace", "simulate", "simulate-replay", "sweep", "analyze", "compare"])

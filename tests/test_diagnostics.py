@@ -76,6 +76,16 @@ class TestKde:
         expected = 1.06 * min(std, iqr / 1.34) * 50 ** -0.2
         np.testing.assert_allclose(silverman_bandwidth(samples), expected, rtol=1e-12)
 
+    def test_silverman_formula_at_two_samples(self):
+        """Two samples are the fewest with a sample standard deviation."""
+        samples = np.array([0.0, 1.0])
+        expected = 1.06 * min(math.sqrt(0.5), 0.5 / 1.34) * 2 ** -0.2
+        np.testing.assert_allclose(silverman_bandwidth(samples), expected, rtol=1e-12)
+
+    def test_sample_range_overflowing_the_grid(self):
+        with pytest.raises(ValueError, match="overflows the grid"):
+            kde([-1e308, 1e308], bandwidth=1.0)
+
     def test_silverman_floor_on_degenerate_samples(self):
         assert silverman_bandwidth(np.array([5.0])) == BANDWIDTH_FLOOR
         assert silverman_bandwidth(np.array([2.0, 2.0, 2.0])) == BANDWIDTH_FLOOR
@@ -188,6 +198,17 @@ class TestWindowedKde:
         width = 2 * KERNEL_CUTOFF * curve.bandwidth / step + 2
         assert samples.size > 10 * CHUNK_FLOATS / width
 
+    def test_samples_far_from_zero(self):
+        """A narrow range far from 0 spans a finite grid, though the
+        product of its ends overflows."""
+        self.check(np.array([1e200, 1.5e200]), 1e199)
+
+    def test_window_wider_than_a_chunk(self):
+        """A window of more than CHUNK_FLOATS grid points is summed one
+        sample per chunk."""
+        curve = self.check(np.array([0.0, 1.0]), 100.0, CHUNK_FLOATS + 1)
+        assert curve.grid.size == CHUNK_FLOATS + 1
+
     def test_equal_samples_fill_one_cell(self):
         """All-equal samples put h at the floor and the whole grid in every
         window: one start cell holding many chunks of samples."""
@@ -228,6 +249,16 @@ class TestDensityCurve:
         with pytest.raises(ValueError, match="ascending"):
             DensityCurve(grid=[1.0, 0.0], density=[0.5, 0.5], bandwidth=1.0)
 
+    @pytest.mark.parametrize("grid", [[0.0, 0.0], [0.0, -0.5]], ids=["repeated", "descending"])
+    def test_grid_must_ascend_strictly(self, grid):
+        with pytest.raises(ValueError, match="ascending"):
+            DensityCurve(grid=grid, density=[0.5, 0.5], bandwidth=1.0)
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -0.5])
+    def test_bandwidth_must_be_positive(self, bandwidth):
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            DensityCurve(grid=[0.0, 1.0], density=[0.5, 0.5], bandwidth=bandwidth)
+
     def test_density_must_be_nonnegative(self):
         with pytest.raises(ValueError, match="nonnegative"):
             DensityCurve(grid=[0.0, 1.0], density=[0.5, -0.1], bandwidth=1.0)
@@ -254,9 +285,17 @@ class TestJsDivergence:
         assert abs(js_divergence(x, x)) <= 1e-12
 
     def test_disjoint_samples_saturate_at_ln2(self):
-        p = np.zeros(5)
-        q = np.ones(5)
-        np.testing.assert_allclose(js_divergence(p, q), math.log(2.0), atol=1e-6)
+        """Each side fills a bin the other leaves empty, where 0 * log 0
+        counts as 0: exactly ln 2, with no smoothing to pull it down."""
+        assert js_divergence(np.zeros(5), np.ones(5)) == math.log(2.0)
+        assert js_divergence([0.0], [1.0], bins=2) == math.log(2.0)
+
+    @given(samples=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40),
+           copies=st.integers(1, 5), bins=st.integers(2, 70))
+    def test_same_histogram_in_other_counts_is_zero(self, samples, copies, bins):
+        """Samples repeated k times fill the same normalized histogram, so
+        their divergence from the originals is exactly 0."""
+        assert js_divergence(samples, samples * copies, bins=bins) == 0.0
 
     def test_two_bin_hand_value(self):
         p = [0.0, 0.0]
@@ -288,9 +327,9 @@ class TestJsDivergence:
             assert 0.0 <= value <= math.log(2.0) + 1e-12
 
     def test_equal_point_masses(self):
-        """Degenerate samples share one bin after range widening; only the
-        epsilon smoothing of the different counts separates them."""
-        assert abs(js_divergence([1.0, 1.0], [1.0])) <= 1e-8
+        """Degenerate samples share one bin after range widening, whatever
+        their counts, so their divergence is exactly 0."""
+        assert js_divergence([1.0, 1.0], [1.0]) == 0.0
 
     def test_bad_bins(self):
         with pytest.raises(ValueError, match="bins"):
@@ -308,32 +347,9 @@ class TestJsDivergence:
         value = js_divergence([0.0], [1.0], bins=MAX_BINS)
         assert 0.0 <= value <= math.log(2.0) + 1e-12
 
-    def test_bad_epsilon(self):
-        with pytest.raises(ValueError, match="epsilon"):
-            js_divergence([0.0], [1.0], epsilon=0.0)
-
-    @pytest.mark.parametrize("epsilon", [float("inf"), float("nan"), 1e307])
-    def test_non_finite_epsilon(self, epsilon):
-        """1e307 is finite, but 64 bins of it overflow the histogram sum,
-        which would turn the divergence into NaN."""
-        with pytest.raises(ValueError, match="epsilon"):
-            js_divergence([0.0], [1.0], bins=64, epsilon=epsilon)
-
-    def test_huge_finite_epsilon(self):
-        """While bins * epsilon stays finite the smoothing swamps the
-        counts and the divergence is a valid, tiny number."""
-        value = js_divergence([0.0], [1.0], bins=64, epsilon=1e306)
-        assert 0.0 <= value < 1e-12
-
     def test_empty_side(self):
         with pytest.raises(ValueError, match="empty"):
             js_divergence([], [1.0])
-
-    @pytest.mark.xfail(raises=RuntimeWarning, strict=True,
-                       reason="a subnormal epsilon underflows to 0 once normalised, and "
-                              "0 * log 0 makes the divergence NaN")
-    def test_subnormal_epsilon(self):
-        assert 0.0 <= js_divergence([0.0, 0.1], [1.0], bins=8, epsilon=5e-324) <= math.log(2.0)
 
 
 class TestCheckOptions:
@@ -344,14 +360,12 @@ class TestCheckOptions:
     @pytest.mark.parametrize("options, owner", [
         ({"bins": 1}, lambda: js_divergence([0.0], [1.0], bins=1)),
         ({"bins": MAX_BINS + 1}, lambda: js_divergence([0.0], [1.0], bins=MAX_BINS + 1)),
-        ({"epsilon": 0.0}, lambda: js_divergence([0.0], [1.0], epsilon=0.0)),
-        ({"bins": 8, "epsilon": 1e308}, lambda: js_divergence([0.0], [1.0], 8, 1e308)),
         ({"bandwidth": math.nan}, lambda: kde([0.0], bandwidth=math.nan)),
         ({"bandwidth": 1e-310}, lambda: kde([0.0], bandwidth=1e-310)),
         ({"bandwidth": 2e307}, lambda: kde([0.0], bandwidth=2e307)),
         ({"obs_window": 0}, lambda: modality_weight_samples(two_layer_trace(1.0), obs_window=0)),
         ({"recent": -1}, lambda: modality_weight_samples(two_layer_trace(1.0), recent=-1)),
-    ], ids=["bins-1", "bins-ceiling", "epsilon-0", "epsilon-sum", "bandwidth-nan",
+    ], ids=["bins-1", "bins-ceiling", "bandwidth-nan",
             "bandwidth-reciprocal", "bandwidth-reach", "obs-0", "recent-negative"])
     def test_refuses_as_the_owner_refuses(self, options, owner):
         with pytest.raises(ValueError) as refused:
@@ -362,20 +376,32 @@ class TestCheckOptions:
         with pytest.raises(ValueError, match=message):
             layer_report(None, **options)
 
+    def test_bins_ceiling_is_two_to_the_twentieth(self):
+        """README documents the ceiling as 2^20."""
+        check_options(bins=2**20)
+        with pytest.raises(ValueError, match="^bins must be at most 1048576, got 1048577$"):
+            check_options(bins=2**20 + 1)
+
     def test_takes_the_defaults_and_the_limits(self):
         check_options()
-        check_options(bins=MAX_BINS, epsilon=1e-300, bandwidth=1e307, obs_window=1, recent=0)
+        check_options(bins=MAX_BINS, bandwidth=1e307, obs_window=1, recent=0)
+        check_options(bandwidth=1e-308)
 
 
 class TestDivergenceReport:
     def test_values_in_order(self):
-        report = DivergenceReport(per_layer=[(0, 0.1), (1, 0.3)], bins=64,
-                                  epsilon=1e-10)
+        report = DivergenceReport(per_layer=[(0, 0.1), (1, 0.3)], bins=64)
         assert report.values() == [0.1, 0.3]
+
+    def test_accepts_both_bounds(self):
+        """An exact divergence reaches 0 for equal histograms and ln 2 for
+        disjoint ones; a report takes both."""
+        report = DivergenceReport(per_layer=[(0, 0.0), (1, math.log(2.0))], bins=64)
+        assert report.values() == [0.0, math.log(2.0)]
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
-            DivergenceReport(per_layer=[(0, 0.8)], bins=64, epsilon=1e-10)
+            DivergenceReport(per_layer=[(0, 0.8)], bins=64)
 
 
 def two_layer_trace(shift: float, steps: int = 2) -> AttentionTrace:
@@ -536,6 +562,34 @@ class TestLayerReport:
         shifted = layer_report(two_layer_trace(shift=2.0)).divergence.values()
         for low, high in zip(flat, shifted):
             assert high > low
+
+    def test_defaults_sample_every_key(self):
+        """By default every key is sampled (recent=0) from every row."""
+        trace = two_layer_trace(shift=2.0)
+        assert layer_report(trace).divergence.per_layer == layer_report(
+            trace, bins=64, bandwidth=None, obs_window=None, recent=0).divergence.per_layer
+
+    @staticmethod
+    def one_row_trace(prefill_tags):
+        """One step of one row, the last prefill token, over every key."""
+        return AttentionTrace(
+            layers=1, heads=1, head_dim=4, prefill_tags=np.array(prefill_tags, dtype=np.uint8),
+            steps=[TraceStep(new_tags=np.zeros(0, dtype=np.uint8),
+                             blocks=np.zeros((1, 1, 1, len(prefill_tags)), dtype=np.float32))],
+        )
+
+    @pytest.mark.parametrize("prefill_tags", [[0, 0, 0, 1], [0, 1, 1, 1]],
+                             ids=["one-intra", "one-inter"])
+    def test_pool_of_one_weight_is_enough(self, prefill_tags):
+        """Equal logits give every weight 1/4, so the pools hold one value."""
+        report = layer_report(self.one_row_trace(prefill_tags))
+        assert report.divergence.values() == [0.0]
+
+    def test_empty_intra_pool_rejected(self):
+        """The newest key is the query's own; once recent drops it, a
+        visual query over text keys has no intra weights."""
+        with pytest.raises(ValueError, match="^layer 0 has an empty modality pairing"):
+            layer_report(self.one_row_trace([0, 0, 0, 1]), recent=1)
 
     def test_single_modality_trace_rejected(self):
         blocks = np.zeros((1, 1, 2, 4), dtype=np.float32)

@@ -218,8 +218,6 @@ REAL_SITES = {
                           "smoothing must be finite and >= 0", 1.0),
     "kde-bandwidth": (lambda v: kde([0.0, 1.0], bandwidth=v),
                       "bandwidth must be finite and positive", 0.5),
-    "js-epsilon": (lambda v: js_divergence([0.0], [1.0], epsilon=v),
-                   "epsilon must be positive with bins \\* epsilon finite", 1e-10),
     "synth-spec-shift": (lambda v: SynthSpec(shift=v), "shift must be finite", -2.0),
     "synth-spec-spread": (lambda v: SynthSpec(spread=v), "spread must be finite and positive",
                           1.5),

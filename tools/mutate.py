@@ -102,7 +102,10 @@ def run_tests(copy: str, tests: list[str], timeout: float) -> str:
     """killed, hung or survived: the outcome of the module's tests in copy."""
     env = {**os.environ, "PYTHONPATH": os.path.join(copy, "src"),
            "PYTHONDONTWRITEBYTECODE": "1"}
+    # pytest empties --basetemp at each run, and the copy is removed at the
+    # end, so a killed or hung mutant's files do not pile up elsewhere.
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+           "--basetemp", os.path.join(copy, "pytest-tmp"),
            *(os.path.join("tests", name) for name in tests)]
     proc = subprocess.Popen(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL, start_new_session=True)
