@@ -1,6 +1,7 @@
 """A/B benchmark of two revisions with perfbench, in alternating pairs.
 
     python3 bench/ab.py --base REV [--change REV] --workload W --pairs N [--seconds S]
+    python3 bench/ab.py --base REV [--change REV] --workload W --pairs N --inproc
 
 Run from anywhere inside the repository. Both revisions (the change
 defaults to HEAD) are checked out as detached git worktrees under
@@ -20,27 +21,53 @@ base's quartile spread. The last line is one JSON object with every
 summary row. The worktrees are removed at the end. Exit code 0 when every
 run checked out, 1 when a run failed its checks, 2 when a run or a
 checkout could not be made.
+
+With --inproc, one process times both revisions' jobs instead, so that
+where each process lays out its memory cannot favour one side. It imports
+each worktree's kvprune under a package name of its own (the package
+imports itself only relatively), and a second copy of the base's as the
+null side. Each side runs the workload's set-up and one job through
+perfbench/workloads.py's run_commands, and its outputs are checked
+against perfbench's reference once. Then, N times, it times one job of
+the base and one of the change, and one of the base and one of the null,
+each pair in the order A B, then B A in the next round. It prints, for the
+change and for the null against the base, the median job time of each
+side, their ratio, the median of the paired ratios, the pairs in which
+that side was faster and a two-sided sign-test p-value. A null pairing
+that reads other than 1 shows the bias of the method itself. --seconds is
+not used.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
+import math
 import os
 import shutil
 import statistics
 import subprocess
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BUILD = os.path.join(ROOT, ".bench_build")
 # One directory name per side, of equal length.
 SIDES = {"base": "ab-base", "change": "ab-chng"}
 SEED = 7
+# The in-process sides, each the kvprune of a worktree imported under a
+# package name of its own; the null is a second copy of the base.
+INPROC = {"base": ("base", "kvprune_ab_base"), "change": ("change", "kvprune_ab_chng"),
+          "null": ("base", "kvprune_ab_null")}
 
 
 class BenchError(Exception):
     """A checkout or a perfbench run could not be made."""
+
+
+class ChecksFailed(BenchError):
+    """A run's outputs failed perfbench's checks."""
 
 
 def quartiles(values: list) -> tuple[float, float]:
@@ -94,6 +121,102 @@ def format_row(row: dict) -> str:
             f"{row['wins']}/{row['pairs']}{'; clear' if row['clear'] else ''}")
 
 
+def sign_p(wins: int, losses: int) -> float:
+    """Two-sided sign-test p-value of wins against losses, ties dropped."""
+    n = wins + losses
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1))
+    return min(1.0, 2 * tail / 2**n)
+
+
+def summarize_inproc(pairs: list) -> dict:
+    """Summary of (base, other) job times in seconds: each side's median,
+    their ratio other/base, the median of the paired ratios, the pairs in
+    which other was faster (wins) and slower (losses), and the sign-test
+    p-value of wins against losses."""
+    base, other = [b for b, _ in pairs], [o for _, o in pairs]
+    wins, losses = sum(o < b for b, o in pairs), sum(o > b for b, o in pairs)
+    return {
+        "pairs": len(pairs),
+        "base_median": statistics.median(base),
+        "other_median": statistics.median(other),
+        "ratio": statistics.median(other) / statistics.median(base),
+        "paired_ratio": statistics.median(o / b for b, o in pairs),
+        "wins": wins,
+        "losses": losses,
+        "sign_p": sign_p(wins, losses),
+    }
+
+
+def format_inproc(side: str, row: dict) -> str:
+    return (f"{side} against base: median {row['other_median']:.6g} s against "
+            f"{row['base_median']:.6g} s, ratio {row['ratio']:.4f} (paired "
+            f"{row['paired_ratio']:.4f}); faster in {row['wins']}/{row['pairs']}, slower in "
+            f"{row['losses']}, sign test p = {row['sign_p']:.3g}")
+
+
+def import_module(name: str, path: str, package: bool = False):
+    """The module or package at path, imported as name."""
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(path, "__init__.py") if package else path,
+        submodule_search_locations=[path] if package else None)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def import_cli(checkout_path: str, name: str):
+    """The cli module of the checkout's kvprune, imported as package name."""
+    import_module(name, os.path.join(checkout_path, "src", "kvprune"), package=True)
+    return importlib.import_module(f"{name}.cli")
+
+
+def inproc_workdir(name: str) -> str:
+    """The work directory of an in-process side; all are of equal length."""
+    return os.path.join(BUILD, "inproc-" + name[-4:])
+
+
+def run_inproc(paths: dict, workload: str, pairs: int) -> dict:
+    """{"change": summary, "null": summary} of summarize_inproc over pairs
+    rounds in this process (see the module docstring). ChecksFailed when
+    a side's outputs fail perfbench's checks or a timed job fails."""
+    workloads = import_module("ab_workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
+    jobs = {}
+    for side, (tree, name) in INPROC.items():
+        cli = import_cli(paths[tree], name)
+        wl = workloads.make(workload, inproc_workdir(name), SEED)
+        os.makedirs(wl.workdir, exist_ok=True)
+        errors = [f"set-up {argv[0]} exited {code}: {err.strip()[-400:]}"
+                  for argv, code, _, err in workloads.run_commands(cli, wl.setup_commands())
+                  if code != 0] or wl.check_setup()
+        if not errors:
+            reference = workloads.load_reference(workloads.REFERENCE_PATH, wl)
+            errors = wl.check(workloads.run_commands(cli, wl.job_commands()), reference)
+            if reference is None:
+                errors.append("no reference recorded for this workload")
+        if errors:
+            raise ChecksFailed(f"{side} outputs failed their checks: {'; '.join(errors)}")
+        jobs[side] = (cli, wl)
+
+    def timed(side: str) -> float:
+        cli, wl = jobs[side]
+        wl.clear_outputs()
+        start = time.perf_counter()
+        results = workloads.run_commands(cli, wl.job_commands())
+        elapsed = time.perf_counter() - start
+        if len(results) != len(wl.job_commands()) or results[-1][1] != 0:
+            raise ChecksFailed(f"{side} job failed: {results[-1][3].strip()[-400:]}")
+        return elapsed
+
+    times = {"change": [], "null": []}
+    for pair in range(pairs):
+        for other in times:
+            order = ("base", other) if pair % 2 == 0 else (other, "base")
+            seconds = {side: timed(side) for side in order}
+            times[other].append((seconds["base"], seconds[other]))
+    return {other: summarize_inproc(times[other]) for other in times}
+
+
 def git(*args: str) -> str:
     proc = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -136,6 +259,8 @@ def parse_args(argv=None):
     p.add_argument("--workload", required=True, help="a workload of BENCHMARK.json")
     p.add_argument("--pairs", type=int, required=True, help="pairs of runs, one run per side")
     p.add_argument("--seconds", type=float, default=20.0, help="perfbench --seconds per run")
+    p.add_argument("--inproc", action="store_true",
+                   help="time both revisions' jobs alternately in this one process")
     args = p.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         args.benchmark = json.load(fh)
@@ -157,7 +282,9 @@ def main(argv=None) -> int:
         commits = {side: checkout(getattr(args, side), paths[side]) for side in SIDES}
         for side in SIDES:
             print(f"{side}: {commits[side]} at {paths[side]}")
-        for pair in range(args.pairs):
+        if args.inproc:
+            rows = run_inproc(paths, args.workload, args.pairs)
+        for pair in range(0 if args.inproc else args.pairs):
             order = list(SIDES) if pair % 2 == 0 else list(SIDES)[::-1]
             results = {}
             for side in order:
@@ -172,12 +299,23 @@ def main(argv=None) -> int:
             pairs.append((values["base"], values["change"]))
             print(f"pair {pair} ({order[0]} first): job_s.p50 base "
                   f"{values['base']['job_s.p50']:.6g} change {values['change']['job_s.p50']:.6g}")
+    except ChecksFailed as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     except BenchError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     finally:
         for path in paths.values():
             remove_worktree(path)
+        for _, name in INPROC.values():
+            shutil.rmtree(inproc_workdir(name), ignore_errors=True)
+    if args.inproc:
+        for side, row in rows.items():
+            print(format_inproc(side, row))
+        print(json.dumps({"workload": args.workload, "mode": "inproc", "seed": SEED,
+                          "base": commits["base"], "change": commits["change"], "rows": rows}))
+        return 0
     rows = summarize(pairs, args.benchmark["end_to_end"])
     for row in rows:
         print(format_row(row))

@@ -225,11 +225,14 @@ def _resolve(args, file_cfg: dict, **defaults) -> dict:
 
 
 def _usage(fn, /, *args, **kwargs):
-    """fn(*args, **kwargs), where a ValueError means a bad flag value."""
+    """fn(*args, **kwargs), where a ValueError means a bad flag value and a
+    MemoryError or OverflowError means flag values too large to build."""
     try:
         return fn(*args, **kwargs)
     except ValueError as err:
         raise UsageError(str(err))
+    except (MemoryError, OverflowError) as err:
+        raise UsageError(f"too large to build: {str(err) or type(err).__name__}")
 
 
 def _build(owner, resolved: dict, **given):

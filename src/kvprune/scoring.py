@@ -81,7 +81,7 @@ def _smoothed_softmax_rows(logits: np.ndarray, smoothing: float) -> np.ndarray:
     float64 logits of any rank and a valid smoothing, unchecked. The result
     is float64, and the same bits for a float32 array as for its float64
     copy, and for a stack of matrices as for each matrix on its own. A -inf
-    entry gets weight exactly 0, so -inf pads a row without changing it,
+    entry gets weight exactly 0, so -inf masks a column out of its row,
     provided the row keeps a finite entry or smoothing > 0 (else the row
     is NaN)."""
     expd, denom = _shifted_exp(logits, smoothing)

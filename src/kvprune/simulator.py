@@ -42,15 +42,16 @@ per-step decisions and cached bytes from those records on first read, so a
 caller that reads neither pays for neither. After the loop, _recon_errors
 scores every synthetic run's reconstruction error from the same retained
 ids, looping over layers, then runs, one batched pass per run and layer.
-One routine, _outputs, computes both sides: each step's newest-query
-logits over its kept ids are gathered from the slab into one array padded
-with -inf to the largest kept count, so pads weigh 0 in the smoothed
-softmax, and one batched matmul against the gathered values gives every
-step's output. The unpruned side keeps every key under smoothing 0; it is
-computed once per layer per call, by the first run that scores a step
-there, and not at all if none does. Steps go in chunks whose temporaries
-stay near RECON_CHUNK_FLOATS values, so peak memory does not grow with the
-step count.
+One routine, _outputs, computes both sides from a keep mask, one bool per
+step and key: each step's newest-query logits over every key of the slab
+are set to -inf where the mask is False, so those keys weigh exactly 0 in
+the smoothed softmax, the paper's kept set S, and one matmul against the
+values gives every step's output. A run's mask marks the ids it retained;
+the unpruned side's is the causal mask, every key alive at the step, under
+smoothing 0. That side is computed once per layer per call, by the first
+run that scores a step there, and not at all if none does. Steps go in
+chunks whose temporaries stay near RECON_CHUNK_FLOATS values, so peak
+memory does not grow with the step count.
 Traces carry no values or query vectors, so replays report no reconstruction
 error.
 """
@@ -243,7 +244,7 @@ class SyntheticDecoder:
             rows = min(obs_window, length)
             # The slab is float32 and finite, since logit_block refuses
             # anything else, so the record needs no checks.
-            yield TraceStep.trusted(
+            yield TraceStep(
                 np.full(added, TEXT_CODE, dtype=np.uint8),
                 slab[:, :, length - rows - start : length - start, :length],
             )
@@ -472,64 +473,64 @@ def _recon_errors(decoder, newest: np.ndarray, runs: list[_Run]) -> np.ndarray:
     A step that keeps every key under smoothing 0 is not computed: kept ids
     are unique, so its pruned output is the full output and its error is
     exactly 0.0, which computing it could miss, since numpy's sums depend
-    on buffer alignment. Both sides of every other step come from _outputs.
-    The full side keeps every key under smoothing 0; the first run that
-    scores a step at a layer computes it, and the layer's later runs reuse
-    it.
+    on buffer alignment. Both sides of every other step come from _outputs,
+    each through a keep mask: a run's marks the ids it retained after each
+    step, and the full side's is the causal one, every key alive at the
+    step, under smoothing 0. The first run that scores a step at a layer
+    computes the full side, and the layer's later runs reuse it.
     """
     lengths = decoder.spec.prefill_len + np.arange(decoder.spec.steps + 1)
+    every = np.arange(lengths.size)
     errors = np.zeros((len(runs), lengths.size, decoder.layers))
     for layer in range(decoder.layers):
-        values, full = decoder.values(layer, slice(None)), None
+        logits, values, full = newest[layer], decoder.values(layer, slice(None)), None
         for run, run_errors in zip(runs, errors):
             kept = [ids[layer] for ids in run.step_ids]
             counts = np.array([ids.size for ids in kept])
             if run.smoothing == 0.0:
                 scored = np.flatnonzero(counts < lengths)
-                # The same refusal the softmax makes for an empty row, which a
-                # padded row would otherwise turn into NaN.
+                # The same refusal the softmax makes for an empty row, which
+                # an all -inf row would otherwise turn into NaN.
                 if not counts[scored].all():
                     raise ValueError("no columns and smoothing is 0; weights are undefined")
             else:
-                scored = np.arange(lengths.size)
+                scored = every
             if scored.size == 0:
                 continue
             if full is None:
-                every = [np.arange(length) for length in lengths]
-                full = _outputs(newest[layer], values, every, np.arange(lengths.size), 0.0)
-            diff = full[scored] - _outputs(newest[layer], values, kept, scored, run.smoothing)
+                causal = np.arange(logits.shape[-1]) < lengths[:, None]
+                full = _outputs(logits, values, causal, every, 0.0)
+            keep = np.zeros((lengths.size, logits.shape[-1]), dtype=bool)
+            keep[np.repeat(every, counts), np.concatenate(kept)] = True
+            diff = full[scored] - _outputs(logits, values, keep, scored, run.smoothing)
             run_errors[scored, layer] = np.sqrt(np.einsum("shd,shd->s", diff, diff))
     return errors
 
 
-def _outputs(logits: np.ndarray, values: np.ndarray, kept: list[np.ndarray], steps: np.ndarray,
+def _outputs(logits: np.ndarray, values: np.ndarray, keep: np.ndarray, steps: np.ndarray,
              smoothing: float) -> np.ndarray:
     """Attention outputs (steps.size, heads, head_dim) of the newest query
-    at each of steps over its kept keys, kept[step] being their ids.
+    at each of steps over the keys keep[step] marks.
 
-    logits (heads, all steps, keys) holds each step's newest-query logits
-    and values every key's value. In each chunk of steps the logits over
-    the kept ids are gathered into one (heads, steps, width) array, padded
-    with -inf up to the largest kept count so pads weigh 0, weighed by one
-    smoothed softmax and multiplied by the gathered values in one batched
-    matmul.
+    logits (heads, all steps, keys) holds each step's newest-query logits,
+    keep (all steps, keys) is True at each step's kept keys, and values
+    holds every key's value. In each chunk of steps the unkept logits are
+    set to -inf, so they weigh exactly 0 in one smoothed softmax, and one
+    matmul against the values gives the chunk's outputs.
     """
-    heads, head_dim = logits.shape[0], values.shape[1]
-    counts = np.array([kept[step].size for step in steps])
-    width = int(counts.max())
-    out = np.empty((steps.size, heads, head_dim))
-    for chunk in _chunks(steps.size, width * (3 * heads + head_dim + 1)):
+    heads, keys = logits.shape[0], logits.shape[2]
+    out = np.empty((steps.size, heads, values.shape[1]))
+    # A step's temporaries, in float64 values: its mask row (a byte a key),
+    # per head its float32 logits and their masked copy (half a value a key
+    # each), its float64 weights, their row max and sum, and its output.
+    per_step = keys // 8 + heads * (2 * keys + 2 + values.shape[1])
+    for chunk in _chunks(steps.size, per_step):
         rows = steps[chunk]
-        pads = np.arange(width) >= counts[chunk, None]
-        cols = np.zeros(pads.shape, dtype=np.intp)
-        cols[~pads] = np.concatenate([kept[step] for step in rows])
-        gathered = logits[:, rows[:, None], cols]
-        gathered[:, pads] = -np.inf
-        # The steps checked these logits and the smoothing.
-        weights = _smoothed_softmax_rows(gathered.reshape(heads * rows.size, width), smoothing)
-        weights = weights.reshape(heads, rows.size, width).transpose(1, 0, 2)
-        # take copies what values[cols] would, in about 2/3 of its time here.
-        out[chunk] = weights @ values.take(cols, axis=0)
+        # The steps checked these logits and the smoothing. One statement,
+        # so that no temporary of a chunk outlives it.
+        out[chunk] = _smoothed_softmax_rows(
+            np.where(keep[rows], logits[:, rows], -np.inf), smoothing
+        ).transpose(1, 0, 2) @ values
     return out
 
 

@@ -32,10 +32,12 @@ block shape: column counts equal the running token total and
 1 <= rows <= cols, so every payload size is derivable from the header.
 read_trace applies it to each step's first block and requires the others
 to match that block; it also rejects any logit that is NaN or infinite.
-AttentionTrace applies the same structural rules to the steps it is built
-with, and `checked` builds one from a trace in memory, which may have
-been edited since it was built or read, plus one finiteness pass:
-write_trace, simulator.run_decodes and
+A TraceStep is a plain record that checks nothing. The AttentionTrace
+constructor is the one place that converts and checks a step: it keeps
+each as a new record of uint8 tags and a 4-D float32 block and applies the
+same structural rules. `checked` builds one from a trace in memory, which
+may have been edited since it was built or read, plus one finiteness
+pass: write_trace, simulator.run_decodes and
 diagnostics.modality_weight_samples read its header and steps only from
 the trace it returns, so each refuses what read_trace refuses.
 
@@ -96,26 +98,11 @@ class NonFiniteLogitError(TraceError, ValueError):
 
 @dataclass
 class TraceStep:
-    """One recorded step: added tokens plus per-layer/head logit blocks."""
+    """One recorded step: added tokens plus per-layer/head logit blocks. A
+    plain record: AttentionTrace converts and checks the steps it keeps."""
 
     new_tags: np.ndarray
     blocks: np.ndarray  # (layers, heads, rows, cols) float32
-
-    def __post_init__(self):
-        self.new_tags = as_tags(self.new_tags)
-        self.blocks = np.asarray(self.blocks, dtype=np.float32)
-        if self.blocks.ndim != 4:
-            raise ValueError(
-                f"blocks must be (layers, heads, rows, cols), got shape {self.blocks.shape}"
-            )
-
-    @classmethod
-    def trusted(cls, new_tags: np.ndarray, blocks: np.ndarray) -> "TraceStep":
-        """A step of uint8 tags and a 4-D float32 block that its maker knows
-        valid, built without __post_init__'s checks."""
-        step = cls.__new__(cls)
-        step.new_tags, step.blocks = new_tags, blocks
-        return step
 
 
 def check_block_shape(rows: int, cols: int, length: int, index: int) -> None:
@@ -130,10 +117,12 @@ def check_block_shape(rows: int, cols: int, length: int, index: int) -> None:
 
 @dataclass
 class AttentionTrace:
-    """A trace's header and steps. Each step given is kept as a new
-    TraceStep of its tags and blocks, which shares their arrays when they
-    already have TraceStep's dtypes. ValueError unless every step's blocks
-    are (layers, heads, rows, cols) of a shape check_block_shape takes."""
+    """A trace's header and steps. The constructor is the one place that
+    converts and checks a step: each step given is kept as a new TraceStep
+    of its tags as core.as_tags gives them and its blocks as float32, which
+    shares their arrays when they already have those dtypes. ValueError
+    unless every step's blocks are (layers, heads, rows, cols) of a shape
+    check_block_shape takes."""
 
     layers: int
     heads: int
@@ -150,7 +139,10 @@ class AttentionTrace:
         length = self.prefill_tags.size
         records = []
         for index, step in enumerate(self.steps):
-            record = TraceStep(step.new_tags, step.blocks)
+            record = TraceStep(as_tags(step.new_tags), np.asarray(step.blocks, dtype=np.float32))
+            if record.blocks.ndim != 4:
+                raise ValueError(f"step {index} blocks must be (layers, heads, rows, cols), "
+                                 f"got shape {record.blocks.shape}")
             step_layers, step_heads, rows, cols = record.blocks.shape
             if (step_layers, step_heads) != (self.layers, self.heads):
                 raise ValueError(f"step {index} has {step_layers}x{step_heads} blocks, "
@@ -335,7 +327,7 @@ def _parse(cur: _Reader) -> AttentionTrace:
                 )
             cur.fill(block.view(np.uint8), "block data")
         _check_finite(blocks, index)
-        records.append(TraceStep.trusted(new_tags, blocks))
+        records.append(TraceStep(new_tags, blocks))
 
     # Measured from the stream's end, not its size, so bytes appended after
     # the file was sized count too.

@@ -4,6 +4,7 @@ process or touches git."""
 import importlib.util
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -75,3 +76,59 @@ class TestSummarize:
             ab.parse_args(argv)
         assert exit_info.value.code == 2
         assert message in capsys.readouterr().err
+
+
+class TestInproc:
+    def test_summary_of_job_pairs(self):
+        # (base, other) seconds: other faster in pairs 0 and 2, slower in
+        # pair 3, tied in pair 1.
+        row = ab.summarize_inproc([(1.0, 0.5), (2.0, 2.0), (4.0, 3.0), (3.0, 6.0)])
+        assert row["pairs"] == 4
+        assert (row["base_median"], row["other_median"]) == (2.5, 2.5)
+        assert row["ratio"] == 1.0
+        # Paired ratios 0.5, 1, 0.75, 2.
+        assert row["paired_ratio"] == 0.875
+        assert (row["wins"], row["losses"]) == (2, 1)
+        # Ties are dropped: 2 wins against 1 loss out of 3.
+        assert row["sign_p"] == 1.0
+
+    def test_sign_test(self):
+        assert ab.sign_p(0, 0) == 1.0
+        assert ab.sign_p(5, 5) == 1.0
+        # All ten pairs one way: 2 / 2**10.
+        assert ab.sign_p(10, 0) == ab.sign_p(0, 10) == 2 / 1024
+        # P(X <= 1) for 10 fair coins is 11 / 1024, doubled.
+        assert ab.sign_p(9, 1) == 22 / 1024
+        assert 0.0 < ab.sign_p(200, 100) < 1e-7
+
+    def test_format_names_the_side(self):
+        row = ab.summarize_inproc([(2.0, 1.0)])
+        line = ab.format_inproc("null", row)
+        assert line.startswith("null against base: median 1 s against 2 s, ratio 0.5000")
+        assert "faster in 1/1, slower in 0" in line
+
+    def test_package_imports_under_a_name_of_its_own(self):
+        """The checkout's kvprune loads as a second, independent package:
+        its modules are its own, not the installed kvprune's."""
+        from kvprune import simulator
+
+        name = "kvprune_ab_test"
+        try:
+            cli = ab.import_cli(str(ROOT), name)
+            assert cli.__name__ == f"{name}.cli"
+            assert sys.modules[f"{name}.simulator"] is not simulator
+            assert cli.main(["simulate", "--no-such-flag"]) == 1
+        finally:
+            for module in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
+                del sys.modules[module]
+
+    def test_workdirs_of_equal_length(self):
+        assert len({len(ab.inproc_workdir(name)) for _, name in ab.INPROC.values()}) == 1
+        assert ab.INPROC["null"][0] == ab.INPROC["base"][0] == "base"
+
+    def test_flag(self):
+        args = ab.parse_args(["--base", "HEAD", "--workload", "sweep-live", "--pairs", "3",
+                              "--inproc"])
+        assert args.inproc and args.pairs == 3
+        assert not ab.parse_args(["--base", "HEAD", "--workload", "sweep-live",
+                                  "--pairs", "3"]).inproc

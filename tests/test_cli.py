@@ -1012,6 +1012,34 @@ class TestBadValues:
         assert "unrecognized arguments: --baseline-n" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("error", [
+        MemoryError(),
+        MemoryError("Unable to allocate 93.1 GiB for an array"),
+        OverflowError("cannot fit 'int' into an index-sized integer"),
+    ], ids=["memory-bare", "memory", "overflow"])
+    @pytest.mark.parametrize("command, flags", [
+        ("simulate", ["--steps", "100000000000"]),
+        ("sweep", ["--dim", "60000", "--heads", "60000", "--axis", "cross_ratio",
+                   "--grid", "0.5"]),
+        ("gen-trace", ["--text", "2000000000", "--visual", "2000000000", "--steps", "1"]),
+        ("simulate", ["--text", str(10**21)]),
+    ], ids=["simulate-steps", "sweep-dim-heads", "gen-trace-prefill", "simulate-text"])
+    def test_decode_too_large_to_build(self, tmp_path, monkeypatch, capsys, command, flags,
+                                       error):
+        """A synthetic decode whose arrays cannot be allocated, or whose
+        sizes overflow an index, is a usage error: one error line, exit 1,
+        no file. The decoder's first allocation is stood in for, so nothing
+        that size is ever allocated."""
+        def too_large(spec):
+            raise error
+
+        monkeypatch.setattr(simulator, "prefill_tags", too_large)
+        out = tmp_path / "out"
+        assert main([command, *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: too large to build: {str(error) or 'MemoryError'}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command, flags", [
         ("gen-trace", ["--spread", "1e300"]),
         ("gen-trace", ["--shift", "1e39"]),

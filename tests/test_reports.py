@@ -1,5 +1,6 @@
 """Tests for CSV/JSON emission: schemas, formatting, determinism."""
 
+import dataclasses
 import json
 import platform
 from types import SimpleNamespace
@@ -80,6 +81,19 @@ class TestSummarize:
     def test_explicit_fraction_wins(self, csp_report):
         assert summarize(csp_report, budget_fraction=0.25).budget_fraction == 0.25
 
+    def test_occupancy_is_the_true_mean_over_layers(self, csp_report):
+        """Layers that retain 3 and 4 tokens occupy 3.5 on average."""
+        report = dataclasses.replace(csp_report, retained_ids=[np.arange(3), np.arange(4)])
+        assert summarize(report).achieved_occupancy == 3.5
+
+    def test_bytes_cached_is_the_last_steps(self):
+        """A full run's cache grows every step: the row reports the final
+        step's 30 tokens of float32 keys and values over 2 layers, not
+        the prefill's 24."""
+        report = run_decode(SPEC, "full", CFG)
+        assert report.bytes_cached[0] == 24 * 2 * 8 * 4 * 2
+        assert summarize(report).bytes_cached == 30 * 2 * 8 * 4 * 2
+
     def test_run_without_steps(self):
         """A run over a trace of a prefill alone has no step to summarize."""
         trace = AttentionTrace(layers=1, heads=1, head_dim=4, prefill_tags=[0, 1, 0])
@@ -132,6 +146,10 @@ class TestStepsCsv:
         other = run_decode(SPEC, "global-topk", CFG)
         text = steps_csv([csp_report, other])
         assert text.count("global-topk") == other.steps * SPEC.layers
+
+    def test_default_fraction_is_the_budget_over_the_final_length(self, csp_report):
+        assert {row[3] for row in step_rows(csp_report)} == {14 / 30}
+        assert {row[3] for row in step_rows(csp_report, 0.25)} == {0.25}
 
     def test_occupancy_tracks_decisions(self, csp_report):
         rows = step_rows(csp_report)
@@ -206,3 +224,14 @@ class TestFileHelpers:
             "versions": {"kvprune": kvprune.__version__, "numpy": np.__version__,
                          "python": platform.python_version()},
         }
+
+    def test_config_sidecar_layout(self, tmp_path):
+        """Keys sorted, two spaces an indent level, one newline at the end,
+        so a fixed run writes the same sidecar bytes."""
+        target = tmp_path / "results.csv"
+        write_config_sidecar(target, {"policy": "csp", "budget": 14})
+        text = (tmp_path / "results.csv.config.json").read_text()
+        assert text.startswith('{\n  "budget": 14,\n  "policy": "csp",\n  "versions": {\n'
+                               '    "kvprune": ')
+        assert text.endswith("\n  }\n}\n")
+

@@ -61,13 +61,13 @@ def record_keeps(monkeypatch, policy):
 
 def record_outputs(monkeypatch):
     """Wrap simulator._outputs, which computes both sides of the
-    reconstruction error; the returned list collects (kept, steps,
+    reconstruction error; the returned list collects (keep, steps,
     smoothing, outputs) for every call, in call order."""
     calls = []
     original = simulator._outputs
 
-    def recorded(logits, values, kept, steps, smoothing):
-        calls.append((kept, steps, smoothing, original(logits, values, kept, steps, smoothing)))
+    def recorded(logits, values, keep, steps, smoothing):
+        calls.append((keep, steps, smoothing, original(logits, values, keep, steps, smoothing)))
         return calls[-1][-1]
 
     monkeypatch.setattr(simulator, "_outputs", recorded)
@@ -76,11 +76,12 @@ def record_outputs(monkeypatch):
 
 def keeps_every_key(call, spec):
     """Whether an _outputs call is the unpruned side: every step of spec
-    keeping every live key under smoothing 0."""
-    kept, steps, smoothing, _ = call
+    under smoothing 0, its keep mask the causal one, every live key."""
+    keep, steps, smoothing, _ = call
     lengths = spec.prefill_len + np.arange(spec.steps + 1)
+    causal = np.arange(spec.final_len) < lengths[:, None]
     return (smoothing == 0.0 and np.array_equal(steps, np.arange(spec.steps + 1))
-            and all(np.array_equal(kept[step], np.arange(n)) for step, n in enumerate(lengths)))
+            and keep.dtype == bool and np.array_equal(keep, causal))
 
 
 class TestSynthSpec:
@@ -1236,14 +1237,14 @@ class TestBatchedReconstruction:
                 assert size == 1 or size * per_step <= simulator.RECON_CHUNK_FLOATS
 
     @pytest.mark.parametrize("chunk_floats, bound, within", [
-        (2**12, 2**20, True),    # chunked: well under 1 MiB
-        (2**40, 2**21, False),   # one chunk: over 2 MiB
+        (2**12, 2**20, True),    # chunked, 129 steps: well under 1 MiB
+        (2**40, 2**21, False),   # one chunk of 256 steps: over 2 MiB
     ])
     def test_temporaries_follow_the_chunk_size(self, chunk_floats, bound, within):
         """Reconstruction's peak memory is set by RECON_CHUNK_FLOATS, not by
-        the step count: at 129 steps one chunk needs several MiB."""
+        the step count: at 256 steps one chunk needs several MiB."""
         spec = SynthSpec(seed=3, text_len=64, visual_len=64, layers=1, heads=4,
-                         head_dim=16, steps=128)
+                         head_dim=16, steps=128 if within else 255)
         cfg = PruneConfig(budget=budget_for_fraction(0.5, spec.final_len, 8), recent=8,
                           obs_window=8)
         decoder = SyntheticDecoder(spec)
@@ -1440,12 +1441,20 @@ class TestSweep:
         head_dim) array per layer, whatever the grid size, with the same
         routine as the pruned side, keeping every key under smoothing 0."""
         calls = record_outputs(monkeypatch)
-        sweep("budget_fraction", [0.3, 0.6, 0.45], SMALL, self.CFG, "csp")
+        rows = sweep("budget_fraction", [0.3, 0.6, 0.45], SMALL, self.CFG, "csp")
         full = [call for call in calls if keeps_every_key(call, SMALL)]
         assert len(full) == SMALL.layers
         assert len(calls) == SMALL.layers + 3 * SMALL.layers
         for *_, out in full:
             assert out.shape == (SMALL.steps + 1, SMALL.heads, SMALL.head_dim)
+        # Layer by layer, the unpruned side and then each run's, whose mask
+        # marks exactly the ids its layer retained after each step.
+        for layer in range(SMALL.layers):
+            pruned = calls[layer * 4 + 1 : layer * 4 + 4]
+            for (keep, *_), (_, report) in zip(pruned, rows):
+                assert keep.shape == (SMALL.steps + 1, SMALL.final_len)
+                for step, ids in enumerate(report.step_ids):
+                    np.testing.assert_array_equal(np.flatnonzero(keep[step]), ids[layer])
 
     def test_full_run_computes_no_reconstruction(self, monkeypatch):
         """A full run keeps every key under smoothing 0 on every layer, so

@@ -327,9 +327,27 @@ class TestValidation:
                            prefill_tags=np.zeros(0, dtype=np.uint8))
 
     def test_blocks_must_be_four_dimensional(self):
-        with pytest.raises(ValueError, match="blocks must be"):
-            TraceStep(new_tags=np.zeros(0, dtype=np.uint8),
-                      blocks=np.zeros((2, 3), dtype=np.float32))
+        """A TraceStep is a plain record; the trace it joins refuses a block
+        that is not 4-D, naming the step."""
+        good = TraceStep(new_tags=np.zeros(0, dtype=np.uint8),
+                         blocks=np.zeros((1, 1, 2, 2), dtype=np.float32))
+        bad = TraceStep(new_tags=np.zeros(0, dtype=np.uint8),
+                        blocks=np.zeros((2, 3), dtype=np.float32))
+        with pytest.raises(ValueError, match=r"^step 1 blocks must be \(layers, heads, rows, "
+                                             r"cols\), got shape \(2, 3\)$"):
+            AttentionTrace(layers=1, heads=1, head_dim=4, prefill_tags=[0, 1],
+                           steps=[good, bad])
+
+    def test_steps_converted_once_by_the_trace(self):
+        """TraceStep keeps what it is given; AttentionTrace keeps each step
+        as a new record of uint8 tags and float32 blocks."""
+        step = TraceStep(new_tags=[1], blocks=np.zeros((1, 1, 3, 3)))
+        assert step.new_tags == [1] and step.blocks.dtype == np.float64
+        [kept] = AttentionTrace(layers=1, heads=1, head_dim=4, prefill_tags=[0, 1],
+                                steps=[step]).steps
+        assert kept is not step and step.new_tags == [1]
+        assert kept.new_tags.dtype == np.uint8 and kept.blocks.dtype == np.float32
+        np.testing.assert_array_equal(kept.new_tags, [1])
 
 
 class TestCorruption:
