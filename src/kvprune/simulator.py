@@ -44,9 +44,9 @@ scores every synthetic run's reconstruction error from the same retained
 ids, looping over layers, then runs, one batched pass per run and layer.
 One routine, _outputs, computes both sides from a keep mask, one bool per
 step and key: each step's newest-query logits over every key of the slab
-are set to -inf where the mask is False, so those keys weigh exactly 0 in
-the smoothed softmax, the paper's kept set S, and one matmul against the
-values gives every step's output. A run's mask marks the ids it retained;
+are set to -inf where the mask is False, so those keys weigh exactly 0 and
+the smoothed softmax runs over the kept keys alone, the paper's kept set
+S; one matmul against the values gives every step's output. A run's mask marks the ids it retained;
 the unpruned side's is the causal mask, every key alive at the step, under
 smoothing 0. That side is computed once per layer per call, by the first
 run that scores a step there, and not at all if none does. Steps go in
