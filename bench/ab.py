@@ -32,10 +32,13 @@ against perfbench's reference once. Then, N times, it times one job of
 the base and one of the change, and one of the base and one of the null,
 each pair in the order A B, then B A in the next round. It prints, for the
 change and for the null against the base, the median job time of each
-side, their ratio, the median of the paired ratios, the pairs in which
-that side was faster and a two-sided sign-test p-value. A null pairing
-that reads other than 1 shows the bias of the method itself. --seconds is
-not used.
+side, their ratio, the median of the paired ratios and the pairs in which
+that side was faster and slower. A null pairing runs the same code twice,
+so its distance from 1 shows the bias of the method itself: the change's
+row is marked beyond_null ("beyond null" in its line) only when its
+median paired ratio lies further from 1 than the null row's of the same
+call, and "within null" otherwise. No p-value is printed, since null
+pairings alone would read as significant. --seconds is not used.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
-import math
 import os
 import shutil
 import statistics
@@ -121,18 +123,10 @@ def format_row(row: dict) -> str:
             f"{row['wins']}/{row['pairs']}{'; clear' if row['clear'] else ''}")
 
 
-def sign_p(wins: int, losses: int) -> float:
-    """Two-sided sign-test p-value of wins against losses, ties dropped."""
-    n = wins + losses
-    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1))
-    return min(1.0, 2 * tail / 2**n)
-
-
 def summarize_inproc(pairs: list) -> dict:
     """Summary of (base, other) job times in seconds: each side's median,
-    their ratio other/base, the median of the paired ratios, the pairs in
-    which other was faster (wins) and slower (losses), and the sign-test
-    p-value of wins against losses."""
+    their ratio other/base, the median of the paired ratios, and the pairs
+    in which other was faster (wins) and slower (losses)."""
     base, other = [b for b, _ in pairs], [o for _, o in pairs]
     wins, losses = sum(o < b for b, o in pairs), sum(o > b for b, o in pairs)
     return {
@@ -143,15 +137,26 @@ def summarize_inproc(pairs: list) -> dict:
         "paired_ratio": statistics.median(o / b for b, o in pairs),
         "wins": wins,
         "losses": losses,
-        "sign_p": sign_p(wins, losses),
     }
 
 
+def mark_beyond_null(rows: dict) -> dict:
+    """rows ({"change": summary, "null": summary}), with the change's row
+    marked beyond_null when its median paired ratio lies further from 1
+    than the null row's."""
+    distance = {side: abs(row["paired_ratio"] - 1.0) for side, row in rows.items()}
+    rows["change"]["beyond_null"] = distance["change"] > distance["null"]
+    return rows
+
+
 def format_inproc(side: str, row: dict) -> str:
-    return (f"{side} against base: median {row['other_median']:.6g} s against "
+    line = (f"{side} against base: median {row['other_median']:.6g} s against "
             f"{row['base_median']:.6g} s, ratio {row['ratio']:.4f} (paired "
             f"{row['paired_ratio']:.4f}); faster in {row['wins']}/{row['pairs']}, slower in "
-            f"{row['losses']}, sign test p = {row['sign_p']:.3g}")
+            f"{row['losses']}")
+    if "beyond_null" in row:
+        line += "; beyond null" if row["beyond_null"] else "; within null"
+    return line
 
 
 def import_module(name: str, path: str, package: bool = False):
@@ -178,8 +183,9 @@ def inproc_workdir(name: str) -> str:
 
 def run_inproc(paths: dict, workload: str, pairs: int) -> dict:
     """{"change": summary, "null": summary} of summarize_inproc over pairs
-    rounds in this process (see the module docstring). ChecksFailed when
-    a side's outputs fail perfbench's checks or a timed job fails."""
+    rounds in this process, marked by mark_beyond_null (see the module
+    docstring). ChecksFailed when a side's outputs fail perfbench's checks
+    or a timed job fails."""
     workloads = import_module("ab_workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
     jobs = {}
     for side, (tree, name) in INPROC.items():
@@ -214,7 +220,7 @@ def run_inproc(paths: dict, workload: str, pairs: int) -> dict:
             order = ("base", other) if pair % 2 == 0 else (other, "base")
             seconds = {side: timed(side) for side in order}
             times[other].append((seconds["base"], seconds[other]))
-    return {other: summarize_inproc(times[other]) for other in times}
+    return mark_beyond_null({other: summarize_inproc(times[other]) for other in times})
 
 
 def git(*args: str) -> str:

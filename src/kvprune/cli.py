@@ -16,13 +16,22 @@ and sweep leaves an empty grid to simulator.sweep. The CLI checks only its
 own syntax: flag types and choices, the --policies list, the --grid
 numbers and the config file's JSON types.
 
-Every run writes a JSON sidecar next to its output file with the fully
-resolved configuration and the kvprune, numpy and Python versions. A JSON
-config file (--config) supplies defaults for any flag not given on the
-command line; explicit flags win. Each config-file value must have the
-type of its flag (true or false for --widen, an integer for integer flags,
-a number for float flags, a string for the others) and be one of its
-choices, if it has any.
+Each subcommand does its work, writes its own output files and returns
+(payload, summary); main does the rest for all five in one place. It
+writes the JSON sidecar next to the output file, as the subcommand name
+under "command", the output files under "outputs" ([--out] unless the
+payload lists its own, as sweep and analyze do), the payload's fields (the
+fully resolved configuration) and the kvprune, numpy and Python versions.
+It then prints "wrote <out> (<summary>)" and returns 0. main also maps
+every error to its exit code, in one try around config-file loading and
+the subcommand, so a refused run prints one error line on stderr, nothing
+on stdout, and writes no sidecar.
+
+A JSON config file (--config) supplies defaults for any flag not given on
+the command line; explicit flags win. Each config-file value must have
+the type of its flag (true or false for --widen, an integer for integer
+flags, a number for float flags, a string for the others) and be one of
+its choices, if it has any.
 """
 
 from __future__ import annotations
@@ -185,9 +194,13 @@ def build_parser() -> _Parser:
 
 
 def _load_config_file(path) -> dict:
-    """The file's values, checked against the table, as their defaults' types."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    """The file's values, checked against the table, as their defaults' types.
+    A file that cannot be opened or decoded is an OSError (a data error)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as err:  # ValueError: undecodable bytes or JSON
+        raise OSError(f"cannot read config file: {err}")
     if not isinstance(data, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
     unknown = set(data) - set(_FILE_FLAGS)
@@ -259,7 +272,7 @@ def _stem(path: str) -> str:
     return root
 
 
-def _cmd_gen_trace(args, file_cfg) -> int:
+def _cmd_gen_trace(args, file_cfg) -> tuple:
     resolved = _resolve(args, file_cfg)
     spec = _build(SynthSpec, resolved)
     # Refuse sizes no trace can hold before decoding anything; the trace
@@ -268,40 +281,27 @@ def _cmd_gen_trace(args, file_cfg) -> int:
            spec.final_len)
     trace = _usage(record_trace, spec, resolved["obs"])
     write_trace(trace, args.out)
-    reports.write_config_sidecar(
-        args.out,
-        {"command": "gen-trace", "spec": asdict(spec), "obs_window": resolved["obs"],
-         "outputs": [args.out]},
-    )
-    print(f"wrote {args.out} ({len(trace.steps)} steps, {trace.final_length} tokens)")
-    return 0
+    return ({"spec": asdict(spec), "obs_window": resolved["obs"]},
+            f"{len(trace.steps)} steps, {trace.final_length} tokens")
 
 
-def _cmd_simulate(args, file_cfg) -> int:
+def _cmd_simulate(args, file_cfg) -> tuple:
     resolved = _resolve(args, file_cfg)
     fraction = resolved["budget"]
     policy = resolved["policy"]
 
     if args.trace:
-        source = read_trace(args.trace)
-        full_length, source_payload = source.final_length, {"trace": args.trace}
-    else:
-        source = _build(SynthSpec, resolved)
-        full_length, source_payload = source.final_len, {"spec": asdict(source)}
-    cfg = _config_from(resolved, fraction, full_length)
-    if args.trace:
-        report = run_decode(source, policy, cfg)
+        trace = read_trace(args.trace)
+        cfg = _config_from(resolved, fraction, trace.final_length)
+        report, source = run_decode(trace, policy, cfg), {"trace": args.trace}
     else:  # flags alone define a synthetic decode, so its errors are usage errors
-        report = _usage(run_decode, source, policy, cfg)
+        spec = _build(SynthSpec, resolved)
+        cfg = _config_from(resolved, fraction, spec.final_len)
+        report, source = _usage(run_decode, spec, policy, cfg), {"spec": asdict(spec)}
 
     reports.write_text(args.out, reports.steps_csv(report, fraction))
-    reports.write_config_sidecar(
-        args.out,
-        {"command": "simulate", "policy": policy, "config": _config_payload(cfg, fraction),
-         **source_payload, "outputs": [args.out]},
-    )
-    print(f"wrote {args.out} ({report.steps} steps x {len(report.retained_ids)} layers)")
-    return 0
+    return ({"policy": policy, "config": _config_payload(cfg, fraction), **source},
+            f"{report.steps} steps x {len(report.retained_ids)} layers")
 
 
 def _parse_grid(text: str) -> list:
@@ -311,7 +311,7 @@ def _parse_grid(text: str) -> list:
         raise UsageError(f"--grid must be comma-separated numbers, got {text!r}")
 
 
-def _cmd_sweep(args, file_cfg) -> int:
+def _cmd_sweep(args, file_cfg) -> tuple:
     resolved = _resolve(args, file_cfg)
     fraction = resolved["budget"]
     policy = resolved["policy"]
@@ -340,16 +340,12 @@ def _cmd_sweep(args, file_cfg) -> int:
         )
         reports.write_text(svg_path, svg)
         outputs.append(svg_path)
-    reports.write_config_sidecar(
-        args.out,
-        {"command": "sweep", "axis": args.axis, "grid": grid, "policy": policy,
-         "config": _config_payload(cfg, fraction), "spec": asdict(spec), "outputs": outputs},
-    )
-    print(f"wrote {args.out} ({len(rows)} rows)")
-    return 0
+    return ({"axis": args.axis, "grid": grid, "policy": policy,
+             "config": _config_payload(cfg, fraction), "spec": asdict(spec), "outputs": outputs},
+            f"{len(rows)} rows")
 
 
-def _cmd_analyze(args, file_cfg) -> int:
+def _cmd_analyze(args, file_cfg) -> tuple:
     resolved = _resolve(args, file_cfg, obs=None, recent=0)
     options = {"bins": args.bins, "bandwidth": args.bandwidth, "obs_window": resolved["obs"],
                "recent": resolved["recent"]}
@@ -381,15 +377,10 @@ def _cmd_analyze(args, file_cfg) -> int:
             )
             reports.write_text(overlay_path, svg)
             outputs.append(overlay_path)
-    reports.write_config_sidecar(
-        args.out,
-        {"command": "analyze", "trace": args.trace, **options, "outputs": outputs},
-    )
-    print(f"wrote {args.out} ({len(report.curves)} layers)")
-    return 0
+    return {"trace": args.trace, **options, "outputs": outputs}, f"{len(report.curves)} layers"
 
 
-def _cmd_compare(args, file_cfg) -> int:
+def _cmd_compare(args, file_cfg) -> tuple:
     resolved = _resolve(args, file_cfg)
     fraction = resolved["budget"]
     names = [part.strip() for part in args.policies.split(",") if part.strip()]
@@ -404,13 +395,8 @@ def _cmd_compare(args, file_cfg) -> int:
     cfg = _config_from(resolved, fraction, trace.final_length)
     runs = run_decodes(trace, [(name, cfg) for name in names])
     reports.write_text(args.out, reports.steps_csv(runs, fraction))
-    reports.write_config_sidecar(
-        args.out,
-        {"command": "compare", "policies": names, "trace": args.trace,
-         "config": _config_payload(cfg, fraction), "outputs": [args.out]},
-    )
-    print(f"wrote {args.out} ({len(names)} policies)")
-    return 0
+    return ({"policies": names, "trace": args.trace, "config": _config_payload(cfg, fraction)},
+            f"{len(names)} policies")
 
 
 # argparse keeps no state between parses, so one parser serves every call
@@ -431,15 +417,11 @@ def main(argv=None) -> int:
 
     try:
         file_cfg = _load_config_file(args.config) if args.config else {}
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as err:  # ValueError: undecodable bytes or JSON
-        print(f"error: cannot read config file: {err}", file=sys.stderr)
-        return 2
-
-    try:
-        return args.run(args, file_cfg)
+        payload, summary = args.run(args, file_cfg)
+        reports.write_config_sidecar(
+            args.out, {"command": args.command, "outputs": [args.out], **payload})
+        print(f"wrote {args.out} ({summary})")
+        return 0
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -374,6 +374,32 @@ def polyline_points(series, left, right, top, bottom):
     return out
 
 
+def bar_geometry(values, left, right, top, bottom):
+    """Each bar's SVG rect (x, y, width, height) text, and the y-axis tick
+    labels, one scalar at a time.
+
+    The y axis spans 0 and every value; an empty span is widened by 1
+    upward, or by 4 % of the value where 1 rounds away. The bars share the
+    plot width in equal slots, each 70 % of its slot wide and centred in
+    it, and run from 0 to their value. Coordinates print with 2 decimals,
+    ticks (five, splitting the axis in four) with 4 significant digits.
+    """
+    lo, hi = min(0.0, min(values)), max(values)
+    if hi == lo:
+        hi = lo + 1.0 if lo + 1.0 != lo else lo + 0.04 * abs(lo)
+
+    def y(value):
+        return bottom - (value - lo) / (hi - lo) * (bottom - top)
+
+    slot = (right - left) / len(values)
+    rects = []
+    for index, value in enumerate(values):
+        x0 = left + index * slot + (slot - 0.7 * slot) / 2
+        rects.append(tuple("%.2f" % number for number in (
+            x0, min(y(value), y(0.0)), 0.7 * slot, abs(y(value) - y(0.0)))))
+    return rects, ["%.4g" % (lo + index * (hi - lo) / 4) for index in range(5)]
+
+
 def js_from_samples(p_samples, q_samples, bins):
     """Histogram JS divergence by explicit probability-mass bookkeeping,
     with 0 * log 0 taken as 0."""

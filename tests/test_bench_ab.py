@@ -89,23 +89,35 @@ class TestInproc:
         # Paired ratios 0.5, 1, 0.75, 2.
         assert row["paired_ratio"] == 0.875
         assert (row["wins"], row["losses"]) == (2, 1)
-        # Ties are dropped: 2 wins against 1 loss out of 3.
-        assert row["sign_p"] == 1.0
+        assert "sign_p" not in row and "beyond_null" not in row
 
-    def test_sign_test(self):
-        assert ab.sign_p(0, 0) == 1.0
-        assert ab.sign_p(5, 5) == 1.0
-        # All ten pairs one way: 2 / 2**10.
-        assert ab.sign_p(10, 0) == ab.sign_p(0, 10) == 2 / 1024
-        # P(X <= 1) for 10 fair coins is 11 / 1024, doubled.
-        assert ab.sign_p(9, 1) == 22 / 1024
-        assert 0.0 < ab.sign_p(200, 100) < 1e-7
+    @pytest.mark.parametrize("change, null, beyond", [
+        (0.97, 1.01, True),
+        (1.03, 0.99, True),
+        (0.99, 1.015, False),
+        (1.01, 0.985, False),
+        (1.25, 0.75, False),
+        (1.0, 1.0, False),
+    ], ids=["faster", "slower", "faster-within", "slower-within", "as-far", "both-one"])
+    def test_beyond_null(self, change, null, beyond):
+        """The change is beyond the null only when its median paired ratio
+        lies strictly further from 1 than the null's, on either side;
+        the null row is left unmarked."""
+        rows = {"change": {"paired_ratio": change}, "null": {"paired_ratio": null}}
+        assert ab.mark_beyond_null(rows) is rows
+        assert rows == {"change": {"paired_ratio": change, "beyond_null": beyond},
+                        "null": {"paired_ratio": null}}
 
     def test_format_names_the_side(self):
         row = ab.summarize_inproc([(2.0, 1.0)])
         line = ab.format_inproc("null", row)
-        assert line.startswith("null against base: median 1 s against 2 s, ratio 0.5000")
-        assert "faster in 1/1, slower in 0" in line
+        assert line == ("null against base: median 1 s against 2 s, ratio 0.5000 (paired "
+                        "0.5000); faster in 1/1, slower in 0")
+
+    @pytest.mark.parametrize("beyond, mark", [(True, "; beyond null"), (False, "; within null")])
+    def test_format_prints_the_mark(self, beyond, mark):
+        row = {**ab.summarize_inproc([(2.0, 1.0)]), "beyond_null": beyond}
+        assert ab.format_inproc("change", row).endswith("slower in 0" + mark)
 
     def test_package_imports_under_a_name_of_its_own(self):
         """The checkout's kvprune loads as a second, independent package:

@@ -826,6 +826,79 @@ class TestSidecarSchema:
             assert "policy_options" not in sidecar
 
 
+RUN_IDS = ["gen-trace", "simulate", "simulate-replay", "sweep", "analyze", "compare"]
+# Each run of RUN_IDS, with a bad value of one of its flags.
+REFUSABLE = [
+    (["gen-trace", *SPEC_FLAGS], ["--spread", "0"]),
+    (["simulate", *SPEC_FLAGS, *CFG_FLAGS], ["--budget", "inf"]),
+    (["simulate", "--trace", "TRACE", *CFG_FLAGS], ["--budget", "inf"]),
+    (["sweep", "--axis", "budget_fraction", "--grid", "0.3,0.6", "--svg", *SPEC_FLAGS,
+      *CFG_FLAGS], ["--grid", "0.3,inf"]),
+    (["analyze", "TRACE", "--svg"], ["--bins", "0"]),
+    (["compare", "--policies", "csp,full", "--trace", "TRACE", *CFG_FLAGS], ["--budget", "inf"]),
+]
+
+
+class TestRunContract:
+    """main writes every run's sidecar, prints its one summary line and
+    picks its exit code; a run refused after parsing does none of the
+    first two."""
+
+    @pytest.mark.parametrize("argv, summary", [
+        (["gen-trace", *SPEC_FLAGS], "5 steps, 20 tokens"),
+        (["simulate", *SPEC_FLAGS, *CFG_FLAGS], "5 steps x 2 layers"),
+        (["simulate", "--trace", "TRACE", *CFG_FLAGS], "5 steps x 2 layers"),
+        (["sweep", "--axis", "cross_ratio", "--grid", "0.2,0.8", "--svg", *SPEC_FLAGS,
+          *CFG_FLAGS], "2 rows"),
+        (["analyze", "TRACE", "--svg"], "2 layers"),
+        (["compare", "--policies", "csp,accum,full", "--trace", "TRACE", *CFG_FLAGS],
+         "3 policies"),
+    ], ids=RUN_IDS)
+    def test_one_line_and_the_files_made(self, tmp_path, trace_path, argv, summary, capsys):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        out = run_dir / "out.csv"
+        argv = [str(trace_path) if arg == "TRACE" else arg for arg in argv]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"wrote {out} ({summary})\n"
+        assert captured.err == ""
+        sidecar = run_dir / "out.csv.config.json"
+        made = sorted(str(path) for path in run_dir.iterdir() if path != sidecar)
+        payload = json.loads(sidecar.read_text())
+        assert payload["command"] == argv[0]
+        assert payload["outputs"][0] == str(out)
+        assert sorted(payload["outputs"]) == made
+
+    @pytest.mark.parametrize("argv, bad_value, refusal", [
+        pytest.param(argv, bad_value, refusal, id=f"{name}-{refusal}")
+        for name, (argv, bad_value) in zip(RUN_IDS, REFUSABLE)
+        for refusal in ("config", "value", "trace") if refusal != "trace" or "TRACE" in argv
+    ])
+    def test_refused_run_writes_and_prints_nothing(self, tmp_path, trace_path, argv, bad_value,
+                                                   refusal, capsys):
+        """An unreadable config file, a bad value or a missing trace: one
+        error line, nothing on stdout, no output file and no sidecar."""
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        trace = {"config": trace_path, "value": trace_path, "trace": tmp_path / "absent.trace"}
+        argv = [str(trace[refusal]) if arg == "TRACE" else arg for arg in argv]
+        if refusal == "config":
+            argv = ["--config", str(tmp_path), *argv]
+        elif refusal == "value":
+            argv = [*argv, *bad_value]
+        capsys.readouterr()
+        code = main([*argv, "--out", str(run_dir / "out.csv")])
+        assert code == (1 if refusal == "value" else 2)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        if refusal == "config":
+            assert captured.err.startswith("error: cannot read config file: ")
+        assert list(run_dir.iterdir()) == []
+
+
 class TestConfigFile:
     def write_config(self, tmp_path, payload):
         path = tmp_path / "cfg.json"

@@ -5,10 +5,13 @@ import sys
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from kvprune.plots import HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, WIDTH
+from kvprune.plots import (
+    HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, PALETTE, WIDTH,
+)
 from kvprune.plots import bar_chart, line_chart
 
 BOX = (MARGIN_LEFT, WIDTH - MARGIN_RIGHT, MARGIN_TOP, HEIGHT - MARGIN_BOTTOM)
@@ -24,6 +27,13 @@ VALUES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
 
 def polylines(svg):
     return re.findall(r'<polyline points="([^"]*)"', svg)
+
+
+def tick_labels(svg):
+    """A line chart's (x, y) tick labels, in drawing order."""
+    label = r'font-size="11" fill="[^"]*">([^<]*)</text>'
+    return (re.findall(r'text-anchor="middle" ' + label, svg),
+            re.findall(r'text-anchor="end" ' + label, svg))
 
 
 def check(series):
@@ -67,6 +77,25 @@ class TestLineChart:
         check([("s", [0.0, 1.75e308], [1.0, 2.0])])
         check([("s", [sys.float_info.max], [-sys.float_info.max])])
 
+    @pytest.mark.parametrize("values, ticks", [
+        ([0.0, 1.0], [-0.04, 0.23, 0.5, 0.77, 1.04]),
+        ([3.0], [2.5, 2.75, 3.0, 3.25, 3.5]),
+        ([2.0**53], [f * 2.0**53 for f in (0.96, 0.98, 1.0, 1.02, 1.04)]),
+        ([-1e308, 1e308], [-1.08e308, -5.4e307, 0.0, 5.4e307, 1.08e308]),
+    ], ids=["span", "constant", "constant-beyond-half-unit", "span-beyond-largest-float"])
+    def test_ticks_split_the_padded_range(self, values, ticks):
+        """Five ticks per axis split the padded range in four: padded 4 %
+        of the span, 0.5 for one value, 4 % of the value where +-0.5
+        rounds away, and a span past the largest float measured in half
+        units but labelled in whole ones."""
+        expected = ["%.4g" % tick for tick in ticks]
+        svg = line_chart([("s", values, values)], "t", "x", "y")
+        assert tick_labels(svg) == (expected, expected)
+
+    def test_empty_series_refused(self):
+        with pytest.raises(ValueError, match="^line_chart series are empty$"):
+            line_chart([("s", [], [])], "t", "x", "y")
+
     def test_sweep_chart(self):
         """Three budget fractions per policy, as a sweep --svg draws them."""
         grid = [0.1, 0.25, 0.6]
@@ -79,6 +108,26 @@ class TestLineChart:
 
 
 class TestBarChart:
+    @pytest.mark.parametrize("values", [
+        [0.7],
+        [0.012, 0.3],
+        [-0.5, 0.25, 1.5, -2.0, 3.0],
+        [0.0, 0.0],
+        [-1e20, -1e20],
+    ], ids=["one", "two", "five-mixed-signs", "all-zero", "equal-beyond-unit-precision"])
+    def test_bars_and_ticks_match_per_bar_geometry(self, values):
+        """Each bar's rect and the y-axis ticks are the oracle's, for
+        slots that do not divide the plot width evenly, bars on both sides
+        of 0 and axes whose span had to be widened."""
+        svg = bar_chart([str(index) for index in range(len(values))], values, "t", "x", "y")
+        rects = re.findall(r'<rect x="([^"]*)" y="([^"]*)" width="([^"]*)" height="([^"]*)" '
+                           f'fill="{PALETTE[0]}"/>', svg)
+        assert (rects, tick_labels(svg)[1]) == oracles.bar_geometry(values, *BOX)
+
+    def test_no_values_refused(self):
+        with pytest.raises(ValueError, match="^bar_chart needs at least one value$"):
+            bar_chart([], [], "t", "x", "y")
+
     def test_equal_values_beyond_unit_precision(self):
         """Below -2**53, y_lo + 1 rounds back to y_lo; the axis still has a
         span, so every coordinate is finite and no warning is raised."""
