@@ -386,14 +386,15 @@ def _cmd_compare(args, file_cfg) -> tuple:
     names = [part.strip() for part in args.policies.split(",") if part.strip()]
     if len(names) < 2:
         raise UsageError("--policies needs at least two comma-separated names")
+    chosen = []
     for index, name in enumerate(names):
         if name in names[:index]:
             raise UsageError(f"--policies lists {name!r} more than once")
-        _usage(get_policy, name)
+        chosen.append(_usage(get_policy, name))
 
     trace = read_trace(args.trace)
     cfg = _config_from(resolved, fraction, trace.final_length)
-    runs = run_decodes(trace, [(name, cfg) for name in names])
+    runs = run_decodes(trace, [(policy, cfg) for policy in chosen])
     reports.write_text(args.out, reports.steps_csv(runs, fraction))
     return ({"policies": names, "trace": args.trace, "config": _config_payload(cfg, fraction)},
             f"{len(names)} policies")

@@ -13,38 +13,24 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, replace
-from enum import IntEnum
 
 import numpy as np
 
-
-class ModalityTag(IntEnum):
-    """Per-token modality label. Values double as the on-disk byte encoding."""
-
-    TEXT = 0
-    VISUAL = 1
-
-
-TEXT = ModalityTag.TEXT
-VISUAL = ModalityTag.VISUAL
-
-# The same codes as plain ints. numpy takes several microseconds longer per
-# call when an operand is an IntEnum member, so array code compares and
-# fills with these.
-TEXT_CODE = int(TEXT)
-VISUAL_CODE = int(VISUAL)
+# Per-token modality codes, which double as the on-disk byte encoding.
+TEXT = 0
+VISUAL = 1
 
 
 def as_tags(seq) -> np.ndarray:
-    """Coerce a tag sequence to a uint8 array of ModalityTag values.
+    """Coerce a tag sequence to a uint8 array of TEXT and VISUAL codes.
 
-    Accepts any iterable of ints / ModalityTag members. Arbitrary
-    interleavings are fine; only the values are constrained.
+    Accepts any iterable of ints. Arbitrary interleavings are fine; only
+    the values are constrained.
     """
     tags = np.asarray(seq, dtype=np.uint8).ravel()
     # Tags are uint8, so anything above VISUAL is the only way to be invalid.
-    if tags.max(initial=0) > VISUAL_CODE:
-        bad = tags[tags > VISUAL_CODE][0]
+    if tags.max(initial=0) > VISUAL:
+        bad = tags[tags > VISUAL][0]
         raise ValueError(f"modality tags must be 0 (text) or 1 (visual), got {bad}")
     return tags
 

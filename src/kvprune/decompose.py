@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TEXT_CODE, as_tags
+from .core import TEXT, as_tags
 from .scoring import _as_matrix
 
 
@@ -66,7 +66,7 @@ def cross_self_importance(weights, query_tags, key_tags) -> ImportanceScores:
         raise ValueError(
             f"{key_tags.shape[0]} key tags for {weights.shape[1]} weight columns"
         )
-    text_rows = query_tags == TEXT_CODE
+    text_rows = query_tags == TEXT
     mass = np.stack([weights[text_rows].sum(axis=0), weights[~text_rows].sum(axis=0)])
     return _decompose(mass, key_tags)
 
@@ -77,7 +77,7 @@ def _decompose(mass: np.ndarray, key_tags: np.ndarray) -> ImportanceScores:
     takes its own modality's row as intra and the other as inter. key_tags
     are uint8 tags, one per column."""
     from_text, from_visual = mass
-    key_is_text = key_tags == TEXT_CODE
+    key_is_text = key_tags == TEXT
     intra = np.where(key_is_text, from_text, from_visual)
     inter = np.where(key_is_text, from_visual, from_text)
     return ImportanceScores(intra=intra, inter=inter)

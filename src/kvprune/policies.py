@@ -14,7 +14,7 @@ modality retention can be compared under one harness, and their labels say
 H2O, they rank by the plain softmax: only csp, the method under study,
 scores and replays with the n-softmax (cfg.smoothing).
 
-A policy is one kernel and one POLICIES entry. A kernel,
+A policy is one kernel and one Policy record in POLICIES. A kernel,
 kernel(key_tags, mass, cfg, state) -> (keep, ks_used, state), prunes one
 layer from the uint8 tags of its cached keys, a scorer, a PruneConfig,
 which holds every knob of every policy (global-topk reads its pool_width),
@@ -36,12 +36,15 @@ _decided builds every PolicyDecision from the kept tokens' tags, for
 policy_step and for simulator.RunReport, which derives its per-step
 records from the retained ids only when they are read.
 
-An entry names the kernel and gives smoothing(cfg), the one rule for the
-smoothing a run scores and replays with. The CLI's policy choices and
-help derive from POLICIES, and so does every checked step: policy_step
-checks a step's config, tags and logits once, then calls the kernel.
-csp_step, global_topk_step, accumulated_score_step and full_cache_step
-are its four steps.
+A record holds the policy's name, its label, the kernel function itself
+and smoothing(cfg), the one rule for the smoothing a run scores and
+replays with; POLICIES maps each record's name to it. The CLI's policy
+choices and help derive from POLICIES, and so does every checked step:
+policy_step checks a step's config, tags and logits once, then calls the
+kernel. csp_step, global_topk_step, accumulated_score_step and
+full_cache_step are its four steps. simulator.run_decodes runs records,
+not names, so a record that is not in POLICIES (a variant kernel, or a
+registered one wrapped) runs as any registered one does.
 
 Every kernel scores through one function, `_mass`, and only when it needs
 scores, so a no-op step neither gathers nor scores; it never forms a
@@ -52,10 +55,10 @@ public forms, plus `budget_to_k` for the nominal split, whose one check
 costs a comparison. No kernel checks its scores for finiteness: a column
 mass is at most the window's row count, so only csp's recency_bias
 multiply could overflow, and validate_config bounds that.
-simulator.run_decodes checks each run's config once and calls the
-kernels itself, with one _scorer per distinct (keys, smoothing) at a
-layer-step, shared by every run that holds those keys at that smoothing,
-so each is gathered and scored at most once.
+simulator.run_decodes checks each run's config once and calls its
+record's kernel itself, with one _scorer per distinct (keys, smoothing)
+at a layer-step, shared by every run that holds those keys at that
+smoothing, so each is gathered and scored at most once.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TEXT_CODE, PruneConfig, _tag_counts, as_tags, validate_config
+from .core import TEXT, PruneConfig, _tag_counts, as_tags, validate_config
 from .decompose import _decompose
 from .scoring import _shifted_exp
 from .selection import _cross_self_select, _topk_mask, budget_to_k
@@ -120,7 +123,7 @@ def _selector(window_tags: np.ndarray, heads: int) -> np.ndarray:
     (heads * window, cols) stack of rows, head-major; window_tags are the
     window's uint8 query tags. Both rows are written into one array, each
     broadcast over the heads."""
-    text = window_tags == TEXT_CODE
+    text = window_tags == TEXT
     select = np.empty((2, heads, text.size))
     select[0] = text
     select[1] = ~text
@@ -260,11 +263,10 @@ def _full_cache_step(key_tags, mass, cfg: PruneConfig, state):
     return None, (0, 0), None
 
 
-# A registry entry: the policy's label; the module attribute name of its
-# kernel, looked up at call time so a rebound attribute (a wrapper, a
-# patch) is the one that runs; and smoothing(cfg), the smoothing constant a
-# run scores and replays its retained tokens with.
-Policy = namedtuple("Policy", "label kernel smoothing")
+# A registry entry: the policy's name; its label; its kernel, the function
+# itself; and smoothing(cfg), the smoothing constant a run scores and
+# replays its retained tokens with.
+Policy = namedtuple("Policy", "name label kernel smoothing")
 
 
 def _plain_softmax(cfg: PruneConfig) -> float:
@@ -275,12 +277,12 @@ def _plain_softmax(cfg: PruneConfig) -> float:
 # replay with the plain softmax, and the full cache replays with it and
 # never scores. The first entry, the method under study, is the CLI's
 # default.
-POLICIES = {
-    "csp": Policy("csp (cross-self intersection)", "_csp_step", lambda cfg: cfg.smoothing),
-    "global-topk": Policy("global-topk (SnapKV-like)", "_global_topk_step", _plain_softmax),
-    "accum": Policy("accum (H2O-like)", "_accumulated_score_step", _plain_softmax),
-    "full": Policy("full (no eviction)", "_full_cache_step", _plain_softmax),
-}
+POLICIES = {policy.name: policy for policy in (
+    Policy("csp", "csp (cross-self intersection)", _csp_step, lambda cfg: cfg.smoothing),
+    Policy("global-topk", "global-topk (SnapKV-like)", _global_topk_step, _plain_softmax),
+    Policy("accum", "accum (H2O-like)", _accumulated_score_step, _plain_softmax),
+    Policy("full", "full (no eviction)", _full_cache_step, _plain_softmax),
+)}
 
 
 def get_policy(name: str) -> Policy:
@@ -296,18 +298,16 @@ def policy_step(name: str):
     then the kernel with a _scorer of the checked logits' last
     min(cfg.obs_window, rows) rows at the policy's smoothing, then
     _decided over the kept tags. keep is every position, in order, for a
-    step that evicts nothing. The entry and its kernel are looked up at
-    call time. ValueError for an unknown policy."""
-    get_policy(name)
+    step that evicts nothing. ValueError for an unknown policy."""
+    policy = get_policy(name)
 
     def step(key_tags, logits, query_tags, cfg: PruneConfig, state=None):
         """Check the config, tags and logits once, run the policy's kernel
         on a scorer of the logits, and decide from what it kept."""
-        policy = POLICIES[name]
         key_tags, logits, query_tags = _checked(key_tags, logits, query_tags, cfg)
         window = query_tags[query_tags.size - min(cfg.obs_window, query_tags.size) :]
         mass = _scorer(logits, _selector(window, logits.shape[0]), policy.smoothing(cfg))
-        keep, ks, state = globals()[policy.kernel](key_tags, mass, cfg, state)
+        keep, ks, state = policy.kernel(key_tags, mass, cfg, state)
         if keep is None:
             return np.arange(key_tags.size), _decided(key_tags, cfg, ks, False), state
         return keep, _decided(key_tags[keep], cfg, ks, True), state

@@ -22,14 +22,16 @@ so each `run_decodes` call builds every logit its steps need once, into one
 read-only slab of its own, and each step's blocks are a view of it. The
 decoder keeps nothing a call derives, so one decoder may serve any calls.
 
-`run_decodes` drives any number of runs, each a policy and a config, over
-any of three sources (a SynthSpec, a SyntheticDecoder or an
-AttentionTrace) with one loop over those records, all runs in lockstep;
-`run_decode` is its one-run case, and `sweep` and the CLI's compare pass
-it all their runs at once. It checks each run once, on entry, and a
-trace's header and records once per call, through traceio.checked, then
-reads only the checked copy; a decoder's records come unchecked from its
-finite float32 slab. The loop then calls each run's unchecked kernel on
+`run_decodes` drives any number of runs, each a policies.Policy record
+and a config, over any of three sources (a SynthSpec, a SyntheticDecoder
+or an AttentionTrace) with one loop over those records, all runs in
+lockstep; `run_decode` is its one-run case, and `sweep` and the CLI's
+compare pass it all their runs at once. Those three take policy names and
+look each up once, with policies.get_policy; run_decodes calls the kernel
+a record holds, so a record outside POLICIES runs as an entry does. It
+checks each run's config once, on entry, and a trace's header and records
+once per call, through traceio.checked, then reads only the checked copy;
+a decoder's records come unchecked from its finite float32 slab. The loop then calls each run's unchecked kernel on
 every step and layer, handing it the scorer of the run's (keys, smoothing)
 there, which every run holding those keys at that smoothing shares, so
 each is gathered and scored at most once, and only if a kernel asks. A
@@ -65,8 +67,8 @@ import numpy as np
 
 from . import policies
 from .core import (
-    TEXT_CODE,
-    VISUAL_CODE,
+    TEXT,
+    VISUAL,
     PruneConfig,
     as_count,
     as_real,
@@ -135,14 +137,14 @@ class SynthSpec:
 def prefill_tags(spec: SynthSpec) -> np.ndarray:
     """Lay out the prefill modalities; decode steps always append text."""
     if spec.interleave == "block":
-        tags = [VISUAL_CODE] * spec.visual_len + [TEXT_CODE] * spec.text_len
+        tags = [VISUAL] * spec.visual_len + [TEXT] * spec.text_len
     elif spec.interleave == "alternating":
         # Visual then text while both last, then the longer modality's rest.
         pairs = min(spec.text_len, spec.visual_len)
-        tags = ([VISUAL_CODE, TEXT_CODE] * pairs + [VISUAL_CODE] * (spec.visual_len - pairs)
-                + [TEXT_CODE] * (spec.text_len - pairs))
+        tags = ([VISUAL, TEXT] * pairs + [VISUAL] * (spec.visual_len - pairs)
+                + [TEXT] * (spec.text_len - pairs))
     else:
-        tags = [VISUAL_CODE] * spec.visual_len + [TEXT_CODE] * spec.text_len
+        tags = [VISUAL] * spec.visual_len + [TEXT] * spec.text_len
         rng = np.random.default_rng([spec.seed, 0])
         rng.shuffle(tags)
     return as_tags(tags)
@@ -158,7 +160,7 @@ class SyntheticDecoder:
         self.head_dim = spec.head_dim
         self.prefill_tags = prefill_tags(spec)
         self.full_tags = np.concatenate(
-            [self.prefill_tags, np.full(spec.steps, TEXT_CODE, dtype=np.uint8)]
+            [self.prefill_tags, np.full(spec.steps, TEXT, dtype=np.uint8)]
         )
 
         d = spec.head_dim
@@ -245,7 +247,7 @@ class SyntheticDecoder:
             # The slab is float32 and finite, since logit_block refuses
             # anything else, so the record needs no checks.
             yield TraceStep(
-                np.full(added, TEXT_CODE, dtype=np.uint8),
+                np.full(added, TEXT, dtype=np.uint8),
                 slab[:, :, length - rows - start : length - start, :length],
             )
 
@@ -317,8 +319,9 @@ def budget_for_fraction(fraction: float, full_length: int, recent: int) -> int:
 
 def run_decode(source, policy_name: str, cfg: PruneConfig) -> RunReport:
     """Drive one policy over a synthetic decode or a recorded trace: the
-    one-run case of run_decodes, run_decodes(source, [(policy_name,
-    cfg)])[0]. cfg holds every knob the policy reads.
+    one-run case of run_decodes, run_decodes(source,
+    [(policies.get_policy(policy_name), cfg)])[0]. cfg holds every knob
+    the policy reads.
 
     Every source is a stream of TraceStep records: a SyntheticDecoder
     yields them from its logit slab, a trace holds them, and a SynthSpec
@@ -334,25 +337,23 @@ def run_decode(source, policy_name: str, cfg: PruneConfig) -> RunReport:
     key under smoothing 0 has error exactly 0.0 and is not computed, since
     its pruned output is the full output.
 
-    The run is checked once, on entry: the policy name, the config and
-    the source's tags. traceio.checked checks a trace's header and each of
-    its records before the loop, which then reads only the checked copy,
-    since a trace in memory may have been edited after it was built or
-    read. A decoder's records need no checks. Each layer-step
+    The run is checked once, on entry: the policy name, here, then the
+    config and the source's tags. traceio.checked checks a trace's header
+    and each of its records before the loop, which then reads only the
+    checked copy, since a trace in memory may have been edited after it
+    was built or read. A decoder's records need no checks. Each layer-step
     then calls the policy's unchecked kernel, not its step.
     """
-    return run_decodes(source, [(policy_name, cfg)])[0]
+    return run_decodes(source, [(policies.get_policy(policy_name), cfg)])[0]
 
 
 class _Run:
-    """One run of run_decodes: its checked policy and config, and what its
-    steps have recorded so far (see RunReport)."""
+    """One run of run_decodes: its policy record and checked config, and
+    what its steps have recorded so far (see RunReport)."""
 
-    def __init__(self, policy_name: str, cfg: PruneConfig, source):
-        policy = policies.get_policy(policy_name)
+    def __init__(self, policy: policies.Policy, cfg: PruneConfig, source):
         validate_config(cfg)
-        self.policy_name, self.cfg = policy_name, cfg
-        self.kernel = getattr(policies, policy.kernel)
+        self.policy, self.cfg = policy, cfg
         self.smoothing = policy.smoothing(cfg)
         self.retained = [np.arange(source.prefill_tags.size) for _ in range(source.layers)]
         self.states = [None] * source.layers
@@ -365,11 +366,14 @@ def run_decodes(source, runs) -> list[RunReport]:
     """Drive several runs over one source in lockstep; one report per run,
     in order, each equal to that of run_decode on the run alone.
 
-    runs is a sequence of (policy_name, cfg) pairs. Every run must share
+    runs is a sequence of (policy, cfg) pairs, policy a policies.Policy
+    record: a POLICIES entry, or any record whose kernel follows the kernel
+    contract, which runs as an entry does. Every run must share
     cfg.obs_window, since the source's records are read once for all of
     them: a decoder's steps are built once and a trace's records checked
-    once per call, not once per run. Each run is checked as run_decode checks it, and every
-    refusal (no run, a bad run, differing windows) comes before any step.
+    once per call, not once per run. Each run's config is checked as
+    run_decode checks it, and every refusal (no run, a bad config,
+    differing windows) comes before any step.
 
     At each layer-step, a dict keyed by (retained ids, smoothing) holds
     one scorer per key, shared by every run with that key: the logits over
@@ -388,7 +392,7 @@ def run_decodes(source, runs) -> list[RunReport]:
         source = checked(source)
     elif not isinstance(source, SyntheticDecoder):
         raise TypeError(f"cannot drive a decode from {type(source).__name__}")
-    runs = [_Run(name, cfg, source) for name, cfg in runs]
+    runs = [_Run(policy, cfg, source) for policy, cfg in runs]
     if not runs:
         raise ValueError("run_decodes needs at least one run")
     windows = sorted({run.cfg.obs_window for run in runs})
@@ -431,8 +435,8 @@ def run_decodes(source, runs) -> list[RunReport]:
                     # them holds every key and is scored from the block itself.
                     scorers[key] = policies._scorer(blocks[layer], select, run.smoothing,
                                                     None if ids.size == full_len else ids)
-                keep, ks, run.states[layer] = run.kernel(full_tags[ids], scorers[key], run.cfg,
-                                                         run.states[layer])
+                keep, ks, run.states[layer] = run.policy.kernel(
+                    full_tags[ids], scorers[key], run.cfg, run.states[layer])
                 if keep is not None:
                     run.retained[layer] = ids[keep]
                 run.step_ks[-1].append(ks)
@@ -446,7 +450,7 @@ def run_decodes(source, runs) -> list[RunReport]:
              else [errors.mean(axis=1).tolist() for errors in _recon_errors(decoder, newest, runs)])
     return [
         RunReport(
-            policy=run.policy_name,
+            policy=run.policy.name,
             config=run.cfg,
             seed=run.cfg.seed if decoder is None else decoder.spec.seed,
             full_length=int(full_tags.size),
@@ -579,6 +583,7 @@ def sweep(
     values = [float(v) for v in grid]
     if not values:
         raise ValueError("sweep grid is empty")
+    policy = policies.get_policy(policy_name)
 
     def configured(value: float) -> PruneConfig:
         if axis == "budget_fraction":
@@ -589,5 +594,5 @@ def sweep(
             return cfg.with_updates(cross_ratio=value)
         return cfg.with_updates(smoothing=value)
 
-    runs = [(policy_name, configured(value)) for value in values]
+    runs = [(policy, configured(value)) for value in values]
     return list(zip(values, run_decodes(SyntheticDecoder(spec), runs)))

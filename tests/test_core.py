@@ -1,16 +1,18 @@
 """Tests for tag handling and config validation."""
 
+import math
 import re
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from kvprune.core import (
     TEXT,
     VISUAL,
-    ModalityTag,
     PruneConfig,
+    as_real,
     as_tags,
     tag_counts,
     validate_config,
@@ -22,17 +24,18 @@ import oracles
 TAG_SEQUENCES = st.one_of(
     st.lists(st.integers(0, 1), max_size=40).map(lambda xs: np.array(xs, dtype=np.uint8)),
     st.lists(st.integers(0, 1), max_size=40),
-    st.lists(st.sampled_from(list(ModalityTag)), max_size=40),
+    st.lists(st.sampled_from([TEXT, VISUAL]), max_size=40),
 )
 
 
 class TestTags:
     def test_enum_values_are_byte_codes(self):
-        assert int(ModalityTag.TEXT) == 0
-        assert int(ModalityTag.VISUAL) == 1
+        """The tag constants are the plain ints the trace format stores."""
+        assert (type(TEXT), type(VISUAL)) == (int, int)
+        assert (TEXT, VISUAL) == (0, 1)
 
     def test_as_tags_accepts_mixed_input(self):
-        tags = as_tags([TEXT, 1, 0, ModalityTag.VISUAL])
+        tags = as_tags([TEXT, np.uint8(1), 0, VISUAL])
         assert tags.dtype == np.uint8
         np.testing.assert_array_equal(tags, [0, 1, 0, 1])
 
@@ -62,6 +65,9 @@ class TestTagProperties:
         ),
         st.booleans(),
     )
+    # A valid visual tag before the first bad one.
+    @example(values=[1, 0, 7], as_array=False)
+    @example(values=[1, 0, 7], as_array=True)
     def test_values_above_visual_raise(self, values, as_array):
         """Every helper rejects 2-255 with the message naming the first one."""
         seq = np.array(values, dtype=np.uint8) if as_array else values
@@ -72,6 +78,16 @@ class TestTagProperties:
                 helper(seq)
 
 
+class TestAsReal:
+    def test_ints_past_the_float_range_keep_their_sign(self):
+        assert as_real(10**400) == math.inf
+        assert as_real(-(10**400)) == -math.inf
+
+    def test_non_reals_become_nan(self):
+        assert math.isnan(as_real("1.0"))
+        assert math.isnan(as_real(None))
+
+
 class TestPruneConfig:
     def test_defaults_are_valid(self):
         cfg = PruneConfig(budget=100, recent=20, obs_window=32)
@@ -79,7 +95,29 @@ class TestPruneConfig:
         assert cfg.smoothing == 1.0
         assert cfg.widen_to_budget is False
         assert cfg.pool_width == 1
+        assert cfg.recency_bias == 1.0
+        assert cfg.seed == 0
         assert validate_config(cfg) is cfg
+
+    @pytest.mark.parametrize("kwargs", [{"smoothing": 0.0}, {"cross_ratio": 0.0},
+                                        {"cross_ratio": 1.0}])
+    def test_closed_bounds_are_accepted(self, kwargs):
+        """smoothing 0 is the plain softmax, and cross_ratio may take
+        either end of [0, 1]."""
+        PruneConfig(budget=100, recent=20, obs_window=32, **kwargs)
+
+    @pytest.mark.parametrize("obs_window", [1, 4, 64])
+    def test_recency_bias_bound_is_half_the_largest_float(self, obs_window):
+        """recency_bias times obs_window may reach half the largest float,
+        and no further; the refusal names the bound and both factors.
+        obs_window is a power of 2, so the bias that reaches the bound
+        exactly is a float."""
+        half = sys.float_info.max / 2
+        bias = half / obs_window
+        PruneConfig(budget=2, recent=0, obs_window=obs_window, recency_bias=bias)
+        message = f"at most {half:.4g}, got {bias} * {obs_window + 1}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PruneConfig(budget=2, recent=0, obs_window=obs_window + 1, recency_bias=bias)
 
     @pytest.mark.parametrize(
         "kwargs, field",

@@ -15,9 +15,9 @@ MODULES = {module.name for module in pkgutil.iter_modules(kvprune.__path__)}
 
 def readme_names():
     """Every backticked dotted name in README.md whose first part is
-    kvprune, one of its modules or one of its exported names, in order."""
+    kvprune or one of its modules, in order."""
     names = re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", README.read_text())
-    roots = {"kvprune"} | MODULES | set(kvprune.__all__)
+    roots = {"kvprune"} | MODULES
     return list(dict.fromkeys(name for name in names if name.split(".")[0] in roots))
 
 
@@ -28,12 +28,7 @@ def test_readme_names_some_code():
 @pytest.mark.parametrize("name", readme_names())
 def test_readme_name_resolves(name):
     first, *rest = name.split(".")
-    if first == "kvprune":
-        obj = kvprune
-    elif first in MODULES:
-        obj = importlib.import_module(f"kvprune.{first}")
-    else:
-        obj = getattr(kvprune, first)
+    obj = kvprune if first == "kvprune" else importlib.import_module(f"kvprune.{first}")
     for part in rest:
         obj = getattr(obj, part)
 

@@ -247,7 +247,7 @@ class TestKernels:
         state = None
         if name == "accum" and carried >= 0:
             state = np.random.default_rng(carried).random(min(carried, key_tags.size)) * 4
-        kernel = getattr(policies, POLICIES[name].kernel)
+        kernel = POLICIES[name].kernel
 
         keep, decision, after = policy_step(name)(key_tags, logits, query_tags, cfg, state)
         window = query_tags[query_tags.size - min(cfg.obs_window, query_tags.size) :]
@@ -399,6 +399,20 @@ class TestGlobalTopkStep:
         np.testing.assert_array_equal(pooled, policies._pooled(importance, 199))
         assert pooled.tolist() == oracles.max_pool_same(importance.tolist(), 2 * 10**6)
         assert peak < 2**20
+
+    @pytest.mark.parametrize("peak", [0, 99])
+    def test_wide_pool_spans_every_candidate(self, peak):
+        """Every width from 2 * cand - 1 on gives each candidate the
+        largest score, the first and the last candidate's included."""
+        importance = np.zeros(100)
+        importance[peak] = 1.0
+        for width in (199, 200, 2 * 10**6):
+            assert policies._pooled(importance, width).tolist() == [1.0] * 100
+
+    def test_unit_pool_returns_its_input(self):
+        """Width 1, the default, pools nothing and copies nothing."""
+        importance = np.arange(5.0)
+        assert policies._pooled(importance, 1) is importance
 
     def test_below_budget_noop(self):
         cfg = PruneConfig(budget=5, recent=1, obs_window=1)
@@ -568,36 +582,23 @@ class TestPolicyObjects:
                 run_decode(spec, name, cfg, smoothing=value)
 
     def test_policy_step_registry(self):
-        """A row is a label, a kernel name and a smoothing rule; each
-        exported step is policy_step of its name."""
+        """A row is a name, a label, a kernel function and a smoothing
+        rule, keyed by its name; each exported step is policy_step of its
+        name."""
         steps = {"csp": csp_step, "global-topk": global_topk_step,
                  "accum": accumulated_score_step, "full": full_cache_step}
-        kernels = {"csp": "_csp_step", "global-topk": "_global_topk_step",
-                   "accum": "_accumulated_score_step", "full": "_full_cache_step"}
-        assert policies.Policy._fields == ("label", "kernel", "smoothing")
+        kernels = {"csp": policies._csp_step, "global-topk": policies._global_topk_step,
+                   "accum": policies._accumulated_score_step, "full": policies._full_cache_step}
+        assert policies.Policy._fields == ("name", "label", "kernel", "smoothing")
         rng = np.random.default_rng(3)
         args = (tags_of(rng.integers(0, 2, 12)), rng.standard_normal((2, 3, 12)),
                 tags_of(rng.integers(0, 2, 3)), PruneConfig(budget=8, recent=2, obs_window=2))
         for name, policy in POLICIES.items():
-            assert policy.kernel == kernels[name]
-            assert callable(getattr(policies, policy.kernel))
+            assert policy.name == name
+            assert policy.kernel is kernels[name]
             built, exported = policy_step(name)(*args), steps[name](*args)
             np.testing.assert_array_equal(built[0], exported[0])
             assert built[1] == exported[1]
-
-    def test_policy_step_resolved_at_call_time(self, monkeypatch):
-        """A kernel rebound after the step was built is the one it runs."""
-        calls = []
-        kernel = policies._csp_step
-
-        def wrapped(*args):
-            calls.append(args)
-            return kernel(*args)
-
-        monkeypatch.setattr(policies, "_csp_step", wrapped)
-        keep, _, _ = csp_step(tags_of(WORKED_TAGS), WORKED_LOGITS, [TEXT, VISUAL], WORKED_CFG)
-        assert len(calls) == 1
-        np.testing.assert_array_equal(keep, [1, 3, 4])
 
     def test_steps_take_no_options(self):
         """Every knob is a config field, so a step takes nothing past its
@@ -629,6 +630,22 @@ class TestPolicyObjects:
         assert narrow[1] == wide[1]
         if name == "accum":
             np.testing.assert_array_equal(narrow[2], wide[2])
+
+    @pytest.mark.parametrize("name", ["csp", "global-topk", "full"])
+    def test_float32_logits_are_not_copied(self, name):
+        """A step reads float32 logits as given: below budget, where these
+        policies do not score, it allocates no float64 copy of them, only
+        its finiteness check's one byte a logit."""
+        logits = np.zeros((1, 64, 4096), dtype=np.float32)
+        tags = np.zeros(4096, dtype=np.uint8)
+        cfg = PruneConfig(budget=5000, recent=1, obs_window=64)
+        tracemalloc.start()
+        try:
+            policy_step(name)(tags, logits, tags[:64], cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < logits.nbytes
 
     def test_policy_step_unknown_name(self):
         with pytest.raises(ValueError, match="unknown policy 'h2o'; choices: csp, global-topk"):

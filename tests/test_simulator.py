@@ -35,17 +35,18 @@ SMALL = SynthSpec(seed=5, text_len=12, visual_len=12, layers=2, heads=2,
                   head_dim=8, steps=6, shift=2.0)
 
 
-def wrap_kernel(monkeypatch, policy, wrapper):
-    """Rebind the kernel run_decode calls for a policy, as named by its
-    Policy.kernel, to wrapper(kernel)."""
-    name = policies.POLICIES[policy].kernel
-    monkeypatch.setattr(policies, name, wrapper(getattr(policies, name)))
+def wrap_kernel(name, wrapper):
+    """The POLICIES record of policy `name` with wrapper(kernel) as its
+    kernel, under the same name. run_decodes runs it as given; a call that
+    goes through the name runs it once it replaces the entry."""
+    policy = policies.POLICIES[name]
+    return policy._replace(kernel=wrapper(policy.kernel))
 
 
-def record_keeps(monkeypatch, policy):
-    """Wrap the kernel run_decode calls for a policy; the returned list
-    collects the keep of every call, in call order: None for a step that
-    evicts nothing."""
+def record_keeps(name):
+    """(policy, keeps): the record of policy `name` with its kernel wrapped,
+    and the list that collects the keep of every call of that kernel, in
+    call order: None for a step that evicts nothing."""
     keeps = []
 
     def wrapper(kernel):
@@ -55,8 +56,7 @@ def record_keeps(monkeypatch, policy):
             return keep, ks, state
         return recorded
 
-    wrap_kernel(monkeypatch, policy, wrapper)
-    return keeps
+    return wrap_kernel(name, wrapper), keeps
 
 
 def record_outputs(monkeypatch):
@@ -197,6 +197,25 @@ class TestSyntheticDecoder:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"spread .* and shift .* not finite in float32"):
                 decoder.logit_block(0, ids, ids)
+
+    @pytest.mark.parametrize("interleave", simulator.INTERLEAVE_MODES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_longer_decode_extends_the_shorter(self, seed, interleave):
+        """A spec that differs only in steps draws the same decode, longer:
+        its prefill tags, keys, values and queries begin with the shorter
+        spec's, and so does its logit slab, bit for bit, so steps past a
+        run's last one continue that run's decode."""
+        short = SynthSpec(seed=seed, text_len=12, visual_len=9, interleave=interleave,
+                          layers=2, heads=3, head_dim=8, steps=6)
+        longer = SynthSpec(**{**short.__dict__, "steps": short.steps + 8})
+        a, b = SyntheticDecoder(short), SyntheticDecoder(longer)
+        n = short.final_len
+        assert_same_arrays([a.prefill_tags, a._keys, a._values, a._queries],
+                           [b.prefill_tags, b._keys[:, :n], b._values[:, :n],
+                            b._queries[:, :, :n]])
+        (slab_a, start_a), (slab_b, start_b) = a.slab(5), b.slab(5)
+        assert start_a == start_b
+        assert_same_arrays([slab_a], [slab_b[:, :, : slab_a.shape[2], :n]])
 
     def test_decode_tail_is_text(self):
         decoder = SyntheticDecoder(SMALL)
@@ -488,7 +507,8 @@ class TestScriptedTrace:
         trace = self.build()
         cfg = PruneConfig(budget=6, recent=2, obs_window=2, cross_ratio=0.5,
                           smoothing=0.0)
-        keeps = record_keeps(monkeypatch, "csp")
+        csp, keeps = record_keeps("csp")
+        monkeypatch.setitem(policies.POLICIES, "csp", csp)
         report = run_decode(trace, "csp", cfg)
 
         step0, step1, step2 = (step[0] for step in report.per_step)
@@ -817,7 +837,7 @@ class TestKernelsCallOnlyKernels:
             for name in ("topk_mask", "cross_self_select", "_checked_scores"):
                 monkeypatch.setattr(module, name, refuse, raising=False)
         cfg = self.CFG.with_updates(widen_to_budget=widen)
-        runs = [(policy, cfg) for policy in policies.POLICIES]
+        runs = [(policy, cfg) for policy in policies.POLICIES.values()]
         for source in (SMALL, record_trace(SMALL, cfg.obs_window)):
             reports = run_decodes(source, runs)
             assert all(any(decision.pruned for step in report.per_step for decision in step)
@@ -869,7 +889,7 @@ def lockstep_runs(draw):
     budgets = [recent + 1, spec.prefill_len // 2 + recent, spec.final_len]
     runs = []
     for _ in range(draw(st.integers(1, 4))):
-        policy = draw(st.sampled_from(list(policies.POLICIES)))
+        policy = draw(st.sampled_from(list(policies.POLICIES.values())))
         cfg = PruneConfig(budget=draw(st.sampled_from(budgets)), recent=recent,
                           obs_window=obs_window,
                           cross_ratio=draw(st.sampled_from([0.0, 0.5, 1.0])),
@@ -898,7 +918,7 @@ class TestRunDecodes:
         reports = run_decodes(source, runs)
         assert len(reports) == len(runs)
         for report, (policy, cfg) in zip(reports, runs):
-            alone = run_decode(source if kind == "trace" else spec, policy, cfg)
+            alone = run_decode(source if kind == "trace" else spec, policy.name, cfg)
             assert_same_report(report, alone)
 
     @settings(max_examples=30, deadline=None)
@@ -910,11 +930,11 @@ class TestRunDecodes:
             grid = [value + 0.1 for value in grid]
         elif axis == "cross_ratio":
             grid = [min(value, 1.0) for value in grid]
-        rows = sweep(axis, grid, spec, cfg, policy)
+        rows = sweep(axis, grid, spec, cfg, policy.name)
         assert [value for value, _ in rows] == grid
         for _, report in rows:
             assert report.config.pool_width == cfg.pool_width
-            assert_same_report(report, run_decode(spec, policy, report.config))
+            assert_same_report(report, run_decode(spec, policy.name, report.config))
 
     def test_step_zero_scores_once_per_distinct_smoothing(self, monkeypatch):
         """At step 0 every run holds the whole prefill. csp scores with
@@ -923,7 +943,7 @@ class TestRunDecodes:
         baselines read the same mass."""
         scored = record_scorings(monkeypatch)
         spec = SynthSpec(**{**SMALL.__dict__, "steps": 0})
-        runs = [(policy, self.CFG) for policy in ("csp", "global-topk", "accum")]
+        runs = [(policies.POLICIES[name], self.CFG) for name in ("csp", "global-topk", "accum")]
         run_decodes(spec, runs)
         assert collections.Counter(smoothing for smoothing, _ in scored) == {
             1.0: spec.layers, 0.0: spec.layers}
@@ -955,9 +975,22 @@ class TestRunDecodes:
             run_decodes(SMALL, [])
         wide = self.CFG.with_updates(obs_window=6)
         with pytest.raises(ValueError, match=r"must share obs_window, got \[4, 6\]"):
-            run_decodes(SMALL, [("csp", self.CFG), ("accum", wide)])
+            run_decodes(SMALL, [(policies.POLICIES["csp"], self.CFG),
+                                (policies.POLICIES["accum"], wide)])
         with pytest.raises(TypeError, match="cannot drive"):
-            run_decodes("no", [("csp", self.CFG)])
+            run_decodes("no", [(policies.POLICIES["csp"], self.CFG)])
+
+    def test_a_record_outside_the_registry_runs(self):
+        """run_decodes runs the records it is given, not names: a copy of
+        csp's record under a name POLICIES does not hold, run next to csp,
+        reports what csp reports, under its own name."""
+        csp = policies.POLICIES["csp"]
+        copy = csp._replace(name="csp-copy")
+        assert "csp-copy" not in policies.POLICIES
+        for source in (SMALL, record_trace(SMALL, self.CFG.obs_window)):
+            got, want = run_decodes(source, [(copy, self.CFG), (csp, self.CFG)])
+            assert (got.policy, want.policy) == ("csp-copy", "csp")
+            assert_same_report(dataclasses.replace(got, policy="csp"), want)
 
     def test_shared_weights_are_read_only(self, monkeypatch):
         """A kernel that writes to the column mass it is handed gets a
@@ -973,8 +1006,9 @@ class TestRunDecodes:
             return writing
 
         runs = [("accum", self.CFG), ("global-topk", self.CFG)]
-        alone = [run_decode(SMALL, policy, cfg) for policy, cfg in runs]
-        wrap_kernel(monkeypatch, "accum", wrapper)
+        alone = [run_decode(SMALL, name, cfg) for name, cfg in runs]
+        runs = [(wrap_kernel("accum", wrapper), self.CFG),
+                (policies.POLICIES["global-topk"], self.CFG)]
         for report, want in zip(run_decodes(SMALL, runs), alone):
             assert_same_report(report, want)
         assert len(writes) == (SMALL.steps + 1) * SMALL.layers
@@ -1005,7 +1039,8 @@ class TestRunDecodes:
         cfg = PruneConfig(budget=budget_for_fraction(0.25, spec.final_len, 32), recent=32,
                           obs_window=32, widen_to_budget=True, seed=7)
         scored = record_scorings(monkeypatch)
-        run_decodes(trace, [(policy, cfg) for policy in ("csp", "global-topk", "accum")])
+        run_decodes(trace, [(policies.POLICIES[name], cfg)
+                            for name in ("csp", "global-topk", "accum")])
         assert len(scored) == 43
 
 
@@ -1050,12 +1085,13 @@ class TestDerivedRecords:
     @given(case=lockstep_runs(), kind=st.sampled_from(["decoder", "trace"]))
     def test_match_an_eager_policy_step_oracle(self, policy, widen, case, kind):
         spec, runs = case
-        runs = [(policy, runs[0][1].with_updates(widen_to_budget=widen)), *runs]
+        runs = [(policies.POLICIES[policy], runs[0][1].with_updates(widen_to_budget=widen)),
+                *runs]
         source = SyntheticDecoder(spec)
         if kind == "trace":
             source = record_trace(spec, runs[0][1].obs_window)
-        for report, (name, cfg) in zip(run_decodes(source, runs), runs, strict=True):
-            per_step, bytes_cached = eager_records(source, name, cfg)
+        for report, (policy, cfg) in zip(run_decodes(source, runs), runs, strict=True):
+            per_step, bytes_cached = eager_records(source, policy.name, cfg)
             assert report.steps == len(per_step)
             assert report.per_step == per_step
             assert report.bytes_cached == bytes_cached
@@ -1306,10 +1342,10 @@ class TestModalityBalance:
 
 
 def record_selections(monkeypatch):
-    """Wrap csp's kernel, the step's query selector and the selection
-    kernel, _cross_self_select; the returned list collects (candidate tags,
-    observation-window query tags, scores, selection) for every selection,
-    in call order."""
+    """(csp, selections): csp's record with its kernel wrapped, with the
+    step's query selector and the selection kernel, _cross_self_select,
+    wrapped too; the list collects (candidate tags, observation-window
+    query tags, scores, selection) for every selection, in call order."""
     select = policies._cross_self_select
     selector = policies._selector
     selections, window = [], {}
@@ -1329,10 +1365,9 @@ def record_selections(monkeypatch):
         selections.append((window["keys"][: len(scores)], window["queries"], scores, chosen))
         return chosen
 
-    wrap_kernel(monkeypatch, "csp", wrapper)
     monkeypatch.setattr(policies, "_selector", selecting)
     monkeypatch.setattr(policies, "_cross_self_select", selected)
-    return selections
+    return wrap_kernel("csp", wrapper), selections
 
 
 class TestTieRegime:
@@ -1352,8 +1387,8 @@ class TestTieRegime:
         cfg = PruneConfig(budget=budget_for_fraction(0.25, spec.final_len, recent),
                           recent=recent, obs_window=8, widen_to_budget=True)
         assert cfg.budget - recent == 18
-        selections = record_selections(monkeypatch)
-        run_decode(spec, "csp", cfg)
+        csp, selections = record_selections(monkeypatch)
+        run_decodes(spec, [(csp, cfg)])
 
         # Each step of the decode selects once per layer; the first prune
         # is step 0's, over the whole prefill.
@@ -1406,7 +1441,8 @@ class TestSweep:
         sweep steps its runs in lockstep, calling every run's kernel at a
         layer-step before the next layer-step, so its keeps are regrouped
         by run to compare them with the standalone runs, one after another."""
-        keeps = record_keeps(monkeypatch, policy)
+        wrapped, keeps = record_keeps(policy)
+        monkeypatch.setitem(policies.POLICIES, policy, wrapped)
         rows = sweep(axis, grid, SMALL, self.CFG, policy)
         swept_keeps = [keeps[run::len(grid)] for run in range(len(grid))]
         swept_keeps = [keep for run in swept_keeps for keep in run]
