@@ -298,7 +298,8 @@ def policy_step(name: str):
     then the kernel with a _scorer of the checked logits' last
     min(cfg.obs_window, rows) rows at the policy's smoothing, then
     _decided over the kept tags. keep is every position, in order, for a
-    step that evicts nothing. ValueError for an unknown policy."""
+    step that evicts nothing. The record is looked up once, when the step
+    is built. ValueError for an unknown policy."""
     policy = get_policy(name)
 
     def step(key_tags, logits, query_tags, cfg: PruneConfig, state=None):
